@@ -4,13 +4,17 @@ Supports the two rule forms needed to exclude ad frames from the metrics:
 ``||host^`` domain anchors and plain substring patterns with ``*`` wildcards.
 Element hiding (``##``), exceptions (``@@``) and option-suffixed rules
 (``$...``) are skipped and counted, never matched.
+
+The host and each of its suffixes after a ``.`` are looked up in the anchor
+set, O(labels) hash lookups however many anchors there are; the substring
+rules are compiled on first use into one alternation regex per rule set.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from urllib.parse import urlsplit
 
 _HOST_RE = re.compile(r"^[a-z0-9]([a-z0-9-]*[a-z0-9])?(\.[a-z0-9]([a-z0-9-]*[a-z0-9])?)*$")
@@ -21,6 +25,13 @@ class AdRuleSet:
     domain_anchor_rules: frozenset[str]
     substring_rules: tuple[str, ...]
     skipped: int = 0
+
+    @cached_property
+    def _substring_regex(self) -> re.Pattern[str]:
+        return re.compile("|".join(
+            ".*".join(re.escape(part) for part in rule.split("*"))
+            for rule in self.substring_rules
+        ))
 
 
 def parse_rules(text: str) -> AdRuleSet:
@@ -49,11 +60,6 @@ def parse_rules(text: str) -> AdRuleSet:
     return AdRuleSet(frozenset(anchors), tuple(substrings), skipped)
 
 
-@lru_cache(maxsize=4096)
-def _substring_regex(rule: str) -> re.Pattern[str]:
-    return re.compile(".*".join(re.escape(part) for part in rule.split("*")))
-
-
 def is_ad_url(url: str, rules: AdRuleSet) -> bool:
     """True when the URL's host falls under a domain anchor or the full URL
     string matches a substring rule.
@@ -61,11 +67,10 @@ def is_ad_url(url: str, rules: AdRuleSet) -> bool:
     Host matching is case-insensitive; substring rules match the URL string
     case-sensitively.
     """
-    host = (urlsplit(url).hostname or "").lower()
-    for anchor in rules.domain_anchor_rules:
-        if host == anchor or host.endswith("." + anchor):
-            return True
-    return any(_substring_regex(rule).search(url) for rule in rules.substring_rules)
+    labels = (urlsplit(url).hostname or "").lower().split(".")
+    if any(".".join(labels[i:]) in rules.domain_anchor_rules for i in range(len(labels))):
+        return True
+    return bool(rules.substring_rules) and rules._substring_regex.search(url) is not None
 
 
 EMPTY_RULES = AdRuleSet(frozenset(), (), 0)

@@ -21,8 +21,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from storagelab.policy import host_of
-from storagelab.psl import SuffixRuleSet, etld_plus_one
+from storagelab.policy import site_of
+from storagelab.psl import SuffixRuleSet
 from storagelab.simulator import CookieFlowRecord, FrameRecord, SimOutput
 from storagelab.trace import NodeType, edge_endpoint_types
 
@@ -414,8 +414,7 @@ def select_candidates(
     chosen: list[Candidate] = []
     seen_sites: set[str] = set()
     for stat in scored:
-        host = host_of(stat.frame_url)
-        site = etld_plus_one(host, rules) or host
+        site = site_of(stat.frame_url, rules)
         if site in seen_sites:
             continue
         seen_sites.add(site)

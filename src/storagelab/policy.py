@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from urllib.parse import urlsplit
 
 from storagelab.cookies import CookieJar, cookies_for_request, parse_set_cookie
@@ -77,9 +78,12 @@ def host_of(url: str) -> str:
     return host.lower()
 
 
+# Bounded so memory stays flat on long traces; URLs recur within a page load.
+@lru_cache(maxsize=4096)
 def site_of(url: str, rules: SuffixRuleSet) -> str:
     """eTLD+1 of the URL's host; hosts with no registrable domain (bare
-    suffixes, IP addresses) are their own site."""
+    suffixes, IP addresses) are their own site. Memoized per (URL, rule set),
+    so each distinct URL is split and looked up once."""
     host = host_of(url)
     return etld_plus_one(host, rules) or host
 
@@ -220,7 +224,10 @@ class PartitionStore:
             if cookie is not None:
                 jar.add(cookie)
         elif op == "delete":
-            host = urlsplit_host(url)
+            try:
+                host = host_of(url)
+            except ValueError:  # a URL without a host matches no cookie
+                return None
             for cookie in jar.cookies():
                 if cookie.name == name and (cookie.domain == host or host.endswith("." + cookie.domain)):
                     jar.remove(cookie.name, cookie.domain, cookie.path)
@@ -234,6 +241,3 @@ class PartitionStore:
         for k in dead:
             del self.ephemeral[k]
 
-
-def urlsplit_host(url: str) -> str:
-    return (urlsplit(url).hostname or "").lower()

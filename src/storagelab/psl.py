@@ -5,6 +5,10 @@ prevailing rule is the matching exception rule if any, otherwise the longest
 matching rule; a wildcard rule (``*.foo``) matches exactly one extra label;
 when nothing matches, the public suffix is the host's last label.
 
+Lookup tests each suffix of the host, longest first, for membership in the
+exception, normal and wildcard rule sets: a call costs O(labels) hash
+lookups, whatever the size of the list.
+
 Hosts are expected to be ASCII, pre-normalized DNS names with no trailing
 dot. IDN/punycode normalization is out of scope; crawl logs arrive already
 ASCII-encoded.
@@ -84,14 +88,6 @@ def _labels(host: str) -> list[str]:
     return labels
 
 
-def _matches(rule: str, host_labels: list[str]) -> bool:
-    rule_labels = rule.split(".")
-    return (
-        len(rule_labels) <= len(host_labels)
-        and host_labels[len(host_labels) - len(rule_labels) :] == rule_labels
-    )
-
-
 def public_suffix(host: str, rules: SuffixRuleSet) -> str:
     """Return the public suffix of ``host`` under ``rules``.
 
@@ -100,27 +96,15 @@ def public_suffix(host: str, rules: SuffixRuleSet) -> str:
     matching rule the last label is the suffix.
     """
     labels = _labels(host.lower())
-
-    best_exception: str | None = None
-    for rule in rules.exception_rules:
-        if _matches(rule, labels):
-            if best_exception is None or rule.count(".") > best_exception.count("."):
-                best_exception = rule
-    if best_exception is not None:
-        return ".".join(best_exception.split(".")[1:])
-
-    best_len = 1  # default rule: the last label
-    for rule in rules.normal_rules:
-        if _matches(rule, labels):
-            best_len = max(best_len, len(rule.split(".")))
-    # Wildcard `*.base` matches when the host ends with base and has at least
-    # one extra label; the matched suffix is base plus that one label.
-    for base in rules.wildcard_rules:
-        base_labels = base.split(".")
-        if len(labels) > len(base_labels) and labels[-len(base_labels):] == base_labels:
-            best_len = max(best_len, len(base_labels) + 1)
-
-    return ".".join(labels[-best_len:])
+    suffixes = [".".join(labels[i:]) for i in range(len(labels))]  # longest first
+    for suffix in suffixes:
+        if suffix in rules.exception_rules:
+            return suffix.partition(".")[2]
+    # `*.base` matches base plus exactly one label: the suffix whose parent is base.
+    for suffix, parent in zip(suffixes, suffixes[1:] + [None]):
+        if suffix in rules.normal_rules or parent in rules.wildcard_rules:
+            return suffix
+    return labels[-1]  # default rule: the last label
 
 
 def etld_plus_one(host: str, rules: SuffixRuleSet) -> str | None:
@@ -132,9 +116,8 @@ def etld_plus_one(host: str, rules: SuffixRuleSet) -> str | None:
     host = host.lower()
     if is_ip_host(host):
         return host
-    suffix = public_suffix(host, rules)
     labels = _labels(host)
-    suffix_len = len(suffix.split("."))
+    suffix_len = public_suffix(host, rules).count(".") + 1
     if len(labels) <= suffix_len:
         return None
     return ".".join(labels[-(suffix_len + 1):])

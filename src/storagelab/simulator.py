@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 from storagelab.cookies import cookies_for_request, parse_set_cookie
 from storagelab.filterlist import AdRuleSet, EMPTY_RULES, is_ad_url
 from storagelab.policy import (
+    FirstParty,
     PartitionStore,
     Party,
     PolicyKind,
@@ -194,13 +195,12 @@ def replay(
                     policy, state.page_url, state.load_key, event.dest_url, rules,
                     origin_keyed=origin_keyed,
                 )
-                party = classify_party(event.dest_url, state.page_url, rules)
             except ValueError as exc:
                 raise ReplayError(f"event {index}: {exc}") from None
             area = store.area(pkey)
             if area is not None:
                 attached = cookies_for_request(area.jar, event.dest_url, now)
-                if party is Party.THIRD:
+                if not isinstance(pkey, FirstParty):
                     top_site = site_of(state.page_url, rules)
                     dest_site = site_of(event.dest_url, rules)
                     for name, value in attached:

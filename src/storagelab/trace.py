@@ -15,6 +15,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Union
 
+from storagelab.policy import STORAGE_APIS
+
 
 class TraceFormatError(ValueError):
     """A record the trace file format does not allow; names the line."""
@@ -147,7 +149,6 @@ class Trace:
     events: list[TraceEvent] = field(default_factory=list)
 
 
-_SCRIPT_APIS = ("cookie", "local", "session", "indexed")
 _SCRIPT_OPS = ("get", "set", "delete")
 
 
@@ -179,11 +180,17 @@ def event_to_record(event: TraceEvent) -> dict:
     raise TypeError(f"not a trace event: {event!r}")
 
 
-def _require(record: dict, line_no: int, *names: str) -> list:
+_TYPE_NAMES = {str: "a string", int: "an integer", dict: "an object"}
+
+
+def _require(record: dict, line_no: int, *names: str, of: type = str) -> list:
+    """The values of the named fields, each checked to be of type ``of``."""
     values = []
     for name in names:
         if name not in record:
             raise TraceFormatError(f"line {line_no}: missing field {name!r}")
+        if not isinstance(record[name], of):
+            raise TraceFormatError(f"line {line_no}: field {name!r} must be {_TYPE_NAMES[of]}")
         values.append(record[name])
     return values
 
@@ -191,10 +198,8 @@ def _require(record: dict, line_no: int, *names: str) -> list:
 def record_to_event(record: dict, line_no: int) -> TraceEvent:
     kind = record.get("type")
     if kind == "visit_start":
-        profile, crawl_iter, tab, page_url, visit_seq = _require(
-            record, line_no, "profile", "crawl_iter", "tab", "page_url", "visit_seq")
-        if not isinstance(crawl_iter, int) or not isinstance(visit_seq, int):
-            raise TraceFormatError(f"line {line_no}: crawl_iter/visit_seq must be integers")
+        profile, tab, page_url = _require(record, line_no, "profile", "tab", "page_url")
+        crawl_iter, visit_seq = _require(record, line_no, "crawl_iter", "visit_seq", of=int)
         return VisitStart(profile, crawl_iter, tab, page_url, visit_seq)
     if kind == "frame_load":
         tab, frame_id, frame_url = _require(record, line_no, "tab", "frame_id", "frame_url")
@@ -210,15 +215,17 @@ def record_to_event(record: dict, line_no: int) -> TraceEvent:
         return HttpRequest(tab, frame_id, dest_url, tuple(cookies))
     if kind == "script_storage":
         tab, frame_id, api, op, key = _require(record, line_no, "tab", "frame_id", "api", "op", "key")
-        if api not in _SCRIPT_APIS:
+        if api not in STORAGE_APIS:
             raise TraceFormatError(f"line {line_no}: unknown storage api {api!r}")
         if op not in _SCRIPT_OPS:
             raise TraceFormatError(f"line {line_no}: unknown storage op {op!r}")
-        return ScriptStorage(tab, frame_id, api, op, key, record.get("value"))
+        value = record.get("value")
+        if value is not None and not isinstance(value, str):
+            raise TraceFormatError(f"line {line_no}: value must be a string or null")
+        return ScriptStorage(tab, frame_id, api, op, key, value)
     if kind == "behavior_edge":
-        tab, frame_id, edge = _require(record, line_no, "tab", "frame_id", "edge")
-        if not isinstance(edge, dict):
-            raise TraceFormatError(f"line {line_no}: edge must be an object")
+        tab, frame_id = _require(record, line_no, "tab", "frame_id")
+        (edge,) = _require(record, line_no, "edge", of=dict)
         st, sk, et, tt, tk = _require(edge, line_no, "source_type", "source_key",
                                       "edge_type", "target_type", "target_key")
         try:

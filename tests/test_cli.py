@@ -57,6 +57,21 @@ class TestGenAndSimulate:
         assert run("simulate", "--policy", "permissive", "--trace", bad,
                    "--out", tmp_path / "o") == 2
 
+    @pytest.mark.parametrize("field,bad", [
+        ("page_url", 123), ("frame_url", 123), ("dest_url", 123), ("dest_url", ["x"]),
+    ])
+    def test_non_string_url_is_input_error_naming_the_line(self, tmp_path, capsys, field, bad):
+        lines = (Path(__file__).parents[1] / "demo" / "trace.jsonl").read_text().splitlines()
+        line_no = next(n for n, line in enumerate(lines, start=1) if f'"{field}"' in line)
+        record = json.loads(lines[line_no - 1])
+        record[field] = bad
+        lines[line_no - 1] = json.dumps(record)
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("\n".join(lines) + "\n")
+        assert run("simulate", "--policy", "site-keyed", "--trace", trace,
+                   "--out", tmp_path / "o") == 2
+        assert f"line {line_no}: field {field!r} must be a string" in capsys.readouterr().err
+
     def test_zero_sites_is_input_error(self, tmp_path):
         assert run("gen-trace", "--sites", 0, "--out", tmp_path / "o") == 2
 

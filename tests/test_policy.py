@@ -104,6 +104,13 @@ class TestStorageAccess:
         store.storage_access(key, "delete", "cookie", "uid", url=TRACKER, now=3.0)
         assert store.storage_access(key, "get", "cookie", "uid", url=TRACKER, now=4.0) is None
 
+    def test_cookie_delete_with_hostless_url_is_noop(self):
+        store = PartitionStore()
+        key = GlobalThirdParty("t.net")
+        store.storage_access(key, "set", "cookie", "uid", "tok", url=TRACKER, now=1.0)
+        assert store.storage_access(key, "delete", "cookie", "uid", url="not-a-url", now=2.0) is None
+        assert store.storage_access(key, "get", "cookie", "uid", url=TRACKER, now=3.0) == "tok"
+
     def test_session_buckets_scoped_per_tab_and_load(self):
         store = PartitionStore()
         key = FirstParty("a.com")

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from storagelab.trace import (
@@ -78,6 +80,18 @@ class TestParseErrors:
     def test_bad_storage_api(self):
         with pytest.raises(TraceFormatError, match="unknown storage api"):
             parse_trace(['{"type":"script_storage","tab":"t","frame_id":"f","api":"webSQL","op":"get","key":"k"}'])
+
+    @pytest.mark.parametrize("field,bad,message", [
+        ("tab", 1, "field 'tab' must be a string"),
+        ("key", ["k"], "field 'key' must be a string"),
+        ("api", None, "field 'api' must be a string"),
+        ("value", 5, "value must be a string or null"),
+    ])
+    def test_non_string_storage_field(self, field, bad, message):
+        record = {"type": "script_storage", "tab": "t", "frame_id": "f", "api": "local",
+                  "op": "set", "key": "k", "value": "v", field: bad}
+        with pytest.raises(TraceFormatError, match=f"line 1: {message}"):
+            parse_trace([json.dumps(record)])
 
     def test_bad_node_type(self):
         line = ('{"type":"behavior_edge","tab":"t","frame_id":"f","edge":'
