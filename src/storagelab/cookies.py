@@ -1,7 +1,8 @@
 """Minimal deterministic cookie model (RFC 6265 subset).
 
 Covers Set-Cookie parsing (RFC 6265 section 5.2), domain matching (5.1.3),
-default-path computation (5.1.4) and request retrieval ordering (5.4).
+default-path computation (5.1.4), the public-suffix check on the Domain
+attribute (5.3 step 5) and request retrieval ordering (5.4).
 Secure, HttpOnly, and SameSite are parsed and ignored. Time is always an
 explicit argument: the replayer supplies virtual time, never the wall clock.
 """
@@ -12,6 +13,8 @@ import re
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from urllib.parse import urlsplit
+
+from storagelab.psl import SuffixRuleSet, etld_plus_one
 
 
 @dataclass(frozen=True)
@@ -122,12 +125,16 @@ def parse_cookie_date(text: str) -> float | None:
         return None
 
 
-def parse_set_cookie(header: str, request_url: str, now: float = 0.0) -> Cookie | None:
+def parse_set_cookie(
+    header: str, request_url: str, rules: SuffixRuleSet, now: float = 0.0
+) -> Cookie | None:
     """Parse one Set-Cookie header value against the request URL.
 
-    Returns None when the cookie must be dropped (empty name, or a Domain
-    attribute that does not domain-match the request host). Max-Age wins over
-    Expires; unknown attributes are ignored.
+    Returns None when the cookie must be dropped: an empty name, a Domain
+    attribute that does not domain-match the request host, one with an empty
+    label, or one that is a public suffix under ``rules``. A public-suffix
+    Domain equal to the request host gives a host-only cookie instead. Max-Age
+    wins over Expires; unknown attributes are ignored.
     """
     url = urlsplit(request_url)
     request_host = (url.hostname or "").lower()
@@ -166,14 +173,19 @@ def parse_set_cookie(header: str, request_url: str, now: float = 0.0) -> Cookie 
                 max_age = int(attr_value)
         # Secure / HttpOnly / SameSite and anything else: ignored.
 
+    domain = request_host
+    host_only = True
     if domain_attr is not None:
         if not domain_match(request_host, domain_attr):
             return None
-        domain = domain_attr
-        host_only = False
-    else:
-        domain = request_host
-        host_only = True
+        try:
+            public = etld_plus_one(domain_attr, rules) is None
+        except ValueError:  # an empty label
+            return None
+        if not public:
+            domain, host_only = domain_attr, False
+        elif domain_attr != request_host:
+            return None
 
     if max_age is not None:
         expiry = now if max_age <= 0 else now + max_age

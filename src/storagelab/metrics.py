@@ -15,11 +15,11 @@ its inputs.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from storagelab.policy import site_of
 from storagelab.psl import SuffixRuleSet
@@ -118,20 +118,9 @@ def cross_time_scores(
     return {site: len(parties) for site, parties in repeat_parties.items()}
 
 
-def cumulative_curve(scores: Mapping[str, int]) -> list[tuple[int, int]]:
-    """(rank, running sum) points; keys ordered by descending score, ties
-    broken lexicographically by key."""
-    ordered = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    points = []
-    total = 0
-    for rank, (_, score) in enumerate(ordered, start=1):
-        total += score
-        points.append((rank, total))
-    return points
-
-
 def curve_rows(scores: Mapping[str, int]) -> list[tuple[int, str, int, int]]:
-    """Curve points with their keys, for CSV output: (rank, key, score, cum)."""
+    """Cumulative-sum curve points with their keys: (rank, key, score, running
+    sum); keys ordered by descending score, ties broken lexicographically."""
     ordered = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
     rows = []
     total = 0
@@ -139,6 +128,37 @@ def curve_rows(scores: Mapping[str, int]) -> list[tuple[int, str, int, int]]:
         total += score
         rows.append((rank, key, score, total))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Node-type masks
+#
+# A set of node types is an int with bit i set for the i-th type in value
+# order, the order the optimizer breaks ties in. An edge's pair mask has the
+# bits of its two endpoint types; a filter keeps the edge iff the pair mask
+# has no bit outside the filter's mask.
+
+_TYPE_BIT = {t: 1 << i for i, t in enumerate(sorted(NodeType, key=lambda t: t.value))}
+
+# Pair mask per canonical edge string, so each distinct edge is parsed once
+# per process. It holds one int per distinct edge read, far less than the
+# edge sets that hold those strings.
+_PAIR_MASKS: dict[str, int] = {}
+
+
+def _pair_mask(edge: str) -> int:
+    mask = _PAIR_MASKS.get(edge)
+    if mask is None:
+        src, tgt = edge_endpoint_types(edge)
+        mask = _PAIR_MASKS[edge] = _TYPE_BIT[src] | _TYPE_BIT[tgt]
+    return mask
+
+
+def _type_mask(types: Iterable[NodeType]) -> int:
+    mask = 0
+    for t in types:
+        mask |= _TYPE_BIT[t]
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +181,8 @@ class FrameSimilarity:
     score: Score
 
 
-def _filter_edges(edges: set[str], node_filter: frozenset[NodeType]) -> set[str]:
-    kept = set()
-    for edge in edges:
-        src, tgt = edge_endpoint_types(edge)
-        if src in node_filter and tgt in node_filter:
-            kept.add(edge)
-    return kept
+def _filter_edges(edges: set[str], mask: int) -> set[str]:
+    return {edge for edge in edges if not _pair_mask(edge) & ~mask}
 
 
 def _profile_frames(out: SimOutput, profile: str) -> dict[tuple[str, str, int], FrameRecord]:
@@ -192,6 +207,7 @@ def frame_similarity(
     edges are kept iff both endpoint node types are in ``node_filter``.
     Results follow the canonical instance order.
     """
+    mask = _type_mask(node_filter)
     base_frames = _profile_frames(base, base_profile)
     other_frames = _profile_frames(other, other_profile)
     results = []
@@ -200,8 +216,7 @@ def frame_similarity(
         b = other_frames[key]
         if a.party.value != "third" or b.party.value != "third" or a.is_ad or b.is_ad:
             continue
-        score = jaccard(_filter_edges(a.edge_set, node_filter),
-                        _filter_edges(b.edge_set, node_filter))
+        score = jaccard(_filter_edges(a.edge_set, mask), _filter_edges(b.edge_set, mask))
         results.append(FrameSimilarity(key[0], key[1], key[2], score))
     return results
 
@@ -280,31 +295,35 @@ class OptimizeResult:
     subsets_evaluated: int
 
 
-def _pair_counts(a: frozenset[str], b: frozenset[str]):
-    """Per endpoint-type pair: (intersection size, union size) of a vs b."""
-    groups_a: dict[tuple[NodeType, NodeType], set[str]] = defaultdict(set)
-    groups_b: dict[tuple[NodeType, NodeType], set[str]] = defaultdict(set)
-    for edge in a:
-        groups_a[edge_endpoint_types(edge)].add(edge)
-    for edge in b:
-        groups_b[edge_endpoint_types(edge)].add(edge)
-    counts = {}
-    for pair in set(groups_a) | set(groups_b):
-        ga = groups_a.get(pair, set())
-        gb = groups_b.get(pair, set())
-        counts[pair] = (len(ga & gb), len(ga | gb))
-    return counts
+PairCounts = list[tuple[int, int, int]]  # (pair mask, |a & b|, |a | b|)
 
 
-def _subset_jaccard(counts, subset: frozenset[NodeType]) -> Score:
+def _pair_counts(a: frozenset[str], b: frozenset[str]) -> PairCounts:
+    """Intersection and union sizes of a vs b, per endpoint pair mask."""
+    inter = Counter(_pair_mask(edge) for edge in a & b)
+    union = Counter(_pair_mask(edge) for edge in a | b)
+    return [(mask, inter[mask], n) for mask, n in union.items()]
+
+
+def _subset_jaccard(counts: PairCounts, subset: int) -> Score:
     inter = union = 0
-    for (src, tgt), (i, u) in counts.items():
-        if src in subset and tgt in subset:
+    for mask, i, u in counts:
+        if not mask & ~subset:
             inter += i
             union += u
     if union == 0:
         return None
     return Fraction(inter, union)
+
+
+def _submasks(mask: int) -> Iterator[int]:
+    """Every submask of ``mask``, the empty one included."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
 
 
 def optimize_node_types(
@@ -319,30 +338,45 @@ def optimize_node_types(
     Undefined scores are excluded from means. Ties prefer smaller subsets,
     then lexicographic type order. Raises ValueError when no subset yields a
     defined score on both sides.
+
+    A subset's scores depend only on which of the sample's endpoint types it
+    keeps, so the means are computed once per projection ``subset & used``
+    (2^|used| of them) and every subset of ``node_types`` is then ranked.
     """
     if not sample:
         raise ValueError("sample must be non-empty")
     baseline_counts = [_pair_counts(i.baseline_a, i.baseline_b) for i in sample]
     contrast_counts = [_pair_counts(i.contrast, i.baseline_a) for i in sample]
 
-    ordered_types = sorted(node_types, key=lambda t: t.value)
-    best: tuple[Fraction, frozenset[NodeType], Fraction, Fraction] | None = None
+    allowed = _type_mask(node_types)
+    used = 0
+    for counts in baseline_counts + contrast_counts:
+        for mask, _, _ in counts:
+            used |= mask
+    scored: dict[int, tuple[Fraction, Fraction, Fraction] | None] = {}
+    for projection in _submasks(used & allowed):
+        base_mean = mean_defined(_subset_jaccard(c, projection) for c in baseline_counts)
+        contrast_mean = mean_defined(_subset_jaccard(c, projection) for c in contrast_counts)
+        if base_mean is not None and contrast_mean is not None:
+            scored[projection] = (base_mean - contrast_mean, base_mean, contrast_mean)
+        else:
+            scored[projection] = None
+
+    bits = [1 << i for i in range(len(_TYPE_BIT)) if allowed >> i & 1]  # tie-break order
+    best: tuple[tuple[Fraction, Fraction, Fraction], int] | None = None
     evaluated = 0
-    for size in range(1, len(ordered_types) + 1):
-        for combo in combinations(ordered_types, size):
+    for size in range(1, len(bits) + 1):
+        for combo in combinations(bits, size):
             evaluated += 1
-            subset = frozenset(combo)
-            base_mean = mean_defined(_subset_jaccard(c, subset) for c in baseline_counts)
-            contrast_mean = mean_defined(_subset_jaccard(c, subset) for c in contrast_counts)
-            if base_mean is None or contrast_mean is None:
-                continue
-            separation = base_mean - contrast_mean
-            if best is None or separation > best[0]:
-                best = (separation, subset, base_mean, contrast_mean)
+            subset = sum(combo)
+            score = scored[subset & used]
+            if score is not None and (best is None or score[0] > best[0][0]):
+                best = (score, subset)
     if best is None:
         raise ValueError("all similarity scores undefined under every subset")
-    separation, subset, base_mean, contrast_mean = best
-    return OptimizeResult(subset, separation, base_mean, contrast_mean, evaluated)
+    (separation, base_mean, contrast_mean), subset = best
+    best_subset = frozenset(t for t, bit in _TYPE_BIT.items() if bit & subset)
+    return OptimizeResult(best_subset, separation, base_mean, contrast_mean, evaluated)
 
 
 def build_optimize_sample(

@@ -150,9 +150,12 @@ class PartitionStore:
     Areas are created empty on first touch and live exactly as long as their
     partition key: persistent keys survive page loads, ephemeral keys die
     with :meth:`end_page_load`. A Blocked key never stores anything.
+    Cookies set through the store are parsed against the profile's suffix
+    ``rules``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, rules: SuffixRuleSet) -> None:
+        self.rules = rules
         self.persistent: dict[PartitionKey, StorageArea] = {}
         self.ephemeral: dict[PartitionKey, StorageArea] = {}
 
@@ -210,9 +213,8 @@ class PartitionStore:
             bucket.clear()
         return None
 
-    @staticmethod
     def _cookie_access(
-        jar: CookieJar, op: str, name: str | None, value: str | None, url: str, now: float
+        self, jar: CookieJar, op: str, name: str | None, value: str | None, url: str, now: float
     ) -> str | None:
         if op == "get":
             for cookie_name, cookie_value in cookies_for_request(jar, url, now):
@@ -220,7 +222,8 @@ class PartitionStore:
                     return cookie_value
             return None
         if op == "set":
-            cookie = parse_set_cookie(f"{name}={value if value is not None else ''}", url, now)
+            header = f"{name}={value if value is not None else ''}"
+            cookie = parse_set_cookie(header, url, self.rules, now)
             if cookie is not None:
                 jar.add(cookie)
         elif op == "delete":

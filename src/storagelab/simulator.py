@@ -37,8 +37,11 @@ from storagelab.trace import (
     ScriptStorage,
     Trace,
     TraceEvent,
+    TraceFormatError,
     VisitEnd,
     VisitStart,
+    _json_object,
+    _require,
 )
 
 
@@ -67,6 +70,8 @@ class FrameRecord:
 
 
 FrameKey = tuple[str, str, str, int]  # (page_url, frame_url, profile, crawl_iter)
+
+_PARTIES = {p.value: p for p in Party}
 
 
 @dataclass(frozen=True)
@@ -160,7 +165,7 @@ def replay(
             if previous is not None and policy is PolicyKind.PAGE_LENGTH:
                 stores[previous.profile].end_page_load(previous.load_key)
             load_counter += 1
-            stores.setdefault(event.profile, PartitionStore())
+            stores.setdefault(event.profile, PartitionStore(rules))
             try:
                 site_of(event.page_url, rules)
             except ValueError as exc:
@@ -214,7 +219,7 @@ def replay(
                             cookie_value=value,
                         ))
                 for header in event.response_set_cookies:
-                    cookie = parse_set_cookie(header, event.dest_url, now)
+                    cookie = parse_set_cookie(header, event.dest_url, rules, now)
                     if cookie is not None:
                         area.jar.add(cookie)
 
@@ -274,23 +279,34 @@ def write_flows_csv(flows: Iterable[CookieFlowRecord], path: str | Path) -> None
                              r.third_party_site, r.cookie_name, r.cookie_value])
 
 
+def _flow_record(row: list[str], line_no: int) -> CookieFlowRecord:
+    profile, crawl_iter, visit_seq, top_site, third_party_site, name, value = _require(
+        dict(zip(FLOW_FIELDS, row)), line_no, *FLOW_FIELDS)
+    try:
+        return CookieFlowRecord(profile, int(crawl_iter), int(visit_seq), top_site,
+                                third_party_site, name, value)
+    except ValueError:
+        raise TraceFormatError(
+            f"line {line_no}: crawl_iter and visit_seq must be integers") from None
+
+
 def read_flows_csv(path: str | Path) -> list[CookieFlowRecord]:
+    """Raises :class:`TraceFormatError`, naming the file and line, for a row
+    with a missing field or a non-integer crawl_iter or visit_seq."""
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != FLOW_FIELDS:
-            raise ValueError(f"{path}: not a flow table (header {reader.fieldnames})")
-        return [
-            CookieFlowRecord(
-                profile=row["profile"],
-                crawl_iter=int(row["crawl_iter"]),
-                visit_seq=int(row["visit_seq"]),
-                top_site=row["top_site"],
-                third_party_site=row["third_party_site"],
-                cookie_name=row["cookie_name"],
-                cookie_value=row["cookie_value"],
-            )
-            for row in reader
-        ]
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(header) != FLOW_FIELDS:
+            raise ValueError(f"{path}: not a flow table (header {header})")
+        flows = []
+        for row in reader:
+            if not row:
+                continue
+            try:
+                flows.append(_flow_record(row, reader.line_num))
+            except TraceFormatError as exc:
+                raise TraceFormatError(f"{path}: {exc}") from None
+        return flows
 
 
 def write_frames_jsonl(frames: dict[FrameKey, FrameRecord], path: str | Path) -> None:
@@ -309,18 +325,34 @@ def write_frames_jsonl(frames: dict[FrameKey, FrameRecord], path: str | Path) ->
             }, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _frame_entry(line: str, line_no: int) -> tuple[FrameKey, FrameRecord]:
+    record = _json_object(line, line_no)
+    page_url, frame_url, profile, party = _require(
+        record, line_no, "page_url", "frame_url", "profile", "party")
+    (crawl_iter,) = _require(record, line_no, "crawl_iter", of=int)
+    (is_ad,) = _require(record, line_no, "is_ad", of=bool)
+    (edges,) = _require(record, line_no, "edges", of=list)
+    if not all(isinstance(edge, str) for edge in edges):
+        raise TraceFormatError(f"line {line_no}: field 'edges' must hold strings")
+    if party not in _PARTIES:
+        raise TraceFormatError(f"line {line_no}: unknown party {party!r}")
+    key = (page_url, frame_url, profile, crawl_iter)
+    return key, FrameRecord(edge_set=set(edges), is_ad=is_ad, party=_PARTIES[party])
+
+
 def read_frames_jsonl(path: str | Path) -> dict[FrameKey, FrameRecord]:
+    """Raises :class:`TraceFormatError`, naming the file and line, for a
+    record that is not a JSON object, lacks a field or has one of the wrong
+    type."""
     frames: dict[FrameKey, FrameRecord] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            key = (obj["page_url"], obj["frame_url"], obj["profile"], int(obj["crawl_iter"]))
-            frames[key] = FrameRecord(
-                edge_set=set(obj["edges"]),
-                is_ad=bool(obj["is_ad"]),
-                party=Party(obj["party"]),
-            )
+            try:
+                key, record = _frame_entry(line, line_no)
+            except TraceFormatError as exc:
+                raise TraceFormatError(f"{path}: {exc}") from None
+            frames[key] = record
     return frames

@@ -19,7 +19,8 @@ from storagelab.policy import STORAGE_APIS
 
 
 class TraceFormatError(ValueError):
-    """A record the trace file format does not allow; names the line."""
+    """A record the trace file format (or a simulate output file) does not
+    allow; names the line."""
 
 
 class NodeType(Enum):
@@ -82,7 +83,11 @@ class BehaviorEdgeRecord:
 
 
 def edge_endpoint_types(encoded: str) -> tuple[NodeType, NodeType]:
+    """Source and target node types of a canonical edge string; ValueError
+    when it is not one."""
     fields = json.loads(encoded)
+    if not isinstance(fields, list) or len(fields) != 5:
+        raise ValueError(f"not a canonical edge: {encoded!r}")
     return NodeType(fields[0]), NodeType(fields[3])
 
 
@@ -180,7 +185,8 @@ def event_to_record(event: TraceEvent) -> dict:
     raise TypeError(f"not a trace event: {event!r}")
 
 
-_TYPE_NAMES = {str: "a string", int: "an integer", dict: "an object"}
+_TYPE_NAMES = {str: "a string", int: "an integer", bool: "a boolean", dict: "an object",
+               list: "an array"}
 
 
 def _require(record: dict, line_no: int, *names: str, of: type = str) -> list:
@@ -193,6 +199,16 @@ def _require(record: dict, line_no: int, *names: str, of: type = str) -> list:
             raise TraceFormatError(f"line {line_no}: field {name!r} must be {_TYPE_NAMES[of]}")
         values.append(record[name])
     return values
+
+
+def _json_object(line: str, line_no: int) -> dict:
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise TraceFormatError(f"line {line_no}: invalid JSON ({exc.msg})") from None
+    if not isinstance(record, dict):
+        raise TraceFormatError(f"line {line_no}: record must be a JSON object")
+    return record
 
 
 def record_to_event(record: dict, line_no: int) -> TraceEvent:
@@ -246,12 +262,7 @@ def parse_trace(lines: Iterable[str]) -> Trace:
         line = raw.strip()
         if not line:
             continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"line {line_no}: invalid JSON ({exc.msg})") from None
-        if not isinstance(record, dict):
-            raise TraceFormatError(f"line {line_no}: record must be a JSON object")
+        record = _json_object(line, line_no)
         if record.get("type") == "meta":
             if line_no != 1:
                 raise TraceFormatError(f"line {line_no}: meta record only allowed first")

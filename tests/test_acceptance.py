@@ -109,14 +109,15 @@ def test_criterion_06_psl_conformance():
 
 
 def test_criterion_07_cookie_semantics():
+    rules = builtin_rules()
     # Round-trip.
     jar = CookieJar()
-    jar.add(parse_set_cookie("token=v1; Path=/", "https://shop.example.com/cart"))
+    jar.add(parse_set_cookie("token=v1; Path=/", "https://shop.example.com/cart", rules))
     assert ("token", "v1") in cookies_for_request(jar, "https://shop.example.com/cart", 1.0)
     # Default path.
-    assert parse_set_cookie("sid=x", "https://a.com/p/q").path == "/p"
+    assert parse_set_cookie("sid=x", "https://a.com/p/q", rules).path == "/p"
     # Domain-match boundary.
-    assert parse_set_cookie("a=1; Domain=example.com", "https://badexample.com/") is None
+    assert parse_set_cookie("a=1; Domain=example.com", "https://badexample.com/", rules) is None
     # Path-sort ordering.
     jar = CookieJar()
     jar.add(Cookie("a", "1", "a.com", True, "/"))

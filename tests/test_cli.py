@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -185,6 +186,29 @@ class TestMetricsCommands:
         assert rows[0]["frame_url"] == "https://tracker0.test/widget.html"
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["short"] is True
+
+    def test_frames_line_missing_field_is_input_error_naming_file_and_line(
+            self, pipeline, tmp_path, capsys):
+        base, dirs = pipeline
+        sim = tmp_path / "sim"
+        shutil.copytree(dirs["permissive"], sim)
+        lines = (sim / "frames.jsonl").read_text().splitlines()
+        record = json.loads(lines[2])
+        del record["frame_url"]
+        lines[2] = json.dumps(record)
+        (sim / "frames.jsonl").write_text("\n".join(lines) + "\n")
+        assert run("metrics", "candidates", "--sim", sim, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert f"{sim / 'frames.jsonl'}: line 3: missing field 'frame_url'" in err
+
+    def test_short_flow_row_is_input_error_naming_file_and_line(
+            self, pipeline, tmp_path, capsys):
+        base, dirs = pipeline
+        header = (dirs["permissive"] / "flows.csv").read_text().splitlines()[0]
+        flows = tmp_path / "flows.csv"
+        flows.write_text(header + "\nprof0,1\n")
+        assert run("metrics", "cross-site", "--flows", flows, "--out", tmp_path / "o") == 2
+        assert f"{flows}: line 2: missing field 'visit_seq'" in capsys.readouterr().err
 
     def test_kappa(self, pipeline, tmp_path):
         grades = tmp_path / "grades.csv"

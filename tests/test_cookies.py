@@ -14,60 +14,89 @@ from storagelab.cookies import (
     parse_set_cookie,
     path_match,
 )
+from storagelab.psl import builtin_rules
+
+RULES = builtin_rules()
 
 
 class TestParseSetCookie:
     def test_domain_attribute(self):
         cookie = parse_set_cookie("id=abc123; Domain=example.com; Path=/",
-                                  "https://www.example.com/")
+                                  "https://www.example.com/", RULES)
         assert cookie == Cookie(name="id", value="abc123", domain="example.com",
                                 host_only=False, path="/")
 
     def test_default_path_and_host_only(self):
-        cookie = parse_set_cookie("sid=x", "https://a.com/p/q")
+        cookie = parse_set_cookie("sid=x", "https://a.com/p/q", RULES)
         assert cookie.domain == "a.com"
         assert cookie.host_only
         assert cookie.path == "/p"
 
     def test_empty_name_rejected(self):
-        assert parse_set_cookie("=novalue", "https://a.com/") is None
+        assert parse_set_cookie("=novalue", "https://a.com/", RULES) is None
 
     def test_no_equals_rejected(self):
-        assert parse_set_cookie("bare", "https://a.com/") is None
+        assert parse_set_cookie("bare", "https://a.com/", RULES) is None
 
     def test_domain_mismatch_rejected(self):
-        assert parse_set_cookie("a=1; Domain=other.com", "https://a.com/") is None
+        assert parse_set_cookie("a=1; Domain=other.com", "https://a.com/", RULES) is None
         # Suffix without a label boundary must not match either.
-        assert parse_set_cookie("a=1; Domain=example.com", "https://badexample.com/") is None
+        assert parse_set_cookie("a=1; Domain=example.com", "https://badexample.com/", RULES) is None
 
     def test_leading_dot_domain_stripped(self):
-        cookie = parse_set_cookie("a=1; Domain=.example.com", "https://www.example.com/")
+        cookie = parse_set_cookie("a=1; Domain=.example.com", "https://www.example.com/", RULES)
         assert cookie.domain == "example.com"
 
     def test_max_age_wins_over_expires(self):
         cookie = parse_set_cookie(
             "a=1; Expires=Wed, 21 Oct 2015 07:28:00 GMT; Max-Age=60",
-            "https://a.com/", now=100.0)
+            "https://a.com/", RULES, now=100.0)
         assert cookie.expiry == 160.0
 
     def test_nonpositive_max_age_expires_immediately(self):
-        cookie = parse_set_cookie("a=1; Max-Age=0", "https://a.com/", now=50.0)
+        cookie = parse_set_cookie("a=1; Max-Age=0", "https://a.com/", RULES, now=50.0)
         assert cookie.expiry == 50.0
 
     def test_bad_max_age_ignored(self):
-        cookie = parse_set_cookie("a=1; Max-Age=soon", "https://a.com/")
+        cookie = parse_set_cookie("a=1; Max-Age=soon", "https://a.com/", RULES)
         assert cookie.expiry is None
 
     def test_unknown_and_flag_attributes_ignored(self):
         cookie = parse_set_cookie("a=1; Secure; HttpOnly; SameSite=Lax; X-Weird=1",
-                                  "https://a.com/")
+                                  "https://a.com/", RULES)
         assert cookie is not None
         assert cookie.expiry is None
 
     def test_expires_parsed_against_epoch(self):
         cookie = parse_set_cookie("a=1; Expires=Thu, 01 Jan 1970 00:01:00 GMT",
-                                  "https://a.com/")
+                                  "https://a.com/", RULES)
         assert cookie.expiry == 60.0
+
+    @pytest.mark.parametrize("domain,url", [
+        ("co.uk", "https://x.co.uk/"),
+        (".CO.UK", "https://www.x.co.uk/"),
+        ("uk", "https://x.co.uk/"),
+        ("foo.kobe.jp", "https://a.foo.kobe.jp/"),  # under the *.kobe.jp wildcard
+    ])
+    def test_public_suffix_domain_rejected(self, domain, url):
+        # RFC 6265 section 5.3 step 5.
+        assert parse_set_cookie(f"a=1; Domain={domain}", url, RULES) is None
+
+    def test_public_suffix_domain_equal_to_host_is_host_only(self):
+        cookie = parse_set_cookie("a=1; Domain=uk.com", "https://uk.com/", RULES)
+        assert (cookie.domain, cookie.host_only) == ("uk.com", True)
+
+    def test_registrable_domain_under_exception_rule_kept(self):
+        cookie = parse_set_cookie("a=1; Domain=city.kobe.jp", "https://www.city.kobe.jp/", RULES)
+        assert (cookie.domain, cookie.host_only) == ("city.kobe.jp", False)
+
+    @pytest.mark.parametrize("domain,url", [
+        ("b..com", "https://a.b..com/"),
+        ("x..co.uk", "https://x..co.uk/"),
+        ("co.uk.", "https://x.co.uk./"),
+    ])
+    def test_domain_with_empty_label_dropped(self, domain, url):
+        assert parse_set_cookie(f"a=1; Domain={domain}", url, RULES) is None
 
 
 class TestCookieDate:
@@ -157,7 +186,7 @@ class TestCookiesForRequest:
 
     def test_set_then_read_round_trips(self):
         jar = CookieJar()
-        cookie = parse_set_cookie("token=v1; Path=/", "https://shop.example.com/cart")
+        cookie = parse_set_cookie("token=v1; Path=/", "https://shop.example.com/cart", RULES)
         jar.add(cookie)
         assert ("token", "v1") in cookies_for_request(jar, "https://shop.example.com/cart", 1.0)
 

@@ -13,7 +13,7 @@ from storagelab.metrics import (
     build_optimize_sample,
     cross_site_scores,
     cross_time_scores,
-    cumulative_curve,
+    curve_rows,
     extract_picfs,
     frame_similarity,
     grade_stats,
@@ -118,21 +118,26 @@ class TestCrossTimeScores:
             assert cross_time_scores(picfs, out.flows) == want
 
 
+def cumulative(scores):
+    """The curve's (rank, running sum) points."""
+    return [(rank, total) for rank, _, _, total in curve_rows(scores)]
+
+
 class TestCumulativeCurve:
     def test_two_keys(self):
-        assert cumulative_curve({"t1": 3, "t2": 1}) == [(1, 3), (2, 4)]
+        assert cumulative({"t1": 3, "t2": 1}) == [(1, 3), (2, 4)]
 
     def test_empty(self):
-        assert cumulative_curve({}) == []
+        assert cumulative({}) == []
 
     def test_tie_broken_lexicographically(self):
-        assert cumulative_curve({"b": 2, "a": 2}) == [(1, 2), (2, 4)]
+        assert cumulative({"b": 2, "a": 2}) == [(1, 2), (2, 4)]
 
     @given(st.dictionaries(st.text(min_size=1, max_size=4), st.integers(0, 50), max_size=8))
     def test_permutation_invariant(self, scores):
         items = list(scores.items())
         reordered = dict(reversed(items))
-        assert cumulative_curve(scores) == cumulative_curve(reordered)
+        assert cumulative(scores) == cumulative(reordered)
 
 
 class TestJaccard:

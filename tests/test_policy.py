@@ -14,7 +14,9 @@ from storagelab.policy import (
     resolve_partition,
     site_of,
 )
+from storagelab.psl import builtin_rules
 
+RULES = builtin_rules()
 TOP = "https://www.a.com/"
 TRACKER = "https://t.net/w"
 
@@ -71,13 +73,13 @@ class TestResolvePartition:
 
 class TestStorageAccess:
     def test_local_round_trip_under_ephemeral(self):
-        store = PartitionStore()
+        store = PartitionStore(RULES)
         key = Ephemeral(1, "t.net")
         store.storage_access(key, "set", "local", "u", "x")
         assert store.storage_access(key, "get", "local", "u") == "x"
 
     def test_blocked_get_is_absent_and_nothing_mutates(self):
-        store = PartitionStore()
+        store = PartitionStore(RULES)
         store.storage_access(BLOCKED, "set", "local", "u", "x")
         assert store.storage_access(BLOCKED, "get", "local", "u") is None
         store.storage_access(BLOCKED, "delete", "indexed", "u")
@@ -88,7 +90,7 @@ class TestStorageAccess:
     def test_same_partition_shared_between_frames(self, rules):
         # Two frames from the same third party on one page resolve to equal
         # keys, so a value set by one is visible to the other.
-        store = PartitionStore()
+        store = PartitionStore(RULES)
         key_1 = resolve_partition(PolicyKind.PAGE_LENGTH, "https://a.com/", 5, TRACKER, rules)
         key_2 = resolve_partition(PolicyKind.PAGE_LENGTH, "https://a.com/", 5,
                                   "https://t.net/other", rules)
@@ -97,35 +99,44 @@ class TestStorageAccess:
         assert store.storage_access(key_2, "get", "local", "u") == "x"
 
     def test_cookie_api_round_trip(self):
-        store = PartitionStore()
+        store = PartitionStore(RULES)
         key = GlobalThirdParty("t.net")
         store.storage_access(key, "set", "cookie", "uid", "tok", url=TRACKER, now=1.0)
         assert store.storage_access(key, "get", "cookie", "uid", url=TRACKER, now=2.0) == "tok"
         store.storage_access(key, "delete", "cookie", "uid", url=TRACKER, now=3.0)
         assert store.storage_access(key, "get", "cookie", "uid", url=TRACKER, now=4.0) is None
 
+    def test_script_cookie_with_public_suffix_domain_not_stored(self):
+        key = GlobalThirdParty("x.co.uk")
+        store = PartitionStore(RULES)
+        url = "https://x.co.uk/w"
+        store.storage_access(key, "set", "cookie", "uid", "tok; Domain=co.uk", url=url, now=1.0)
+        assert store.storage_access(key, "get", "cookie", "uid", url=url, now=2.0) is None
+        store.storage_access(key, "set", "cookie", "uid", "tok; Domain=x.co.uk", url=url, now=3.0)
+        assert store.storage_access(key, "get", "cookie", "uid", url=url, now=4.0) == "tok"
+
     def test_cookie_delete_with_hostless_url_is_noop(self):
-        store = PartitionStore()
+        store = PartitionStore(RULES)
         key = GlobalThirdParty("t.net")
         store.storage_access(key, "set", "cookie", "uid", "tok", url=TRACKER, now=1.0)
         assert store.storage_access(key, "delete", "cookie", "uid", url="not-a-url", now=2.0) is None
         assert store.storage_access(key, "get", "cookie", "uid", url=TRACKER, now=3.0) == "tok"
 
     def test_session_buckets_scoped_per_tab_and_load(self):
-        store = PartitionStore()
+        store = PartitionStore(RULES)
         key = FirstParty("a.com")
         store.storage_access(key, "set", "session", "k", "v", session_scope="tab1:1")
         assert store.storage_access(key, "get", "session", "k", session_scope="tab1:1") == "v"
         assert store.storage_access(key, "get", "session", "k", session_scope="tab2:2") is None
 
     def test_area_created_empty_on_demand(self):
-        store = PartitionStore()
+        store = PartitionStore(RULES)
         key = SiteKeyedThirdParty("a.com", "t.net")
         assert store.storage_access(key, "get", "local", "missing") is None
         assert key in store.persistent
 
     def test_unknown_api_or_op(self):
-        store = PartitionStore()
+        store = PartitionStore(RULES)
         with pytest.raises(ValueError):
             store.storage_access(FirstParty("a.com"), "get", "webSQL", "k")
         with pytest.raises(ValueError):
@@ -134,39 +145,39 @@ class TestStorageAccess:
 
 class TestEndPageLoad:
     def test_ephemeral_areas_destroyed(self):
-        store = PartitionStore()
+        store = PartitionStore(RULES)
         store.storage_access(Ephemeral(1, "t.net"), "set", "local", "u", "x")
         store.end_page_load(1)
         assert store.storage_access(Ephemeral(2, "t.net"), "get", "local", "u") is None
         assert Ephemeral(1, "t.net") not in store.ephemeral
 
     def test_persistent_areas_survive(self):
-        store = PartitionStore()
+        store = PartitionStore(RULES)
         store.storage_access(FirstParty("a.com"), "set", "local", "u", "x")
         store.end_page_load(1)
         assert store.storage_access(FirstParty("a.com"), "get", "local", "u") == "x"
 
     def test_idempotent(self):
-        store = PartitionStore()
+        store = PartitionStore(RULES)
         store.storage_access(Ephemeral(1, "t.net"), "set", "local", "u", "x")
         store.end_page_load(1)
         store.end_page_load(1)
         assert store.ephemeral == {}
 
     def test_unknown_load_key_is_noop(self):
-        store = PartitionStore()
+        store = PartitionStore(RULES)
         store.end_page_load(999)
         assert store.ephemeral == {}
 
 
 class TestIsolationProperties:
     def test_load_key_isolation(self):
-        store = PartitionStore()
+        store = PartitionStore(RULES)
         store.storage_access(Ephemeral(1, "t.net"), "set", "local", "u", "x")
         assert store.storage_access(Ephemeral(2, "t.net"), "get", "local", "u") is None
 
     def test_site_keyed_isolation_between_top_sites(self):
-        store = PartitionStore()
+        store = PartitionStore(RULES)
         store.storage_access(SiteKeyedThirdParty("a.com", "t.net"), "set", "local", "u", "x")
         assert store.storage_access(
             SiteKeyedThirdParty("b.com", "t.net"), "get", "local", "u") is None

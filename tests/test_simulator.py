@@ -3,9 +3,24 @@ import pytest
 import support
 from storagelab.filterlist import parse_rules
 from storagelab.policy import Party, PolicyKind
-from storagelab.simulator import ReplayError, read_flows_csv, read_frames_jsonl, replay, write_flows_csv, write_frames_jsonl
+from storagelab.simulator import (
+    FLOW_FIELDS,
+    ReplayError,
+    read_flows_csv,
+    read_frames_jsonl,
+    replay,
+    write_flows_csv,
+    write_frames_jsonl,
+)
 from storagelab.synthetic import SyntheticSpec, TrackerSpec, generate_synthetic_trace, scenario_id
-from storagelab.trace import FrameLoad, HttpRequest, ScriptStorage, VisitStart, dump_trace
+from storagelab.trace import (
+    FrameLoad,
+    HttpRequest,
+    ScriptStorage,
+    TraceFormatError,
+    VisitStart,
+    dump_trace,
+)
 
 from conftest import N_ITERS, N_PROFILES, N_SITES, N_TRACKERS, make_spec
 
@@ -154,6 +169,19 @@ class TestReplayErrors:
             replay(events, PolicyKind.PERMISSIVE, rules)
 
 
+def test_set_cookie_with_public_suffix_domain_not_stored(rules):
+    def flows(domain):
+        events = [
+            VisitStart("p0", 1, "t", "https://a.com/", 1),
+            FrameLoad("t", "f1", "https://w.x.co.uk/f"),
+            HttpRequest("t", "f1", "https://w.x.co.uk/s", (f"uid=v; Domain={domain}",)),
+            HttpRequest("t", "f1", "https://w.x.co.uk/r"),
+        ]
+        return replay(events, PolicyKind.PERMISSIVE, rules).flows
+    assert [f.cookie_name for f in flows("x.co.uk")] == ["uid"]
+    assert flows("co.uk") == []
+
+
 class TestOutputFiles:
     def test_flows_round_trip(self, tmp_path, policy_outputs):
         flows = policy_outputs[PolicyKind.PERMISSIVE].flows
@@ -171,6 +199,36 @@ class TestOutputFiles:
             assert again[key].edge_set == record.edge_set
             assert again[key].party == record.party
             assert again[key].is_ad == record.is_ad
+
+    @pytest.mark.parametrize("line,message", [
+        ("not json", "invalid JSON"),
+        ("[]", "record must be a JSON object"),
+        ('{"frame_url":"f","profile":"p","party":"third","crawl_iter":1,"is_ad":false,'
+         '"edges":[]}', "missing field 'page_url'"),
+        ('{"page_url":"p","frame_url":"f","profile":"p","party":"third","crawl_iter":"1",'
+         '"is_ad":false,"edges":[]}', "field 'crawl_iter' must be an integer"),
+        ('{"page_url":"p","frame_url":"f","profile":"p","party":"third","crawl_iter":1,'
+         '"is_ad":0,"edges":[]}', "field 'is_ad' must be a boolean"),
+        ('{"page_url":"p","frame_url":"f","profile":"p","party":"third","crawl_iter":1,'
+         '"is_ad":false,"edges":[1]}', "field 'edges' must hold strings"),
+        ('{"page_url":"p","frame_url":"f","profile":"p","party":"fourth","crawl_iter":1,'
+         '"is_ad":false,"edges":[]}', "unknown party 'fourth'"),
+    ])
+    def test_bad_frame_record_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "frames.jsonl"
+        path.write_text("\n" + line + "\n")
+        with pytest.raises(TraceFormatError, match=f"frames.jsonl: line 2: {message}"):
+            read_frames_jsonl(path)
+
+    @pytest.mark.parametrize("row,message", [
+        ("prof0,1", "missing field 'visit_seq'"),
+        ("prof0,x,1,a.com,t.net,id,v", "crawl_iter and visit_seq must be integers"),
+    ])
+    def test_bad_flow_row_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "flows.csv"
+        path.write_text(",".join(FLOW_FIELDS) + "\nprof0,1,1,a.com,t.net,id,v\n" + row + "\n")
+        with pytest.raises(TraceFormatError, match=f"flows.csv: line 3: {message}"):
+            read_flows_csv(path)
 
     def test_bad_flow_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -64,6 +64,13 @@ def test_edge_canonical_round_trip():
     assert edge_endpoint_types(edge.canonical()) == (NodeType.SCRIPT, NodeType.TEXT_NODE)
 
 
+@pytest.mark.parametrize("encoded", ["1", "[]", '["script","s","op","script"]', '{"a":1}',
+                                     '["martian","s","op","script","t"]', "nope"])
+def test_edge_endpoint_types_rejects_non_edges(encoded):
+    with pytest.raises(ValueError):
+        edge_endpoint_types(encoded)
+
+
 class TestParseErrors:
     def test_invalid_json_names_line(self):
         with pytest.raises(TraceFormatError, match="line 2"):
