@@ -51,7 +51,7 @@ from storagelab.simulator import (
     write_frames_jsonl,
 )
 from storagelab.synthetic import SyntheticSpec, TrackerSpec, default_tracker_sites, generate_synthetic_trace
-from storagelab.trace import NodeType, OPTIMAL_NODE_TYPES, TraceFormatError, load_trace, write_trace
+from storagelab.trace import NodeType, OPTIMAL_NODE_TYPES, TraceFormatError, _require, load_trace, write_trace
 
 POLICY_NAMES = {p.value: p for p in PolicyKind}
 
@@ -161,7 +161,7 @@ def cmd_simulate(args) -> int:
     ads, filters_entry = _load_ad_rules(args.filters)
     trace_entry = _input_entry(args.trace)
     trace = load_trace(args.trace)
-    output = replay(trace, POLICY_NAMES[args.policy], rules, ads,
+    output = replay(trace.events, POLICY_NAMES[args.policy], rules, ads,
                     origin_keyed=args.origin_keyed)
     out = _out_dir(args.out)
     write_flows_csv(output.flows, out / "flows.csv")
@@ -196,8 +196,6 @@ def _load_sim_dir(path_str: str) -> tuple[SimOutput, dict]:
     output = SimOutput(
         flows=read_flows_csv(sim_dir / "flows.csv"),
         frames=read_frames_jsonl(sim_dir / "frames.jsonl"),
-        scenario=manifest.get("trace_scenario"),
-        policy=manifest.get("config", {}).get("policy"),
     )
     return output, manifest
 
@@ -435,11 +433,17 @@ def _read_grades_csv(path_str: str) -> dict[tuple[str, str], tuple[int, int]]:
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise InputError(f"{entry_path}: grades CSV needs columns {sorted(required)}")
         for row in reader:
-            cell = (row["url"], row["profile"])
+            present = {name: value for name, value in row.items() if value is not None}
+            try:
+                url, profile, grade_a, grade_b = _require(
+                    present, reader.line_num, "url", "profile", "grader_a", "grader_b")
+            except TraceFormatError as exc:
+                raise TraceFormatError(f"{entry_path}: {exc}") from None
+            cell = (url, profile)
             if cell in grades:
                 raise InputError(f"{entry_path}: duplicate cell {cell!r}")
             try:
-                grades[cell] = (int(row["grader_a"]), int(row["grader_b"]))
+                grades[cell] = (int(grade_a), int(grade_b))
             except ValueError:
                 raise InputError(f"{entry_path}: non-integer grade in {cell!r}") from None
     return grades

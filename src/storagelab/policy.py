@@ -21,7 +21,7 @@ from enum import Enum
 from functools import lru_cache
 from urllib.parse import urlsplit
 
-from storagelab.cookies import CookieJar, cookies_for_request, parse_set_cookie
+from storagelab.cookies import CookieJar, cookies_for_request, domain_match, parse_set_cookie
 from storagelab.psl import SuffixRuleSet, etld_plus_one
 
 
@@ -232,7 +232,7 @@ class PartitionStore:
             except ValueError:  # a URL without a host matches no cookie
                 return None
             for cookie in jar.cookies():
-                if cookie.name == name and (cookie.domain == host or host.endswith("." + cookie.domain)):
+                if cookie.name == name and domain_match(host, cookie.domain):
                     jar.remove(cookie.name, cookie.domain, cookie.path)
         else:
             jar.clear()

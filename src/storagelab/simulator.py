@@ -1,10 +1,13 @@
 """Replay crawl traces under a storage policy.
 
 Replay is policy-pure: it maintains per-profile browser state (partition
-stores, open tabs, frame registries), resolves a partition for every storage
-touch, and records cookie flows and per-frame behavior-edge sets. Content
-adaptivity (pages emitting different edges when storage misbehaves) belongs
-to the trace, not to the replayer: replay records what the trace says.
+stores, open tabs, frame registries) and records cookie flows and per-frame
+behavior-edge sets. Under every policy a frame's partition depends only on
+its page load and its site, so it is resolved once, when the frame loads;
+a request resolves only its destination. Replay keeps no op log: flows and
+frames are its only outputs. Content adaptivity (pages emitting different
+edges when storage misbehaves) belongs to the trace, not to the replayer:
+replay records what the trace says.
 
 Virtual time advances one tick per event; cookie expiries are interpreted
 against it.
@@ -22,10 +25,10 @@ from storagelab.cookies import cookies_for_request, parse_set_cookie
 from storagelab.filterlist import AdRuleSet, EMPTY_RULES, is_ad_url
 from storagelab.policy import (
     FirstParty,
+    PartitionKey,
     PartitionStore,
     Party,
     PolicyKind,
-    classify_party,
     resolve_partition,
     site_of,
 )
@@ -35,7 +38,6 @@ from storagelab.trace import (
     FrameLoad,
     HttpRequest,
     ScriptStorage,
-    Trace,
     TraceEvent,
     TraceFormatError,
     VisitEnd,
@@ -74,29 +76,10 @@ FrameKey = tuple[str, str, str, int]  # (page_url, frame_url, profile, crawl_ite
 _PARTIES = {p.value: p for p in Party}
 
 
-@dataclass(frozen=True)
-class StorageOp:
-    """Diagnostic log entry for one script storage operation."""
-
-    event_index: int
-    profile: str
-    tab: str
-    frame_id: str
-    partition: str
-    api: str
-    op: str
-    key: str
-    value: str | None
-    result: str | None
-
-
 @dataclass
 class SimOutput:
     flows: list[CookieFlowRecord] = field(default_factory=list)
     frames: dict[FrameKey, FrameRecord] = field(default_factory=dict)
-    storage_op_log: list[StorageOp] = field(default_factory=list)
-    scenario: str | None = None
-    policy: str | None = None
 
 
 @dataclass
@@ -105,160 +88,115 @@ class _TabState:
     crawl_iter: int
     visit_seq: int
     page_url: str
+    site: str
     load_key: int
-    frames: dict[str, tuple[str, bool, Party]] = field(default_factory=dict)
+    # frame_id -> (frame URL, the frame's partition key)
+    frames: dict[str, tuple[str, PartitionKey]] = field(default_factory=dict)
+
+
+_TAB_EVENTS = (FrameLoad, HttpRequest, ScriptStorage, BehaviorEdge, VisitEnd)
 
 
 def replay(
-    trace: Trace | Sequence[TraceEvent],
+    events: Sequence[TraceEvent],
     policy: PolicyKind,
     rules: SuffixRuleSet,
     ads: AdRuleSet = EMPTY_RULES,
     *,
     origin_keyed: bool = False,
 ) -> SimOutput:
-    """Replay a trace under ``policy`` and collect flows and edge sets.
+    """Replay trace events under ``policy`` and collect flows and edge sets.
 
     Raises :class:`ReplayError` (naming the event index) for events that
-    reference unknown tabs or frames, or for non-increasing visit sequences.
+    reference unknown tabs or frames, URLs without a host, or non-increasing
+    visit sequences.
     """
-    if isinstance(trace, Trace):
-        events: Sequence[TraceEvent] = trace.events
-        meta = trace.meta
-    else:
-        events = trace
-        meta = None
-
-    out = SimOutput(
-        scenario=meta.scenario if meta else None,
-        policy=policy.value,
-    )
+    out = SimOutput()
     stores: dict[str, PartitionStore] = {}
     tabs: dict[str, _TabState] = {}
     last_seq: dict[str, int] = {}
     load_counter = 0
 
-    def tab_state(index: int, tab: str) -> _TabState:
-        state = tabs.get(tab)
-        if state is None:
-            raise ReplayError(f"event {index}: tab {tab!r} has no active visit")
-        return state
-
-    def frame_of(index: int, state: _TabState, frame_id: str) -> tuple[str, bool, Party]:
-        frame = state.frames.get(frame_id)
-        if frame is None:
-            raise ReplayError(f"event {index}: unknown frame {frame_id!r}")
-        return frame
-
     for index, event in enumerate(events):
         now = float(index)
-
-        if isinstance(event, VisitStart):
-            prev_seq = last_seq.get(event.profile)
-            if prev_seq is not None and event.visit_seq <= prev_seq:
-                raise ReplayError(
-                    f"event {index}: visit_seq {event.visit_seq} not increasing "
-                    f"for profile {event.profile!r}"
+        try:
+            if isinstance(event, VisitStart):
+                prev_seq = last_seq.get(event.profile)
+                if prev_seq is not None and event.visit_seq <= prev_seq:
+                    raise ValueError(f"visit_seq {event.visit_seq} not increasing "
+                                     f"for profile {event.profile!r}")
+                last_seq[event.profile] = event.visit_seq
+                previous = tabs.get(event.tab)
+                if previous is not None and policy is PolicyKind.PAGE_LENGTH:
+                    stores[previous.profile].end_page_load(previous.load_key)
+                load_counter += 1
+                stores.setdefault(event.profile, PartitionStore(rules))
+                tabs[event.tab] = _TabState(
+                    profile=event.profile,
+                    crawl_iter=event.crawl_iter,
+                    visit_seq=event.visit_seq,
+                    page_url=event.page_url,
+                    site=site_of(event.page_url, rules),
+                    load_key=load_counter,
                 )
-            last_seq[event.profile] = event.visit_seq
-            previous = tabs.get(event.tab)
-            if previous is not None and policy is PolicyKind.PAGE_LENGTH:
-                stores[previous.profile].end_page_load(previous.load_key)
-            load_counter += 1
-            stores.setdefault(event.profile, PartitionStore(rules))
-            try:
-                site_of(event.page_url, rules)
-            except ValueError as exc:
-                raise ReplayError(f"event {index}: {exc}") from None
-            tabs[event.tab] = _TabState(
-                profile=event.profile,
-                crawl_iter=event.crawl_iter,
-                visit_seq=event.visit_seq,
-                page_url=event.page_url,
-                load_key=load_counter,
-            )
+                continue
+            if not isinstance(event, _TAB_EVENTS):
+                raise ValueError(f"not a trace event: {event!r}")
+            state = tabs.get(event.tab)
+            if state is None:
+                raise ValueError(f"tab {event.tab!r} has no active visit")
 
-        elif isinstance(event, FrameLoad):
-            state = tab_state(index, event.tab)
-            try:
-                party = classify_party(event.frame_url, state.page_url, rules)
-            except ValueError as exc:
-                raise ReplayError(f"event {index}: {exc}") from None
-            ad = event.is_ad if event.is_ad is not None else is_ad_url(event.frame_url, ads)
-            state.frames[event.frame_id] = (event.frame_url, ad, party)
-            key = (state.page_url, event.frame_url, state.profile, state.crawl_iter)
-            record = out.frames.setdefault(key, FrameRecord(is_ad=ad, party=party))
-            record.is_ad = ad
-            record.party = party
+            if isinstance(event, FrameLoad):
+                pkey = resolve_partition(policy, state.page_url, state.load_key,
+                                         event.frame_url, rules, origin_keyed=origin_keyed)
+                party = Party.FIRST if isinstance(pkey, FirstParty) else Party.THIRD
+                ad = event.is_ad if event.is_ad is not None else is_ad_url(event.frame_url, ads)
+                state.frames[event.frame_id] = (event.frame_url, pkey)
+                key = (state.page_url, event.frame_url, state.profile, state.crawl_iter)
+                record = out.frames.setdefault(key, FrameRecord(is_ad=ad, party=party))
+                record.is_ad = ad
+                record.party = party
+                continue
+            if isinstance(event, VisitEnd):
+                if policy is PolicyKind.PAGE_LENGTH:
+                    stores[state.profile].end_page_load(state.load_key)
+                del tabs[event.tab]
+                continue
 
-        elif isinstance(event, HttpRequest):
-            state = tab_state(index, event.tab)
-            frame_of(index, state, event.frame_id)
-            store = stores[state.profile]
-            try:
-                pkey = resolve_partition(
-                    policy, state.page_url, state.load_key, event.dest_url, rules,
-                    origin_keyed=origin_keyed,
-                )
-            except ValueError as exc:
-                raise ReplayError(f"event {index}: {exc}") from None
-            area = store.area(pkey)
-            if area is not None:
-                attached = cookies_for_request(area.jar, event.dest_url, now)
+            frame = state.frames.get(event.frame_id)
+            if frame is None:
+                raise ValueError(f"unknown frame {event.frame_id!r}")
+            frame_url, frame_pkey = frame
+
+            if isinstance(event, HttpRequest):
+                pkey = resolve_partition(policy, state.page_url, state.load_key,
+                                         event.dest_url, rules, origin_keyed=origin_keyed)
+                area = stores[state.profile].area(pkey)
+                if area is None:
+                    continue
                 if not isinstance(pkey, FirstParty):
-                    top_site = site_of(state.page_url, rules)
                     dest_site = site_of(event.dest_url, rules)
-                    for name, value in attached:
+                    for name, value in cookies_for_request(area.jar, event.dest_url, now):
                         out.flows.append(CookieFlowRecord(
-                            profile=state.profile,
-                            crawl_iter=state.crawl_iter,
-                            visit_seq=state.visit_seq,
-                            top_site=top_site,
-                            third_party_site=dest_site,
-                            cookie_name=name,
-                            cookie_value=value,
-                        ))
+                            state.profile, state.crawl_iter, state.visit_seq,
+                            state.site, dest_site, name, value))
                 for header in event.response_set_cookies:
                     cookie = parse_set_cookie(header, event.dest_url, rules, now)
                     if cookie is not None:
                         area.jar.add(cookie)
 
-        elif isinstance(event, ScriptStorage):
-            state = tab_state(index, event.tab)
-            frame_url, _, _ = frame_of(index, state, event.frame_id)
-            store = stores[state.profile]
-            try:
-                pkey = resolve_partition(
-                    policy, state.page_url, state.load_key, frame_url, rules,
-                    origin_keyed=origin_keyed,
+            elif isinstance(event, ScriptStorage):
+                stores[state.profile].storage_access(
+                    frame_pkey, event.op, event.api, event.key, event.value,
+                    url=frame_url, now=now,
+                    session_scope=f"{event.tab}:{state.load_key}",
                 )
-            except ValueError as exc:
-                raise ReplayError(f"event {index}: {exc}") from None
-            result = store.storage_access(
-                pkey, event.op, event.api, event.key, event.value,
-                url=frame_url, now=now,
-                session_scope=f"{event.tab}:{state.load_key}",
-            )
-            out.storage_op_log.append(StorageOp(
-                event_index=index, profile=state.profile, tab=event.tab,
-                frame_id=event.frame_id, partition=str(pkey), api=event.api,
-                op=event.op, key=event.key, value=event.value, result=result,
-            ))
 
-        elif isinstance(event, BehaviorEdge):
-            state = tab_state(index, event.tab)
-            frame_url, _, _ = frame_of(index, state, event.frame_id)
-            key = (state.page_url, frame_url, state.profile, state.crawl_iter)
-            out.frames[key].edge_set.add(event.edge.canonical())
-
-        elif isinstance(event, VisitEnd):
-            state = tab_state(index, event.tab)
-            if policy is PolicyKind.PAGE_LENGTH:
-                stores[state.profile].end_page_load(state.load_key)
-            del tabs[event.tab]
-
-        else:
-            raise ReplayError(f"event {index}: not a trace event: {event!r}")
+            else:  # BehaviorEdge
+                key = (state.page_url, frame_url, state.profile, state.crawl_iter)
+                out.frames[key].edge_set.add(event.edge.canonical())
+        except ValueError as exc:
+            raise ReplayError(f"event {index}: {exc}") from None
 
     return out
 

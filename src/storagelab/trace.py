@@ -84,11 +84,14 @@ class BehaviorEdgeRecord:
 
 def edge_endpoint_types(encoded: str) -> tuple[NodeType, NodeType]:
     """Source and target node types of a canonical edge string; ValueError
-    when it is not one."""
-    fields = json.loads(encoded)
-    if not isinstance(fields, list) or len(fields) != 5:
-        raise ValueError(f"not a canonical edge: {encoded!r}")
-    return NodeType(fields[0]), NodeType(fields[3])
+    naming the string when it is not one."""
+    try:
+        fields = json.loads(encoded)
+        if isinstance(fields, list) and len(fields) == 5:
+            return NodeType(fields[0]), NodeType(fields[3])
+    except ValueError:  # not JSON, or an unknown node type
+        pass
+    raise ValueError(f"not a canonical edge: {encoded!r}")
 
 
 @dataclass(frozen=True)

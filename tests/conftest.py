@@ -44,5 +44,5 @@ def policy_outputs(rules):
     outputs = {}
     for policy in PolicyKind:
         trace = generate_synthetic_trace(make_spec(policy))
-        outputs[policy] = replay(trace, policy, rules)
+        outputs[policy] = replay(trace.events, policy, rules)
     return outputs

@@ -4,24 +4,50 @@ The matchers are linear scans over every rule, kept as oracles for the
 label-walk lookups in ``storagelab.psl`` and ``storagelab.filterlist``. The
 node-type functions re-parse every edge string and test enum membership
 subset by subset, kept as oracles for the bitmask forms in
-``storagelab.metrics``. The hypothesis tests in ``test_oracles.py`` require
-each pair to agree on random inputs.
+``storagelab.metrics``. ``replay`` resolves a partition and classifies the
+party again on every storage touch, kept as the oracle for
+``storagelab.simulator.replay``, which resolves each frame once. The
+hypothesis tests in ``test_oracles.py`` require each pair to agree on random
+inputs.
 """
 
 from __future__ import annotations
 
 import re
 from collections import defaultdict
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 from urllib.parse import urlsplit
 
-from storagelab.filterlist import AdRuleSet
+from storagelab.cookies import cookies_for_request, parse_set_cookie
+from storagelab.filterlist import EMPTY_RULES, AdRuleSet
+from storagelab.filterlist import is_ad_url as fast_is_ad_url
 from storagelab.metrics import OptimizeInstance, OptimizeResult, Score, mean_defined
+from storagelab.policy import (
+    FirstParty,
+    PartitionStore,
+    Party,
+    PolicyKind,
+    classify_party,
+    resolve_partition,
+    site_of,
+)
 from storagelab.psl import SuffixRuleSet, is_ip_host
-from storagelab.trace import NodeType, edge_endpoint_types
+from storagelab.simulator import CookieFlowRecord, FrameRecord, ReplayError, SimOutput
+from storagelab.trace import (
+    BehaviorEdge,
+    FrameLoad,
+    HttpRequest,
+    NodeType,
+    ScriptStorage,
+    TraceEvent,
+    VisitEnd,
+    VisitStart,
+    edge_endpoint_types,
+)
 
 
 def _labels(host: str) -> list[str]:
@@ -180,3 +206,152 @@ def optimize_node_types(
         raise ValueError("all similarity scores undefined under every subset")
     separation, subset, base_mean, contrast_mean = best
     return OptimizeResult(subset, separation, base_mean, contrast_mean, evaluated)
+
+
+@dataclass
+class _TabState:
+    profile: str
+    crawl_iter: int
+    visit_seq: int
+    page_url: str
+    load_key: int
+    frames: dict[str, tuple[str, bool, Party]] = field(default_factory=dict)
+
+
+def replay(
+    events: Sequence[TraceEvent],
+    policy: PolicyKind,
+    rules: SuffixRuleSet,
+    ads: AdRuleSet = EMPTY_RULES,
+    *,
+    origin_keyed: bool = False,
+) -> SimOutput:
+    """Replay a trace under ``policy`` and collect flows and edge sets.
+
+    Raises :class:`ReplayError` (naming the event index) for events that
+    reference unknown tabs or frames, or for non-increasing visit sequences.
+    """
+    out = SimOutput()
+    stores: dict[str, PartitionStore] = {}
+    tabs: dict[str, _TabState] = {}
+    last_seq: dict[str, int] = {}
+    load_counter = 0
+
+    def tab_state(index: int, tab: str) -> _TabState:
+        state = tabs.get(tab)
+        if state is None:
+            raise ReplayError(f"event {index}: tab {tab!r} has no active visit")
+        return state
+
+    def frame_of(index: int, state: _TabState, frame_id: str) -> tuple[str, bool, Party]:
+        frame = state.frames.get(frame_id)
+        if frame is None:
+            raise ReplayError(f"event {index}: unknown frame {frame_id!r}")
+        return frame
+
+    for index, event in enumerate(events):
+        now = float(index)
+
+        if isinstance(event, VisitStart):
+            prev_seq = last_seq.get(event.profile)
+            if prev_seq is not None and event.visit_seq <= prev_seq:
+                raise ReplayError(
+                    f"event {index}: visit_seq {event.visit_seq} not increasing "
+                    f"for profile {event.profile!r}"
+                )
+            last_seq[event.profile] = event.visit_seq
+            previous = tabs.get(event.tab)
+            if previous is not None and policy is PolicyKind.PAGE_LENGTH:
+                stores[previous.profile].end_page_load(previous.load_key)
+            load_counter += 1
+            stores.setdefault(event.profile, PartitionStore(rules))
+            try:
+                site_of(event.page_url, rules)
+            except ValueError as exc:
+                raise ReplayError(f"event {index}: {exc}") from None
+            tabs[event.tab] = _TabState(
+                profile=event.profile,
+                crawl_iter=event.crawl_iter,
+                visit_seq=event.visit_seq,
+                page_url=event.page_url,
+                load_key=load_counter,
+            )
+
+        elif isinstance(event, FrameLoad):
+            state = tab_state(index, event.tab)
+            try:
+                party = classify_party(event.frame_url, state.page_url, rules)
+            except ValueError as exc:
+                raise ReplayError(f"event {index}: {exc}") from None
+            ad = event.is_ad if event.is_ad is not None else fast_is_ad_url(event.frame_url, ads)
+            state.frames[event.frame_id] = (event.frame_url, ad, party)
+            key = (state.page_url, event.frame_url, state.profile, state.crawl_iter)
+            record = out.frames.setdefault(key, FrameRecord(is_ad=ad, party=party))
+            record.is_ad = ad
+            record.party = party
+
+        elif isinstance(event, HttpRequest):
+            state = tab_state(index, event.tab)
+            frame_of(index, state, event.frame_id)
+            store = stores[state.profile]
+            try:
+                pkey = resolve_partition(
+                    policy, state.page_url, state.load_key, event.dest_url, rules,
+                    origin_keyed=origin_keyed,
+                )
+            except ValueError as exc:
+                raise ReplayError(f"event {index}: {exc}") from None
+            area = store.area(pkey)
+            if area is not None:
+                attached = cookies_for_request(area.jar, event.dest_url, now)
+                if not isinstance(pkey, FirstParty):
+                    top_site = site_of(state.page_url, rules)
+                    dest_site = site_of(event.dest_url, rules)
+                    for name, value in attached:
+                        out.flows.append(CookieFlowRecord(
+                            profile=state.profile,
+                            crawl_iter=state.crawl_iter,
+                            visit_seq=state.visit_seq,
+                            top_site=top_site,
+                            third_party_site=dest_site,
+                            cookie_name=name,
+                            cookie_value=value,
+                        ))
+                for header in event.response_set_cookies:
+                    cookie = parse_set_cookie(header, event.dest_url, rules, now)
+                    if cookie is not None:
+                        area.jar.add(cookie)
+
+        elif isinstance(event, ScriptStorage):
+            state = tab_state(index, event.tab)
+            frame_url, _, _ = frame_of(index, state, event.frame_id)
+            store = stores[state.profile]
+            try:
+                pkey = resolve_partition(
+                    policy, state.page_url, state.load_key, frame_url, rules,
+                    origin_keyed=origin_keyed,
+                )
+            except ValueError as exc:
+                raise ReplayError(f"event {index}: {exc}") from None
+            store.storage_access(
+                pkey, event.op, event.api, event.key, event.value,
+                url=frame_url, now=now,
+                session_scope=f"{event.tab}:{state.load_key}",
+            )
+
+        elif isinstance(event, BehaviorEdge):
+            state = tab_state(index, event.tab)
+            frame_url, _, _ = frame_of(index, state, event.frame_id)
+            key = (state.page_url, frame_url, state.profile, state.crawl_iter)
+            out.frames[key].edge_set.add(event.edge.canonical())
+
+        elif isinstance(event, VisitEnd):
+            state = tab_state(index, event.tab)
+            if policy is PolicyKind.PAGE_LENGTH:
+                stores[state.profile].end_page_load(state.load_key)
+            del tabs[event.tab]
+
+        else:
+            raise ReplayError(f"event {index}: not a trace event: {event!r}")
+
+    return out

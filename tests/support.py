@@ -11,6 +11,7 @@ from storagelab.simulator import replay
 from storagelab.trace import (
     BehaviorEdgeRecord,
     FrameLoad,
+    HttpRequest,
     NodeType,
     ScriptStorage,
     VisitEnd,
@@ -23,43 +24,43 @@ PAGE_B = "https://b.com/"
 
 
 def scenario_same_page():
-    """Two frames from the same third party on one page: the second frame
-    reads what the first stored."""
+    """Two frames from the same third party on one page: the second frame's
+    request carries the cookie the first stored."""
     return [
         VisitStart("p0", 1, "tab1", PAGE_A, 1),
         FrameLoad("tab1", "f1", THIRD_PARTY),
         FrameLoad("tab1", "f2", THIRD_PARTY),
-        ScriptStorage("tab1", "f1", "local", "set", "u", "x"),
-        ScriptStorage("tab1", "f2", "local", "get", "u"),
+        ScriptStorage("tab1", "f1", "cookie", "set", "u", "x"),
+        HttpRequest("tab1", "f2", THIRD_PARTY),
         VisitEnd("tab1"),
     ]
 
 
 def scenario_two_tabs():
-    """The same page open in two tabs simultaneously; the second tab's frame
-    reads what the first tab's frame stored."""
+    """The same page open in two tabs simultaneously; the second tab's frame's
+    request carries the cookie the first tab's frame stored."""
     return [
         VisitStart("p0", 1, "tab1", PAGE_A, 1),
         FrameLoad("tab1", "f1", THIRD_PARTY),
-        ScriptStorage("tab1", "f1", "local", "set", "u", "x"),
+        ScriptStorage("tab1", "f1", "cookie", "set", "u", "x"),
         VisitStart("p0", 1, "tab2", PAGE_A, 2),
         FrameLoad("tab2", "f1", THIRD_PARTY),
-        ScriptStorage("tab2", "f1", "local", "get", "u"),
+        HttpRequest("tab2", "f1", THIRD_PARTY),
         VisitEnd("tab1"),
         VisitEnd("tab2"),
     ]
 
 
 def scenario_reload():
-    """Page loaded then reloaded in the same tab (same URL); the frame reads
-    after the reload what it stored before."""
+    """Page loaded then reloaded in the same tab (same URL); the frame's
+    request after the reload carries the cookie it stored before."""
     return [
         VisitStart("p0", 1, "tab1", PAGE_A, 1),
         FrameLoad("tab1", "f1", THIRD_PARTY),
-        ScriptStorage("tab1", "f1", "local", "set", "u", "x"),
+        ScriptStorage("tab1", "f1", "cookie", "set", "u", "x"),
         VisitStart("p0", 1, "tab1", PAGE_A, 2),
         FrameLoad("tab1", "f1", THIRD_PARTY),
-        ScriptStorage("tab1", "f1", "local", "get", "u"),
+        HttpRequest("tab1", "f1", THIRD_PARTY),
         VisitEnd("tab1"),
     ]
 
@@ -69,11 +70,11 @@ def scenario_cross_site():
     return [
         VisitStart("p0", 1, "tab1", PAGE_A, 1),
         FrameLoad("tab1", "f1", THIRD_PARTY),
-        ScriptStorage("tab1", "f1", "local", "set", "u", "x"),
+        ScriptStorage("tab1", "f1", "cookie", "set", "u", "x"),
         VisitEnd("tab1"),
         VisitStart("p0", 1, "tab1", PAGE_B, 2),
         FrameLoad("tab1", "f1", THIRD_PARTY),
-        ScriptStorage("tab1", "f1", "local", "get", "u"),
+        HttpRequest("tab1", "f1", THIRD_PARTY),
         VisitEnd("tab1"),
     ]
 
@@ -115,10 +116,11 @@ EXPECTED_VISIBILITY = {
 
 
 def probe_visibility(events, policy, rules):
-    """Result of the scenario's final get: the stored value or None."""
+    """What the scenario's final third-party request carries: the value of
+    its ``u`` cookie flow, or None."""
     out = replay(events, policy, rules)
-    gets = [op for op in out.storage_op_log if op.op == "get"]
-    return gets[-1].result
+    sent = [f.cookie_value for f in out.flows if f.cookie_name == "u"]
+    return sent[-1] if sent else None
 
 
 def visibility_matrix(rules):

@@ -230,6 +230,28 @@ class TestMetricsCommands:
         grades.write_text("url,profile,grader_a,grader_b\nu,p,5,1\n")
         assert run("metrics", "kappa", "--grades", grades, "--out", tmp_path / "o") == 2
 
+    def test_kappa_short_row_is_input_error_naming_file_and_line(self, tmp_path, capsys):
+        grades = tmp_path / "grades.csv"
+        grades.write_text("url,profile,grader_a,grader_b\nu0,p,1,1\nu,p\n")
+        assert run("metrics", "kappa", "--grades", grades, "--out", tmp_path / "o") == 2
+        assert f"{grades}: line 3: missing field 'grader_a'" in capsys.readouterr().err
+
+    def test_malformed_edge_is_input_error_naming_the_edge(self, pipeline, tmp_path, capsys):
+        base, dirs = pipeline
+        sim = tmp_path / "sim"
+        shutil.copytree(dirs["permissive"], sim)
+        lines = (sim / "frames.jsonl").read_text().splitlines()
+        for i, line in enumerate(lines):
+            record = json.loads(line)
+            if record["party"] == "third" and record["profile"] == "prof0" and record["edges"]:
+                record["edges"][0] = "nope"
+                lines[i] = json.dumps(record)
+                break
+        (sim / "frames.jsonl").write_text("\n".join(lines) + "\n")
+        assert run("metrics", "similarity", "--permissive", sim, "--compared", dirs["blocking"],
+                   "--out", tmp_path / "o") == 2
+        assert "not a canonical edge: 'nope'" in capsys.readouterr().err
+
 
 def run_pipeline(base: Path) -> dict[str, bytes]:
     """One full pipeline into ``base``; returns a byte snapshot of outputs."""

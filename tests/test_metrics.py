@@ -80,7 +80,7 @@ class TestCrossSiteScores:
                                  (PolicyKind.PAGE_LENGTH, {})]:
             spec = SyntheticSpec(n_sites=3, trackers=trackers, crawl_iters=1,
                                  profiles=1, seed=3, policy=policy)
-            out = replay(generate_synthetic_trace(spec), policy, rules)
+            out = replay(generate_synthetic_trace(spec).events, policy, rules)
             picfs = extract_picfs(out.flows, 8)
             assert cross_site_scores(picfs, out.flows) == expected
 
@@ -113,7 +113,7 @@ class TestCrossTimeScores:
         for policy, want in expected.items():
             spec = SyntheticSpec(n_sites=3, trackers=trackers, crawl_iters=2,
                                  profiles=1, seed=3, policy=policy)
-            out = replay(generate_synthetic_trace(spec), policy, rules)
+            out = replay(generate_synthetic_trace(spec).events, policy, rules)
             picfs = extract_picfs(out.flows, 8)
             assert cross_time_scores(picfs, out.flows) == want
 
@@ -175,7 +175,7 @@ class TestFrameSimilarity:
         out = policy_outputs[PolicyKind.PERMISSIVE]
         spec = SyntheticSpec(n_sites=2, trackers=(TrackerSpec("tracker0.test"),),
                              crawl_iters=1, profiles=1, seed=42)
-        small = replay(generate_synthetic_trace(spec), PolicyKind.PERMISSIVE, rules)
+        small = replay(generate_synthetic_trace(spec).events, PolicyKind.PERMISSIVE, rules)
         scores = frame_similarity(out, small, ALL_NODE_TYPES, "prof0", "prof0")
         keys = {(s.page_url, s.frame_url, s.crawl_iter) for s in scores}
         assert all(key[0].startswith(("https://site0.", "https://site1.")) for key in keys)

@@ -1,6 +1,7 @@
 """The fast paths agree with the reference implementations kept in
 ``oracles.py``: the label-walk PSL and filter-anchor lookups with the linear
-scans, and the bitmask node-type filter and optimizer with the enum-set ones.
+scans, the bitmask node-type filter and optimizer with the enum-set ones, and
+the resolve-once replay loop with the one that resolves every storage touch.
 
 Rules and hosts are drawn from a small label alphabet so that normal,
 wildcard and exception rules actually match, nest and compete. Edge sets are
@@ -12,11 +13,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from storagelab.filterlist import AdRuleSet, is_ad_url
+from storagelab.filterlist import EMPTY_RULES, AdRuleSet, is_ad_url, parse_rules
 from storagelab.metrics import OptimizeInstance, frame_similarity, jaccard, optimize_node_types
-from storagelab.psl import SuffixRuleSet, etld_plus_one, public_suffix
-from storagelab.simulator import FrameRecord, SimOutput
-from storagelab.trace import BehaviorEdgeRecord, NodeType
+from storagelab.policy import STORAGE_APIS, PolicyKind
+from storagelab.psl import SuffixRuleSet, builtin_rules, etld_plus_one, public_suffix
+from storagelab.simulator import FrameRecord, ReplayError, SimOutput, replay
+from storagelab.trace import (
+    BehaviorEdge,
+    BehaviorEdgeRecord,
+    FrameLoad,
+    HttpRequest,
+    NodeType,
+    ScriptStorage,
+    VisitEnd,
+    VisitStart,
+)
 
 LABEL = st.sampled_from(["a", "b", "c", "co", "uk"])
 RULE = st.lists(LABEL, min_size=1, max_size=3).map(".".join)
@@ -158,3 +169,94 @@ def test_frame_similarity_matches_enum_filter(sample, node_filter):
     scores = [s.score for s in frame_similarity(base, other, node_filter, "x", "y")]
     assert scores == [jaccard(oracles._filter_edges(i.baseline_a, node_filter),
                               oracles._filter_edges(i.contrast, node_filter)) for i in sample]
+
+
+# ---------------------------------------------------------------------------
+# Replay: two tabs, two profiles, reloads, shared and hostless URLs. Events
+# name an open tab and a loaded frame, and requests mostly go to their frame's
+# URL. In half the event lists, about one choice in thirty is instead any tab,
+# frame or URL, a reused visit_seq or a non-event.
+# Ports are valid: an origin-keyed third-party frame whose port does not parse
+# fails at its FrameLoad here but only at its first storage touch in the oracle.
+
+PAGE_URLS = ["https://a.com/", "https://www.a.com/p", "https://b.co.uk/", "https://t.net/",
+             "http://127.0.0.1/"]
+SUBJECT_URLS = ["https://t.net/w", "https://x.t.net/w/i", "http://t.net:8080/w", "https://a.com/f",
+                "https://cdn.a.com/f", "https://w.x.co.uk/", "https://ads.u.org/a"]
+HOSTLESS_URLS = ["not-a-url", "https:///path"]
+SET_COOKIES = ["uid=1", "uid=2; Max-Age=3", "sid=9; Domain=t.net", "p=w; Path=/w",
+               "ps=1; Domain=co.uk", "gone=1; Max-Age=0"]
+EDGES = [BehaviorEdgeRecord.from_canonical(_edge(NodeType.SCRIPT, NodeType.COOKIE_JAR)),
+         BehaviorEdgeRecord.from_canonical(_edge(NodeType.SCRIPT, NodeType.LOCAL_STORAGE, "b"))]
+
+
+KINDS = ["visit", "frame", "frame", "request", "request", "request", "script", "script",
+         "edge", "end"]
+
+
+@st.composite
+def replay_events(draw):
+    faulty = draw(st.booleans())
+
+    def pick(values):
+        return draw(st.sampled_from(values))
+
+    def rare():
+        return faulty and draw(st.integers(0, 29)) == 0
+
+    def url(urls):
+        return pick(HOSTLESS_URLS if rare() else urls)
+
+    open_tabs: dict[str, dict[str, str]] = {}  # tab -> frame_id -> frame URL
+    events: list = []
+    seq = 0
+    for _ in range(draw(st.integers(1, 40))):
+        kind = pick(KINDS)
+        tab = pick(["t1", "t2"] if rare() or not open_tabs else sorted(open_tabs))
+        frames = open_tabs.get(tab)
+        frame_id = pick(["f1", "f2"] if rare() or not frames else sorted(frames))
+        if kind in ("request", "script", "edge") and not frames and not rare():
+            kind = "frame"  # load a frame first
+        if kind == "visit" or not open_tabs:
+            seq += 0 if rare() else 1
+            events.append(VisitStart(pick(["p0", "p1"]), pick([1, 2]), tab, url(PAGE_URLS), seq))
+            open_tabs[tab] = {}
+        elif kind == "frame":
+            frame_url = url(SUBJECT_URLS)
+            events.append(FrameLoad(tab, frame_id, frame_url, pick([None, None, True, False])))
+            if tab in open_tabs:
+                open_tabs[tab][frame_id] = frame_url
+        elif kind == "request":
+            cookies = tuple(draw(st.lists(st.sampled_from(SET_COOKIES), max_size=2)))
+            own = frames.get(frame_id) if frames and draw(st.integers(0, 3)) else None
+            events.append(HttpRequest(tab, frame_id, own or url(SUBJECT_URLS), cookies))
+        elif kind == "script":
+            # Only the cookie api reaches an output (a later request's flows).
+            events.append(ScriptStorage(tab, frame_id, pick(["cookie", "cookie", *STORAGE_APIS]),
+                                        pick(["get", "set", "set", "delete", "clear"]),
+                                        pick(["u", "v"]), pick(["1", "2", None])))
+        elif kind == "edge":
+            events.append(BehaviorEdge(tab, frame_id, pick(EDGES)))
+        else:
+            events.append(VisitEnd(tab))
+            open_tabs.pop(tab, None)
+        if rare():
+            events.append("not an event")
+    return events
+
+
+def _replay_outcome(fn, events, policy, ads, origin_keyed):
+    try:
+        out = fn(events, policy, builtin_rules(), ads, origin_keyed=origin_keyed)
+    except ReplayError as exc:
+        return str(exc)
+    return out.flows, out.frames
+
+
+@settings(max_examples=300, deadline=None)
+@given(replay_events(), st.sampled_from(list(PolicyKind)), st.booleans(), st.booleans())
+def test_replay_matches_per_touch_resolution(events, policy, origin_keyed, with_ads):
+    """Equal flows and frames, or the same ReplayError at the same event."""
+    ads = parse_rules("||u.org^") if with_ads else EMPTY_RULES
+    assert (_replay_outcome(replay, events, policy, ads, origin_keyed)
+            == _replay_outcome(oracles.replay, events, policy, ads, origin_keyed))

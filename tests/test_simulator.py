@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import support
@@ -14,10 +16,14 @@ from storagelab.simulator import (
 )
 from storagelab.synthetic import SyntheticSpec, TrackerSpec, generate_synthetic_trace, scenario_id
 from storagelab.trace import (
+    BehaviorEdge,
+    BehaviorEdgeRecord,
     FrameLoad,
     HttpRequest,
+    NodeType,
     ScriptStorage,
     TraceFormatError,
+    VisitEnd,
     VisitStart,
     dump_trace,
 )
@@ -112,8 +118,8 @@ class TestReplaySemantics:
 
     def test_replay_is_deterministic(self, rules):
         trace = generate_synthetic_trace(make_spec(PolicyKind.PAGE_LENGTH, n_sites=3))
-        out_a = replay(trace, PolicyKind.PAGE_LENGTH, rules)
-        out_b = replay(trace, PolicyKind.PAGE_LENGTH, rules)
+        out_a = replay(trace.events, PolicyKind.PAGE_LENGTH, rules)
+        out_b = replay(trace.events, PolicyKind.PAGE_LENGTH, rules)
         assert out_a.flows == out_b.flows
         assert {k: frozenset(v.edge_set) for k, v in out_a.frames.items()} == \
                {k: frozenset(v.edge_set) for k, v in out_b.frames.items()}
@@ -126,7 +132,7 @@ class TestReplaySemantics:
     def test_ad_flag_from_filter_list(self, rules):
         ads = parse_rules("||tracker0.test^")
         trace = generate_synthetic_trace(make_spec(PolicyKind.PERMISSIVE, n_sites=2))
-        out = replay(trace, PolicyKind.PERMISSIVE, rules, ads)
+        out = replay(trace.events, PolicyKind.PERMISSIVE, rules, ads)
         flagged = {key[1] for key, record in out.frames.items() if record.is_ad}
         assert flagged == {"https://tracker0.test/widget.html"}
 
@@ -167,6 +173,45 @@ class TestReplayErrors:
         ]
         with pytest.raises(ReplayError, match="unknown frame"):
             replay(events, PolicyKind.PERMISSIVE, rules)
+
+
+_VISIT = VisitStart("p0", 1, "t", "https://a.com/", 1)
+_FRAME = FrameLoad("t", "f1", "https://t.net/w")
+_EDGE = BehaviorEdgeRecord(NodeType.SCRIPT, "s", "reads", NodeType.COOKIE_JAR, "t.net")
+
+
+@pytest.mark.parametrize("events,message", [
+    pytest.param([VisitStart("p0", 1, "t", "not-a-url", 1)],
+                 "event 0: URL has no host: 'not-a-url'", id="hostless-page"),
+    pytest.param([_VISIT, FrameLoad("t", "f1", "https:///w")],
+                 "event 1: URL has no host: 'https:///w'", id="hostless-frame"),
+    pytest.param([_VISIT, _FRAME, HttpRequest("t", "f1", "not-a-url")],
+                 "event 2: URL has no host: 'not-a-url'", id="hostless-destination"),
+    *[pytest.param([_VISIT, _FRAME, event], "event 2: tab 'u' has no active visit",
+                   id=f"unknown-tab-{type(event).__name__}")
+      for event in (FrameLoad("u", "f1", "https://t.net/w"), HttpRequest("u", "f1", "https://t.net/"),
+                    ScriptStorage("u", "f1", "local", "get", "k"), BehaviorEdge("u", "f1", _EDGE),
+                    VisitEnd("u"))],
+    *[pytest.param([_VISIT, _FRAME, event], "event 2: unknown frame 'f9'",
+                   id=f"unknown-frame-{type(event).__name__}")
+      for event in (HttpRequest("t", "f9", "https://t.net/"),
+                    ScriptStorage("t", "f9", "local", "get", "k"), BehaviorEdge("t", "f9", _EDGE))],
+    pytest.param([_VISIT, _FRAME, ("t", "f1")], "event 2: not a trace event: ('t', 'f1')",
+                 id="non-event"),
+])
+@pytest.mark.parametrize("policy", list(PolicyKind))
+def test_replay_error_names_event_index(events, message, policy, rules):
+    with pytest.raises(ReplayError, match="^" + re.escape(message) + "$"):
+        replay(events, policy, rules)
+
+
+def test_origin_keyed_frame_with_bad_port_fails_at_its_load(rules):
+    # A frame's partition is resolved when it loads, so a third-party frame
+    # whose origin cannot be formed is rejected at its FrameLoad.
+    events = [_VISIT, FrameLoad("t", "f1", "https://t.net:99999/w")]
+    assert replay(events, PolicyKind.PERMISSIVE, rules).frames
+    with pytest.raises(ReplayError, match="^event 1: Port out of range"):
+        replay(events, PolicyKind.PERMISSIVE, rules, origin_keyed=True)
 
 
 def test_set_cookie_with_public_suffix_domain_not_stored(rules):

@@ -67,7 +67,7 @@ def test_edge_canonical_round_trip():
 @pytest.mark.parametrize("encoded", ["1", "[]", '["script","s","op","script"]', '{"a":1}',
                                      '["martian","s","op","script","t"]', "nope"])
 def test_edge_endpoint_types_rejects_non_edges(encoded):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^not a canonical edge: "):
         edge_endpoint_types(encoded)
 
 
