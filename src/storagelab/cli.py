@@ -19,6 +19,7 @@ import sys
 import traceback
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from storagelab import __version__
 from storagelab.filterlist import EMPTY_RULES, parse_rules
@@ -40,9 +41,8 @@ from storagelab.metrics import (
 from storagelab.policy import PolicyKind, site_of
 # etld_plus_one is unused here, but bench/tests checks that the span recorder wraps it
 # at this binding.
-from storagelab.psl import PslParseError, builtin_rules, etld_plus_one, parse_psl  # noqa: F401
+from storagelab.psl import builtin_rules, etld_plus_one, parse_psl  # noqa: F401
 from storagelab.simulator import (
-    ReplayError,
     SimOutput,
     read_flows_csv,
     read_frames_jsonl,
@@ -51,7 +51,8 @@ from storagelab.simulator import (
     write_frames_jsonl,
 )
 from storagelab.synthetic import SyntheticSpec, TrackerSpec, default_tracker_sites, generate_synthetic_trace
-from storagelab.trace import NodeType, OPTIMAL_NODE_TYPES, TraceFormatError, _require, load_trace, write_trace
+from storagelab.trace import (NodeType, OPTIMAL_NODE_TYPES, TraceFormatError, _csv_record, _require,
+                              load_trace, write_trace)
 
 POLICY_NAMES = {p.value: p for p in PolicyKind}
 
@@ -72,19 +73,26 @@ def _out_dir(path_str: str) -> Path:
     return out
 
 
-def _write_manifest(out: Path, command: str, config: dict, inputs: dict, outputs: list[str],
+def _write_csv(path: Path, rows: Iterable[Sequence]) -> None:
+    """Write ``rows``, the header first, as UTF-8 CSV lines ending in a bare LF."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def _write_manifest(out: Path, args: argparse.Namespace, inputs: dict, outputs: list[str],
                     extra: dict | None = None) -> None:
-    manifest = {
-        "command": command,
-        "config": config,
-        "inputs": inputs,
-        "outputs": outputs,
-        "version": __version__,
-    }
-    if extra:
-        manifest.update(extra)
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    """The command path and every parsed option (``config``) of ``args``,
+    with the input hashes and the names of the files written to ``out``."""
+    command = f"{args.command} {args.metric}" if args.command == "metrics" else args.command
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "metric", "func")}
+    _write_json(out / "manifest.json", {
+        "command": command, "config": config, "inputs": inputs, "outputs": outputs,
+        "version": __version__, **(extra or {}),
+    })
 
 
 def _input_entry(path_str: str) -> dict:
@@ -127,26 +135,14 @@ def cmd_gen_trace(args) -> int:
     trackers = tuple(
         TrackerSpec(site, args.tracker_prob) for site in default_tracker_sites(args.trackers)
     )
-    spec = SyntheticSpec(
-        n_sites=args.sites,
-        trackers=trackers,
-        pages_per_site=args.pages,
-        crawl_iters=args.iters,
-        profiles=args.profiles,
-        seed=args.seed,
-        policy=POLICY_NAMES[args.policy],
-    )
-    trace = generate_synthetic_trace(spec)
+    trace = generate_synthetic_trace(SyntheticSpec(
+        n_sites=args.sites, trackers=trackers, pages_per_site=args.pages,
+        crawl_iters=args.iters, profiles=args.profiles, seed=args.seed,
+        policy=POLICY_NAMES[args.policy]))
     out = _out_dir(args.out)
     write_trace(trace, out / "trace.jsonl")
     _write_manifest(
-        out, "gen-trace",
-        config={"sites": args.sites, "trackers": args.trackers,
-                "tracker_prob": args.tracker_prob, "pages": args.pages,
-                "iters": args.iters, "profiles": args.profiles,
-                "seed": args.seed, "policy": args.policy, "out": args.out},
-        inputs={},
-        outputs=["trace.jsonl"],
+        out, args, inputs={}, outputs=["trace.jsonl"],
         extra={"trace_scenario": trace.meta.scenario, "trace_policy": trace.meta.policy},
     )
     return 0
@@ -170,12 +166,7 @@ def cmd_simulate(args) -> int:
     if filters_entry:
         inputs["filters"] = filters_entry
     _write_manifest(
-        out, "simulate",
-        config={"policy": args.policy, "trace": args.trace, "psl": args.psl,
-                "filters": args.filters, "origin_keyed": args.origin_keyed,
-                "out": args.out},
-        inputs=inputs,
-        outputs=["flows.csv", "frames.jsonl"],
+        out, args, inputs=inputs, outputs=["flows.csv", "frames.jsonl"],
         extra={
             "trace_scenario": trace.meta.scenario if trace.meta else None,
             "trace_policy": trace.meta.policy if trace.meta else None,
@@ -228,24 +219,17 @@ def cmd_metrics_picf(args) -> int:
     flows, entries = _read_all_flows(args.flows)
     picfs = extract_picfs(flows, args.threshold)
     out = _out_dir(args.out)
-    with open(out / "picfs.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["third_party_site", "cookie_name", "cookie_value", "owning_profile"])
-        for p in sorted(picfs, key=lambda p: (p.third_party_site, p.cookie_name,
-                                              p.cookie_value, p.owning_profile)):
-            writer.writerow([p.third_party_site, p.cookie_name, p.cookie_value, p.owning_profile])
-    _write_manifest(out, "metrics picf",
-                    config={"flows": args.flows, "threshold": args.threshold, "out": args.out},
-                    inputs=entries, outputs=["picfs.csv"])
+    _write_csv(out / "picfs.csv", [
+        ("third_party_site", "cookie_name", "cookie_value", "owning_profile"),
+        *sorted((p.third_party_site, p.cookie_name, p.cookie_value, p.owning_profile)
+                for p in picfs),
+    ])
+    _write_manifest(out, args, inputs=entries, outputs=["picfs.csv"])
     return 0
 
 
 def _write_curve_csv(path: Path, key_name: str, scores: dict[str, int]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rank", key_name, "score", "cumulative"])
-        for rank, key, score, total in curve_rows(scores):
-            writer.writerow([rank, key, score, total])
+    _write_csv(path, [("rank", key_name, "score", "cumulative"), *curve_rows(scores)])
 
 
 def cmd_metrics_cross_site(args) -> int:
@@ -254,9 +238,7 @@ def cmd_metrics_cross_site(args) -> int:
     scores = cross_site_scores(picfs, flows)
     out = _out_dir(args.out)
     _write_curve_csv(out / "cross_site_curve.csv", "third_party_site", scores)
-    _write_manifest(out, "metrics cross-site",
-                    config={"flows": args.flows, "threshold": args.threshold, "out": args.out},
-                    inputs=entries, outputs=["cross_site_curve.csv"],
+    _write_manifest(out, args, inputs=entries, outputs=["cross_site_curve.csv"],
                     extra={"total": sum(scores.values())})
     return 0
 
@@ -268,11 +250,7 @@ def cmd_metrics_cross_time(args) -> int:
                                across_iterations_only=args.across_iterations_only)
     out = _out_dir(args.out)
     _write_curve_csv(out / "cross_time_curve.csv", "top_site", scores)
-    _write_manifest(out, "metrics cross-time",
-                    config={"flows": args.flows, "threshold": args.threshold,
-                            "across_iterations_only": args.across_iterations_only,
-                            "out": args.out},
-                    inputs=entries, outputs=["cross_time_curve.csv"],
+    _write_manifest(out, args, inputs=entries, outputs=["cross_time_curve.csv"],
                     extra={"total": sum(scores.values())})
     return 0
 
@@ -303,22 +281,18 @@ def cmd_metrics_similarity(args) -> int:
     curve = similarity_curve(aligned, baseline_defined)
 
     out = _out_dir(args.out)
-    with open(out / "similarity_scores.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["page_url", "frame_url", "crawl_iter", "score", "score_exact"])
-        for s in scores:
-            writer.writerow([
-                s.page_url, s.frame_url, s.crawl_iter,
-                "" if s.score is None else _fnum(s.score),
-                "undefined" if s.score is None else _frac(s.score),
-            ])
-    with open(out / "similarity_curve.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rank", "cumulative", "cumulative_exact"])
-        for rank, value in curve:
-            writer.writerow([rank, _fnum(value), _frac(value)])
+    _write_csv(out / "similarity_scores.csv", [
+        ("page_url", "frame_url", "crawl_iter", "score", "score_exact"),
+        *((s.page_url, s.frame_url, s.crawl_iter,
+           "" if s.score is None else _fnum(s.score),
+           "undefined" if s.score is None else _frac(s.score)) for s in scores),
+    ])
+    _write_csv(out / "similarity_curve.csv", [
+        ("rank", "cumulative", "cumulative_exact"),
+        *((rank, _fnum(value), _frac(value)) for rank, value in curve),
+    ])
     mean = mean_defined([s.score for s in scores])
-    report = {
+    _write_json(out / "similarity_report.json", {
         "instances": len(aligned),
         "baseline_defined": baseline_defined,
         "dropped_undefined_in_both": dropped,
@@ -327,15 +301,8 @@ def cmd_metrics_similarity(args) -> int:
         "mean_defined_float": None if mean is None else float(mean),
         "final_point": float(curve[-1][1]) if curve else None,
         "node_filter": sorted(t.value for t in node_filter),
-    }
-    (out / "similarity_report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    _write_manifest(out, "metrics similarity",
-                    config={"permissive": args.permissive, "compared": args.compared,
-                            "anchor_profile": args.anchor_profile,
-                            "baseline_profile": args.baseline_profile,
-                            "compared_profile": args.compared_profile,
-                            "node_filter": args.node_filter, "out": args.out},
+    })
+    _write_manifest(out, args,
                     inputs={"permissive_manifest": {"path": args.permissive},
                             "compared_manifest": {"path": args.compared}},
                     outputs=["similarity_scores.csv", "similarity_curve.csv",
@@ -359,7 +326,7 @@ def cmd_metrics_optimize(args) -> int:
         sample = rng.sample(sample, args.sample_size)
     result = optimize_node_types(sample)
     out = _out_dir(args.out)
-    report = {
+    _write_json(out / "optimize_report.json", {
         "best_subset": sorted(t.value for t in result.best_subset),
         "separation": _frac(result.separation),
         "separation_float": float(result.separation),
@@ -367,15 +334,8 @@ def cmd_metrics_optimize(args) -> int:
         "contrast_mean": _frac(result.contrast_mean),
         "subsets_evaluated": result.subsets_evaluated,
         "sample_size": len(sample),
-    }
-    (out / "optimize_report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    _write_manifest(out, "metrics optimize",
-                    config={"permissive": args.permissive, "contrast": args.contrast,
-                            "baseline_profiles": args.baseline_profiles,
-                            "contrast_profile": args.contrast_profile,
-                            "sample_size": args.sample_size, "seed": args.seed,
-                            "out": args.out},
+    })
+    _write_manifest(out, args,
                     inputs={"permissive_manifest": {"path": args.permissive},
                             "contrast_manifest": {"path": args.contrast}},
                     outputs=["optimize_report.json"])
@@ -394,28 +354,21 @@ def cmd_metrics_candidates(args) -> int:
     for flow in output.flows:
         cookies_by_site.setdefault(flow.third_party_site, set()).add(
             (flow.cookie_name, flow.cookie_value))
-    stats = []
-    for frame_url in sorted(pages_by_frame):
-        stats.append(FrameStat(
-            frame_url=frame_url,
-            n_embedding_pages=len(pages_by_frame[frame_url]),
-            n_cookies=len(cookies_by_site.get(site_of(frame_url, rules), ())),
-        ))
+    stats = [FrameStat(frame_url=frame_url,
+                       n_embedding_pages=len(pages_by_frame[frame_url]),
+                       n_cookies=len(cookies_by_site.get(site_of(frame_url, rules), ())))
+             for frame_url in sorted(pages_by_frame)]
     selection = select_candidates(stats, args.top, rules)
     out = _out_dir(args.out)
-    with open(out / "candidates.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rank", "frame_url", "site", "n_embedding_pages",
-                         "n_cookies", "score"])
-        for rank, c in enumerate(selection.candidates, start=1):
-            writer.writerow([rank, c.frame_url, c.site, c.n_embedding_pages,
-                             c.n_cookies, _fnum(c.score)])
+    _write_csv(out / "candidates.csv", [
+        ("rank", "frame_url", "site", "n_embedding_pages", "n_cookies", "score"),
+        *((rank, c.frame_url, c.site, c.n_embedding_pages, c.n_cookies, _fnum(c.score))
+          for rank, c in enumerate(selection.candidates, start=1)),
+    ])
     if selection.short:
         print(f"note: only {len(selection.candidates)} distinct-site candidates "
               f"available (requested {args.top})", file=sys.stderr)
-    _write_manifest(out, "metrics candidates",
-                    config={"sim": args.sim, "psl": args.psl, "top": args.top,
-                            "out": args.out},
+    _write_manifest(out, args,
                     inputs={"psl": psl_entry, "sim_manifest": {"path": args.sim}},
                     outputs=["candidates.csv"],
                     extra={"short": selection.short})
@@ -428,15 +381,18 @@ def _read_grades_csv(path_str: str) -> dict[tuple[str, str], tuple[int, int]]:
         raise InputError(f"grades file not found: {entry_path}")
     grades: dict[tuple[str, str], tuple[int, int]] = {}
     with open(entry_path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        header = next(reader, None)
         required = {"url", "profile", "grader_a", "grader_b"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        if header is None or not required.issubset(header):
             raise InputError(f"{entry_path}: grades CSV needs columns {sorted(required)}")
         for row in reader:
-            present = {name: value for name, value in row.items() if value is not None}
+            if not row:
+                continue
             try:
                 url, profile, grade_a, grade_b = _require(
-                    present, reader.line_num, "url", "profile", "grader_a", "grader_b")
+                    _csv_record(header, row, reader.line_num), reader.line_num,
+                    "url", "profile", "grader_a", "grader_b")
             except TraceFormatError as exc:
                 raise TraceFormatError(f"{entry_path}: {exc}") from None
             cell = (url, profile)
@@ -450,13 +406,9 @@ def _read_grades_csv(path_str: str) -> dict[tuple[str, str], tuple[int, int]]:
 
 
 def cmd_metrics_kappa(args) -> int:
-    grades = _read_grades_csv(args.grades)
-    try:
-        stats = grade_stats(grades)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    stats = grade_stats(_read_grades_csv(args.grades))
     out = _out_dir(args.out)
-    report = {
+    _write_json(out / "grading_report.json", {
         "agreement_pct": float(stats.agreement * 100),
         "agreement_exact": _frac(stats.agreement),
         "cohens_kappa": float(stats.kappa),
@@ -465,11 +417,8 @@ def cmd_metrics_kappa(args) -> int:
             profile: {"broken": row.broken, "n": row.n, "pct": float(row.pct * 100)}
             for profile, row in sorted(stats.breakage.items())
         },
-    }
-    (out / "grading_report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    _write_manifest(out, "metrics kappa",
-                    config={"grades": args.grades, "out": args.out},
+    })
+    _write_manifest(out, args,
                     inputs={"grades": _input_entry(args.grades)},
                     outputs=["grading_report.json"])
     return 0
@@ -582,8 +531,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except (InputError, TraceFormatError, PslParseError, ReplayError,
-            OSError, ValueError, json.JSONDecodeError) as exc:
+    except (InputError, OSError, ValueError) as exc:
         print(f"storagelab: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -133,8 +133,10 @@ def parse_set_cookie(
     Returns None when the cookie must be dropped: an empty name, a Domain
     attribute that does not domain-match the request host, one with an empty
     label, or one that is a public suffix under ``rules``. A public-suffix
-    Domain equal to the request host gives a host-only cookie instead. Max-Age
-    wins over Expires; unknown attributes are ignored.
+    Domain equal to the request host gives a host-only cookie instead. The
+    last Domain and Path attributes win (RFC 6265 §5.3 steps 4, 7); ``Domain=.``
+    gives a host-only cookie, a Path not starting with ``/`` the default-path.
+    Max-Age wins over Expires; unknown attributes are ignored.
     """
     url = urlsplit(request_url)
     request_host = (url.hostname or "").lower()
@@ -159,11 +161,10 @@ def parse_set_cookie(
         attr, _, attr_value = piece.partition("=")
         attr = attr.strip().lower()
         attr_value = attr_value.strip()
-        if attr == "domain" and attr_value:
-            domain_attr = attr_value.lstrip(".").lower()
+        if attr == "domain" and attr_value:  # §5.2.3: strip one leading dot
+            domain_attr = attr_value.removeprefix(".").lower()
         elif attr == "path":
-            if attr_value.startswith("/"):
-                path_attr = attr_value
+            path_attr = attr_value if attr_value.startswith("/") else None
         elif attr == "expires":
             parsed = parse_cookie_date(attr_value)
             if parsed is not None:
@@ -175,7 +176,7 @@ def parse_set_cookie(
 
     domain = request_host
     host_only = True
-    if domain_attr is not None:
+    if domain_attr:
         if not domain_match(request_host, domain_attr):
             return None
         try:

@@ -440,7 +440,9 @@ def select_candidates(
     frame_stats: Sequence[FrameStat], k: int, rules: SuffixRuleSet
 ) -> CandidateSelection:
     """Top-k frame URLs by harmonic mean of embedding-page and cookie counts,
-    keeping only the first (best) frame per eTLD+1."""
+    keeping only the first (best) frame per eTLD+1. Raises ValueError for k < 1."""
+    if k < 1:
+        raise ValueError(f"the number of candidates must be at least 1, got {k}")
     scored = sorted(
         frame_stats,
         key=lambda s: (-harmonic_score(s.n_embedding_pages, s.n_cookies), s.frame_url),

@@ -98,15 +98,6 @@ def origin_of(url: str) -> str:
     return origin
 
 
-def classify_party(subject_url: str, top_url: str, rules: SuffixRuleSet) -> Party:
-    """First party iff the subject's site equals the top-level page's site.
-
-    Nested frames classify against the top-level URL, never an intermediate
-    parent.
-    """
-    return Party.FIRST if site_of(subject_url, rules) == site_of(top_url, rules) else Party.THIRD
-
-
 def resolve_partition(
     policy: PolicyKind,
     top_url: str,
@@ -116,11 +107,14 @@ def resolve_partition(
     *,
     origin_keyed: bool = False,
 ) -> PartitionKey:
-    """Partition key for a frame (script storage) or request destination."""
+    """Partition key for a frame (script storage) or request destination. The
+    subject is first party iff its site equals the top-level page's site (not
+    an intermediate parent's)."""
     top_site = site_of(top_url, rules)
-    if classify_party(subject_url, top_url, rules) is Party.FIRST:
+    subject_site = site_of(subject_url, rules)
+    if subject_site == top_site:
         return FirstParty(top_site)
-    subject = origin_of(subject_url) if origin_keyed else site_of(subject_url, rules)
+    subject = origin_of(subject_url) if origin_keyed else subject_site
     if policy is PolicyKind.PERMISSIVE:
         return GlobalThirdParty(subject)
     if policy is PolicyKind.BLOCKING:

@@ -42,6 +42,7 @@ from storagelab.trace import (
     TraceFormatError,
     VisitEnd,
     VisitStart,
+    _csv_record,
     _json_object,
     _require,
 )
@@ -219,7 +220,7 @@ def write_flows_csv(flows: Iterable[CookieFlowRecord], path: str | Path) -> None
 
 def _flow_record(row: list[str], line_no: int) -> CookieFlowRecord:
     profile, crawl_iter, visit_seq, top_site, third_party_site, name, value = _require(
-        dict(zip(FLOW_FIELDS, row)), line_no, *FLOW_FIELDS)
+        _csv_record(FLOW_FIELDS, row, line_no), line_no, *FLOW_FIELDS)
     try:
         return CookieFlowRecord(profile, int(crawl_iter), int(visit_seq), top_site,
                                 third_party_site, name, value)

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from storagelab.policy import STORAGE_APIS
 
@@ -202,6 +202,13 @@ def _require(record: dict, line_no: int, *names: str, of: type = str) -> list:
             raise TraceFormatError(f"line {line_no}: field {name!r} must be {_TYPE_NAMES[of]}")
         values.append(record[name])
     return values
+
+
+def _csv_record(header: Sequence[str], row: Sequence[str], line_no: int) -> dict[str, str]:
+    """A CSV row as {column: cell}, lacking the columns a short row has no cell for."""
+    if len(row) > len(header):
+        raise TraceFormatError(f"line {line_no}: {len(row)} cells, header has {len(header)}")
+    return dict(zip(header, row))
 
 
 def _json_object(line: str, line_no: int) -> dict:

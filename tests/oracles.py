@@ -5,8 +5,9 @@ label-walk lookups in ``storagelab.psl`` and ``storagelab.filterlist``. The
 node-type functions re-parse every edge string and test enum membership
 subset by subset, kept as oracles for the bitmask forms in
 ``storagelab.metrics``. ``replay`` resolves a partition and classifies the
-party again on every storage touch, kept as the oracle for
-``storagelab.simulator.replay``, which resolves each frame once. The
+party again (with ``classify_party``, a second pair of site lookups) on every
+storage touch, kept as the oracle for ``storagelab.simulator.replay``, which
+resolves each frame once. The
 hypothesis tests in ``test_oracles.py`` require each pair to agree on random
 inputs.
 """
@@ -31,7 +32,6 @@ from storagelab.policy import (
     PartitionStore,
     Party,
     PolicyKind,
-    classify_party,
     resolve_partition,
     site_of,
 )
@@ -206,6 +206,15 @@ def optimize_node_types(
         raise ValueError("all similarity scores undefined under every subset")
     separation, subset, base_mean, contrast_mean = best
     return OptimizeResult(subset, separation, base_mean, contrast_mean, evaluated)
+
+
+def classify_party(subject_url: str, top_url: str, rules: SuffixRuleSet) -> Party:
+    """First party iff the subject's site equals the top-level page's site.
+
+    Nested frames classify against the top-level URL, never an intermediate
+    parent.
+    """
+    return Party.FIRST if site_of(subject_url, rules) == site_of(top_url, rules) else Party.THIRD
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import shutil
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from storagelab.cli import main
+from storagelab.cli import build_parser, main
 
 
 def run(*argv) -> int:
@@ -187,6 +188,15 @@ class TestMetricsCommands:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["short"] is True
 
+    @pytest.mark.parametrize("top", [0, -3])
+    def test_candidates_top_below_one_is_input_error(self, pipeline, tmp_path, capsys, top):
+        base, dirs = pipeline
+        out = tmp_path / "o"
+        assert run("metrics", "candidates", "--sim", dirs["permissive"],
+                   "--top", top, "--out", out) == 2
+        assert "at least 1" in capsys.readouterr().err
+        assert not (out / "candidates.csv").exists()
+
     def test_frames_line_missing_field_is_input_error_naming_file_and_line(
             self, pipeline, tmp_path, capsys):
         base, dirs = pipeline
@@ -209,6 +219,15 @@ class TestMetricsCommands:
         flows.write_text(header + "\nprof0,1\n")
         assert run("metrics", "cross-site", "--flows", flows, "--out", tmp_path / "o") == 2
         assert f"{flows}: line 2: missing field 'visit_seq'" in capsys.readouterr().err
+
+    def test_long_flow_row_is_input_error_naming_file_and_line(
+            self, pipeline, tmp_path, capsys):
+        base, dirs = pipeline
+        header, row = (dirs["permissive"] / "flows.csv").read_text().splitlines()[:2]
+        flows = tmp_path / "flows.csv"
+        flows.write_text(f"{header}\n{row},EXTRA\n")
+        assert run("metrics", "picf", "--flows", flows, "--out", tmp_path / "o") == 2
+        assert f"{flows}: line 2: 8 cells, header has 7" in capsys.readouterr().err
 
     def test_kappa(self, pipeline, tmp_path):
         grades = tmp_path / "grades.csv"
@@ -236,6 +255,12 @@ class TestMetricsCommands:
         assert run("metrics", "kappa", "--grades", grades, "--out", tmp_path / "o") == 2
         assert f"{grades}: line 3: missing field 'grader_a'" in capsys.readouterr().err
 
+    def test_kappa_long_row_is_input_error_naming_file_and_line(self, tmp_path, capsys):
+        grades = tmp_path / "grades.csv"
+        grades.write_text("url,profile,grader_a,grader_b\nu0,p,1,1\nu,p,1,1,3\n")
+        assert run("metrics", "kappa", "--grades", grades, "--out", tmp_path / "o") == 2
+        assert f"{grades}: line 3: 5 cells, header has 4" in capsys.readouterr().err
+
     def test_malformed_edge_is_input_error_naming_the_edge(self, pipeline, tmp_path, capsys):
         base, dirs = pipeline
         sim = tmp_path / "sim"
@@ -251,6 +276,69 @@ class TestMetricsCommands:
         assert run("metrics", "similarity", "--permissive", sim, "--compared", dirs["blocking"],
                    "--out", tmp_path / "o") == 2
         assert "not a canonical edge: 'nope'" in capsys.readouterr().err
+
+
+def subparser_dests(command: str) -> set[str]:
+    """The option dests of the (nested) subparser named by ``command``."""
+    parser = build_parser()
+    for name in command.split():
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        parser = subparsers.choices[name]
+    return {a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+
+
+def write_inputs(base: Path, tmp_path: Path) -> dict[str, Path]:
+    (tmp_path / "ads.txt").write_text("||tracker0.test^\n")
+    (tmp_path / "grades.csv").write_text(
+        "url,profile,grader_a,grader_b\nu0,page-length,1,1\nu1,page-length,2,1\n")
+    return {"trace": base / "trace-permissive" / "trace.jsonl",
+            "ads": tmp_path / "ads.txt", "grades": tmp_path / "grades.csv"}
+
+
+# Each subcommand with non-default flags, and config values the manifest must echo.
+MANIFEST_CASES = {
+    "gen-trace": (lambda d, f: ["--sites", 2, "--trackers", 2, "--tracker-prob", 0.5,
+                                "--seed", 3, "--policy", "site-keyed"],
+                  {"tracker_prob": 0.5, "policy": "site-keyed", "pages": 1}),
+    "simulate": (lambda d, f: ["--policy", "page-length", "--trace", f["trace"],
+                               "--filters", f["ads"], "--origin-keyed"],
+                 {"origin_keyed": True, "psl": None}),
+    "metrics picf": (lambda d, f: ["--flows", d["permissive"] / "flows.csv",
+                                   d["site-keyed"] / "flows.csv", "--threshold", 4],
+                     {"threshold": 4}),
+    "metrics cross-site": (lambda d, f: ["--flows", d["permissive"] / "flows.csv"],
+                           {"threshold": 8}),
+    "metrics cross-time": (lambda d, f: ["--flows", d["site-keyed"] / "flows.csv",
+                                         "--across-iterations-only"],
+                           {"across_iterations_only": True}),
+    "metrics similarity": (lambda d, f: ["--permissive", d["permissive"],
+                                         "--compared", d["blocking"],
+                                         "--node-filter", "cookie_jar,script"],
+                           {"node_filter": "cookie_jar,script"}),
+    "metrics optimize": (lambda d, f: ["--permissive", d["permissive"],
+                                       "--contrast", d["blocking"], "--sample-size", 0],
+                         {"sample_size": 0, "seed": 0}),
+    "metrics candidates": (lambda d, f: ["--sim", d["permissive"], "--top", 1],
+                           {"top": 1}),
+    "metrics kappa": (lambda d, f: ["--grades", f["grades"]], {}),
+}
+
+
+@pytest.mark.parametrize("command", list(MANIFEST_CASES))
+def test_manifest_echoes_command_options_and_outputs(pipeline, tmp_path, command):
+    base, dirs = pipeline
+    files = write_inputs(base, tmp_path)
+    flags, echoed = MANIFEST_CASES[command]
+    out = tmp_path / "out"
+    assert run(*command.split(), *flags(dirs, files), "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert set(manifest["config"]) == subparser_dests(command)
+    assert manifest["config"]["out"] == str(out)
+    assert echoed.items() <= manifest["config"].items()
+    assert sorted(manifest["outputs"]) == sorted(
+        p.name for p in out.iterdir() if p.name != "manifest.json")
 
 
 def run_pipeline(base: Path) -> dict[str, bytes]:

@@ -98,6 +98,32 @@ class TestParseSetCookie:
     def test_domain_with_empty_label_dropped(self, domain, url):
         assert parse_set_cookie(f"a=1; Domain={domain}", url, RULES) is None
 
+    @pytest.mark.parametrize("attrs,expected", [
+        # "Domain=." leaves an empty domain-attribute: host-only (RFC 6265
+        # section 5.2.3, section 5.3 step 6).
+        ("Domain=.", ("www.example.com", True, "/p")),
+        ("Domain=example.com; Domain=.", ("www.example.com", True, "/p")),
+        ("Domain=.; Domain=example.com", ("example.com", False, "/p")),
+        ("Domain=other.com; Domain=example.com", ("example.com", False, "/p")),
+        # An empty Domain value is ignored; the earlier one stands.
+        ("Domain=example.com; Domain=", ("example.com", False, "/p")),
+        # A Path not starting with "/" is the default-path (section 5.2.4),
+        # and the last Path wins (section 5.3 step 7).
+        ("Path=/x; Path=y", ("www.example.com", True, "/p")),
+        ("Path=y; Path=/x", ("www.example.com", True, "/x")),
+        ("Path=/x; Path=", ("www.example.com", True, "/p")),
+    ])
+    def test_last_domain_and_path_attributes_win(self, attrs, expected):
+        cookie = parse_set_cookie(f"a=1; {attrs}", "https://www.example.com/p/q", RULES)
+        assert (cookie.domain, cookie.host_only, cookie.path) == expected
+
+    @pytest.mark.parametrize("attrs", [
+        "Domain=..example.com",  # only one leading dot is stripped
+        "Domain=example.com; Domain=other.com",
+    ])
+    def test_last_domain_attribute_can_drop_the_cookie(self, attrs):
+        assert parse_set_cookie(f"a=1; {attrs}", "https://www.example.com/p/q", RULES) is None
+
 
 class TestCookieDate:
     def test_rfc1123(self):

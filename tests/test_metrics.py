@@ -311,6 +311,11 @@ class TestSelectCandidates:
         assert [c.frame_url for c in selection.candidates] == [
             "https://c.com/x", "https://a.org/x", "https://b.net/x"]
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one_rejected(self, rules, k):
+        with pytest.raises(ValueError, match="at least 1"):
+            select_candidates([FrameStat("https://w.t.net/a", 2, 2)], k, rules)
+
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             harmonic_score(-1, 2)

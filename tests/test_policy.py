@@ -7,10 +7,8 @@ from storagelab.policy import (
     FirstParty,
     GlobalThirdParty,
     PartitionStore,
-    Party,
     PolicyKind,
     SiteKeyedThirdParty,
-    classify_party,
     resolve_partition,
     site_of,
 )
@@ -21,24 +19,32 @@ TOP = "https://www.a.com/"
 TRACKER = "https://t.net/w"
 
 
+def is_first_party(subject_url: str, top_url: str, rules) -> bool:
+    key = resolve_partition(PolicyKind.PERMISSIVE, top_url, 1, subject_url, rules)
+    return isinstance(key, FirstParty)
+
+
 class TestClassifyParty:
+    """The party split inside ``resolve_partition``: first party iff the
+    subject's site equals the top-level page's site."""
+
     def test_same_site_subdomain_is_first(self, rules):
-        assert classify_party("https://cdn.a.com/x", TOP, rules) is Party.FIRST
+        assert is_first_party("https://cdn.a.com/x", TOP, rules)
 
     def test_distinct_sites_are_third(self, rules):
-        assert classify_party(TRACKER, "https://a.com/", rules) is Party.THIRD
+        assert not is_first_party(TRACKER, "https://a.com/", rules)
 
     def test_nested_frames_classify_against_top_only(self, rules):
         # t.net inside b.org inside a.com: relative to the top page, not b.org.
-        assert classify_party(TRACKER, "https://a.com/", rules) is Party.THIRD
-        assert classify_party("https://sub.a.com/inner", "https://a.com/", rules) is Party.FIRST
+        assert not is_first_party(TRACKER, "https://a.com/", rules)
+        assert is_first_party("https://sub.a.com/inner", "https://a.com/", rules)
 
     def test_host_without_registrable_domain_uses_full_host(self, rules):
-        assert classify_party("https://com/x", "https://com/y", rules) is Party.FIRST
+        assert is_first_party("https://com/x", "https://com/y", rules)
 
     def test_missing_host_raises(self, rules):
         with pytest.raises(ValueError):
-            classify_party("not-a-url", TOP, rules)
+            resolve_partition(PolicyKind.PERMISSIVE, TOP, 1, "not-a-url", rules)
 
 
 class TestResolvePartition:
