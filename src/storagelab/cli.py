@@ -51,8 +51,8 @@ from storagelab.simulator import (
     write_frames_jsonl,
 )
 from storagelab.synthetic import SyntheticSpec, TrackerSpec, default_tracker_sites, generate_synthetic_trace
-from storagelab.trace import (NodeType, OPTIMAL_NODE_TYPES, TraceFormatError, _csv_record, _require,
-                              load_trace, write_trace)
+from storagelab.trace import (NodeType, OPTIMAL_NODE_TYPES, TraceFormatError, _csv_record, _json_object,
+                              _require, load_trace, write_trace)
 
 POLICY_NAMES = {p.value: p for p in PolicyKind}
 
@@ -130,8 +130,14 @@ def _frac(value: Fraction | None) -> str | None:
 
 
 def cmd_gen_trace(args) -> int:
-    if args.sites < 1 or args.profiles < 1:
-        raise InputError("--sites and --profiles must be >= 1")
+    for flag, value in (("--sites", args.sites), ("--profiles", args.profiles),
+                        ("--pages", args.pages), ("--iters", args.iters)):
+        if value < 1:
+            raise InputError(f"{flag} must be >= 1")
+    if args.trackers < 0:
+        raise InputError("--trackers must be >= 0")
+    if not 0 <= args.tracker_prob <= 1:
+        raise InputError("--tracker-prob must be in [0, 1]")
     trackers = tuple(
         TrackerSpec(site, args.tracker_prob) for site in default_tracker_sites(args.trackers)
     )
@@ -181,7 +187,10 @@ def _load_sim_dir(path_str: str) -> tuple[SimOutput, dict]:
     manifest_path = sim_dir / "manifest.json"
     if not manifest_path.is_file():
         raise InputError(f"not a simulation output directory (no manifest): {sim_dir}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        manifest = _json_object(manifest_path.read_text(encoding="utf-8"))
+    except (TraceFormatError, UnicodeDecodeError) as exc:
+        raise InputError(f"{manifest_path}: {exc}") from None
     if manifest.get("command") != "simulate":
         raise InputError(f"{sim_dir}: manifest is not from a simulate run")
     output = SimOutput(
@@ -391,10 +400,9 @@ def _read_grades_csv(path_str: str) -> dict[tuple[str, str], tuple[int, int]]:
                 continue
             try:
                 url, profile, grade_a, grade_b = _require(
-                    _csv_record(header, row, reader.line_num), reader.line_num,
-                    "url", "profile", "grader_a", "grader_b")
+                    _csv_record(header, row), "url", "profile", "grader_a", "grader_b")
             except TraceFormatError as exc:
-                raise TraceFormatError(f"{entry_path}: {exc}") from None
+                raise TraceFormatError(f"{entry_path}: line {reader.line_num}: {exc}") from None
             cell = (url, profile)
             if cell in grades:
                 raise InputError(f"{entry_path}: duplicate cell {cell!r}")

@@ -195,7 +195,7 @@ def replay(
 
             else:  # BehaviorEdge
                 key = (state.page_url, frame_url, state.profile, state.crawl_iter)
-                out.frames[key].edge_set.add(event.edge.canonical())
+                out.frames[key].edge_set.add(event.edge.canonical)
         except ValueError as exc:
             raise ReplayError(f"event {index}: {exc}") from None
 
@@ -218,15 +218,14 @@ def write_flows_csv(flows: Iterable[CookieFlowRecord], path: str | Path) -> None
                              r.third_party_site, r.cookie_name, r.cookie_value])
 
 
-def _flow_record(row: list[str], line_no: int) -> CookieFlowRecord:
+def _flow_record(row: list[str]) -> CookieFlowRecord:
     profile, crawl_iter, visit_seq, top_site, third_party_site, name, value = _require(
-        _csv_record(FLOW_FIELDS, row, line_no), line_no, *FLOW_FIELDS)
+        _csv_record(FLOW_FIELDS, row), *FLOW_FIELDS)
     try:
         return CookieFlowRecord(profile, int(crawl_iter), int(visit_seq), top_site,
                                 third_party_site, name, value)
     except ValueError:
-        raise TraceFormatError(
-            f"line {line_no}: crawl_iter and visit_seq must be integers") from None
+        raise TraceFormatError("crawl_iter and visit_seq must be integers") from None
 
 
 def read_flows_csv(path: str | Path) -> list[CookieFlowRecord]:
@@ -242,9 +241,9 @@ def read_flows_csv(path: str | Path) -> list[CookieFlowRecord]:
             if not row:
                 continue
             try:
-                flows.append(_flow_record(row, reader.line_num))
+                flows.append(_flow_record(row))
             except TraceFormatError as exc:
-                raise TraceFormatError(f"{path}: {exc}") from None
+                raise TraceFormatError(f"{path}: line {reader.line_num}: {exc}") from None
         return flows
 
 
@@ -264,17 +263,17 @@ def write_frames_jsonl(frames: dict[FrameKey, FrameRecord], path: str | Path) ->
             }, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _frame_entry(line: str, line_no: int) -> tuple[FrameKey, FrameRecord]:
-    record = _json_object(line, line_no)
+def _frame_entry(line: str) -> tuple[FrameKey, FrameRecord]:
+    record = _json_object(line)
     page_url, frame_url, profile, party = _require(
-        record, line_no, "page_url", "frame_url", "profile", "party")
-    (crawl_iter,) = _require(record, line_no, "crawl_iter", of=int)
-    (is_ad,) = _require(record, line_no, "is_ad", of=bool)
-    (edges,) = _require(record, line_no, "edges", of=list)
+        record, "page_url", "frame_url", "profile", "party")
+    (crawl_iter,) = _require(record, "crawl_iter", of=int)
+    (is_ad,) = _require(record, "is_ad", of=bool)
+    (edges,) = _require(record, "edges", of=list)
     if not all(isinstance(edge, str) for edge in edges):
-        raise TraceFormatError(f"line {line_no}: field 'edges' must hold strings")
+        raise TraceFormatError("field 'edges' must hold strings")
     if party not in _PARTIES:
-        raise TraceFormatError(f"line {line_no}: unknown party {party!r}")
+        raise TraceFormatError(f"unknown party {party!r}")
     key = (page_url, frame_url, profile, crawl_iter)
     return key, FrameRecord(edge_set=set(edges), is_ad=is_ad, party=_PARTIES[party])
 
@@ -290,8 +289,8 @@ def read_frames_jsonl(path: str | Path) -> dict[FrameKey, FrameRecord]:
             if not line:
                 continue
             try:
-                key, record = _frame_entry(line, line_no)
+                key, record = _frame_entry(line)
             except TraceFormatError as exc:
-                raise TraceFormatError(f"{path}: {exc}") from None
+                raise TraceFormatError(f"{path}: line {line_no}: {exc}") from None
             frames[key] = record
     return frames

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -68,8 +69,10 @@ class BehaviorEdgeRecord:
     target_type: NodeType
     target_key: str
 
+    @cached_property
     def canonical(self) -> str:
-        """Unambiguous string encoding used for set membership."""
+        """Unambiguous string encoding used for set membership; computed once
+        per object (the object is frozen, so it cannot go stale)."""
         return json.dumps(
             [self.source_type.value, self.source_key, self.edge_type,
              self.target_type.value, self.target_key],
@@ -192,93 +195,110 @@ _TYPE_NAMES = {str: "a string", int: "an integer", bool: "a boolean", dict: "an 
                list: "an array"}
 
 
-def _require(record: dict, line_no: int, *names: str, of: type = str) -> list:
-    """The values of the named fields, each checked to be of type ``of``."""
+def _require(record: dict, *names: str, of: type = str) -> list:
+    """The values of the named fields, each checked to be exactly of type
+    ``of`` (so a JSON boolean is not an integer). Errors name no line: the
+    caller prefixes where the record came from."""
     values = []
     for name in names:
         if name not in record:
-            raise TraceFormatError(f"line {line_no}: missing field {name!r}")
-        if not isinstance(record[name], of):
-            raise TraceFormatError(f"line {line_no}: field {name!r} must be {_TYPE_NAMES[of]}")
+            raise TraceFormatError(f"missing field {name!r}")
+        if type(record[name]) is not of:
+            raise TraceFormatError(f"field {name!r} must be {_TYPE_NAMES[of]}")
         values.append(record[name])
     return values
 
 
-def _csv_record(header: Sequence[str], row: Sequence[str], line_no: int) -> dict[str, str]:
+def _csv_record(header: Sequence[str], row: Sequence[str]) -> dict[str, str]:
     """A CSV row as {column: cell}, lacking the columns a short row has no cell for."""
     if len(row) > len(header):
-        raise TraceFormatError(f"line {line_no}: {len(row)} cells, header has {len(header)}")
+        raise TraceFormatError(f"{len(row)} cells, header has {len(header)}")
     return dict(zip(header, row))
 
 
-def _json_object(line: str, line_no: int) -> dict:
+def _json_object(line: str) -> dict:
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise TraceFormatError(f"line {line_no}: invalid JSON ({exc.msg})") from None
+        raise TraceFormatError(f"invalid JSON ({exc.msg})") from None
     if not isinstance(record, dict):
-        raise TraceFormatError(f"line {line_no}: record must be a JSON object")
+        raise TraceFormatError("record must be a JSON object")
     return record
 
 
-def record_to_event(record: dict, line_no: int) -> TraceEvent:
+def _record_to_event(record: dict) -> TraceEvent:
     kind = record.get("type")
     if kind == "visit_start":
-        profile, tab, page_url = _require(record, line_no, "profile", "tab", "page_url")
-        crawl_iter, visit_seq = _require(record, line_no, "crawl_iter", "visit_seq", of=int)
+        profile, tab, page_url = _require(record, "profile", "tab", "page_url")
+        crawl_iter, visit_seq = _require(record, "crawl_iter", "visit_seq", of=int)
         return VisitStart(profile, crawl_iter, tab, page_url, visit_seq)
     if kind == "frame_load":
-        tab, frame_id, frame_url = _require(record, line_no, "tab", "frame_id", "frame_url")
+        tab, frame_id, frame_url = _require(record, "tab", "frame_id", "frame_url")
         is_ad = record.get("is_ad")
         if is_ad is not None and not isinstance(is_ad, bool):
-            raise TraceFormatError(f"line {line_no}: is_ad must be a boolean")
+            raise TraceFormatError("is_ad must be a boolean")
         return FrameLoad(tab, frame_id, frame_url, is_ad)
     if kind == "http_request":
-        tab, frame_id, dest_url = _require(record, line_no, "tab", "frame_id", "dest_url")
+        tab, frame_id, dest_url = _require(record, "tab", "frame_id", "dest_url")
         cookies = record.get("response_set_cookies", [])
         if not isinstance(cookies, list) or not all(isinstance(c, str) for c in cookies):
-            raise TraceFormatError(f"line {line_no}: response_set_cookies must be a string list")
+            raise TraceFormatError("response_set_cookies must be a string list")
         return HttpRequest(tab, frame_id, dest_url, tuple(cookies))
     if kind == "script_storage":
-        tab, frame_id, api, op, key = _require(record, line_no, "tab", "frame_id", "api", "op", "key")
+        tab, frame_id, api, op, key = _require(record, "tab", "frame_id", "api", "op", "key")
         if api not in STORAGE_APIS:
-            raise TraceFormatError(f"line {line_no}: unknown storage api {api!r}")
+            raise TraceFormatError(f"unknown storage api {api!r}")
         if op not in _SCRIPT_OPS:
-            raise TraceFormatError(f"line {line_no}: unknown storage op {op!r}")
+            raise TraceFormatError(f"unknown storage op {op!r}")
         value = record.get("value")
         if value is not None and not isinstance(value, str):
-            raise TraceFormatError(f"line {line_no}: value must be a string or null")
+            raise TraceFormatError("value must be a string or null")
         return ScriptStorage(tab, frame_id, api, op, key, value)
     if kind == "behavior_edge":
-        tab, frame_id = _require(record, line_no, "tab", "frame_id")
-        (edge,) = _require(record, line_no, "edge", of=dict)
-        st, sk, et, tt, tk = _require(edge, line_no, "source_type", "source_key",
-                                      "edge_type", "target_type", "target_key")
+        tab, frame_id = _require(record, "tab", "frame_id")
+        (edge,) = _require(record, "edge", of=dict)
+        st, sk, et, tt, tk = _require(edge, "source_type", "source_key", "edge_type",
+                                      "target_type", "target_key")
         try:
             record_edge = BehaviorEdgeRecord(NodeType(st), sk, et, NodeType(tt), tk)
         except ValueError as exc:
-            raise TraceFormatError(f"line {line_no}: {exc}") from None
+            raise TraceFormatError(str(exc)) from None
         return BehaviorEdge(tab, frame_id, record_edge)
     if kind == "visit_end":
-        (tab,) = _require(record, line_no, "tab")
+        (tab,) = _require(record, "tab")
         return VisitEnd(tab)
-    raise TraceFormatError(f"line {line_no}: unknown record type {kind!r}")
+    raise TraceFormatError(f"unknown record type {kind!r}")
 
 
 def parse_trace(lines: Iterable[str]) -> Trace:
+    """Parse trace lines; :class:`TraceFormatError` names the first bad line.
+
+    Each distinct (stripped) line is decoded and checked once: a repeat
+    reuses the frozen event parsed from its first copy, so events from
+    identical lines are the same object. The meta record is never reused,
+    since its ``spec`` is a mutable dict and only line 1 may hold it.
+    """
     meta: TraceMeta | None = None
     events: list[TraceEvent] = []
+    parsed: dict[str, TraceEvent] = {}
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
-        record = _json_object(line, line_no)
-        if record.get("type") == "meta":
-            if line_no != 1:
-                raise TraceFormatError(f"line {line_no}: meta record only allowed first")
-            meta = TraceMeta(record.get("scenario"), record.get("policy"), record.get("spec"))
-            continue
-        events.append(record_to_event(record, line_no))
+        event = parsed.get(line)
+        if event is None:
+            try:
+                record = _json_object(line)
+                if record.get("type") == "meta":
+                    if line_no != 1:
+                        raise TraceFormatError("meta record only allowed first")
+                    meta = TraceMeta(record.get("scenario"), record.get("policy"),
+                                     record.get("spec"))
+                    continue
+                event = parsed[line] = _record_to_event(record)
+            except TraceFormatError as exc:
+                raise TraceFormatError(f"line {line_no}: {exc}") from None
+        events.append(event)
     return Trace(meta, events)
 
 

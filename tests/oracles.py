@@ -7,20 +7,22 @@ subset by subset, kept as oracles for the bitmask forms in
 ``storagelab.metrics``. ``replay`` resolves a partition and classifies the
 party again (with ``classify_party``, a second pair of site lookups) on every
 storage touch, kept as the oracle for ``storagelab.simulator.replay``, which
-resolves each frame once. The
-hypothesis tests in ``test_oracles.py`` require each pair to agree on random
-inputs.
+resolves each frame once. ``parse_trace`` decodes and checks every line,
+repeated or not, kept as the oracle for ``storagelab.trace.parse_trace``,
+which does so once per distinct line. The hypothesis tests in
+``test_oracles.py`` require each pair to agree on random inputs.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 from urllib.parse import urlsplit
 
 from storagelab.cookies import cookies_for_request, parse_set_cookie
@@ -28,6 +30,7 @@ from storagelab.filterlist import EMPTY_RULES, AdRuleSet
 from storagelab.filterlist import is_ad_url as fast_is_ad_url
 from storagelab.metrics import OptimizeInstance, OptimizeResult, Score, mean_defined
 from storagelab.policy import (
+    STORAGE_APIS,
     FirstParty,
     PartitionStore,
     Party,
@@ -39,11 +42,15 @@ from storagelab.psl import SuffixRuleSet, is_ip_host
 from storagelab.simulator import CookieFlowRecord, FrameRecord, ReplayError, SimOutput
 from storagelab.trace import (
     BehaviorEdge,
+    BehaviorEdgeRecord,
     FrameLoad,
     HttpRequest,
     NodeType,
     ScriptStorage,
+    Trace,
     TraceEvent,
+    TraceFormatError,
+    TraceMeta,
     VisitEnd,
     VisitStart,
     edge_endpoint_types,
@@ -352,7 +359,7 @@ def replay(
             state = tab_state(index, event.tab)
             frame_url, _, _ = frame_of(index, state, event.frame_id)
             key = (state.page_url, frame_url, state.profile, state.crawl_iter)
-            out.frames[key].edge_set.add(event.edge.canonical())
+            out.frames[key].edge_set.add(event.edge.canonical)
 
         elif isinstance(event, VisitEnd):
             state = tab_state(index, event.tab)
@@ -364,3 +371,97 @@ def replay(
             raise ReplayError(f"event {index}: not a trace event: {event!r}")
 
     return out
+
+
+# ---------------------------------------------------------------------------
+# Trace parsing: every line is decoded and checked, each error names its line.
+# The one change from the original is that ``_require`` rejects a JSON boolean
+# where an integer is required, as the fast parser does.
+
+_SCRIPT_OPS = ("get", "set", "delete")
+
+_TYPE_NAMES = {str: "a string", int: "an integer", bool: "a boolean", dict: "an object",
+               list: "an array"}
+
+
+def _require(record: dict, line_no: int, *names: str, of: type = str) -> list:
+    """The values of the named fields, each checked to be of type ``of``."""
+    values = []
+    for name in names:
+        if name not in record:
+            raise TraceFormatError(f"line {line_no}: missing field {name!r}")
+        if not isinstance(record[name], of) or (of is int and isinstance(record[name], bool)):
+            raise TraceFormatError(f"line {line_no}: field {name!r} must be {_TYPE_NAMES[of]}")
+        values.append(record[name])
+    return values
+
+
+def _json_object(line: str, line_no: int) -> dict:
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise TraceFormatError(f"line {line_no}: invalid JSON ({exc.msg})") from None
+    if not isinstance(record, dict):
+        raise TraceFormatError(f"line {line_no}: record must be a JSON object")
+    return record
+
+
+def record_to_event(record: dict, line_no: int) -> TraceEvent:
+    kind = record.get("type")
+    if kind == "visit_start":
+        profile, tab, page_url = _require(record, line_no, "profile", "tab", "page_url")
+        crawl_iter, visit_seq = _require(record, line_no, "crawl_iter", "visit_seq", of=int)
+        return VisitStart(profile, crawl_iter, tab, page_url, visit_seq)
+    if kind == "frame_load":
+        tab, frame_id, frame_url = _require(record, line_no, "tab", "frame_id", "frame_url")
+        is_ad = record.get("is_ad")
+        if is_ad is not None and not isinstance(is_ad, bool):
+            raise TraceFormatError(f"line {line_no}: is_ad must be a boolean")
+        return FrameLoad(tab, frame_id, frame_url, is_ad)
+    if kind == "http_request":
+        tab, frame_id, dest_url = _require(record, line_no, "tab", "frame_id", "dest_url")
+        cookies = record.get("response_set_cookies", [])
+        if not isinstance(cookies, list) or not all(isinstance(c, str) for c in cookies):
+            raise TraceFormatError(f"line {line_no}: response_set_cookies must be a string list")
+        return HttpRequest(tab, frame_id, dest_url, tuple(cookies))
+    if kind == "script_storage":
+        tab, frame_id, api, op, key = _require(record, line_no, "tab", "frame_id", "api", "op", "key")
+        if api not in STORAGE_APIS:
+            raise TraceFormatError(f"line {line_no}: unknown storage api {api!r}")
+        if op not in _SCRIPT_OPS:
+            raise TraceFormatError(f"line {line_no}: unknown storage op {op!r}")
+        value = record.get("value")
+        if value is not None and not isinstance(value, str):
+            raise TraceFormatError(f"line {line_no}: value must be a string or null")
+        return ScriptStorage(tab, frame_id, api, op, key, value)
+    if kind == "behavior_edge":
+        tab, frame_id = _require(record, line_no, "tab", "frame_id")
+        (edge,) = _require(record, line_no, "edge", of=dict)
+        st, sk, et, tt, tk = _require(edge, line_no, "source_type", "source_key",
+                                      "edge_type", "target_type", "target_key")
+        try:
+            record_edge = BehaviorEdgeRecord(NodeType(st), sk, et, NodeType(tt), tk)
+        except ValueError as exc:
+            raise TraceFormatError(f"line {line_no}: {exc}") from None
+        return BehaviorEdge(tab, frame_id, record_edge)
+    if kind == "visit_end":
+        (tab,) = _require(record, line_no, "tab")
+        return VisitEnd(tab)
+    raise TraceFormatError(f"line {line_no}: unknown record type {kind!r}")
+
+
+def parse_trace(lines: Iterable[str]) -> Trace:
+    meta: TraceMeta | None = None
+    events: list[TraceEvent] = []
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        record = _json_object(line, line_no)
+        if record.get("type") == "meta":
+            if line_no != 1:
+                raise TraceFormatError(f"line {line_no}: meta record only allowed first")
+            meta = TraceMeta(record.get("scenario"), record.get("policy"), record.get("spec"))
+            continue
+        events.append(record_to_event(record, line_no))
+    return Trace(meta, events)

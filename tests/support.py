@@ -171,7 +171,7 @@ def run_jaccard_oracle(seed: int = 1234, count: int = 1000) -> int:
 
 
 def _edge(st, sk, et, tt, tk) -> str:
-    return BehaviorEdgeRecord(st, sk, et, tt, tk).canonical()
+    return BehaviorEdgeRecord(st, sk, et, tt, tk).canonical
 
 
 def build_storage_separation_sample() -> list[OptimizeInstance]:

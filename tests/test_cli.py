@@ -77,6 +77,35 @@ class TestGenAndSimulate:
     def test_zero_sites_is_input_error(self, tmp_path):
         assert run("gen-trace", "--sites", 0, "--out", tmp_path / "o") == 2
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--trackers", -1, "--trackers must be >= 0"),
+        ("--tracker-prob", -0.1, "--tracker-prob must be in [0, 1]"),
+        ("--tracker-prob", 1.5, "--tracker-prob must be in [0, 1]"),
+        ("--tracker-prob", "nan", "--tracker-prob must be in [0, 1]"),
+        ("--pages", 0, "--pages must be >= 1"),
+        ("--iters", 0, "--iters must be >= 1"),
+        ("--profiles", 0, "--profiles must be >= 1"),
+    ])
+    def test_out_of_range_gen_flag_is_input_error_naming_it(
+            self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "o"
+        assert run("gen-trace", "--sites", 2, flag, value, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_boolean_crawl_iter_is_input_error_naming_the_line(self, tmp_path, capsys):
+        lines = (Path(__file__).parents[1] / "demo" / "trace.jsonl").read_text().splitlines()
+        line_no = next(n for n, line in enumerate(lines, start=1) if '"visit_start"' in line)
+        record = json.loads(lines[line_no - 1])
+        record["crawl_iter"] = True
+        lines[line_no - 1] = json.dumps(record)
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert run("simulate", "--policy", "permissive", "--trace", trace, "--out", out) == 2
+        assert f"line {line_no}: field 'crawl_iter' must be an integer" in capsys.readouterr().err
+        assert not (out / "flows.csv").exists()
+
     def test_custom_psl_and_filters(self, tmp_path):
         psl = tmp_path / "psl.dat"
         psl.write_text("// rules\ntest\ncom\n")
@@ -210,6 +239,24 @@ class TestMetricsCommands:
         assert run("metrics", "candidates", "--sim", sim, "--out", tmp_path / "o") == 2
         err = capsys.readouterr().err
         assert f"{sim / 'frames.jsonl'}: line 3: missing field 'frame_url'" in err
+
+    @pytest.mark.parametrize("command", ["candidates", "similarity", "optimize"])
+    @pytest.mark.parametrize("content,message", [
+        ("[]", "record must be a JSON object"),
+        ('"simulate"', "record must be a JSON object"),
+        ('{"command": "simulate"', "invalid JSON"),
+    ])
+    def test_bad_manifest_is_input_error_naming_the_file(
+            self, pipeline, tmp_path, capsys, command, content, message):
+        base, dirs = pipeline
+        sim = tmp_path / "sim"
+        shutil.copytree(dirs["permissive"], sim)
+        (sim / "manifest.json").write_text(content)
+        flags = {"candidates": ["--sim", sim],
+                 "similarity": ["--permissive", sim, "--compared", dirs["blocking"]],
+                 "optimize": ["--permissive", sim, "--contrast", dirs["blocking"]]}[command]
+        assert run("metrics", command, *flags, "--out", tmp_path / "o") == 2
+        assert f"{sim / 'manifest.json'}: {message}" in capsys.readouterr().err
 
     def test_short_flow_row_is_input_error_naming_file_and_line(
             self, pipeline, tmp_path, capsys):

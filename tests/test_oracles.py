@@ -1,12 +1,15 @@
 """The fast paths agree with the reference implementations kept in
 ``oracles.py``: the label-walk PSL and filter-anchor lookups with the linear
-scans, the bitmask node-type filter and optimizer with the enum-set ones, and
-the resolve-once replay loop with the one that resolves every storage touch.
+scans, the bitmask node-type filter and optimizer with the enum-set ones, the
+resolve-once replay loop with the one that resolves every storage touch, and
+the once-per-distinct-line trace parser with the one that parses every line.
 
 Rules and hosts are drawn from a small label alphabet so that normal,
 wildcard and exception rules actually match, nest and compete. Edge sets are
 drawn from a small per-instance pool so that the compared sets overlap.
 """
+
+import json
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,8 +28,11 @@ from storagelab.trace import (
     HttpRequest,
     NodeType,
     ScriptStorage,
+    TraceFormatError,
     VisitEnd,
     VisitStart,
+    event_to_record,
+    parse_trace,
 )
 
 LABEL = st.sampled_from(["a", "b", "c", "co", "uk"])
@@ -98,7 +104,7 @@ def test_is_ad_url_matches_linear_scan(url, rules):
 
 
 def _edge(src: NodeType, tgt: NodeType, key: str = "k") -> str:
-    return BehaviorEdgeRecord(src, key, "e", tgt, key).canonical()
+    return BehaviorEdgeRecord(src, key, "e", tgt, key).canonical
 
 
 def edges_over(types):
@@ -260,3 +266,77 @@ def test_replay_matches_per_touch_resolution(events, policy, origin_keyed, with_
     ads = parse_rules("||u.org^") if with_ads else EMPTY_RULES
     assert (_replay_outcome(replay, events, policy, ads, origin_keyed)
             == _replay_outcome(oracles.replay, events, policy, ads, origin_keyed))
+
+
+# ---------------------------------------------------------------------------
+# Trace parsing: a small pool of lines, so that lines repeat heavily; the same
+# event written with other key order and spacing; whitespace padding, blank
+# lines, invalid lines that repeat, and the meta record, sometimes again later.
+
+META = '{"type":"meta","scenario":"s","spec":{"sites":2}}'
+POOL_EVENTS = [
+    VisitStart("p0", 1, "t1", "https://a.com/", 1),
+    VisitStart("p1", 2, "t1", "https://a.com/", 1),
+    FrameLoad("t1", "f1", "https://t.net/w"),
+    FrameLoad("t1", "f1", "https://t.net/w", True),
+    HttpRequest("t1", "f1", "https://t.net/p", ("uid=1", "sid=2; Max-Age=3")),
+    HttpRequest("t1", "f1", "https://t.net/p"),
+    ScriptStorage("t1", "f1", "local", "set", "k", "v"),
+    ScriptStorage("t1", "f1", "cookie", "get", "k"),
+    *(BehaviorEdge("t1", "f1", edge) for edge in EDGES),
+    VisitEnd("t1"),
+]
+VALID_LINES = [json.dumps(event_to_record(e), sort_keys=True, separators=(",", ":"))
+               for e in POOL_EVENTS] + [json.dumps(event_to_record(e)) for e in POOL_EVENTS[::3]]
+INVALID_LINES = [
+    "{nope", "[1,2]", '"x"', "null", '{"type":"teleport"}', '{"type":"visit_end"}',
+    '{"type":"visit_end","tab":1}',
+    '{"type":"visit_start","profile":"p","crawl_iter":true,"tab":"t","page_url":"u","visit_seq":1}',
+    '{"type":"script_storage","tab":"t","frame_id":"f","api":"webSQL","op":"get","key":"k"}',
+    '{"type":"http_request","tab":"t","frame_id":"f","dest_url":"u","response_set_cookies":[1]}',
+    '{"type":"behavior_edge","tab":"t","frame_id":"f","edge":{"source_type":"martian",'
+    '"source_key":"s","edge_type":"e","target_type":"script","target_key":"t"}}',
+]
+PAD = st.sampled_from(["", " ", "\t", "  ", "\n", " \r\n"])
+
+
+@st.composite
+def trace_lines(draw):
+    pool = VALID_LINES + ["", "   "] + (INVALID_LINES if draw(st.booleans()) else [])
+    lines = [draw(PAD) + line + draw(PAD)
+             for line in draw(st.lists(st.sampled_from(pool), max_size=40))]
+    if draw(st.booleans()):
+        lines.insert(0, META)
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(PAD) + META)
+    return lines
+
+
+def _parse_outcome(parse, lines):
+    try:
+        trace = parse(lines)
+    except TraceFormatError as exc:
+        return str(exc)
+    return trace.meta, trace.events
+
+
+@settings(max_examples=300)
+@given(trace_lines())
+@example(['{"type":"visit_end"}', "", '{"type":"visit_end"}'])
+@example([META, '{"type":"visit_end","tab":"t"}', META])
+def test_parse_trace_matches_per_line_parse(lines):
+    """Equal meta and events, or the same error naming the same first line."""
+    assert _parse_outcome(parse_trace, lines) == _parse_outcome(oracles.parse_trace, lines)
+
+
+@settings(max_examples=100)
+@given(trace_lines())
+def test_repeated_lines_share_one_event(lines):
+    try:
+        trace = parse_trace(lines)
+    except TraceFormatError:
+        return
+    texts = [line.strip() for line in lines if line.strip() and line.strip() != META]
+    first: dict[str, object] = {}
+    for text, event in zip(texts, trace.events, strict=True):
+        assert first.setdefault(text, event) is event

@@ -258,6 +258,8 @@ class TestOutputFiles:
          '"is_ad":false,"edges":[1]}', "field 'edges' must hold strings"),
         ('{"page_url":"p","frame_url":"f","profile":"p","party":"fourth","crawl_iter":1,'
          '"is_ad":false,"edges":[]}', "unknown party 'fourth'"),
+        ('{"page_url":"p","frame_url":"f","profile":"p","party":"third","crawl_iter":true,'
+         '"is_ad":false,"edges":[]}', "field 'crawl_iter' must be an integer"),
     ])
     def test_bad_frame_record_names_file_and_line(self, tmp_path, line, message):
         path = tmp_path / "frames.jsonl"

@@ -60,8 +60,8 @@ def test_node_type_counts():
 
 def test_edge_canonical_round_trip():
     edge = BehaviorEdgeRecord(NodeType.SCRIPT, 's"|,\\x', "op", NodeType.TEXT_NODE, "")
-    assert BehaviorEdgeRecord.from_canonical(edge.canonical()) == edge
-    assert edge_endpoint_types(edge.canonical()) == (NodeType.SCRIPT, NodeType.TEXT_NODE)
+    assert BehaviorEdgeRecord.from_canonical(edge.canonical) == edge
+    assert edge_endpoint_types(edge.canonical) == (NodeType.SCRIPT, NodeType.TEXT_NODE)
 
 
 @pytest.mark.parametrize("encoded", ["1", "[]", '["script","s","op","script"]', '{"a":1}',
@@ -99,6 +99,14 @@ class TestParseErrors:
                   "op": "set", "key": "k", "value": "v", field: bad}
         with pytest.raises(TraceFormatError, match=f"line 1: {message}"):
             parse_trace([json.dumps(record)])
+
+    @pytest.mark.parametrize("field", ["crawl_iter", "visit_seq"])
+    @pytest.mark.parametrize("bad", [True, False])
+    def test_boolean_is_not_an_integer(self, field, bad):
+        record = {"type": "visit_start", "profile": "p", "crawl_iter": 1, "tab": "t",
+                  "page_url": "https://a.com/", "visit_seq": 1, field: bad}
+        with pytest.raises(TraceFormatError, match=f"^line 2: field '{field}' must be an integer$"):
+            parse_trace(['{"type":"visit_end","tab":"t"}', json.dumps(record)])
 
     def test_bad_node_type(self):
         line = ('{"type":"behavior_edge","tab":"t","frame_id":"f","edge":'
