@@ -14,45 +14,17 @@ import argparse
 import csv
 import hashlib
 import json
-import random
 import sys
-import traceback
-from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from storagelab import __version__
-from storagelab.filterlist import EMPTY_RULES, parse_rules
-from storagelab.metrics import (
-    FrameStat,
-    align_curve_inputs,
-    build_optimize_sample,
-    cross_site_scores,
-    cross_time_scores,
-    curve_rows,
-    extract_picfs,
-    frame_similarity,
-    grade_stats,
-    mean_defined,
-    optimize_node_types,
-    select_candidates,
-    similarity_curve,
-)
-from storagelab.policy import PolicyKind, site_of
+from storagelab.policy import PolicyKind
 # etld_plus_one is unused here, but bench/tests checks that the span recorder wraps it
-# at this binding.
+# at this binding. Each command imports the rest of what it runs (see "Start-up" in
+# README.md), so a call loads only its own modules.
 from storagelab.psl import builtin_rules, etld_plus_one, parse_psl  # noqa: F401
-from storagelab.simulator import (
-    SimOutput,
-    read_flows_csv,
-    read_frames_jsonl,
-    replay,
-    write_flows_csv,
-    write_frames_jsonl,
-)
-from storagelab.synthetic import SyntheticSpec, TrackerSpec, default_tracker_sites, generate_synthetic_trace
-from storagelab.trace import (NodeType, OPTIMAL_NODE_TYPES, TraceFormatError, _csv_record, _json_object,
-                              _require, load_trace, write_trace)
 
 POLICY_NAMES = {p.value: p for p in PolicyKind}
 
@@ -102,18 +74,28 @@ def _input_entry(path_str: str) -> dict:
     return {"path": path_str, "sha256": _sha256(path)}
 
 
+def _parse_input(path_str: str, parse) -> tuple:
+    """``parse`` of the text of a UTF-8 input file, and the file's input entry."""
+    entry = _input_entry(path_str)
+    try:
+        text = Path(path_str).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        from storagelab.trace import _not_utf8
+        raise _not_utf8(path_str) from None
+    return parse(text), entry
+
+
 def _load_suffix_rules(psl_path: str | None):
     if psl_path is None:
         return builtin_rules(), {"builtin": True}
-    entry = _input_entry(psl_path)
-    return parse_psl(Path(psl_path).read_text(encoding="utf-8")), entry
+    return _parse_input(psl_path, parse_psl)
 
 
 def _load_ad_rules(filters_path: str | None):
+    from storagelab.filterlist import EMPTY_RULES, parse_rules
     if filters_path is None:
         return EMPTY_RULES, None
-    entry = _input_entry(filters_path)
-    return parse_rules(Path(filters_path).read_text(encoding="utf-8")), entry
+    return _parse_input(filters_path, parse_rules)
 
 
 def _fnum(value) -> str:
@@ -121,7 +103,8 @@ def _fnum(value) -> str:
     return repr(float(value))
 
 
-def _frac(value: Fraction | None) -> str | None:
+def _frac(value) -> str | None:
+    """An exact fraction as ``n/d``."""
     return None if value is None else f"{value.numerator}/{value.denominator}"
 
 
@@ -130,6 +113,9 @@ def _frac(value: Fraction | None) -> str | None:
 
 
 def cmd_gen_trace(args) -> int:
+    from storagelab.synthetic import (SyntheticSpec, TrackerSpec, default_tracker_sites,
+                                      generate_synthetic_trace)
+    from storagelab.trace import write_trace
     for flag, value in (("--sites", args.sites), ("--profiles", args.profiles),
                         ("--pages", args.pages), ("--iters", args.iters)):
         if value < 1:
@@ -159,6 +145,8 @@ def cmd_gen_trace(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from storagelab.simulator import replay, write_flows_csv, write_frames_jsonl
+    from storagelab.trace import load_trace
     rules, psl_entry = _load_suffix_rules(args.psl)
     ads, filters_entry = _load_ad_rules(args.filters)
     trace_entry = _input_entry(args.trace)
@@ -182,7 +170,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _load_sim_dir(path_str: str) -> tuple[SimOutput, dict]:
+def _load_sim_dir(path_str: str):
+    """The simulate output (``SimOutput``) in a directory, and its manifest."""
+    from storagelab.simulator import SimOutput, read_flows_csv, read_frames_jsonl
+    from storagelab.trace import TraceFormatError, _json_object
     sim_dir = Path(path_str)
     manifest_path = sim_dir / "manifest.json"
     if not manifest_path.is_file():
@@ -216,6 +207,7 @@ def _require_same_trace(a: dict, b: dict, what: str) -> None:
 
 
 def _read_all_flows(paths: list[str]):
+    from storagelab.simulator import read_flows_csv
     entries = {}
     flows = []
     for i, path in enumerate(paths):
@@ -225,6 +217,7 @@ def _read_all_flows(paths: list[str]):
 
 
 def cmd_metrics_picf(args) -> int:
+    from storagelab.metrics import extract_picfs
     flows, entries = _read_all_flows(args.flows)
     picfs = extract_picfs(flows, args.threshold)
     out = _out_dir(args.out)
@@ -237,34 +230,31 @@ def cmd_metrics_picf(args) -> int:
     return 0
 
 
-def _write_curve_csv(path: Path, key_name: str, scores: dict[str, int]) -> None:
-    _write_csv(path, [("rank", key_name, "score", "cumulative"), *curve_rows(scores)])
+def _curve_command(args, name: str, key_name: str, scores_of) -> int:
+    """Write the curve of ``scores_of(picfs, flows)`` over the ``--flows`` files."""
+    from storagelab.metrics import curve_rows, extract_picfs
+    flows, entries = _read_all_flows(args.flows)
+    scores = scores_of(extract_picfs(flows, args.threshold), flows)
+    out = _out_dir(args.out)
+    _write_csv(out / name, [("rank", key_name, "score", "cumulative"), *curve_rows(scores)])
+    _write_manifest(out, args, inputs=entries, outputs=[name],
+                    extra={"total": sum(scores.values())})
+    return 0
 
 
 def cmd_metrics_cross_site(args) -> int:
-    flows, entries = _read_all_flows(args.flows)
-    picfs = extract_picfs(flows, args.threshold)
-    scores = cross_site_scores(picfs, flows)
-    out = _out_dir(args.out)
-    _write_curve_csv(out / "cross_site_curve.csv", "third_party_site", scores)
-    _write_manifest(out, args, inputs=entries, outputs=["cross_site_curve.csv"],
-                    extra={"total": sum(scores.values())})
-    return 0
+    from storagelab.metrics import cross_site_scores
+    return _curve_command(args, "cross_site_curve.csv", "third_party_site", cross_site_scores)
 
 
 def cmd_metrics_cross_time(args) -> int:
-    flows, entries = _read_all_flows(args.flows)
-    picfs = extract_picfs(flows, args.threshold)
-    scores = cross_time_scores(picfs, flows,
-                               across_iterations_only=args.across_iterations_only)
-    out = _out_dir(args.out)
-    _write_curve_csv(out / "cross_time_curve.csv", "top_site", scores)
-    _write_manifest(out, args, inputs=entries, outputs=["cross_time_curve.csv"],
-                    extra={"total": sum(scores.values())})
-    return 0
+    from storagelab.metrics import cross_time_scores
+    return _curve_command(args, "cross_time_curve.csv", "top_site", partial(
+        cross_time_scores, across_iterations_only=args.across_iterations_only))
 
 
-def _parse_node_filter(value: str) -> frozenset[NodeType]:
+def _parse_node_filter(value: str) -> frozenset:
+    from storagelab.trace import OPTIMAL_NODE_TYPES, NodeType
     if value == "all":
         return frozenset(NodeType)
     if value == "optimal":
@@ -277,6 +267,8 @@ def _parse_node_filter(value: str) -> frozenset[NodeType]:
 
 
 def cmd_metrics_similarity(args) -> int:
+    from storagelab.metrics import (align_curve_inputs, frame_similarity, mean_defined,
+                                    similarity_curve)
     permissive, perm_manifest = _load_sim_dir(args.permissive)
     compared, comp_manifest = _load_sim_dir(args.compared)
     _require_same_trace(perm_manifest, comp_manifest, "similarity")
@@ -320,6 +312,8 @@ def cmd_metrics_similarity(args) -> int:
 
 
 def cmd_metrics_optimize(args) -> int:
+    import random
+    from storagelab.metrics import build_optimize_sample, optimize_node_types
     permissive, perm_manifest = _load_sim_dir(args.permissive)
     contrast, contrast_manifest = _load_sim_dir(args.contrast)
     _require_same_trace(perm_manifest, contrast_manifest, "optimize")
@@ -352,6 +346,8 @@ def cmd_metrics_optimize(args) -> int:
 
 
 def cmd_metrics_candidates(args) -> int:
+    from storagelab.metrics import FrameStat, select_candidates
+    from storagelab.policy import site_of
     rules, psl_entry = _load_suffix_rules(args.psl)
     output, _ = _load_sim_dir(args.sim)
     pages_by_frame: dict[str, set[str]] = {}
@@ -385,35 +381,39 @@ def cmd_metrics_candidates(args) -> int:
 
 
 def _read_grades_csv(path_str: str) -> dict[tuple[str, str], tuple[int, int]]:
+    from storagelab.trace import TraceFormatError, _csv_record, _not_utf8, _require
     entry_path = Path(path_str)
-    if not entry_path.is_file():
-        raise InputError(f"grades file not found: {entry_path}")
     grades: dict[tuple[str, str], tuple[int, int]] = {}
-    with open(entry_path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        required = {"url", "profile", "grader_a", "grader_b"}
-        if header is None or not required.issubset(header):
-            raise InputError(f"{entry_path}: grades CSV needs columns {sorted(required)}")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                url, profile, grade_a, grade_b = _require(
-                    _csv_record(header, row), "url", "profile", "grader_a", "grader_b")
-            except TraceFormatError as exc:
-                raise TraceFormatError(f"{entry_path}: line {reader.line_num}: {exc}") from None
-            cell = (url, profile)
-            if cell in grades:
-                raise InputError(f"{entry_path}: duplicate cell {cell!r}")
-            try:
-                grades[cell] = (int(grade_a), int(grade_b))
-            except ValueError:
-                raise InputError(f"{entry_path}: non-integer grade in {cell!r}") from None
+    try:
+        with open(entry_path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            required = {"url", "profile", "grader_a", "grader_b"}
+            if header is None or not required.issubset(header):
+                raise InputError(f"{entry_path}: grades CSV needs columns {sorted(required)}")
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    url, profile, grade_a, grade_b = _require(
+                        _csv_record(header, row), "url", "profile", "grader_a", "grader_b")
+                except TraceFormatError as exc:
+                    raise TraceFormatError(f"{entry_path}: line {reader.line_num}: {exc}") from None
+                cell = (url, profile)
+                if cell in grades:
+                    raise InputError(f"{entry_path}: duplicate cell {cell!r}")
+                try:
+                    grades[cell] = (int(grade_a), int(grade_b))
+                except ValueError:
+                    raise InputError(f"{entry_path}: non-integer grade in {cell!r}") from None
+    except UnicodeDecodeError:
+        raise _not_utf8(entry_path) from None
     return grades
 
 
 def cmd_metrics_kappa(args) -> int:
+    from storagelab.metrics import grade_stats
+    entry = _input_entry(args.grades)
     stats = grade_stats(_read_grades_csv(args.grades))
     out = _out_dir(args.out)
     _write_json(out / "grading_report.json", {
@@ -427,7 +427,7 @@ def cmd_metrics_kappa(args) -> int:
         },
     })
     _write_manifest(out, args,
-                    inputs={"grades": _input_entry(args.grades)},
+                    inputs={"grades": entry},
                     outputs=["grading_report.json"])
     return 0
 
@@ -543,6 +543,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"storagelab: {exc}", file=sys.stderr)
         return 2
     except Exception:
+        import traceback
         traceback.print_exc()
         return 3
 

@@ -10,15 +10,13 @@ explicit argument: the replayer supplies virtual time, never the wall clock.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
-from datetime import datetime, timezone
+from typing import NamedTuple
 from urllib.parse import urlsplit
 
 from storagelab.psl import SuffixRuleSet, etld_plus_one
 
 
-@dataclass(frozen=True)
-class Cookie:
+class Cookie(NamedTuple):
     name: str
     value: str
     domain: str
@@ -42,9 +40,7 @@ class CookieJar:
     def add(self, cookie: Cookie) -> None:
         seq = self._next_seq
         self._next_seq += 1
-        self._cookies[(cookie.name, cookie.domain, cookie.path)] = replace(
-            cookie, created_seq=seq
-        )
+        self._cookies[(cookie.name, cookie.domain, cookie.path)] = cookie._replace(created_seq=seq)
 
     def remove(self, name: str, domain: str, path: str) -> None:
         self._cookies.pop((name, domain, path), None)
@@ -92,6 +88,8 @@ def parse_cookie_date(text: str) -> float | None:
 
     Returns epoch seconds, or None when the string is not a usable date.
     """
+    from datetime import datetime, timezone  # imported here: only Expires needs it
+
     hour = minute = second = None
     day = month = year = None
     for token in _DATE_DELIM.split(text):

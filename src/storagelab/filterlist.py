@@ -13,18 +13,20 @@ rules are compiled on first use into one alternation regex per rule set.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from urllib.parse import urlsplit
+
+from storagelab.record import Record
 
 _HOST_RE = re.compile(r"^[a-z0-9]([a-z0-9-]*[a-z0-9])?(\.[a-z0-9]([a-z0-9-]*[a-z0-9])?)*$")
 
 
-@dataclass(frozen=True)
-class AdRuleSet:
-    domain_anchor_rules: frozenset[str]
-    substring_rules: tuple[str, ...]
-    skipped: int = 0
+class AdRuleSet(Record):
+    """Domain anchors (frozenset), substring rules (tuple) and the number of
+    skipped rules; the substring regex is compiled once, on first use."""
+
+    __slots__ = ("domain_anchor_rules", "substring_rules", "skipped", "__dict__")
+    _defaults = {"skipped": 0}
 
     @cached_property
     def _substring_regex(self) -> re.Pattern[str]:

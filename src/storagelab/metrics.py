@@ -16,10 +16,9 @@ its inputs.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from storagelab.policy import site_of
 from storagelab.psl import SuffixRuleSet
@@ -33,8 +32,7 @@ Score = Fraction | None  # None = undefined (both compared sets empty)
 # PICFs and trackability scores
 
 
-@dataclass(frozen=True)
-class PICF:
+class PICF(NamedTuple):
     """A potentially identifying cookie flow: a cookie value long enough to
     be an identifier and seen in exactly one profile."""
 
@@ -173,8 +171,7 @@ def jaccard(a: set[str], b: set[str]) -> Score:
     return Fraction(len(a & b), union)
 
 
-@dataclass(frozen=True)
-class FrameSimilarity:
+class FrameSimilarity(NamedTuple):
     page_url: str
     frame_url: str
     crawl_iter: int
@@ -277,8 +274,7 @@ def similarity_curve(scores: Sequence[Score], baseline_max: int) -> list[tuple[i
 # Node-type subset optimization
 
 
-@dataclass(frozen=True)
-class OptimizeInstance:
+class OptimizeInstance(NamedTuple):
     """One frame instance with the three edge sets entering the search."""
 
     baseline_a: frozenset[str]
@@ -286,8 +282,7 @@ class OptimizeInstance:
     contrast: frozenset[str]
 
 
-@dataclass(frozen=True)
-class OptimizeResult:
+class OptimizeResult(NamedTuple):
     best_subset: frozenset[NodeType]
     separation: Fraction
     baseline_mean: Fraction
@@ -406,15 +401,13 @@ def build_optimize_sample(
 # Candidate selection and grading arithmetic
 
 
-@dataclass(frozen=True)
-class FrameStat:
+class FrameStat(NamedTuple):
     frame_url: str
     n_embedding_pages: int
     n_cookies: int
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     frame_url: str
     site: str
     n_embedding_pages: int
@@ -422,8 +415,7 @@ class Candidate:
     score: Fraction
 
 
-@dataclass(frozen=True)
-class CandidateSelection:
+class CandidateSelection(NamedTuple):
     candidates: tuple[Candidate, ...]
     short: bool  # fewer distinct sites available than requested
 
@@ -461,15 +453,13 @@ def select_candidates(
     return CandidateSelection(tuple(chosen), short=len(chosen) < k)
 
 
-@dataclass(frozen=True)
-class ProfileBreakage:
+class ProfileBreakage(NamedTuple):
     broken: int
     n: int
     pct: Fraction
 
 
-@dataclass(frozen=True)
-class GradeStats:
+class GradeStats(NamedTuple):
     agreement: Fraction
     kappa: Fraction
     breakage: dict[str, ProfileBreakage]

@@ -16,13 +16,13 @@ switches the third-party identifier to scheme://host[:port].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from urllib.parse import urlsplit
 
 from storagelab.cookies import CookieJar, cookies_for_request, domain_match, parse_set_cookie
 from storagelab.psl import SuffixRuleSet, etld_plus_one
+from storagelab.record import Record
 
 
 class PolicyKind(Enum):
@@ -37,31 +37,26 @@ class Party(Enum):
     THIRD = "third"
 
 
-@dataclass(frozen=True)
-class FirstParty:
-    site: str
+# Partition keys are records, so keys of two kinds never compare equal.
+
+class FirstParty(Record):
+    __slots__ = ("site",)
 
 
-@dataclass(frozen=True)
-class GlobalThirdParty:
-    site: str
+class GlobalThirdParty(Record):
+    __slots__ = ("site",)
 
 
-@dataclass(frozen=True)
-class SiteKeyedThirdParty:
-    first_party_site: str
-    third_party_site: str
+class SiteKeyedThirdParty(Record):
+    __slots__ = ("first_party_site", "third_party_site")
 
 
-@dataclass(frozen=True)
-class Ephemeral:
-    load_key: int
-    third_party_site: str
+class Ephemeral(Record):
+    __slots__ = ("load_key", "third_party_site")
 
 
-@dataclass(frozen=True)
-class Blocked:
-    pass
+class Blocked(Record):
+    __slots__ = ()
 
 
 PartitionKey = FirstParty | GlobalThirdParty | SiteKeyedThirdParty | Ephemeral | Blocked
@@ -124,7 +119,6 @@ def resolve_partition(
     return Ephemeral(load_key, subject)
 
 
-@dataclass
 class StorageArea:
     """One cookie jar plus the keyed DOM-storage buckets of a partition.
 
@@ -132,10 +126,13 @@ class StorageArea:
     is supplied by the caller and is uniform across policies.
     """
 
-    jar: CookieJar = field(default_factory=CookieJar)
-    local: dict[str, str] = field(default_factory=dict)
-    indexed: dict[str, str] = field(default_factory=dict)
-    session: dict[str, dict[str, str]] = field(default_factory=dict)
+    __slots__ = ("jar", "local", "indexed", "session")
+
+    def __init__(self) -> None:
+        self.jar = CookieJar()
+        self.local: dict[str, str] = {}
+        self.indexed: dict[str, str] = {}
+        self.session: dict[str, dict[str, str]] = {}
 
 
 class PartitionStore:

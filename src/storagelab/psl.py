@@ -17,16 +17,15 @@ ASCII-encoded.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 
 class PslParseError(ValueError):
     """A rule line the public-suffix file format does not allow."""
 
 
-@dataclass(frozen=True)
-class SuffixRuleSet:
+class SuffixRuleSet(NamedTuple):
     """Parsed suffix rules, with ``!`` / ``*.`` prefix markers stripped.
 
     ``wildcard_rules`` holds the base domain of each ``*.x`` rule (``ck`` for

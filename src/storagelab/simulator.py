@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from storagelab.cookies import cookies_for_request, parse_set_cookie
 from storagelab.filterlist import AdRuleSet, EMPTY_RULES, is_ad_url
@@ -33,6 +32,7 @@ from storagelab.policy import (
     site_of,
 )
 from storagelab.psl import SuffixRuleSet
+from storagelab.record import Record
 from storagelab.trace import (
     BehaviorEdge,
     FrameLoad,
@@ -44,6 +44,7 @@ from storagelab.trace import (
     VisitStart,
     _csv_record,
     _json_object,
+    _not_utf8,
     _require,
 )
 
@@ -52,8 +53,7 @@ class ReplayError(ValueError):
     """A trace violated replay preconditions; names the event index."""
 
 
-@dataclass(frozen=True)
-class CookieFlowRecord:
+class CookieFlowRecord(NamedTuple):
     """One cookie transmitted to a third-party site within a visit."""
 
     profile: str
@@ -65,11 +65,19 @@ class CookieFlowRecord:
     cookie_value: str
 
 
-@dataclass
 class FrameRecord:
-    edge_set: set[str] = field(default_factory=set)
-    is_ad: bool = False
-    party: Party = Party.THIRD
+    __slots__ = ("edge_set", "is_ad", "party")
+
+    def __init__(self, edge_set: set[str] | None = None, is_ad: bool = False,
+                 party: Party = Party.THIRD) -> None:
+        self.edge_set = set() if edge_set is None else edge_set
+        self.is_ad = is_ad
+        self.party = party
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not FrameRecord:
+            return NotImplemented
+        return (self.edge_set, self.is_ad, self.party) == (other.edge_set, other.is_ad, other.party)
 
 
 FrameKey = tuple[str, str, str, int]  # (page_url, frame_url, profile, crawl_iter)
@@ -77,22 +85,18 @@ FrameKey = tuple[str, str, str, int]  # (page_url, frame_url, profile, crawl_ite
 _PARTIES = {p.value: p for p in Party}
 
 
-@dataclass
 class SimOutput:
-    flows: list[CookieFlowRecord] = field(default_factory=list)
-    frames: dict[FrameKey, FrameRecord] = field(default_factory=dict)
+    __slots__ = ("flows", "frames")
+
+    def __init__(self, flows: list[CookieFlowRecord] | None = None,
+                 frames: dict[FrameKey, FrameRecord] | None = None) -> None:
+        self.flows = [] if flows is None else flows
+        self.frames = {} if frames is None else frames
 
 
-@dataclass
-class _TabState:
-    profile: str
-    crawl_iter: int
-    visit_seq: int
-    page_url: str
-    site: str
-    load_key: int
-    # frame_id -> (frame URL, the frame's partition key)
-    frames: dict[str, tuple[str, PartitionKey]] = field(default_factory=dict)
+class _TabState(Record):
+    # frames: frame_id -> (frame URL, the frame's partition key)
+    __slots__ = ("profile", "crawl_iter", "visit_seq", "page_url", "site", "load_key", "frames")
 
 
 _TAB_EVENTS = (FrameLoad, HttpRequest, ScriptStorage, BehaviorEdge, VisitEnd)
@@ -139,6 +143,7 @@ def replay(
                     page_url=event.page_url,
                     site=site_of(event.page_url, rules),
                     load_key=load_counter,
+                    frames={},
                 )
                 continue
             if not isinstance(event, _TAB_EVENTS):
@@ -231,20 +236,23 @@ def _flow_record(row: list[str]) -> CookieFlowRecord:
 def read_flows_csv(path: str | Path) -> list[CookieFlowRecord]:
     """Raises :class:`TraceFormatError`, naming the file and line, for a row
     with a missing field or a non-integer crawl_iter or visit_seq."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != FLOW_FIELDS:
-            raise ValueError(f"{path}: not a flow table (header {header})")
-        flows = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                flows.append(_flow_record(row))
-            except TraceFormatError as exc:
-                raise TraceFormatError(f"{path}: line {reader.line_num}: {exc}") from None
-        return flows
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or tuple(header) != FLOW_FIELDS:
+                raise ValueError(f"{path}: not a flow table (header {header})")
+            flows = []
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    flows.append(_flow_record(row))
+                except TraceFormatError as exc:
+                    raise TraceFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+            return flows
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
 
 
 def write_frames_jsonl(frames: dict[FrameKey, FrameRecord], path: str | Path) -> None:
@@ -283,14 +291,17 @@ def read_frames_jsonl(path: str | Path) -> dict[FrameKey, FrameRecord]:
     record that is not a JSON object, lacks a field or has one of the wrong
     type."""
     frames: dict[FrameKey, FrameRecord] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                key, record = _frame_entry(line)
-            except TraceFormatError as exc:
-                raise TraceFormatError(f"{path}: line {line_no}: {exc}") from None
-            frames[key] = record
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    key, record = _frame_entry(line)
+                except TraceFormatError as exc:
+                    raise TraceFormatError(f"{path}: line {line_no}: {exc}") from None
+                frames[key] = record
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     return frames

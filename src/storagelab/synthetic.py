@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from storagelab.policy import PolicyKind
 from storagelab.trace import (
@@ -44,14 +44,12 @@ from storagelab.trace import (
 )
 
 
-@dataclass(frozen=True)
-class TrackerSpec:
+class TrackerSpec(NamedTuple):
     site: str
     embed_probability: float = 1.0  # 1.0 = embedded on every page
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
+class SyntheticSpec(NamedTuple):
     n_sites: int
     trackers: tuple[TrackerSpec, ...]
     pages_per_site: int = 1
@@ -61,16 +59,21 @@ class SyntheticSpec:
     policy: PolicyKind = PolicyKind.PERMISSIVE
 
 
-def scenario_id(spec: SyntheticSpec) -> str:
-    """Fingerprint of the scenario, identical across its per-policy traces."""
-    payload = json.dumps({
+def _scenario_fields(spec: SyntheticSpec) -> dict:
+    """Every field of the spec but the policy: what its per-policy traces share."""
+    return {
         "n_sites": spec.n_sites,
         "trackers": [[t.site, t.embed_probability] for t in spec.trackers],
         "pages_per_site": spec.pages_per_site,
         "crawl_iters": spec.crawl_iters,
         "profiles": spec.profiles,
         "seed": spec.seed,
-    }, sort_keys=True, separators=(",", ":"))
+    }
+
+
+def scenario_id(spec: SyntheticSpec) -> str:
+    """Fingerprint of the scenario, identical across its per-policy traces."""
+    payload = json.dumps(_scenario_fields(spec), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -237,16 +240,4 @@ def generate_synthetic_trace(spec: SyntheticSpec) -> Trace:
 
                     events.append(VisitEnd(tab))
 
-    meta = TraceMeta(
-        scenario=scenario_id(spec),
-        policy=policy.value,
-        spec={
-            "n_sites": spec.n_sites,
-            "trackers": [[t.site, t.embed_probability] for t in spec.trackers],
-            "pages_per_site": spec.pages_per_site,
-            "crawl_iters": spec.crawl_iters,
-            "profiles": spec.profiles,
-            "seed": spec.seed,
-        },
-    )
-    return Trace(meta, events)
+    return Trace(TraceMeta(scenario_id(spec), policy.value, _scenario_fields(spec)), events)

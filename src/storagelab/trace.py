@@ -10,13 +10,13 @@ against.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from storagelab.policy import STORAGE_APIS
+from storagelab.record import Record
 
 
 class TraceFormatError(ValueError):
@@ -59,20 +59,17 @@ OPTIMAL_NODE_TYPES = frozenset(
 ) | STORAGE_NODE_TYPES
 
 
-@dataclass(frozen=True)
-class BehaviorEdgeRecord:
-    """One non-structural page behavior; identity is the full 5-tuple."""
+class BehaviorEdgeRecord(Record):
+    """One non-structural page behavior; identity is the full 5-tuple of
+    (source type, source key, edge type, target type, target key)."""
 
-    source_type: NodeType
-    source_key: str
-    edge_type: str
-    target_type: NodeType
-    target_key: str
+    __slots__ = ("source_type", "source_key", "edge_type", "target_type", "target_key",
+                 "__dict__")
 
     @cached_property
     def canonical(self) -> str:
         """Unambiguous string encoding used for set membership; computed once
-        per object (the object is frozen, so it cannot go stale)."""
+        per object (the object is immutable, so it cannot go stale)."""
         return json.dumps(
             [self.source_type.value, self.source_key, self.edge_type,
              self.target_type.value, self.target_key],
@@ -97,67 +94,54 @@ def edge_endpoint_types(encoded: str) -> tuple[NodeType, NodeType]:
     raise ValueError(f"not a canonical edge: {encoded!r}")
 
 
-@dataclass(frozen=True)
-class TraceMeta:
+class TraceMeta(NamedTuple):
     scenario: str | None = None
     policy: str | None = None
     spec: dict | None = None
 
 
-@dataclass(frozen=True)
-class VisitStart:
-    profile: str
-    crawl_iter: int
-    tab: str
-    page_url: str
-    visit_seq: int
+# Trace events are records: replay reads their fields on every event, which
+# is faster from slots than from a NamedTuple, and an event never equals an
+# event of another type.
+
+class VisitStart(Record):
+    __slots__ = ("profile", "crawl_iter", "tab", "page_url", "visit_seq")
 
 
-@dataclass(frozen=True)
-class FrameLoad:
-    tab: str
-    frame_id: str
-    frame_url: str
-    is_ad: bool | None = None  # overrides filter-list matching when present
+class FrameLoad(Record):
+    # is_ad: bool | None overrides filter-list matching when present
+    __slots__ = ("tab", "frame_id", "frame_url", "is_ad")
+    _defaults = {"is_ad": None}
 
 
-@dataclass(frozen=True)
-class HttpRequest:
-    tab: str
-    frame_id: str
-    dest_url: str
-    response_set_cookies: tuple[str, ...] = ()
+class HttpRequest(Record):
+    __slots__ = ("tab", "frame_id", "dest_url", "response_set_cookies")
+    _defaults = {"response_set_cookies": ()}
 
 
-@dataclass(frozen=True)
-class ScriptStorage:
-    tab: str
-    frame_id: str
-    api: str  # cookie | local | session | indexed
-    op: str  # get | set | delete
-    key: str
-    value: str | None = None
+class ScriptStorage(Record):
+    # api: cookie | local | session | indexed; op: get | set | delete
+    __slots__ = ("tab", "frame_id", "api", "op", "key", "value")
+    _defaults = {"value": None}
 
 
-@dataclass(frozen=True)
-class BehaviorEdge:
-    tab: str
-    frame_id: str
-    edge: BehaviorEdgeRecord
+class BehaviorEdge(Record):
+    __slots__ = ("tab", "frame_id", "edge")
 
 
-@dataclass(frozen=True)
-class VisitEnd:
-    tab: str
+class VisitEnd(Record):
+    __slots__ = ("tab",)
 
 
 TraceEvent = Union[VisitStart, FrameLoad, HttpRequest, ScriptStorage, BehaviorEdge, VisitEnd]
 
 
-@dataclass
 class Trace:
-    meta: TraceMeta | None
-    events: list[TraceEvent] = field(default_factory=list)
+    __slots__ = ("meta", "events")
+
+    def __init__(self, meta: TraceMeta | None, events: list[TraceEvent] | None = None) -> None:
+        self.meta = meta
+        self.events = [] if events is None else events
 
 
 _SCRIPT_OPS = ("get", "set", "delete")
@@ -303,8 +287,23 @@ def parse_trace(lines: Iterable[str]) -> Trace:
 
 
 def load_trace(path: str | Path) -> Trace:
-    with open(path, encoding="utf-8") as fh:
-        return parse_trace(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_trace(fh)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _not_utf8(path: str | Path) -> TraceFormatError:
+    """The error for a file that is not UTF-8, naming its first such line."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return TraceFormatError(f"{path}: line {line_no}: not UTF-8 "
+                                        f"({exc.reason} at column {exc.start + 1})")
+    return TraceFormatError(f"{path}: not UTF-8")
 
 
 def dump_trace(trace: Trace) -> str:

@@ -325,6 +325,43 @@ class TestMetricsCommands:
         assert "not a canonical edge: 'nope'" in capsys.readouterr().err
 
 
+def _put_bad_byte(path: Path) -> Path:
+    """Insert a byte that is not UTF-8 at the start of the file's line 2."""
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = b"\xff" + lines[1]
+    path.write_bytes(b"\n".join(lines))
+    return path
+
+
+class TestNonUtf8Input:
+    """Each reader names the file and line of a byte that is not UTF-8 (exit 2)."""
+
+    @pytest.mark.parametrize("reader", ["trace", "psl", "filters", "flows", "frames", "grades"])
+    def test_input_error_names_file_and_line(self, pipeline, tmp_path, capsys, reader):
+        base, dirs = pipeline
+        sim = tmp_path / "sim"
+        shutil.copytree(dirs["permissive"], sim)
+        trace = tmp_path / "trace.jsonl"
+        shutil.copy(base / "trace-permissive" / "trace.jsonl", trace)
+        (tmp_path / "psl.dat").write_text("com\ntest\nco.uk\n")
+        (tmp_path / "ads.txt").write_text("||tracker0.test^\n/ads/\n")
+        (tmp_path / "grades.csv").write_text("url,profile,grader_a,grader_b\nu,p,1,1\n")
+        simulate = ["simulate", "--policy", "permissive", "--trace", trace]
+        path, argv = {
+            "trace": (trace, simulate),
+            "psl": (tmp_path / "psl.dat", [*simulate, "--psl", tmp_path / "psl.dat"]),
+            "filters": (tmp_path / "ads.txt", [*simulate, "--filters", tmp_path / "ads.txt"]),
+            "flows": (sim / "flows.csv", ["metrics", "picf", "--flows", sim / "flows.csv"]),
+            "frames": (sim / "frames.jsonl", ["metrics", "candidates", "--sim", sim]),
+            "grades": (tmp_path / "grades.csv",
+                       ["metrics", "kappa", "--grades", tmp_path / "grades.csv"]),
+        }[reader]
+        _put_bad_byte(path)
+        assert run(*argv, "--out", tmp_path / "o") == 2
+        assert (f"{path}: line 2: not UTF-8 (invalid start byte at column 1)"
+                in capsys.readouterr().err)
+
+
 def subparser_dests(command: str) -> set[str]:
     """The option dests of the (nested) subparser named by ``command``."""
     parser = build_parser()

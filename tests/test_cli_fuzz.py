@@ -131,3 +131,5 @@ def test_mutated_input_never_exits_3(inputs, target, kind, data):
         for argv in commands:
             code, err = _run(*argv)
             assert code in (0, 1, 2), f"{target}/{kind}: {argv[:2]} exit {code}\n{err}"
+            if kind == "non_utf8":  # an input error that names the file
+                assert code == 2 and str(path) in err, f"{target}: {argv[:2]}\n{err}"
