@@ -75,14 +75,19 @@ def _input_entry(path_str: str) -> dict:
 
 
 def _parse_input(path_str: str, parse) -> tuple:
-    """``parse`` of the text of a UTF-8 input file, and the file's input entry."""
+    """``parse`` of the text of a UTF-8 input file, and the file's input entry.
+    A parse error is an input error naming the file."""
     entry = _input_entry(path_str)
     try:
         text = Path(path_str).read_text(encoding="utf-8")
     except UnicodeDecodeError:
         from storagelab.trace import _not_utf8
         raise _not_utf8(path_str) from None
-    return parse(text), entry
+    try:
+        parsed = parse(text)
+    except ValueError as exc:
+        raise InputError(f"{path_str}: {exc}") from None
+    return parsed, entry
 
 
 def _load_suffix_rules(psl_path: str | None):

@@ -45,9 +45,6 @@ class CookieJar:
     def remove(self, name: str, domain: str, path: str) -> None:
         self._cookies.pop((name, domain, path), None)
 
-    def clear(self) -> None:
-        self._cookies.clear()
-
     def cookies(self) -> list[Cookie]:
         return list(self._cookies.values())
 

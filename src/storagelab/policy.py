@@ -64,6 +64,7 @@ PartitionKey = FirstParty | GlobalThirdParty | SiteKeyedThirdParty | Ephemeral |
 BLOCKED = Blocked()
 
 STORAGE_APIS = ("cookie", "local", "session", "indexed")
+STORAGE_OPS = ("get", "set", "delete")
 
 
 def host_of(url: str) -> str:
@@ -178,7 +179,7 @@ class PartitionStore:
         """
         if api not in STORAGE_APIS:
             raise ValueError(f"unknown storage api {api!r}")
-        if op not in ("get", "set", "delete", "clear"):
+        if op not in STORAGE_OPS:
             raise ValueError(f"unknown storage op {op!r}")
         area = self.area(key)
         if area is None:
@@ -198,10 +199,8 @@ class PartitionStore:
             return bucket.get(storage_key)  # type: ignore[arg-type]
         if op == "set":
             bucket[storage_key] = value  # type: ignore[index]
-        elif op == "delete":
+        else:  # delete
             bucket.pop(storage_key, None)
-        else:
-            bucket.clear()
         return None
 
     def _cookie_access(
@@ -217,7 +216,7 @@ class PartitionStore:
             cookie = parse_set_cookie(header, url, self.rules, now)
             if cookie is not None:
                 jar.add(cookie)
-        elif op == "delete":
+        else:  # delete
             try:
                 host = host_of(url)
             except ValueError:  # a URL without a host matches no cookie
@@ -225,8 +224,6 @@ class PartitionStore:
             for cookie in jar.cookies():
                 if cookie.name == name and domain_match(host, cookie.domain):
                     jar.remove(cookie.name, cookie.domain, cookie.path)
-        else:
-            jar.clear()
         return None
 
     def end_page_load(self, load_key: int) -> None:

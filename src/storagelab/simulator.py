@@ -4,7 +4,9 @@ Replay is policy-pure: it maintains per-profile browser state (partition
 stores, open tabs, frame registries) and records cookie flows and per-frame
 behavior-edge sets. Under every policy a frame's partition depends only on
 its page load and its site, so it is resolved once, when the frame loads;
-a request resolves only its destination. Replay keeps no op log: flows and
+a request resolves only its destination. Every page load ends in
+``end_page_load`` under every policy; only page-length hands out the
+ephemeral keys it destroys. Replay keeps no op log: flows and
 frames are its only outputs. Content adaptivity (pages emitting different
 edges when storage misbehaves) belongs to the trace, not to the replayer:
 replay records what the trace says.
@@ -132,7 +134,7 @@ def replay(
                                      f"for profile {event.profile!r}")
                 last_seq[event.profile] = event.visit_seq
                 previous = tabs.get(event.tab)
-                if previous is not None and policy is PolicyKind.PAGE_LENGTH:
+                if previous is not None:
                     stores[previous.profile].end_page_load(previous.load_key)
                 load_counter += 1
                 stores.setdefault(event.profile, PartitionStore(rules))
@@ -164,8 +166,7 @@ def replay(
                 record.party = party
                 continue
             if isinstance(event, VisitEnd):
-                if policy is PolicyKind.PAGE_LENGTH:
-                    stores[state.profile].end_page_load(state.load_key)
+                stores[state.profile].end_page_load(state.load_key)
                 del tabs[event.tab]
                 continue
 

@@ -13,11 +13,11 @@ tracker widgets. Per frame load, a tracker widget:
 
 Whether the jar was empty -- and whether the read-back succeeds -- depends on
 the storage policy the content runs under, so a trace is generated *for* a
-policy: the generator carries a tiny model of the target policy's partition
-lifetimes, mirroring how the same page produces different behavior under
-different browsers. Traces generated for the same scenario (everything but
-the policy) share a scenario fingerprint so cross-policy comparisons can be
-validated.
+policy: the generator asks ``resolve_partition`` for each frame's partition
+key under the target policy, as replay does, mirroring how the same page
+produces different behavior under different browsers. Traces generated for
+the same scenario (everything but the policy) share a scenario fingerprint
+so cross-policy comparisons can be validated.
 
 All randomness (embedding draws, ID tokens) is derived by hashing the seed,
 so identical specs produce byte-identical traces.
@@ -29,7 +29,8 @@ import hashlib
 import json
 from typing import NamedTuple
 
-from storagelab.policy import PolicyKind
+from storagelab.policy import BLOCKED, PartitionKey, PolicyKind, resolve_partition, site_of
+from storagelab.psl import builtin_rules
 from storagelab.trace import (
     BehaviorEdge,
     BehaviorEdgeRecord,
@@ -86,36 +87,33 @@ def _token(*parts: object) -> str:
     return hashlib.sha256("|".join(str(p) for p in parts).encode()).hexdigest()[:16]
 
 
-def _edge(st: NodeType, sk: str, et: str, tt: NodeType, tk: str) -> BehaviorEdgeRecord:
-    return BehaviorEdgeRecord(st, sk, et, tt, tk)
-
-
 def page_fixed_edges(page_url: str, site: str) -> list[BehaviorEdgeRecord]:
     script = f"https://{site}/static/app.js"
     return [
-        _edge(NodeType.DOM_ROOT, page_url, "loads_script", NodeType.SCRIPT, script),
-        _edge(NodeType.SCRIPT, script, "sends_request", NodeType.HTTP_RESOURCE, f"https://{site}/api"),
-        _edge(NodeType.SCRIPT, script, "inserts", NodeType.HTML_ELEMENT, "div#app"),
-        _edge(NodeType.SCRIPT, script, "writes", NodeType.LOCAL_STORAGE, site),
+        BehaviorEdgeRecord(NodeType.DOM_ROOT, page_url, "loads_script", NodeType.SCRIPT, script),
+        BehaviorEdgeRecord(NodeType.SCRIPT, script, "sends_request", NodeType.HTTP_RESOURCE,
+                           f"https://{site}/api"),
+        BehaviorEdgeRecord(NodeType.SCRIPT, script, "inserts", NodeType.HTML_ELEMENT, "div#app"),
+        BehaviorEdgeRecord(NodeType.SCRIPT, script, "writes", NodeType.LOCAL_STORAGE, site),
     ]
 
 
 def tracker_fixed_edges(widget_url: str, tracker_site: str) -> list[BehaviorEdgeRecord]:
     script = f"https://{tracker_site}/widget.js"
     return [
-        _edge(NodeType.DOM_ROOT, widget_url, "loads_script", NodeType.SCRIPT, script),
-        _edge(NodeType.SCRIPT, script, "sends_request", NodeType.HTTP_RESOURCE,
-              f"https://{tracker_site}/beacon"),
-        _edge(NodeType.SCRIPT, script, "invokes", NodeType.JS_BUILTIN, "Date.now"),
+        BehaviorEdgeRecord(NodeType.DOM_ROOT, widget_url, "loads_script", NodeType.SCRIPT, script),
+        BehaviorEdgeRecord(NodeType.SCRIPT, script, "sends_request", NodeType.HTTP_RESOURCE,
+                           f"https://{tracker_site}/beacon"),
+        BehaviorEdgeRecord(NodeType.SCRIPT, script, "invokes", NodeType.JS_BUILTIN, "Date.now"),
     ]
 
 
 def tracker_storage_edges(widget_url: str, tracker_site: str) -> list[BehaviorEdgeRecord]:
     script = f"https://{tracker_site}/widget.js"
     return [
-        _edge(NodeType.SCRIPT, script, "reads", NodeType.COOKIE_JAR, tracker_site),
-        _edge(NodeType.SCRIPT, script, "writes", NodeType.COOKIE_JAR, tracker_site),
-        _edge(NodeType.SCRIPT, script, "writes", NodeType.LOCAL_STORAGE, tracker_site),
+        BehaviorEdgeRecord(NodeType.SCRIPT, script, "reads", NodeType.COOKIE_JAR, tracker_site),
+        BehaviorEdgeRecord(NodeType.SCRIPT, script, "writes", NodeType.COOKIE_JAR, tracker_site),
+        BehaviorEdgeRecord(NodeType.SCRIPT, script, "writes", NodeType.LOCAL_STORAGE, tracker_site),
     ]
 
 
@@ -144,24 +142,35 @@ def generate_synthetic_trace(spec: SyntheticSpec) -> Trace:
         raise ValueError("profiles must be >= 1")
     if spec.pages_per_site < 1 or spec.crawl_iters < 1:
         raise ValueError("pages_per_site and crawl_iters must be >= 1")
+    rules = builtin_rules()
     sites = [site_name(i) for i in range(spec.n_sites)]
     for tracker in spec.trackers:
         if not (0.0 <= tracker.embed_probability <= 1.0):
             raise ValueError(f"embed_probability out of range for {tracker.site!r}")
         if tracker.site in sites:
             raise ValueError(f"tracker site {tracker.site!r} collides with a page site")
+        # Partitions are per site: a tracker on a subdomain would share its
+        # site's partition while its host-only cookies stayed apart.
+        if site_of(f"https://{tracker.site}/", rules) != tracker.site:
+            raise ValueError(f"tracker site {tracker.site!r} is not a registrable domain")
     if len({t.site for t in spec.trackers}) != len(spec.trackers):
         raise ValueError("tracker sites must be distinct")
 
     policy = spec.policy
     events: list = []
-    # Generator-side model of which partitions already hold a tracker ID.
-    # Keys mirror the target policy's partition lifetime; page-length and
-    # blocking partitions never carry state into a load, so they have no keys.
-    model: dict[tuple, str] = {}
-    fp_model: dict[tuple, str] = {}
+    # (profile, partition key) pairs whose partition already holds an ID. A
+    # blocked partition never holds one; an ephemeral key never recurs.
+    held: set[tuple[str, PartitionKey]] = set()
     minted: set[str] = set()
     mint_count: dict[tuple, int] = {}
+
+    def needs_id(profile: str, key: PartitionKey) -> bool:
+        """True iff the partition holds no ID yet; it holds one from now on."""
+        if (profile, key) in held:
+            return False
+        if key is not BLOCKED:
+            held.add((profile, key))
+        return True
 
     def mint(profile: str, tracker_site: str) -> str:
         n = mint_count.get((profile, tracker_site), 0)
@@ -172,8 +181,8 @@ def generate_synthetic_trace(spec: SyntheticSpec) -> Trace:
         minted.add(token)
         return token
 
-    visit_seq = 0
     tab = "tab0"
+    load_key = 0
     for profile_index in range(spec.profiles):
         profile = f"prof{profile_index}"
         visit_seq = 0
@@ -181,17 +190,16 @@ def generate_synthetic_trace(spec: SyntheticSpec) -> Trace:
             for site_index, site in enumerate(sites):
                 for page_index in range(spec.pages_per_site):
                     visit_seq += 1
+                    load_key += 1
                     page_url = f"https://{site}/p{page_index}"
                     events.append(VisitStart(profile, crawl_iter, tab, page_url, visit_seq))
 
-                    # First-party document frame: storage behaves the same
-                    # under every policy, so its model is policy-independent.
                     events.append(FrameLoad(tab, "f0", page_url))
-                    fp_key = (profile, site)
+                    fp_key = resolve_partition(policy, page_url, load_key, page_url, rules)
                     set_cookies: tuple[str, ...] = ()
-                    if fp_key not in fp_model:
-                        fp_model[fp_key] = _token(spec.seed, "fp", profile, site)
-                        set_cookies = (f"fpsession={fp_model[fp_key]}; Path=/",)
+                    if needs_id(profile, fp_key):
+                        fp_id = _token(spec.seed, "fp", profile, site)
+                        set_cookies = (f"fpsession={fp_id}; Path=/",)
                     events.append(HttpRequest(tab, "f0", f"https://{site}/api", set_cookies))
                     events.append(ScriptStorage(tab, "f0", "local", "set", "fp_flag", "1"))
                     events.append(ScriptStorage(tab, "f0", "local", "get", "fp_flag"))
@@ -208,33 +216,23 @@ def generate_synthetic_trace(spec: SyntheticSpec) -> Trace:
                         events.append(FrameLoad(tab, frame_id, widget_url))
                         events.append(ScriptStorage(tab, frame_id, "cookie", "get", "uid"))
 
-                        if policy is PolicyKind.PERMISSIVE:
-                            key = (profile, tracker.site)
-                        elif policy is PolicyKind.SITE_KEYED:
-                            key = (profile, site, tracker.site)
-                        else:
-                            key = None  # blocking / page-length: nothing survives into a load
-                        present = key is not None and key in model
-                        if present:
-                            sync_cookies: tuple[str, ...] = ()
-                        else:
-                            token = mint(profile, tracker.site)
-                            if key is not None:
-                                model[key] = token
-                            sync_cookies = (f"uid={token}; Path=/",)
+                        key = resolve_partition(policy, page_url, load_key, widget_url, rules)
+                        sync_cookies: tuple[str, ...] = ()
+                        if needs_id(profile, key):
+                            sync_cookies = (f"uid={mint(profile, tracker.site)}; Path=/",)
                         events.append(HttpRequest(
                             tab, frame_id, f"https://{tracker.site}/sync", sync_cookies))
                         events.append(HttpRequest(
                             tab, frame_id, f"https://{tracker.site}/beacon?src={site}"))
 
                         # Read-back of the just-stored ID: works everywhere
-                        # except under blocking, where the set was a no-op.
+                        # except in a blocked partition, where the set was a no-op.
                         events.append(ScriptStorage(tab, frame_id, "cookie", "get", "uid"))
                         events.append(ScriptStorage(tab, frame_id, "local", "set", "seen", "1"))
                         events.append(ScriptStorage(tab, frame_id, "local", "get", "seen"))
                         for edge in tracker_fixed_edges(widget_url, tracker.site):
                             events.append(BehaviorEdge(tab, frame_id, edge))
-                        if policy is not PolicyKind.BLOCKING:
+                        if key is not BLOCKED:
                             for edge in tracker_storage_edges(widget_url, tracker.site):
                                 events.append(BehaviorEdge(tab, frame_id, edge))
 

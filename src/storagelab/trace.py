@@ -15,7 +15,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from storagelab.policy import STORAGE_APIS
+from storagelab.policy import STORAGE_APIS, STORAGE_OPS
 from storagelab.record import Record
 
 
@@ -144,9 +144,6 @@ class Trace:
         self.events = [] if events is None else events
 
 
-_SCRIPT_OPS = ("get", "set", "delete")
-
-
 def event_to_record(event: TraceEvent) -> dict:
     if isinstance(event, VisitStart):
         return {"type": "visit_start", "profile": event.profile, "crawl_iter": event.crawl_iter,
@@ -232,7 +229,7 @@ def _record_to_event(record: dict) -> TraceEvent:
         tab, frame_id, api, op, key = _require(record, "tab", "frame_id", "api", "op", "key")
         if api not in STORAGE_APIS:
             raise TraceFormatError(f"unknown storage api {api!r}")
-        if op not in _SCRIPT_OPS:
+        if op not in STORAGE_OPS:
             raise TraceFormatError(f"unknown storage op {op!r}")
         value = record.get("value")
         if value is not None and not isinstance(value, str):
@@ -287,11 +284,14 @@ def parse_trace(lines: Iterable[str]) -> Trace:
 
 
 def load_trace(path: str | Path) -> Trace:
+    """Parse a trace file; :class:`TraceFormatError` names the file and line."""
     try:
         with open(path, encoding="utf-8") as fh:
             return parse_trace(fh)
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
+    except TraceFormatError as exc:
+        raise TraceFormatError(f"{path}: {exc}") from None
 
 
 def _not_utf8(path: str | Path) -> TraceFormatError:

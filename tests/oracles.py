@@ -9,7 +9,10 @@ party again (with ``classify_party``, a second pair of site lookups) on every
 storage touch, kept as the oracle for ``storagelab.simulator.replay``, which
 resolves each frame once. ``parse_trace`` decodes and checks every line,
 repeated or not, kept as the oracle for ``storagelab.trace.parse_trace``,
-which does so once per distinct line. The hypothesis tests in
+which does so once per distinct line. ``generate_synthetic_trace`` keeps its
+own copy of each policy's partition keys, kept as the oracle for
+``storagelab.synthetic.generate_synthetic_trace``, which asks
+``resolve_partition`` for them. The hypothesis tests in
 ``test_oracles.py`` require each pair to agree on random inputs.
 """
 
@@ -40,6 +43,17 @@ from storagelab.policy import (
 )
 from storagelab.psl import SuffixRuleSet, is_ip_host
 from storagelab.simulator import CookieFlowRecord, FrameRecord, ReplayError, SimOutput
+from storagelab.synthetic import (
+    SyntheticSpec,
+    _scenario_fields,
+    _token,
+    is_embedded,
+    page_fixed_edges,
+    scenario_id,
+    site_name,
+    tracker_fixed_edges,
+    tracker_storage_edges,
+)
 from storagelab.trace import (
     BehaviorEdge,
     BehaviorEdgeRecord,
@@ -465,3 +479,115 @@ def parse_trace(lines: Iterable[str]) -> Trace:
             continue
         events.append(record_to_event(record, line_no))
     return Trace(meta, events)
+
+
+# ---------------------------------------------------------------------------
+# Synthetic generation: the ``model`` and ``fp_model`` dicts restate which
+# partition each policy gives a frame, instead of asking resolve_partition.
+
+
+def generate_synthetic_trace(spec: SyntheticSpec) -> Trace:
+    """Generate the deterministic trace of a scenario under ``spec.policy``."""
+    if spec.n_sites < 1:
+        raise ValueError("n_sites must be >= 1")
+    if spec.profiles < 1:
+        raise ValueError("profiles must be >= 1")
+    if spec.pages_per_site < 1 or spec.crawl_iters < 1:
+        raise ValueError("pages_per_site and crawl_iters must be >= 1")
+    sites = [site_name(i) for i in range(spec.n_sites)]
+    for tracker in spec.trackers:
+        if not (0.0 <= tracker.embed_probability <= 1.0):
+            raise ValueError(f"embed_probability out of range for {tracker.site!r}")
+        if tracker.site in sites:
+            raise ValueError(f"tracker site {tracker.site!r} collides with a page site")
+    if len({t.site for t in spec.trackers}) != len(spec.trackers):
+        raise ValueError("tracker sites must be distinct")
+
+    policy = spec.policy
+    events: list = []
+    # Generator-side model of which partitions already hold a tracker ID.
+    # Keys mirror the target policy's partition lifetime; page-length and
+    # blocking partitions never carry state into a load, so they have no keys.
+    model: dict[tuple, str] = {}
+    fp_model: dict[tuple, str] = {}
+    minted: set[str] = set()
+    mint_count: dict[tuple, int] = {}
+
+    def mint(profile: str, tracker_site: str) -> str:
+        n = mint_count.get((profile, tracker_site), 0)
+        mint_count[(profile, tracker_site)] = n + 1
+        token = _token(spec.seed, policy.value, profile, tracker_site, n)
+        if token in minted:
+            raise RuntimeError("token collision in synthetic generator")
+        minted.add(token)
+        return token
+
+    visit_seq = 0
+    tab = "tab0"
+    for profile_index in range(spec.profiles):
+        profile = f"prof{profile_index}"
+        visit_seq = 0
+        for crawl_iter in range(1, spec.crawl_iters + 1):
+            for site_index, site in enumerate(sites):
+                for page_index in range(spec.pages_per_site):
+                    visit_seq += 1
+                    page_url = f"https://{site}/p{page_index}"
+                    events.append(VisitStart(profile, crawl_iter, tab, page_url, visit_seq))
+
+                    # First-party document frame: storage behaves the same
+                    # under every policy, so its model is policy-independent.
+                    events.append(FrameLoad(tab, "f0", page_url))
+                    fp_key = (profile, site)
+                    set_cookies: tuple[str, ...] = ()
+                    if fp_key not in fp_model:
+                        fp_model[fp_key] = _token(spec.seed, "fp", profile, site)
+                        set_cookies = (f"fpsession={fp_model[fp_key]}; Path=/",)
+                    events.append(HttpRequest(tab, "f0", f"https://{site}/api", set_cookies))
+                    events.append(ScriptStorage(tab, "f0", "local", "set", "fp_flag", "1"))
+                    events.append(ScriptStorage(tab, "f0", "local", "get", "fp_flag"))
+                    for edge in page_fixed_edges(page_url, site):
+                        events.append(BehaviorEdge(tab, "f0", edge))
+
+                    frame_no = 0
+                    for tracker in spec.trackers:
+                        if not is_embedded(spec, site_index, page_index, tracker):
+                            continue
+                        frame_no += 1
+                        frame_id = f"f{frame_no}"
+                        widget_url = f"https://{tracker.site}/widget.html"
+                        events.append(FrameLoad(tab, frame_id, widget_url))
+                        events.append(ScriptStorage(tab, frame_id, "cookie", "get", "uid"))
+
+                        if policy is PolicyKind.PERMISSIVE:
+                            key = (profile, tracker.site)
+                        elif policy is PolicyKind.SITE_KEYED:
+                            key = (profile, site, tracker.site)
+                        else:
+                            key = None  # blocking / page-length: nothing survives into a load
+                        present = key is not None and key in model
+                        if present:
+                            sync_cookies: tuple[str, ...] = ()
+                        else:
+                            token = mint(profile, tracker.site)
+                            if key is not None:
+                                model[key] = token
+                            sync_cookies = (f"uid={token}; Path=/",)
+                        events.append(HttpRequest(
+                            tab, frame_id, f"https://{tracker.site}/sync", sync_cookies))
+                        events.append(HttpRequest(
+                            tab, frame_id, f"https://{tracker.site}/beacon?src={site}"))
+
+                        # Read-back of the just-stored ID: works everywhere
+                        # except under blocking, where the set was a no-op.
+                        events.append(ScriptStorage(tab, frame_id, "cookie", "get", "uid"))
+                        events.append(ScriptStorage(tab, frame_id, "local", "set", "seen", "1"))
+                        events.append(ScriptStorage(tab, frame_id, "local", "get", "seen"))
+                        for edge in tracker_fixed_edges(widget_url, tracker.site):
+                            events.append(BehaviorEdge(tab, frame_id, edge))
+                        if policy is not PolicyKind.BLOCKING:
+                            for edge in tracker_storage_edges(widget_url, tracker.site):
+                                events.append(BehaviorEdge(tab, frame_id, edge))
+
+                    events.append(VisitEnd(tab))
+
+    return Trace(TraceMeta(scenario_id(spec), policy.value, _scenario_fields(spec)), events)

@@ -59,6 +59,26 @@ class TestGenAndSimulate:
         assert run("simulate", "--policy", "permissive", "--trace", bad,
                    "--out", tmp_path / "o") == 2
 
+    def test_malformed_trace_line_names_file_and_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"type":"visit_start","profile":"p","crawl_iter":1,"tab":"t",'
+                       '"page_url":"https://a.com/","visit_seq":1}\n'
+                       '{"type":"frame_load","tab":"t","frame_id":"f","frame_url":"https://a.com/"}\n'
+                       '{"type":"visit_end"}\n')
+        assert run("simulate", "--policy", "permissive", "--trace", bad,
+                   "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"storagelab: {bad}: line 3: missing field 'tab'\n"
+
+    def test_malformed_psl_line_names_file_and_line(self, tmp_path, capsys):
+        psl = tmp_path / "psl.dat"
+        psl.write_text("com\na..b\n")
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("")
+        assert run("simulate", "--policy", "permissive", "--trace", trace, "--psl", psl,
+                   "--out", tmp_path / "o") == 2
+        assert (capsys.readouterr().err
+                == f"storagelab: {psl}: line 2: empty label in rule 'a..b'\n")
+
     @pytest.mark.parametrize("field,bad", [
         ("page_url", 123), ("frame_url", 123), ("dest_url", 123), ("dest_url", ["x"]),
     ])

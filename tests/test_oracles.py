@@ -1,8 +1,10 @@
 """The fast paths agree with the reference implementations kept in
 ``oracles.py``: the label-walk PSL and filter-anchor lookups with the linear
 scans, the bitmask node-type filter and optimizer with the enum-set ones, the
-resolve-once replay loop with the one that resolves every storage touch, and
-the once-per-distinct-line trace parser with the one that parses every line.
+resolve-once replay loop with the one that resolves every storage touch, the
+once-per-distinct-line trace parser with the one that parses every line, and
+the generator that asks ``resolve_partition`` for its partition keys with the
+one that keeps its own model of them.
 
 Rules and hosts are drawn from a small label alphabet so that normal,
 wildcard and exception rules actually match, nest and compete. Edge sets are
@@ -10,6 +12,7 @@ drawn from a small per-instance pool so that the compared sets overlap.
 """
 
 import json
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,9 +21,15 @@ from hypothesis import strategies as st
 import oracles
 from storagelab.filterlist import EMPTY_RULES, AdRuleSet, is_ad_url, parse_rules
 from storagelab.metrics import OptimizeInstance, frame_similarity, jaccard, optimize_node_types
-from storagelab.policy import STORAGE_APIS, PolicyKind
+from storagelab.policy import STORAGE_APIS, Ephemeral, PolicyKind, resolve_partition
 from storagelab.psl import SuffixRuleSet, builtin_rules, etld_plus_one, public_suffix
 from storagelab.simulator import FrameRecord, ReplayError, SimOutput, replay
+from storagelab.synthetic import (
+    SyntheticSpec,
+    TrackerSpec,
+    default_tracker_sites,
+    generate_synthetic_trace,
+)
 from storagelab.trace import (
     BehaviorEdge,
     BehaviorEdgeRecord,
@@ -31,6 +40,7 @@ from storagelab.trace import (
     TraceFormatError,
     VisitEnd,
     VisitStart,
+    dump_trace,
     event_to_record,
     parse_trace,
 )
@@ -239,7 +249,7 @@ def replay_events(draw):
         elif kind == "script":
             # Only the cookie api reaches an output (a later request's flows).
             events.append(ScriptStorage(tab, frame_id, pick(["cookie", "cookie", *STORAGE_APIS]),
-                                        pick(["get", "set", "set", "delete", "clear"]),
+                                        pick(["get", "set", "set", "delete"]),
                                         pick(["u", "v"]), pick(["1", "2", None])))
         elif kind == "edge":
             events.append(BehaviorEdge(tab, frame_id, pick(EDGES)))
@@ -266,6 +276,42 @@ def test_replay_matches_per_touch_resolution(events, policy, origin_keyed, with_
     ads = parse_rules("||u.org^") if with_ads else EMPTY_RULES
     assert (_replay_outcome(replay, events, policy, ads, origin_keyed)
             == _replay_outcome(oracles.replay, events, policy, ads, origin_keyed))
+
+
+@pytest.mark.parametrize("policy", list(PolicyKind))
+def test_only_page_length_hands_out_ephemeral_keys(policy):
+    """Replay ends every page load under every policy, which destroys nothing
+    unless the policy hands frames Ephemeral keys."""
+    keys = [resolve_partition(policy, top, 1, subject, builtin_rules(), origin_keyed=keyed)
+            for top, subject, keyed in product(PAGE_URLS, PAGE_URLS + SUBJECT_URLS, (False, True))]
+    assert any(isinstance(k, Ephemeral) for k in keys) == (policy is PolicyKind.PAGE_LENGTH)
+
+
+# ---------------------------------------------------------------------------
+# Synthetic generation: the default tracker sites, each embedded on every
+# page, on none, or by a seeded draw.
+
+SYNTHETIC_SPECS = st.builds(
+    lambda n_sites, probabilities, pages, iters, profiles, seed, policy: SyntheticSpec(
+        n_sites,
+        tuple(TrackerSpec(site, p) for site, p in
+              zip(default_tracker_sites(len(probabilities)), probabilities)),
+        pages, iters, profiles, seed, policy),
+    st.integers(1, 5),
+    st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0]), max_size=4),
+    st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+    st.integers(),
+    st.sampled_from(list(PolicyKind)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SYNTHETIC_SPECS)
+def test_generator_matches_own_key_model(spec):
+    """The generator that asks resolve_partition for its keys writes the same
+    bytes as the one that keeps its own model of them."""
+    assert dump_trace(generate_synthetic_trace(spec)) == dump_trace(
+        oracles.generate_synthetic_trace(spec))
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,8 @@ class TestStorageAccess:
         store.storage_access(BLOCKED, "set", "local", "u", "x")
         assert store.storage_access(BLOCKED, "get", "local", "u") is None
         store.storage_access(BLOCKED, "delete", "indexed", "u")
-        store.storage_access(BLOCKED, "clear", "session")
+        with pytest.raises(ValueError, match="unknown storage op 'clear'"):
+            store.storage_access(BLOCKED, "clear", "session")
         store.storage_access(BLOCKED, "set", "cookie", "a", "1", url=TRACKER)
         assert store.persistent == {} and store.ephemeral == {}
 

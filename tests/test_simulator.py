@@ -61,6 +61,11 @@ class TestSyntheticGenerator:
         with pytest.raises(ValueError):
             generate_synthetic_trace(SyntheticSpec(n_sites=1, trackers=(TrackerSpec("site0.test"),)))
 
+    @pytest.mark.parametrize("tracker", ["cdn.site0.test", "w.tracker0.test"])
+    def test_tracker_site_on_a_subdomain_rejected(self, tracker):
+        with pytest.raises(ValueError, match="not a registrable domain"):
+            generate_synthetic_trace(SyntheticSpec(n_sites=1, trackers=(TrackerSpec(tracker),)))
+
     def test_scenario_id_ignores_policy(self):
         spec_a = SyntheticSpec(n_sites=2, trackers=(), seed=5, policy=PolicyKind.PERMISSIVE)
         spec_b = SyntheticSpec(n_sites=2, trackers=(), seed=5, policy=PolicyKind.BLOCKING)
