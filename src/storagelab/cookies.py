@@ -10,6 +10,7 @@ explicit argument: the replayer supplies virtual time, never the wall clock.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import NamedTuple
 from urllib.parse import urlsplit
 
@@ -77,13 +78,19 @@ _MONTHS = {
     "jul": 7, "aug": 8, "sep": 9, "oct": 10, "nov": 11, "dec": 12,
 }
 _DATE_DELIM = re.compile(r"[\x09\x20-\x2f\x3b-\x40\x5b-\x60\x7b-\x7e]+")
-_TIME_RE = re.compile(r"^(\d{1,2}):(\d{1,2}):(\d{1,2})$")
+# The §5.1.1 productions: ASCII digits, then optionally a non-digit and
+# anything (``( non-digit *OCTET )``, optional as RFC 6265bis writes it).
+_TIME_RE = re.compile(r"([0-9]{1,2}):([0-9]{1,2}):([0-9]{1,2})(?![0-9])")
+_DAY_RE = re.compile(r"([0-9]{1,2})(?![0-9])")
+_YEAR_RE = re.compile(r"([0-9]{2,4})(?![0-9])")
+_MAX_AGE_RE = re.compile(r"-?[0-9]+")
 
 
 def parse_cookie_date(text: str) -> float | None:
     """Tokenizing date parser per RFC 6265 section 5.1.1 (locale-free).
 
     Returns epoch seconds, or None when the string is not a usable date.
+    Numbers are ASCII digits only, so ``²1`` is no day of the month.
     """
     from datetime import datetime, timezone  # imported here: only Expires needs it
 
@@ -92,19 +99,17 @@ def parse_cookie_date(text: str) -> float | None:
     for token in _DATE_DELIM.split(text):
         if not token:
             continue
-        if hour is None:
-            m = _TIME_RE.match(token)
-            if m:
-                hour, minute, second = (int(g) for g in m.groups())
-                continue
-        if day is None and token.isdigit() and len(token) <= 2:
-            day = int(token)
+        if hour is None and (m := _TIME_RE.match(token)):
+            hour, minute, second = (int(g) for g in m.groups())
+            continue
+        if day is None and (m := _DAY_RE.match(token)):
+            day = int(m[1])
             continue
         if month is None and token[:3].lower() in _MONTHS:
             month = _MONTHS[token[:3].lower()]
             continue
-        if year is None and token.isdigit() and len(token) in (2, 4):
-            year = int(token)
+        if year is None and (m := _YEAR_RE.match(token)):
+            year = int(m[1])
             continue
     if None in (hour, day, month, year):
         return None
@@ -120,6 +125,14 @@ def parse_cookie_date(text: str) -> float | None:
         return None
 
 
+# Bounded like policy.site_of: request URLs recur within a page load.
+@lru_cache(maxsize=4096)
+def host_and_path(url: str) -> tuple[str, str]:
+    """A URL's lowercased host ("" when it has none) and its path."""
+    parts = urlsplit(url)
+    return (parts.hostname or "").lower(), parts.path
+
+
 def parse_set_cookie(
     header: str, request_url: str, rules: SuffixRuleSet, now: float = 0.0
 ) -> Cookie | None:
@@ -133,8 +146,7 @@ def parse_set_cookie(
     gives a host-only cookie, a Path not starting with ``/`` the default-path.
     Max-Age wins over Expires; unknown attributes are ignored.
     """
-    url = urlsplit(request_url)
-    request_host = (url.hostname or "").lower()
+    request_host, request_path = host_and_path(request_url)
     if not request_host:
         return None
 
@@ -165,7 +177,7 @@ def parse_set_cookie(
             if parsed is not None:
                 expires_at = parsed
         elif attr == "max-age":
-            if re.fullmatch(r"-?\d+", attr_value):
+            if _MAX_AGE_RE.fullmatch(attr_value):
                 max_age = int(attr_value)
         # Secure / HttpOnly / SameSite and anything else: ignored.
 
@@ -188,7 +200,7 @@ def parse_set_cookie(
     else:
         expiry = expires_at
 
-    path = path_attr if path_attr is not None else default_path(url.path)
+    path = path_attr if path_attr is not None else default_path(request_path)
     return Cookie(name=name, value=value, domain=domain, host_only=host_only,
                   path=path, expiry=expiry)
 
@@ -199,9 +211,8 @@ def cookies_for_request(jar: CookieJar, url: str, now: float) -> list[tuple[str,
     Expired cookies are purged from the jar. Order: longer path first, then
     earlier created_seq.
     """
-    parts = urlsplit(url)
-    host = (parts.hostname or "").lower()
-    request_path = parts.path or "/"
+    host, path = host_and_path(url)
+    request_path = path or "/"
 
     for cookie in jar.cookies():
         if cookie.expiry is not None and cookie.expiry <= now:

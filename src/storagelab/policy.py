@@ -20,7 +20,8 @@ from enum import Enum
 from functools import lru_cache
 from urllib.parse import urlsplit
 
-from storagelab.cookies import CookieJar, cookies_for_request, domain_match, parse_set_cookie
+from storagelab.cookies import (CookieJar, cookies_for_request, domain_match, host_and_path,
+                                parse_set_cookie)
 from storagelab.psl import SuffixRuleSet, etld_plus_one
 from storagelab.record import Record
 
@@ -68,10 +69,10 @@ STORAGE_OPS = ("get", "set", "delete")
 
 
 def host_of(url: str) -> str:
-    host = urlsplit(url).hostname
+    host = host_and_path(url)[0]
     if not host:
         raise ValueError(f"URL has no host: {url!r}")
-    return host.lower()
+    return host
 
 
 # Bounded so memory stays flat on long traces; URLs recur within a page load.

@@ -13,7 +13,7 @@ import json
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from storagelab.policy import STORAGE_APIS, STORAGE_OPS
 from storagelab.record import Record
@@ -306,8 +306,18 @@ def _not_utf8(path: str | Path) -> TraceFormatError:
     return TraceFormatError(f"{path}: not UTF-8")
 
 
-def dump_trace(trace: Trace) -> str:
-    lines = []
+def _json_line(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _trace_lines(trace: Trace) -> Iterator[str]:
+    """The lines of a trace file: the meta line, if any, then one line per
+    event; a trace with neither is the single line ``"\n"``. Each distinct
+    event is encoded once: a repeat, equal by class and fields, reuses the
+    line of its first copy."""
+    if trace.meta is None and not trace.events:
+        yield "\n"
+        return
     if trace.meta is not None:
         meta: dict = {"type": "meta"}
         if trace.meta.scenario is not None:
@@ -316,11 +326,34 @@ def dump_trace(trace: Trace) -> str:
             meta["policy"] = trace.meta.policy
         if trace.meta.spec is not None:
             meta["spec"] = trace.meta.spec
-        lines.append(json.dumps(meta, sort_keys=True, separators=(",", ":")))
+        yield _json_line(meta)
+    encoded: dict[TraceEvent, str] = {}
     for event in trace.events:
-        lines.append(json.dumps(event_to_record(event), sort_keys=True, separators=(",", ":")))
-    return "\n".join(lines) + "\n"
+        line = encoded.get(event)
+        if line is None:
+            line = encoded[event] = _json_line(event_to_record(event))
+        yield line
+
+
+def dump_trace(trace: Trace) -> str:
+    """The text of a trace file; ``TypeError`` for an item that is not a
+    trace event.
+
+    Defined for events of the types :func:`parse_trace` builds: an event's
+    line is looked up by the event, and the lookup, like record equality,
+    treats ``1`` and ``True`` as one value, though they encode differently.
+    """
+    return "".join(_trace_lines(trace))
 
 
 def write_trace(trace: Trace, path: str | Path) -> None:
-    Path(path).write_text(dump_trace(trace), encoding="utf-8")
+    """Stream the trace file to ``path`` line by line, never holding its whole
+    text. When an event cannot be encoded, the file is removed and the error
+    re-raised, so no partial trace is left behind."""
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.writelines(_trace_lines(trace))
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise

@@ -12,8 +12,10 @@ repeated or not, kept as the oracle for ``storagelab.trace.parse_trace``,
 which does so once per distinct line. ``generate_synthetic_trace`` keeps its
 own copy of each policy's partition keys, kept as the oracle for
 ``storagelab.synthetic.generate_synthetic_trace``, which asks
-``resolve_partition`` for them. The hypothesis tests in
-``test_oracles.py`` require each pair to agree on random inputs.
+``resolve_partition`` for them. ``dump_trace`` encodes every event, repeated
+or not, into one string, kept as the oracle for ``storagelab.trace``'s writers,
+which encode each distinct event once and stream the lines. The hypothesis
+tests in ``test_oracles.py`` require each pair to agree on random inputs.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ from storagelab.trace import (
     VisitEnd,
     VisitStart,
     edge_endpoint_types,
+    event_to_record,
 )
 
 
@@ -479,6 +482,26 @@ def parse_trace(lines: Iterable[str]) -> Trace:
             continue
         events.append(record_to_event(record, line_no))
     return Trace(meta, events)
+
+
+# ---------------------------------------------------------------------------
+# Trace writing: every event is encoded, and the whole text built, in one go.
+
+
+def dump_trace(trace: Trace) -> str:
+    lines = []
+    if trace.meta is not None:
+        meta: dict = {"type": "meta"}
+        if trace.meta.scenario is not None:
+            meta["scenario"] = trace.meta.scenario
+        if trace.meta.policy is not None:
+            meta["policy"] = trace.meta.policy
+        if trace.meta.spec is not None:
+            meta["spec"] = trace.meta.spec
+        lines.append(json.dumps(meta, sort_keys=True, separators=(",", ":")))
+    for event in trace.events:
+        lines.append(json.dumps(event_to_record(event), sort_keys=True, separators=(",", ":")))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,19 @@ class TestGenAndSimulate:
                    "--out", tmp_path / "o") == 2
         assert capsys.readouterr().err == f"storagelab: {bad}: line 3: missing field 'tab'\n"
 
+    def test_non_ascii_digit_in_expires_is_no_date(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(
+            '{"type":"visit_start","profile":"p","crawl_iter":1,"tab":"t",'
+            '"page_url":"https://a.com/","visit_seq":1}\n'
+            '{"type":"frame_load","tab":"t","frame_id":"f","frame_url":"https://a.com/"}\n'
+            '{"type":"http_request","tab":"t","frame_id":"f","dest_url":"https://a.com/",'
+            '"response_set_cookies":["id=1; Expires=Wed, \u00b21 Oct 2015 07:28:00 GMT"]}\n'
+            '{"type":"visit_end","tab":"t"}\n', encoding="utf-8")
+        assert run("simulate", "--policy", "permissive", "--trace", trace,
+                   "--out", tmp_path / "o") == 0
+        assert capsys.readouterr().err == ""
+
     def test_malformed_psl_line_names_file_and_line(self, tmp_path, capsys):
         psl = tmp_path / "psl.dat"
         psl.write_text("com\na..b\n")

@@ -32,6 +32,14 @@ class TestParseSetCookie:
         assert cookie.host_only
         assert cookie.path == "/p"
 
+    def test_host_is_lowercased_and_path_kept(self):
+        cookie = parse_set_cookie("sid=x", "https://WWW.A.com/P/q", RULES)
+        assert (cookie.domain, cookie.path) == ("www.a.com", "/P")
+        jar = CookieJar()
+        jar.add(cookie)
+        assert cookies_for_request(jar, "https://www.a.COM/P/r", 0.0) == [("sid", "x")]
+        assert cookies_for_request(jar, "https://www.a.com/p/r", 0.0) == []
+
     def test_empty_name_rejected(self):
         assert parse_set_cookie("=novalue", "https://a.com/", RULES) is None
 
@@ -59,6 +67,11 @@ class TestParseSetCookie:
 
     def test_bad_max_age_ignored(self):
         cookie = parse_set_cookie("a=1; Max-Age=soon", "https://a.com/", RULES)
+        assert cookie.expiry is None
+
+    def test_non_ascii_digit_max_age_ignored(self):
+        # RFC 6265 §5.2.2: DIGIT is 0-9; an Arabic-Indic three is no number.
+        cookie = parse_set_cookie("a=1; Max-Age=\u0663", "https://a.com/", RULES, now=5.0)
         assert cookie.expiry is None
 
     def test_unknown_and_flag_attributes_ignored(self):
@@ -139,6 +152,35 @@ class TestCookieDate:
     def test_garbage_is_none(self):
         assert parse_cookie_date("not a date") is None
         assert parse_cookie_date("") is None
+
+    # RFC 6265 §5.1.1 counts only ASCII digits: "²1" and Arabic-Indic digits
+    # match no production, so the date lacks that part and is no date.
+    def test_superscript_digit_is_no_day(self):
+        assert parse_cookie_date("Wed, \u00b21 Oct 2015 07:28:00 GMT") is None
+
+    @pytest.mark.parametrize("date", [
+        "Wed, \u0662\u0661 Oct 2015 07:28:00 GMT",  # day
+        "Wed, 21 Oct \u0662\u0660\u0661\u0665 07:28:00 GMT",  # year
+        "Wed, 21 Oct 2015 \u0660\u0667:28:00 GMT",  # time
+    ])
+    def test_arabic_indic_digits_are_no_number(self, date):
+        assert parse_cookie_date(date) is None
+
+    # A day, year or time may end in a non-digit and anything after it.
+    def test_time_with_trailing_text(self):
+        assert parse_cookie_date("Wed, 21 Oct 2015 07:28:00junk GMT") == 1445412480.0
+
+    def test_day_with_trailing_text(self):
+        assert parse_cookie_date("Wed, 21st Oct 2015 07:28:00 GMT") == 1445412480.0
+
+    def test_year_with_trailing_text(self):
+        assert parse_cookie_date("Wed, 21 Oct 2015x 07:28:00 GMT") == 1445412480.0
+
+    def test_digit_runs_longer_than_the_production_match_nothing(self):
+        # A 3-digit day is no day; 2 to 4 digits make a year (015 is 2015).
+        assert parse_cookie_date("Wed, 021 Oct 2015 07:28:00 GMT") is None
+        assert parse_cookie_date("Wed, 21 Oct 015 07:28:00 GMT") == 1445412480.0
+        assert parse_cookie_date("Wed, 21 Oct 20155 07:28:00 GMT") is None
 
 
 class TestDomainMatch:

@@ -4,7 +4,8 @@ scans, the bitmask node-type filter and optimizer with the enum-set ones, the
 resolve-once replay loop with the one that resolves every storage touch, the
 once-per-distinct-line trace parser with the one that parses every line, and
 the generator that asks ``resolve_partition`` for its partition keys with the
-one that keeps its own model of them.
+one that keeps its own model of them, and the trace writers that encode each
+distinct event once with the dump that encodes every event.
 
 Rules and hosts are drawn from a small label alphabet so that normal,
 wildcard and exception rules actually match, nest and compete. Edge sets are
@@ -37,12 +38,15 @@ from storagelab.trace import (
     HttpRequest,
     NodeType,
     ScriptStorage,
+    Trace,
     TraceFormatError,
+    TraceMeta,
     VisitEnd,
     VisitStart,
     dump_trace,
     event_to_record,
     parse_trace,
+    write_trace,
 )
 
 LABEL = st.sampled_from(["a", "b", "c", "co", "uk"])
@@ -386,3 +390,39 @@ def test_repeated_lines_share_one_event(lines):
     first: dict[str, object] = {}
     for text, event in zip(texts, trace.events, strict=True):
         assert first.setdefault(text, event) is event
+
+
+# ---------------------------------------------------------------------------
+# Trace writing: events from the parse pool plus a non-ad frame and non-ASCII
+# text, each drawn as the pool's object or a fresh equal copy, so that equal
+# events are often distinct objects; meta with any of its fields missing.
+
+WRITE_EVENTS = [*POOL_EVENTS, FrameLoad("t1", "f2", "https://t.net/w", False),
+                ScriptStorage("t1", "f2", "session", "delete", "\u00fc\n\"k\"")]
+METAS = st.one_of(st.none(), st.builds(
+    TraceMeta, st.sampled_from([None, "s"]), st.sampled_from([None, "blocking"]),
+    st.sampled_from([None, {"sites": 2, "trackers": ["t.net"]}])))
+
+
+@st.composite
+def write_traces(draw):
+    events = []
+    for event in draw(st.lists(st.sampled_from(WRITE_EVENTS), max_size=40)):
+        if draw(st.booleans()):
+            event = type(event)(*(getattr(event, name) for name in event._fields))
+        events.append(event)
+    return Trace(draw(METAS), events)
+
+
+@settings(max_examples=300)
+@given(write_traces())
+@example(Trace(None, []))
+@example(Trace(TraceMeta(), []))
+def test_writers_match_dump_of_every_event(tmp_path_factory, trace):
+    """dump_trace's text and the bytes write_trace leaves on disk are those of
+    the dump that encodes every event."""
+    expected = oracles.dump_trace(trace)
+    assert dump_trace(trace) == expected
+    path = tmp_path_factory.getbasetemp() / "written-trace.jsonl"
+    write_trace(trace, path)
+    assert path.read_bytes() == expected.encode("utf-8")

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -20,6 +21,7 @@ from storagelab.trace import (
     dump_trace,
     edge_endpoint_types,
     parse_trace,
+    write_trace,
 )
 
 
@@ -43,6 +45,34 @@ def test_round_trip():
     again = parse_trace(dump_trace(trace).splitlines())
     assert again.meta == trace.meta
     assert again.events == trace.events
+
+
+def test_writers_reject_a_non_event_and_leave_no_file(tmp_path):
+    # Enough events before the bad one that the writer has flushed some lines.
+    trace = Trace(None, sample_trace().events * 2000 + ["not an event"])
+    with pytest.raises(TypeError, match="not a trace event"):
+        dump_trace(trace)
+    path = tmp_path / "trace.jsonl"
+    with pytest.raises(TypeError, match="not a trace event"):
+        write_trace(trace, path)
+    assert not path.exists()
+
+
+def test_write_trace_streams(tmp_path):
+    """The peak traced memory of writing a ~20k-event trace of repeated
+    events stays well under the file's size: its text is never held whole."""
+    trace = sample_trace()
+    trace.events = [type(e)(*(getattr(e, name) for name in e._fields))
+                    for _ in range(3400) for e in trace.events]
+    path = tmp_path / "trace.jsonl"
+    tracemalloc.start()
+    try:
+        write_trace(trace, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_text(encoding="utf-8") == dump_trace(trace)
+    assert peak < path.stat().st_size / 20
 
 
 def test_dump_is_deterministic():
