@@ -175,8 +175,10 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _load_sim_dir(path_str: str):
-    """The simulate output (``SimOutput``) in a directory, and its manifest."""
+def _load_sim_dir(path_str: str, with_flows: bool = False):
+    """The simulate output (``SimOutput``) in a directory, and its manifest.
+    Its ``flows.csv`` is read only ``with_flows``; otherwise the output holds
+    no flows."""
     from storagelab.simulator import SimOutput, read_flows_csv, read_frames_jsonl
     from storagelab.trace import TraceFormatError, _json_object
     sim_dir = Path(path_str)
@@ -190,7 +192,7 @@ def _load_sim_dir(path_str: str):
     if manifest.get("command") != "simulate":
         raise InputError(f"{sim_dir}: manifest is not from a simulate run")
     output = SimOutput(
-        flows=read_flows_csv(sim_dir / "flows.csv"),
+        flows=read_flows_csv(sim_dir / "flows.csv") if with_flows else None,
         frames=read_frames_jsonl(sim_dir / "frames.jsonl"),
     )
     return output, manifest
@@ -354,7 +356,7 @@ def cmd_metrics_candidates(args) -> int:
     from storagelab.metrics import FrameStat, select_candidates
     from storagelab.policy import site_of
     rules, psl_entry = _load_suffix_rules(args.psl)
-    output, _ = _load_sim_dir(args.sim)
+    output, _ = _load_sim_dir(args.sim, with_flows=True)
     pages_by_frame: dict[str, set[str]] = {}
     for (page_url, frame_url, _profile, _iter), record in output.frames.items():
         if record.party.value != "third" or record.is_ad:
@@ -386,7 +388,7 @@ def cmd_metrics_candidates(args) -> int:
 
 
 def _read_grades_csv(path_str: str) -> dict[tuple[str, str], tuple[int, int]]:
-    from storagelab.trace import TraceFormatError, _csv_record, _not_utf8, _require
+    from storagelab.trace import _INTEGER, TraceFormatError, _csv_record, _not_utf8, _require
     entry_path = Path(path_str)
     grades: dict[tuple[str, str], tuple[int, int]] = {}
     try:
@@ -407,10 +409,9 @@ def _read_grades_csv(path_str: str) -> dict[tuple[str, str], tuple[int, int]]:
                 cell = (url, profile)
                 if cell in grades:
                     raise InputError(f"{entry_path}: duplicate cell {cell!r}")
-                try:
-                    grades[cell] = (int(grade_a), int(grade_b))
-                except ValueError:
-                    raise InputError(f"{entry_path}: non-integer grade in {cell!r}") from None
+                if not (_INTEGER(grade_a) and _INTEGER(grade_b)):
+                    raise InputError(f"{entry_path}: non-integer grade in {cell!r}")
+                grades[cell] = (int(grade_a), int(grade_b))
     except UnicodeDecodeError:
         raise _not_utf8(entry_path) from None
     return grades

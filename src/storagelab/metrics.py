@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from storagelab.policy import site_of
 from storagelab.psl import SuffixRuleSet
 from storagelab.simulator import CookieFlowRecord, FrameRecord, SimOutput
-from storagelab.trace import NodeType, edge_endpoint_types
+from storagelab.trace import NodeType, _endpoint_types
 
 Score = Fraction | None  # None = undefined (both compared sets empty)
 
@@ -138,16 +138,16 @@ def curve_rows(scores: Mapping[str, int]) -> list[tuple[int, str, int, int]]:
 
 _TYPE_BIT = {t: 1 << i for i, t in enumerate(sorted(NodeType, key=lambda t: t.value))}
 
-# Pair mask per canonical edge string, so each distinct edge is parsed once
-# per process. It holds one int per distinct edge read, far less than the
-# edge sets that hold those strings.
+# Pair mask per canonical edge string. Its endpoint types come from the
+# process-wide memo in ``storagelab.trace``, which ``read_frames_jsonl`` has
+# already filled for every edge read from a file.
 _PAIR_MASKS: dict[str, int] = {}
 
 
 def _pair_mask(edge: str) -> int:
     mask = _PAIR_MASKS.get(edge)
     if mask is None:
-        src, tgt = edge_endpoint_types(edge)
+        src, tgt = _endpoint_types(edge)
         mask = _PAIR_MASKS[edge] = _TYPE_BIT[src] | _TYPE_BIT[tgt]
     return mask
 

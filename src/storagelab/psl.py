@@ -47,10 +47,15 @@ def is_ip_host(host: str) -> bool:
     return ":" in host
 
 
+# A rule with no whitespace (``\s`` matches just the characters for which
+# ``str.isspace()`` is true) and no empty label, checked in one pass.
+_VALID_RULE = re.compile(r"[^\s.]+(?:\.[^\s.]+)*").fullmatch
+
+
 def _check_rule(rule: str, line_no: int) -> str:
-    if any(ch.isspace() for ch in rule):
-        raise PslParseError(f"line {line_no}: whitespace inside rule {rule!r}")
-    if not rule or any(not label for label in rule.split(".")):
+    if not _VALID_RULE(rule):
+        if any(ch.isspace() for ch in rule):
+            raise PslParseError(f"line {line_no}: whitespace inside rule {rule!r}")
         raise PslParseError(f"line {line_no}: empty label in rule {rule!r}")
     return rule.lower()
 

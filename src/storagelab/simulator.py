@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -44,7 +45,10 @@ from storagelab.trace import (
     TraceFormatError,
     VisitEnd,
     VisitStart,
+    _ENDPOINT_TYPES,
+    _INTEGER,
     _csv_record,
+    _endpoint_types,
     _json_object,
     _not_utf8,
     _require,
@@ -227,16 +231,16 @@ def write_flows_csv(flows: Iterable[CookieFlowRecord], path: str | Path) -> None
 def _flow_record(row: list[str]) -> CookieFlowRecord:
     profile, crawl_iter, visit_seq, top_site, third_party_site, name, value = _require(
         _csv_record(FLOW_FIELDS, row), *FLOW_FIELDS)
-    try:
-        return CookieFlowRecord(profile, int(crawl_iter), int(visit_seq), top_site,
-                                third_party_site, name, value)
-    except ValueError:
-        raise TraceFormatError("crawl_iter and visit_seq must be integers") from None
+    if not (_INTEGER(crawl_iter) and _INTEGER(visit_seq)):
+        raise TraceFormatError("crawl_iter and visit_seq must be integers")
+    return CookieFlowRecord(profile, int(crawl_iter), int(visit_seq), top_site,
+                            third_party_site, name, value)
 
 
 def read_flows_csv(path: str | Path) -> list[CookieFlowRecord]:
     """Raises :class:`TraceFormatError`, naming the file and line, for a row
-    with a missing field or a non-integer crawl_iter or visit_seq."""
+    with a missing or extra field or a crawl_iter or visit_seq that is not an
+    integer (``-?[0-9]+``)."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -245,12 +249,22 @@ def read_flows_csv(path: str | Path) -> list[CookieFlowRecord]:
                 raise ValueError(f"{path}: not a flow table (header {header})")
             flows = []
             for row in reader:
-                if not row:
-                    continue
+                # One pass: seven cells, and two unsigned ASCII integers. Any
+                # other row, a negative integer included, goes to _flow_record,
+                # which names what is wrong; a blank row is skipped.
                 try:
-                    flows.append(_flow_record(row))
-                except TraceFormatError as exc:
-                    raise TraceFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+                    profile, crawl_iter, visit_seq, top_site, third_party_site, name, value = row
+                except ValueError:
+                    crawl_iter = visit_seq = ""
+                if (crawl_iter.isdecimal() and visit_seq.isdecimal()
+                        and crawl_iter.isascii() and visit_seq.isascii()):
+                    flows.append(CookieFlowRecord(profile, int(crawl_iter), int(visit_seq),
+                                                  top_site, third_party_site, name, value))
+                elif row:
+                    try:
+                        flows.append(_flow_record(row))
+                    except TraceFormatError as exc:
+                        raise TraceFormatError(f"{path}: line {reader.line_num}: {exc}") from None
             return flows
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
@@ -287,22 +301,71 @@ def _frame_entry(line: str) -> tuple[FrameKey, FrameRecord]:
     return key, FrameRecord(edge_set=set(edges), is_ad=is_ad, party=_PARTIES[party])
 
 
+def _canonical_edges(edges: list) -> bool:
+    """Whether every edge is a string; :class:`TraceFormatError` naming the
+    first string that is not a canonical edge. Each distinct edge is parsed
+    once per process."""
+    if not all(type(edge) is str for edge in edges):
+        return False
+    for edge in edges:
+        try:
+            _endpoint_types(edge)
+        except ValueError as exc:
+            raise TraceFormatError(str(exc)) from None
+    return True
+
+
+_FRAME_FIELDS = itemgetter("page_url", "frame_url", "profile", "crawl_iter", "party", "is_ad",
+                           "edges")
+# One JSON value at the start of a line and where it ends; unlike json.loads,
+# it makes no per-call checks or whitespace matches of its own.
+_decode = json.JSONDecoder().raw_decode
+
+
 def read_frames_jsonl(path: str | Path) -> dict[FrameKey, FrameRecord]:
     """Raises :class:`TraceFormatError`, naming the file and line, for a
-    record that is not a JSON object, lacks a field or has one of the wrong
-    type."""
+    record that is not a JSON object, lacks a field, has one of the wrong
+    type, holds an edge that is not a canonical edge string, or repeats the
+    (page_url, frame_url, profile, crawl_iter) of an earlier record."""
     frames: dict[FrameKey, FrameRecord] = {}
+    known_edge = _ENDPOINT_TYPES.__contains__
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
                 try:
-                    key, record = _frame_entry(line)
+                    # One pass: decode, unpack the seven fields, check their
+                    # exact types (a JSON boolean is no integer; only a string
+                    # is in _PARTIES) and edges.
+                    try:
+                        record, end = _decode(line)
+                        page_url, frame_url, profile, crawl_iter, party, is_ad, edges = (
+                            _FRAME_FIELDS(record))
+                        valid = (not line[end:].strip()
+                                 and type(page_url) is str and type(frame_url) is str
+                                 and type(profile) is str and type(crawl_iter) is int
+                                 and type(is_ad) is bool and type(edges) is list
+                                 and party in _PARTIES
+                                 and (all(map(known_edge, edges)) or _canonical_edges(edges)))
+                    except TraceFormatError:
+                        raise
+                    except (ValueError, KeyError, TypeError):
+                        # Not one JSON object with the fields, or an unhashable
+                        # party or edge.
+                        valid = False
+                    if valid:
+                        key = (page_url, frame_url, profile, crawl_iter)
+                        record = FrameRecord(set(edges), is_ad, _PARTIES[party])
+                    else:
+                        # _frame_entry names what is wrong; a blank line is skipped.
+                        line = line.strip()
+                        if not line:
+                            continue
+                        key, record = _frame_entry(line)
+                        _canonical_edges(sorted(record.edge_set))
+                    if frames.setdefault(key, record) is not record:
+                        raise TraceFormatError(f"duplicate frame record {key!r}")
                 except TraceFormatError as exc:
                     raise TraceFormatError(f"{path}: line {line_no}: {exc}") from None
-                frames[key] = record
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
     return frames

@@ -10,6 +10,7 @@ against.
 from __future__ import annotations
 
 import json
+import re
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -92,6 +93,20 @@ def edge_endpoint_types(encoded: str) -> tuple[NodeType, NodeType]:
     except ValueError:  # not JSON, or an unknown node type
         pass
     raise ValueError(f"not a canonical edge: {encoded!r}")
+
+
+# Endpoint types per canonical edge string, so each distinct edge is parsed
+# once per process, by whichever reader or metric meets it first. It holds
+# one pair per distinct edge read, far less than the edge sets holding them.
+_ENDPOINT_TYPES: dict[str, tuple[NodeType, NodeType]] = {}
+
+
+def _endpoint_types(encoded: str) -> tuple[NodeType, NodeType]:
+    """:func:`edge_endpoint_types`, memoized."""
+    types = _ENDPOINT_TYPES.get(encoded)
+    if types is None:
+        types = _ENDPOINT_TYPES[encoded] = edge_endpoint_types(encoded)
+    return types
 
 
 class TraceMeta(NamedTuple):
@@ -195,6 +210,11 @@ def _csv_record(header: Sequence[str], row: Sequence[str]) -> dict[str, str]:
     if len(row) > len(header):
         raise TraceFormatError(f"{len(row)} cells, header has {len(header)}")
     return dict(zip(header, row))
+
+
+# An integer CSV cell in the form the CLI writes: ``int()`` alone would also
+# take " 1_0", "+1" and non-ASCII digits.
+_INTEGER = re.compile(r"-?[0-9]+").fullmatch
 
 
 def _json_object(line: str) -> dict:

@@ -14,12 +14,18 @@ own copy of each policy's partition keys, kept as the oracle for
 ``storagelab.synthetic.generate_synthetic_trace``, which asks
 ``resolve_partition`` for them. ``dump_trace`` encodes every event, repeated
 or not, into one string, kept as the oracle for ``storagelab.trace``'s writers,
-which encode each distinct event once and stream the lines. The hypothesis
-tests in ``test_oracles.py`` require each pair to agree on random inputs.
+which encode each distinct event once and stream the lines. ``read_flows_csv``
+and ``read_frames_jsonl`` build a dict per row and check each field with its
+own call, kept as the oracles for ``storagelab.simulator``'s readers, which
+check each row in one pass. ``check_rule`` tests every character of a PSL rule
+for whitespace, kept as the oracle for ``storagelab.psl._check_rule``. The
+hypothesis tests in ``test_oracles.py`` require each pair to agree on random
+inputs.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import re
 from collections import defaultdict
@@ -30,6 +36,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 from urllib.parse import urlsplit
 
+from storagelab import trace as _trace
 from storagelab.cookies import cookies_for_request, parse_set_cookie
 from storagelab.filterlist import EMPTY_RULES, AdRuleSet
 from storagelab.filterlist import is_ad_url as fast_is_ad_url
@@ -43,8 +50,15 @@ from storagelab.policy import (
     resolve_partition,
     site_of,
 )
-from storagelab.psl import SuffixRuleSet, is_ip_host
-from storagelab.simulator import CookieFlowRecord, FrameRecord, ReplayError, SimOutput
+from storagelab.psl import PslParseError, SuffixRuleSet, is_ip_host
+from storagelab.simulator import (
+    _PARTIES,
+    FLOW_FIELDS,
+    CookieFlowRecord,
+    FrameRecord,
+    ReplayError,
+    SimOutput,
+)
 from storagelab.synthetic import (
     SyntheticSpec,
     _scenario_fields,
@@ -614,3 +628,84 @@ def generate_synthetic_trace(spec: SyntheticSpec) -> Trace:
                     events.append(VisitEnd(tab))
 
     return Trace(TraceMeta(scenario_id(spec), policy.value, _scenario_fields(spec)), events)
+
+
+# ---------------------------------------------------------------------------
+# Simulate output readers: a dict per row, and a call per field checked. The
+# one change from the originals is that the trace module's helpers are named
+# with their module, since this file has its own ``_require``.
+
+
+def _flow_record(row: list[str]) -> CookieFlowRecord:
+    profile, crawl_iter, visit_seq, top_site, third_party_site, name, value = _trace._require(
+        _trace._csv_record(FLOW_FIELDS, row), *FLOW_FIELDS)
+    try:
+        return CookieFlowRecord(profile, int(crawl_iter), int(visit_seq), top_site,
+                                third_party_site, name, value)
+    except ValueError:
+        raise TraceFormatError("crawl_iter and visit_seq must be integers") from None
+
+
+def read_flows_csv(path) -> list[CookieFlowRecord]:
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or tuple(header) != FLOW_FIELDS:
+                raise ValueError(f"{path}: not a flow table (header {header})")
+            flows = []
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    flows.append(_flow_record(row))
+                except TraceFormatError as exc:
+                    raise TraceFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+            return flows
+    except UnicodeDecodeError:
+        raise _trace._not_utf8(path) from None
+
+
+def _frame_entry(line: str):
+    record = _trace._json_object(line)
+    page_url, frame_url, profile, party = _trace._require(
+        record, "page_url", "frame_url", "profile", "party")
+    (crawl_iter,) = _trace._require(record, "crawl_iter", of=int)
+    (is_ad,) = _trace._require(record, "is_ad", of=bool)
+    (edges,) = _trace._require(record, "edges", of=list)
+    if not all(isinstance(edge, str) for edge in edges):
+        raise TraceFormatError("field 'edges' must hold strings")
+    if party not in _PARTIES:
+        raise TraceFormatError(f"unknown party {party!r}")
+    key = (page_url, frame_url, profile, crawl_iter)
+    return key, FrameRecord(edge_set=set(edges), is_ad=is_ad, party=_PARTIES[party])
+
+
+def read_frames_jsonl(path) -> dict:
+    frames = {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    key, record = _frame_entry(line)
+                except TraceFormatError as exc:
+                    raise TraceFormatError(f"{path}: line {line_no}: {exc}") from None
+                frames[key] = record
+    except UnicodeDecodeError:
+        raise _trace._not_utf8(path) from None
+    return frames
+
+
+# ---------------------------------------------------------------------------
+# PSL rule check: a generator over every character of every rule.
+
+
+def check_rule(rule: str, line_no: int) -> str:
+    if any(ch.isspace() for ch in rule):
+        raise PslParseError(f"line {line_no}: whitespace inside rule {rule!r}")
+    if not rule or any(not label for label in rule.split(".")):
+        raise PslParseError(f"line {line_no}: empty label in rule {rule!r}")
+    return rule.lower()

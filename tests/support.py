@@ -192,3 +192,45 @@ def build_storage_separation_sample() -> list[OptimizeInstance]:
         with_storage = frozenset(fixed | {storage_edge})
         sample.append(OptimizeInstance(with_storage, with_storage, fixed))
     return sample
+
+
+# Malformed simulate output rows, each with the message its reader gives (after
+# the file and line): frames.jsonl lines and flows.csv rows.
+BAD_FRAME_LINES = [
+    ("not json", "invalid JSON"),
+    ('{"page_url":"p","frame_url":"f","profile":"p","party":"third","crawl_iter":1,'
+     '"is_ad":false,"edges":[]} x', "invalid JSON"),
+    ("[]", "record must be a JSON object"),
+    ('{"frame_url":"f","profile":"p","party":"third","crawl_iter":1,"is_ad":false,'
+     '"edges":[]}', "missing field 'page_url'"),
+    ('{"page_url":"p","frame_url":"f","profile":"p","party":"third","crawl_iter":"1",'
+     '"is_ad":false,"edges":[]}', "field 'crawl_iter' must be an integer"),
+    ('{"page_url":"p","frame_url":"f","profile":"p","party":"third","crawl_iter":1,'
+     '"is_ad":0,"edges":[]}', "field 'is_ad' must be a boolean"),
+    ('{"page_url":"p","frame_url":"f","profile":"p","party":"third","crawl_iter":1,'
+     '"is_ad":false,"edges":[1]}', "field 'edges' must hold strings"),
+    ('{"page_url":"p","frame_url":"f","profile":"p","party":"fourth","crawl_iter":1,'
+     '"is_ad":false,"edges":[]}', "unknown party 'fourth'"),
+    ('{"page_url":"p","frame_url":"f","profile":"p","party":"third","crawl_iter":true,'
+     '"is_ad":false,"edges":[]}', "field 'crawl_iter' must be an integer"),
+    ('{"page_url":1,"frame_url":"f","profile":"p","party":"third","crawl_iter":1,'
+     '"is_ad":false,"edges":[]}', "field 'page_url' must be a string"),
+    ('{"page_url":"p","frame_url":true,"profile":"p","party":"third","crawl_iter":1,'
+     '"is_ad":false,"edges":[]}', "field 'frame_url' must be a string"),
+    ('{"page_url":"p","frame_url":"f","profile":null,"party":"third","crawl_iter":1,'
+     '"is_ad":false,"edges":[]}', "field 'profile' must be a string"),
+    ('{"page_url":"p","frame_url":"f","profile":"p","party":["third"],"crawl_iter":1,'
+     '"is_ad":false,"edges":[]}', "field 'party' must be a string"),
+    ('{"page_url":"p","frame_url":"f","profile":"p","party":"third","crawl_iter":1,'
+     '"is_ad":false,"edges":{}}', "field 'edges' must be an array"),
+    ('{"page_url":"p","frame_url":"f","profile":"p","party":"third","crawl_iter":1,'
+     '"is_ad":false,"edges":"ab"}', "field 'edges' must be an array"),
+]
+
+BAD_FLOW_ROWS = [
+    ("prof0,1", "missing field 'visit_seq'"),
+    ("prof0,x,1,a.com,t.net,id,v", "crawl_iter and visit_seq must be integers"),
+    ("prof0,1,,a.com,t.net,id,v", "crawl_iter and visit_seq must be integers"),
+    ("prof0,-x,1,a.com,t.net,id,v", "crawl_iter and visit_seq must be integers"),
+    ("prof0,1,1,a.com,t.net,id,v,EXTRA", "8 cells, header has 7"),
+]

@@ -343,19 +343,82 @@ class TestMetricsCommands:
 
     def test_malformed_edge_is_input_error_naming_the_edge(self, pipeline, tmp_path, capsys):
         base, dirs = pipeline
-        sim = tmp_path / "sim"
-        shutil.copytree(dirs["permissive"], sim)
-        lines = (sim / "frames.jsonl").read_text().splitlines()
-        for i, line in enumerate(lines):
-            record = json.loads(line)
-            if record["party"] == "third" and record["profile"] == "prof0" and record["edges"]:
-                record["edges"][0] = "nope"
-                lines[i] = json.dumps(record)
-                break
-        (sim / "frames.jsonl").write_text("\n".join(lines) + "\n")
+        sim, line_no = _break_first_edge(dirs["permissive"], tmp_path / "sim")
         assert run("metrics", "similarity", "--permissive", sim, "--compared", dirs["blocking"],
                    "--out", tmp_path / "o") == 2
-        assert "not a canonical edge: 'nope'" in capsys.readouterr().err
+        assert (f"{sim / 'frames.jsonl'}: line {line_no}: not a canonical edge: 'nope'"
+                in capsys.readouterr().err)
+
+    def test_optimize_names_the_file_line_and_edge(self, pipeline, tmp_path, capsys):
+        base, dirs = pipeline
+        sim, line_no = _break_first_edge(dirs["blocking"], tmp_path / "sim")
+        assert run("metrics", "optimize", "--permissive", dirs["permissive"], "--contrast", sim,
+                   "--out", tmp_path / "o") == 2
+        assert (f"{sim / 'frames.jsonl'}: line {line_no}: not a canonical edge: 'nope'"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["similarity", "optimize"])
+    def test_repeated_frame_record_is_input_error_naming_file_and_line(
+            self, pipeline, tmp_path, capsys, command):
+        base, dirs = pipeline
+        sim = tmp_path / "sim"
+        shutil.copytree(dirs["blocking"], sim)
+        frames = sim / "frames.jsonl"
+        lines = frames.read_text().splitlines()
+        frames.write_text("\n".join([*lines, lines[0]]) + "\n")
+        assert run("metrics", command, "--permissive", dirs["permissive"],
+                   "--compared" if command == "similarity" else "--contrast", sim,
+                   "--out", tmp_path / "o") == 2
+        assert (f"{frames}: line {len(lines) + 1}: duplicate frame record"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["similarity", "optimize"])
+    def test_similarity_and_optimize_read_no_flow_table(self, pipeline, tmp_path, command):
+        base, dirs = pipeline
+        sims = {}
+        for policy in ("permissive", "blocking"):
+            sims[policy] = tmp_path / policy
+            shutil.copytree(dirs[policy], sims[policy])
+            (sims[policy] / "flows.csv").unlink()
+        other = "--compared" if command == "similarity" else "--contrast"
+        outputs = []
+        for d in (dirs, sims):
+            out = tmp_path / f"out-{len(outputs)}"
+            assert run("metrics", command, "--permissive", d["permissive"], other, d["blocking"],
+                       "--out", out) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()
+                            if p.name != "manifest.json"})
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("cell", [" 1_0", "+1", "\u0661", "1.0"])
+    def test_integer_cells_in_the_written_form_only(self, pipeline, tmp_path, capsys, cell):
+        base, dirs = pipeline
+        header, row = (dirs["permissive"] / "flows.csv").read_text().splitlines()[:2]
+        profile, _, rest = row.split(",", 2)
+        flows = tmp_path / "flows.csv"
+        flows.write_text(f"{header}\n{row}\n{profile},{cell},{rest}\n", encoding="utf-8")
+        assert run("metrics", "cross-time", "--flows", flows, "--out", tmp_path / "o") == 2
+        assert (f"{flows}: line 3: crawl_iter and visit_seq must be integers"
+                in capsys.readouterr().err)
+        grades = tmp_path / "grades.csv"
+        grades.write_text(f"url,profile,grader_a,grader_b\nu,p,1,{cell}\n", encoding="utf-8")
+        assert run("metrics", "kappa", "--grades", grades, "--out", tmp_path / "k") == 2
+        assert f"{grades}: non-integer grade in ('u', 'p')" in capsys.readouterr().err
+
+
+def _break_first_edge(sim_dir: Path, copy: Path) -> tuple[Path, int]:
+    """A copy of ``sim_dir`` whose first compared frame has ``"nope"`` as its
+    first edge, and the number of that frame's line."""
+    shutil.copytree(sim_dir, copy)
+    lines = (copy / "frames.jsonl").read_text().splitlines()
+    for i, line in enumerate(lines):
+        record = json.loads(line)
+        if record["party"] == "third" and record["profile"] == "prof0" and record["edges"]:
+            record["edges"][0] = "nope"
+            lines[i] = json.dumps(record)
+            break
+    (copy / "frames.jsonl").write_text("\n".join(lines) + "\n")
+    return copy, i + 1
 
 
 def _put_bad_byte(path: Path) -> Path:

@@ -4,14 +4,17 @@ scans, the bitmask node-type filter and optimizer with the enum-set ones, the
 resolve-once replay loop with the one that resolves every storage touch, the
 once-per-distinct-line trace parser with the one that parses every line, and
 the generator that asks ``resolve_partition`` for its partition keys with the
-one that keeps its own model of them, and the trace writers that encode each
-distinct event once with the dump that encodes every event.
+one that keeps its own model of them, the trace writers that encode each
+distinct event once with the dump that encodes every event, the one-pass
+simulate output readers with the per-field ones, and the one-pass PSL rule
+check with the per-character one.
 
 Rules and hosts are drawn from a small label alphabet so that normal,
 wildcard and exception rules actually match, nest and compete. Edge sets are
 drawn from a small per-instance pool so that the compared sets overlap.
 """
 
+import csv
 import json
 from itertools import product
 
@@ -20,11 +23,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import support
 from storagelab.filterlist import EMPTY_RULES, AdRuleSet, is_ad_url, parse_rules
 from storagelab.metrics import OptimizeInstance, frame_similarity, jaccard, optimize_node_types
 from storagelab.policy import STORAGE_APIS, Ephemeral, PolicyKind, resolve_partition
-from storagelab.psl import SuffixRuleSet, builtin_rules, etld_plus_one, public_suffix
-from storagelab.simulator import FrameRecord, ReplayError, SimOutput, replay
+from storagelab.psl import (
+    PslParseError,
+    SuffixRuleSet,
+    _check_rule,
+    builtin_rules,
+    etld_plus_one,
+    public_suffix,
+)
+from storagelab.simulator import (
+    FLOW_FIELDS,
+    FrameRecord,
+    ReplayError,
+    SimOutput,
+    read_flows_csv,
+    read_frames_jsonl,
+    replay,
+)
 from storagelab.synthetic import (
     SyntheticSpec,
     TrackerSpec,
@@ -426,3 +445,149 @@ def test_writers_match_dump_of_every_event(tmp_path_factory, trace):
     path = tmp_path_factory.getbasetemp() / "written-trace.jsonl"
     write_trace(trace, path)
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# Simulate output readers: valid files with any text in the string fields
+# and integers in any ``-?[0-9]+`` form; frame records with extra fields, in
+# any key order and spacing, between blank lines, with edges from a pool and
+# fresh ones, so that some edges are met for the first time in the process.
+# A malformed row from the unit tests, put anywhere in such a file, gets the
+# same message from both readers.
+
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+# csv.writer quotes a cell holding its line terminator, "\n", but not a bare
+# "\r", which csv.reader then takes for the end of the row.
+CELL = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r"),
+               max_size=6)
+INT_CELL = st.one_of(st.integers(-3, 30).map(str), st.integers(0, 99).map("{:03d}".format))
+
+
+def _write_rows(path, header, rows, insert=None):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    if insert is not None:
+        index, line = insert
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines.insert(1 + index, line)
+        path.write_text("\n".join(lines), encoding="utf-8")
+
+
+def _read_outcome(read, path):
+    try:
+        return read(path)
+    except TraceFormatError as exc:
+        return str(exc)
+
+
+@st.composite
+def flow_rows(draw):
+    rows = draw(st.lists(st.tuples(CELL, INT_CELL, INT_CELL, CELL, CELL, CELL, CELL),
+                         max_size=12))
+    return [row if draw(st.integers(0, 5)) else () for row in rows]
+
+
+@settings(max_examples=200)
+@given(flow_rows())
+@example([("p", "-0", "007", "", "t,\"net", "a\nb", "\u00fc")])
+def test_flows_reader_matches_per_field_reader(tmp_path_factory, rows):
+    path = tmp_path_factory.getbasetemp() / "drawn-flows.csv"
+    _write_rows(path, FLOW_FIELDS, rows)
+    flows = _read_outcome(read_flows_csv, path)
+    assert flows == _read_outcome(oracles.read_flows_csv, path)
+    assert all(type(f.crawl_iter) is int and type(f.visit_seq) is int for f in flows)
+
+
+@settings(max_examples=100)
+@given(flow_rows(), st.sampled_from(support.BAD_FLOW_ROWS), st.integers(0, 12))
+def test_bad_flow_row_fails_alike(tmp_path_factory, rows, bad, index):
+    path = tmp_path_factory.getbasetemp() / "drawn-bad-flows.csv"
+    rows = [row for row in rows if row and "\n" not in "".join(row)]
+    index = min(index, len(rows))
+    _write_rows(path, FLOW_FIELDS, rows, insert=(index, bad[0]))
+    message = _read_outcome(read_flows_csv, path)
+    assert message == _read_outcome(oracles.read_flows_csv, path)
+    assert f": line {2 + index}: {bad[1]}" in message
+
+
+FRAME_EDGE = st.one_of(
+    st.sampled_from([_edge(NodeType.SCRIPT, NodeType.COOKIE_JAR),
+                     _edge(NodeType.WEB_API, NodeType.SCRIPT)]),
+    st.builds(lambda src, key, tgt: BehaviorEdgeRecord(src, key, "e", tgt, key).canonical,
+              st.sampled_from(list(NodeType)), TEXT, st.sampled_from(list(NodeType))),
+)
+
+
+@st.composite
+def frame_lines(draw):
+    records = {}
+    for _ in range(draw(st.integers(0, 8))):
+        key = (draw(TEXT), draw(st.sampled_from(["f", "g\u00fc"])),
+               draw(st.sampled_from(["p0", "p1"])), draw(st.integers(-2, 3)))
+        records[key] = {"page_url": key[0], "frame_url": key[1], "profile": key[2],
+                        "crawl_iter": key[3], "party": draw(st.sampled_from(["first", "third"])),
+                        "is_ad": draw(st.booleans()),
+                        "edges": draw(st.lists(FRAME_EDGE, max_size=4))}
+    lines = []
+    for record in records.values():
+        if draw(st.booleans()):
+            record["extra"] = draw(st.sampled_from([None, 1, "x", [1]]))
+        items = draw(st.permutations(list(record.items())))
+        line = json.dumps(dict(items), sort_keys=draw(st.booleans()),
+                          ensure_ascii=draw(st.booleans()))
+        lines.append(draw(PAD) + line + draw(PAD))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", "  "])))
+    return lines
+
+
+@settings(max_examples=200)
+@given(frame_lines())
+def test_frames_reader_matches_per_field_reader(tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "drawn-frames.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert read_frames_jsonl(path) == oracles.read_frames_jsonl(path)
+
+
+@settings(max_examples=100)
+@given(frame_lines(), st.sampled_from(support.BAD_FRAME_LINES), st.integers(0, 12))
+def test_bad_frame_line_fails_alike(tmp_path_factory, lines, bad, index):
+    path = tmp_path_factory.getbasetemp() / "drawn-bad-frames.jsonl"
+    lines = "\n".join(lines).split("\n")
+    index = min(index, len(lines))
+    lines.insert(index, bad[0])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    message = _read_outcome(read_frames_jsonl, path)
+    assert message == _read_outcome(oracles.read_frames_jsonl, path)
+    assert f": line {1 + index}: {bad[1]}" in message
+
+
+# ---------------------------------------------------------------------------
+# PSL rule check: rules over a few labels, dots and every whitespace character.
+
+SPACES = [ch for ch in map(chr, range(0x110000)) if ch.isspace()]
+
+
+def _rule_outcome(check, rule, line_no):
+    try:
+        return check(rule, line_no)
+    except PslParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(["a", "Co", ".", "\u00dc", "*", "!", *SPACES]), max_size=8)
+       .map("".join), st.integers(1, 9999))
+def test_rule_check_matches_per_character_check(rule, line_no):
+    assert _rule_outcome(_check_rule, rule, line_no) == _rule_outcome(oracles.check_rule, rule,
+                                                                      line_no)
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda ch: f"U+{ord(ch):04X}")
+def test_every_whitespace_character_fails_alike(space):
+    for rule in (f"a{space}b", f"{space}a", f"a.{space}", space, f"a..{space}"):
+        message = _rule_outcome(_check_rule, rule, 3)
+        assert message == _rule_outcome(oracles.check_rule, rule, 3)
+        assert message.startswith("line 3: whitespace inside rule")

@@ -1,3 +1,4 @@
+import json
 import re
 
 import pytest
@@ -250,37 +251,60 @@ class TestOutputFiles:
             assert again[key].party == record.party
             assert again[key].is_ad == record.is_ad
 
-    @pytest.mark.parametrize("line,message", [
-        ("not json", "invalid JSON"),
-        ("[]", "record must be a JSON object"),
-        ('{"frame_url":"f","profile":"p","party":"third","crawl_iter":1,"is_ad":false,'
-         '"edges":[]}', "missing field 'page_url'"),
-        ('{"page_url":"p","frame_url":"f","profile":"p","party":"third","crawl_iter":"1",'
-         '"is_ad":false,"edges":[]}', "field 'crawl_iter' must be an integer"),
-        ('{"page_url":"p","frame_url":"f","profile":"p","party":"third","crawl_iter":1,'
-         '"is_ad":0,"edges":[]}', "field 'is_ad' must be a boolean"),
-        ('{"page_url":"p","frame_url":"f","profile":"p","party":"third","crawl_iter":1,'
-         '"is_ad":false,"edges":[1]}', "field 'edges' must hold strings"),
-        ('{"page_url":"p","frame_url":"f","profile":"p","party":"fourth","crawl_iter":1,'
-         '"is_ad":false,"edges":[]}', "unknown party 'fourth'"),
-        ('{"page_url":"p","frame_url":"f","profile":"p","party":"third","crawl_iter":true,'
-         '"is_ad":false,"edges":[]}', "field 'crawl_iter' must be an integer"),
-    ])
+    @pytest.mark.parametrize("line,message", support.BAD_FRAME_LINES)
     def test_bad_frame_record_names_file_and_line(self, tmp_path, line, message):
         path = tmp_path / "frames.jsonl"
         path.write_text("\n" + line + "\n")
         with pytest.raises(TraceFormatError, match=f"frames.jsonl: line 2: {message}"):
             read_frames_jsonl(path)
 
-    @pytest.mark.parametrize("row,message", [
-        ("prof0,1", "missing field 'visit_seq'"),
-        ("prof0,x,1,a.com,t.net,id,v", "crawl_iter and visit_seq must be integers"),
-    ])
+    @pytest.mark.parametrize("row,message", support.BAD_FLOW_ROWS)
     def test_bad_flow_row_names_file_and_line(self, tmp_path, row, message):
         path = tmp_path / "flows.csv"
         path.write_text(",".join(FLOW_FIELDS) + "\nprof0,1,1,a.com,t.net,id,v\n" + row + "\n")
         with pytest.raises(TraceFormatError, match=f"flows.csv: line 3: {message}"):
             read_flows_csv(path)
+
+    @pytest.mark.parametrize("cell", [" 1_0", "1_0", "+1", "1 ", "\u0661", "\u00b2", "--1", "-",
+                                      ""])
+    def test_integer_cells_take_only_ascii_digits(self, tmp_path, cell):
+        for row in (f"prof0,{cell},1,a.com,t.net,id,v", f"prof0,1,{cell},a.com,t.net,id,v"):
+            path = tmp_path / "flows.csv"
+            path.write_text(",".join(FLOW_FIELDS) + "\n" + row + "\n", encoding="utf-8")
+            with pytest.raises(TraceFormatError, match="flows.csv: line 2: crawl_iter and "
+                                                       "visit_seq must be integers"):
+                read_flows_csv(path)
+
+    def test_negative_and_zero_padded_integers_are_read(self, tmp_path):
+        path = tmp_path / "flows.csv"
+        path.write_text(",".join(FLOW_FIELDS) + "\nprof0,-1,007,a.com,t.net,id,v\n"
+                        "prof0,-0,-12,a.com,t.net,id,v\n")
+        assert [(f.crawl_iter, f.visit_seq) for f in read_flows_csv(path)] == [(-1, 7), (0, -12)]
+
+    def test_repeated_frame_record_names_file_and_line_of_the_repeat(self, tmp_path):
+        path = tmp_path / "frames.jsonl"
+        first = ('{"crawl_iter":1,"edges":[],"frame_url":"f","is_ad":false,"page_url":"p",'
+                 '"party":"third","profile":"p"}')
+        other = first.replace('"crawl_iter":1', '"crawl_iter":2')
+        path.write_text(f"{first}\n{other}\n\n{first.replace('false', 'true')}\n")
+        with pytest.raises(TraceFormatError, match=re.escape(
+                "frames.jsonl: line 4: duplicate frame record ('p', 'f', 'p', 1)")):
+            read_frames_jsonl(path)
+
+    @pytest.mark.parametrize("edge", ["foo", "[]", '["script","s","op","script"]',
+                                      '["nope","s","op","script","t"]'])
+    @pytest.mark.parametrize("padding", ["", "  "])
+    def test_non_canonical_edge_names_file_line_and_edge(self, tmp_path, edge, padding):
+        good = BehaviorEdgeRecord(NodeType.SCRIPT, "s", "op", NodeType.WEB_API, "w").canonical
+        path = tmp_path / "frames.jsonl"
+        record = {"page_url": "p", "frame_url": "f", "profile": "p", "party": "third",
+                  "crawl_iter": 1, "is_ad": False, "edges": [good]}
+        lines = [json.dumps(record), padding + json.dumps({**record, "crawl_iter": 2,
+                                                          "edges": [good, edge]}) + padding]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceFormatError, match=re.escape(
+                f"frames.jsonl: line 2: not a canonical edge: {edge!r}")):
+            read_frames_jsonl(path)
 
     def test_bad_flow_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
