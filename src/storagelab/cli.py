@@ -17,7 +17,6 @@ import json
 import sys
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Sequence
 
 from storagelab import __version__
 from storagelab.policy import PolicyKind
@@ -35,20 +34,10 @@ class InputError(Exception):
     """Bad or mismatched input files; maps to exit code 2."""
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _out_dir(path_str: str) -> Path:
     out = Path(path_str)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _write_csv(path: Path, rows: Iterable[Sequence]) -> None:
-    """Write ``rows``, the header first, as UTF-8 CSV lines ending in a bare LF."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -67,19 +56,25 @@ def _write_manifest(out: Path, args: argparse.Namespace, inputs: dict, outputs: 
     })
 
 
-def _input_entry(path_str: str) -> dict:
+def _read_input(path_str: str) -> tuple[bytes, dict]:
+    """The bytes of an input file, and its manifest entry (path and sha256)."""
     path = Path(path_str)
     if not path.is_file():
         raise InputError(f"input file not found: {path}")
-    return {"path": path_str, "sha256": _sha256(path)}
+    data = path.read_bytes()
+    return data, {"path": path_str, "sha256": hashlib.sha256(data).hexdigest()}
+
+
+def _input_entry(path_str: str) -> dict:
+    return _read_input(path_str)[1]
 
 
 def _parse_input(path_str: str, parse) -> tuple:
-    """``parse`` of the text of a UTF-8 input file, and the file's input entry.
-    A parse error is an input error naming the file."""
-    entry = _input_entry(path_str)
+    """``parse`` of the text of a UTF-8 input file, and the file's input entry,
+    from one read of the file. A parse error is an input error naming the file."""
+    data, entry = _read_input(path_str)
     try:
-        text = Path(path_str).read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError:
         from storagelab.trace import _not_utf8
         raise _not_utf8(path_str) from None
@@ -225,10 +220,11 @@ def _read_all_flows(paths: list[str]):
 
 def cmd_metrics_picf(args) -> int:
     from storagelab.metrics import extract_picfs
+    from storagelab.simulator import write_csv
     flows, entries = _read_all_flows(args.flows)
     picfs = extract_picfs(flows, args.threshold)
     out = _out_dir(args.out)
-    _write_csv(out / "picfs.csv", [
+    write_csv(out / "picfs.csv", [
         ("third_party_site", "cookie_name", "cookie_value", "owning_profile"),
         *sorted((p.third_party_site, p.cookie_name, p.cookie_value, p.owning_profile)
                 for p in picfs),
@@ -240,10 +236,11 @@ def cmd_metrics_picf(args) -> int:
 def _curve_command(args, name: str, key_name: str, scores_of) -> int:
     """Write the curve of ``scores_of(picfs, flows)`` over the ``--flows`` files."""
     from storagelab.metrics import curve_rows, extract_picfs
+    from storagelab.simulator import write_csv
     flows, entries = _read_all_flows(args.flows)
     scores = scores_of(extract_picfs(flows, args.threshold), flows)
     out = _out_dir(args.out)
-    _write_csv(out / name, [("rank", key_name, "score", "cumulative"), *curve_rows(scores)])
+    write_csv(out / name, [("rank", key_name, "score", "cumulative"), *curve_rows(scores)])
     _write_manifest(out, args, inputs=entries, outputs=[name],
                     extra={"total": sum(scores.values())})
     return 0
@@ -276,6 +273,7 @@ def _parse_node_filter(value: str) -> frozenset:
 def cmd_metrics_similarity(args) -> int:
     from storagelab.metrics import (align_curve_inputs, frame_similarity, mean_defined,
                                     similarity_curve)
+    from storagelab.simulator import write_csv
     permissive, perm_manifest = _load_sim_dir(args.permissive)
     compared, comp_manifest = _load_sim_dir(args.compared)
     _require_same_trace(perm_manifest, comp_manifest, "similarity")
@@ -289,13 +287,13 @@ def cmd_metrics_similarity(args) -> int:
     curve = similarity_curve(aligned, baseline_defined)
 
     out = _out_dir(args.out)
-    _write_csv(out / "similarity_scores.csv", [
+    write_csv(out / "similarity_scores.csv", [
         ("page_url", "frame_url", "crawl_iter", "score", "score_exact"),
         *((s.page_url, s.frame_url, s.crawl_iter,
            "" if s.score is None else _fnum(s.score),
            "undefined" if s.score is None else _frac(s.score)) for s in scores),
     ])
-    _write_csv(out / "similarity_curve.csv", [
+    write_csv(out / "similarity_curve.csv", [
         ("rank", "cumulative", "cumulative_exact"),
         *((rank, _fnum(value), _frac(value)) for rank, value in curve),
     ])
@@ -355,6 +353,7 @@ def cmd_metrics_optimize(args) -> int:
 def cmd_metrics_candidates(args) -> int:
     from storagelab.metrics import FrameStat, select_candidates
     from storagelab.policy import site_of
+    from storagelab.simulator import write_csv
     rules, psl_entry = _load_suffix_rules(args.psl)
     output, _ = _load_sim_dir(args.sim, with_flows=True)
     pages_by_frame: dict[str, set[str]] = {}
@@ -372,7 +371,7 @@ def cmd_metrics_candidates(args) -> int:
              for frame_url in sorted(pages_by_frame)]
     selection = select_candidates(stats, args.top, rules)
     out = _out_dir(args.out)
-    _write_csv(out / "candidates.csv", [
+    write_csv(out / "candidates.csv", [
         ("rank", "frame_url", "site", "n_embedding_pages", "n_cookies", "score"),
         *((rank, c.frame_url, c.site, c.n_embedding_pages, c.n_cookies, _fnum(c.score))
           for rank, c in enumerate(selection.candidates, start=1)),

@@ -5,6 +5,14 @@ Supports the two rule forms needed to exclude ad frames from the metrics:
 Element hiding (``##``), exceptions (``@@``) and option-suffixed rules
 (``$...``) are skipped and counted, never matched.
 
+Parsing takes the list in one regex scan: every ``\n``-ended ``||host^`` line
+with a lowercase ASCII host goes into the anchor set without a per-line
+Python step. Every other line (comments, ``@@``/``##``/``$`` rules,
+substring rules, uppercase or IDN hosts, ``||host^^``, padded lines and lines
+ended by CRLF or another ``str.splitlines`` break) goes through the per-line
+code in file order, so the skipped count and the order of the substring
+rules are those of a line-by-line parse.
+
 The host and each of its suffixes after a ``.`` are looked up in the anchor
 set, O(labels) hash lookups however many anchors there are; the substring
 rules are compiled on first use into one alternation regex per rule set.
@@ -14,8 +22,9 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from urllib.parse import urlsplit
 
+from storagelab.cookies import host_and_path
+from storagelab.psl import split_rule_lines
 from storagelab.record import Record
 
 _HOST_RE = re.compile(r"^[a-z0-9]([a-z0-9-]*[a-z0-9])?(\.[a-z0-9]([a-z0-9-]*[a-z0-9])?)*$")
@@ -36,15 +45,21 @@ class AdRuleSet(Record):
         ))
 
 
+# A "||host^" line whose host _HOST_RE takes as it is: lowercase ASCII labels,
+# none empty or starting or ending with "-".
+_ANCHOR_LINE = r"\n\|\|((?!-)[0-9a-z-]+(?<!-)(?:\.(?!-)[0-9a-z-]+(?<!-))*)\^(?=\n)"
+
+
 def parse_rules(text: str) -> AdRuleSet:
     """Parse filter rules, one per line; ``!`` lines are comments.
 
     Returns the retained rules plus a count of skipped (unsupported) rules.
     """
-    anchors: set[str] = set()
+    (hosts,), others = split_rule_lines(_ANCHOR_LINE, text)
+    anchors = set(hosts)
     substrings: list[str] = []
     skipped = 0
-    for raw in text.splitlines():
+    for _, raw in others:
         line = raw.strip()
         if not line or line.startswith("!"):
             continue
@@ -69,7 +84,7 @@ def is_ad_url(url: str, rules: AdRuleSet) -> bool:
     Host matching is case-insensitive; substring rules match the URL string
     case-sensitively.
     """
-    labels = (urlsplit(url).hostname or "").lower().split(".")
+    labels = host_and_path(url)[0].split(".")
     if any(".".join(labels[i:]) in rules.domain_anchor_rules for i in range(len(labels))):
         return True
     return bool(rules.substring_rules) and rules._substring_regex.search(url) is not None

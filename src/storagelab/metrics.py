@@ -178,7 +178,14 @@ class FrameSimilarity(NamedTuple):
     score: Score
 
 
+_ALL_TYPES = _type_mask(NodeType)
+
+
 def _filter_edges(edges: set[str], mask: int) -> set[str]:
+    """The edges whose two endpoint types ``mask`` holds: ``edges`` itself,
+    not a copy, when it holds every type."""
+    if mask == _ALL_TYPES:
+        return edges
     return {edge for edge in edges if not _pair_mask(edge) & ~mask}
 
 

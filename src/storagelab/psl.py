@@ -9,6 +9,13 @@ Lookup tests each suffix of the host, longest first, for membership in the
 exception, normal and wildcard rule sets: a call costs O(labels) hash
 lookups, whatever the size of the list.
 
+Parsing takes a rule file in one regex scan: every ``\n``-ended line that is
+already a lowercase ASCII rule, with or without a ``!`` or ``*.`` marker, goes
+into the rule sets without a per-line Python step. Every other line (comments,
+blank, padded, uppercase or IDN rules, and lines ended by CRLF or another
+``str.splitlines`` break) goes through the per-line checker, in file order, so
+its errors name the same line as a line-by-line parse would.
+
 Hosts are expected to be ASCII, pre-normalized DNS names with no trailing
 dot. IDN/punycode normalization is out of scope; crawl logs arrive already
 ASCII-encoded.
@@ -18,6 +25,8 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import compress
+from operator import not_
 from typing import NamedTuple
 
 
@@ -60,6 +69,38 @@ def _check_rule(rule: str, line_no: int) -> str:
     return rule.lower()
 
 
+def split_rule_lines(pattern: str, text: str) -> tuple[list[list[str]], list[tuple[int, str]]]:
+    """Split a rule file into the lines ``pattern`` takes whole and the rest.
+
+    ``pattern`` matches a ``\n``, then one whole line followed by ``\n``,
+    and captures parts of it; it is compiled on the first call. Returns one
+    list per capture group, holding that group of every line taken, in file
+    order, and every other line of ``text.splitlines()`` with its 1-based
+    number, in file order. A line is taken only when ``\n`` comes before and
+    after it, so the lines on each side of any other break (CRLF, ``\r``,
+    ``\x0c``, ``\u2028``, ...) go to the rest.
+    """
+    scanner = re.compile(pattern)
+    # "\n" ends every line, the last one too; the one before the first line
+    # lets the pattern start each line with "\n".
+    parts = scanner.split("\n" + text + "\n")
+    stride = scanner.groups + 1
+    gaps = parts[0::stride]  # the text between taken lines: "" or "\n" and the other lines
+    others: list[tuple[int, str]] = []
+    other_lines = 0
+    for index, gap in compress(enumerate(gaps, start=1), gaps):
+        lines = (gap[1:] + "\n").splitlines()
+        # index - 1 lines were taken before this gap.
+        others.extend(enumerate(lines, start=index + other_lines))
+        other_lines += len(lines)
+    return [parts[group::stride] for group in range(1, stride)], others
+
+
+# A line that is already a rule: lowercase ASCII labels, no empty label, and
+# an optional "!" (exception) or "*." (wildcard) marker.
+_RULE_LINE = r"\n(!|\*\.)?([0-9a-z-]+(?:\.[0-9a-z-]+)*)(?=\n)"
+
+
 def parse_psl(text: str) -> SuffixRuleSet:
     """Parse a document in the standard ``public_suffix_list.dat`` format.
 
@@ -67,10 +108,13 @@ def parse_psl(text: str) -> SuffixRuleSet:
     rule each. Raises :class:`PslParseError` (naming the line number) for
     rules containing whitespace or empty labels.
     """
-    normal: set[str] = set()
+    (markers, rules), others = split_rule_lines(_RULE_LINE, text)
+    normal = set(compress(rules, map(not_, markers)))  # the unmarked rules
     wildcard: set[str] = set()
     exception: set[str] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for marker, rule in compress(zip(markers, rules), markers):
+        (exception if marker == "!" else wildcard).add(rule)
+    for line_no, raw in others:
         line = raw.strip()
         if not line or line.startswith("//"):
             continue

@@ -219,13 +219,28 @@ FLOW_FIELDS = ("profile", "crawl_iter", "visit_seq", "top_site",
                "third_party_site", "cookie_name", "cookie_value")
 
 
-def write_flows_csv(flows: Iterable[CookieFlowRecord], path: str | Path) -> None:
+class _LineFeedRows:
+    """Where ``csv.writer`` writes its rows, ended by its default ``\r\n``, so
+    that it quotes every cell holding a ``\r`` or a ``\n``; each row goes to
+    ``fh`` ended by ``\n`` instead."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, row: str) -> int:
+        return self._fh.write(row[:-2] + "\n")
+
+
+def write_csv(path: str | Path, rows: Iterable[Sequence]) -> None:
+    """Write ``rows``, the header first, as UTF-8 CSV lines ending in a bare
+    LF. A cell is quoted when it holds a ``,``, a ``"``, a ``\r`` or a
+    ``\n``, so ``csv.reader`` reads back every cell as it was written."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(FLOW_FIELDS)
-        for r in flows:
-            writer.writerow([r.profile, r.crawl_iter, r.visit_seq, r.top_site,
-                             r.third_party_site, r.cookie_name, r.cookie_value])
+        csv.writer(_LineFeedRows(fh)).writerows(rows)
+
+
+def write_flows_csv(flows: Iterable[CookieFlowRecord], path: str | Path) -> None:
+    write_csv(path, [FLOW_FIELDS, *flows])
 
 
 def _flow_record(row: list[str]) -> CookieFlowRecord:

@@ -18,7 +18,10 @@ which encode each distinct event once and stream the lines. ``read_flows_csv``
 and ``read_frames_jsonl`` build a dict per row and check each field with its
 own call, kept as the oracles for ``storagelab.simulator``'s readers, which
 check each row in one pass. ``check_rule`` tests every character of a PSL rule
-for whitespace, kept as the oracle for ``storagelab.psl._check_rule``. The
+for whitespace, kept as the oracle for ``storagelab.psl._check_rule``.
+``parse_psl`` and ``parse_rules`` handle a rule file line by line, kept as the
+oracles for ``storagelab.psl.parse_psl`` and ``storagelab.filterlist.parse_rules``,
+which take the lines already in canonical form in one regex scan. The
 hypothesis tests in ``test_oracles.py`` require each pair to agree on random
 inputs.
 """
@@ -709,3 +712,50 @@ def check_rule(rule: str, line_no: int) -> str:
     if not rule or any(not label for label in rule.split(".")):
         raise PslParseError(f"line {line_no}: empty label in rule {rule!r}")
     return rule.lower()
+
+
+# ---------------------------------------------------------------------------
+# Rule files, line by line: strip each line of ``str.splitlines()`` and test
+# its prefixes.
+
+
+def parse_psl(text: str) -> SuffixRuleSet:
+    normal: set[str] = set()
+    wildcard: set[str] = set()
+    exception: set[str] = set()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("//"):
+            continue
+        if line.startswith("!"):
+            exception.add(check_rule(line[1:], line_no))
+        elif line.startswith("*."):
+            wildcard.add(check_rule(line[2:], line_no))
+        else:
+            normal.add(check_rule(line, line_no))
+    return SuffixRuleSet(frozenset(normal), frozenset(wildcard), frozenset(exception))
+
+
+_HOST_RE = re.compile(r"^[a-z0-9]([a-z0-9-]*[a-z0-9])?(\.[a-z0-9]([a-z0-9-]*[a-z0-9])?)*$")
+
+
+def parse_rules(text: str) -> AdRuleSet:
+    anchors: set[str] = set()
+    substrings: list[str] = []
+    skipped = 0
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("!"):
+            continue
+        if line.startswith("@@") or "##" in line or "$" in line:
+            skipped += 1
+            continue
+        if line.startswith("||"):
+            host = line[2:].rstrip("^").lower()
+            if _HOST_RE.match(host):
+                anchors.add(host)
+            else:
+                skipped += 1
+            continue
+        substrings.append(line)
+    return AdRuleSet(frozenset(anchors), tuple(substrings), skipped)

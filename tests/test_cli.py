@@ -92,6 +92,32 @@ class TestGenAndSimulate:
         assert (capsys.readouterr().err
                 == f"storagelab: {psl}: line 2: empty label in rule 'a..b'\n")
 
+    def test_bad_psl_rule_after_canonical_lines_names_its_line(self, tmp_path, capsys):
+        psl = tmp_path / "psl.dat"
+        psl.write_text("".join(f"r{i}.com\n" for i in range(4999)) + "a..b\ncom\n")
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("")
+        assert run("simulate", "--policy", "permissive", "--trace", trace, "--psl", psl,
+                   "--out", tmp_path / "o") == 2
+        assert (capsys.readouterr().err
+                == f"storagelab: {psl}: line 5000: empty label in rule 'a..b'\n")
+
+    def test_cookie_value_with_carriage_return_reads_back(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(
+            '{"type":"visit_start","profile":"p","crawl_iter":1,"tab":"t",'
+            '"page_url":"https://a.com/","visit_seq":1}\n'
+            '{"type":"frame_load","tab":"t","frame_id":"f","frame_url":"https://t.net/w"}\n'
+            '{"type":"http_request","tab":"t","frame_id":"f","dest_url":"https://t.net/",'
+            '"response_set_cookies":["uid=a\\rb"]}\n'
+            '{"type":"http_request","tab":"t","frame_id":"f","dest_url":"https://t.net/"}\n'
+            '{"type":"visit_end","tab":"t"}\n', encoding="utf-8")
+        sim = tmp_path / "sim"
+        assert run("simulate", "--policy", "permissive", "--trace", trace, "--out", sim) == 0
+        assert b'"a\rb"' in (sim / "flows.csv").read_bytes()
+        assert run("metrics", "picf", "--flows", sim / "flows.csv", "--out", tmp_path / "m") == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("field,bad", [
         ("page_url", 123), ("frame_url", 123), ("dest_url", 123), ("dest_url", ["x"]),
     ])

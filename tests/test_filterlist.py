@@ -1,3 +1,6 @@
+import pytest
+
+import oracles
 from storagelab.filterlist import AdRuleSet, is_ad_url, parse_rules
 
 
@@ -27,6 +30,33 @@ class TestParseRules:
 
     def test_anchor_with_path_not_retained(self):
         assert parse_rules("||ads.com/banner^").skipped == 1
+
+
+# Forms the one-pass scan leaves to the per-line code: (text, anchors,
+# substring rules, skipped). Each must also be what the line-by-line parser gives.
+SCAN_VECTORS = [
+    ("||a.com^\r\n||b.net^\r\n/ads/\r\n", {"a.com", "b.net"}, ("/ads/",), 0),
+    ("||a.com^\r||b.net^\x0c||c.org^\x85/x/\u2028||d.io^\n", {"a.com", "b.net", "c.org", "d.io"},
+     ("/x/",), 0),
+    ("||ADS.Example.com^\n||a.COM^\n", {"ads.example.com", "a.com"}, (), 0),
+    # The Kelvin sign lowercases to an ASCII "k".
+    ("||b\u00fccher.de^\n||\u212aa.com^\n", {"ka.com"}, (), 1),
+    ("||a.com^^\n||b.com\n||c.com^\n", {"a.com", "b.com", "c.com"}, (), 0),
+    ("  ||a.com^ \n\t/ads/*\t\n", {"a.com"}, ("/ads/*",), 0),
+    ("||-a.com^\n||a-.com^\n||a..com^\n||a-b.com^\n", {"a-b.com"}, (), 3),
+    ("/b/\n||a.com^\n/a/\n@@||x.com^\n||a.com^$third-party\nx##y\n/c/", {"a.com"},
+     ("/b/", "/a/", "/c/"), 3),
+    ("||a.com^", {"a.com"}, (), 0),
+    ("", set(), (), 0),
+    ("! only a comment", set(), (), 0),
+]
+
+
+@pytest.mark.parametrize("text,anchors,substrings,skipped", SCAN_VECTORS)
+def test_scan_vectors_match_line_by_line_parser(text, anchors, substrings, skipped):
+    expected = AdRuleSet(frozenset(anchors), substrings, skipped)
+    assert parse_rules(text) == expected
+    assert oracles.parse_rules(text) == expected
 
 
 class TestIsAdUrl:

@@ -195,6 +195,14 @@ class TestFrameSimilarity:
         # Blocking frames have no storage edges at all: similarity 0 everywhere.
         assert scores and all(s.score == 0 for s in scores)
 
+    def test_all_types_score_the_unfiltered_edge_sets(self, policy_outputs):
+        perm = policy_outputs[PolicyKind.PERMISSIVE]
+        blocking = policy_outputs[PolicyKind.BLOCKING]
+        scores = frame_similarity(perm, blocking, ALL_NODE_TYPES, "prof0", "prof0")
+        keys = [(s.page_url, s.frame_url, "prof0", s.crawl_iter) for s in scores]
+        assert scores and [s.score for s in scores] == [
+            jaccard(perm.frames[key].edge_set, blocking.frames[key].edge_set) for key in keys]
+
     def test_blocking_gap_is_exact(self, policy_outputs):
         perm = policy_outputs[PolicyKind.PERMISSIVE]
         blocking = policy_outputs[PolicyKind.BLOCKING]

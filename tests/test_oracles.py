@@ -6,8 +6,9 @@ once-per-distinct-line trace parser with the one that parses every line, and
 the generator that asks ``resolve_partition`` for its partition keys with the
 one that keeps its own model of them, the trace writers that encode each
 distinct event once with the dump that encodes every event, the one-pass
-simulate output readers with the per-field ones, and the one-pass PSL rule
-check with the per-character one.
+simulate output readers with the per-field ones, the one-pass PSL rule
+check with the per-character one, and the rule-file parsers that scan the
+canonical lines in one regex pass with the line-by-line ones.
 
 Rules and hosts are drawn from a small label alphabet so that normal,
 wildcard and exception rules actually match, nest and compete. Edge sets are
@@ -33,6 +34,7 @@ from storagelab.psl import (
     _check_rule,
     builtin_rules,
     etld_plus_one,
+    parse_psl,
     public_suffix,
 )
 from storagelab.simulator import (
@@ -591,3 +593,50 @@ def test_every_whitespace_character_fails_alike(space):
         message = _rule_outcome(_check_rule, rule, 3)
         assert message == _rule_outcome(oracles.check_rule, rule, 3)
         assert message.startswith("line 3: whitespace inside rule")
+
+
+# ---------------------------------------------------------------------------
+# Rule files: lines from markers, labels in mixed case, non-ASCII letters and
+# blanks, ended by "\n" mostly and by every other str.splitlines break.
+
+RULE_PIECE = st.sampled_from([
+    "a", "b", "co", "Co", "xn--p1ai", "-", ".", "!", "*.", "*", "/", "//", "||", "^", "$", "##",
+    "@@", " ", "\t", "\u00dc", "\u212a", "\u0130", "\u00e9", "\u3000",
+])
+LINE_BREAK = st.sampled_from(["\n"] * 6 + ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                            "\x85", "\u2028", "\u2029"])
+RULE_LINE = st.one_of(
+    st.lists(RULE_PIECE, max_size=6).map("".join),
+    st.tuples(st.sampled_from(["", "!", "*.", "||"]),
+              st.lists(st.sampled_from(["a", "co", "a-b", "b-", "-b", "xn--p1ai"]), min_size=1,
+                       max_size=3).map(".".join),
+              st.sampled_from(["", "^", "^^"])).map("".join),
+)
+RULE_TEXT = st.lists(st.tuples(RULE_LINE, LINE_BREAK),
+                     max_size=10).map(lambda lines: "".join(a + b for a, b in lines))
+RULE_FILE = st.tuples(RULE_TEXT, st.booleans()).map(
+    lambda drawn: drawn[0][:-1] if drawn[1] else drawn[0])  # the last line unended
+
+
+def _psl_outcome(parse, text):
+    try:
+        return parse(text)
+    except PslParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400)
+@given(RULE_FILE)
+@example("com\nCo.Uk\r\n*.ck\n!www.ck\n a.b \n\u00fc.de\na..b")
+@example("// c\ncom\r\nco uk\n")
+@example("com\n\nnet\n\n\na..b\n")
+def test_psl_parser_matches_line_by_line_parser(text):
+    assert _psl_outcome(parse_psl, text) == _psl_outcome(oracles.parse_psl, text)
+
+
+@settings(max_examples=400)
+@given(RULE_FILE)
+@example("||a.b^\n||A.b^\n||a.b^^\n||a.b\n/ads/*\n||-a.b^\n@@||a^\n||a^$x\n||a^\r\n/x/")
+@example("||b-^\n||a.-b^\n||a..b^\n||a-b.c^\n")
+def test_filter_parser_matches_line_by_line_parser(text):
+    assert parse_rules(text) == oracles.parse_rules(text)

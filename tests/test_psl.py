@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from storagelab.psl import (
     PslParseError,
     SuffixRuleSet,
@@ -42,6 +43,43 @@ class TestParse:
     def test_empty_label_rejected(self):
         with pytest.raises(PslParseError, match="line 1"):
             parse_psl("co..uk\n")
+
+
+def _parsed(text):
+    """The rule set, or the error message, of each parser."""
+    outcomes = []
+    for parse in (parse_psl, oracles.parse_psl):
+        try:
+            outcomes.append(parse(text))
+        except PslParseError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+# Forms the one-pass scan leaves to the per-line code, each with its rule set
+# or error; every one must also be what the line-by-line parser gives.
+SCAN_VECTORS = [
+    ("com\r\nco.uk\r\n*.ck\r\n!www.ck\r\n", rule_set(["com", "co.uk"], ["ck"], ["www.ck"])),
+    ("com\rco.uk\x0cnet\x85org\u2028io\n", rule_set(["com", "co.uk", "net", "org", "io"])),
+    ("CoM\n*.CK\n!WWW.ck\n", rule_set(["com"], ["ck"], ["www.ck"])),
+    ("\u00fcber.de\n\u516c\u53f8.cn\n", rule_set(["\u00fcber.de", "\u516c\u53f8.cn"])),
+    ("  com \n\t*.ck\n !www.ck\t\n", rule_set(["com"], ["ck"], ["www.ck"])),
+    ("// c\ncom\nco.uk", rule_set(["com", "co.uk"])),
+    ("", rule_set()),
+    ("\n\n", rule_set()),
+    ("com\n\nnet\r\n\nor g\n", "line 5: whitespace inside rule 'or g'"),
+    ("com\r\nnet\na..b\r\n", "line 3: empty label in rule 'a..b'"),
+    ("com\x0cco..uk\n", "line 2: empty label in rule 'co..uk'"),
+    ("com\n" * 3 + "net", rule_set(["com", "net"])),
+    ("com\n" * 3 + ".net", "line 4: empty label in rule '.net'"),
+    ("!a..b\n", "line 1: empty label in rule 'a..b'"),
+    ("*.\ncom\n", "line 1: empty label in rule ''"),
+]
+
+
+@pytest.mark.parametrize("text,expected", SCAN_VECTORS)
+def test_scan_vectors_match_line_by_line_parser(text, expected):
+    assert _parsed(text) == [expected, expected]
 
 
 class TestPublicSuffix:

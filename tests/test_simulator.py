@@ -1,13 +1,17 @@
+import csv
 import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import support
 from storagelab.filterlist import parse_rules
 from storagelab.policy import Party, PolicyKind
 from storagelab.simulator import (
     FLOW_FIELDS,
+    CookieFlowRecord,
     ReplayError,
     read_flows_csv,
     read_frames_jsonl,
@@ -30,6 +34,10 @@ from storagelab.trace import (
 )
 
 from conftest import N_ITERS, N_PROFILES, N_SITES, N_TRACKERS, make_spec
+
+
+FLOWS = st.lists(st.builds(CookieFlowRecord, st.text(), st.integers(), st.integers(),
+                           st.text(), st.text(), st.text(), st.text()), max_size=6)
 
 
 @pytest.mark.parametrize("name", sorted(support.SCENARIOS))
@@ -239,6 +247,22 @@ class TestOutputFiles:
         path = tmp_path / "flows.csv"
         write_flows_csv(flows, path)
         assert read_flows_csv(path) == flows
+
+    @settings(max_examples=200)
+    @given(FLOWS)
+    def test_any_flows_round_trip(self, tmp_path_factory, flows):
+        path = tmp_path_factory.getbasetemp() / "drawn-round-trip.csv"
+        write_flows_csv(flows, path)
+        assert read_flows_csv(path) == flows
+
+    @settings(max_examples=100)
+    @given(FLOWS.map(lambda flows: [f for f in flows if "\r" not in "".join(map(str, f))]))
+    def test_flows_without_a_carriage_return_keep_their_bytes(self, tmp_path_factory, flows):
+        base = tmp_path_factory.getbasetemp()
+        write_flows_csv(flows, base / "drawn-flows.csv")
+        with open(base / "drawn-plain.csv", "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([FLOW_FIELDS, *flows])
+        assert (base / "drawn-flows.csv").read_bytes() == (base / "drawn-plain.csv").read_bytes()
 
     def test_frames_round_trip(self, tmp_path, policy_outputs):
         frames = policy_outputs[PolicyKind.PERMISSIVE].frames
