@@ -19,13 +19,13 @@ from functools import partial
 from pathlib import Path
 
 from storagelab import __version__
-from storagelab.policy import PolicyKind
 # etld_plus_one is unused here, but bench/tests checks that the span recorder wraps it
 # at this binding. Each command imports the rest of what it runs (see "Start-up" in
 # README.md), so a call loads only its own modules.
 from storagelab.psl import builtin_rules, etld_plus_one, parse_psl  # noqa: F401
 
-POLICY_NAMES = {p.value: p for p in PolicyKind}
+# The values of storagelab.policy.PolicyKind, which only gen-trace and simulate import.
+POLICY_NAMES = ("permissive", "blocking", "site-keyed", "page-length")
 
 DEFAULT_PICF_THRESHOLD = 8
 
@@ -76,7 +76,7 @@ def _parse_input(path_str: str, parse) -> tuple:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
-        from storagelab.trace import _not_utf8
+        from storagelab.flows import _not_utf8
         raise _not_utf8(path_str) from None
     try:
         parsed = parse(text)
@@ -113,6 +113,7 @@ def _frac(value) -> str | None:
 
 
 def cmd_gen_trace(args) -> int:
+    from storagelab.policy import PolicyKind
     from storagelab.synthetic import (SyntheticSpec, TrackerSpec, default_tracker_sites,
                                       generate_synthetic_trace)
     from storagelab.trace import write_trace
@@ -130,7 +131,7 @@ def cmd_gen_trace(args) -> int:
     trace = generate_synthetic_trace(SyntheticSpec(
         n_sites=args.sites, trackers=trackers, pages_per_site=args.pages,
         crawl_iters=args.iters, profiles=args.profiles, seed=args.seed,
-        policy=POLICY_NAMES[args.policy]))
+        policy=PolicyKind(args.policy)))
     out = _out_dir(args.out)
     write_trace(trace, out / "trace.jsonl")
     _write_manifest(
@@ -145,13 +146,14 @@ def cmd_gen_trace(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from storagelab.policy import PolicyKind
     from storagelab.simulator import replay, write_flows_csv, write_frames_jsonl
     from storagelab.trace import load_trace
     rules, psl_entry = _load_suffix_rules(args.psl)
     ads, filters_entry = _load_ad_rules(args.filters)
     trace_entry = _input_entry(args.trace)
     trace = load_trace(args.trace)
-    output = replay(trace.events, POLICY_NAMES[args.policy], rules, ads,
+    output = replay(trace.events, PolicyKind(args.policy), rules, ads,
                     origin_keyed=args.origin_keyed)
     out = _out_dir(args.out)
     write_flows_csv(output.flows, out / "flows.csv")
@@ -174,8 +176,8 @@ def _load_sim_dir(path_str: str, with_flows: bool = False):
     """The simulate output (``SimOutput``) in a directory, and its manifest.
     Its ``flows.csv`` is read only ``with_flows``; otherwise the output holds
     no flows."""
-    from storagelab.simulator import SimOutput, read_flows_csv, read_frames_jsonl
-    from storagelab.trace import TraceFormatError, _json_object
+    from storagelab.flows import TraceFormatError, _json_object, read_flows_csv
+    from storagelab.simulator import SimOutput, read_frames_jsonl
     sim_dir = Path(path_str)
     manifest_path = sim_dir / "manifest.json"
     if not manifest_path.is_file():
@@ -209,7 +211,7 @@ def _require_same_trace(a: dict, b: dict, what: str) -> None:
 
 
 def _read_all_flows(paths: list[str]):
-    from storagelab.simulator import read_flows_csv
+    from storagelab.flows import read_flows_csv
     entries = {}
     flows = []
     for i, path in enumerate(paths):
@@ -219,8 +221,8 @@ def _read_all_flows(paths: list[str]):
 
 
 def cmd_metrics_picf(args) -> int:
-    from storagelab.metrics import extract_picfs
-    from storagelab.simulator import write_csv
+    from storagelab.flows import write_csv
+    from storagelab.picf import extract_picfs
     flows, entries = _read_all_flows(args.flows)
     picfs = extract_picfs(flows, args.threshold)
     out = _out_dir(args.out)
@@ -235,8 +237,8 @@ def cmd_metrics_picf(args) -> int:
 
 def _curve_command(args, name: str, key_name: str, scores_of) -> int:
     """Write the curve of ``scores_of(picfs, flows)`` over the ``--flows`` files."""
-    from storagelab.metrics import curve_rows, extract_picfs
-    from storagelab.simulator import write_csv
+    from storagelab.flows import write_csv
+    from storagelab.picf import curve_rows, extract_picfs
     flows, entries = _read_all_flows(args.flows)
     scores = scores_of(extract_picfs(flows, args.threshold), flows)
     out = _out_dir(args.out)
@@ -247,12 +249,12 @@ def _curve_command(args, name: str, key_name: str, scores_of) -> int:
 
 
 def cmd_metrics_cross_site(args) -> int:
-    from storagelab.metrics import cross_site_scores
+    from storagelab.picf import cross_site_scores
     return _curve_command(args, "cross_site_curve.csv", "third_party_site", cross_site_scores)
 
 
 def cmd_metrics_cross_time(args) -> int:
-    from storagelab.metrics import cross_time_scores
+    from storagelab.picf import cross_time_scores
     return _curve_command(args, "cross_time_curve.csv", "top_site", partial(
         cross_time_scores, across_iterations_only=args.across_iterations_only))
 
@@ -271,9 +273,9 @@ def _parse_node_filter(value: str) -> frozenset:
 
 
 def cmd_metrics_similarity(args) -> int:
+    from storagelab.flows import write_csv
     from storagelab.metrics import (align_curve_inputs, frame_similarity, mean_defined,
                                     similarity_curve)
-    from storagelab.simulator import write_csv
     permissive, perm_manifest = _load_sim_dir(args.permissive)
     compared, comp_manifest = _load_sim_dir(args.compared)
     _require_same_trace(perm_manifest, comp_manifest, "similarity")
@@ -351,9 +353,9 @@ def cmd_metrics_optimize(args) -> int:
 
 
 def cmd_metrics_candidates(args) -> int:
+    from storagelab.flows import write_csv
     from storagelab.metrics import FrameStat, select_candidates
     from storagelab.policy import site_of
-    from storagelab.simulator import write_csv
     rules, psl_entry = _load_suffix_rules(args.psl)
     output, _ = _load_sim_dir(args.sim, with_flows=True)
     pages_by_frame: dict[str, set[str]] = {}
@@ -387,7 +389,7 @@ def cmd_metrics_candidates(args) -> int:
 
 
 def _read_grades_csv(path_str: str) -> dict[tuple[str, str], tuple[int, int]]:
-    from storagelab.trace import _INTEGER, TraceFormatError, _csv_record, _not_utf8, _require
+    from storagelab.flows import _INTEGER, TraceFormatError, _csv_record, _not_utf8, _require
     entry_path = Path(path_str)
     grades: dict[tuple[str, str], tuple[int, int]] = {}
     try:

@@ -24,7 +24,7 @@ import re
 from functools import cached_property
 
 from storagelab.cookies import host_and_path
-from storagelab.psl import split_rule_lines
+from storagelab.psl import ascii_lower, split_rule_lines
 from storagelab.record import Record
 
 _HOST_RE = re.compile(r"^[a-z0-9]([a-z0-9-]*[a-z0-9])?(\.[a-z0-9]([a-z0-9-]*[a-z0-9])?)*$")
@@ -67,7 +67,7 @@ def parse_rules(text: str) -> AdRuleSet:
             skipped += 1
             continue
         if line.startswith("||"):
-            host = line[2:].rstrip("^").lower()
+            host = ascii_lower(line[2:].rstrip("^"))
             if _HOST_RE.match(host):
                 anchors.add(host)
             else:

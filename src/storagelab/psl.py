@@ -12,9 +12,10 @@ lookups, whatever the size of the list.
 Parsing takes a rule file in one regex scan: every ``\n``-ended line that is
 already a lowercase ASCII rule, with or without a ``!`` or ``*.`` marker, goes
 into the rule sets without a per-line Python step. Every other line (comments,
-blank, padded, uppercase or IDN rules, and lines ended by CRLF or another
-``str.splitlines`` break) goes through the per-line checker, in file order, so
-its errors name the same line as a line-by-line parse would.
+blank, padded, uppercase or IDN rules, rules followed by whitespace and more
+text, and lines ended by CRLF or another ``str.splitlines`` break) goes
+through the per-line checker, in file order, so its errors name the same line
+as a line-by-line parse would. Rules are lowercased in ASCII only.
 
 Hosts are expected to be ASCII, pre-normalized DNS names with no trailing
 dot. IDN/punycode normalization is out of scope; crawl logs arrive already
@@ -56,17 +57,27 @@ def is_ip_host(host: str) -> bool:
     return ":" in host
 
 
-# A rule with no whitespace (``\s`` matches just the characters for which
-# ``str.isspace()`` is true) and no empty label, checked in one pass.
-_VALID_RULE = re.compile(r"[^\s.]+(?:\.[^\s.]+)*").fullmatch
+# Rules are case-folded in ASCII only: str.lower() also maps some non-ASCII
+# letters to ASCII ones (U+212A KELVIN SIGN to "k"), which would make a rule
+# name hosts it does not.
+_ASCII_LOWER = str.maketrans("ABCDEFGHIJKLMNOPQRSTUVWXYZ", "abcdefghijklmnopqrstuvwxyz")
+
+
+def ascii_lower(text: str) -> str:
+    """``text`` with A-Z lowercased and every other character kept."""
+    return text.translate(_ASCII_LOWER)
+
+
+# A rule with no empty label, checked in one pass.
+_VALID_RULE = re.compile(r"[^.]+(?:\.[^.]+)*").fullmatch
 
 
 def _check_rule(rule: str, line_no: int) -> str:
+    """``rule``, a word with no whitespace, lowercased in ASCII;
+    :class:`PslParseError` naming the line for an empty label."""
     if not _VALID_RULE(rule):
-        if any(ch.isspace() for ch in rule):
-            raise PslParseError(f"line {line_no}: whitespace inside rule {rule!r}")
         raise PslParseError(f"line {line_no}: empty label in rule {rule!r}")
-    return rule.lower()
+    return ascii_lower(rule)
 
 
 def split_rule_lines(pattern: str, text: str) -> tuple[list[list[str]], list[tuple[int, str]]]:
@@ -104,9 +115,11 @@ _RULE_LINE = r"\n(!|\*\.)?([0-9a-z-]+(?:\.[0-9a-z-]+)*)(?=\n)"
 def parse_psl(text: str) -> SuffixRuleSet:
     """Parse a document in the standard ``public_suffix_list.dat`` format.
 
-    ``//`` comment lines and blank lines are skipped; remaining lines are one
-    rule each. Raises :class:`PslParseError` (naming the line number) for
-    rules containing whitespace or empty labels.
+    Each line is read only up to its first whitespace, leading whitespace
+    aside, as the publicsuffix.org format says. ``//`` comment lines and
+    blank lines are skipped; remaining lines are one rule each. Raises
+    :class:`PslParseError` (naming the line number) for a rule with an empty
+    label.
     """
     (markers, rules), others = split_rule_lines(_RULE_LINE, text)
     normal = set(compress(rules, map(not_, markers)))  # the unmarked rules
@@ -115,9 +128,10 @@ def parse_psl(text: str) -> SuffixRuleSet:
     for marker, rule in compress(zip(markers, rules), markers):
         (exception if marker == "!" else wildcard).add(rule)
     for line_no, raw in others:
-        line = raw.strip()
-        if not line or line.startswith("//"):
+        words = raw.split(None, 1)
+        if not words or words[0].startswith("//"):
             continue
+        line = words[0]
         if line.startswith("!"):
             exception.add(_check_rule(line[1:], line_no))
         elif line.startswith("*."):

@@ -17,14 +17,22 @@ against it.
 
 from __future__ import annotations
 
-import csv
 import json
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from storagelab.cookies import cookies_for_request, parse_set_cookie
 from storagelab.filterlist import AdRuleSet, EMPTY_RULES, is_ad_url
+from storagelab.flows import (
+    FLOW_FIELDS,
+    CookieFlowRecord,
+    TraceFormatError,
+    _json_object,
+    _not_utf8,
+    _require,
+    write_csv,
+)
 from storagelab.policy import (
     FirstParty,
     PartitionKey,
@@ -42,33 +50,15 @@ from storagelab.trace import (
     HttpRequest,
     ScriptStorage,
     TraceEvent,
-    TraceFormatError,
     VisitEnd,
     VisitStart,
     _ENDPOINT_TYPES,
-    _INTEGER,
-    _csv_record,
     _endpoint_types,
-    _json_object,
-    _not_utf8,
-    _require,
 )
 
 
 class ReplayError(ValueError):
     """A trace violated replay preconditions; names the event index."""
-
-
-class CookieFlowRecord(NamedTuple):
-    """One cookie transmitted to a third-party site within a visit."""
-
-    profile: str
-    crawl_iter: int
-    visit_seq: int
-    top_site: str
-    third_party_site: str
-    cookie_name: str
-    cookie_value: str
 
 
 class FrameRecord:
@@ -213,76 +203,11 @@ def replay(
 
 
 # ---------------------------------------------------------------------------
-# SimOutput files: a flow table (CSV) and a frame edge-set archive (JSONL).
-
-FLOW_FIELDS = ("profile", "crawl_iter", "visit_seq", "top_site",
-               "third_party_site", "cookie_name", "cookie_value")
-
-
-class _LineFeedRows:
-    """Where ``csv.writer`` writes its rows, ended by its default ``\r\n``, so
-    that it quotes every cell holding a ``\r`` or a ``\n``; each row goes to
-    ``fh`` ended by ``\n`` instead."""
-
-    def __init__(self, fh):
-        self._fh = fh
-
-    def write(self, row: str) -> int:
-        return self._fh.write(row[:-2] + "\n")
-
-
-def write_csv(path: str | Path, rows: Iterable[Sequence]) -> None:
-    """Write ``rows``, the header first, as UTF-8 CSV lines ending in a bare
-    LF. A cell is quoted when it holds a ``,``, a ``"``, a ``\r`` or a
-    ``\n``, so ``csv.reader`` reads back every cell as it was written."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(_LineFeedRows(fh)).writerows(rows)
-
+# SimOutput files: a flow table (CSV, read back by ``storagelab.flows``) and a
+# frame edge-set archive (JSONL).
 
 def write_flows_csv(flows: Iterable[CookieFlowRecord], path: str | Path) -> None:
     write_csv(path, [FLOW_FIELDS, *flows])
-
-
-def _flow_record(row: list[str]) -> CookieFlowRecord:
-    profile, crawl_iter, visit_seq, top_site, third_party_site, name, value = _require(
-        _csv_record(FLOW_FIELDS, row), *FLOW_FIELDS)
-    if not (_INTEGER(crawl_iter) and _INTEGER(visit_seq)):
-        raise TraceFormatError("crawl_iter and visit_seq must be integers")
-    return CookieFlowRecord(profile, int(crawl_iter), int(visit_seq), top_site,
-                            third_party_site, name, value)
-
-
-def read_flows_csv(path: str | Path) -> list[CookieFlowRecord]:
-    """Raises :class:`TraceFormatError`, naming the file and line, for a row
-    with a missing or extra field or a crawl_iter or visit_seq that is not an
-    integer (``-?[0-9]+``)."""
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(header) != FLOW_FIELDS:
-                raise ValueError(f"{path}: not a flow table (header {header})")
-            flows = []
-            for row in reader:
-                # One pass: seven cells, and two unsigned ASCII integers. Any
-                # other row, a negative integer included, goes to _flow_record,
-                # which names what is wrong; a blank row is skipped.
-                try:
-                    profile, crawl_iter, visit_seq, top_site, third_party_site, name, value = row
-                except ValueError:
-                    crawl_iter = visit_seq = ""
-                if (crawl_iter.isdecimal() and visit_seq.isdecimal()
-                        and crawl_iter.isascii() and visit_seq.isascii()):
-                    flows.append(CookieFlowRecord(profile, int(crawl_iter), int(visit_seq),
-                                                  top_site, third_party_site, name, value))
-                elif row:
-                    try:
-                        flows.append(_flow_record(row))
-                    except TraceFormatError as exc:
-                        raise TraceFormatError(f"{path}: line {reader.line_num}: {exc}") from None
-            return flows
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
 
 
 def write_frames_jsonl(frames: dict[FrameKey, FrameRecord], path: str | Path) -> None:

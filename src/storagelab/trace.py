@@ -10,19 +10,14 @@ against.
 from __future__ import annotations
 
 import json
-import re
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
+from storagelab.flows import TraceFormatError, _json_object, _not_utf8, _require
 from storagelab.policy import STORAGE_APIS, STORAGE_OPS
 from storagelab.record import Record
-
-
-class TraceFormatError(ValueError):
-    """A record the trace file format (or a simulate output file) does not
-    allow; names the line."""
 
 
 class NodeType(Enum):
@@ -187,46 +182,6 @@ def event_to_record(event: TraceEvent) -> dict:
     raise TypeError(f"not a trace event: {event!r}")
 
 
-_TYPE_NAMES = {str: "a string", int: "an integer", bool: "a boolean", dict: "an object",
-               list: "an array"}
-
-
-def _require(record: dict, *names: str, of: type = str) -> list:
-    """The values of the named fields, each checked to be exactly of type
-    ``of`` (so a JSON boolean is not an integer). Errors name no line: the
-    caller prefixes where the record came from."""
-    values = []
-    for name in names:
-        if name not in record:
-            raise TraceFormatError(f"missing field {name!r}")
-        if type(record[name]) is not of:
-            raise TraceFormatError(f"field {name!r} must be {_TYPE_NAMES[of]}")
-        values.append(record[name])
-    return values
-
-
-def _csv_record(header: Sequence[str], row: Sequence[str]) -> dict[str, str]:
-    """A CSV row as {column: cell}, lacking the columns a short row has no cell for."""
-    if len(row) > len(header):
-        raise TraceFormatError(f"{len(row)} cells, header has {len(header)}")
-    return dict(zip(header, row))
-
-
-# An integer CSV cell in the form the CLI writes: ``int()`` alone would also
-# take " 1_0", "+1" and non-ASCII digits.
-_INTEGER = re.compile(r"-?[0-9]+").fullmatch
-
-
-def _json_object(line: str) -> dict:
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise TraceFormatError(f"invalid JSON ({exc.msg})") from None
-    if not isinstance(record, dict):
-        raise TraceFormatError("record must be a JSON object")
-    return record
-
-
 def _record_to_event(record: dict) -> TraceEvent:
     kind = record.get("type")
     if kind == "visit_start":
@@ -312,18 +267,6 @@ def load_trace(path: str | Path) -> Trace:
         raise _not_utf8(path) from None
     except TraceFormatError as exc:
         raise TraceFormatError(f"{path}: {exc}") from None
-
-
-def _not_utf8(path: str | Path) -> TraceFormatError:
-    """The error for a file that is not UTF-8, naming its first such line."""
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return TraceFormatError(f"{path}: line {line_no}: not UTF-8 "
-                                        f"({exc.reason} at column {exc.start + 1})")
-    return TraceFormatError(f"{path}: not UTF-8")
 
 
 def _json_line(record: dict) -> str:

@@ -16,9 +16,10 @@ own copy of each policy's partition keys, kept as the oracle for
 or not, into one string, kept as the oracle for ``storagelab.trace``'s writers,
 which encode each distinct event once and stream the lines. ``read_flows_csv``
 and ``read_frames_jsonl`` build a dict per row and check each field with its
-own call, kept as the oracles for ``storagelab.simulator``'s readers, which
-check each row in one pass. ``check_rule`` tests every character of a PSL rule
-for whitespace, kept as the oracle for ``storagelab.psl._check_rule``.
+own call, kept as the oracles for ``storagelab.flows.read_flows_csv`` and
+``storagelab.simulator.read_frames_jsonl``, which check each row in one pass.
+``check_rule`` splits a PSL rule into its labels and lowercases it a character
+at a time, kept as the oracle for ``storagelab.psl._check_rule``.
 ``parse_psl`` and ``parse_rules`` handle a rule file line by line, kept as the
 oracles for ``storagelab.psl.parse_psl`` and ``storagelab.filterlist.parse_rules``,
 which take the lines already in canonical form in one regex scan. The
@@ -35,14 +36,15 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, takewhile
 from typing import Iterable, Sequence
 from urllib.parse import urlsplit
 
-from storagelab import trace as _trace
+from storagelab import flows as _flows
 from storagelab.cookies import cookies_for_request, parse_set_cookie
 from storagelab.filterlist import EMPTY_RULES, AdRuleSet
 from storagelab.filterlist import is_ad_url as fast_is_ad_url
+from storagelab.flows import FLOW_FIELDS, CookieFlowRecord, TraceFormatError
 from storagelab.metrics import OptimizeInstance, OptimizeResult, Score, mean_defined
 from storagelab.policy import (
     STORAGE_APIS,
@@ -56,8 +58,6 @@ from storagelab.policy import (
 from storagelab.psl import PslParseError, SuffixRuleSet, is_ip_host
 from storagelab.simulator import (
     _PARTIES,
-    FLOW_FIELDS,
-    CookieFlowRecord,
     FrameRecord,
     ReplayError,
     SimOutput,
@@ -82,7 +82,6 @@ from storagelab.trace import (
     ScriptStorage,
     Trace,
     TraceEvent,
-    TraceFormatError,
     TraceMeta,
     VisitEnd,
     VisitStart,
@@ -635,13 +634,13 @@ def generate_synthetic_trace(spec: SyntheticSpec) -> Trace:
 
 # ---------------------------------------------------------------------------
 # Simulate output readers: a dict per row, and a call per field checked. The
-# one change from the originals is that the trace module's helpers are named
+# one change from the originals is that the shared reader checks are named
 # with their module, since this file has its own ``_require``.
 
 
 def _flow_record(row: list[str]) -> CookieFlowRecord:
-    profile, crawl_iter, visit_seq, top_site, third_party_site, name, value = _trace._require(
-        _trace._csv_record(FLOW_FIELDS, row), *FLOW_FIELDS)
+    profile, crawl_iter, visit_seq, top_site, third_party_site, name, value = _flows._require(
+        _flows._csv_record(FLOW_FIELDS, row), *FLOW_FIELDS)
     try:
         return CookieFlowRecord(profile, int(crawl_iter), int(visit_seq), top_site,
                                 third_party_site, name, value)
@@ -666,16 +665,16 @@ def read_flows_csv(path) -> list[CookieFlowRecord]:
                     raise TraceFormatError(f"{path}: line {reader.line_num}: {exc}") from None
             return flows
     except UnicodeDecodeError:
-        raise _trace._not_utf8(path) from None
+        raise _flows._not_utf8(path) from None
 
 
 def _frame_entry(line: str):
-    record = _trace._json_object(line)
-    page_url, frame_url, profile, party = _trace._require(
+    record = _flows._json_object(line)
+    page_url, frame_url, profile, party = _flows._require(
         record, "page_url", "frame_url", "profile", "party")
-    (crawl_iter,) = _trace._require(record, "crawl_iter", of=int)
-    (is_ad,) = _trace._require(record, "is_ad", of=bool)
-    (edges,) = _trace._require(record, "edges", of=list)
+    (crawl_iter,) = _flows._require(record, "crawl_iter", of=int)
+    (is_ad,) = _flows._require(record, "is_ad", of=bool)
+    (edges,) = _flows._require(record, "edges", of=list)
     if not all(isinstance(edge, str) for edge in edges):
         raise TraceFormatError("field 'edges' must hold strings")
     if party not in _PARTIES:
@@ -698,20 +697,24 @@ def read_frames_jsonl(path) -> dict:
                     raise TraceFormatError(f"{path}: line {line_no}: {exc}") from None
                 frames[key] = record
     except UnicodeDecodeError:
-        raise _trace._not_utf8(path) from None
+        raise _flows._not_utf8(path) from None
     return frames
 
 
 # ---------------------------------------------------------------------------
-# PSL rule check: a generator over every character of every rule.
+# PSL rule check: the labels of every rule, and a generator over every
+# character.
+
+
+def ascii_lower(text: str) -> str:
+    """A-Z lowercased, one character at a time; every other character kept."""
+    return "".join(chr(ord(ch) + 32) if "A" <= ch <= "Z" else ch for ch in text)
 
 
 def check_rule(rule: str, line_no: int) -> str:
-    if any(ch.isspace() for ch in rule):
-        raise PslParseError(f"line {line_no}: whitespace inside rule {rule!r}")
     if not rule or any(not label for label in rule.split(".")):
         raise PslParseError(f"line {line_no}: empty label in rule {rule!r}")
-    return rule.lower()
+    return ascii_lower(rule)
 
 
 # ---------------------------------------------------------------------------
@@ -727,6 +730,8 @@ def parse_psl(text: str) -> SuffixRuleSet:
         line = raw.strip()
         if not line or line.startswith("//"):
             continue
+        # A line is read only up to its first whitespace.
+        line = "".join(takewhile(lambda ch: not ch.isspace(), line))
         if line.startswith("!"):
             exception.add(check_rule(line[1:], line_no))
         elif line.startswith("*."):
@@ -751,7 +756,7 @@ def parse_rules(text: str) -> AdRuleSet:
             skipped += 1
             continue
         if line.startswith("||"):
-            host = line[2:].rstrip("^").lower()
+            host = ascii_lower(line[2:].rstrip("^"))
             if _HOST_RE.match(host):
                 anchors.add(host)
             else:

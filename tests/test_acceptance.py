@@ -14,15 +14,8 @@ from vectors_psl import CASES
 
 from conftest import N_SITES, N_TRACKERS
 from storagelab.cookies import Cookie, CookieJar, cookies_for_request, parse_set_cookie
-from storagelab.metrics import (
-    cross_site_scores,
-    cross_time_scores,
-    extract_picfs,
-    frame_similarity,
-    grade_stats,
-    mean_defined,
-    optimize_node_types,
-)
+from storagelab.metrics import frame_similarity, grade_stats, mean_defined, optimize_node_types
+from storagelab.picf import cross_site_scores, cross_time_scores, extract_picfs
 from storagelab.policy import PolicyKind
 from storagelab.psl import builtin_rules, etld_plus_one
 from storagelab.synthetic import tracker_fixed_edges, tracker_storage_edges

@@ -42,6 +42,11 @@ class TestGenAndSimulate:
         assert manifest["config"]["policy"] == "page-length"
         assert manifest["trace_scenario"]
 
+    def test_policy_choices_are_the_policy_kinds(self):
+        from storagelab.cli import POLICY_NAMES
+        from storagelab.policy import PolicyKind
+        assert POLICY_NAMES == tuple(p.value for p in PolicyKind)
+
     def test_unknown_policy_is_usage_error(self, tmp_path):
         assert run("simulate", "--policy", "nope", "--trace", tmp_path / "x",
                    "--out", tmp_path / "o") == 1

@@ -39,8 +39,8 @@ SCAN_VECTORS = [
     ("||a.com^\r||b.net^\x0c||c.org^\x85/x/\u2028||d.io^\n", {"a.com", "b.net", "c.org", "d.io"},
      ("/x/",), 0),
     ("||ADS.Example.com^\n||a.COM^\n", {"ads.example.com", "a.com"}, (), 0),
-    # The Kelvin sign lowercases to an ASCII "k".
-    ("||b\u00fccher.de^\n||\u212aa.com^\n", {"ka.com"}, (), 1),
+    # Only A-Z is lowercased: the Kelvin sign stays, so neither host is ASCII.
+    ("||b\u00fccher.de^\n||\u212aa.com^\n", set(), (), 2),
     ("||a.com^^\n||b.com\n||c.com^\n", {"a.com", "b.com", "c.com"}, (), 0),
     ("  ||a.com^ \n\t/ads/*\t\n", {"a.com"}, ("/ads/*",), 0),
     ("||-a.com^\n||a-.com^\n||a..com^\n||a-b.com^\n", {"a-b.com"}, (), 3),

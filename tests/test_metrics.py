@@ -5,16 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import support
+from storagelab.flows import CookieFlowRecord
 from storagelab.metrics import (
     FrameStat,
     OptimizeInstance,
-    PICF,
     align_curve_inputs,
     build_optimize_sample,
-    cross_site_scores,
-    cross_time_scores,
-    curve_rows,
-    extract_picfs,
     frame_similarity,
     grade_stats,
     harmonic_score,
@@ -24,8 +20,9 @@ from storagelab.metrics import (
     select_candidates,
     similarity_curve,
 )
+from storagelab.picf import PICF, cross_site_scores, cross_time_scores, curve_rows, extract_picfs
 from storagelab.policy import PolicyKind
-from storagelab.simulator import CookieFlowRecord, replay
+from storagelab.simulator import replay
 from storagelab.synthetic import SyntheticSpec, TrackerSpec, generate_synthetic_trace
 from storagelab.trace import ALL_NODE_TYPES, NodeType, STORAGE_NODE_TYPES
 

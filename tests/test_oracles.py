@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 import oracles
 import support
 from storagelab.filterlist import EMPTY_RULES, AdRuleSet, is_ad_url, parse_rules
+from storagelab.flows import FLOW_FIELDS, TraceFormatError, read_flows_csv
 from storagelab.metrics import OptimizeInstance, frame_similarity, jaccard, optimize_node_types
 from storagelab.policy import STORAGE_APIS, Ephemeral, PolicyKind, resolve_partition
 from storagelab.psl import (
@@ -38,11 +39,9 @@ from storagelab.psl import (
     public_suffix,
 )
 from storagelab.simulator import (
-    FLOW_FIELDS,
     FrameRecord,
     ReplayError,
     SimOutput,
-    read_flows_csv,
     read_frames_jsonl,
     replay,
 )
@@ -60,7 +59,6 @@ from storagelab.trace import (
     NodeType,
     ScriptStorage,
     Trace,
-    TraceFormatError,
     TraceMeta,
     VisitEnd,
     VisitStart,
@@ -588,11 +586,14 @@ def test_rule_check_matches_per_character_check(rule, line_no):
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda ch: f"U+{ord(ch):04X}")
-def test_every_whitespace_character_fails_alike(space):
-    for rule in (f"a{space}b", f"{space}a", f"a.{space}", space, f"a..{space}"):
-        message = _rule_outcome(_check_rule, rule, 3)
-        assert message == _rule_outcome(oracles.check_rule, rule, 3)
-        assert message.startswith("line 3: whitespace inside rule")
+def test_every_whitespace_character_ends_a_rule_alike(space):
+    for text in (f"a{space}b\n", f"{space}a\n", f"a{space}// c\n", f"!a{space}b.c\n"):
+        rules = parse_psl(text)
+        assert rules == oracles.parse_psl(text)
+        assert "a" in rules.normal_rules | rules.exception_rules
+    text = f"com\na..b{space}c\n"
+    assert (_psl_outcome(parse_psl, text) == _psl_outcome(oracles.parse_psl, text)
+            == "line 2: empty label in rule 'a..b'")
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,16 @@ class TestParse:
     def test_rules_lowercased(self):
         assert parse_psl("CoM\n").normal_rules == {"com"}
 
-    def test_whitespace_inside_rule_names_line(self):
-        with pytest.raises(PslParseError, match="line 2"):
-            parse_psl("com\nco uk\n")
+    def test_rule_is_read_up_to_its_first_whitespace(self):
+        assert parse_psl("com\nco uk\n").normal_rules == {"com", "co"}
+        assert parse_psl("com // comment\n").normal_rules == {"com"}
+
+    def test_rules_lowercased_in_ascii_only(self):
+        # str.lower() would map U+212A KELVIN SIGN to "k" and make k.com a suffix.
+        rules = parse_psl("\u212a.com\ncom\n")
+        assert rules.normal_rules == {"\u212a.com", "com"}
+        assert public_suffix("a.k.com", rules) == "com"
+        assert etld_plus_one("a.k.com", rules) == "k.com"
 
     def test_empty_label_rejected(self):
         with pytest.raises(PslParseError, match="line 1"):
@@ -67,7 +74,11 @@ SCAN_VECTORS = [
     ("// c\ncom\nco.uk", rule_set(["com", "co.uk"])),
     ("", rule_set()),
     ("\n\n", rule_set()),
-    ("com\n\nnet\r\n\nor g\n", "line 5: whitespace inside rule 'or g'"),
+    ("com\n\nnet\r\n\nor g\n", rule_set(["com", "net", "or"])),
+    ("com // comment\n!www.ck\tx\n*.ck y z\n", rule_set(["com"], ["ck"], ["www.ck"])),
+    ("\u212a.com\n*.\u212a.com\n!\u0130.com\n",
+     rule_set(["\u212a.com"], ["\u212a.com"], ["\u0130.com"])),
+    ("com\n! www.ck\n", "line 2: empty label in rule ''"),
     ("com\r\nnet\na..b\r\n", "line 3: empty label in rule 'a..b'"),
     ("com\x0cco..uk\n", "line 2: empty label in rule 'co..uk'"),
     ("com\n" * 3 + "net", rule_set(["com", "net"])),

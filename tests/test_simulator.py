@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 
 import support
 from storagelab.filterlist import parse_rules
+from storagelab.flows import FLOW_FIELDS, CookieFlowRecord, TraceFormatError, read_flows_csv
 from storagelab.policy import Party, PolicyKind
 from storagelab.simulator import (
-    FLOW_FIELDS,
-    CookieFlowRecord,
     ReplayError,
-    read_flows_csv,
     read_frames_jsonl,
     replay,
     write_flows_csv,
@@ -27,7 +25,6 @@ from storagelab.trace import (
     HttpRequest,
     NodeType,
     ScriptStorage,
-    TraceFormatError,
     VisitEnd,
     VisitStart,
     dump_trace,

@@ -26,8 +26,13 @@ NEVER = {"dataclasses", "inspect", "traceback"}
 NOT_LOADED = {
     "gen-trace": {"storagelab.metrics", "storagelab.simulator", "fractions", "random"},
     "simulate": {"storagelab.metrics", "storagelab.synthetic", "fractions", "random"},
+    # The privacy metrics read only the flow table.
+    **{f"metrics {metric}": {"storagelab.synthetic", "random", "storagelab.metrics",
+                             "storagelab.simulator", "storagelab.trace", "storagelab.policy",
+                             "storagelab.cookies", "storagelab.filterlist", "fractions"}
+       for metric in ("picf", "cross-site", "cross-time")},
     **{f"metrics {metric}": {"storagelab.synthetic", "random"}
-       for metric in ("picf", "cross-site", "cross-time", "similarity", "candidates", "kappa")},
+       for metric in ("similarity", "candidates", "kappa")},
     "metrics optimize": {"storagelab.synthetic"},
 }
 

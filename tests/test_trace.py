@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from storagelab.flows import TraceFormatError
 from storagelab.trace import (
     ALL_NODE_TYPES,
     BehaviorEdge,
@@ -14,7 +15,6 @@ from storagelab.trace import (
     STORAGE_NODE_TYPES,
     ScriptStorage,
     Trace,
-    TraceFormatError,
     TraceMeta,
     VisitEnd,
     VisitStart,
