@@ -205,11 +205,12 @@ def parse_set_cookie(
                   path=path, expiry=expiry)
 
 
-def cookies_for_request(jar: CookieJar, url: str, now: float) -> list[tuple[str, str]]:
-    """Cookies to attach to a request, per RFC 6265 section 5.4.
-
-    Expired cookies are purged from the jar. Order: longer path first, then
-    earlier created_seq.
+def matching_cookies(jar: CookieJar, url: str, now: float) -> list[Cookie]:
+    """Cookies of ``jar`` that ``url`` can read, per RFC 6265 section 5.4
+    step 1: host-only cookies on their own host only, the others on any host
+    that domain-matches, and only on a request path that path-matches.
+    Expired cookies are purged from the jar. A URL without a host matches
+    nothing.
     """
     host, path = host_and_path(url)
     request_path = path or "/"
@@ -228,6 +229,13 @@ def cookies_for_request(jar: CookieJar, url: str, now: float) -> list[tuple[str,
         if not path_match(request_path, cookie.path):
             continue
         matched.append(cookie)
+    return matched
 
+
+def cookies_for_request(jar: CookieJar, url: str, now: float) -> list[tuple[str, str]]:
+    """Cookies to attach to a request, per RFC 6265 section 5.4: the
+    :func:`matching_cookies`, longer path first, then earlier created_seq.
+    """
+    matched = matching_cookies(jar, url, now)
     matched.sort(key=lambda c: (-len(c.path), c.created_seq))
     return [(c.name, c.value) for c in matched]

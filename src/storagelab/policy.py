@@ -1,7 +1,7 @@
 """Storage partition resolution for the four third-party storage policies.
 
-A partition key names the identity a cookie jar and DOM-storage buckets live
-under. First-party storage is keyed the same way under every policy; the
+A partition key names the cookie jar a frame or request reads and writes.
+First-party storage is keyed the same way under every policy; the
 policies differ only in what they hand third parties:
 
 * permissive   - one global partition per third-party site
@@ -16,12 +16,12 @@ switches the third-party identifier to scheme://host[:port].
 
 from __future__ import annotations
 
+from collections import defaultdict
 from enum import Enum
 from functools import lru_cache
 from urllib.parse import urlsplit
 
-from storagelab.cookies import (CookieJar, cookies_for_request, domain_match, host_and_path,
-                                parse_set_cookie)
+from storagelab.cookies import CookieJar, host_and_path, matching_cookies, parse_set_cookie
 from storagelab.psl import SuffixRuleSet, etld_plus_one
 from storagelab.record import Record
 
@@ -68,20 +68,15 @@ STORAGE_APIS = ("cookie", "local", "session", "indexed")
 STORAGE_OPS = ("get", "set", "delete")
 
 
-def host_of(url: str) -> str:
-    host = host_and_path(url)[0]
-    if not host:
-        raise ValueError(f"URL has no host: {url!r}")
-    return host
-
-
 # Bounded so memory stays flat on long traces; URLs recur within a page load.
 @lru_cache(maxsize=4096)
 def site_of(url: str, rules: SuffixRuleSet) -> str:
     """eTLD+1 of the URL's host; hosts with no registrable domain (bare
     suffixes, IP addresses) are their own site. Memoized per (URL, rule set),
     so each distinct URL is split and looked up once."""
-    host = host_of(url)
+    host = host_and_path(url)[0]
+    if not host:
+        raise ValueError(f"URL has no host: {url!r}")
     return etld_plus_one(host, rules) or host
 
 
@@ -121,44 +116,30 @@ def resolve_partition(
     return Ephemeral(load_key, subject)
 
 
-class StorageArea:
-    """One cookie jar plus the keyed DOM-storage buckets of a partition.
-
-    Session buckets are additionally scoped per (tab, load); the scope token
-    is supplied by the caller and is uniform across policies.
-    """
-
-    __slots__ = ("jar", "local", "indexed", "session")
-
-    def __init__(self) -> None:
-        self.jar = CookieJar()
-        self.local: dict[str, str] = {}
-        self.indexed: dict[str, str] = {}
-        self.session: dict[str, dict[str, str]] = {}
-
-
 class PartitionStore:
-    """All storage areas of one simulated browser profile.
+    """The cookie jars of one simulated browser profile, one per partition key.
 
-    Areas are created empty on first touch and live exactly as long as their
-    partition key: persistent keys survive page loads, ephemeral keys die
-    with :meth:`end_page_load`. A Blocked key never stores anything.
-    Cookies set through the store are parsed against the profile's suffix
-    ``rules``.
+    A jar is created empty when a request or a cookie write first needs it,
+    and lives exactly as long as its partition key: persistent keys survive
+    page loads, ephemeral keys die with :meth:`end_page_load`. A Blocked key
+    has no jar. Cookies set through the store are parsed against the
+    profile's suffix ``rules``.
     """
 
     def __init__(self, rules: SuffixRuleSet) -> None:
         self.rules = rules
-        self.persistent: dict[PartitionKey, StorageArea] = {}
-        self.ephemeral: dict[PartitionKey, StorageArea] = {}
+        self.persistent: dict[PartitionKey, CookieJar] = {}
+        # load key -> the jars of the Ephemeral keys minted under it
+        self.ephemeral: defaultdict[int, dict[Ephemeral, CookieJar]] = defaultdict(dict)
 
-    def area(self, key: PartitionKey) -> StorageArea | None:
+    def jar(self, key: PartitionKey) -> CookieJar | None:
         if isinstance(key, Blocked):
             return None
-        bucket = self.ephemeral if isinstance(key, Ephemeral) else self.persistent
-        if key not in bucket:
-            bucket[key] = StorageArea()
-        return bucket[key]
+        jars = self.ephemeral[key.load_key] if isinstance(key, Ephemeral) else self.persistent
+        jar = jars.get(key)
+        if jar is None:
+            jar = jars[key] = CookieJar()
+        return jar
 
     def storage_access(
         self,
@@ -170,66 +151,31 @@ class PartitionStore:
         *,
         url: str | None = None,
         now: float = 0.0,
-        session_scope: str = "",
-    ) -> str | None:
-        """Perform one storage operation under a partition key.
-
-        Blocked keys make every op a silent no-op; get returns None rather
-        than raising. ``url`` is required for the cookie api (it provides the
-        setting host and request path).
-        """
+    ) -> None:
+        """Check one script storage op; only a cookie ``set`` or ``delete``
+        then changes state, in the key's jar (none for a Blocked key). A
+        delete removes the cookies of that name that ``url`` can read."""
         if api not in STORAGE_APIS:
             raise ValueError(f"unknown storage api {api!r}")
         if op not in STORAGE_OPS:
             raise ValueError(f"unknown storage op {op!r}")
-        area = self.area(key)
-        if area is None:
-            return None
-
-        if api == "cookie":
-            if url is None:
-                raise ValueError("cookie access requires the frame URL")
-            return self._cookie_access(area.jar, op, storage_key, value, url, now)
-
-        if api == "session":
-            bucket = area.session.setdefault(session_scope, {})
-        else:
-            bucket = area.local if api == "local" else area.indexed
-
-        if op == "get":
-            return bucket.get(storage_key)  # type: ignore[arg-type]
+        if api != "cookie" or op == "get":
+            return
+        jar = self.jar(key)
+        if jar is None:
+            return
+        if url is None:
+            raise ValueError("cookie access requires the frame URL")
         if op == "set":
-            bucket[storage_key] = value  # type: ignore[index]
-        else:  # delete
-            bucket.pop(storage_key, None)
-        return None
-
-    def _cookie_access(
-        self, jar: CookieJar, op: str, name: str | None, value: str | None, url: str, now: float
-    ) -> str | None:
-        if op == "get":
-            for cookie_name, cookie_value in cookies_for_request(jar, url, now):
-                if cookie_name == name:
-                    return cookie_value
-            return None
-        if op == "set":
-            header = f"{name}={value if value is not None else ''}"
+            header = f"{storage_key}={value if value is not None else ''}"
             cookie = parse_set_cookie(header, url, self.rules, now)
             if cookie is not None:
                 jar.add(cookie)
         else:  # delete
-            try:
-                host = host_of(url)
-            except ValueError:  # a URL without a host matches no cookie
-                return None
-            for cookie in jar.cookies():
-                if cookie.name == name and domain_match(host, cookie.domain):
+            for cookie in matching_cookies(jar, url, now):
+                if cookie.name == storage_key:
                     jar.remove(cookie.name, cookie.domain, cookie.path)
-        return None
 
     def end_page_load(self, load_key: int) -> None:
-        """Destroy every ephemeral area minted under ``load_key``. Idempotent."""
-        dead = [k for k in self.ephemeral if isinstance(k, Ephemeral) and k.load_key == load_key]
-        for k in dead:
-            del self.ephemeral[k]
-
+        """Destroy every ephemeral jar minted under ``load_key``. Idempotent."""
+        self.ephemeral.pop(load_key, None)

@@ -1,13 +1,15 @@
 """Replay crawl traces under a storage policy.
 
-Replay is policy-pure: it maintains per-profile browser state (partition
-stores, open tabs, frame registries) and records cookie flows and per-frame
-behavior-edge sets. Under every policy a frame's partition depends only on
-its page load and its site, so it is resolved once, when the frame loads;
-a request resolves only its destination. Every page load ends in
-``end_page_load`` under every policy; only page-length hands out the
-ephemeral keys it destroys. Replay keeps no op log: flows and
-frames are its only outputs. Content adaptivity (pages emitting different
+Replay is policy-pure: it maintains per-profile browser state (one cookie
+jar per partition, open tabs, frame registries) and records cookie flows and
+per-frame behavior-edge sets. The jars are the only replay state an output
+reads, so a script storage op changes state only when it is a cookie ``set``
+or ``delete``; the others are checked and dropped. Under every policy a
+frame's partition depends only on its page load and its site, so it is
+resolved once, when the frame loads; a request resolves only its
+destination. Every page load ends in ``end_page_load`` under every policy;
+only page-length hands out the ephemeral keys it destroys. Replay keeps no
+op log: flows and frames are its only outputs. Content adaptivity (pages emitting different
 edges when storage misbehaves) belongs to the trace, not to the replayer:
 replay records what the trace says.
 
@@ -109,8 +111,8 @@ def replay(
     """Replay trace events under ``policy`` and collect flows and edge sets.
 
     Raises :class:`ReplayError` (naming the event index) for events that
-    reference unknown tabs or frames, URLs without a host, or non-increasing
-    visit sequences.
+    reference unknown tabs or frames, URLs without a host, an unknown storage
+    api or op, or non-increasing visit sequences.
     """
     out = SimOutput()
     stores: dict[str, PartitionStore] = {}
@@ -172,26 +174,24 @@ def replay(
             if isinstance(event, HttpRequest):
                 pkey = resolve_partition(policy, state.page_url, state.load_key,
                                          event.dest_url, rules, origin_keyed=origin_keyed)
-                area = stores[state.profile].area(pkey)
-                if area is None:
+                jar = stores[state.profile].jar(pkey)
+                if jar is None:
                     continue
                 if not isinstance(pkey, FirstParty):
                     dest_site = site_of(event.dest_url, rules)
-                    for name, value in cookies_for_request(area.jar, event.dest_url, now):
+                    for name, value in cookies_for_request(jar, event.dest_url, now):
                         out.flows.append(CookieFlowRecord(
                             state.profile, state.crawl_iter, state.visit_seq,
                             state.site, dest_site, name, value))
                 for header in event.response_set_cookies:
                     cookie = parse_set_cookie(header, event.dest_url, rules, now)
                     if cookie is not None:
-                        area.jar.add(cookie)
+                        jar.add(cookie)
 
             elif isinstance(event, ScriptStorage):
                 stores[state.profile].storage_access(
                     frame_pkey, event.op, event.api, event.key, event.value,
-                    url=frame_url, now=now,
-                    session_scope=f"{event.tab}:{state.load_key}",
-                )
+                    url=frame_url, now=now)
 
             else:  # BehaviorEdge
                 key = (state.page_url, frame_url, state.profile, state.crawl_iter)

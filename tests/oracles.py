@@ -7,12 +7,15 @@ subset by subset, kept as oracles for the bitmask forms in
 ``storagelab.metrics``. ``replay`` resolves a partition and classifies the
 party again (with ``classify_party``, a second pair of site lookups) on every
 storage touch, kept as the oracle for ``storagelab.simulator.replay``, which
-resolves each frame once. ``parse_trace`` decodes and checks every line,
-repeated or not, kept as the oracle for ``storagelab.trace.parse_trace``,
-which does so once per distinct line. ``generate_synthetic_trace`` keeps its
-own copy of each policy's partition keys, kept as the oracle for
-``storagelab.synthetic.generate_synthetic_trace``, which asks
-``resolve_partition`` for them. ``dump_trace`` encodes every event, repeated
+resolves each frame once. Its ``PartitionStore`` keeps a DOM-storage area
+beside each cookie jar and answers every script read, kept as the oracle for
+``storagelab.policy.PartitionStore``, which keeps only the jar and applies
+only a script cookie ``set`` or ``delete``. ``parse_trace`` decodes and
+checks every line, repeated or not, kept as the oracle for
+``storagelab.trace.parse_trace``, which does so once per distinct line.
+``generate_synthetic_trace`` keeps its own copy of each policy's partition
+keys, kept as the oracle for ``storagelab.synthetic.generate_synthetic_trace``,
+which asks ``resolve_partition`` for them. ``dump_trace`` encodes every event, repeated
 or not, into one string, kept as the oracle for ``storagelab.trace``'s writers,
 which encode each distinct event once and stream the lines. ``read_flows_csv``
 and ``read_frames_jsonl`` build a dict per row and check each field with its
@@ -41,15 +44,18 @@ from typing import Iterable, Sequence
 from urllib.parse import urlsplit
 
 from storagelab import flows as _flows
-from storagelab.cookies import cookies_for_request, parse_set_cookie
+from storagelab.cookies import CookieJar, cookies_for_request, parse_set_cookie
 from storagelab.filterlist import EMPTY_RULES, AdRuleSet
 from storagelab.filterlist import is_ad_url as fast_is_ad_url
 from storagelab.flows import FLOW_FIELDS, CookieFlowRecord, TraceFormatError
 from storagelab.metrics import OptimizeInstance, OptimizeResult, Score, mean_defined
 from storagelab.policy import (
     STORAGE_APIS,
+    STORAGE_OPS,
+    Blocked,
+    Ephemeral,
     FirstParty,
-    PartitionStore,
+    PartitionKey,
     Party,
     PolicyKind,
     resolve_partition,
@@ -255,6 +261,125 @@ def classify_party(subject_url: str, top_url: str, rules: SuffixRuleSet) -> Part
     parent.
     """
     return Party.FIRST if site_of(subject_url, rules) == site_of(top_url, rules) else Party.THIRD
+
+
+class StorageArea:
+    """One cookie jar plus the keyed DOM-storage buckets of a partition.
+
+    Session buckets are additionally scoped per (tab, load); the scope token
+    is supplied by the caller and is uniform across policies.
+    """
+
+    __slots__ = ("jar", "local", "indexed", "session")
+
+    def __init__(self) -> None:
+        self.jar = CookieJar()
+        self.local: dict[str, str] = {}
+        self.indexed: dict[str, str] = {}
+        self.session: dict[str, dict[str, str]] = {}
+
+
+class PartitionStore:
+    """All storage areas of one simulated browser profile.
+
+    Areas are created empty on first touch and live exactly as long as their
+    partition key: persistent keys survive page loads, ephemeral keys die
+    with :meth:`end_page_load`. A Blocked key never stores anything.
+    Cookies set through the store are parsed against the profile's suffix
+    ``rules``.
+    """
+
+    def __init__(self, rules: SuffixRuleSet) -> None:
+        self.rules = rules
+        self.persistent: dict[PartitionKey, StorageArea] = {}
+        self.ephemeral: dict[PartitionKey, StorageArea] = {}
+
+    def area(self, key: PartitionKey) -> StorageArea | None:
+        if isinstance(key, Blocked):
+            return None
+        bucket = self.ephemeral if isinstance(key, Ephemeral) else self.persistent
+        if key not in bucket:
+            bucket[key] = StorageArea()
+        return bucket[key]
+
+    def storage_access(
+        self,
+        key: PartitionKey,
+        op: str,
+        api: str,
+        storage_key: str | None = None,
+        value: str | None = None,
+        *,
+        url: str | None = None,
+        now: float = 0.0,
+        session_scope: str = "",
+    ) -> str | None:
+        """Perform one storage operation under a partition key.
+
+        Blocked keys make every op a silent no-op; get returns None rather
+        than raising. ``url`` is required for the cookie api (it provides the
+        setting host and request path).
+        """
+        if api not in STORAGE_APIS:
+            raise ValueError(f"unknown storage api {api!r}")
+        if op not in STORAGE_OPS:
+            raise ValueError(f"unknown storage op {op!r}")
+        area = self.area(key)
+        if area is None:
+            return None
+
+        if api == "cookie":
+            if url is None:
+                raise ValueError("cookie access requires the frame URL")
+            return self._cookie_access(area.jar, op, storage_key, value, url, now)
+
+        if api == "session":
+            bucket = area.session.setdefault(session_scope, {})
+        else:
+            bucket = area.local if api == "local" else area.indexed
+
+        if op == "get":
+            return bucket.get(storage_key)  # type: ignore[arg-type]
+        if op == "set":
+            bucket[storage_key] = value  # type: ignore[index]
+        else:  # delete
+            bucket.pop(storage_key, None)
+        return None
+
+    def _cookie_access(
+        self, jar: CookieJar, op: str, name: str | None, value: str | None, url: str, now: float
+    ) -> str | None:
+        if op == "get":
+            for cookie_name, cookie_value in cookies_for_request(jar, url, now):
+                if cookie_name == name:
+                    return cookie_value
+            return None
+        if op == "set":
+            header = f"{name}={value if value is not None else ''}"
+            cookie = parse_set_cookie(header, url, self.rules, now)
+            if cookie is not None:
+                jar.add(cookie)
+        else:  # delete: each cookie of that name the URL can read (RFC 6265 §5.4 step 1)
+            parts = urlsplit(url)
+            host = (parts.hostname or "").lower()
+            path = parts.path or "/"
+            for cookie in jar.cookies():
+                if cookie.host_only:
+                    domain_ok = host == cookie.domain
+                else:
+                    domain_ok = host == cookie.domain or host.endswith("." + cookie.domain)
+                path_ok = path == cookie.path or (
+                    path.startswith(cookie.path)
+                    and (cookie.path.endswith("/") or path[len(cookie.path)] == "/"))
+                if cookie.name == name and domain_ok and path_ok:
+                    jar.remove(cookie.name, cookie.domain, cookie.path)
+        return None
+
+    def end_page_load(self, load_key: int) -> None:
+        """Destroy every ephemeral area minted under ``load_key``. Idempotent."""
+        dead = [k for k in self.ephemeral if isinstance(k, Ephemeral) and k.load_key == load_key]
+        for k in dead:
+            del self.ephemeral[k]
 
 
 @dataclass

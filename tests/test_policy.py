@@ -1,7 +1,10 @@
 import pytest
 
+from storagelab.cookies import cookies_for_request
 from storagelab.policy import (
     BLOCKED,
+    STORAGE_APIS,
+    STORAGE_OPS,
     Blocked,
     Ephemeral,
     FirstParty,
@@ -77,70 +80,79 @@ class TestResolvePartition:
         assert key == GlobalThirdParty("https://sub.t.net:8443")
 
 
+def names(store: PartitionStore, key) -> list[str]:
+    """Names of the cookies in the jar of ``key`` (creating it if absent)."""
+    return sorted(cookie.name for cookie in store.jar(key).cookies())
+
+
+def set_cookie(store: PartitionStore, key, header: str, url: str = TRACKER) -> None:
+    name, _, value = header.partition("=")
+    store.storage_access(key, "set", "cookie", name, value, url=url, now=1.0)
+
+
 class TestStorageAccess:
-    def test_local_round_trip_under_ephemeral(self):
+    def test_dom_ops_and_gets_change_no_state(self):
+        # Only a cookie set or delete reaches a jar; nothing else makes one.
         store = PartitionStore(RULES)
-        key = Ephemeral(1, "t.net")
-        store.storage_access(key, "set", "local", "u", "x")
-        assert store.storage_access(key, "get", "local", "u") == "x"
+        keys = [FirstParty("a.com"), GlobalThirdParty("t.net"),
+                SiteKeyedThirdParty("a.com", "t.net"), Ephemeral(1, "t.net")]
+        for key in keys:
+            for api in STORAGE_APIS:
+                for op in STORAGE_OPS:
+                    if api != "cookie" or op == "get":
+                        assert store.storage_access(key, op, api, "u", "x", url=TRACKER) is None
+        assert store.persistent == {} and store.ephemeral == {}
 
     def test_blocked_get_is_absent_and_nothing_mutates(self):
         store = PartitionStore(RULES)
-        store.storage_access(BLOCKED, "set", "local", "u", "x")
-        assert store.storage_access(BLOCKED, "get", "local", "u") is None
-        store.storage_access(BLOCKED, "delete", "indexed", "u")
+        assert store.jar(BLOCKED) is None
         with pytest.raises(ValueError, match="unknown storage op 'clear'"):
             store.storage_access(BLOCKED, "clear", "session")
-        store.storage_access(BLOCKED, "set", "cookie", "a", "1", url=TRACKER)
+        set_cookie(store, BLOCKED, "a=1")
+        store.storage_access(BLOCKED, "delete", "cookie", "a", url=TRACKER)
         assert store.persistent == {} and store.ephemeral == {}
 
     def test_same_partition_shared_between_frames(self, rules):
         # Two frames from the same third party on one page resolve to equal
-        # keys, so a value set by one is visible to the other.
+        # keys, so a cookie set by one is visible to the other.
         store = PartitionStore(RULES)
         key_1 = resolve_partition(PolicyKind.PAGE_LENGTH, "https://a.com/", 5, TRACKER, rules)
         key_2 = resolve_partition(PolicyKind.PAGE_LENGTH, "https://a.com/", 5,
                                   "https://t.net/other", rules)
         assert key_1 == key_2
-        store.storage_access(key_1, "set", "local", "u", "x")
-        assert store.storage_access(key_2, "get", "local", "u") == "x"
+        set_cookie(store, key_1, "u=x")
+        assert cookies_for_request(store.jar(key_2), "https://t.net/other", 2.0) == [("u", "x")]
 
     def test_cookie_api_round_trip(self):
         store = PartitionStore(RULES)
         key = GlobalThirdParty("t.net")
         store.storage_access(key, "set", "cookie", "uid", "tok", url=TRACKER, now=1.0)
-        assert store.storage_access(key, "get", "cookie", "uid", url=TRACKER, now=2.0) == "tok"
+        assert cookies_for_request(store.jar(key), TRACKER, 2.0) == [("uid", "tok")]
         store.storage_access(key, "delete", "cookie", "uid", url=TRACKER, now=3.0)
-        assert store.storage_access(key, "get", "cookie", "uid", url=TRACKER, now=4.0) is None
+        assert cookies_for_request(store.jar(key), TRACKER, 4.0) == []
 
     def test_script_cookie_with_public_suffix_domain_not_stored(self):
         key = GlobalThirdParty("x.co.uk")
         store = PartitionStore(RULES)
         url = "https://x.co.uk/w"
-        store.storage_access(key, "set", "cookie", "uid", "tok; Domain=co.uk", url=url, now=1.0)
-        assert store.storage_access(key, "get", "cookie", "uid", url=url, now=2.0) is None
-        store.storage_access(key, "set", "cookie", "uid", "tok; Domain=x.co.uk", url=url, now=3.0)
-        assert store.storage_access(key, "get", "cookie", "uid", url=url, now=4.0) == "tok"
+        set_cookie(store, key, "uid=tok; Domain=co.uk", url)
+        assert names(store, key) == []
+        set_cookie(store, key, "uid=tok; Domain=x.co.uk", url)
+        assert cookies_for_request(store.jar(key), url, 4.0) == [("uid", "tok")]
 
     def test_cookie_delete_with_hostless_url_is_noop(self):
         store = PartitionStore(RULES)
         key = GlobalThirdParty("t.net")
-        store.storage_access(key, "set", "cookie", "uid", "tok", url=TRACKER, now=1.0)
+        set_cookie(store, key, "uid=tok")
         assert store.storage_access(key, "delete", "cookie", "uid", url="not-a-url", now=2.0) is None
-        assert store.storage_access(key, "get", "cookie", "uid", url=TRACKER, now=3.0) == "tok"
-
-    def test_session_buckets_scoped_per_tab_and_load(self):
-        store = PartitionStore(RULES)
-        key = FirstParty("a.com")
-        store.storage_access(key, "set", "session", "k", "v", session_scope="tab1:1")
-        assert store.storage_access(key, "get", "session", "k", session_scope="tab1:1") == "v"
-        assert store.storage_access(key, "get", "session", "k", session_scope="tab2:2") is None
+        assert names(store, key) == ["uid"]
 
     def test_area_created_empty_on_demand(self):
         store = PartitionStore(RULES)
         key = SiteKeyedThirdParty("a.com", "t.net")
-        assert store.storage_access(key, "get", "local", "missing") is None
+        assert len(store.jar(key)) == 0
         assert key in store.persistent
+        assert store.jar(key) is store.persistent[key]
 
     def test_unknown_api_or_op(self):
         store = PartitionStore(RULES)
@@ -150,23 +162,58 @@ class TestStorageAccess:
             store.storage_access(FirstParty("a.com"), "peek", "local", "k")
 
 
+class TestScriptCookieDelete:
+    """A script deletes only the cookies of that name its frame can read
+    (RFC 6265 section 5.4 step 1: host-only, domain-match and path-match)."""
+
+    KEY = GlobalThirdParty("t.net")
+
+    def delete(self, set_url: str, header: str, delete_url: str) -> list[str]:
+        store = PartitionStore(RULES)
+        set_cookie(store, self.KEY, header, set_url)
+        assert len(store.jar(self.KEY)) == 1
+        assert store.storage_access(self.KEY, "delete", "cookie", header.split("=")[0],
+                                    url=delete_url, now=2.0) is None
+        return names(store, self.KEY)
+
+    def test_host_only_cookie_survives_delete_from_subdomain(self):
+        assert self.delete("https://a.t.net/w", "uid=1", "https://b.a.t.net/w") == ["uid"]
+
+    def test_path_cookie_survives_delete_from_other_path(self):
+        assert self.delete("https://t.net/x", "p=1; Path=/x", "https://t.net/other") == ["p"]
+
+    def test_domain_cookie_deleted_from_subdomain(self):
+        assert self.delete("https://t.net/w", "sid=1; Domain=t.net", "https://x.t.net/w") == []
+
+    def test_other_names_survive(self):
+        store = PartitionStore(RULES)
+        set_cookie(store, self.KEY, "a=1")
+        set_cookie(store, self.KEY, "b=2")
+        store.storage_access(self.KEY, "delete", "cookie", "a", url=TRACKER, now=2.0)
+        assert names(store, self.KEY) == ["b"]
+
+
 class TestEndPageLoad:
     def test_ephemeral_areas_destroyed(self):
         store = PartitionStore(RULES)
-        store.storage_access(Ephemeral(1, "t.net"), "set", "local", "u", "x")
+        set_cookie(store, Ephemeral(1, "t.net"), "u=x")
+        set_cookie(store, Ephemeral(2, "t.net"), "u=y")
         store.end_page_load(1)
-        assert store.storage_access(Ephemeral(2, "t.net"), "get", "local", "u") is None
-        assert Ephemeral(1, "t.net") not in store.ephemeral
+        assert list(store.ephemeral) == [2]
+        assert names(store, Ephemeral(2, "t.net")) == ["u"]
+        assert names(store, Ephemeral(1, "t.net")) == []
 
     def test_persistent_areas_survive(self):
         store = PartitionStore(RULES)
-        store.storage_access(FirstParty("a.com"), "set", "local", "u", "x")
+        set_cookie(store, FirstParty("a.com"), "u=x", "https://a.com/")
         store.end_page_load(1)
-        assert store.storage_access(FirstParty("a.com"), "get", "local", "u") == "x"
+        assert cookies_for_request(store.jar(FirstParty("a.com")), "https://a.com/", 2.0) == [
+            ("u", "x")]
 
     def test_idempotent(self):
         store = PartitionStore(RULES)
-        store.storage_access(Ephemeral(1, "t.net"), "set", "local", "u", "x")
+        set_cookie(store, Ephemeral(1, "t.net"), "u=x")
+        assert store.ephemeral != {}
         store.end_page_load(1)
         store.end_page_load(1)
         assert store.ephemeral == {}
@@ -180,14 +227,15 @@ class TestEndPageLoad:
 class TestIsolationProperties:
     def test_load_key_isolation(self):
         store = PartitionStore(RULES)
-        store.storage_access(Ephemeral(1, "t.net"), "set", "local", "u", "x")
-        assert store.storage_access(Ephemeral(2, "t.net"), "get", "local", "u") is None
+        set_cookie(store, Ephemeral(1, "t.net"), "u=x")
+        assert names(store, Ephemeral(1, "t.net")) == ["u"]
+        assert names(store, Ephemeral(2, "t.net")) == []
 
     def test_site_keyed_isolation_between_top_sites(self):
         store = PartitionStore(RULES)
-        store.storage_access(SiteKeyedThirdParty("a.com", "t.net"), "set", "local", "u", "x")
-        assert store.storage_access(
-            SiteKeyedThirdParty("b.com", "t.net"), "get", "local", "u") is None
+        set_cookie(store, SiteKeyedThirdParty("a.com", "t.net"), "u=x")
+        assert names(store, SiteKeyedThirdParty("a.com", "t.net")) == ["u"]
+        assert names(store, SiteKeyedThirdParty("b.com", "t.net")) == []
 
     def test_site_of_uses_etld_plus_one(self, rules):
         assert site_of("https://deep.sub.example.co.uk/x", rules) == "example.co.uk"
