@@ -1,6 +1,8 @@
 """Minimal deterministic cookie model (RFC 6265 subset).
 
-Covers Set-Cookie parsing (RFC 6265 section 5.2), domain matching (5.1.3),
+Covers Set-Cookie parsing (RFC 6265 section 5.2, and RFC 6265bis's step 1 of
+"The Set-Cookie Header Field": a string holding a control character other
+than HTAB is ignored), domain matching (5.1.3),
 default-path computation (5.1.4), the public-suffix check on the Domain
 attribute (5.3 step 5) and request retrieval ordering (5.4).
 Secure, HttpOnly, and SameSite are parsed and ignored. Time is always an
@@ -84,6 +86,8 @@ _TIME_RE = re.compile(r"([0-9]{1,2}):([0-9]{1,2}):([0-9]{1,2})(?![0-9])")
 _DAY_RE = re.compile(r"([0-9]{1,2})(?![0-9])")
 _YEAR_RE = re.compile(r"([0-9]{2,4})(?![0-9])")
 _MAX_AGE_RE = re.compile(r"-?[0-9]+")
+# RFC 6265bis, "The Set-Cookie Header Field", step 1: the CTLs but HTAB.
+_CTL_RE = re.compile(r"[\x00-\x08\x0a-\x1f\x7f]")
 
 
 def parse_cookie_date(text: str) -> float | None:
@@ -138,7 +142,8 @@ def parse_set_cookie(
 ) -> Cookie | None:
     """Parse one Set-Cookie header value against the request URL.
 
-    Returns None when the cookie must be dropped: an empty name, a Domain
+    Returns None when the cookie must be dropped: a control character other
+    than HTAB anywhere in ``header`` (RFC 6265bis), an empty name, a Domain
     attribute that does not domain-match the request host, one with an empty
     label, or one that is a public suffix under ``rules``. A public-suffix
     Domain equal to the request host gives a host-only cookie instead. The
@@ -146,6 +151,8 @@ def parse_set_cookie(
     gives a host-only cookie, a Path not starting with ``/`` the default-path.
     Max-Age wins over Expires; unknown attributes are ignored.
     """
+    if _CTL_RE.search(header):
+        return None
     request_host, request_path = host_and_path(request_url)
     if not request_host:
         return None

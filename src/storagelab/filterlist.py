@@ -82,8 +82,10 @@ def is_ad_url(url: str, rules: AdRuleSet) -> bool:
     string matches a substring rule.
 
     Host matching is case-insensitive; substring rules match the URL string
-    case-sensitively.
+    case-sensitively. An empty rule set flags nothing, without parsing the URL.
     """
+    if not rules.domain_anchor_rules and not rules.substring_rules:
+        return False
     labels = host_and_path(url)[0].split(".")
     if any(".".join(labels[i:]) in rules.domain_anchor_rules for i in range(len(labels))):
         return True

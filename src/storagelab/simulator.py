@@ -4,14 +4,17 @@ Replay is policy-pure: it maintains per-profile browser state (one cookie
 jar per partition, open tabs, frame registries) and records cookie flows and
 per-frame behavior-edge sets. The jars are the only replay state an output
 reads, so a script storage op changes state only when it is a cookie ``set``
-or ``delete``; the others are checked and dropped. Under every policy a
-frame's partition depends only on its page load and its site, so it is
-resolved once, when the frame loads; a request resolves only its
-destination. Every page load ends in ``end_page_load`` under every policy;
-only page-length hands out the ephemeral keys it destroys. Replay keeps no
-op log: flows and frames are its only outputs. Content adaptivity (pages emitting different
-edges when storage misbehaves) belongs to the trace, not to the replayer:
-replay records what the trace says.
+or ``delete``; the others are checked and dropped. Replay dispatches on an
+event's exact class, the one ``parse_trace`` builds, behavior edges first.
+Under every policy a frame's partition depends only on its page load and
+its site, so it is resolved once, when the frame loads; a request resolves
+only its destination. A tab's frame registry maps a frame id to the frame's
+URL, partition key and output record, so an edge is one set insert. Every
+page load ends in ``end_page_load`` under every policy; only page-length
+hands out the ephemeral keys it destroys. Flows and frames are replay's only
+outputs. Content adaptivity (pages emitting different edges when storage
+misbehaves) belongs to the trace, not to the replayer: replay records what
+the trace says.
 
 Virtual time advances one tick per event; cookie expiries are interpreted
 against it.
@@ -20,6 +23,7 @@ against it.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -93,11 +97,12 @@ class SimOutput:
 
 
 class _TabState(Record):
-    # frames: frame_id -> (frame URL, the frame's partition key)
+    # frames: frame_id -> (frame URL, the frame's partition key, its FrameRecord)
     __slots__ = ("profile", "crawl_iter", "visit_seq", "page_url", "site", "load_key", "frames")
 
 
-_TAB_EVENTS = (FrameLoad, HttpRequest, ScriptStorage, BehaviorEdge, VisitEnd)
+_EVENT_TYPES = frozenset((VisitStart, FrameLoad, HttpRequest, ScriptStorage, BehaviorEdge,
+                          VisitEnd))
 
 
 def replay(
@@ -112,7 +117,8 @@ def replay(
 
     Raises :class:`ReplayError` (naming the event index) for events that
     reference unknown tabs or frames, URLs without a host, an unknown storage
-    api or op, or non-increasing visit sequences.
+    api or op, or non-increasing visit sequences, and for an object whose
+    type is not exactly one of the event classes.
     """
     out = SimOutput()
     stores: dict[str, PartitionStore] = {}
@@ -121,57 +127,28 @@ def replay(
     load_counter = 0
 
     for index, event in enumerate(events):
-        now = float(index)
+        kind = type(event)
         try:
-            if isinstance(event, VisitStart):
-                prev_seq = last_seq.get(event.profile)
-                if prev_seq is not None and event.visit_seq <= prev_seq:
-                    raise ValueError(f"visit_seq {event.visit_seq} not increasing "
-                                     f"for profile {event.profile!r}")
-                last_seq[event.profile] = event.visit_seq
-                previous = tabs.get(event.tab)
-                if previous is not None:
-                    stores[previous.profile].end_page_load(previous.load_key)
-                load_counter += 1
-                stores.setdefault(event.profile, PartitionStore(rules))
-                tabs[event.tab] = _TabState(
-                    profile=event.profile,
-                    crawl_iter=event.crawl_iter,
-                    visit_seq=event.visit_seq,
-                    page_url=event.page_url,
-                    site=site_of(event.page_url, rules),
-                    load_key=load_counter,
-                    frames={},
-                )
-                continue
-            if not isinstance(event, _TAB_EVENTS):
+            if kind not in _EVENT_TYPES:
                 raise ValueError(f"not a trace event: {event!r}")
             state = tabs.get(event.tab)
-            if state is None:
+            if state is None and kind is not VisitStart:
                 raise ValueError(f"tab {event.tab!r} has no active visit")
 
-            if isinstance(event, FrameLoad):
-                pkey = resolve_partition(policy, state.page_url, state.load_key,
-                                         event.frame_url, rules, origin_keyed=origin_keyed)
-                party = Party.FIRST if isinstance(pkey, FirstParty) else Party.THIRD
-                ad = event.is_ad if event.is_ad is not None else is_ad_url(event.frame_url, ads)
-                state.frames[event.frame_id] = (event.frame_url, pkey)
-                key = (state.page_url, event.frame_url, state.profile, state.crawl_iter)
-                record = out.frames.setdefault(key, FrameRecord(is_ad=ad, party=party))
-                record.is_ad = ad
-                record.party = party
-                continue
-            if isinstance(event, VisitEnd):
-                stores[state.profile].end_page_load(state.load_key)
-                del tabs[event.tab]
-                continue
-
-            frame = state.frames.get(event.frame_id)
-            if frame is None:
-                raise ValueError(f"unknown frame {event.frame_id!r}")
-            frame_url, frame_pkey = frame
-
-            if isinstance(event, HttpRequest):
+            if kind is BehaviorEdge or kind is HttpRequest or kind is ScriptStorage:
+                frame = state.frames.get(event.frame_id)
+                if frame is None:
+                    raise ValueError(f"unknown frame {event.frame_id!r}")
+                if kind is BehaviorEdge:
+                    frame[2].edge_set.add(event.edge.canonical)
+                    continue
+                frame_url, frame_pkey, _ = frame
+                now = float(index)
+                if kind is ScriptStorage:
+                    stores[state.profile].storage_access(
+                        frame_pkey, event.op, event.api, event.key, event.value,
+                        url=frame_url, now=now)
+                    continue
                 pkey = resolve_partition(policy, state.page_url, state.load_key,
                                          event.dest_url, rules, origin_keyed=origin_keyed)
                 jar = stores[state.profile].jar(pkey)
@@ -188,14 +165,40 @@ def replay(
                     if cookie is not None:
                         jar.add(cookie)
 
-            elif isinstance(event, ScriptStorage):
-                stores[state.profile].storage_access(
-                    frame_pkey, event.op, event.api, event.key, event.value,
-                    url=frame_url, now=now)
+            elif kind is FrameLoad:
+                pkey = resolve_partition(policy, state.page_url, state.load_key,
+                                         event.frame_url, rules, origin_keyed=origin_keyed)
+                party = Party.FIRST if isinstance(pkey, FirstParty) else Party.THIRD
+                ad = event.is_ad if event.is_ad is not None else is_ad_url(event.frame_url, ads)
+                key = (state.page_url, event.frame_url, state.profile, state.crawl_iter)
+                record = out.frames.setdefault(key, FrameRecord(is_ad=ad, party=party))
+                record.is_ad = ad
+                record.party = party
+                state.frames[event.frame_id] = (event.frame_url, pkey, record)
 
-            else:  # BehaviorEdge
-                key = (state.page_url, frame_url, state.profile, state.crawl_iter)
-                out.frames[key].edge_set.add(event.edge.canonical)
+            elif kind is VisitEnd:
+                stores[state.profile].end_page_load(state.load_key)
+                del tabs[event.tab]
+
+            else:  # VisitStart; ``state`` is the tab's previous page load, if any
+                prev_seq = last_seq.get(event.profile)
+                if prev_seq is not None and event.visit_seq <= prev_seq:
+                    raise ValueError(f"visit_seq {event.visit_seq} not increasing "
+                                     f"for profile {event.profile!r}")
+                last_seq[event.profile] = event.visit_seq
+                if state is not None:
+                    stores[state.profile].end_page_load(state.load_key)
+                load_counter += 1
+                stores.setdefault(event.profile, PartitionStore(rules))
+                tabs[event.tab] = _TabState(
+                    profile=event.profile,
+                    crawl_iter=event.crawl_iter,
+                    visit_seq=event.visit_seq,
+                    page_url=event.page_url,
+                    site=site_of(event.page_url, rules),
+                    load_key=load_counter,
+                    frames={},
+                )
         except ValueError as exc:
             raise ReplayError(f"event {index}: {exc}") from None
 
@@ -204,26 +207,39 @@ def replay(
 
 # ---------------------------------------------------------------------------
 # SimOutput files: a flow table (CSV, read back by ``storagelab.flows``) and a
-# frame edge-set archive (JSONL).
+# frame edge-set archive (JSONL), each line of which is exactly what
+# json.dumps(record, sort_keys=True, separators=(",", ":")) gives.
 
 def write_flows_csv(flows: Iterable[CookieFlowRecord], path: str | Path) -> None:
     write_csv(path, [FLOW_FIELDS, *flows])
 
 
+class _Encoded(dict):
+    """Each string's ``json.dumps`` encoding (ASCII), made on first lookup."""
+
+    def __missing__(self, text: str) -> str:
+        self[text] = encoded = encode_basestring_ascii(text)
+        return encoded
+
+
+# A frames.jsonl line, keys sorted; crawl_iter is an int, never a bool, as
+# read_frames_jsonl requires.
+_FRAME_LINE = ('{"crawl_iter":%d,"edges":[%s],"frame_url":%s,"is_ad":%s,"page_url":%s,'
+               '"party":%s,"profile":%s}\n')
+
+
 def write_frames_jsonl(frames: dict[FrameKey, FrameRecord], path: str | Path) -> None:
+    """One compact JSON object per frame, keys sorted, in frame-key order;
+    each distinct string is encoded once."""
+    encoded = _Encoded()
     with open(path, "w", encoding="utf-8") as fh:
         for key in sorted(frames):
             page_url, frame_url, profile, crawl_iter = key
             record = frames[key]
-            fh.write(json.dumps({
-                "page_url": page_url,
-                "frame_url": frame_url,
-                "profile": profile,
-                "crawl_iter": crawl_iter,
-                "party": record.party.value,
-                "is_ad": record.is_ad,
-                "edges": sorted(record.edge_set),
-            }, sort_keys=True, separators=(",", ":")) + "\n")
+            fh.write(_FRAME_LINE % (
+                crawl_iter, ",".join(map(encoded.__getitem__, sorted(record.edge_set))),
+                encoded[frame_url], "true" if record.is_ad else "false", encoded[page_url],
+                encoded[record.party.value], encoded[profile]))
 
 
 def _frame_entry(line: str) -> tuple[FrameKey, FrameRecord]:

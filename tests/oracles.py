@@ -6,8 +6,9 @@ node-type functions re-parse every edge string and test enum membership
 subset by subset, kept as oracles for the bitmask forms in
 ``storagelab.metrics``. ``replay`` resolves a partition and classifies the
 party again (with ``classify_party``, a second pair of site lookups) on every
-storage touch, kept as the oracle for ``storagelab.simulator.replay``, which
-resolves each frame once. Its ``PartitionStore`` keeps a DOM-storage area
+storage touch, and looks up a frame's output record by its key on every edge,
+kept as the oracle for ``storagelab.simulator.replay``, which resolves each
+frame once and keeps its record in the frame registry. Its ``PartitionStore`` keeps a DOM-storage area
 beside each cookie jar and answers every script read, kept as the oracle for
 ``storagelab.policy.PartitionStore``, which keeps only the jar and applies
 only a script cookie ``set`` or ``delete``. ``parse_trace`` decodes and
@@ -21,6 +22,9 @@ which encode each distinct event once and stream the lines. ``read_flows_csv``
 and ``read_frames_jsonl`` build a dict per row and check each field with its
 own call, kept as the oracles for ``storagelab.flows.read_flows_csv`` and
 ``storagelab.simulator.read_frames_jsonl``, which check each row in one pass.
+``write_frames_jsonl`` runs ``json.dumps`` on a dict per frame, kept as the
+oracle for ``storagelab.simulator.write_frames_jsonl``, which fills one line
+template with each distinct string encoded once.
 ``check_rule`` splits a PSL rule into its labels and lowercases it a character
 at a time, kept as the oracle for ``storagelab.psl._check_rule``.
 ``parse_psl`` and ``parse_rules`` handle a rule file line by line, kept as the
@@ -760,7 +764,8 @@ def generate_synthetic_trace(spec: SyntheticSpec) -> Trace:
 # ---------------------------------------------------------------------------
 # Simulate output readers: a dict per row, and a call per field checked. The
 # one change from the originals is that the shared reader checks are named
-# with their module, since this file has its own ``_require``.
+# with their module, since this file has its own ``_require``. The frames
+# writer builds a dict per frame and encodes it with its own ``json.dumps``.
 
 
 def _flow_record(row: list[str]) -> CookieFlowRecord:
@@ -824,6 +829,22 @@ def read_frames_jsonl(path) -> dict:
     except UnicodeDecodeError:
         raise _flows._not_utf8(path) from None
     return frames
+
+
+def write_frames_jsonl(frames: dict, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for key in sorted(frames):
+            page_url, frame_url, profile, crawl_iter = key
+            record = frames[key]
+            fh.write(json.dumps({
+                "page_url": page_url,
+                "frame_url": frame_url,
+                "profile": profile,
+                "crawl_iter": crawl_iter,
+                "party": record.party.value,
+                "is_ad": record.is_ad,
+                "edges": sorted(record.edge_set),
+            }, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 # ---------------------------------------------------------------------------

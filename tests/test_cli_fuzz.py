@@ -74,9 +74,37 @@ def _commands(d: Path) -> dict[str, tuple[Path, list[list]]]:
     }
 
 
-MUTATIONS = ["delete_field", "change_type", "truncate", "non_object", "bad_header",
-             "extra_cells", "non_utf8", "empty"]
+MUTATIONS = ["delete_field", "change_type", "other_json_type", "nested", "truncate",
+             "non_object", "bad_header", "extra_cells", "non_utf8", "empty"]
 OTHER_VALUES = [1, -1, 1.5, True, None, "s", "", [], ["x"], {}, {"a": 1}]
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+                | st.text(max_size=3))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+# A list or object holding at least one value, put where a string is expected.
+NESTED = st.lists(JSON_VALUES, min_size=1, max_size=3) | st.dictionaries(
+    st.text(max_size=3), JSON_VALUES, min_size=1, max_size=3)
+
+
+def _slots(value, wanted=object) -> list[tuple]:
+    """(container, key) of every value nested in ``value`` that is a ``wanted``."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    slots = []
+    for key, inner in items:
+        if isinstance(inner, wanted):
+            slots.append((value, key))
+        slots += _slots(inner, wanted)
+    return slots
+
+
+def _other_type(old, draw):
+    """A drawn JSON value whose type differs from ``old``'s (a JSON boolean
+    is no number, an integer no float)."""
+    return draw(JSON_VALUES.filter(lambda value: type(value) is not type(old)))
 
 
 def _mutate(data: bytes, kind: str, draw) -> bytes:
@@ -96,6 +124,25 @@ def _mutate(data: bytes, kind: str, draw) -> bytes:
         lines[0] = draw(st.sampled_from([b"nope", b"a,b", b"url,profile", b"{}", b"\t"]))
     elif kind == "extra_cells":
         lines[i] = line + draw(st.sampled_from([b",x", b",", b',"a,b"']))
+    elif kind in ("other_json_type", "nested"):
+        # A value anywhere in a JSON line (nested ones too) becomes a drawn
+        # JSON value of another type, or a string becomes a list or object.
+        # A CSV or rule line gets the drawn value's JSON text in a cell.
+        try:
+            record = json.loads(line)
+        except ValueError:
+            record = None
+        slots = _slots(record, str if kind == "nested" else object)
+        if slots:
+            container, key = draw(st.sampled_from(slots))
+            container[key] = (draw(NESTED) if kind == "nested"
+                              else _other_type(container[key], draw))
+            lines[i] = json.dumps(record).encode()
+        else:
+            cells = line.split(b",")
+            value = draw(NESTED if kind == "nested" else JSON_VALUES)
+            cells[draw(st.integers(0, len(cells) - 1))] = json.dumps(value).encode()
+            lines[i] = b",".join(cells)
     else:  # delete_field / change_type: a JSON key, else a CSV cell
         try:
             record = json.loads(line)

@@ -130,6 +130,26 @@ class TestParseSetCookie:
         cookie = parse_set_cookie(f"a=1; {attrs}", "https://www.example.com/p/q", RULES)
         assert (cookie.domain, cookie.host_only, cookie.path) == expected
 
+    @pytest.mark.parametrize("header", [
+        "a=1\x00", "a\x08=1", "a=1\n", "a=1; Path=/\x0b", "a=1\r", "a=1;\x0c Path=/",
+        "a=\x1f1", "a=1\x7f", "a=1; Domain=a.com\x1b", "\x01a=1",
+    ])
+    def test_control_character_ignores_whole_string(self, header):
+        # RFC 6265bis, "The Set-Cookie Header Field", step 1: a set-cookie-string
+        # holding %x00-08, %x0A-1F or %x7F is ignored entirely, wherever it is.
+        assert parse_set_cookie(header, "https://a.com/", RULES) is None
+
+    @pytest.mark.parametrize("header,expected", [
+        # HTAB is no such control character, and is trimmed like a space.
+        ("a=\t1\t;\tPath=/x", ("a", "1", "/x")),
+        ("a=1\t2", ("a", "1\t2", "/")),
+        # A C1 control (U+0080-U+009F) is not a CTL of RFC 5234's octets.
+        ("a=x\x9fy", ("a", "x\x9fy", "/")),
+    ])
+    def test_htab_and_c1_characters_kept(self, header, expected):
+        cookie = parse_set_cookie(header, "https://a.com/", RULES)
+        assert (cookie.name, cookie.value, cookie.path) == expected
+
     @pytest.mark.parametrize("attrs", [
         "Domain=..example.com",  # only one leading dot is stripped
         "Domain=example.com; Domain=other.com",

@@ -7,7 +7,8 @@ once-per-distinct-line trace parser with the one that parses every line, and
 the generator that asks ``resolve_partition`` for its partition keys with the
 one that keeps its own model of them, the trace writers that encode each
 distinct event once with the dump that encodes every event, the one-pass
-simulate output readers with the per-field ones, the one-pass PSL rule
+simulate output readers with the per-field ones, the templated frames
+writer with the per-record ``json.dumps``, the one-pass PSL rule
 check with the per-character one, and the rule-file parsers that scan the
 canonical lines in one regex pass with the line-by-line ones.
 
@@ -29,7 +30,7 @@ import support
 from storagelab.filterlist import EMPTY_RULES, AdRuleSet, is_ad_url, parse_rules
 from storagelab.flows import FLOW_FIELDS, TraceFormatError, read_flows_csv
 from storagelab.metrics import OptimizeInstance, frame_similarity, jaccard, optimize_node_types
-from storagelab.policy import STORAGE_APIS, Ephemeral, PolicyKind, resolve_partition
+from storagelab.policy import STORAGE_APIS, Ephemeral, Party, PolicyKind, resolve_partition
 from storagelab.psl import (
     PslParseError,
     SuffixRuleSet,
@@ -45,6 +46,7 @@ from storagelab.simulator import (
     SimOutput,
     read_frames_jsonl,
     replay,
+    write_frames_jsonl,
 )
 from storagelab.synthetic import (
     SyntheticSpec,
@@ -304,6 +306,29 @@ def _replay_outcome(fn, events, policy, ads, origin_keyed):
                  ScriptStorage("t1", "f2", "cookie", "delete", "uid", None),
                  HttpRequest("t1", "f1", "https://t.net/w", ())],
          policy=PolicyKind.PERMISSIVE, origin_keyed=False, with_ads=False)
+# Frame f1 is loaded again with another URL in the same load: the later edge
+# goes to the new frame's record.
+@example(events=[VisitStart("p0", 1, "t1", "https://a.com/", 1),
+                 FrameLoad("t1", "f1", "https://t.net/w", None),
+                 BehaviorEdge("t1", "f1", EDGES[0]),
+                 FrameLoad("t1", "f1", "https://x.t.net/w/i", None),
+                 BehaviorEdge("t1", "f1", EDGES[1])],
+         policy=PolicyKind.SITE_KEYED, origin_keyed=False, with_ads=False)
+# The same frame key, loaded again on a later load of the same page: both
+# loads add their edges to one record.
+@example(events=[VisitStart("p0", 1, "t1", "https://a.com/", 1),
+                 FrameLoad("t1", "f1", "https://t.net/w", None),
+                 BehaviorEdge("t1", "f1", EDGES[0]),
+                 VisitEnd("t1"),
+                 VisitStart("p0", 1, "t1", "https://a.com/", 2),
+                 FrameLoad("t1", "f2", "https://t.net/w", None),
+                 BehaviorEdge("t1", "f2", EDGES[1])],
+         policy=PolicyKind.PAGE_LENGTH, origin_keyed=False, with_ads=False)
+# A trace's own is_ad flag, under rules that flag nothing.
+@example(events=[VisitStart("p0", 1, "t1", "https://a.com/", 1),
+                 FrameLoad("t1", "f1", "https://ads.u.org/a", True),
+                 BehaviorEdge("t1", "f1", EDGES[0])],
+         policy=PolicyKind.BLOCKING, origin_keyed=False, with_ads=False)
 def test_replay_matches_per_touch_resolution(events, policy, origin_keyed, with_ads):
     """Equal flows and frames, or the same ReplayError at the same event."""
     ads = parse_rules("||u.org^") if with_ads else EMPTY_RULES
@@ -572,6 +597,40 @@ def test_bad_frame_line_fails_alike(tmp_path_factory, lines, bad, index):
     message = _read_outcome(read_frames_jsonl, path)
     assert message == _read_outcome(oracles.read_frames_jsonl, path)
     assert f": line {1 + index}: {bad[1]}" in message
+
+
+# Any text: non-ASCII, '"', '\\', control characters and lone surrogates.
+ANY_TEXT = st.text(max_size=6)
+
+
+@st.composite
+def frame_records(draw):
+    """Frames with any text in the key strings and in the edges' keys, exact
+    ints of any size for crawl_iter (as the reader requires), both is_ad
+    values and both parties."""
+    keys = st.tuples(ANY_TEXT, ANY_TEXT, st.sampled_from(["p0", "p\u00fc", "\ud800"]),
+                     st.one_of(st.integers(-3, 3), st.integers()))
+    edge = st.builds(lambda src, key, tgt: BehaviorEdgeRecord(src, key, "e", tgt, key).canonical,
+                     st.sampled_from(list(NodeType)), ANY_TEXT, st.sampled_from(list(NodeType)))
+    return draw(st.dictionaries(keys, st.builds(
+        FrameRecord, st.sets(edge, max_size=4), st.booleans(), st.sampled_from(list(Party))),
+        max_size=6))
+
+
+@settings(max_examples=200)
+@given(frame_records())
+@example({("https://a.com/\x00\"\\", "\x7f\u2028", "p0", -2**70):
+              FrameRecord({_edge(NodeType.SCRIPT, NodeType.COOKIE_JAR, "\ud800\n")}, True,
+                          Party.FIRST),
+          ("", "", "", 0): FrameRecord()})
+def test_frames_writer_matches_per_record_dumps(tmp_path_factory, frames):
+    """Byte for byte the per-record json.dumps lines, read back equal."""
+    base = tmp_path_factory.getbasetemp()
+    write_frames_jsonl(frames, base / "written-frames.jsonl")
+    oracles.write_frames_jsonl(frames, base / "dumped-frames.jsonl")
+    written = (base / "written-frames.jsonl").read_bytes()
+    assert written == (base / "dumped-frames.jsonl").read_bytes()
+    assert read_frames_jsonl(base / "written-frames.jsonl") == frames
 
 
 # ---------------------------------------------------------------------------
