@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import sys
 from functools import partial
@@ -56,46 +57,51 @@ def _write_manifest(out: Path, args: argparse.Namespace, inputs: dict, outputs: 
     })
 
 
-def _read_input(path_str: str) -> tuple[bytes, dict]:
-    """The bytes of an input file, and its manifest entry (path and sha256)."""
-    path = Path(path_str)
-    if not path.is_file():
-        raise InputError(f"input file not found: {path}")
-    data = path.read_bytes()
-    return data, {"path": path_str, "sha256": hashlib.sha256(data).hexdigest()}
-
-
-def _input_entry(path_str: str) -> dict:
-    return _read_input(path_str)[1]
-
-
-def _parse_input(path_str: str, parse) -> tuple:
-    """``parse`` of the text of a UTF-8 input file, and the file's input entry,
-    from one read of the file. A parse error is an input error naming the file."""
-    data, entry = _read_input(path_str)
+def _not_utf8(path, data: bytes) -> InputError:
+    """The error for ``data``, which is not UTF-8, naming the line and column
+    of its first bad byte."""
     try:
-        text = data.decode("utf-8")
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        line_no = data.count(b"\n", 0, line_start) + 1
+        return InputError(f"{path}: line {line_no}: not UTF-8 "
+                          f"({exc.reason} at column {exc.start - line_start + 1})")
+    return InputError(f"{path}: not UTF-8")
+
+
+def _parse_input(path, parse, newline: str | None) -> tuple:
+    """``parse`` of an input file's text, and the file's manifest entry (path
+    and sha256), from one read of the file: the only way a command reads an
+    input. ``parse`` gets the text as ``open(path, encoding="utf-8",
+    newline=newline)`` would give it, decoded as it reads. A byte that is not
+    UTF-8, or any ``ValueError`` of ``parse``, is an input error naming the
+    file."""
+    file = Path(path)
+    if not file.is_file():
+        raise InputError(f"input file not found: {file}")
+    data = file.read_bytes()
+    entry = {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
+    try:
+        parsed = parse(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline))
     except UnicodeDecodeError:
-        from storagelab.flows import _not_utf8
-        raise _not_utf8(path_str) from None
-    try:
-        parsed = parse(text)
+        raise _not_utf8(path, data) from None
     except ValueError as exc:
-        raise InputError(f"{path_str}: {exc}") from None
+        raise InputError(f"{path}: {exc}") from None
     return parsed, entry
 
 
 def _load_suffix_rules(psl_path: str | None):
     if psl_path is None:
         return builtin_rules(), {"builtin": True}
-    return _parse_input(psl_path, parse_psl)
+    return _parse_input(psl_path, lambda fh: parse_psl(fh.read()), "")
 
 
 def _load_ad_rules(filters_path: str | None):
     from storagelab.filterlist import EMPTY_RULES, parse_rules
     if filters_path is None:
         return EMPTY_RULES, None
-    return _parse_input(filters_path, parse_rules)
+    return _parse_input(filters_path, lambda fh: parse_rules(fh.read()), "")
 
 
 def _fnum(value) -> str:
@@ -148,11 +154,10 @@ def cmd_gen_trace(args) -> int:
 def cmd_simulate(args) -> int:
     from storagelab.policy import PolicyKind
     from storagelab.simulator import replay, write_flows_csv, write_frames_jsonl
-    from storagelab.trace import load_trace
+    from storagelab.trace import parse_trace
     rules, psl_entry = _load_suffix_rules(args.psl)
     ads, filters_entry = _load_ad_rules(args.filters)
-    trace_entry = _input_entry(args.trace)
-    trace = load_trace(args.trace)
+    trace, trace_entry = _parse_input(args.trace, parse_trace, None)
     output = replay(trace.events, PolicyKind(args.policy), rules, ads,
                     origin_keyed=args.origin_keyed)
     out = _out_dir(args.out)
@@ -176,21 +181,18 @@ def _load_sim_dir(path_str: str, with_flows: bool = False):
     """The simulate output (``SimOutput``) in a directory, and its manifest.
     Its ``flows.csv`` is read only ``with_flows``; otherwise the output holds
     no flows."""
-    from storagelab.flows import TraceFormatError, _json_object, read_flows_csv
+    from storagelab.flows import _json_object, read_flows_csv
     from storagelab.simulator import SimOutput, read_frames_jsonl
     sim_dir = Path(path_str)
     manifest_path = sim_dir / "manifest.json"
     if not manifest_path.is_file():
         raise InputError(f"not a simulation output directory (no manifest): {sim_dir}")
-    try:
-        manifest = _json_object(manifest_path.read_text(encoding="utf-8"))
-    except (TraceFormatError, UnicodeDecodeError) as exc:
-        raise InputError(f"{manifest_path}: {exc}") from None
+    manifest, _ = _parse_input(manifest_path, lambda fh: _json_object(fh.read()), None)
     if manifest.get("command") != "simulate":
         raise InputError(f"{sim_dir}: manifest is not from a simulate run")
     output = SimOutput(
-        flows=read_flows_csv(sim_dir / "flows.csv") if with_flows else None,
-        frames=read_frames_jsonl(sim_dir / "frames.jsonl"),
+        flows=_parse_input(sim_dir / "flows.csv", read_flows_csv, "")[0] if with_flows else None,
+        frames=_parse_input(sim_dir / "frames.jsonl", read_frames_jsonl, None)[0],
     )
     return output, manifest
 
@@ -215,8 +217,8 @@ def _read_all_flows(paths: list[str]):
     entries = {}
     flows = []
     for i, path in enumerate(paths):
-        entries[f"flows_{i}"] = _input_entry(path)
-        flows.extend(read_flows_csv(path))
+        file_flows, entries[f"flows_{i}"] = _parse_input(path, read_flows_csv, "")
+        flows.extend(file_flows)
     return flows, entries
 
 
@@ -388,40 +390,35 @@ def cmd_metrics_candidates(args) -> int:
     return 0
 
 
-def _read_grades_csv(path_str: str) -> dict[tuple[str, str], tuple[int, int]]:
-    from storagelab.flows import _INTEGER, TraceFormatError, _csv_record, _not_utf8, _require
-    entry_path = Path(path_str)
+def _read_grades_csv(lines) -> dict[tuple[str, str], tuple[int, int]]:
+    from storagelab.flows import _INTEGER, TraceFormatError, _csv_record, _require
     grades: dict[tuple[str, str], tuple[int, int]] = {}
-    try:
-        with open(entry_path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            required = {"url", "profile", "grader_a", "grader_b"}
-            if header is None or not required.issubset(header):
-                raise InputError(f"{entry_path}: grades CSV needs columns {sorted(required)}")
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    url, profile, grade_a, grade_b = _require(
-                        _csv_record(header, row), "url", "profile", "grader_a", "grader_b")
-                except TraceFormatError as exc:
-                    raise TraceFormatError(f"{entry_path}: line {reader.line_num}: {exc}") from None
-                cell = (url, profile)
-                if cell in grades:
-                    raise InputError(f"{entry_path}: duplicate cell {cell!r}")
-                if not (_INTEGER(grade_a) and _INTEGER(grade_b)):
-                    raise InputError(f"{entry_path}: non-integer grade in {cell!r}")
-                grades[cell] = (int(grade_a), int(grade_b))
-    except UnicodeDecodeError:
-        raise _not_utf8(entry_path) from None
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    required = {"url", "profile", "grader_a", "grader_b"}
+    if header is None or not required.issubset(header):
+        raise TraceFormatError(f"grades CSV needs columns {sorted(required)}")
+    for row in reader:
+        if not row:
+            continue
+        try:
+            url, profile, grade_a, grade_b = _require(
+                _csv_record(header, row), "url", "profile", "grader_a", "grader_b")
+        except TraceFormatError as exc:
+            raise TraceFormatError(f"line {reader.line_num}: {exc}") from None
+        cell = (url, profile)
+        if cell in grades:
+            raise TraceFormatError(f"duplicate cell {cell!r}")
+        if not (_INTEGER(grade_a) and _INTEGER(grade_b)):
+            raise TraceFormatError(f"non-integer grade in {cell!r}")
+        grades[cell] = (int(grade_a), int(grade_b))
     return grades
 
 
 def cmd_metrics_kappa(args) -> int:
     from storagelab.metrics import grade_stats
-    entry = _input_entry(args.grades)
-    stats = grade_stats(_read_grades_csv(args.grades))
+    grades, entry = _parse_input(args.grades, _read_grades_csv, "")
+    stats = grade_stats(grades)
     out = _out_dir(args.out)
     _write_json(out / "grading_report.json", {
         "agreement_pct": float(stats.agreement * 100),

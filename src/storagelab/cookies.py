@@ -88,6 +88,8 @@ _YEAR_RE = re.compile(r"([0-9]{2,4})(?![0-9])")
 _MAX_AGE_RE = re.compile(r"-?[0-9]+")
 # RFC 6265bis, "The Set-Cookie Header Field", step 1: the CTLs but HTAB.
 _CTL_RE = re.compile(r"[\x00-\x08\x0a-\x1f\x7f]")
+# WSP (RFC 5234): the only characters §5.2 trims from a name, value or attribute.
+_WSP = " \t"
 
 
 def parse_cookie_date(text: str) -> float | None:
@@ -142,8 +144,10 @@ def parse_set_cookie(
 ) -> Cookie | None:
     """Parse one Set-Cookie header value against the request URL.
 
-    Returns None when the cookie must be dropped: a control character other
-    than HTAB anywhere in ``header`` (RFC 6265bis), an empty name, a Domain
+    The name, the value and each attribute are trimmed of WSP (SP and HTAB)
+    only, as §5.2 says. Returns None when the cookie must be dropped: a
+    control character other than HTAB anywhere in ``header`` (RFC 6265bis), an
+    empty name or one holding SP or HTAB, a Domain
     attribute that does not domain-match the request host, one with an empty
     label, or one that is a public suffix under ``rules``. A public-suffix
     Domain equal to the request host gives a host-only cookie instead. The
@@ -162,9 +166,9 @@ def parse_set_cookie(
     if "=" not in first:
         return None
     name, _, value = first.partition("=")
-    name = name.strip()
-    value = value.strip()
-    if not name or any(ch.isspace() for ch in name):
+    name = name.strip(_WSP)
+    value = value.strip(_WSP)
+    if not name or " " in name or "\t" in name:
         return None
 
     domain_attr: str | None = None
@@ -173,8 +177,8 @@ def parse_set_cookie(
     max_age: int | None = None
     for piece in pieces[1:]:
         attr, _, attr_value = piece.partition("=")
-        attr = attr.strip().lower()
-        attr_value = attr_value.strip()
+        attr = attr.strip(_WSP).lower()
+        attr_value = attr_value.strip(_WSP)
         if attr == "domain" and attr_value:  # §5.2.3: strip one leading dot
             domain_attr = attr_value.removeprefix(".").lower()
         elif attr == "path":
@@ -216,18 +220,17 @@ def matching_cookies(jar: CookieJar, url: str, now: float) -> list[Cookie]:
     """Cookies of ``jar`` that ``url`` can read, per RFC 6265 section 5.4
     step 1: host-only cookies on their own host only, the others on any host
     that domain-matches, and only on a request path that path-matches.
-    Expired cookies are purged from the jar. A URL without a host matches
-    nothing.
+    Expired cookies are purged from the jar in the same pass over one
+    snapshot of it. A URL without a host matches nothing.
     """
     host, path = host_and_path(url)
     request_path = path or "/"
 
+    matched = []
     for cookie in jar.cookies():
         if cookie.expiry is not None and cookie.expiry <= now:
             jar.remove(cookie.name, cookie.domain, cookie.path)
-
-    matched = []
-    for cookie in jar.cookies():
+            continue
         if cookie.host_only:
             if host != cookie.domain:
                 continue

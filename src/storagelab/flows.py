@@ -1,6 +1,10 @@
 """The flow table (``flows.csv``), the CSV writer, and the record checks that
 every reader of a storagelab file shares.
 
+A reader takes the lines of a file, never its path: the CLI reads, hashes
+and decodes each input once, and adds the file's path to a reader's error,
+which names only the line.
+
 The privacy metrics read only this module's flow table, so it imports no
 other ``storagelab`` module: a ``metrics picf``, ``cross-site`` or
 ``cross-time`` call compiles neither the replay engine nor the trace event
@@ -61,18 +65,6 @@ def _json_object(line: str) -> dict:
     return record
 
 
-def _not_utf8(path: str | Path) -> TraceFormatError:
-    """The error for a file that is not UTF-8, naming its first such line."""
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return TraceFormatError(f"{path}: line {line_no}: not UTF-8 "
-                                        f"({exc.reason} at column {exc.start + 1})")
-    return TraceFormatError(f"{path}: not UTF-8")
-
-
 class CookieFlowRecord(NamedTuple):
     """One cookie transmitted to a third-party site within a visit."""
 
@@ -118,34 +110,31 @@ def _flow_record(row: list[str]) -> CookieFlowRecord:
                             third_party_site, name, value)
 
 
-def read_flows_csv(path: str | Path) -> list[CookieFlowRecord]:
-    """Raises :class:`TraceFormatError`, naming the file and line, for a row
-    with a missing or extra field or a crawl_iter or visit_seq that is not an
-    integer (``-?[0-9]+``)."""
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(header) != FLOW_FIELDS:
-                raise ValueError(f"{path}: not a flow table (header {header})")
-            flows = []
-            for row in reader:
-                # One pass: seven cells, and two unsigned ASCII integers. Any
-                # other row, a negative integer included, goes to _flow_record,
-                # which names what is wrong; a blank row is skipped.
-                try:
-                    profile, crawl_iter, visit_seq, top_site, third_party_site, name, value = row
-                except ValueError:
-                    crawl_iter = visit_seq = ""
-                if (crawl_iter.isdecimal() and visit_seq.isdecimal()
-                        and crawl_iter.isascii() and visit_seq.isascii()):
-                    flows.append(CookieFlowRecord(profile, int(crawl_iter), int(visit_seq),
-                                                  top_site, third_party_site, name, value))
-                elif row:
-                    try:
-                        flows.append(_flow_record(row))
-                    except TraceFormatError as exc:
-                        raise TraceFormatError(f"{path}: line {reader.line_num}: {exc}") from None
-            return flows
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+def read_flows_csv(lines: Iterable[str]) -> list[CookieFlowRecord]:
+    """The flow table in the lines of a ``flows.csv`` file, as a text file
+    opened with ``newline=""`` gives them. Raises :class:`TraceFormatError`,
+    naming the line, for a row with a missing or extra field or a crawl_iter
+    or visit_seq that is not an integer (``-?[0-9]+``)."""
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None or tuple(header) != FLOW_FIELDS:
+        raise ValueError(f"not a flow table (header {header})")
+    flows = []
+    for row in reader:
+        # One pass: seven cells, and two unsigned ASCII integers. Any other
+        # row, a negative integer included, goes to _flow_record, which names
+        # what is wrong; a blank row is skipped.
+        try:
+            profile, crawl_iter, visit_seq, top_site, third_party_site, name, value = row
+        except ValueError:
+            crawl_iter = visit_seq = ""
+        if (crawl_iter.isdecimal() and visit_seq.isdecimal()
+                and crawl_iter.isascii() and visit_seq.isascii()):
+            flows.append(CookieFlowRecord(profile, int(crawl_iter), int(visit_seq),
+                                          top_site, third_party_site, name, value))
+        elif row:
+            try:
+                flows.append(_flow_record(row))
+            except TraceFormatError as exc:
+                raise TraceFormatError(f"line {reader.line_num}: {exc}") from None
+    return flows

@@ -35,7 +35,6 @@ from storagelab.flows import (
     CookieFlowRecord,
     TraceFormatError,
     _json_object,
-    _not_utf8,
     _require,
     write_csv,
 )
@@ -208,7 +207,9 @@ def replay(
 # ---------------------------------------------------------------------------
 # SimOutput files: a flow table (CSV, read back by ``storagelab.flows``) and a
 # frame edge-set archive (JSONL), each line of which is exactly what
-# json.dumps(record, sort_keys=True, separators=(",", ":")) gives.
+# json.dumps(record, sort_keys=True, separators=(",", ":")) gives. The writers
+# take a path; read_frames_jsonl takes the lines of a file, which the CLI reads
+# and decodes once.
 
 def write_flows_csv(flows: Iterable[CookieFlowRecord], path: str | Path) -> None:
     write_csv(path, [FLOW_FIELDS, *flows])
@@ -278,50 +279,47 @@ _FRAME_FIELDS = itemgetter("page_url", "frame_url", "profile", "crawl_iter", "pa
 _decode = json.JSONDecoder().raw_decode
 
 
-def read_frames_jsonl(path: str | Path) -> dict[FrameKey, FrameRecord]:
-    """Raises :class:`TraceFormatError`, naming the file and line, for a
-    record that is not a JSON object, lacks a field, has one of the wrong
-    type, holds an edge that is not a canonical edge string, or repeats the
-    (page_url, frame_url, profile, crawl_iter) of an earlier record."""
+def read_frames_jsonl(lines: Iterable[str]) -> dict[FrameKey, FrameRecord]:
+    """The frames in the lines of a ``frames.jsonl`` file. Raises
+    :class:`TraceFormatError`, naming the line, for a record that is not a
+    JSON object, lacks a field, has one of the wrong type, holds an edge that
+    is not a canonical edge string, or repeats the (page_url, frame_url,
+    profile, crawl_iter) of an earlier record."""
     frames: dict[FrameKey, FrameRecord] = {}
     known_edge = _ENDPOINT_TYPES.__contains__
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                try:
-                    # One pass: decode, unpack the seven fields, check their
-                    # exact types (a JSON boolean is no integer; only a string
-                    # is in _PARTIES) and edges.
-                    try:
-                        record, end = _decode(line)
-                        page_url, frame_url, profile, crawl_iter, party, is_ad, edges = (
-                            _FRAME_FIELDS(record))
-                        valid = (not line[end:].strip()
-                                 and type(page_url) is str and type(frame_url) is str
-                                 and type(profile) is str and type(crawl_iter) is int
-                                 and type(is_ad) is bool and type(edges) is list
-                                 and party in _PARTIES
-                                 and (all(map(known_edge, edges)) or _canonical_edges(edges)))
-                    except TraceFormatError:
-                        raise
-                    except (ValueError, KeyError, TypeError):
-                        # Not one JSON object with the fields, or an unhashable
-                        # party or edge.
-                        valid = False
-                    if valid:
-                        key = (page_url, frame_url, profile, crawl_iter)
-                        record = FrameRecord(set(edges), is_ad, _PARTIES[party])
-                    else:
-                        # _frame_entry names what is wrong; a blank line is skipped.
-                        line = line.strip()
-                        if not line:
-                            continue
-                        key, record = _frame_entry(line)
-                        _canonical_edges(sorted(record.edge_set))
-                    if frames.setdefault(key, record) is not record:
-                        raise TraceFormatError(f"duplicate frame record {key!r}")
-                except TraceFormatError as exc:
-                    raise TraceFormatError(f"{path}: line {line_no}: {exc}") from None
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            # One pass: decode, unpack the seven fields, check their exact
+            # types (a JSON boolean is no integer; only a string is in
+            # _PARTIES) and edges.
+            try:
+                record, end = _decode(line)
+                page_url, frame_url, profile, crawl_iter, party, is_ad, edges = (
+                    _FRAME_FIELDS(record))
+                valid = (not line[end:].strip()
+                         and type(page_url) is str and type(frame_url) is str
+                         and type(profile) is str and type(crawl_iter) is int
+                         and type(is_ad) is bool and type(edges) is list
+                         and party in _PARTIES
+                         and (all(map(known_edge, edges)) or _canonical_edges(edges)))
+            except TraceFormatError:
+                raise
+            except (ValueError, KeyError, TypeError):
+                # Not one JSON object with the fields, or an unhashable party
+                # or edge.
+                valid = False
+            if valid:
+                key = (page_url, frame_url, profile, crawl_iter)
+                record = FrameRecord(set(edges), is_ad, _PARTIES[party])
+            else:
+                # _frame_entry names what is wrong; a blank line is skipped.
+                line = line.strip()
+                if not line:
+                    continue
+                key, record = _frame_entry(line)
+                _canonical_edges(sorted(record.edge_set))
+            if frames.setdefault(key, record) is not record:
+                raise TraceFormatError(f"duplicate frame record {key!r}")
+        except TraceFormatError as exc:
+            raise TraceFormatError(f"line {line_no}: {exc}") from None
     return frames

@@ -4,7 +4,8 @@ A trace file is UTF-8, one JSON record per line, each carrying a ``type``
 discriminator. Field names are part of the format contract (documented in
 the README). An optional leading ``meta`` record identifies the scenario a
 generated trace belongs to and the policy its adaptive content was modeled
-against.
+against. :func:`parse_trace` takes the lines of a trace file, not its path:
+the CLI reads and decodes the file once and adds its path to an error.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Union
 
-from storagelab.flows import TraceFormatError, _json_object, _not_utf8, _require
+from storagelab.flows import TraceFormatError, _json_object, _require
 from storagelab.policy import STORAGE_APIS, STORAGE_OPS
 from storagelab.record import Record
 
@@ -256,17 +257,6 @@ def parse_trace(lines: Iterable[str]) -> Trace:
                 raise TraceFormatError(f"line {line_no}: {exc}") from None
         events.append(event)
     return Trace(meta, events)
-
-
-def load_trace(path: str | Path) -> Trace:
-    """Parse a trace file; :class:`TraceFormatError` names the file and line."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_trace(fh)
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
-    except TraceFormatError as exc:
-        raise TraceFormatError(f"{path}: {exc}") from None
 
 
 def _json_line(record: dict) -> str:

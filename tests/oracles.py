@@ -29,7 +29,10 @@ template with each distinct string encoded once.
 at a time, kept as the oracle for ``storagelab.psl._check_rule``.
 ``parse_psl`` and ``parse_rules`` handle a rule file line by line, kept as the
 oracles for ``storagelab.psl.parse_psl`` and ``storagelab.filterlist.parse_rules``,
-which take the lines already in canonical form in one regex scan. The
+which take the lines already in canonical form in one regex scan.
+``_not_utf8`` opens a file again and decodes it line by line to find its
+first byte that is not UTF-8, kept as the oracle for the CLI's input helper,
+which finds the line and column in the bytes it already read. The
 hypothesis tests in ``test_oracles.py`` require each pair to agree on random
 inputs.
 """
@@ -44,6 +47,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, takewhile
+from pathlib import Path
 from typing import Iterable, Sequence
 from urllib.parse import urlsplit
 
@@ -768,6 +772,18 @@ def generate_synthetic_trace(spec: SyntheticSpec) -> Trace:
 # writer builds a dict per frame and encodes it with its own ``json.dumps``.
 
 
+def _not_utf8(path: str | Path) -> TraceFormatError:
+    """The error for a file that is not UTF-8, naming its first such line."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return TraceFormatError(f"{path}: line {line_no}: not UTF-8 "
+                                        f"({exc.reason} at column {exc.start + 1})")
+    return TraceFormatError(f"{path}: not UTF-8")
+
+
 def _flow_record(row: list[str]) -> CookieFlowRecord:
     profile, crawl_iter, visit_seq, top_site, third_party_site, name, value = _flows._require(
         _flows._csv_record(FLOW_FIELDS, row), *FLOW_FIELDS)
@@ -795,7 +811,7 @@ def read_flows_csv(path) -> list[CookieFlowRecord]:
                     raise TraceFormatError(f"{path}: line {reader.line_num}: {exc}") from None
             return flows
     except UnicodeDecodeError:
-        raise _flows._not_utf8(path) from None
+        raise _not_utf8(path) from None
 
 
 def _frame_entry(line: str):
@@ -827,7 +843,7 @@ def read_frames_jsonl(path) -> dict:
                     raise TraceFormatError(f"{path}: line {line_no}: {exc}") from None
                 frames[key] = record
     except UnicodeDecodeError:
-        raise _flows._not_utf8(path) from None
+        raise _not_utf8(path) from None
     return frames
 
 

@@ -5,9 +5,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from storagelab.cli import _parse_input
+from storagelab.flows import read_flows_csv
 from storagelab.metrics import OptimizeInstance, jaccard
 from storagelab.policy import PolicyKind
-from storagelab.simulator import replay
+from storagelab.simulator import read_frames_jsonl, replay
 from storagelab.trace import (
     BehaviorEdgeRecord,
     FrameLoad,
@@ -17,6 +19,19 @@ from storagelab.trace import (
     VisitEnd,
     VisitStart,
 )
+
+
+
+def read_flows(path):
+    """The flow table in the file at ``path``, read as the CLI reads an input:
+    an error is an ``InputError`` naming the file."""
+    return _parse_input(path, read_flows_csv, "")[0]
+
+
+def read_frames(path):
+    """The frames in the file at ``path``, read as the CLI reads an input."""
+    return _parse_input(path, read_frames_jsonl, None)[0]
+
 
 THIRD_PARTY = "https://t.net/w"
 PAGE_A = "https://a.com/"

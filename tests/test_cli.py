@@ -1,7 +1,10 @@
 import argparse
+import builtins
 import csv
+import io
 import json
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -476,7 +479,8 @@ def _put_bad_byte(path: Path) -> Path:
 class TestNonUtf8Input:
     """Each reader names the file and line of a byte that is not UTF-8 (exit 2)."""
 
-    @pytest.mark.parametrize("reader", ["trace", "psl", "filters", "flows", "frames", "grades"])
+    @pytest.mark.parametrize("reader", ["trace", "psl", "filters", "flows", "frames", "manifest",
+                                        "grades"])
     def test_input_error_names_file_and_line(self, pipeline, tmp_path, capsys, reader):
         base, dirs = pipeline
         sim = tmp_path / "sim"
@@ -493,6 +497,7 @@ class TestNonUtf8Input:
             "filters": (tmp_path / "ads.txt", [*simulate, "--filters", tmp_path / "ads.txt"]),
             "flows": (sim / "flows.csv", ["metrics", "picf", "--flows", sim / "flows.csv"]),
             "frames": (sim / "frames.jsonl", ["metrics", "candidates", "--sim", sim]),
+            "manifest": (sim / "manifest.json", ["metrics", "candidates", "--sim", sim]),
             "grades": (tmp_path / "grades.csv",
                        ["metrics", "kappa", "--grades", tmp_path / "grades.csv"]),
         }[reader]
@@ -563,6 +568,60 @@ def test_manifest_echoes_command_options_and_outputs(pipeline, tmp_path, command
     assert echoed.items() <= manifest["config"].items()
     assert sorted(manifest["outputs"]) == sorted(
         p.name for p in out.iterdir() if p.name != "manifest.json")
+
+
+# Each subcommand with every kind of input it takes: (flags, the files it reads).
+READ_CASES = {
+    "gen-trace": lambda d, f: (["--sites", 2], []),
+    "simulate": lambda d, f: (["--policy", "permissive", "--trace", f["trace"],
+                               "--psl", f["psl"], "--filters", f["ads"]],
+                              [f["trace"], f["psl"], f["ads"]]),
+    "metrics picf": lambda d, f: (["--flows", d["permissive"] / "flows.csv",
+                                   d["blocking"] / "flows.csv"],
+                                  [d["permissive"] / "flows.csv", d["blocking"] / "flows.csv"]),
+    "metrics cross-site": lambda d, f: (["--flows", d["permissive"] / "flows.csv"],
+                                        [d["permissive"] / "flows.csv"]),
+    "metrics cross-time": lambda d, f: (["--flows", d["site-keyed"] / "flows.csv"],
+                                        [d["site-keyed"] / "flows.csv"]),
+    "metrics similarity": lambda d, f: (
+        ["--permissive", d["permissive"], "--compared", d["blocking"]],
+        [d[p] / name for p in ("permissive", "blocking")
+         for name in ("manifest.json", "frames.jsonl")]),
+    "metrics optimize": lambda d, f: (
+        ["--permissive", d["permissive"], "--contrast", d["blocking"]],
+        [d[p] / name for p in ("permissive", "blocking")
+         for name in ("manifest.json", "frames.jsonl")]),
+    "metrics candidates": lambda d, f: (
+        ["--sim", d["permissive"], "--psl", f["psl"]],
+        [f["psl"], *(d["permissive"] / name
+                     for name in ("manifest.json", "flows.csv", "frames.jsonl"))]),
+    "metrics kappa": lambda d, f: (["--grades", f["grades"]], [f["grades"]]),
+}
+
+
+@pytest.mark.parametrize("command", list(READ_CASES))
+def test_each_input_file_is_opened_once(pipeline, tmp_path, monkeypatch, command):
+    base, dirs = pipeline
+    files = write_inputs(base, tmp_path)
+    files["psl"] = tmp_path / "psl.dat"
+    files["psl"].write_text("com\ntest\nco.uk\n")
+    flags, inputs = READ_CASES[command](dirs, files)
+    opened = Counter()
+    real_open = io.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if "r" in mode and not isinstance(file, int):
+            opened[Path(file).resolve()] += 1
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert run(*command.split(), *flags, "--out", tmp_path / "out") == 0
+    monkeypatch.undo()
+    read = Counter({path: n for path, n in opened.items()
+                    if path.is_relative_to(base.resolve())
+                    or path.is_relative_to(tmp_path.resolve())})
+    assert read == Counter(Path(path).resolve() for path in inputs)
 
 
 def run_pipeline(base: Path) -> dict[str, bytes]:

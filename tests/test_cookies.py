@@ -150,6 +150,20 @@ class TestParseSetCookie:
         cookie = parse_set_cookie(header, "https://a.com/", RULES)
         assert (cookie.name, cookie.value, cookie.path) == expected
 
+    @pytest.mark.parametrize("header,expected", [
+        # RFC 6265 §5.2 step 4 removes only WSP (SP and HTAB) around the
+        # value: NBSP and the ideographic space stay.
+        ("a=\xa0x\u3000", ("a", "\xa0x\u3000", "/")),
+        # §5.2, step 5 for each cookie-av: NEL is no WSP, so "\x85Path" is
+        # an unknown attribute and the Path is ignored.
+        ("a=1; \x85Path=/x", ("a", "1", "/")),
+        # §5.2 step 4 trims the name of WSP only; NBSP inside it is kept.
+        ("a\xa0b=1", ("a\xa0b", "1", "/")),
+    ])
+    def test_only_wsp_is_trimmed(self, header, expected):
+        cookie = parse_set_cookie(header, "https://a.com/", RULES)
+        assert (cookie.name, cookie.value, cookie.path) == expected
+
     @pytest.mark.parametrize("attrs", [
         "Domain=..example.com",  # only one leading dot is stripped
         "Domain=example.com; Domain=other.com",

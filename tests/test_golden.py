@@ -1,16 +1,22 @@
-"""Pinned bytes of the simulate outputs on one small seeded experiment.
+"""Pinned bytes of the simulate and metrics outputs on one small seeded experiment.
 
 ``gen-trace`` and then ``simulate`` run for all four policies through
 ``cli.main``, in-process, with every path relative to one working
-directory (the manifests record the paths). Each sha256 below was taken
-before replay and the ``frames.jsonl`` writer were optimized, so a change
-to any output byte fails here; such a change must be deliberate and
-explained.
+directory (the manifests record the paths). Every metrics command then
+runs on those outputs: ``picf``, ``cross-site`` and ``cross-time`` per
+policy, ``similarity`` of each other policy against permissive,
+``optimize``, ``candidates`` and ``kappa`` on a fixed grades file. Each
+sha256 below was taken before the code it guards was last reworked (replay
+and the ``frames.jsonl`` writer for the simulate outputs, the input
+readers for the metrics outputs), so a change to any output byte fails
+here; such a change must be deliberate and explained.
 """
 
 import contextlib
 import hashlib
 import io
+
+import pytest
 
 from storagelab.cli import main
 
@@ -31,20 +37,147 @@ GOLDEN = {
     "page-length/manifest.json": "64fd90a5e48ed2f50a20d7d54c21a2de5891f898c3e9e3324bdcb2a8d847bed2",
 }
 
+METRICS_GOLDEN = {
+    "candidates/candidates.csv":
+        "c840ac6af9d4b73c3651e5cfa403140c32cadafaee3ed8394aa51afb963e7f6d",
+    "candidates/manifest.json":
+        "d8669d20c573c373c2c293f32dcdc0bf3ecc3374490bb06dc6f65863de42dc22",
+    "cross-site/blocking/cross_site_curve.csv":
+        "d7a69eeb5dd7ea484b7d8808bde3c31e51025f2e7f48f72c58a6ef3d6f00bdf4",
+    "cross-site/blocking/manifest.json":
+        "1da310966b0244f06fbba7c5f38c0c2602861d18a4d7bc5205da127ab9b1233d",
+    "cross-site/page-length/cross_site_curve.csv":
+        "d7a69eeb5dd7ea484b7d8808bde3c31e51025f2e7f48f72c58a6ef3d6f00bdf4",
+    "cross-site/page-length/manifest.json":
+        "f8be766fee96645985ffbe4ca544ca86fb9d6af872ba9a31258d0edcd8a18a59",
+    "cross-site/permissive/cross_site_curve.csv":
+        "a3ca030b63deb989930bf0b93fd6bf3259b1c09e3b94fdd6bc93e7f673748e8f",
+    "cross-site/permissive/manifest.json":
+        "6c55c3efd3c65a84930ec274b60ec0c0eba68b33a234fca6cc0a0418f23b3f4b",
+    "cross-site/site-keyed/cross_site_curve.csv":
+        "d7a69eeb5dd7ea484b7d8808bde3c31e51025f2e7f48f72c58a6ef3d6f00bdf4",
+    "cross-site/site-keyed/manifest.json":
+        "1b5c9f9495ad192e30f1029c311ad25eb03fb6090c52af19e052644929f6086f",
+    "cross-time/blocking/cross_time_curve.csv":
+        "9cdd18e660ad537edb013b97a6cf8f7ed26e38f94d09e743ac195dd2c838ad74",
+    "cross-time/blocking/manifest.json":
+        "2f0069dc3e7b52387950a53c8801a2505a86c2fa3b03a9235b887e103fee9339",
+    "cross-time/page-length/cross_time_curve.csv":
+        "9cdd18e660ad537edb013b97a6cf8f7ed26e38f94d09e743ac195dd2c838ad74",
+    "cross-time/page-length/manifest.json":
+        "386a93bf7237584a4c62f7f4e04f61624950d86d75033b3eaa671b1f2b2e657b",
+    "cross-time/permissive/cross_time_curve.csv":
+        "034155b022ab7d48d3b767f7badfae649df756d146cd93bbd8e5c0e8cd11300b",
+    "cross-time/permissive/manifest.json":
+        "940aeb0aa17a27f9bf9d85b8319804de9cd1c6a162e2b7887008944f42d98ee3",
+    "cross-time/site-keyed/cross_time_curve.csv":
+        "034155b022ab7d48d3b767f7badfae649df756d146cd93bbd8e5c0e8cd11300b",
+    "cross-time/site-keyed/manifest.json":
+        "f842a81a1da4acde4027d119cf31bf932c304be485ff8fadb379e521cd3f52fe",
+    "kappa/grading_report.json":
+        "b07ca39a5d3d619ab7068a5119a49ef5845939ce6b8fdb665250502c26bb04dd",
+    "kappa/manifest.json":
+        "bce30a61371b5af774b52189bcb0e682453dcb5799e476b71ec5d94bb101434a",
+    "optimize/manifest.json":
+        "e27e545aaa24e6001ecb1584d75dde65c49db3e740237d896128980db5bc8cb8",
+    "optimize/optimize_report.json":
+        "116c52d77ab0268cfac15a0d16ff67fab69d0321fd88c248fbe87932aae8014f",
+    "picf/blocking/manifest.json":
+        "6e013c80da55853f267934f7b31dcc3146b54e5abcc983de0394a541eedc8142",
+    "picf/blocking/picfs.csv":
+        "0b7297341450e7af0d3095b9b09a05ad118cf78a3c79bbea33a2d76661e005dd",
+    "picf/page-length/manifest.json":
+        "4c4d54c0dd52f3b3a0a722d3dedc078029b4f82107d35c58a3610ae1aa9d6d26",
+    "picf/page-length/picfs.csv":
+        "e7f27bc99d2e9f4c9894286a8f0080e0bffb786c4ed38feb395b5bbfea772409",
+    "picf/permissive/manifest.json":
+        "fceffd78aff05102d310fbe26026fa0f1c9390c85cc4367175e007b7eccd19ea",
+    "picf/permissive/picfs.csv":
+        "538e7fe3f8149cb40fc7e84647280b49670b58993f747caf99e25590a58ef3e6",
+    "picf/site-keyed/manifest.json":
+        "6e1e4d553d71ed8262511332edb0d3b4cdd35062e9842496cb582e490dc5dde7",
+    "picf/site-keyed/picfs.csv":
+        "4be1af0e771d807b4eb359a0ddee53da0d6c22044c1b827c865ab6dc03ba2029",
+    "similarity/blocking/manifest.json":
+        "9957bf539fc866b13bb4dfe09266fcb20f8f1eed11f351b4452351df4387a9de",
+    "similarity/blocking/similarity_curve.csv":
+        "987eee2e6b9cc06b1c7865fc9822b5859451b05ad6c970a2fff5f4c8cb7ce1e6",
+    "similarity/blocking/similarity_report.json":
+        "9484f2da496fe041d04a2c0b819034d0e6370fccd9ba12a5678065b1321f0ed1",
+    "similarity/blocking/similarity_scores.csv":
+        "5c36a1c5009cf73db84c1a589839137e86e10acbc82868948cada5094e74edca",
+    "similarity/page-length/manifest.json":
+        "87c45573857f7af4d5a10d398860896660d0ca6d78d2b940004b509d358b2a5e",
+    "similarity/page-length/similarity_curve.csv":
+        "d0b8ffe0e40a05f531f5b7f6343e84724bd2d013e7b6fa596bf52455ab594bf7",
+    "similarity/page-length/similarity_report.json":
+        "1b84588574246e28f02845b7f8d926e013afc504fef275be2021ec7c319235b5",
+    "similarity/page-length/similarity_scores.csv":
+        "f89c090c5b970b1bb8ec0778121fb606455ac1a0e0c177ccbbfe4f504a8ad48b",
+    "similarity/site-keyed/manifest.json":
+        "f80f4960d4a5e7fa4c57edead59cd01e3aac70152b75041be5439795b3fc618e",
+    "similarity/site-keyed/similarity_curve.csv":
+        "d0b8ffe0e40a05f531f5b7f6343e84724bd2d013e7b6fa596bf52455ab594bf7",
+    "similarity/site-keyed/similarity_report.json":
+        "1b84588574246e28f02845b7f8d926e013afc504fef275be2021ec7c319235b5",
+    "similarity/site-keyed/similarity_scores.csv":
+        "f89c090c5b970b1bb8ec0778121fb606455ac1a0e0c177ccbbfe4f504a8ad48b",
+}
+
+GRADES = ("url,profile,grader_a,grader_b\n"
+          "https://a.test/,page-length,1,1\n"
+          "https://b.test/,page-length,2,1\n"
+          "https://c.test/,site-keyed,1,2\n"
+          "https://d.test/,site-keyed,3,3\n")
+
 
 def _run(*argv: str) -> int:
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return main(list(argv))
 
 
-def test_simulate_outputs_match_pinned_digests(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def _metrics_runs():
+    """(output directory, argv) of each metrics command of the experiment."""
     for policy in POLICIES:
-        assert _run("gen-trace", "--sites", "5", "--trackers", "3", "--tracker-prob", "0.5",
-                    "--pages", "2", "--iters", "2", "--profiles", "2", "--seed", "1",
-                    "--policy", policy, "--out", f"traces/{policy}") == 0
-        assert _run("simulate", "--policy", policy, "--trace", f"traces/{policy}/trace.jsonl",
-                    "--out", f"sim/{policy}") == 0
-    digests = {name: hashlib.sha256((tmp_path / "sim" / name).read_bytes()).hexdigest()
-               for name in GOLDEN}
-    assert digests == GOLDEN
+        flows = f"sim/{policy}/flows.csv"
+        yield f"picf/{policy}", ["metrics", "picf", "--flows", flows]
+        yield f"cross-site/{policy}", ["metrics", "cross-site", "--flows", flows]
+        yield f"cross-time/{policy}", ["metrics", "cross-time", "--flows", flows]
+    for policy in POLICIES[1:]:
+        yield f"similarity/{policy}", ["metrics", "similarity", "--permissive", "sim/permissive",
+                                       "--compared", f"sim/{policy}"]
+    yield "optimize", ["metrics", "optimize", "--permissive", "sim/permissive",
+                       "--contrast", "sim/page-length"]
+    yield "candidates", ["metrics", "candidates", "--sim", "sim/permissive"]
+    yield "kappa", ["metrics", "kappa", "--grades", "grades.csv"]
+
+
+@pytest.fixture(scope="module")
+def experiment(tmp_path_factory):
+    """The experiment's working directory, after every command ran."""
+    base = tmp_path_factory.mktemp("golden")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(base)
+        for policy in POLICIES:
+            assert _run("gen-trace", "--sites", "5", "--trackers", "3", "--tracker-prob", "0.5",
+                        "--pages", "2", "--iters", "2", "--profiles", "2", "--seed", "1",
+                        "--policy", policy, "--out", f"traces/{policy}") == 0
+            assert _run("simulate", "--policy", policy,
+                        "--trace", f"traces/{policy}/trace.jsonl", "--out", f"sim/{policy}") == 0
+        (base / "grades.csv").write_text(GRADES, encoding="utf-8")
+        for out, argv in _metrics_runs():
+            assert _run(*argv, "--out", f"metrics/{out}") == 0, argv
+    return base
+
+
+def _digests(root) -> dict[str, str]:
+    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_simulate_outputs_match_pinned_digests(experiment):
+    assert _digests(experiment / "sim") == GOLDEN
+
+
+def test_metrics_outputs_match_pinned_digests(experiment):
+    assert _digests(experiment / "metrics") == METRICS_GOLDEN

@@ -7,10 +7,11 @@ once-per-distinct-line trace parser with the one that parses every line, and
 the generator that asks ``resolve_partition`` for its partition keys with the
 one that keeps its own model of them, the trace writers that encode each
 distinct event once with the dump that encodes every event, the one-pass
-simulate output readers with the per-field ones, the templated frames
-writer with the per-record ``json.dumps``, the one-pass PSL rule
-check with the per-character one, and the rule-file parsers that scan the
-canonical lines in one regex pass with the line-by-line ones.
+simulate output readers with the per-field ones, the input helper's
+not-UTF-8 line and column with a second line-by-line read of the file, the
+templated frames writer with the per-record ``json.dumps``, the one-pass PSL
+rule check with the per-character one, and the rule-file parsers that scan
+the canonical lines in one regex pass with the line-by-line ones.
 
 Rules and hosts are drawn from a small label alphabet so that normal,
 wildcard and exception rules actually match, nest and compete. Edge sets are
@@ -28,7 +29,8 @@ from hypothesis import strategies as st
 import oracles
 import support
 from storagelab.filterlist import EMPTY_RULES, AdRuleSet, is_ad_url, parse_rules
-from storagelab.flows import FLOW_FIELDS, TraceFormatError, read_flows_csv
+from storagelab.cli import InputError, _parse_input
+from storagelab.flows import FLOW_FIELDS, TraceFormatError
 from storagelab.metrics import OptimizeInstance, frame_similarity, jaccard, optimize_node_types
 from storagelab.policy import STORAGE_APIS, Ephemeral, Party, PolicyKind, resolve_partition
 from storagelab.psl import (
@@ -44,7 +46,6 @@ from storagelab.simulator import (
     FrameRecord,
     ReplayError,
     SimOutput,
-    read_frames_jsonl,
     replay,
     write_frames_jsonl,
 )
@@ -513,7 +514,7 @@ def _write_rows(path, header, rows, insert=None):
 def _read_outcome(read, path):
     try:
         return read(path)
-    except TraceFormatError as exc:
+    except (TraceFormatError, InputError) as exc:
         return str(exc)
 
 
@@ -530,7 +531,7 @@ def flow_rows(draw):
 def test_flows_reader_matches_per_field_reader(tmp_path_factory, rows):
     path = tmp_path_factory.getbasetemp() / "drawn-flows.csv"
     _write_rows(path, FLOW_FIELDS, rows)
-    flows = _read_outcome(read_flows_csv, path)
+    flows = _read_outcome(support.read_flows, path)
     assert flows == _read_outcome(oracles.read_flows_csv, path)
     assert all(type(f.crawl_iter) is int and type(f.visit_seq) is int for f in flows)
 
@@ -542,7 +543,7 @@ def test_bad_flow_row_fails_alike(tmp_path_factory, rows, bad, index):
     rows = [row for row in rows if row and "\n" not in "".join(row)]
     index = min(index, len(rows))
     _write_rows(path, FLOW_FIELDS, rows, insert=(index, bad[0]))
-    message = _read_outcome(read_flows_csv, path)
+    message = _read_outcome(support.read_flows, path)
     assert message == _read_outcome(oracles.read_flows_csv, path)
     assert f": line {2 + index}: {bad[1]}" in message
 
@@ -583,7 +584,7 @@ def frame_lines(draw):
 def test_frames_reader_matches_per_field_reader(tmp_path_factory, lines):
     path = tmp_path_factory.getbasetemp() / "drawn-frames.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert read_frames_jsonl(path) == oracles.read_frames_jsonl(path)
+    assert support.read_frames(path) == oracles.read_frames_jsonl(path)
 
 
 @settings(max_examples=100)
@@ -594,7 +595,7 @@ def test_bad_frame_line_fails_alike(tmp_path_factory, lines, bad, index):
     index = min(index, len(lines))
     lines.insert(index, bad[0])
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    message = _read_outcome(read_frames_jsonl, path)
+    message = _read_outcome(support.read_frames, path)
     assert message == _read_outcome(oracles.read_frames_jsonl, path)
     assert f": line {1 + index}: {bad[1]}" in message
 
@@ -630,7 +631,38 @@ def test_frames_writer_matches_per_record_dumps(tmp_path_factory, frames):
     oracles.write_frames_jsonl(frames, base / "dumped-frames.jsonl")
     written = (base / "written-frames.jsonl").read_bytes()
     assert written == (base / "dumped-frames.jsonl").read_bytes()
-    assert read_frames_jsonl(base / "written-frames.jsonl") == frames
+    assert support.read_frames(base / "written-frames.jsonl") == frames
+
+
+# ---------------------------------------------------------------------------
+# Not-UTF-8 errors: bytes made of ASCII, line ends, whole UTF-8 sequences, the
+# same sequences cut short (so that a line end or the end of the file follows
+# them) and stray bytes.
+
+BYTE_PIECES = st.one_of(
+    st.sampled_from([b"a", b"\n", b"\r", b"\r\n", "\u00fc".encode(), "\u20ac".encode(),
+                     "\U0001f600".encode(), b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98", b"\x80",
+                     b"\xff", b"\xed\xa0\x80"]),
+    st.binary(max_size=3),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(BYTE_PIECES, max_size=24), st.sampled_from([None, ""]))
+@example([b"ab\xe2\x82\ncd"], None)
+@example([b"x\r\n\xe2\x82"], "")
+@example([b"a" * 8191, "\u20ac".encode(), b"\n"], None)  # a sequence across the 8 KiB chunks
+@example([b"a\n" * 5000, b"\xe2\x82\n"], "")
+def test_not_utf8_error_names_the_line_a_second_read_finds(tmp_path_factory, pieces, newline):
+    path = tmp_path_factory.getbasetemp() / "drawn-bytes.txt"
+    data = b"".join(pieces)
+    path.write_bytes(data)
+    try:
+        _parse_input(path, list, newline)
+    except InputError as exc:
+        assert str(exc) == str(oracles._not_utf8(path))
+    else:
+        data.decode("utf-8")
 
 
 # ---------------------------------------------------------------------------

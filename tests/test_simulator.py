@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import re
 
@@ -7,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
+from storagelab.cli import InputError
 from storagelab.filterlist import parse_rules
-from storagelab.flows import FLOW_FIELDS, CookieFlowRecord, TraceFormatError, read_flows_csv
+from storagelab.flows import FLOW_FIELDS, CookieFlowRecord, read_flows_csv
 from storagelab.policy import Party, PolicyKind
 from storagelab.simulator import (
     ReplayError,
-    read_frames_jsonl,
     replay,
     write_flows_csv,
     write_frames_jsonl,
@@ -243,14 +244,14 @@ class TestOutputFiles:
         flows = policy_outputs[PolicyKind.PERMISSIVE].flows
         path = tmp_path / "flows.csv"
         write_flows_csv(flows, path)
-        assert read_flows_csv(path) == flows
+        assert support.read_flows(path) == flows
 
     @settings(max_examples=200)
     @given(FLOWS)
     def test_any_flows_round_trip(self, tmp_path_factory, flows):
         path = tmp_path_factory.getbasetemp() / "drawn-round-trip.csv"
         write_flows_csv(flows, path)
-        assert read_flows_csv(path) == flows
+        assert support.read_flows(path) == flows
 
     @settings(max_examples=100)
     @given(FLOWS.map(lambda flows: [f for f in flows if "\r" not in "".join(map(str, f))]))
@@ -265,7 +266,7 @@ class TestOutputFiles:
         frames = policy_outputs[PolicyKind.PERMISSIVE].frames
         path = tmp_path / "frames.jsonl"
         write_frames_jsonl(frames, path)
-        again = read_frames_jsonl(path)
+        again = support.read_frames(path)
         assert set(again) == set(frames)
         for key, record in frames.items():
             assert again[key].edge_set == record.edge_set
@@ -276,15 +277,15 @@ class TestOutputFiles:
     def test_bad_frame_record_names_file_and_line(self, tmp_path, line, message):
         path = tmp_path / "frames.jsonl"
         path.write_text("\n" + line + "\n")
-        with pytest.raises(TraceFormatError, match=f"frames.jsonl: line 2: {message}"):
-            read_frames_jsonl(path)
+        with pytest.raises(InputError, match=f"frames.jsonl: line 2: {message}"):
+            support.read_frames(path)
 
     @pytest.mark.parametrize("row,message", support.BAD_FLOW_ROWS)
     def test_bad_flow_row_names_file_and_line(self, tmp_path, row, message):
         path = tmp_path / "flows.csv"
         path.write_text(",".join(FLOW_FIELDS) + "\nprof0,1,1,a.com,t.net,id,v\n" + row + "\n")
-        with pytest.raises(TraceFormatError, match=f"flows.csv: line 3: {message}"):
-            read_flows_csv(path)
+        with pytest.raises(InputError, match=f"flows.csv: line 3: {message}"):
+            support.read_flows(path)
 
     @pytest.mark.parametrize("cell", [" 1_0", "1_0", "+1", "1 ", "\u0661", "\u00b2", "--1", "-",
                                       ""])
@@ -292,15 +293,16 @@ class TestOutputFiles:
         for row in (f"prof0,{cell},1,a.com,t.net,id,v", f"prof0,1,{cell},a.com,t.net,id,v"):
             path = tmp_path / "flows.csv"
             path.write_text(",".join(FLOW_FIELDS) + "\n" + row + "\n", encoding="utf-8")
-            with pytest.raises(TraceFormatError, match="flows.csv: line 2: crawl_iter and "
+            with pytest.raises(InputError, match="flows.csv: line 2: crawl_iter and "
                                                        "visit_seq must be integers"):
-                read_flows_csv(path)
+                support.read_flows(path)
 
     def test_negative_and_zero_padded_integers_are_read(self, tmp_path):
         path = tmp_path / "flows.csv"
         path.write_text(",".join(FLOW_FIELDS) + "\nprof0,-1,007,a.com,t.net,id,v\n"
                         "prof0,-0,-12,a.com,t.net,id,v\n")
-        assert [(f.crawl_iter, f.visit_seq) for f in read_flows_csv(path)] == [(-1, 7), (0, -12)]
+        flows = support.read_flows(path)
+        assert [(f.crawl_iter, f.visit_seq) for f in flows] == [(-1, 7), (0, -12)]
 
     def test_repeated_frame_record_names_file_and_line_of_the_repeat(self, tmp_path):
         path = tmp_path / "frames.jsonl"
@@ -308,9 +310,9 @@ class TestOutputFiles:
                  '"party":"third","profile":"p"}')
         other = first.replace('"crawl_iter":1', '"crawl_iter":2')
         path.write_text(f"{first}\n{other}\n\n{first.replace('false', 'true')}\n")
-        with pytest.raises(TraceFormatError, match=re.escape(
+        with pytest.raises(InputError, match=re.escape(
                 "frames.jsonl: line 4: duplicate frame record ('p', 'f', 'p', 1)")):
-            read_frames_jsonl(path)
+            support.read_frames(path)
 
     @pytest.mark.parametrize("edge", ["foo", "[]", '["script","s","op","script"]',
                                       '["nope","s","op","script","t"]'])
@@ -323,12 +325,10 @@ class TestOutputFiles:
         lines = [json.dumps(record), padding + json.dumps({**record, "crawl_iter": 2,
                                                           "edges": [good, edge]}) + padding]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(TraceFormatError, match=re.escape(
+        with pytest.raises(InputError, match=re.escape(
                 f"frames.jsonl: line 2: not a canonical edge: {edge!r}")):
-            read_frames_jsonl(path)
+            support.read_frames(path)
 
-    def test_bad_flow_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("nope,nope\n1,2\n")
-        with pytest.raises(ValueError):
-            read_flows_csv(path)
+    def test_bad_flow_header_rejected(self):
+        with pytest.raises(ValueError, match="not a flow table"):
+            read_flows_csv(io.StringIO("nope,nope\n1,2\n"))
