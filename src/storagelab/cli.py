@@ -178,7 +178,8 @@ def cmd_simulate(args) -> int:
 
 
 def _load_sim_dir(path_str: str, with_flows: bool = False):
-    """The simulate output (``SimOutput``) in a directory, and its manifest.
+    """The simulate output (``SimOutput``) in a directory, its manifest, and
+    the manifest entries (path and sha256) of the files read, by file name.
     Its ``flows.csv`` is read only ``with_flows``; otherwise the output holds
     no flows."""
     from storagelab.flows import _json_object, read_flows_csv
@@ -187,14 +188,16 @@ def _load_sim_dir(path_str: str, with_flows: bool = False):
     manifest_path = sim_dir / "manifest.json"
     if not manifest_path.is_file():
         raise InputError(f"not a simulation output directory (no manifest): {sim_dir}")
-    manifest, _ = _parse_input(manifest_path, lambda fh: _json_object(fh.read()), None)
+    manifest, entry = _parse_input(manifest_path, lambda fh: _json_object(fh.read()), None)
+    entries = {"manifest.json": entry}
     if manifest.get("command") != "simulate":
         raise InputError(f"{sim_dir}: manifest is not from a simulate run")
-    output = SimOutput(
-        flows=_parse_input(sim_dir / "flows.csv", read_flows_csv, "")[0] if with_flows else None,
-        frames=_parse_input(sim_dir / "frames.jsonl", read_frames_jsonl, None)[0],
-    )
-    return output, manifest
+    flows = None
+    if with_flows:
+        flows, entries["flows.csv"] = _parse_input(sim_dir / "flows.csv", read_flows_csv, "")
+    frames, entries["frames.jsonl"] = _parse_input(sim_dir / "frames.jsonl", read_frames_jsonl,
+                                                   None)
+    return SimOutput(flows, frames), manifest, entries
 
 
 def _require_same_trace(a: dict, b: dict, what: str) -> None:
@@ -278,8 +281,8 @@ def cmd_metrics_similarity(args) -> int:
     from storagelab.flows import write_csv
     from storagelab.metrics import (align_curve_inputs, frame_similarity, mean_defined,
                                     similarity_curve)
-    permissive, perm_manifest = _load_sim_dir(args.permissive)
-    compared, comp_manifest = _load_sim_dir(args.compared)
+    permissive, perm_manifest, perm_entries = _load_sim_dir(args.permissive)
+    compared, comp_manifest, comp_entries = _load_sim_dir(args.compared)
     _require_same_trace(perm_manifest, comp_manifest, "similarity")
     node_filter = _parse_node_filter(args.node_filter)
 
@@ -313,8 +316,8 @@ def cmd_metrics_similarity(args) -> int:
         "node_filter": sorted(t.value for t in node_filter),
     })
     _write_manifest(out, args,
-                    inputs={"permissive_manifest": {"path": args.permissive},
-                            "compared_manifest": {"path": args.compared}},
+                    inputs={"permissive_manifest": perm_entries,
+                            "compared_manifest": comp_entries},
                     outputs=["similarity_scores.csv", "similarity_curve.csv",
                              "similarity_report.json"])
     return 0
@@ -323,8 +326,8 @@ def cmd_metrics_similarity(args) -> int:
 def cmd_metrics_optimize(args) -> int:
     import random
     from storagelab.metrics import build_optimize_sample, optimize_node_types
-    permissive, perm_manifest = _load_sim_dir(args.permissive)
-    contrast, contrast_manifest = _load_sim_dir(args.contrast)
+    permissive, perm_manifest, perm_entries = _load_sim_dir(args.permissive)
+    contrast, contrast_manifest, contrast_entries = _load_sim_dir(args.contrast)
     _require_same_trace(perm_manifest, contrast_manifest, "optimize")
     profiles = [p.strip() for p in args.baseline_profiles.split(",")]
     if len(profiles) != 2:
@@ -348,8 +351,8 @@ def cmd_metrics_optimize(args) -> int:
         "sample_size": len(sample),
     })
     _write_manifest(out, args,
-                    inputs={"permissive_manifest": {"path": args.permissive},
-                            "contrast_manifest": {"path": args.contrast}},
+                    inputs={"permissive_manifest": perm_entries,
+                            "contrast_manifest": contrast_entries},
                     outputs=["optimize_report.json"])
     return 0
 
@@ -359,10 +362,10 @@ def cmd_metrics_candidates(args) -> int:
     from storagelab.metrics import FrameStat, select_candidates
     from storagelab.policy import site_of
     rules, psl_entry = _load_suffix_rules(args.psl)
-    output, _ = _load_sim_dir(args.sim, with_flows=True)
+    output, _, sim_entries = _load_sim_dir(args.sim, with_flows=True)
     pages_by_frame: dict[str, set[str]] = {}
     for (page_url, frame_url, _profile, _iter), record in output.frames.items():
-        if record.party.value != "third" or record.is_ad:
+        if record.party != "third" or record.is_ad:
             continue
         pages_by_frame.setdefault(frame_url, set()).add(page_url)
     cookies_by_site: dict[str, set[tuple[str, str]]] = {}
@@ -384,7 +387,7 @@ def cmd_metrics_candidates(args) -> int:
         print(f"note: only {len(selection.candidates)} distinct-site candidates "
               f"available (requested {args.top})", file=sys.stderr)
     _write_manifest(out, args,
-                    inputs={"psl": psl_entry, "sim_manifest": {"path": args.sim}},
+                    inputs={"psl": psl_entry, "sim_manifest": sim_entries},
                     outputs=["candidates.csv"],
                     extra={"short": selection.short})
     return 0

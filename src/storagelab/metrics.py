@@ -4,8 +4,8 @@ optimization by brute force over the power set, candidate selection for
 manual grading, and the grading arithmetic (agreement, Cohen's kappa,
 breakage table). The privacy metrics are in ``storagelab.picf``.
 
-Similarity scores are exact rationals; everything here is a pure function of
-its inputs.
+An edge is its canonical string. Similarity scores are exact rationals;
+everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from storagelab.policy import site_of
 from storagelab.psl import SuffixRuleSet
 from storagelab.simulator import FrameRecord, SimOutput
-from storagelab.trace import NodeType, _endpoint_types
+from storagelab.trace import _EDGE_MASKS, _TYPE_BIT, NodeType
 
 Score = Fraction | None  # None = undefined (both compared sets empty)
 
@@ -26,25 +26,10 @@ Score = Fraction | None  # None = undefined (both compared sets empty)
 # ---------------------------------------------------------------------------
 # Node-type masks
 #
-# A set of node types is an int with bit i set for the i-th type in value
-# order, the order the optimizer breaks ties in. An edge's pair mask has the
-# bits of its two endpoint types; a filter keeps the edge iff the pair mask
-# has no bit outside the filter's mask.
-
-_TYPE_BIT = {t: 1 << i for i, t in enumerate(sorted(NodeType, key=lambda t: t.value))}
-
-# Pair mask per canonical edge string. Its endpoint types come from the
-# process-wide memo in ``storagelab.trace``, which ``read_frames_jsonl`` has
-# already filled for every edge read from a file.
-_PAIR_MASKS: dict[str, int] = {}
-
-
-def _pair_mask(edge: str) -> int:
-    mask = _PAIR_MASKS.get(edge)
-    if mask is None:
-        src, tgt = _endpoint_types(edge)
-        mask = _PAIR_MASKS[edge] = _TYPE_BIT[src] | _TYPE_BIT[tgt]
-    return mask
+# A set of node types is an int with one bit per type (``trace._TYPE_BIT``).
+# An edge's mask, the bits of its two endpoint types, comes from the memo in
+# ``storagelab.trace`` that the frames reader fills; a filter keeps the edge
+# iff its mask has no bit outside the filter's.
 
 
 def _type_mask(types: Iterable[NodeType]) -> int:
@@ -81,7 +66,7 @@ def _filter_edges(edges: set[str], mask: int) -> set[str]:
     not a copy, when it holds every type."""
     if mask == _ALL_TYPES:
         return edges
-    return {edge for edge in edges if not _pair_mask(edge) & ~mask}
+    return {edge for edge in edges if not _EDGE_MASKS[edge] & ~mask}
 
 
 def _profile_frames(out: SimOutput, profile: str) -> dict[tuple[str, str, int], FrameRecord]:
@@ -113,7 +98,7 @@ def frame_similarity(
     for key in sorted(set(base_frames) & set(other_frames)):
         a = base_frames[key]
         b = other_frames[key]
-        if a.party.value != "third" or b.party.value != "third" or a.is_ad or b.is_ad:
+        if a.party != "third" or b.party != "third" or a.is_ad or b.is_ad:
             continue
         score = jaccard(_filter_edges(a.edge_set, mask), _filter_edges(b.edge_set, mask))
         results.append(FrameSimilarity(key[0], key[1], key[2], score))
@@ -192,13 +177,13 @@ class OptimizeResult(NamedTuple):
     subsets_evaluated: int
 
 
-PairCounts = list[tuple[int, int, int]]  # (pair mask, |a & b|, |a | b|)
+PairCounts = list[tuple[int, int, int]]  # (edge mask, |a & b|, |a | b|)
 
 
 def _pair_counts(a: frozenset[str], b: frozenset[str]) -> PairCounts:
-    """Intersection and union sizes of a vs b, per endpoint pair mask."""
-    inter = Counter(_pair_mask(edge) for edge in a & b)
-    union = Counter(_pair_mask(edge) for edge in a | b)
+    """Intersection and union sizes of a vs b, per edge mask."""
+    inter = Counter(map(_EDGE_MASKS.__getitem__, a & b))
+    union = Counter(map(_EDGE_MASKS.__getitem__, a | b))
     return [(mask, inter[mask], n) for mask, n in union.items()]
 
 
@@ -289,7 +274,7 @@ def build_optimize_sample(
     sample = []
     for key in sorted(set(anchor) & set(replica) & set(contrasted)):
         records = (anchor[key], replica[key], contrasted[key])
-        if any(r.party.value != "third" or r.is_ad for r in records):
+        if any(r.party != "third" or r.is_ad for r in records):
             continue
         sample.append(OptimizeInstance(
             frozenset(anchor[key].edge_set),

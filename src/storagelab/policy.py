@@ -33,11 +33,6 @@ class PolicyKind(Enum):
     PAGE_LENGTH = "page-length"
 
 
-class Party(Enum):
-    FIRST = "first"
-    THIRD = "third"
-
-
 # Partition keys are records, so keys of two kinds never compare equal.
 
 class FirstParty(Record):

@@ -9,7 +9,8 @@ event's exact class, the one ``parse_trace`` builds, behavior edges first.
 Under every policy a frame's partition depends only on its page load and
 its site, so it is resolved once, when the frame loads; a request resolves
 only its destination. A tab's frame registry maps a frame id to the frame's
-URL, partition key and output record, so an edge is one set insert. Every
+URL, partition key and output record, so an edge (its canonical string) is
+one set insert. A frame's party is ``"first"`` or ``"third"``. Every
 page load ends in ``end_page_load`` under every policy; only page-length
 hands out the ephemeral keys it destroys. Flows and frames are replay's only
 outputs. Content adaptivity (pages emitting different edges when storage
@@ -42,7 +43,6 @@ from storagelab.policy import (
     FirstParty,
     PartitionKey,
     PartitionStore,
-    Party,
     PolicyKind,
     resolve_partition,
     site_of,
@@ -57,8 +57,7 @@ from storagelab.trace import (
     TraceEvent,
     VisitEnd,
     VisitStart,
-    _ENDPOINT_TYPES,
-    _endpoint_types,
+    _EDGE_MASKS,
 )
 
 
@@ -70,7 +69,7 @@ class FrameRecord:
     __slots__ = ("edge_set", "is_ad", "party")
 
     def __init__(self, edge_set: set[str] | None = None, is_ad: bool = False,
-                 party: Party = Party.THIRD) -> None:
+                 party: str = "third") -> None:
         self.edge_set = set() if edge_set is None else edge_set
         self.is_ad = is_ad
         self.party = party
@@ -83,7 +82,7 @@ class FrameRecord:
 
 FrameKey = tuple[str, str, str, int]  # (page_url, frame_url, profile, crawl_iter)
 
-_PARTIES = {p.value: p for p in Party}
+PARTIES = ("first", "third")
 
 
 class SimOutput:
@@ -139,7 +138,7 @@ def replay(
                 if frame is None:
                     raise ValueError(f"unknown frame {event.frame_id!r}")
                 if kind is BehaviorEdge:
-                    frame[2].edge_set.add(event.edge.canonical)
+                    frame[2].edge_set.add(event.edge)
                     continue
                 frame_url, frame_pkey, _ = frame
                 now = float(index)
@@ -167,7 +166,7 @@ def replay(
             elif kind is FrameLoad:
                 pkey = resolve_partition(policy, state.page_url, state.load_key,
                                          event.frame_url, rules, origin_keyed=origin_keyed)
-                party = Party.FIRST if isinstance(pkey, FirstParty) else Party.THIRD
+                party = "first" if isinstance(pkey, FirstParty) else "third"
                 ad = event.is_ad if event.is_ad is not None else is_ad_url(event.frame_url, ads)
                 key = (state.page_url, event.frame_url, state.profile, state.crawl_iter)
                 record = out.frames.setdefault(key, FrameRecord(is_ad=ad, party=party))
@@ -209,7 +208,7 @@ def replay(
 # frame edge-set archive (JSONL), each line of which is exactly what
 # json.dumps(record, sort_keys=True, separators=(",", ":")) gives. The writers
 # take a path; read_frames_jsonl takes the lines of a file, which the CLI reads
-# and decodes once.
+# and decodes once, and accepts an edge only as its exact canonical string.
 
 def write_flows_csv(flows: Iterable[CookieFlowRecord], path: str | Path) -> None:
     write_csv(path, [FLOW_FIELDS, *flows])
@@ -240,7 +239,7 @@ def write_frames_jsonl(frames: dict[FrameKey, FrameRecord], path: str | Path) ->
             fh.write(_FRAME_LINE % (
                 crawl_iter, ",".join(map(encoded.__getitem__, sorted(record.edge_set))),
                 encoded[frame_url], "true" if record.is_ad else "false", encoded[page_url],
-                encoded[record.party.value], encoded[profile]))
+                encoded[record.party], encoded[profile]))
 
 
 def _frame_entry(line: str) -> tuple[FrameKey, FrameRecord]:
@@ -252,10 +251,11 @@ def _frame_entry(line: str) -> tuple[FrameKey, FrameRecord]:
     (edges,) = _require(record, "edges", of=list)
     if not all(isinstance(edge, str) for edge in edges):
         raise TraceFormatError("field 'edges' must hold strings")
-    if party not in _PARTIES:
+    if party not in PARTIES:
         raise TraceFormatError(f"unknown party {party!r}")
+    _canonical_edges(edges)
     key = (page_url, frame_url, profile, crawl_iter)
-    return key, FrameRecord(edge_set=set(edges), is_ad=is_ad, party=_PARTIES[party])
+    return key, FrameRecord(edge_set=set(edges), is_ad=is_ad, party=party)
 
 
 def _canonical_edges(edges: list) -> bool:
@@ -266,7 +266,7 @@ def _canonical_edges(edges: list) -> bool:
         return False
     for edge in edges:
         try:
-            _endpoint_types(edge)
+            _EDGE_MASKS[edge]
         except ValueError as exc:
             raise TraceFormatError(str(exc)) from None
     return True
@@ -286,12 +286,12 @@ def read_frames_jsonl(lines: Iterable[str]) -> dict[FrameKey, FrameRecord]:
     is not a canonical edge string, or repeats the (page_url, frame_url,
     profile, crawl_iter) of an earlier record."""
     frames: dict[FrameKey, FrameRecord] = {}
-    known_edge = _ENDPOINT_TYPES.__contains__
+    known_edge = _EDGE_MASKS.__contains__
     for line_no, line in enumerate(lines, start=1):
         try:
             # One pass: decode, unpack the seven fields, check their exact
             # types (a JSON boolean is no integer; only a string is in
-            # _PARTIES) and edges.
+            # PARTIES) and edges.
             try:
                 record, end = _decode(line)
                 page_url, frame_url, profile, crawl_iter, party, is_ad, edges = (
@@ -300,7 +300,7 @@ def read_frames_jsonl(lines: Iterable[str]) -> dict[FrameKey, FrameRecord]:
                          and type(page_url) is str and type(frame_url) is str
                          and type(profile) is str and type(crawl_iter) is int
                          and type(is_ad) is bool and type(edges) is list
-                         and party in _PARTIES
+                         and party in PARTIES
                          and (all(map(known_edge, edges)) or _canonical_edges(edges)))
             except TraceFormatError:
                 raise
@@ -310,14 +310,13 @@ def read_frames_jsonl(lines: Iterable[str]) -> dict[FrameKey, FrameRecord]:
                 valid = False
             if valid:
                 key = (page_url, frame_url, profile, crawl_iter)
-                record = FrameRecord(set(edges), is_ad, _PARTIES[party])
+                record = FrameRecord(set(edges), is_ad, party)
             else:
                 # _frame_entry names what is wrong; a blank line is skipped.
                 line = line.strip()
                 if not line:
                     continue
                 key, record = _frame_entry(line)
-                _canonical_edges(sorted(record.edge_set))
             if frames.setdefault(key, record) is not record:
                 raise TraceFormatError(f"duplicate frame record {key!r}")
         except TraceFormatError as exc:

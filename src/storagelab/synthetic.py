@@ -19,8 +19,9 @@ produces different behavior under different browsers. Traces generated for
 the same scenario (everything but the policy) share a scenario fingerprint
 so cross-policy comparisons can be validated.
 
-All randomness (embedding draws, ID tokens) is derived by hashing the seed,
-so identical specs produce byte-identical traces.
+The edge helpers return canonical edge strings. All randomness (embedding
+draws, ID tokens) is derived by hashing the seed, so identical specs produce
+byte-identical traces.
 """
 
 from __future__ import annotations
@@ -33,15 +34,14 @@ from storagelab.policy import BLOCKED, PartitionKey, PolicyKind, resolve_partiti
 from storagelab.psl import builtin_rules
 from storagelab.trace import (
     BehaviorEdge,
-    BehaviorEdgeRecord,
     FrameLoad,
     HttpRequest,
-    NodeType,
     ScriptStorage,
     Trace,
     TraceMeta,
     VisitEnd,
     VisitStart,
+    _edge_string,
 )
 
 
@@ -87,33 +87,32 @@ def _token(*parts: object) -> str:
     return hashlib.sha256("|".join(str(p) for p in parts).encode()).hexdigest()[:16]
 
 
-def page_fixed_edges(page_url: str, site: str) -> list[BehaviorEdgeRecord]:
+def page_fixed_edges(page_url: str, site: str) -> list[str]:
     script = f"https://{site}/static/app.js"
     return [
-        BehaviorEdgeRecord(NodeType.DOM_ROOT, page_url, "loads_script", NodeType.SCRIPT, script),
-        BehaviorEdgeRecord(NodeType.SCRIPT, script, "sends_request", NodeType.HTTP_RESOURCE,
-                           f"https://{site}/api"),
-        BehaviorEdgeRecord(NodeType.SCRIPT, script, "inserts", NodeType.HTML_ELEMENT, "div#app"),
-        BehaviorEdgeRecord(NodeType.SCRIPT, script, "writes", NodeType.LOCAL_STORAGE, site),
+        _edge_string("dom_root", page_url, "loads_script", "script", script),
+        _edge_string("script", script, "sends_request", "http_resource", f"https://{site}/api"),
+        _edge_string("script", script, "inserts", "html_element", "div#app"),
+        _edge_string("script", script, "writes", "local_storage", site),
     ]
 
 
-def tracker_fixed_edges(widget_url: str, tracker_site: str) -> list[BehaviorEdgeRecord]:
+def tracker_fixed_edges(widget_url: str, tracker_site: str) -> list[str]:
     script = f"https://{tracker_site}/widget.js"
     return [
-        BehaviorEdgeRecord(NodeType.DOM_ROOT, widget_url, "loads_script", NodeType.SCRIPT, script),
-        BehaviorEdgeRecord(NodeType.SCRIPT, script, "sends_request", NodeType.HTTP_RESOURCE,
-                           f"https://{tracker_site}/beacon"),
-        BehaviorEdgeRecord(NodeType.SCRIPT, script, "invokes", NodeType.JS_BUILTIN, "Date.now"),
+        _edge_string("dom_root", widget_url, "loads_script", "script", script),
+        _edge_string("script", script, "sends_request", "http_resource",
+                     f"https://{tracker_site}/beacon"),
+        _edge_string("script", script, "invokes", "js_builtin", "Date.now"),
     ]
 
 
-def tracker_storage_edges(widget_url: str, tracker_site: str) -> list[BehaviorEdgeRecord]:
+def tracker_storage_edges(widget_url: str, tracker_site: str) -> list[str]:
     script = f"https://{tracker_site}/widget.js"
     return [
-        BehaviorEdgeRecord(NodeType.SCRIPT, script, "reads", NodeType.COOKIE_JAR, tracker_site),
-        BehaviorEdgeRecord(NodeType.SCRIPT, script, "writes", NodeType.COOKIE_JAR, tracker_site),
-        BehaviorEdgeRecord(NodeType.SCRIPT, script, "writes", NodeType.LOCAL_STORAGE, tracker_site),
+        _edge_string("script", script, "reads", "cookie_jar", tracker_site),
+        _edge_string("script", script, "writes", "cookie_jar", tracker_site),
+        _edge_string("script", script, "writes", "local_storage", tracker_site),
     ]
 
 

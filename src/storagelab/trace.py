@@ -6,13 +6,18 @@ the README). An optional leading ``meta`` record identifies the scenario a
 generated trace belongs to and the policy its adaptive content was modeled
 against. :func:`parse_trace` takes the lines of a trace file, not its path:
 the CLI reads and decodes the file once and adds its path to an error.
+
+From parse to the metrics an edge is its canonical string, built once per
+distinct line. :func:`edge_endpoint_types`, its one parser, accepts only a
+string that re-encodes to itself; one memo keeps each distinct edge's
+node-type mask for the frames reader and every metric.
 """
 
 from __future__ import annotations
 
 import json
 from enum import Enum
-from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Union
 
@@ -56,53 +61,45 @@ OPTIMAL_NODE_TYPES = frozenset(
 ) | STORAGE_NODE_TYPES
 
 
-class BehaviorEdgeRecord(Record):
-    """One non-structural page behavior; identity is the full 5-tuple of
-    (source type, source key, edge type, target type, target key)."""
+# Bit i of a node-type mask is the i-th type in value order, the order the
+# optimizer breaks ties in.
+_TYPE_BIT = {t: 1 << i for i, t in enumerate(sorted(NodeType, key=lambda t: t.value))}
 
-    __slots__ = ("source_type", "source_key", "edge_type", "target_type", "target_key",
-                 "__dict__")
 
-    @cached_property
-    def canonical(self) -> str:
-        """Unambiguous string encoding used for set membership; computed once
-        per object (the object is immutable, so it cannot go stale)."""
-        return json.dumps(
-            [self.source_type.value, self.source_key, self.edge_type,
-             self.target_type.value, self.target_key],
-            separators=(",", ":"),
-        )
-
-    @classmethod
-    def from_canonical(cls, encoded: str) -> "BehaviorEdgeRecord":
-        st, sk, et, tt, tk = json.loads(encoded)
-        return cls(NodeType(st), sk, et, NodeType(tt), tk)
+def _edge_string(*fields: str) -> str:
+    """The canonical string of an edge (source type, source key, edge type,
+    target type, target key): exactly the bytes of ``json.dumps(list(fields),
+    separators=(",", ":"))``, its only in-memory form."""
+    return "[%s]" % ",".join(map(encode_basestring_ascii, fields))
 
 
 def edge_endpoint_types(encoded: str) -> tuple[NodeType, NodeType]:
     """Source and target node types of a canonical edge string; ValueError
-    naming the string when it is not one."""
+    naming the string when it is not one: a JSON array of five strings, with
+    known node types, that re-encodes to exactly itself."""
     try:
         fields = json.loads(encoded)
-        if isinstance(fields, list) and len(fields) == 5:
+        if (type(fields) is list and len(fields) == 5
+                and all(type(field) is str for field in fields)
+                and _edge_string(*fields) == encoded):
             return NodeType(fields[0]), NodeType(fields[3])
-    except ValueError:  # not JSON, or an unknown node type
+    except (ValueError, TypeError):  # not JSON text, not text, or an unknown node type
         pass
     raise ValueError(f"not a canonical edge: {encoded!r}")
 
 
-# Endpoint types per canonical edge string, so each distinct edge is parsed
-# once per process, by whichever reader or metric meets it first. It holds
-# one pair per distinct edge read, far less than the edge sets holding them.
-_ENDPOINT_TYPES: dict[str, tuple[NodeType, NodeType]] = {}
+class _EdgeMasks(dict):
+    """The node-type mask of each canonical edge string, the bits of its two
+    endpoint types: parsed on first lookup, so once per distinct edge per
+    process, by whichever reader or metric meets it first."""
+
+    def __missing__(self, edge: str) -> int:
+        source, target = edge_endpoint_types(edge)
+        self[edge] = mask = _TYPE_BIT[source] | _TYPE_BIT[target]
+        return mask
 
 
-def _endpoint_types(encoded: str) -> tuple[NodeType, NodeType]:
-    """:func:`edge_endpoint_types`, memoized."""
-    types = _ENDPOINT_TYPES.get(encoded)
-    if types is None:
-        types = _ENDPOINT_TYPES[encoded] = edge_endpoint_types(encoded)
-    return types
+_EDGE_MASKS = _EdgeMasks()
 
 
 class TraceMeta(NamedTuple):
@@ -137,12 +134,15 @@ class ScriptStorage(Record):
 
 
 class BehaviorEdge(Record):
-    __slots__ = ("tab", "frame_id", "edge")
+    __slots__ = ("tab", "frame_id", "edge")  # edge: its canonical string
 
 
 class VisitEnd(Record):
     __slots__ = ("tab",)
 
+
+# The fields of a trace file's edge object, in canonical string order.
+_EDGE_FIELDS = ("source_type", "source_key", "edge_type", "target_type", "target_key")
 
 TraceEvent = Union[VisitStart, FrameLoad, HttpRequest, ScriptStorage, BehaviorEdge, VisitEnd]
 
@@ -173,11 +173,8 @@ def event_to_record(event: TraceEvent) -> dict:
         return {"type": "script_storage", "tab": event.tab, "frame_id": event.frame_id,
                 "api": event.api, "op": event.op, "key": event.key, "value": event.value}
     if isinstance(event, BehaviorEdge):
-        e = event.edge
         return {"type": "behavior_edge", "tab": event.tab, "frame_id": event.frame_id,
-                "edge": {"source_type": e.source_type.value, "source_key": e.source_key,
-                         "edge_type": e.edge_type, "target_type": e.target_type.value,
-                         "target_key": e.target_key}}
+                "edge": dict(zip(_EDGE_FIELDS, json.loads(event.edge)))}
     if isinstance(event, VisitEnd):
         return {"type": "visit_end", "tab": event.tab}
     raise TypeError(f"not a trace event: {event!r}")
@@ -214,13 +211,9 @@ def _record_to_event(record: dict) -> TraceEvent:
     if kind == "behavior_edge":
         tab, frame_id = _require(record, "tab", "frame_id")
         (edge,) = _require(record, "edge", of=dict)
-        st, sk, et, tt, tk = _require(edge, "source_type", "source_key", "edge_type",
-                                      "target_type", "target_key")
-        try:
-            record_edge = BehaviorEdgeRecord(NodeType(st), sk, et, NodeType(tt), tk)
-        except ValueError as exc:
-            raise TraceFormatError(str(exc)) from None
-        return BehaviorEdge(tab, frame_id, record_edge)
+        fields = _require(edge, *_EDGE_FIELDS)
+        NodeType(fields[0]), NodeType(fields[3])  # ValueError for an unknown node type
+        return BehaviorEdge(tab, frame_id, _edge_string(*fields))
     if kind == "visit_end":
         (tab,) = _require(record, "tab")
         return VisitEnd(tab)
@@ -253,7 +246,7 @@ def parse_trace(lines: Iterable[str]) -> Trace:
                                      record.get("spec"))
                     continue
                 event = parsed[line] = _record_to_event(record)
-            except TraceFormatError as exc:
+            except ValueError as exc:  # a TraceFormatError, or an unknown node type
                 raise TraceFormatError(f"line {line_no}: {exc}") from None
         events.append(event)
     return Trace(meta, events)

@@ -2,39 +2,42 @@
 
 The matchers are linear scans over every rule, kept as oracles for the
 label-walk lookups in ``storagelab.psl`` and ``storagelab.filterlist``. The
-node-type functions re-parse every edge string and test enum membership
-subset by subset, kept as oracles for the bitmask forms in
-``storagelab.metrics``. ``replay`` resolves a partition and classifies the
-party again (with ``classify_party``, a second pair of site lookups) on every
+node-type functions re-parse every edge string and test enum membership subset
+by subset, kept as oracles for the bitmask forms in ``storagelab.metrics``.
+``edge_string`` runs ``json.dumps`` on an edge's five fields, kept as the
+oracle for ``storagelab.trace._edge_string``, which joins the fields' JSON
+string encodings. ``replay`` resolves a partition and classifies the party
+again (with ``classify_party``, a second pair of site lookups) on every
 storage touch, and looks up a frame's output record by its key on every edge,
 kept as the oracle for ``storagelab.simulator.replay``, which resolves each
-frame once and keeps its record in the frame registry. Its ``PartitionStore`` keeps a DOM-storage area
-beside each cookie jar and answers every script read, kept as the oracle for
-``storagelab.policy.PartitionStore``, which keeps only the jar and applies
-only a script cookie ``set`` or ``delete``. ``parse_trace`` decodes and
-checks every line, repeated or not, kept as the oracle for
-``storagelab.trace.parse_trace``, which does so once per distinct line.
-``generate_synthetic_trace`` keeps its own copy of each policy's partition
-keys, kept as the oracle for ``storagelab.synthetic.generate_synthetic_trace``,
-which asks ``resolve_partition`` for them. ``dump_trace`` encodes every event, repeated
-or not, into one string, kept as the oracle for ``storagelab.trace``'s writers,
-which encode each distinct event once and stream the lines. ``read_flows_csv``
-and ``read_frames_jsonl`` build a dict per row and check each field with its
-own call, kept as the oracles for ``storagelab.flows.read_flows_csv`` and
+frame once and keeps its record in the frame registry. Its ``PartitionStore``
+keeps a DOM-storage area beside each cookie jar and answers every script read,
+kept as the oracle for ``storagelab.policy.PartitionStore``, which keeps only
+the jar and applies only a script cookie ``set`` or ``delete``.
+``parse_trace`` decodes and checks every line, repeated or not, kept as the
+oracle for ``storagelab.trace.parse_trace``, which does so once per distinct
+line. ``generate_synthetic_trace`` keeps its own copy of each policy's
+partition keys, kept as the oracle for
+``storagelab.synthetic.generate_synthetic_trace``, which asks
+``resolve_partition`` for them. ``dump_trace`` encodes every event, repeated
+or not, into one string, kept as the oracle for ``storagelab.trace``'s
+writers, which encode each distinct event once and stream the lines.
+``read_flows_csv`` and ``read_frames_jsonl`` build a dict per row and check
+each field with its own call, kept as the oracles for
+``storagelab.flows.read_flows_csv`` and
 ``storagelab.simulator.read_frames_jsonl``, which check each row in one pass.
 ``write_frames_jsonl`` runs ``json.dumps`` on a dict per frame, kept as the
 oracle for ``storagelab.simulator.write_frames_jsonl``, which fills one line
-template with each distinct string encoded once.
-``check_rule`` splits a PSL rule into its labels and lowercases it a character
-at a time, kept as the oracle for ``storagelab.psl._check_rule``.
-``parse_psl`` and ``parse_rules`` handle a rule file line by line, kept as the
-oracles for ``storagelab.psl.parse_psl`` and ``storagelab.filterlist.parse_rules``,
-which take the lines already in canonical form in one regex scan.
-``_not_utf8`` opens a file again and decodes it line by line to find its
-first byte that is not UTF-8, kept as the oracle for the CLI's input helper,
-which finds the line and column in the bytes it already read. The
-hypothesis tests in ``test_oracles.py`` require each pair to agree on random
-inputs.
+template with each distinct string encoded once. ``check_rule`` splits a PSL
+rule into its labels and lowercases it a character at a time, kept as the
+oracle for ``storagelab.psl._check_rule``. ``parse_psl`` and ``parse_rules``
+handle a rule file line by line, kept as the oracles for
+``storagelab.psl.parse_psl`` and ``storagelab.filterlist.parse_rules``, which
+take the lines already in canonical form in one regex scan. ``_not_utf8``
+opens a file again and decodes it line by line to find its first byte that is
+not UTF-8, kept as the oracle for the CLI's input helper, which finds the line
+and column in the bytes it already read. The hypothesis tests in
+``test_oracles.py`` require each pair to agree on random inputs.
 """
 
 from __future__ import annotations
@@ -64,14 +67,12 @@ from storagelab.policy import (
     Ephemeral,
     FirstParty,
     PartitionKey,
-    Party,
     PolicyKind,
     resolve_partition,
     site_of,
 )
 from storagelab.psl import PslParseError, SuffixRuleSet, is_ip_host
 from storagelab.simulator import (
-    _PARTIES,
     FrameRecord,
     ReplayError,
     SimOutput,
@@ -89,7 +90,6 @@ from storagelab.synthetic import (
 )
 from storagelab.trace import (
     BehaviorEdge,
-    BehaviorEdgeRecord,
     FrameLoad,
     HttpRequest,
     NodeType,
@@ -188,6 +188,12 @@ def is_ad_url(url: str, rules: AdRuleSet) -> bool:
     return any(_substring_regex(rule).search(url) for rule in rules.substring_rules)
 
 
+def edge_string(*fields: str) -> str:
+    """The canonical string of an edge, the five fields as a compact JSON
+    array."""
+    return json.dumps(list(fields), separators=(",", ":"))
+
+
 def _filter_edges(edges: set[str], node_filter: frozenset[NodeType]) -> set[str]:
     kept = set()
     for edge in edges:
@@ -262,13 +268,13 @@ def optimize_node_types(
     return OptimizeResult(subset, separation, base_mean, contrast_mean, evaluated)
 
 
-def classify_party(subject_url: str, top_url: str, rules: SuffixRuleSet) -> Party:
+def classify_party(subject_url: str, top_url: str, rules: SuffixRuleSet) -> str:
     """First party iff the subject's site equals the top-level page's site.
 
     Nested frames classify against the top-level URL, never an intermediate
     parent.
     """
-    return Party.FIRST if site_of(subject_url, rules) == site_of(top_url, rules) else Party.THIRD
+    return "first" if site_of(subject_url, rules) == site_of(top_url, rules) else "third"
 
 
 class StorageArea:
@@ -397,7 +403,7 @@ class _TabState:
     visit_seq: int
     page_url: str
     load_key: int
-    frames: dict[str, tuple[str, bool, Party]] = field(default_factory=dict)
+    frames: dict[str, tuple[str, bool, str]] = field(default_factory=dict)
 
 
 def replay(
@@ -425,7 +431,7 @@ def replay(
             raise ReplayError(f"event {index}: tab {tab!r} has no active visit")
         return state
 
-    def frame_of(index: int, state: _TabState, frame_id: str) -> tuple[str, bool, Party]:
+    def frame_of(index: int, state: _TabState, frame_id: str) -> tuple[str, bool, str]:
         frame = state.frames.get(frame_id)
         if frame is None:
             raise ReplayError(f"event {index}: unknown frame {frame_id!r}")
@@ -525,7 +531,7 @@ def replay(
             state = tab_state(index, event.tab)
             frame_url, _, _ = frame_of(index, state, event.frame_id)
             key = (state.page_url, frame_url, state.profile, state.crawl_iter)
-            out.frames[key].edge_set.add(event.edge.canonical)
+            out.frames[key].edge_set.add(event.edge)
 
         elif isinstance(event, VisitEnd):
             state = tab_state(index, event.tab)
@@ -606,10 +612,10 @@ def record_to_event(record: dict, line_no: int) -> TraceEvent:
         st, sk, et, tt, tk = _require(edge, line_no, "source_type", "source_key",
                                       "edge_type", "target_type", "target_key")
         try:
-            record_edge = BehaviorEdgeRecord(NodeType(st), sk, et, NodeType(tt), tk)
+            NodeType(st), NodeType(tt)
         except ValueError as exc:
             raise TraceFormatError(f"line {line_no}: {exc}") from None
-        return BehaviorEdge(tab, frame_id, record_edge)
+        return BehaviorEdge(tab, frame_id, edge_string(st, sk, et, tt, tk))
     if kind == "visit_end":
         (tab,) = _require(record, line_no, "tab")
         return VisitEnd(tab)
@@ -823,10 +829,10 @@ def _frame_entry(line: str):
     (edges,) = _flows._require(record, "edges", of=list)
     if not all(isinstance(edge, str) for edge in edges):
         raise TraceFormatError("field 'edges' must hold strings")
-    if party not in _PARTIES:
+    if party not in ("first", "third"):
         raise TraceFormatError(f"unknown party {party!r}")
     key = (page_url, frame_url, profile, crawl_iter)
-    return key, FrameRecord(edge_set=set(edges), is_ad=is_ad, party=_PARTIES[party])
+    return key, FrameRecord(edge_set=set(edges), is_ad=is_ad, party=party)
 
 
 def read_frames_jsonl(path) -> dict:
@@ -857,7 +863,7 @@ def write_frames_jsonl(frames: dict, path) -> None:
                 "frame_url": frame_url,
                 "profile": profile,
                 "crawl_iter": crawl_iter,
-                "party": record.party.value,
+                "party": record.party,
                 "is_ad": record.is_ad,
                 "edges": sorted(record.edge_set),
             }, sort_keys=True, separators=(",", ":")) + "\n")

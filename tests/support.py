@@ -11,13 +11,13 @@ from storagelab.metrics import OptimizeInstance, jaccard
 from storagelab.policy import PolicyKind
 from storagelab.simulator import read_frames_jsonl, replay
 from storagelab.trace import (
-    BehaviorEdgeRecord,
     FrameLoad,
     HttpRequest,
     NodeType,
     ScriptStorage,
     VisitEnd,
     VisitStart,
+    _edge_string,
 )
 
 
@@ -186,7 +186,7 @@ def run_jaccard_oracle(seed: int = 1234, count: int = 1000) -> int:
 
 
 def _edge(st, sk, et, tt, tk) -> str:
-    return BehaviorEdgeRecord(st, sk, et, tt, tk).canonical
+    return _edge_string(st.value, sk, et, tt.value, tk)
 
 
 def build_storage_separation_sample() -> list[OptimizeInstance]:

@@ -1,6 +1,7 @@
 import argparse
 import builtins
 import csv
+import hashlib
 import io
 import json
 import shutil
@@ -403,6 +404,53 @@ class TestMetricsCommands:
                    "--out", tmp_path / "o") == 2
         assert (f"{sim / 'frames.jsonl'}: line {line_no}: not a canonical edge: 'nope'"
                 in capsys.readouterr().err)
+
+    def test_spaced_edges_are_input_error_naming_the_edge(self, pipeline, tmp_path, capsys):
+        """An edge with a space after each comma is the same JSON array, but
+        not its canonical string: an input error, not a score of 0."""
+        base, dirs = pipeline
+        sim = tmp_path / "sim"
+        shutil.copytree(dirs["site-keyed"], sim)
+        frames = sim / "frames.jsonl"
+        records = [json.loads(line) for line in frames.read_text().splitlines()]
+        for record in records:
+            record["edges"] = [json.dumps(json.loads(edge)) for edge in record["edges"]]
+        frames.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+        line_no, edge = next((i, r["edges"][0]) for i, r in enumerate(records, 1) if r["edges"])
+        assert ", " in edge
+        assert run("metrics", "similarity", "--permissive", dirs["permissive"], "--compared", sim,
+                   "--out", tmp_path / "o") == 2
+        assert (f"{frames}: line {line_no}: not a canonical edge: {edge!r}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command,key", [("similarity", "permissive_manifest"),
+                                             ("optimize", "permissive_manifest"),
+                                             ("candidates", "sim_manifest")])
+    def test_manifest_records_the_simulate_files_by_content(self, pipeline, tmp_path, command,
+                                                            key):
+        """Rerunning into the same --out on a truncated frames.jsonl changes
+        the manifest, which names each file read with its sha256."""
+        base, dirs = pipeline
+        sim = tmp_path / "sim"
+        shutil.copytree(dirs["permissive"], sim)
+        argv = {"similarity": ["--permissive", sim, "--compared", dirs["site-keyed"]],
+                "optimize": ["--permissive", sim, "--contrast", dirs["page-length"]],
+                "candidates": ["--sim", sim]}[command]
+        out = tmp_path / "out"
+        manifests = []
+        for _ in range(2):
+            assert run("metrics", command, *argv, "--out", out) == 0
+            manifests.append((out / "manifest.json").read_bytes())
+            frames = (sim / "frames.jsonl").read_bytes()
+            entries = json.loads(manifests[-1])["inputs"][key]
+            assert sorted(entries) == (["flows.csv", "frames.jsonl", "manifest.json"]
+                                       if command == "candidates"
+                                       else ["frames.jsonl", "manifest.json"])
+            assert entries["frames.jsonl"] == {"path": str(sim / "frames.jsonl"),
+                                               "sha256": hashlib.sha256(frames).hexdigest()}
+            lines = frames.splitlines(keepends=True)
+            (sim / "frames.jsonl").write_bytes(b"".join(lines[:len(lines) // 2]))
+        assert manifests[0] != manifests[1]
 
     @pytest.mark.parametrize("command", ["similarity", "optimize"])
     def test_repeated_frame_record_is_input_error_naming_file_and_line(

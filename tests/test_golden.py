@@ -1,4 +1,5 @@
-"""Pinned bytes of the simulate and metrics outputs on one small seeded experiment.
+"""Pinned bytes of the gen-trace, simulate and metrics outputs on one small
+seeded experiment.
 
 ``gen-trace`` and then ``simulate`` run for all four policies through
 ``cli.main``, in-process, with every path relative to one working
@@ -6,10 +7,11 @@ directory (the manifests record the paths). Every metrics command then
 runs on those outputs: ``picf``, ``cross-site`` and ``cross-time`` per
 policy, ``similarity`` of each other policy against permissive,
 ``optimize``, ``candidates`` and ``kappa`` on a fixed grades file. Each
-sha256 below was taken before the code it guards was last reworked (replay
-and the ``frames.jsonl`` writer for the simulate outputs, the input
-readers for the metrics outputs), so a change to any output byte fails
-here; such a change must be deliberate and explained.
+sha256 below was taken before the code it guards was last reworked (the
+generator's edges and the trace writer for the traces, replay and the
+``frames.jsonl`` writer for the simulate outputs, the input readers for the
+metrics outputs), so a change to any output byte fails here; such a change
+must be deliberate and explained.
 """
 
 import contextlib
@@ -21,6 +23,17 @@ import pytest
 from storagelab.cli import main
 
 POLICIES = ("permissive", "blocking", "site-keyed", "page-length")
+
+TRACE_GOLDEN = {
+    "blocking/manifest.json": "691145c74d9d8b5aa167c04db5a89ba863fdd62f2d425af02bf1d60d28d3c404",
+    "blocking/trace.jsonl": "ddd82e7a47efcf0693caa75292f78ebd6879cc3e00e36bde46d83112f6702ebc",
+    "page-length/manifest.json": "f1703720b22c05d85575fe5b0da9b63a28b1fa4a78b27c76125e235b9389af6e",
+    "page-length/trace.jsonl": "1cfc63262aec4728195339af80d6c799b87101f808724edf7e89c55ccacea2bf",
+    "permissive/manifest.json": "2588716e072391ed659df99f0db5b58f6d2181c10e65895ab7cc4651b1e208fb",
+    "permissive/trace.jsonl": "51b955deb74309ed6b43091f81de56f1665610277dba7fb1acd79a846696f63c",
+    "site-keyed/manifest.json": "82134fb78bf4775bdb948d6eca37b455a10c1bb802c2fa2f7eebcf9d06e21eb9",
+    "site-keyed/trace.jsonl": "e7e466139330d1838037140373f026dfc45ea3954f3ecdf07c3e743563dad91e",
+}
 
 GOLDEN = {
     "permissive/flows.csv": "4f2438d43eb8fcdc426a9faa6cbb37eafccccc2506fff88668e15982033f4413",
@@ -41,7 +54,7 @@ METRICS_GOLDEN = {
     "candidates/candidates.csv":
         "c840ac6af9d4b73c3651e5cfa403140c32cadafaee3ed8394aa51afb963e7f6d",
     "candidates/manifest.json":
-        "d8669d20c573c373c2c293f32dcdc0bf3ecc3374490bb06dc6f65863de42dc22",
+        "97af1dd63019b76176ed73fa94323714cfae91b28dd0f6154348cbccd0b4035c",
     "cross-site/blocking/cross_site_curve.csv":
         "d7a69eeb5dd7ea484b7d8808bde3c31e51025f2e7f48f72c58a6ef3d6f00bdf4",
     "cross-site/blocking/manifest.json":
@@ -79,7 +92,7 @@ METRICS_GOLDEN = {
     "kappa/manifest.json":
         "bce30a61371b5af774b52189bcb0e682453dcb5799e476b71ec5d94bb101434a",
     "optimize/manifest.json":
-        "e27e545aaa24e6001ecb1584d75dde65c49db3e740237d896128980db5bc8cb8",
+        "21148d2776a273968abfae47c6f25dc1298f939dc8e72e23721eb0f5f67fe044",
     "optimize/optimize_report.json":
         "116c52d77ab0268cfac15a0d16ff67fab69d0321fd88c248fbe87932aae8014f",
     "picf/blocking/manifest.json":
@@ -99,7 +112,7 @@ METRICS_GOLDEN = {
     "picf/site-keyed/picfs.csv":
         "4be1af0e771d807b4eb359a0ddee53da0d6c22044c1b827c865ab6dc03ba2029",
     "similarity/blocking/manifest.json":
-        "9957bf539fc866b13bb4dfe09266fcb20f8f1eed11f351b4452351df4387a9de",
+        "7cd22600349fcc785ca22aa572b8c6987e637f307d2a7f3955f2c5c563d769ec",
     "similarity/blocking/similarity_curve.csv":
         "987eee2e6b9cc06b1c7865fc9822b5859451b05ad6c970a2fff5f4c8cb7ce1e6",
     "similarity/blocking/similarity_report.json":
@@ -107,7 +120,7 @@ METRICS_GOLDEN = {
     "similarity/blocking/similarity_scores.csv":
         "5c36a1c5009cf73db84c1a589839137e86e10acbc82868948cada5094e74edca",
     "similarity/page-length/manifest.json":
-        "87c45573857f7af4d5a10d398860896660d0ca6d78d2b940004b509d358b2a5e",
+        "fd8947bcaf2308c9bbcce3b15d1f1373f3e69ee1aa5e80e711910b48d375641b",
     "similarity/page-length/similarity_curve.csv":
         "d0b8ffe0e40a05f531f5b7f6343e84724bd2d013e7b6fa596bf52455ab594bf7",
     "similarity/page-length/similarity_report.json":
@@ -115,7 +128,7 @@ METRICS_GOLDEN = {
     "similarity/page-length/similarity_scores.csv":
         "f89c090c5b970b1bb8ec0778121fb606455ac1a0e0c177ccbbfe4f504a8ad48b",
     "similarity/site-keyed/manifest.json":
-        "f80f4960d4a5e7fa4c57edead59cd01e3aac70152b75041be5439795b3fc618e",
+        "99b7d082caa94d5f2d56bd753edcb93a52274e45911b8f8ef729a0aa869ab372",
     "similarity/site-keyed/similarity_curve.csv":
         "d0b8ffe0e40a05f531f5b7f6343e84724bd2d013e7b6fa596bf52455ab594bf7",
     "similarity/site-keyed/similarity_report.json":
@@ -173,6 +186,10 @@ def experiment(tmp_path_factory):
 def _digests(root) -> dict[str, str]:
     return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_gen_trace_outputs_match_pinned_digests(experiment):
+    assert _digests(experiment / "traces") == TRACE_GOLDEN
 
 
 def test_simulate_outputs_match_pinned_digests(experiment):

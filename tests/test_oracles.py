@@ -1,17 +1,18 @@
 """The fast paths agree with the reference implementations kept in
 ``oracles.py``: the label-walk PSL and filter-anchor lookups with the linear
-scans, the bitmask node-type filter and optimizer with the enum-set ones, the
-resolve-once replay loop that keeps only cookie jars with the one that resolves
-every storage touch and keeps DOM storage and script reads as well, the
-once-per-distinct-line trace parser with the one that parses every line, and
-the generator that asks ``resolve_partition`` for its partition keys with the
-one that keeps its own model of them, the trace writers that encode each
-distinct event once with the dump that encodes every event, the one-pass
-simulate output readers with the per-field ones, the input helper's
-not-UTF-8 line and column with a second line-by-line read of the file, the
-templated frames writer with the per-record ``json.dumps``, the one-pass PSL
-rule check with the per-character one, and the rule-file parsers that scan
-the canonical lines in one regex pass with the line-by-line ones.
+scans, the edge string builder with ``json.dumps``, the bitmask node-type
+filter and optimizer with the enum-set ones, the resolve-once replay loop
+that keeps only cookie jars with the one that resolves every storage touch
+and keeps DOM storage and script reads as well, the once-per-distinct-line
+trace parser with the one that parses every line, and the generator that
+asks ``resolve_partition`` for its partition keys with the one that keeps
+its own model of them, the trace writers that encode each distinct event
+once with the dump that encodes every event, the one-pass simulate output
+readers with the per-field ones, the input helper's not-UTF-8 line and
+column with a second line-by-line read of the file, the templated frames
+writer with the per-record ``json.dumps``, the one-pass PSL rule check with
+the per-character one, and the rule-file parsers that scan the canonical
+lines in one regex pass with the line-by-line ones.
 
 Rules and hosts are drawn from a small label alphabet so that normal,
 wildcard and exception rules actually match, nest and compete. Edge sets are
@@ -32,7 +33,7 @@ from storagelab.filterlist import EMPTY_RULES, AdRuleSet, is_ad_url, parse_rules
 from storagelab.cli import InputError, _parse_input
 from storagelab.flows import FLOW_FIELDS, TraceFormatError
 from storagelab.metrics import OptimizeInstance, frame_similarity, jaccard, optimize_node_types
-from storagelab.policy import STORAGE_APIS, Ephemeral, Party, PolicyKind, resolve_partition
+from storagelab.policy import STORAGE_APIS, Ephemeral, PolicyKind, resolve_partition
 from storagelab.psl import (
     PslParseError,
     SuffixRuleSet,
@@ -57,7 +58,6 @@ from storagelab.synthetic import (
 )
 from storagelab.trace import (
     BehaviorEdge,
-    BehaviorEdgeRecord,
     FrameLoad,
     HttpRequest,
     NodeType,
@@ -66,7 +66,9 @@ from storagelab.trace import (
     TraceMeta,
     VisitEnd,
     VisitStart,
+    _edge_string,
     dump_trace,
+    edge_endpoint_types,
     event_to_record,
     parse_trace,
     write_trace,
@@ -141,7 +143,32 @@ def test_is_ad_url_matches_linear_scan(url, rules):
 
 
 def _edge(src: NodeType, tgt: NodeType, key: str = "k") -> str:
-    return BehaviorEdgeRecord(src, key, "e", tgt, key).canonical
+    return _edge_string(src.value, key, "e", tgt.value, key)
+
+
+# Edge keys: any character, lone surrogates included, and the ones JSON
+# escapes drawn often.
+EDGE_KEY = st.text(st.one_of(st.characters(exclude_categories=()),
+                             st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\ud800\udfff')),
+                   max_size=6)
+
+
+@given(st.sampled_from(list(NodeType)), EDGE_KEY, EDGE_KEY, st.sampled_from(list(NodeType)),
+       EDGE_KEY)
+@example(NodeType.SCRIPT, 's"|,\\x', "op", NodeType.TEXT_NODE, "")
+@example(NodeType.COOKIE_JAR, "\ud800\n", "\x00", NodeType.WEB_API, "\u00e9\U0001f600")
+@example(NodeType.SCRIPT, "\ud83d\ude00", "", NodeType.SCRIPT, "\U0001f600")
+def test_edge_string_is_json_dumps_and_parses_back(source, source_key, edge_type, target,
+                                                  target_key):
+    fields = (source.value, source_key, edge_type, target.value, target_key)
+    edge = _edge_string(*fields)
+    assert edge == oracles.edge_string(*fields)
+    assert edge_endpoint_types(edge) == (source, target)
+    # Decoding gives back the fields, except that a surrogate pair held as two
+    # code points decodes to the one code point it encodes, as in json.loads.
+    assert _edge_string(*json.loads(edge)) == edge
+    if not any("\ud800" <= ch <= "\udfff" for field in fields for ch in field):
+        assert tuple(json.loads(edge)) == fields
 
 
 def edges_over(types):
@@ -229,8 +256,8 @@ SUBJECT_URLS = ["https://t.net/w", "https://x.t.net/w/i", "http://t.net:8080/w",
 HOSTLESS_URLS = ["not-a-url", "https:///path"]
 SET_COOKIES = ["uid=1", "uid=2; Max-Age=3", "sid=9; Domain=t.net", "p=w; Path=/w",
                "ps=1; Domain=co.uk", "gone=1; Max-Age=0"]
-EDGES = [BehaviorEdgeRecord.from_canonical(_edge(NodeType.SCRIPT, NodeType.COOKIE_JAR)),
-         BehaviorEdgeRecord.from_canonical(_edge(NodeType.SCRIPT, NodeType.LOCAL_STORAGE, "b"))]
+EDGES = [_edge(NodeType.SCRIPT, NodeType.COOKIE_JAR),
+         _edge(NodeType.SCRIPT, NodeType.LOCAL_STORAGE, "b")]
 
 
 KINDS = ["visit", "frame", "frame", "request", "request", "request", "script", "script",
@@ -551,8 +578,7 @@ def test_bad_flow_row_fails_alike(tmp_path_factory, rows, bad, index):
 FRAME_EDGE = st.one_of(
     st.sampled_from([_edge(NodeType.SCRIPT, NodeType.COOKIE_JAR),
                      _edge(NodeType.WEB_API, NodeType.SCRIPT)]),
-    st.builds(lambda src, key, tgt: BehaviorEdgeRecord(src, key, "e", tgt, key).canonical,
-              st.sampled_from(list(NodeType)), TEXT, st.sampled_from(list(NodeType))),
+    st.builds(_edge, st.sampled_from(list(NodeType)), st.sampled_from(list(NodeType)), TEXT),
 )
 
 
@@ -600,8 +626,9 @@ def test_bad_frame_line_fails_alike(tmp_path_factory, lines, bad, index):
     assert f": line {1 + index}: {bad[1]}" in message
 
 
-# Any text: non-ASCII, '"', '\\', control characters and lone surrogates.
-ANY_TEXT = st.text(max_size=6)
+# Any text: non-ASCII, '"', '\\', control characters and lone surrogates (which
+# st.text() leaves out unless its alphabet allows every category).
+ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=6)
 
 
 @st.composite
@@ -611,10 +638,10 @@ def frame_records(draw):
     values and both parties."""
     keys = st.tuples(ANY_TEXT, ANY_TEXT, st.sampled_from(["p0", "p\u00fc", "\ud800"]),
                      st.one_of(st.integers(-3, 3), st.integers()))
-    edge = st.builds(lambda src, key, tgt: BehaviorEdgeRecord(src, key, "e", tgt, key).canonical,
-                     st.sampled_from(list(NodeType)), ANY_TEXT, st.sampled_from(list(NodeType)))
+    edge = st.builds(_edge, st.sampled_from(list(NodeType)), st.sampled_from(list(NodeType)),
+                     ANY_TEXT)
     return draw(st.dictionaries(keys, st.builds(
-        FrameRecord, st.sets(edge, max_size=4), st.booleans(), st.sampled_from(list(Party))),
+        FrameRecord, st.sets(edge, max_size=4), st.booleans(), st.sampled_from(["first", "third"])),
         max_size=6))
 
 
@@ -622,7 +649,7 @@ def frame_records(draw):
 @given(frame_records())
 @example({("https://a.com/\x00\"\\", "\x7f\u2028", "p0", -2**70):
               FrameRecord({_edge(NodeType.SCRIPT, NodeType.COOKIE_JAR, "\ud800\n")}, True,
-                          Party.FIRST),
+                          "first"),
           ("", "", "", 0): FrameRecord()})
 def test_frames_writer_matches_per_record_dumps(tmp_path_factory, frames):
     """Byte for byte the per-record json.dumps lines, read back equal."""

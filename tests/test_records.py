@@ -1,6 +1,7 @@
 """Semantics every record class keeps, whatever it is built from: records of
-different types never compare equal, events, edges and partition keys refuse
-attribute assignment, and derived values are computed once per object."""
+different types never compare equal, events and partition keys refuse
+attribute assignment, and derived values are computed once: an edge string
+per distinct trace line, a substring regex per rule set."""
 
 import itertools
 import json
@@ -13,10 +14,8 @@ from storagelab.filterlist import AdRuleSet, is_ad_url
 from storagelab.policy import Blocked, Ephemeral, FirstParty, GlobalThirdParty, SiteKeyedThirdParty
 from storagelab.trace import (
     BehaviorEdge,
-    BehaviorEdgeRecord,
     FrameLoad,
     HttpRequest,
-    NodeType,
     ScriptStorage,
     VisitEnd,
     VisitStart,
@@ -35,9 +34,7 @@ def build(cls, n_fields: int):
     return cls(*["v"] * n_fields)
 
 
-def _edge() -> BehaviorEdgeRecord:
-    return BehaviorEdgeRecord(NodeType.SCRIPT, "https://t.net/w.js", "reads",
-                              NodeType.COOKIE_JAR, "t.net")
+EDGE = trace._edge_string("script", "https://t.net/w.js", "reads", "cookie_jar", "t.net")
 
 
 @pytest.mark.parametrize("kinds", [PARTITION_KEYS, EVENTS], ids=["partition-keys", "events"])
@@ -62,9 +59,8 @@ def test_records_of_one_type_compare_and_hash_by_value(cls, n_fields):
     FrameLoad("t", "f", "https://t.net/w"),
     HttpRequest("t", "f", "https://t.net/s", ("uid=1",)),
     ScriptStorage("t", "f", "local", "set", "k", "v"),
-    BehaviorEdge("t", "f", _edge()),
+    BehaviorEdge("t", "f", EDGE),
     VisitEnd("t"),
-    _edge(),
     FirstParty("a.com"),
     GlobalThirdParty("t.net"),
     SiteKeyedThirdParty("a.com", "t.net"),
@@ -80,33 +76,35 @@ def test_records_refuse_attribute_assignment(record):
 
 
 @pytest.fixture
-def json_dumps_calls(monkeypatch):
+def edge_strings_built(monkeypatch):
     calls = []
-    real = json.dumps
+    real = trace._edge_string
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(*fields):
+        calls.append(fields)
+        return real(*fields)
 
-    monkeypatch.setattr(trace.json, "dumps", counting)
+    monkeypatch.setattr(trace, "_edge_string", counting)
     return calls
 
 
-def test_canonical_is_encoded_once_per_edge(json_dumps_calls):
-    edge = _edge()
-    first = edge.canonical
-    assert edge.canonical is first
-    assert len(json_dumps_calls) == 1
-    assert _edge().canonical == first  # another object encodes its own
-    assert len(json_dumps_calls) == 2
+def test_canonical_is_encoded_once_per_edge(edge_strings_built):
+    line = json.dumps(trace.event_to_record(BehaviorEdge("t", "f", EDGE)))
+    other = json.dumps(trace.event_to_record(BehaviorEdge("t", "g", EDGE)))
+    events = parse_trace([line, other, line]).events
+    assert len(edge_strings_built) == 2  # once per distinct line
+    assert [e.edge for e in events] == [EDGE] * 3
+    assert events[0].edge is events[2].edge
 
 
-def test_repeated_edge_lines_encode_once(json_dumps_calls):
-    line = json.dumps(trace.event_to_record(BehaviorEdge("t", "f", _edge())))
-    json_dumps_calls.clear()
-    events = parse_trace([line] * 3).events
-    assert {e.edge.canonical for e in events} == {_edge().canonical}
-    assert len(json_dumps_calls) == 2  # the parsed edge once, the fresh one above once
+def test_repeated_edge_lines_encode_once(monkeypatch):
+    decoded = []
+    real_loads = json.loads
+    monkeypatch.setattr(trace.json, "loads", lambda text: decoded.append(text) or real_loads(text))
+    events = [BehaviorEdge("t", "f", EDGE), BehaviorEdge("t", "g", EDGE)] * 3
+    lines = trace.dump_trace(trace.Trace(None, events)).splitlines()
+    assert len(set(lines)) == 2
+    assert decoded == [EDGE, EDGE]  # once per distinct event
 
 
 def test_substring_regex_is_compiled_once_per_rule_set(monkeypatch):

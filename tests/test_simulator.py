@@ -11,7 +11,7 @@ import support
 from storagelab.cli import InputError
 from storagelab.filterlist import parse_rules
 from storagelab.flows import FLOW_FIELDS, CookieFlowRecord, read_flows_csv
-from storagelab.policy import Party, PolicyKind
+from storagelab.policy import PolicyKind
 from storagelab.simulator import (
     ReplayError,
     replay,
@@ -21,13 +21,13 @@ from storagelab.simulator import (
 from storagelab.synthetic import SyntheticSpec, TrackerSpec, generate_synthetic_trace, scenario_id
 from storagelab.trace import (
     BehaviorEdge,
-    BehaviorEdgeRecord,
     FrameLoad,
     HttpRequest,
     NodeType,
     ScriptStorage,
     VisitEnd,
     VisitStart,
+    _edge_string,
     dump_trace,
 )
 
@@ -120,7 +120,7 @@ class TestReplaySemantics:
             first_party = {
                 key: frozenset(record.edge_set)
                 for key, record in out.frames.items()
-                if record.party is Party.FIRST
+                if record.party == "first"
             }
             assert first_party, "first-party frames must be present"
             if reference is None:
@@ -138,7 +138,7 @@ class TestReplaySemantics:
 
     def test_frame_count_covers_profiles_and_iters(self, policy_outputs):
         out = policy_outputs[PolicyKind.PERMISSIVE]
-        tracker_frames = [k for k, v in out.frames.items() if v.party is Party.THIRD]
+        tracker_frames = [k for k, v in out.frames.items() if v.party == "third"]
         assert len(tracker_frames) == N_SITES * N_TRACKERS * N_PROFILES * N_ITERS
 
     def test_ad_flag_from_filter_list(self, rules):
@@ -189,7 +189,7 @@ class TestReplayErrors:
 
 _VISIT = VisitStart("p0", 1, "t", "https://a.com/", 1)
 _FRAME = FrameLoad("t", "f1", "https://t.net/w")
-_EDGE = BehaviorEdgeRecord(NodeType.SCRIPT, "s", "reads", NodeType.COOKIE_JAR, "t.net")
+_EDGE = _edge_string(NodeType.SCRIPT.value, "s", "reads", NodeType.COOKIE_JAR.value, "t.net")
 
 
 @pytest.mark.parametrize("events,message", [
@@ -314,11 +314,20 @@ class TestOutputFiles:
                 "frames.jsonl: line 4: duplicate frame record ('p', 'f', 'p', 1)")):
             support.read_frames(path)
 
-    @pytest.mark.parametrize("edge", ["foo", "[]", '["script","s","op","script"]',
-                                      '["nope","s","op","script","t"]'])
+    @pytest.mark.parametrize("edge", [
+        "foo", "[]", '["script","s","op","script"]', '["nope","s","op","script","t"]',
+        # JSON arrays of the right values that are not spelled canonically
+        '["script", "s", "op", "web_api", "w"]', '["script","s","op","web_api","w"] ',
+        '["script","\\u0061","op","web_api","w"]', '["script","s","op","web_api","é"]',
+        '["script","s","op","web_api","\\/"]',
+        # the wrong number or kind of fields
+        '["script","s","op","web_api",1]', '["script","s","op","web_api",null]',
+        '["script","s","op","web_api"]', '["script","s","op","web_api","w","x"]',
+        '{"0":"script"}', '"script"',
+    ])
     @pytest.mark.parametrize("padding", ["", "  "])
     def test_non_canonical_edge_names_file_line_and_edge(self, tmp_path, edge, padding):
-        good = BehaviorEdgeRecord(NodeType.SCRIPT, "s", "op", NodeType.WEB_API, "w").canonical
+        good = _edge_string(NodeType.SCRIPT.value, "s", "op", NodeType.WEB_API.value, "w")
         path = tmp_path / "frames.jsonl"
         record = {"page_url": "p", "frame_url": "f", "profile": "p", "party": "third",
                   "crawl_iter": 1, "is_ad": False, "edges": [good]}
@@ -327,6 +336,16 @@ class TestOutputFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InputError, match=re.escape(
                 f"frames.jsonl: line 2: not a canonical edge: {edge!r}")):
+            support.read_frames(path)
+
+    @pytest.mark.parametrize("padding", ["", "  "])
+    def test_first_non_canonical_edge_of_a_line_is_named(self, tmp_path, padding):
+        path = tmp_path / "frames.jsonl"
+        record = {"page_url": "p", "frame_url": "f", "profile": "p", "party": "third",
+                  "crawl_iter": 1, "is_ad": False, "edges": ["zz", "aa"]}
+        path.write_text(padding + json.dumps(record) + "\n")
+        with pytest.raises(InputError, match=re.escape(
+                "frames.jsonl: line 1: not a canonical edge: 'zz'")):
             support.read_frames(path)
 
     def test_bad_flow_header_rejected(self):

@@ -7,7 +7,6 @@ from storagelab.flows import TraceFormatError
 from storagelab.trace import (
     ALL_NODE_TYPES,
     BehaviorEdge,
-    BehaviorEdgeRecord,
     FrameLoad,
     HttpRequest,
     NodeType,
@@ -18,6 +17,7 @@ from storagelab.trace import (
     TraceMeta,
     VisitEnd,
     VisitStart,
+    _edge_string,
     dump_trace,
     edge_endpoint_types,
     parse_trace,
@@ -26,7 +26,7 @@ from storagelab.trace import (
 
 
 def sample_trace():
-    edge = BehaviorEdgeRecord(NodeType.SCRIPT, "s.js", "reads", NodeType.COOKIE_JAR, "t.net")
+    edge = _edge_string("script", "s.js", "reads", "cookie_jar", "t.net")
     return Trace(
         meta=TraceMeta(scenario="abc123", policy="permissive", spec={"n_sites": 1}),
         events=[
@@ -89,13 +89,27 @@ def test_node_type_counts():
 
 
 def test_edge_canonical_round_trip():
-    edge = BehaviorEdgeRecord(NodeType.SCRIPT, 's"|,\\x', "op", NodeType.TEXT_NODE, "")
-    assert BehaviorEdgeRecord.from_canonical(edge.canonical) == edge
-    assert edge_endpoint_types(edge.canonical) == (NodeType.SCRIPT, NodeType.TEXT_NODE)
+    edge = _edge_string("script", 's"|,\\x', "op", "text_node", "")
+    assert edge == '["script","s\\"|,\\\\x","op","text_node",""]'
+    assert json.loads(edge) == ["script", 's"|,\\x', "op", "text_node", ""]
+    assert edge_endpoint_types(edge) == (NodeType.SCRIPT, NodeType.TEXT_NODE)
 
 
-@pytest.mark.parametrize("encoded", ["1", "[]", '["script","s","op","script"]', '{"a":1}',
-                                     '["martian","s","op","script","t"]', "nope"])
+def test_parsed_edge_is_its_canonical_string():
+    line = ('{"edge":{"edge_type":"reads","source_key":"s\\u00e9","source_type":"script",'
+            '"target_key":"t","target_type":"cookie_jar"},"frame_id":"f","tab":"t",'
+            '"type":"behavior_edge"}')
+    (event,) = parse_trace([line]).events
+    assert event.edge == '["script","s\\u00e9","reads","cookie_jar","t"]'
+    assert dump_trace(Trace(None, [event])) == line + "\n"
+
+
+@pytest.mark.parametrize("encoded", [
+    "1", "[]", '["script","s","op","script"]', '{"a":1}', '["martian","s","op","script","t"]',
+    "nope", '["script", "s", "op", "script", "t"]', '["script","\\u0061","op","script","t"]',
+    '["script","s","op","script",1]', '["script","s","op","script","t","u"]',
+    '["script","s","op","script","é"]', ' ["script","s","op","script","t"]', 1, None,
+    ["script", "s", "op", "script", "t"]])
 def test_edge_endpoint_types_rejects_non_edges(encoded):
     with pytest.raises(ValueError, match="^not a canonical edge: "):
         edge_endpoint_types(encoded)
