@@ -332,6 +332,8 @@ def cmd_metrics_optimize(args) -> int:
     profiles = [p.strip() for p in args.baseline_profiles.split(",")]
     if len(profiles) != 2:
         raise InputError("--baseline-profiles must name two profiles, comma-separated")
+    if args.sample_size < 0:
+        raise InputError("--sample-size must be >= 0")
     sample = build_optimize_sample(permissive, contrast, (profiles[0], profiles[1]),
                                    args.contrast_profile)
     if not sample:

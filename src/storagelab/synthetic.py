@@ -22,6 +22,14 @@ so cross-policy comparisons can be validated.
 The edge helpers return canonical edge strings. All randomness (embedding
 draws, ID tokens) is derived by hashing the seed, so identical specs produce
 byte-identical traces.
+
+A page's content is the same on every visit, so the generator does its work
+once per distinct item, before it walks the profiles and crawl iterations:
+one embedding draw per (site, page, tracker), the edge strings once per page
+and per tracker, and one record per distinct event, appended again each time
+the event repeats. Only a visit's start and a request whose response sets a
+fresh ID are new on each visit. So equal events in a generated trace are one
+object, as in a parsed one, and the writer finds a repeat's line by identity.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from storagelab.trace import (
     HttpRequest,
     ScriptStorage,
     Trace,
+    TraceEvent,
     TraceMeta,
     VisitEnd,
     VisitStart,
@@ -126,7 +135,8 @@ def default_tracker_sites(count: int) -> tuple[str, ...]:
 
 def is_embedded(spec: SyntheticSpec, site_index: int, page_index: int, tracker: TrackerSpec) -> bool:
     """Embedding is page content: identical across profiles, iterations, and
-    policies for a given scenario."""
+    policies for a given scenario, so the generator draws it once per (site,
+    page, tracker)."""
     if tracker.embed_probability >= 1.0:
         return True
     draw = _hash_fraction(spec.seed, "embed", site_index, page_index, tracker.site)
@@ -156,7 +166,63 @@ def generate_synthetic_trace(spec: SyntheticSpec) -> Trace:
         raise ValueError("tracker sites must be distinct")
 
     policy = spec.policy
-    events: list = []
+    tab = "tab0"
+    # Each distinct event below is built once, keyed by its class and fields,
+    # so a repeat is the same object and the writer finds its line by
+    # identity. Every field is passed, defaults too: the key is the fields
+    # as given, and an omitted default would make a second key for one event.
+    built: dict[tuple, TraceEvent] = {}
+
+    def event(cls, *fields):
+        key = (cls, *fields)
+        made = built.get(key)
+        if made is None:
+            made = built[key] = cls(*fields)
+        return made
+
+    widget_content = []  # per tracker: its widget's URL and its two edge lists
+    for tracker in spec.trackers:
+        widget_url = f"https://{tracker.site}/widget.html"
+        widget_content.append((tracker, widget_url,
+                               tracker_fixed_edges(widget_url, tracker.site),
+                               tracker_storage_edges(widget_url, tracker.site)))
+    pages = []
+    for site_index, site in enumerate(sites):
+        for page_index in range(spec.pages_per_site):
+            page_url = f"https://{site}/p{page_index}"
+            first_party = (
+                event(ScriptStorage, tab, "f0", "local", "set", "fp_flag", "1"),
+                event(ScriptStorage, tab, "f0", "local", "get", "fp_flag", None),
+                *(event(BehaviorEdge, tab, "f0", edge)
+                  for edge in page_fixed_edges(page_url, site)),
+            )
+            widgets = []
+            for tracker, widget_url, fixed, storage in widget_content:
+                if not is_embedded(spec, site_index, page_index, tracker):
+                    continue
+                frame_id = f"f{len(widgets) + 1}"
+                uid_get = event(ScriptStorage, tab, frame_id, "cookie", "get", "uid", None)
+                before_sync = (event(FrameLoad, tab, frame_id, widget_url, None), uid_get)
+                after_sync = (
+                    event(HttpRequest, tab, frame_id,
+                          f"https://{tracker.site}/beacon?src={site}", ()),
+                    # Read-back of the just-stored ID: works everywhere
+                    # except in a blocked partition, where the set was a no-op.
+                    uid_get,
+                    event(ScriptStorage, tab, frame_id, "local", "set", "seen", "1"),
+                    event(ScriptStorage, tab, frame_id, "local", "get", "seen", None),
+                    *(event(BehaviorEdge, tab, frame_id, edge) for edge in fixed),
+                )
+                sync = event(HttpRequest, tab, frame_id, f"https://{tracker.site}/sync", ())
+                widgets.append((tracker.site, widget_url, before_sync, sync, after_sync,
+                                tuple(event(BehaviorEdge, tab, frame_id, edge)
+                                      for edge in storage)))
+            pages.append((site, page_url, event(FrameLoad, tab, "f0", page_url, None),
+                          event(HttpRequest, tab, "f0", f"https://{site}/api", ()),
+                          first_party, widgets))
+    visit_end = VisitEnd(tab)
+
+    events: list[TraceEvent] = []
     # (profile, partition key) pairs whose partition already holds an ID. A
     # blocked partition never holds one; an ephemeral key never recurs.
     held: set[tuple[str, PartitionKey]] = set()
@@ -180,61 +246,34 @@ def generate_synthetic_trace(spec: SyntheticSpec) -> Trace:
         minted.add(token)
         return token
 
-    tab = "tab0"
     load_key = 0
     for profile_index in range(spec.profiles):
         profile = f"prof{profile_index}"
         visit_seq = 0
         for crawl_iter in range(1, spec.crawl_iters + 1):
-            for site_index, site in enumerate(sites):
-                for page_index in range(spec.pages_per_site):
-                    visit_seq += 1
-                    load_key += 1
-                    page_url = f"https://{site}/p{page_index}"
-                    events.append(VisitStart(profile, crawl_iter, tab, page_url, visit_seq))
+            for site, page_url, frame, api, first_party, widgets in pages:
+                visit_seq += 1
+                load_key += 1
+                events.append(VisitStart(profile, crawl_iter, tab, page_url, visit_seq))
+                events.append(frame)
+                fp_key = resolve_partition(policy, page_url, load_key, page_url, rules)
+                if needs_id(profile, fp_key):
+                    fp_id = _token(spec.seed, "fp", profile, site)
+                    api = HttpRequest(tab, "f0", api.dest_url, (f"fpsession={fp_id}; Path=/",))
+                events.append(api)
+                events.extend(first_party)
 
-                    events.append(FrameLoad(tab, "f0", page_url))
-                    fp_key = resolve_partition(policy, page_url, load_key, page_url, rules)
-                    set_cookies: tuple[str, ...] = ()
-                    if needs_id(profile, fp_key):
-                        fp_id = _token(spec.seed, "fp", profile, site)
-                        set_cookies = (f"fpsession={fp_id}; Path=/",)
-                    events.append(HttpRequest(tab, "f0", f"https://{site}/api", set_cookies))
-                    events.append(ScriptStorage(tab, "f0", "local", "set", "fp_flag", "1"))
-                    events.append(ScriptStorage(tab, "f0", "local", "get", "fp_flag"))
-                    for edge in page_fixed_edges(page_url, site):
-                        events.append(BehaviorEdge(tab, "f0", edge))
+                for tracker_site, widget_url, before_sync, sync, after_sync, storage in widgets:
+                    events.extend(before_sync)
+                    key = resolve_partition(policy, page_url, load_key, widget_url, rules)
+                    if needs_id(profile, key):
+                        sync = HttpRequest(tab, sync.frame_id, sync.dest_url,
+                                           (f"uid={mint(profile, tracker_site)}; Path=/",))
+                    events.append(sync)
+                    events.extend(after_sync)
+                    if key is not BLOCKED:
+                        events.extend(storage)
 
-                    frame_no = 0
-                    for tracker in spec.trackers:
-                        if not is_embedded(spec, site_index, page_index, tracker):
-                            continue
-                        frame_no += 1
-                        frame_id = f"f{frame_no}"
-                        widget_url = f"https://{tracker.site}/widget.html"
-                        events.append(FrameLoad(tab, frame_id, widget_url))
-                        events.append(ScriptStorage(tab, frame_id, "cookie", "get", "uid"))
-
-                        key = resolve_partition(policy, page_url, load_key, widget_url, rules)
-                        sync_cookies: tuple[str, ...] = ()
-                        if needs_id(profile, key):
-                            sync_cookies = (f"uid={mint(profile, tracker.site)}; Path=/",)
-                        events.append(HttpRequest(
-                            tab, frame_id, f"https://{tracker.site}/sync", sync_cookies))
-                        events.append(HttpRequest(
-                            tab, frame_id, f"https://{tracker.site}/beacon?src={site}"))
-
-                        # Read-back of the just-stored ID: works everywhere
-                        # except in a blocked partition, where the set was a no-op.
-                        events.append(ScriptStorage(tab, frame_id, "cookie", "get", "uid"))
-                        events.append(ScriptStorage(tab, frame_id, "local", "set", "seen", "1"))
-                        events.append(ScriptStorage(tab, frame_id, "local", "get", "seen"))
-                        for edge in tracker_fixed_edges(widget_url, tracker.site):
-                            events.append(BehaviorEdge(tab, frame_id, edge))
-                        if key is not BLOCKED:
-                            for edge in tracker_storage_edges(widget_url, tracker.site):
-                                events.append(BehaviorEdge(tab, frame_id, edge))
-
-                    events.append(VisitEnd(tab))
+                events.append(visit_end)
 
     return Trace(TraceMeta(scenario_id(spec), policy.value, _scenario_fields(spec)), events)

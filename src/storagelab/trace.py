@@ -260,7 +260,10 @@ def _trace_lines(trace: Trace) -> Iterator[str]:
     """The lines of a trace file: the meta line, if any, then one line per
     event; a trace with neither is the single line ``"\n"``. Each distinct
     event is encoded once: a repeat, equal by class and fields, reuses the
-    line of its first copy."""
+    line of its first copy. A repeat that is the first copy itself, as
+    :func:`parse_trace` and the generator build them, is found by identity,
+    without hashing its fields; the memo keeps each first copy alive, so
+    its id is never reused during the write."""
     if trace.meta is None and not trace.events:
         yield "\n"
         return
@@ -273,11 +276,16 @@ def _trace_lines(trace: Trace) -> Iterator[str]:
         if trace.meta.spec is not None:
             meta["spec"] = trace.meta.spec
         yield _json_line(meta)
-    encoded: dict[TraceEvent, str] = {}
+    lines: dict[int, str] = {}  # id of each distinct event's first copy -> its line
+    first: dict[TraceEvent, TraceEvent] = {}  # each distinct event -> its first copy
     for event in trace.events:
-        line = encoded.get(event)
+        line = lines.get(id(event))
         if line is None:
-            line = encoded[event] = _json_line(event_to_record(event))
+            copy = first.setdefault(event, event)
+            if copy is event:
+                line = lines[id(event)] = _json_line(event_to_record(event))
+            else:
+                line = lines[id(copy)]
         yield line
 
 

@@ -17,11 +17,14 @@ the jar and applies only a script cookie ``set`` or ``delete``.
 ``parse_trace`` decodes and checks every line, repeated or not, kept as the
 oracle for ``storagelab.trace.parse_trace``, which does so once per distinct
 line. ``generate_synthetic_trace`` keeps its own copy of each policy's
-partition keys, kept as the oracle for
+partition keys, draws each embedding on every visit and builds every event
+afresh, kept as the oracle for
 ``storagelab.synthetic.generate_synthetic_trace``, which asks
-``resolve_partition`` for them. ``dump_trace`` encodes every event, repeated
-or not, into one string, kept as the oracle for ``storagelab.trace``'s
-writers, which encode each distinct event once and stream the lines.
+``resolve_partition`` for the keys, draws each embedding once per (site,
+page, tracker) and builds each distinct event once. ``dump_trace`` encodes
+every event, repeated or not, into one string, kept as the oracle for
+``storagelab.trace``'s writers, which encode each distinct event once and
+stream the lines.
 ``read_flows_csv`` and ``read_frames_jsonl`` build a dict per row and check
 each field with its own call, kept as the oracles for
 ``storagelab.flows.read_flows_csv`` and
@@ -662,6 +665,8 @@ def dump_trace(trace: Trace) -> str:
 # ---------------------------------------------------------------------------
 # Synthetic generation: the ``model`` and ``fp_model`` dicts restate which
 # partition each policy gives a frame, instead of asking resolve_partition.
+# Each visit draws its embeddings and builds its events and edge strings
+# afresh: the slow path of the build-once generator.
 
 
 def generate_synthetic_trace(spec: SyntheticSpec) -> Trace:

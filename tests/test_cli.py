@@ -287,6 +287,14 @@ class TestMetricsCommands:
         assert set(report["best_subset"]) & {"cookie_jar", "local_storage", "session_storage"}
         assert report["separation_float"] > 0
 
+    def test_negative_sample_size_is_input_error_naming_it(self, pipeline, tmp_path, capsys):
+        base, dirs = pipeline
+        out = tmp_path / "o"
+        assert run("metrics", "optimize", "--permissive", dirs["permissive"],
+                   "--contrast", dirs["blocking"], "--sample-size", -1, "--out", out) == 2
+        assert "--sample-size must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_candidates(self, pipeline):
         base, dirs = pipeline
         out = base / "candidates"

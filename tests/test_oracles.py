@@ -5,8 +5,9 @@ filter and optimizer with the enum-set ones, the resolve-once replay loop
 that keeps only cookie jars with the one that resolves every storage touch
 and keeps DOM storage and script reads as well, the once-per-distinct-line
 trace parser with the one that parses every line, and the generator that
-asks ``resolve_partition`` for its partition keys with the one that keeps
-its own model of them, the trace writers that encode each distinct event
+asks ``resolve_partition`` for its partition keys and builds each distinct
+event once with the one that keeps its own model of the keys and builds
+every event afresh, the trace writers that encode each distinct event
 once with the dump that encodes every event, the one-pass simulate output
 readers with the per-field ones, the input helper's not-UTF-8 line and
 column with a second line-by-line read of the file, the templated frames
@@ -33,7 +34,7 @@ from storagelab.filterlist import EMPTY_RULES, AdRuleSet, is_ad_url, parse_rules
 from storagelab.cli import InputError, _parse_input
 from storagelab.flows import FLOW_FIELDS, TraceFormatError
 from storagelab.metrics import OptimizeInstance, frame_similarity, jaccard, optimize_node_types
-from storagelab.policy import STORAGE_APIS, Ephemeral, PolicyKind, resolve_partition
+from storagelab.policy import STORAGE_APIS, Ephemeral, PolicyKind, resolve_partition, site_of
 from storagelab.psl import (
     PslParseError,
     SuffixRuleSet,
@@ -364,6 +365,67 @@ def test_replay_matches_per_touch_resolution(events, policy, origin_keyed, with_
             == _replay_outcome(oracles.replay, events, policy, ads, origin_keyed))
 
 
+def _tag(header: str, index: int) -> str:
+    """A Set-Cookie header with its value replaced by the event index."""
+    pair, sep, attributes = header.partition(";")
+    return f"{pair.partition('=')[0]}=e{index}{sep}{attributes}"
+
+
+def _tagged_events(events: list) -> list:
+    """The events, with each Set-Cookie value and each script ``set`` value
+    replaced by the index of the event that carries it."""
+    tagged = []
+    for index, event in enumerate(events):
+        if type(event) is HttpRequest:
+            event = HttpRequest(event.tab, event.frame_id, event.dest_url,
+                                tuple(_tag(header, index) for header in event.response_set_cookies))
+        elif type(event) is ScriptStorage and event.op == "set":
+            event = ScriptStorage(event.tab, event.frame_id, event.api, "set", event.key,
+                                  f"e{index}")
+        tagged.append(event)
+    return tagged
+
+
+def _origins(events: list) -> dict[int, VisitStart | None]:
+    """The page load each request and script event comes from, by event index."""
+    visits: dict[str, VisitStart] = {}
+    origins = {}
+    for index, event in enumerate(events):
+        if type(event) is VisitStart:
+            visits[event.tab] = event
+        elif type(event) is VisitEnd:
+            visits.pop(event.tab, None)
+        elif type(event) in (HttpRequest, ScriptStorage):
+            origins[index] = visits.get(event.tab)
+    return origins
+
+
+@settings(max_examples=300, deadline=None)
+@given(replay_events())
+def test_flows_keep_to_their_policy_definitions(events):
+    """Every flow's cookie value leads back to the event that stored it: under
+    every policy that event's page load has the flow's profile; under blocking
+    no cookie flows; under page-length it is the flow's own page load; under
+    site-keyed its top site is the flow's. Each with origin keying off and on."""
+    rules = builtin_rules()
+    events = _tagged_events(events)
+    origins = _origins(events)
+    for policy, origin_keyed in product(PolicyKind, (False, True)):
+        try:
+            flows = replay(events, policy, rules, origin_keyed=origin_keyed).flows
+        except ReplayError:
+            continue
+        if policy is PolicyKind.BLOCKING:
+            assert flows == []
+        for flow in flows:
+            origin = origins[int(flow.cookie_value.removeprefix("e"))]
+            assert origin.profile == flow.profile
+            if policy is PolicyKind.PAGE_LENGTH:
+                assert origin.visit_seq == flow.visit_seq
+            if policy is PolicyKind.SITE_KEYED:
+                assert site_of(origin.page_url, rules) == flow.top_site
+
+
 @pytest.mark.parametrize("policy", list(PolicyKind))
 def test_only_page_length_hands_out_ephemeral_keys(policy):
     """Replay ends every page load under every policy, which destroys nothing
@@ -394,10 +456,15 @@ SYNTHETIC_SPECS = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(SYNTHETIC_SPECS)
 def test_generator_matches_own_key_model(spec):
-    """The generator that asks resolve_partition for its keys writes the same
-    bytes as the one that keeps its own model of them."""
-    assert dump_trace(generate_synthetic_trace(spec)) == dump_trace(
-        oracles.generate_synthetic_trace(spec))
+    """The generator that asks resolve_partition for its keys and builds each
+    distinct event once writes the same events, and the same bytes, as the one
+    that keeps its own model of the keys and builds every event afresh; its
+    equal events are one object."""
+    trace = generate_synthetic_trace(spec)
+    oracle = oracles.generate_synthetic_trace(spec)
+    assert trace.events == oracle.events
+    assert len({id(e) for e in trace.events}) == len(set(trace.events))
+    assert dump_trace(trace) == dump_trace(oracle)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Semantics every record class keeps, whatever it is built from: records of
 different types never compare equal, events and partition keys refuse
 attribute assignment, and derived values are computed once: an edge string
-per distinct trace line, a substring regex per rule set."""
+per distinct trace line, a written line per distinct event, a substring
+regex per rule set."""
 
 import itertools
 import json
@@ -12,6 +13,7 @@ import pytest
 from storagelab import filterlist, trace
 from storagelab.filterlist import AdRuleSet, is_ad_url
 from storagelab.policy import Blocked, Ephemeral, FirstParty, GlobalThirdParty, SiteKeyedThirdParty
+from storagelab.record import Record
 from storagelab.trace import (
     BehaviorEdge,
     FrameLoad,
@@ -105,6 +107,31 @@ def test_repeated_edge_lines_encode_once(monkeypatch):
     lines = trace.dump_trace(trace.Trace(None, events)).splitlines()
     assert len(set(lines)) == 2
     assert decoded == [EDGE, EDGE]  # once per distinct event
+
+
+WRITE_EVENTS = [VisitStart("p", 1, "t", "https://a.com/", 1),
+                FrameLoad("t", "f", "https://t.net/w"), BehaviorEdge("t", "f", EDGE), VisitEnd("t")]
+
+
+def test_repeats_that_are_one_object_hash_once_per_distinct_event(monkeypatch):
+    hashed = []
+    real_hash = Record.__hash__
+    monkeypatch.setattr(Record, "__hash__", lambda self: hashed.append(self) or real_hash(self))
+    events = [WRITE_EVENTS[i] for i in (0, 1, 2, 2, 1, 2, 3, 0, 3)] * 50
+    text = trace.dump_trace(trace.Trace(None, events))
+    assert hashed == WRITE_EVENTS  # the identity lookup finds every repeat
+    assert text == "".join(trace._json_line(trace.event_to_record(e)) for e in events)
+
+
+def test_equal_copies_encode_once_per_distinct_event(monkeypatch):
+    encoded = []
+    real_encode = trace.event_to_record
+    monkeypatch.setattr(trace, "event_to_record", lambda e: encoded.append(e) or real_encode(e))
+    events = [type(e)(*(getattr(e, name) for name in e._fields))
+              for _ in range(3) for e in WRITE_EVENTS]
+    lines = trace.dump_trace(trace.Trace(None, events)).splitlines(keepends=True)
+    assert encoded == WRITE_EVENTS  # a copy's line is found by equality
+    assert lines == [trace._json_line(real_encode(e)) for e in WRITE_EVENTS] * 3
 
 
 def test_substring_regex_is_compiled_once_per_rule_set(monkeypatch):
