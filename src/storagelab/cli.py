@@ -25,7 +25,7 @@ from storagelab import __version__
 # README.md), so a call loads only its own modules.
 from storagelab.psl import builtin_rules, etld_plus_one, parse_psl  # noqa: F401
 
-# The values of storagelab.policy.PolicyKind, which only gen-trace and simulate import.
+# The values of storagelab.policy.PolicyKind, which only simulate imports.
 POLICY_NAMES = ("permissive", "blocking", "site-keyed", "page-length")
 
 DEFAULT_PICF_THRESHOLD = 8
@@ -104,6 +104,14 @@ def _load_ad_rules(filters_path: str | None):
     return _parse_input(filters_path, lambda fh: parse_rules(fh.read()), "")
 
 
+def _at_least(low: int, **flags: int) -> None:
+    """An input error naming the first flag whose value is below ``low``;
+    each keyword is a flag's name, ``--`` and dashes aside."""
+    for name, value in flags.items():
+        if value < low:
+            raise InputError(f"--{name.replace('_', '-')} must be >= {low}")
+
+
 def _fnum(value) -> str:
     """Deterministic decimal rendering for CSV/report floats."""
     return repr(float(value))
@@ -119,16 +127,11 @@ def _frac(value) -> str | None:
 
 
 def cmd_gen_trace(args) -> int:
-    from storagelab.policy import PolicyKind
     from storagelab.synthetic import (SyntheticSpec, TrackerSpec, default_tracker_sites,
                                       generate_synthetic_trace)
     from storagelab.trace import write_trace
-    for flag, value in (("--sites", args.sites), ("--profiles", args.profiles),
-                        ("--pages", args.pages), ("--iters", args.iters)):
-        if value < 1:
-            raise InputError(f"{flag} must be >= 1")
-    if args.trackers < 0:
-        raise InputError("--trackers must be >= 0")
+    _at_least(1, sites=args.sites, profiles=args.profiles, pages=args.pages, iters=args.iters)
+    _at_least(0, trackers=args.trackers)
     if not 0 <= args.tracker_prob <= 1:
         raise InputError("--tracker-prob must be in [0, 1]")
     trackers = tuple(
@@ -136,14 +139,11 @@ def cmd_gen_trace(args) -> int:
     )
     trace = generate_synthetic_trace(SyntheticSpec(
         n_sites=args.sites, trackers=trackers, pages_per_site=args.pages,
-        crawl_iters=args.iters, profiles=args.profiles, seed=args.seed,
-        policy=PolicyKind(args.policy)))
+        crawl_iters=args.iters, profiles=args.profiles, seed=args.seed))
     out = _out_dir(args.out)
     write_trace(trace, out / "trace.jsonl")
-    _write_manifest(
-        out, args, inputs={}, outputs=["trace.jsonl"],
-        extra={"trace_scenario": trace.meta.scenario, "trace_policy": trace.meta.policy},
-    )
+    _write_manifest(out, args, inputs={}, outputs=["trace.jsonl"],
+                    extra={"trace_scenario": trace.meta.scenario})
     return 0
 
 
@@ -170,7 +170,6 @@ def cmd_simulate(args) -> int:
         out, args, inputs=inputs, outputs=["flows.csv", "frames.jsonl"],
         extra={
             "trace_scenario": trace.meta.scenario if trace.meta else None,
-            "trace_policy": trace.meta.policy if trace.meta else None,
             "trace_sha256": trace_entry["sha256"],
         },
     )
@@ -201,12 +200,7 @@ def _load_sim_dir(path_str: str, with_flows: bool = False):
 
 
 def _require_same_trace(a: dict, b: dict, what: str) -> None:
-    scenario_a, scenario_b = a.get("trace_scenario"), b.get("trace_scenario")
-    if scenario_a is not None and scenario_b is not None:
-        if scenario_a != scenario_b:
-            raise InputError(f"{what}: outputs come from different scenarios "
-                             f"({scenario_a} vs {scenario_b})")
-        return
+    """An input error unless two simulate manifests name one trace by content."""
     if a.get("trace_sha256") != b.get("trace_sha256"):
         raise InputError(f"{what}: outputs come from different traces")
 
@@ -228,6 +222,7 @@ def _read_all_flows(paths: list[str]):
 def cmd_metrics_picf(args) -> int:
     from storagelab.flows import write_csv
     from storagelab.picf import extract_picfs
+    _at_least(1, threshold=args.threshold)
     flows, entries = _read_all_flows(args.flows)
     picfs = extract_picfs(flows, args.threshold)
     out = _out_dir(args.out)
@@ -244,6 +239,7 @@ def _curve_command(args, name: str, key_name: str, scores_of) -> int:
     """Write the curve of ``scores_of(picfs, flows)`` over the ``--flows`` files."""
     from storagelab.flows import write_csv
     from storagelab.picf import curve_rows, extract_picfs
+    _at_least(1, threshold=args.threshold)
     flows, entries = _read_all_flows(args.flows)
     scores = scores_of(extract_picfs(flows, args.threshold), flows)
     out = _out_dir(args.out)
@@ -326,14 +322,13 @@ def cmd_metrics_similarity(args) -> int:
 def cmd_metrics_optimize(args) -> int:
     import random
     from storagelab.metrics import build_optimize_sample, optimize_node_types
+    _at_least(0, sample_size=args.sample_size)
     permissive, perm_manifest, perm_entries = _load_sim_dir(args.permissive)
     contrast, contrast_manifest, contrast_entries = _load_sim_dir(args.contrast)
     _require_same_trace(perm_manifest, contrast_manifest, "optimize")
     profiles = [p.strip() for p in args.baseline_profiles.split(",")]
     if len(profiles) != 2:
         raise InputError("--baseline-profiles must name two profiles, comma-separated")
-    if args.sample_size < 0:
-        raise InputError("--sample-size must be >= 0")
     sample = build_optimize_sample(permissive, contrast, (profiles[0], profiles[1]),
                                    args.contrast_profile)
     if not sample:
@@ -363,6 +358,7 @@ def cmd_metrics_candidates(args) -> int:
     from storagelab.flows import write_csv
     from storagelab.metrics import FrameStat, select_candidates
     from storagelab.policy import site_of
+    _at_least(1, top=args.top)
     rules, psl_entry = _load_suffix_rules(args.psl)
     output, _, sim_entries = _load_sim_dir(args.sim, with_flows=True)
     pages_by_frame: dict[str, set[str]] = {}
@@ -467,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--profiles", type=int, default=1)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--policy", choices=sorted(POLICY_NAMES), default="permissive",
-                     help="policy the adaptive content is modeled against")
+                     help="deprecated, no effect: a scenario has one trace for every policy")
     gen.add_argument("--out", required=True, help="output directory")
     gen.set_defaults(func=cmd_gen_trace)
 

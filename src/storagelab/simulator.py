@@ -7,15 +7,16 @@ reads, so a script storage op changes state only when it is a cookie ``set``
 or ``delete``; the others are checked and dropped. Replay dispatches on an
 event's exact class, the one ``parse_trace`` builds, behavior edges first.
 Under every policy a frame's partition depends only on its page load and
-its site, so it is resolved once, when the frame loads; a request resolves
-only its destination. A tab's frame registry maps a frame id to the frame's
-URL, partition key and output record, so an edge (its canonical string) is
-one set insert. A frame's party is ``"first"`` or ``"third"``. Every
-page load ends in ``end_page_load`` under every policy; only page-length
-hands out the ephemeral keys it destroys. Flows and frames are replay's only
-outputs. Content adaptivity (pages emitting different edges when storage
-misbehaves) belongs to the trace, not to the replayer: replay records what
-the trace says.
+its site, so it is resolved once, with its jar, when the frame loads; a
+request resolves only its destination. A tab's frame registry maps a frame
+id to the frame's URL, partition key, jar and output record, so an edge (its
+canonical string) is one set insert. A frame's party is ``"first"`` or
+``"third"``. Every page load ends in ``end_page_load`` under every policy;
+only page-length hands out the ephemeral keys it destroys. Flows and frames
+are replay's only outputs. Content adaptivity is the trace's ``when``
+conditions, which replay evaluates on the frame's jar (a blocked frame has
+none): an edge whose condition fails is not recorded, and a request whose
+condition fails still sends its cookies but sets none.
 
 Virtual time advances one tick per event; cookie expiries are interpreted
 against it.
@@ -29,7 +30,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from storagelab.cookies import cookies_for_request, parse_set_cookie
+from storagelab.cookies import CookieJar, cookies_for_request, matching_cookies, parse_set_cookie
 from storagelab.filterlist import AdRuleSet, EMPTY_RULES, is_ad_url
 from storagelab.flows import (
     FLOW_FIELDS,
@@ -95,12 +96,22 @@ class SimOutput:
 
 
 class _TabState(Record):
-    # frames: frame_id -> (frame URL, the frame's partition key, its FrameRecord)
+    # frames: frame_id -> (frame URL, the frame's partition key, jar and FrameRecord)
     __slots__ = ("profile", "crawl_iter", "visit_seq", "page_url", "site", "load_key", "frames")
 
 
 _EVENT_TYPES = frozenset((VisitStart, FrameLoad, HttpRequest, ScriptStorage, BehaviorEdge,
                           VisitEnd))
+
+
+def _holds(when: tuple[str, bool], jar: CookieJar | None, url: str, now: float) -> bool:
+    """Whether ``jar`` (None when blocked) holds a cookie named ``when[0]``
+    that ``url`` can read, exactly when ``when[1]`` is true."""
+    if jar is not None:
+        for cookie in matching_cookies(jar, url, now):
+            if cookie.name == when[0]:
+                return when[1]
+    return not when[1]
 
 
 def replay(
@@ -138,9 +149,11 @@ def replay(
                 if frame is None:
                     raise ValueError(f"unknown frame {event.frame_id!r}")
                 if kind is BehaviorEdge:
-                    frame[2].edge_set.add(event.edge)
+                    when = event.when
+                    if when is None or _holds(when, frame[2], frame[0], float(index)):
+                        frame[3].edge_set.add(event.edge)
                     continue
-                frame_url, frame_pkey, _ = frame
+                frame_url, frame_pkey, frame_jar, _ = frame
                 now = float(index)
                 if kind is ScriptStorage:
                     stores[state.profile].storage_access(
@@ -158,6 +171,9 @@ def replay(
                         out.flows.append(CookieFlowRecord(
                             state.profile, state.crawl_iter, state.visit_seq,
                             state.site, dest_site, name, value))
+                when = event.when
+                if when is not None and not _holds(when, frame_jar, frame_url, now):
+                    continue
                 for header in event.response_set_cookies:
                     cookie = parse_set_cookie(header, event.dest_url, rules, now)
                     if cookie is not None:
@@ -172,7 +188,8 @@ def replay(
                 record = out.frames.setdefault(key, FrameRecord(is_ad=ad, party=party))
                 record.is_ad = ad
                 record.party = party
-                state.frames[event.frame_id] = (event.frame_url, pkey, record)
+                state.frames[event.frame_id] = (event.frame_url, pkey,
+                                                stores[state.profile].jar(pkey), record)
 
             elif kind is VisitEnd:
                 stores[state.profile].end_page_load(state.load_key)

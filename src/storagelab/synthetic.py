@@ -4,20 +4,19 @@ Pages are plain first-party documents embedding zero or more third-party
 tracker widgets. Per frame load, a tracker widget:
 
 1. reads its ID cookie (script access),
-2. issues a sync request to its own site; the response sets a fresh
-   16-character ID cookie only when the widget's jar was empty at that
-   moment,
+2. issues a sync request to its own site, whose response sets a fresh
+   16-character ID cookie only when the widget's jar holds no ID yet,
 3. issues a beacon request that transmits whatever the jar now holds,
 4. reads the ID back and caches it, emitting storage-touching behavior
-   edges only when that read-back can succeed.
+   edges only when that read-back succeeds.
 
-Whether the jar was empty -- and whether the read-back succeeds -- depends on
-the storage policy the content runs under, so a trace is generated *for* a
-policy: the generator asks ``resolve_partition`` for each frame's partition
-key under the target policy, as replay does, mirroring how the same page
-produces different behavior under different browsers. Traces generated for
-the same scenario (everything but the policy) share a scenario fingerprint
-so cross-policy comparisons can be validated.
+Whether the jar holds an ID, and so whether the read-back succeeds, depends
+on the storage policy the content runs under. The trace says so with
+``when`` conditions on the sync request (``uid`` absent) and on the storage
+edges (``uid`` present), and on the page's own API request that sets the
+first-party session ID (``fpsession`` absent); replay evaluates them against
+its jars. So a scenario has one trace, whatever the policy it is replayed
+under, and the scenario fingerprint names it.
 
 The edge helpers return canonical edge strings. All randomness (embedding
 draws, ID tokens) is derived by hashing the seed, so identical specs produce
@@ -27,9 +26,10 @@ A page's content is the same on every visit, so the generator does its work
 once per distinct item, before it walks the profiles and crawl iterations:
 one embedding draw per (site, page, tracker), the edge strings once per page
 and per tracker, and one record per distinct event, appended again each time
-the event repeats. Only a visit's start and a request whose response sets a
-fresh ID are new on each visit. So equal events in a generated trace are one
-object, as in a parsed one, and the writer finds a repeat's line by identity.
+the event repeats. Only a visit's start and its sync requests, each with the
+visit's own ID, are new on each visit. So equal events in a generated trace
+are one object, as in a parsed one, and the writer finds a repeat's line by
+identity.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import hashlib
 import json
 from typing import NamedTuple
 
-from storagelab.policy import BLOCKED, PartitionKey, PolicyKind, resolve_partition, site_of
+from storagelab.policy import site_of
 from storagelab.psl import builtin_rules
 from storagelab.trace import (
     BehaviorEdge,
@@ -66,11 +66,10 @@ class SyntheticSpec(NamedTuple):
     crawl_iters: int = 1
     profiles: int = 1
     seed: int = 0
-    policy: PolicyKind = PolicyKind.PERMISSIVE
 
 
 def _scenario_fields(spec: SyntheticSpec) -> dict:
-    """Every field of the spec but the policy: what its per-policy traces share."""
+    """The spec's fields, as the trace's meta record holds them."""
     return {
         "n_sites": spec.n_sites,
         "trackers": [[t.site, t.embed_probability] for t in spec.trackers],
@@ -82,7 +81,7 @@ def _scenario_fields(spec: SyntheticSpec) -> dict:
 
 
 def scenario_id(spec: SyntheticSpec) -> str:
-    """Fingerprint of the scenario, identical across its per-policy traces."""
+    """Fingerprint of the scenario: of its trace, which every policy replays."""
     payload = json.dumps(_scenario_fields(spec), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -134,9 +133,9 @@ def default_tracker_sites(count: int) -> tuple[str, ...]:
 
 
 def is_embedded(spec: SyntheticSpec, site_index: int, page_index: int, tracker: TrackerSpec) -> bool:
-    """Embedding is page content: identical across profiles, iterations, and
-    policies for a given scenario, so the generator draws it once per (site,
-    page, tracker)."""
+    """Embedding is page content: identical across profiles and iterations
+    for a given scenario, so the generator draws it once per (site, page,
+    tracker)."""
     if tracker.embed_probability >= 1.0:
         return True
     draw = _hash_fraction(spec.seed, "embed", site_index, page_index, tracker.site)
@@ -144,28 +143,26 @@ def is_embedded(spec: SyntheticSpec, site_index: int, page_index: int, tracker: 
 
 
 def generate_synthetic_trace(spec: SyntheticSpec) -> Trace:
-    """Generate the deterministic trace of a scenario under ``spec.policy``."""
+    """Generate the deterministic trace of a scenario, for every policy."""
     if spec.n_sites < 1:
         raise ValueError("n_sites must be >= 1")
     if spec.profiles < 1:
         raise ValueError("profiles must be >= 1")
     if spec.pages_per_site < 1 or spec.crawl_iters < 1:
         raise ValueError("pages_per_site and crawl_iters must be >= 1")
-    rules = builtin_rules()
     sites = [site_name(i) for i in range(spec.n_sites)]
     for tracker in spec.trackers:
         if not (0.0 <= tracker.embed_probability <= 1.0):
             raise ValueError(f"embed_probability out of range for {tracker.site!r}")
         if tracker.site in sites:
             raise ValueError(f"tracker site {tracker.site!r} collides with a page site")
-        # Partitions are per site: a tracker on a subdomain would share its
-        # site's partition while its host-only cookies stayed apart.
-        if site_of(f"https://{tracker.site}/", rules) != tracker.site:
+        # A tracker is a site of its own: on a subdomain it would share a
+        # page's or another tracker's partitions and flows.
+        if site_of(f"https://{tracker.site}/", builtin_rules()) != tracker.site:
             raise ValueError(f"tracker site {tracker.site!r} is not a registrable domain")
     if len({t.site for t in spec.trackers}) != len(spec.trackers):
         raise ValueError("tracker sites must be distinct")
 
-    policy = spec.policy
     tab = "tab0"
     # Each distinct event below is built once, keyed by its class and fields,
     # so a repeat is the same object and the writer finds its line by
@@ -193,7 +190,7 @@ def generate_synthetic_trace(spec: SyntheticSpec) -> Trace:
             first_party = (
                 event(ScriptStorage, tab, "f0", "local", "set", "fp_flag", "1"),
                 event(ScriptStorage, tab, "f0", "local", "get", "fp_flag", None),
-                *(event(BehaviorEdge, tab, "f0", edge)
+                *(event(BehaviorEdge, tab, "f0", edge, None)
                   for edge in page_fixed_edges(page_url, site)),
             )
             widgets = []
@@ -205,75 +202,48 @@ def generate_synthetic_trace(spec: SyntheticSpec) -> Trace:
                 before_sync = (event(FrameLoad, tab, frame_id, widget_url, None), uid_get)
                 after_sync = (
                     event(HttpRequest, tab, frame_id,
-                          f"https://{tracker.site}/beacon?src={site}", ()),
-                    # Read-back of the just-stored ID: works everywhere
-                    # except in a blocked partition, where the set was a no-op.
+                          f"https://{tracker.site}/beacon?src={site}", (), None),
+                    # Read-back of the just-stored ID: it finds one except in
+                    # a blocked partition, where the set was a no-op; only
+                    # then does the widget touch storage.
                     uid_get,
                     event(ScriptStorage, tab, frame_id, "local", "set", "seen", "1"),
                     event(ScriptStorage, tab, frame_id, "local", "get", "seen", None),
-                    *(event(BehaviorEdge, tab, frame_id, edge) for edge in fixed),
+                    *(event(BehaviorEdge, tab, frame_id, edge, None) for edge in fixed),
+                    *(event(BehaviorEdge, tab, frame_id, edge, ("uid", True))
+                      for edge in storage),
                 )
-                sync = event(HttpRequest, tab, frame_id, f"https://{tracker.site}/sync", ())
-                widgets.append((tracker.site, widget_url, before_sync, sync, after_sync,
-                                tuple(event(BehaviorEdge, tab, frame_id, edge)
-                                      for edge in storage)))
-            pages.append((site, page_url, event(FrameLoad, tab, "f0", page_url, None),
-                          event(HttpRequest, tab, "f0", f"https://{site}/api", ()),
-                          first_party, widgets))
+                widgets.append((tracker.site, frame_id, f"https://{tracker.site}/sync",
+                                before_sync, after_sync))
+            pages.append((site, event(FrameLoad, tab, "f0", page_url, None), first_party,
+                          widgets))
     visit_end = VisitEnd(tab)
 
     events: list[TraceEvent] = []
-    # (profile, partition key) pairs whose partition already holds an ID. A
-    # blocked partition never holds one; an ephemeral key never recurs.
-    held: set[tuple[str, PartitionKey]] = set()
-    minted: set[str] = set()
-    mint_count: dict[tuple, int] = {}
-
-    def needs_id(profile: str, key: PartitionKey) -> bool:
-        """True iff the partition holds no ID yet; it holds one from now on."""
-        if (profile, key) in held:
-            return False
-        if key is not BLOCKED:
-            held.add((profile, key))
-        return True
-
-    def mint(profile: str, tracker_site: str) -> str:
-        n = mint_count.get((profile, tracker_site), 0)
-        mint_count[(profile, tracker_site)] = n + 1
-        token = _token(spec.seed, policy.value, profile, tracker_site, n)
-        if token in minted:
-            raise RuntimeError("token collision in synthetic generator")
-        minted.add(token)
-        return token
-
-    load_key = 0
     for profile_index in range(spec.profiles):
         profile = f"prof{profile_index}"
+        # The first-party session ID, set by the page's own API when the
+        # site's partition holds none yet.
+        api = {site: HttpRequest(tab, "f0", f"https://{site}/api",
+                                 (f"fpsession={_token(spec.seed, 'fp', profile, site)}; Path=/",),
+                                 ("fpsession", False))
+               for site in sites}
         visit_seq = 0
         for crawl_iter in range(1, spec.crawl_iters + 1):
-            for site, page_url, frame, api, first_party, widgets in pages:
+            for site, frame, first_party, widgets in pages:
                 visit_seq += 1
-                load_key += 1
-                events.append(VisitStart(profile, crawl_iter, tab, page_url, visit_seq))
+                events.append(VisitStart(profile, crawl_iter, tab, frame.frame_url, visit_seq))
                 events.append(frame)
-                fp_key = resolve_partition(policy, page_url, load_key, page_url, rules)
-                if needs_id(profile, fp_key):
-                    fp_id = _token(spec.seed, "fp", profile, site)
-                    api = HttpRequest(tab, "f0", api.dest_url, (f"fpsession={fp_id}; Path=/",))
-                events.append(api)
+                events.append(api[site])
                 events.extend(first_party)
-
-                for tracker_site, widget_url, before_sync, sync, after_sync, storage in widgets:
+                for tracker_site, frame_id, sync_url, before_sync, after_sync in widgets:
                     events.extend(before_sync)
-                    key = resolve_partition(policy, page_url, load_key, widget_url, rules)
-                    if needs_id(profile, key):
-                        sync = HttpRequest(tab, sync.frame_id, sync.dest_url,
-                                           (f"uid={mint(profile, tracker_site)}; Path=/",))
-                    events.append(sync)
+                    # The sync response sets this visit's own ID, which the
+                    # jar takes only when it holds no ID yet.
+                    token = _token(spec.seed, "uid", profile, tracker_site, visit_seq)
+                    events.append(HttpRequest(tab, frame_id, sync_url, (f"uid={token}; Path=/",),
+                                              ("uid", False)))
                     events.extend(after_sync)
-                    if key is not BLOCKED:
-                        events.extend(storage)
-
                 events.append(visit_end)
 
-    return Trace(TraceMeta(scenario_id(spec), policy.value, _scenario_fields(spec)), events)
+    return Trace(TraceMeta(scenario_id(spec), _scenario_fields(spec)), events)

@@ -3,9 +3,14 @@
 A trace file is UTF-8, one JSON record per line, each carrying a ``type``
 discriminator. Field names are part of the format contract (documented in
 the README). An optional leading ``meta`` record identifies the scenario a
-generated trace belongs to and the policy its adaptive content was modeled
-against. :func:`parse_trace` takes the lines of a trace file, not its path:
-the CLI reads and decodes the file once and adds its path to an error.
+generated trace belongs to. :func:`parse_trace` takes the lines of a trace
+file, not its path: the CLI reads and decodes the file once and adds its
+path to an error.
+
+A request or an edge may carry a ``when`` condition, ``{"cookie": NAME,
+"present": true|false}``, the tuple ``(NAME, present)`` in memory: content
+that adapts to the storage it gets, evaluated by replay, so that one trace
+serves every storage policy.
 
 From parse to the metrics an edge is its canonical string, built once per
 distinct line. :func:`edge_endpoint_types`, its one parser, accepts only a
@@ -104,7 +109,6 @@ _EDGE_MASKS = _EdgeMasks()
 
 class TraceMeta(NamedTuple):
     scenario: str | None = None
-    policy: str | None = None
     spec: dict | None = None
 
 
@@ -123,8 +127,9 @@ class FrameLoad(Record):
 
 
 class HttpRequest(Record):
-    __slots__ = ("tab", "frame_id", "dest_url", "response_set_cookies")
-    _defaults = {"response_set_cookies": ()}
+    # when: (cookie name, present) or None; it gates applying the Set-Cookies
+    __slots__ = ("tab", "frame_id", "dest_url", "response_set_cookies", "when")
+    _defaults = {"response_set_cookies": (), "when": None}
 
 
 class ScriptStorage(Record):
@@ -134,7 +139,8 @@ class ScriptStorage(Record):
 
 
 class BehaviorEdge(Record):
-    __slots__ = ("tab", "frame_id", "edge")  # edge: its canonical string
+    __slots__ = ("tab", "frame_id", "edge", "when")  # edge: its canonical string
+    _defaults = {"when": None}
 
 
 class VisitEnd(Record):
@@ -165,19 +171,34 @@ def event_to_record(event: TraceEvent) -> dict:
         if event.is_ad is not None:
             record["is_ad"] = event.is_ad
         return record
-    if isinstance(event, HttpRequest):
-        return {"type": "http_request", "tab": event.tab, "frame_id": event.frame_id,
-                "dest_url": event.dest_url,
-                "response_set_cookies": list(event.response_set_cookies)}
     if isinstance(event, ScriptStorage):
         return {"type": "script_storage", "tab": event.tab, "frame_id": event.frame_id,
                 "api": event.api, "op": event.op, "key": event.key, "value": event.value}
-    if isinstance(event, BehaviorEdge):
-        return {"type": "behavior_edge", "tab": event.tab, "frame_id": event.frame_id,
-                "edge": dict(zip(_EDGE_FIELDS, json.loads(event.edge)))}
     if isinstance(event, VisitEnd):
         return {"type": "visit_end", "tab": event.tab}
-    raise TypeError(f"not a trace event: {event!r}")
+    if isinstance(event, HttpRequest):
+        record = {"type": "http_request", "tab": event.tab, "frame_id": event.frame_id,
+                  "dest_url": event.dest_url,
+                  "response_set_cookies": list(event.response_set_cookies)}
+    elif isinstance(event, BehaviorEdge):
+        record = {"type": "behavior_edge", "tab": event.tab, "frame_id": event.frame_id,
+                  "edge": dict(zip(_EDGE_FIELDS, json.loads(event.edge)))}
+    else:
+        raise TypeError(f"not a trace event: {event!r}")
+    if event.when is not None:  # only these two events carry a condition
+        record["when"] = {"cookie": event.when[0], "present": event.when[1]}
+    return record
+
+
+def _condition(record: dict) -> tuple[str, bool] | None:
+    """A record's ``when`` as ``(cookie name, present)``; None when absent."""
+    when = record.get("when")
+    if when is None:
+        return None
+    if (type(when) is dict and type(when.get("cookie")) is str
+            and type(when.get("present")) is bool):
+        return when["cookie"], when["present"]
+    raise TraceFormatError('when must be {"cookie": a string, "present": a boolean}')
 
 
 def _record_to_event(record: dict) -> TraceEvent:
@@ -197,7 +218,7 @@ def _record_to_event(record: dict) -> TraceEvent:
         cookies = record.get("response_set_cookies", [])
         if not isinstance(cookies, list) or not all(isinstance(c, str) for c in cookies):
             raise TraceFormatError("response_set_cookies must be a string list")
-        return HttpRequest(tab, frame_id, dest_url, tuple(cookies))
+        return HttpRequest(tab, frame_id, dest_url, tuple(cookies), _condition(record))
     if kind == "script_storage":
         tab, frame_id, api, op, key = _require(record, "tab", "frame_id", "api", "op", "key")
         if api not in STORAGE_APIS:
@@ -213,7 +234,7 @@ def _record_to_event(record: dict) -> TraceEvent:
         (edge,) = _require(record, "edge", of=dict)
         fields = _require(edge, *_EDGE_FIELDS)
         NodeType(fields[0]), NodeType(fields[3])  # ValueError for an unknown node type
-        return BehaviorEdge(tab, frame_id, _edge_string(*fields))
+        return BehaviorEdge(tab, frame_id, _edge_string(*fields), _condition(record))
     if kind == "visit_end":
         (tab,) = _require(record, "tab")
         return VisitEnd(tab)
@@ -242,8 +263,7 @@ def parse_trace(lines: Iterable[str]) -> Trace:
                 if record.get("type") == "meta":
                     if line_no != 1:
                         raise TraceFormatError("meta record only allowed first")
-                    meta = TraceMeta(record.get("scenario"), record.get("policy"),
-                                     record.get("spec"))
+                    meta = TraceMeta(record.get("scenario"), record.get("spec"))
                     continue
                 event = parsed[line] = _record_to_event(record)
             except ValueError as exc:  # a TraceFormatError, or an unknown node type
@@ -271,8 +291,6 @@ def _trace_lines(trace: Trace) -> Iterator[str]:
         meta: dict = {"type": "meta"}
         if trace.meta.scenario is not None:
             meta["scenario"] = trace.meta.scenario
-        if trace.meta.policy is not None:
-            meta["policy"] = trace.meta.policy
         if trace.meta.spec is not None:
             meta["spec"] = trace.meta.spec
         yield _json_line(meta)

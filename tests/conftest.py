@@ -19,7 +19,7 @@ N_ITERS = 2
 SEED = 42
 
 
-def make_spec(policy: PolicyKind, **overrides) -> SyntheticSpec:
+def make_spec(**overrides) -> SyntheticSpec:
     params = dict(
         n_sites=N_SITES,
         trackers=tuple(TrackerSpec(s) for s in default_tracker_sites(N_TRACKERS)),
@@ -27,7 +27,6 @@ def make_spec(policy: PolicyKind, **overrides) -> SyntheticSpec:
         crawl_iters=N_ITERS,
         profiles=N_PROFILES,
         seed=SEED,
-        policy=policy,
     )
     params.update(overrides)
     return SyntheticSpec(**params)
@@ -40,9 +39,6 @@ def rules():
 
 @pytest.fixture(scope="session")
 def policy_outputs(rules):
-    """SimOutput per policy for the shared synthetic scenario."""
-    outputs = {}
-    for policy in PolicyKind:
-        trace = generate_synthetic_trace(make_spec(policy))
-        outputs[policy] = replay(trace.events, policy, rules)
-    return outputs
+    """SimOutput per policy for the shared synthetic scenario's one trace."""
+    events = generate_synthetic_trace(make_spec()).events
+    return {policy: replay(events, policy, rules) for policy in PolicyKind}

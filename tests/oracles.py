@@ -8,23 +8,26 @@ by subset, kept as oracles for the bitmask forms in ``storagelab.metrics``.
 oracle for ``storagelab.trace._edge_string``, which joins the fields' JSON
 string encodings. ``replay`` resolves a partition and classifies the party
 again (with ``classify_party``, a second pair of site lookups) on every
-storage touch, and looks up a frame's output record by its key on every edge,
-kept as the oracle for ``storagelab.simulator.replay``, which resolves each
-frame once and keeps its record in the frame registry. Its ``PartitionStore``
-keeps a DOM-storage area beside each cookie jar and answers every script read,
-kept as the oracle for ``storagelab.policy.PartitionStore``, which keeps only
-the jar and applies only a script cookie ``set`` or ``delete``.
+storage touch, looks up a frame's output record by its key on every edge, and
+evaluates a ``when`` condition by resolving the frame's partition again and
+scanning its whole jar, kept as the oracle for ``storagelab.simulator.replay``,
+which resolves each frame once and keeps its jar and record in the frame
+registry. Its ``PartitionStore`` keeps a DOM-storage area beside each cookie
+jar and answers every script read, kept as the oracle for
+``storagelab.policy.PartitionStore``, which keeps only the jar and applies
+only a script cookie ``set`` or ``delete``.
 ``parse_trace`` decodes and checks every line, repeated or not, kept as the
 oracle for ``storagelab.trace.parse_trace``, which does so once per distinct
-line. ``generate_synthetic_trace`` keeps its own copy of each policy's
-partition keys, draws each embedding on every visit and builds every event
-afresh, kept as the oracle for
-``storagelab.synthetic.generate_synthetic_trace``, which asks
-``resolve_partition`` for the keys, draws each embedding once per (site,
-page, tracker) and builds each distinct event once. ``dump_trace`` encodes
-every event, repeated or not, into one string, kept as the oracle for
-``storagelab.trace``'s writers, which encode each distinct event once and
-stream the lines.
+line. ``generate_synthetic_trace`` writes a trace for one policy, without
+conditions: it keeps its own copy of that policy's partition keys to decide
+which visits set an ID and which widgets touch storage, draws each embedding
+on every visit and builds every event afresh. It is the oracle for
+``storagelab.synthetic.generate_synthetic_trace``, which writes one trace
+with ``when`` conditions for every policy: replaying that trace under a
+policy must give the frames of this one's, and its flows up to a renaming of
+cookie values. ``dump_trace`` encodes every event, repeated or not, into one
+string, kept as the oracle for ``storagelab.trace``'s writers, which encode
+each distinct event once and stream the lines.
 ``read_flows_csv`` and ``read_frames_jsonl`` build a dict per row and check
 each field with its own call, kept as the oracles for
 ``storagelab.flows.read_flows_csv`` and
@@ -58,7 +61,7 @@ from typing import Iterable, Sequence
 from urllib.parse import urlsplit
 
 from storagelab import flows as _flows
-from storagelab.cookies import CookieJar, cookies_for_request, parse_set_cookie
+from storagelab.cookies import Cookie, CookieJar, cookies_for_request, parse_set_cookie
 from storagelab.filterlist import EMPTY_RULES, AdRuleSet
 from storagelab.filterlist import is_ad_url as fast_is_ad_url
 from storagelab.flows import FLOW_FIELDS, CookieFlowRecord, TraceFormatError
@@ -296,6 +299,25 @@ class StorageArea:
         self.session: dict[str, dict[str, str]] = {}
 
 
+def readable(cookie: Cookie, url: str, now: float) -> bool:
+    """Whether ``url`` can read ``cookie`` at ``now`` (RFC 6265 §5.4 step 1):
+    it has not expired, its domain is the URL's host or, unless host-only, a
+    parent of it, and its path path-matches the URL's."""
+    parts = urlsplit(url)
+    host = (parts.hostname or "").lower()
+    path = parts.path or "/"
+    if cookie.expiry is not None and cookie.expiry <= now:
+        return False
+    if cookie.host_only:
+        domain_ok = host == cookie.domain
+    else:
+        domain_ok = host == cookie.domain or host.endswith("." + cookie.domain)
+    path_ok = path == cookie.path or (
+        path.startswith(cookie.path)
+        and (cookie.path.endswith("/") or path[len(cookie.path)] == "/"))
+    return domain_ok and path_ok
+
+
 class PartitionStore:
     """All storage areas of one simulated browser profile.
 
@@ -376,19 +398,9 @@ class PartitionStore:
             cookie = parse_set_cookie(header, url, self.rules, now)
             if cookie is not None:
                 jar.add(cookie)
-        else:  # delete: each cookie of that name the URL can read (RFC 6265 §5.4 step 1)
-            parts = urlsplit(url)
-            host = (parts.hostname or "").lower()
-            path = parts.path or "/"
+        else:  # delete: each cookie of that name the URL can read
             for cookie in jar.cookies():
-                if cookie.host_only:
-                    domain_ok = host == cookie.domain
-                else:
-                    domain_ok = host == cookie.domain or host.endswith("." + cookie.domain)
-                path_ok = path == cookie.path or (
-                    path.startswith(cookie.path)
-                    and (cookie.path.endswith("/") or path[len(cookie.path)] == "/"))
-                if cookie.name == name and domain_ok and path_ok:
+                if cookie.name == name and readable(cookie, url, now):
                     jar.remove(cookie.name, cookie.domain, cookie.path)
         return None
 
@@ -439,6 +451,24 @@ def replay(
         if frame is None:
             raise ReplayError(f"event {index}: unknown frame {frame_id!r}")
         return frame
+
+    def condition_holds(index: int, state: _TabState, frame_id: str,
+                        when: tuple[str, bool] | None, now: float) -> bool:
+        """Whether the frame's partition holds a cookie of that name that the
+        frame URL can read, or not, as the condition says."""
+        if when is None:
+            return True
+        frame_url, _, _ = frame_of(index, state, frame_id)
+        try:
+            pkey = resolve_partition(policy, state.page_url, state.load_key, frame_url, rules,
+                                     origin_keyed=origin_keyed)
+        except ValueError as exc:
+            raise ReplayError(f"event {index}: {exc}") from None
+        area = stores[state.profile].area(pkey)
+        name, present = when
+        found = area is not None and any(cookie.name == name and readable(cookie, frame_url, now)
+                                         for cookie in area.jar.cookies())
+        return found == present
 
     for index, event in enumerate(events):
         now = float(index)
@@ -494,6 +524,7 @@ def replay(
                 raise ReplayError(f"event {index}: {exc}") from None
             area = store.area(pkey)
             if area is not None:
+                holds = condition_holds(index, state, event.frame_id, event.when, now)
                 attached = cookies_for_request(area.jar, event.dest_url, now)
                 if not isinstance(pkey, FirstParty):
                     top_site = site_of(state.page_url, rules)
@@ -508,7 +539,7 @@ def replay(
                             cookie_name=name,
                             cookie_value=value,
                         ))
-                for header in event.response_set_cookies:
+                for header in event.response_set_cookies if holds else ():
                     cookie = parse_set_cookie(header, event.dest_url, rules, now)
                     if cookie is not None:
                         area.jar.add(cookie)
@@ -533,8 +564,9 @@ def replay(
         elif isinstance(event, BehaviorEdge):
             state = tab_state(index, event.tab)
             frame_url, _, _ = frame_of(index, state, event.frame_id)
-            key = (state.page_url, frame_url, state.profile, state.crawl_iter)
-            out.frames[key].edge_set.add(event.edge)
+            if condition_holds(index, state, event.frame_id, event.when, now):
+                key = (state.page_url, frame_url, state.profile, state.crawl_iter)
+                out.frames[key].edge_set.add(event.edge)
 
         elif isinstance(event, VisitEnd):
             state = tab_state(index, event.tab)
@@ -581,6 +613,17 @@ def _json_object(line: str, line_no: int) -> dict:
     return record
 
 
+def _condition(record: dict, line_no: int) -> tuple[str, bool] | None:
+    if "when" not in record or record["when"] is None:
+        return None
+    when = record["when"]
+    if (not isinstance(when, dict) or not isinstance(when.get("cookie"), str)
+            or not isinstance(when.get("present"), bool)):
+        raise TraceFormatError(
+            f'line {line_no}: when must be {{"cookie": a string, "present": a boolean}}')
+    return when["cookie"], when["present"]
+
+
 def record_to_event(record: dict, line_no: int) -> TraceEvent:
     kind = record.get("type")
     if kind == "visit_start":
@@ -598,7 +641,7 @@ def record_to_event(record: dict, line_no: int) -> TraceEvent:
         cookies = record.get("response_set_cookies", [])
         if not isinstance(cookies, list) or not all(isinstance(c, str) for c in cookies):
             raise TraceFormatError(f"line {line_no}: response_set_cookies must be a string list")
-        return HttpRequest(tab, frame_id, dest_url, tuple(cookies))
+        return HttpRequest(tab, frame_id, dest_url, tuple(cookies), _condition(record, line_no))
     if kind == "script_storage":
         tab, frame_id, api, op, key = _require(record, line_no, "tab", "frame_id", "api", "op", "key")
         if api not in STORAGE_APIS:
@@ -618,7 +661,8 @@ def record_to_event(record: dict, line_no: int) -> TraceEvent:
             NodeType(st), NodeType(tt)
         except ValueError as exc:
             raise TraceFormatError(f"line {line_no}: {exc}") from None
-        return BehaviorEdge(tab, frame_id, edge_string(st, sk, et, tt, tk))
+        return BehaviorEdge(tab, frame_id, edge_string(st, sk, et, tt, tk),
+                            _condition(record, line_no))
     if kind == "visit_end":
         (tab,) = _require(record, line_no, "tab")
         return VisitEnd(tab)
@@ -636,7 +680,7 @@ def parse_trace(lines: Iterable[str]) -> Trace:
         if record.get("type") == "meta":
             if line_no != 1:
                 raise TraceFormatError(f"line {line_no}: meta record only allowed first")
-            meta = TraceMeta(record.get("scenario"), record.get("policy"), record.get("spec"))
+            meta = TraceMeta(record.get("scenario"), record.get("spec"))
             continue
         events.append(record_to_event(record, line_no))
     return Trace(meta, events)
@@ -652,8 +696,6 @@ def dump_trace(trace: Trace) -> str:
         meta: dict = {"type": "meta"}
         if trace.meta.scenario is not None:
             meta["scenario"] = trace.meta.scenario
-        if trace.meta.policy is not None:
-            meta["policy"] = trace.meta.policy
         if trace.meta.spec is not None:
             meta["spec"] = trace.meta.spec
         lines.append(json.dumps(meta, sort_keys=True, separators=(",", ":")))
@@ -663,14 +705,15 @@ def dump_trace(trace: Trace) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Synthetic generation: the ``model`` and ``fp_model`` dicts restate which
-# partition each policy gives a frame, instead of asking resolve_partition.
-# Each visit draws its embeddings and builds its events and edge strings
-# afresh: the slow path of the build-once generator.
+# Synthetic generation for one policy: the ``model`` and ``fp_model`` dicts
+# restate which partition the policy gives a frame, and so which visits set
+# an ID and which widgets can touch storage, where the one-trace generator
+# writes ``when`` conditions for replay to evaluate. Each visit draws its
+# embeddings and builds its events and edge strings afresh.
 
 
-def generate_synthetic_trace(spec: SyntheticSpec) -> Trace:
-    """Generate the deterministic trace of a scenario under ``spec.policy``."""
+def generate_synthetic_trace(spec: SyntheticSpec, policy: PolicyKind) -> Trace:
+    """Generate the deterministic trace of a scenario's content under ``policy``."""
     if spec.n_sites < 1:
         raise ValueError("n_sites must be >= 1")
     if spec.profiles < 1:
@@ -686,7 +729,6 @@ def generate_synthetic_trace(spec: SyntheticSpec) -> Trace:
     if len({t.site for t in spec.trackers}) != len(spec.trackers):
         raise ValueError("tracker sites must be distinct")
 
-    policy = spec.policy
     events: list = []
     # Generator-side model of which partitions already hold a tracker ID.
     # Keys mirror the target policy's partition lifetime; page-length and
@@ -773,7 +815,7 @@ def generate_synthetic_trace(spec: SyntheticSpec) -> Trace:
 
                     events.append(VisitEnd(tab))
 
-    return Trace(TraceMeta(scenario_id(spec), policy.value, _scenario_fields(spec)), events)
+    return Trace(TraceMeta(scenario_id(spec), _scenario_fields(spec)), events)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 import shutil
 from collections import Counter
 from pathlib import Path
@@ -155,6 +156,21 @@ class TestGenAndSimulate:
                    "--out", tmp_path / "o") == 2
         assert f"line {line_no}: field {field!r} must be a string" in capsys.readouterr().err
 
+    def test_policy_does_not_change_the_trace(self, tmp_path):
+        """--policy is deprecated and has no effect: a scenario has one trace,
+        which every policy replays, and the flag is only echoed."""
+        traces = set()
+        for policy in ("permissive", "blocking", "site-keyed", "page-length"):
+            out = tmp_path / policy
+            assert run("gen-trace", "--sites", 3, "--trackers", 2, "--tracker-prob", 0.5,
+                       "--iters", 2, "--profiles", 2, "--seed", 4, "--policy", policy,
+                       "--out", out) == 0
+            traces.add((out / "trace.jsonl").read_bytes())
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config"]["policy"] == policy
+            assert "trace_policy" not in manifest
+        assert len(traces) == 1
+
     def test_zero_sites_is_input_error(self, tmp_path):
         assert run("gen-trace", "--sites", 0, "--out", tmp_path / "o") == 2
 
@@ -265,11 +281,21 @@ class TestMetricsCommands:
         assert report["mean_defined_float"] == 1.0
         assert report["final_point"] == 1.0
 
-    def test_similarity_mismatched_traces_rejected(self, pipeline, tmp_path):
+    def test_similarity_mismatched_traces_rejected(self, pipeline, tmp_path, capsys):
         base, dirs = pipeline
         other_sim = gen_and_simulate(tmp_path, "permissive", sites=4, seed=8)[1]
         assert run("metrics", "similarity", "--permissive", dirs["permissive"],
                    "--compared", other_sim, "--out", tmp_path / "out") == 2
+        assert "similarity: outputs come from different traces" in capsys.readouterr().err
+
+    def test_outputs_of_traces_generated_for_two_policies_compare(self, pipeline, tmp_path):
+        # Each pipeline policy has its own gen-trace call, differing only in --policy.
+        base, dirs = pipeline
+        manifests = [json.loads((dirs[p] / "manifest.json").read_text())
+                     for p in ("permissive", "site-keyed")]
+        assert manifests[0]["inputs"]["trace"]["path"] != manifests[1]["inputs"]["trace"]["path"]
+        assert run("metrics", "similarity", "--permissive", dirs["permissive"],
+                   "--compared", dirs["site-keyed"], "--out", tmp_path / "out") == 0
 
     def test_bad_node_filter_rejected(self, pipeline, tmp_path):
         base, dirs = pipeline
@@ -312,8 +338,27 @@ class TestMetricsCommands:
         out = tmp_path / "o"
         assert run("metrics", "candidates", "--sim", dirs["permissive"],
                    "--top", top, "--out", out) == 2
-        assert "at least 1" in capsys.readouterr().err
+        assert "--top must be >= 1" in capsys.readouterr().err
         assert not (out / "candidates.csv").exists()
+
+    # Each out-of-range count is named before any input is read: every input
+    # here is missing, and the error names the flag, not the file.
+    @pytest.mark.parametrize("argv,message", [
+        (["candidates", "--sim", "missing", "--top", 0], "--top must be >= 1"),
+        (["picf", "--flows", "missing.csv", "--threshold", 0], "--threshold must be >= 1"),
+        (["cross-site", "--flows", "missing.csv", "--threshold", -2],
+         "--threshold must be >= 1"),
+        (["cross-time", "--flows", "missing.csv", "--threshold", 0],
+         "--threshold must be >= 1"),
+        (["optimize", "--permissive", "missing", "--contrast", "missing",
+          "--sample-size", -1], "--sample-size must be >= 0"),
+    ])
+    def test_out_of_range_count_is_named_before_inputs_are_read(
+            self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert run("metrics", *argv, "--out", "o") == 2
+        assert capsys.readouterr().err == f"storagelab: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_frames_line_missing_field_is_input_error_naming_file_and_line(
             self, pipeline, tmp_path, capsys):
@@ -563,14 +608,48 @@ class TestNonUtf8Input:
                 in capsys.readouterr().err)
 
 
-def subparser_dests(command: str) -> set[str]:
-    """The option dests of the (nested) subparser named by ``command``."""
+def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next((a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)), {})
+
+
+def subparser_options(command: str) -> list[argparse.Action]:
+    """The options, but help, of the (nested) subparser named by ``command``."""
     parser = build_parser()
     for name in command.split():
-        subparsers = next(a for a in parser._actions
-                          if isinstance(a, argparse._SubParsersAction))
-        parser = subparsers.choices[name]
-    return {a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+        parser = _subparsers(parser)[name]
+    return [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+
+
+def cli_commands(parser=None, prefix: str = "") -> list[str]:
+    """Every command the CLI runs, nested ones as ``"metrics picf"``."""
+    commands = []
+    for name, sub in _subparsers(parser or build_parser()).items():
+        commands += cli_commands(sub, f"{prefix}{name} ") if _subparsers(sub) else [prefix + name]
+    return commands
+
+
+def subparser_dests(command: str) -> set[str]:
+    """The option dests of the (nested) subparser named by ``command``."""
+    return {a.dest for a in subparser_options(command)}
+
+
+def readme_cli_flags() -> dict[str, set[str]]:
+    """The flags each command's row of README's CLI reference table lists."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI reference\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([a-z -]+)` \| [^|]* \| (.*) \|$", section, re.MULTILINE)
+    return {command: set(re.findall(r"--[a-z][a-z-]*", flags)) for command, flags in rows}
+
+
+def test_readme_cli_table_lists_each_commands_options():
+    """README's CLI reference has a row per command, listing exactly the
+    options the parser defines for it, deprecated ones too."""
+    listed = readme_cli_flags()
+    assert sorted(listed) == sorted(cli_commands())
+    for command, flags in listed.items():
+        assert flags == {flag for a in subparser_options(command)
+                         for flag in a.option_strings}, command
 
 
 def write_inputs(base: Path, tmp_path: Path) -> dict[str, Path]:

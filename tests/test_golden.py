@@ -6,7 +6,9 @@ seeded experiment.
 directory (the manifests record the paths). Every metrics command then
 runs on those outputs: ``picf``, ``cross-site`` and ``cross-time`` per
 policy, ``similarity`` of each other policy against permissive,
-``optimize``, ``candidates`` and ``kappa`` on a fixed grades file. Each
+``optimize``, ``candidates`` and ``kappa`` on a fixed grades file. The
+four ``gen-trace`` calls differ only in ``--policy``, which has no effect,
+so the four traces are the same bytes and only their manifests differ. Each
 sha256 below was taken before the code it guards was last reworked (the
 generator's edges and the trace writer for the traces, replay and the
 ``frames.jsonl`` writer for the simulate outputs, the input readers for the
@@ -25,36 +27,36 @@ from storagelab.cli import main
 POLICIES = ("permissive", "blocking", "site-keyed", "page-length")
 
 TRACE_GOLDEN = {
-    "blocking/manifest.json": "691145c74d9d8b5aa167c04db5a89ba863fdd62f2d425af02bf1d60d28d3c404",
-    "blocking/trace.jsonl": "ddd82e7a47efcf0693caa75292f78ebd6879cc3e00e36bde46d83112f6702ebc",
-    "page-length/manifest.json": "f1703720b22c05d85575fe5b0da9b63a28b1fa4a78b27c76125e235b9389af6e",
-    "page-length/trace.jsonl": "1cfc63262aec4728195339af80d6c799b87101f808724edf7e89c55ccacea2bf",
-    "permissive/manifest.json": "2588716e072391ed659df99f0db5b58f6d2181c10e65895ab7cc4651b1e208fb",
-    "permissive/trace.jsonl": "51b955deb74309ed6b43091f81de56f1665610277dba7fb1acd79a846696f63c",
-    "site-keyed/manifest.json": "82134fb78bf4775bdb948d6eca37b455a10c1bb802c2fa2f7eebcf9d06e21eb9",
-    "site-keyed/trace.jsonl": "e7e466139330d1838037140373f026dfc45ea3954f3ecdf07c3e743563dad91e",
+    "blocking/manifest.json": "96406a4f277022dbb9575d4fcc671874ce22d85e7182908ba0a392d44471aa7c",
+    "blocking/trace.jsonl": "e902e6027d70bbf9f57c5ddca64cc4b98994823f6ed22aeefe009e9f96f6dde4",
+    "page-length/manifest.json": "855388c5bf48248ef3bae6d88f3335b04325445d6cbe549d9dc58bebe81d68e7",
+    "page-length/trace.jsonl": "e902e6027d70bbf9f57c5ddca64cc4b98994823f6ed22aeefe009e9f96f6dde4",
+    "permissive/manifest.json": "61b23ece34c17e3ea936ab24cc3fbff89a6611d0c888994d301c5f33c83e0144",
+    "permissive/trace.jsonl": "e902e6027d70bbf9f57c5ddca64cc4b98994823f6ed22aeefe009e9f96f6dde4",
+    "site-keyed/manifest.json": "3ed6da34d00cc1bfd5f1dd75dccb4dd3f3f91ec2d15329ad6e56d8b3fdca138a",
+    "site-keyed/trace.jsonl": "e902e6027d70bbf9f57c5ddca64cc4b98994823f6ed22aeefe009e9f96f6dde4",
 }
 
 GOLDEN = {
-    "permissive/flows.csv": "4f2438d43eb8fcdc426a9faa6cbb37eafccccc2506fff88668e15982033f4413",
+    "permissive/flows.csv": "ec06f3feb8001cec8a9e959526252da50d0ab439833ed9ce2c1fdf80594b04f8",
     "permissive/frames.jsonl": "215557bbf9df2f58eeac1ac5253772cbb9089bda2185a60c1fc6e6be1449ede5",
-    "permissive/manifest.json": "835e3fb402d43aa192f858eae60ec5d428f08cc7582b560fb96674d9137baa27",
+    "permissive/manifest.json": "54883bba493113dd579a7b41b544f63811712555054bb1a793b4662c245b2cec",
     "blocking/flows.csv": "34709d3ddac120a6249843adc52f63a8cf2030a30982e3e392e1f09f1eebf520",
     "blocking/frames.jsonl": "f07de0dce0e70f57523b5bef2adcd0af2d2f4dea40081d0d14bd4c73f8dcdda2",
-    "blocking/manifest.json": "e58faa6cfb64c10344da95b0ac45fc4ec1e9db72386ebf3bcf1bacd37d548232",
-    "site-keyed/flows.csv": "16dbca962b425b98cf29be1b73ad6a680ce60ad6e740fc9cfcbe8b41f3e569bf",
+    "blocking/manifest.json": "14433c2af24d6b37bb9e1aca6c173dd1001b71cc0a4190e7d23aaa4a79e8ad2d",
+    "site-keyed/flows.csv": "f058a302a11baaf286a8e445fe83d89b5d847b9019a44e52f0cd782fc68a215b",
     "site-keyed/frames.jsonl": "215557bbf9df2f58eeac1ac5253772cbb9089bda2185a60c1fc6e6be1449ede5",
-    "site-keyed/manifest.json": "0f71ecf57aa94c7736f810bf7018b0b4a443e2947bc4fad230de40a66b410748",
-    "page-length/flows.csv": "4dbf2f462206bcbb7df1d5f54319cca9cbc624ca5caaaebd1dd889eabc849281",
+    "site-keyed/manifest.json": "0476af28a141ad127d223df161e50fca3fec171aa381986f5c15402012862145",
+    "page-length/flows.csv": "63a41b6dcb276ce8cdaa2ba1110594da628ae3df38eece082e46ed92e81d1ad8",
     "page-length/frames.jsonl": "215557bbf9df2f58eeac1ac5253772cbb9089bda2185a60c1fc6e6be1449ede5",
-    "page-length/manifest.json": "64fd90a5e48ed2f50a20d7d54c21a2de5891f898c3e9e3324bdcb2a8d847bed2",
+    "page-length/manifest.json": "77a5002223dfaa44fc89226e5dbf0e096607df9f8c5d0c368075870df7534470",
 }
 
 METRICS_GOLDEN = {
     "candidates/candidates.csv":
         "c840ac6af9d4b73c3651e5cfa403140c32cadafaee3ed8394aa51afb963e7f6d",
     "candidates/manifest.json":
-        "97af1dd63019b76176ed73fa94323714cfae91b28dd0f6154348cbccd0b4035c",
+        "1fafa9b455cf846291e57c1213a4dfb530a1d9b5dcfdbf5a2e67a260ffe83f1a",
     "cross-site/blocking/cross_site_curve.csv":
         "d7a69eeb5dd7ea484b7d8808bde3c31e51025f2e7f48f72c58a6ef3d6f00bdf4",
     "cross-site/blocking/manifest.json":
@@ -62,15 +64,15 @@ METRICS_GOLDEN = {
     "cross-site/page-length/cross_site_curve.csv":
         "d7a69eeb5dd7ea484b7d8808bde3c31e51025f2e7f48f72c58a6ef3d6f00bdf4",
     "cross-site/page-length/manifest.json":
-        "f8be766fee96645985ffbe4ca544ca86fb9d6af872ba9a31258d0edcd8a18a59",
+        "5a6c8ada1d814e64da41332b8c2e0227b44dbb8f92ecbf418b84b318cb62d808",
     "cross-site/permissive/cross_site_curve.csv":
         "a3ca030b63deb989930bf0b93fd6bf3259b1c09e3b94fdd6bc93e7f673748e8f",
     "cross-site/permissive/manifest.json":
-        "6c55c3efd3c65a84930ec274b60ec0c0eba68b33a234fca6cc0a0418f23b3f4b",
+        "49011ce417a6b485c351d63ed2de12b0f6ba5573b8e026ac477b088fd3bf965f",
     "cross-site/site-keyed/cross_site_curve.csv":
         "d7a69eeb5dd7ea484b7d8808bde3c31e51025f2e7f48f72c58a6ef3d6f00bdf4",
     "cross-site/site-keyed/manifest.json":
-        "1b5c9f9495ad192e30f1029c311ad25eb03fb6090c52af19e052644929f6086f",
+        "983d02bd14e3250ea6e8ed5d0860eff4f593fcd6690b8165e186283f5a5ba54e",
     "cross-time/blocking/cross_time_curve.csv":
         "9cdd18e660ad537edb013b97a6cf8f7ed26e38f94d09e743ac195dd2c838ad74",
     "cross-time/blocking/manifest.json":
@@ -78,21 +80,21 @@ METRICS_GOLDEN = {
     "cross-time/page-length/cross_time_curve.csv":
         "9cdd18e660ad537edb013b97a6cf8f7ed26e38f94d09e743ac195dd2c838ad74",
     "cross-time/page-length/manifest.json":
-        "386a93bf7237584a4c62f7f4e04f61624950d86d75033b3eaa671b1f2b2e657b",
+        "1bca8ae1547c63331595c5c2b09aa81e7f4d7cfa01a6c41d3947ddc334f56441",
     "cross-time/permissive/cross_time_curve.csv":
         "034155b022ab7d48d3b767f7badfae649df756d146cd93bbd8e5c0e8cd11300b",
     "cross-time/permissive/manifest.json":
-        "940aeb0aa17a27f9bf9d85b8319804de9cd1c6a162e2b7887008944f42d98ee3",
+        "6373ab197dca012d4513c53423015410b3fca5d9221d2939c9b10d9a1d419699",
     "cross-time/site-keyed/cross_time_curve.csv":
         "034155b022ab7d48d3b767f7badfae649df756d146cd93bbd8e5c0e8cd11300b",
     "cross-time/site-keyed/manifest.json":
-        "f842a81a1da4acde4027d119cf31bf932c304be485ff8fadb379e521cd3f52fe",
+        "444df3034f94dfd1a6a1db959c2d696d4db130a659c775de18e0726ca13ad0f1",
     "kappa/grading_report.json":
         "b07ca39a5d3d619ab7068a5119a49ef5845939ce6b8fdb665250502c26bb04dd",
     "kappa/manifest.json":
         "bce30a61371b5af774b52189bcb0e682453dcb5799e476b71ec5d94bb101434a",
     "optimize/manifest.json":
-        "21148d2776a273968abfae47c6f25dc1298f939dc8e72e23721eb0f5f67fe044",
+        "7bf5d006b7844ec2bfb676f0e15f04f531ff1cbf808547b53b81f0951e716297",
     "optimize/optimize_report.json":
         "116c52d77ab0268cfac15a0d16ff67fab69d0321fd88c248fbe87932aae8014f",
     "picf/blocking/manifest.json":
@@ -100,19 +102,19 @@ METRICS_GOLDEN = {
     "picf/blocking/picfs.csv":
         "0b7297341450e7af0d3095b9b09a05ad118cf78a3c79bbea33a2d76661e005dd",
     "picf/page-length/manifest.json":
-        "4c4d54c0dd52f3b3a0a722d3dedc078029b4f82107d35c58a3610ae1aa9d6d26",
+        "d12f7587e99d052d544958913dd67c8b30b9e098831597bb0f54f3be66e83f0c",
     "picf/page-length/picfs.csv":
-        "e7f27bc99d2e9f4c9894286a8f0080e0bffb786c4ed38feb395b5bbfea772409",
+        "b8ded2fdd539c19e1e39f8a5eb6c2e98dc221f8b7ab5281d85979bdc0d97b410",
     "picf/permissive/manifest.json":
-        "fceffd78aff05102d310fbe26026fa0f1c9390c85cc4367175e007b7eccd19ea",
+        "933509746a2767e1253cbf1be8b501a6dddfe036a9db207c8d2df3ca9f27757c",
     "picf/permissive/picfs.csv":
-        "538e7fe3f8149cb40fc7e84647280b49670b58993f747caf99e25590a58ef3e6",
+        "a75d796828d0c0aa22bede4dc826ed4c9786d78fc2d4414f0f9f80ba43093f41",
     "picf/site-keyed/manifest.json":
-        "6e1e4d553d71ed8262511332edb0d3b4cdd35062e9842496cb582e490dc5dde7",
+        "0ad60e5233969c4571c406f9e1b12ef3e3f169ec23f5fa18dd61175a15588554",
     "picf/site-keyed/picfs.csv":
-        "4be1af0e771d807b4eb359a0ddee53da0d6c22044c1b827c865ab6dc03ba2029",
+        "e76833a160c50b3a8bedcb4df04bf53bb9a441695ae366df8e3dc67b673d7df5",
     "similarity/blocking/manifest.json":
-        "7cd22600349fcc785ca22aa572b8c6987e637f307d2a7f3955f2c5c563d769ec",
+        "af51a95617d80c6db9129b7400c8b477133253e01fad31701d003f703ebda320",
     "similarity/blocking/similarity_curve.csv":
         "987eee2e6b9cc06b1c7865fc9822b5859451b05ad6c970a2fff5f4c8cb7ce1e6",
     "similarity/blocking/similarity_report.json":
@@ -120,7 +122,7 @@ METRICS_GOLDEN = {
     "similarity/blocking/similarity_scores.csv":
         "5c36a1c5009cf73db84c1a589839137e86e10acbc82868948cada5094e74edca",
     "similarity/page-length/manifest.json":
-        "fd8947bcaf2308c9bbcce3b15d1f1373f3e69ee1aa5e80e711910b48d375641b",
+        "bb6d8d90f8f91193ecb2f4daa4d9c38f072cdcd706b36343d7dce5ed84c1b389",
     "similarity/page-length/similarity_curve.csv":
         "d0b8ffe0e40a05f531f5b7f6343e84724bd2d013e7b6fa596bf52455ab594bf7",
     "similarity/page-length/similarity_report.json":
@@ -128,7 +130,7 @@ METRICS_GOLDEN = {
     "similarity/page-length/similarity_scores.csv":
         "f89c090c5b970b1bb8ec0778121fb606455ac1a0e0c177ccbbfe4f504a8ad48b",
     "similarity/site-keyed/manifest.json":
-        "99b7d082caa94d5f2d56bd753edcb93a52274e45911b8f8ef729a0aa869ab372",
+        "289a7e68d1d52fd74bebeb74555617bf3777c3da85ef0b7864ed2a3c83422ece",
     "similarity/site-keyed/similarity_curve.csv":
         "d0b8ffe0e40a05f531f5b7f6343e84724bd2d013e7b6fa596bf52455ab594bf7",
     "similarity/site-keyed/similarity_report.json":

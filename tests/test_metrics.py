@@ -72,12 +72,12 @@ class TestCrossSiteScores:
         assert cross_site_scores(picfs, flows) == {}
 
     def test_synthetic_permissive_vs_page_length(self, rules):
-        trackers = (TrackerSpec("tracker0.test"),)
+        spec = SyntheticSpec(n_sites=3, trackers=(TrackerSpec("tracker0.test"),),
+                             crawl_iters=1, profiles=1, seed=3)
+        events = generate_synthetic_trace(spec).events
         for policy, expected in [(PolicyKind.PERMISSIVE, {"tracker0.test": 3}),
                                  (PolicyKind.PAGE_LENGTH, {})]:
-            spec = SyntheticSpec(n_sites=3, trackers=trackers, crawl_iters=1,
-                                 profiles=1, seed=3, policy=policy)
-            out = replay(generate_synthetic_trace(spec).events, policy, rules)
+            out = replay(events, policy, rules)
             picfs = extract_picfs(out.flows, 8)
             assert cross_site_scores(picfs, out.flows) == expected
 
@@ -100,7 +100,9 @@ class TestCrossTimeScores:
         assert cross_time_scores(picfs, flows, across_iterations_only=True) == {}
 
     def test_synthetic_ordering(self, rules):
-        trackers = (TrackerSpec("tracker0.test"),)
+        spec = SyntheticSpec(n_sites=3, trackers=(TrackerSpec("tracker0.test"),),
+                             crawl_iters=2, profiles=1, seed=3)
+        events = generate_synthetic_trace(spec).events
         expected = {
             PolicyKind.PERMISSIVE: {f"site{i}.test": 1 for i in range(3)},
             PolicyKind.SITE_KEYED: {f"site{i}.test": 1 for i in range(3)},
@@ -108,9 +110,7 @@ class TestCrossTimeScores:
             PolicyKind.BLOCKING: {},
         }
         for policy, want in expected.items():
-            spec = SyntheticSpec(n_sites=3, trackers=trackers, crawl_iters=2,
-                                 profiles=1, seed=3, policy=policy)
-            out = replay(generate_synthetic_trace(spec).events, policy, rules)
+            out = replay(events, policy, rules)
             picfs = extract_picfs(out.flows, 8)
             assert cross_time_scores(picfs, out.flows) == want
 

@@ -4,10 +4,10 @@ scans, the edge string builder with ``json.dumps``, the bitmask node-type
 filter and optimizer with the enum-set ones, the resolve-once replay loop
 that keeps only cookie jars with the one that resolves every storage touch
 and keeps DOM storage and script reads as well, the once-per-distinct-line
-trace parser with the one that parses every line, and the generator that
-asks ``resolve_partition`` for its partition keys and builds each distinct
-event once with the one that keeps its own model of the keys and builds
-every event afresh, the trace writers that encode each distinct event
+trace parser with the one that parses every line, the one trace with
+``when`` conditions that the generator writes for every policy, replayed
+under each, with the per-policy trace of the generator that keeps its own
+model of the partition keys, the trace writers that encode each distinct event
 once with the dump that encodes every event, the one-pass simulate output
 readers with the per-field ones, the input helper's not-UTF-8 line and
 column with a second line-by-line read of the file, the templated frames
@@ -263,6 +263,10 @@ EDGES = [_edge(NodeType.SCRIPT, NodeType.COOKIE_JAR),
 
 KINDS = ["visit", "frame", "frame", "request", "request", "request", "script", "script",
          "edge", "end"]
+# No condition in half the events; otherwise a cookie the requests or the
+# scripts set, or one nothing sets.
+CONDITIONS = st.one_of(st.none(), st.tuples(st.sampled_from(["uid", "sid", "p", "u", "zz"]),
+                                            st.booleans()))
 
 
 @st.composite
@@ -300,14 +304,15 @@ def replay_events(draw):
         elif kind == "request":
             cookies = tuple(draw(st.lists(st.sampled_from(SET_COOKIES), max_size=2)))
             own = frames.get(frame_id) if frames and draw(st.integers(0, 3)) else None
-            events.append(HttpRequest(tab, frame_id, own or url(SUBJECT_URLS), cookies))
+            events.append(HttpRequest(tab, frame_id, own or url(SUBJECT_URLS), cookies,
+                                      draw(CONDITIONS)))
         elif kind == "script":
             # Only the cookie api reaches an output (a later request's flows).
             events.append(ScriptStorage(tab, frame_id, pick(["cookie", "cookie", *STORAGE_APIS]),
                                         pick(["get", "set", "set", "delete"]),
                                         pick(["u", "v"]), pick(["1", "2", None])))
         elif kind == "edge":
-            events.append(BehaviorEdge(tab, frame_id, pick(EDGES)))
+            events.append(BehaviorEdge(tab, frame_id, pick(EDGES), draw(CONDITIONS)))
         else:
             events.append(VisitEnd(tab))
             open_tabs.pop(tab, None)
@@ -378,7 +383,8 @@ def _tagged_events(events: list) -> list:
     for index, event in enumerate(events):
         if type(event) is HttpRequest:
             event = HttpRequest(event.tab, event.frame_id, event.dest_url,
-                                tuple(_tag(header, index) for header in event.response_set_cookies))
+                                tuple(_tag(header, index) for header in event.response_set_cookies),
+                                event.when)
         elif type(event) is ScriptStorage and event.op == "set":
             event = ScriptStorage(event.tab, event.frame_id, event.api, "set", event.key,
                                   f"e{index}")
@@ -440,31 +446,45 @@ def test_only_page_length_hands_out_ephemeral_keys(policy):
 # page, on none, or by a seeded draw.
 
 SYNTHETIC_SPECS = st.builds(
-    lambda n_sites, probabilities, pages, iters, profiles, seed, policy: SyntheticSpec(
+    lambda n_sites, probabilities, pages, iters, profiles, seed: SyntheticSpec(
         n_sites,
         tuple(TrackerSpec(site, p) for site, p in
               zip(default_tracker_sites(len(probabilities)), probabilities)),
-        pages, iters, profiles, seed, policy),
+        pages, iters, profiles, seed),
     st.integers(1, 5),
     st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0]), max_size=4),
     st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
     st.integers(),
-    st.sampled_from(list(PolicyKind)),
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(SYNTHETIC_SPECS)
-def test_generator_matches_own_key_model(spec):
-    """The generator that asks resolve_partition for its keys and builds each
-    distinct event once writes the same events, and the same bytes, as the one
-    that keeps its own model of the keys and builds every event afresh; its
-    equal events are one object."""
+def _renamed_flows(flows: list, oracle_flows: list) -> bool:
+    """Whether the flows equal the oracle's after a one-to-one renaming of
+    cookie values."""
+    forward: dict[str, str] = {}
+    backward: dict[str, str] = {}
+    return len(flows) == len(oracle_flows) and all(
+        flow[:-1] == want[:-1]
+        and forward.setdefault(want.cookie_value, flow.cookie_value) == flow.cookie_value
+        and backward.setdefault(flow.cookie_value, want.cookie_value) == want.cookie_value
+        for flow, want in zip(flows, oracle_flows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(SYNTHETIC_SPECS, st.sampled_from(list(PolicyKind)), st.booleans())
+def test_one_trace_replays_as_each_policys_own_trace(spec, policy, origin_keyed):
+    """Replaying the one trace under a policy gives the frames of the trace
+    the oracle writes for that policy, and its flows up to a one-to-one
+    renaming of cookie values. The one trace's equal events are one object."""
+    rules = builtin_rules()
     trace = generate_synthetic_trace(spec)
-    oracle = oracles.generate_synthetic_trace(spec)
-    assert trace.events == oracle.events
+    oracle = oracles.generate_synthetic_trace(spec, policy)
+    assert trace.meta == oracle.meta
     assert len({id(e) for e in trace.events}) == len(set(trace.events))
-    assert dump_trace(trace) == dump_trace(oracle)
+    out = replay(trace.events, policy, rules, origin_keyed=origin_keyed)
+    want = replay(oracle.events, policy, rules, origin_keyed=origin_keyed)
+    assert out.frames == want.frames
+    assert _renamed_flows(out.flows, want.flows)
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +500,11 @@ POOL_EVENTS = [
     FrameLoad("t1", "f1", "https://t.net/w", True),
     HttpRequest("t1", "f1", "https://t.net/p", ("uid=1", "sid=2; Max-Age=3")),
     HttpRequest("t1", "f1", "https://t.net/p"),
+    HttpRequest("t1", "f1", "https://t.net/p", ("uid=1",), ("uid", False)),
     ScriptStorage("t1", "f1", "local", "set", "k", "v"),
     ScriptStorage("t1", "f1", "cookie", "get", "k"),
     *(BehaviorEdge("t1", "f1", edge) for edge in EDGES),
+    BehaviorEdge("t1", "f1", EDGES[0], ("uid", True)),
     VisitEnd("t1"),
 ]
 VALID_LINES = [json.dumps(event_to_record(e), sort_keys=True, separators=(",", ":"))
@@ -495,6 +517,11 @@ INVALID_LINES = [
     '{"type":"http_request","tab":"t","frame_id":"f","dest_url":"u","response_set_cookies":[1]}',
     '{"type":"behavior_edge","tab":"t","frame_id":"f","edge":{"source_type":"martian",'
     '"source_key":"s","edge_type":"e","target_type":"script","target_key":"t"}}',
+    '{"type":"http_request","tab":"t","frame_id":"f","dest_url":"u","when":"uid"}',
+    '{"type":"http_request","tab":"t","frame_id":"f","dest_url":"u","when":{"present":true}}',
+    '{"type":"behavior_edge","tab":"t","frame_id":"f","edge":{"source_type":"script",'
+    '"source_key":"s","edge_type":"e","target_type":"script","target_key":"t"},'
+    '"when":{"cookie":"uid","present":0}}',
 ]
 PAD = st.sampled_from(["", " ", "\t", "  ", "\n", " \r\n"])
 
@@ -549,7 +576,7 @@ def test_repeated_lines_share_one_event(lines):
 WRITE_EVENTS = [*POOL_EVENTS, FrameLoad("t1", "f2", "https://t.net/w", False),
                 ScriptStorage("t1", "f2", "session", "delete", "\u00fc\n\"k\"")]
 METAS = st.one_of(st.none(), st.builds(
-    TraceMeta, st.sampled_from([None, "s"]), st.sampled_from([None, "blocking"]),
+    TraceMeta, st.sampled_from([None, "s"]),
     st.sampled_from([None, {"sites": 2, "trackers": ["t.net"]}])))
 
 

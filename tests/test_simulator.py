@@ -18,7 +18,7 @@ from storagelab.simulator import (
     write_flows_csv,
     write_frames_jsonl,
 )
-from storagelab.synthetic import SyntheticSpec, TrackerSpec, generate_synthetic_trace, scenario_id
+from storagelab.synthetic import SyntheticSpec, TrackerSpec, generate_synthetic_trace
 from storagelab.trace import (
     BehaviorEdge,
     FrameLoad,
@@ -73,16 +73,9 @@ class TestSyntheticGenerator:
         with pytest.raises(ValueError, match="not a registrable domain"):
             generate_synthetic_trace(SyntheticSpec(n_sites=1, trackers=(TrackerSpec(tracker),)))
 
-    def test_scenario_id_ignores_policy(self):
-        spec_a = SyntheticSpec(n_sites=2, trackers=(), seed=5, policy=PolicyKind.PERMISSIVE)
-        spec_b = SyntheticSpec(n_sites=2, trackers=(), seed=5, policy=PolicyKind.BLOCKING)
-        assert scenario_id(spec_a) == scenario_id(spec_b)
-        assert scenario_id(spec_a) != scenario_id(
-            SyntheticSpec(n_sites=2, trackers=(), seed=6))
-
     def test_embedding_probability_seeded(self, rules):
         spec = SyntheticSpec(n_sites=6, trackers=(TrackerSpec("tracker0.test", 0.5),),
-                             seed=11, policy=PolicyKind.PERMISSIVE)
+                             seed=11)
         trace_a = generate_synthetic_trace(spec)
         trace_b = generate_synthetic_trace(spec)
         assert dump_trace(trace_a) == dump_trace(trace_b)
@@ -129,7 +122,7 @@ class TestReplaySemantics:
                 assert first_party == reference
 
     def test_replay_is_deterministic(self, rules):
-        trace = generate_synthetic_trace(make_spec(PolicyKind.PAGE_LENGTH, n_sites=3))
+        trace = generate_synthetic_trace(make_spec(n_sites=3))
         out_a = replay(trace.events, PolicyKind.PAGE_LENGTH, rules)
         out_b = replay(trace.events, PolicyKind.PAGE_LENGTH, rules)
         assert out_a.flows == out_b.flows
@@ -143,7 +136,7 @@ class TestReplaySemantics:
 
     def test_ad_flag_from_filter_list(self, rules):
         ads = parse_rules("||tracker0.test^")
-        trace = generate_synthetic_trace(make_spec(PolicyKind.PERMISSIVE, n_sites=2))
+        trace = generate_synthetic_trace(make_spec(n_sites=2))
         out = replay(trace.events, PolicyKind.PERMISSIVE, rules, ads)
         flagged = {key[1] for key, record in out.frames.items() if record.is_ad}
         assert flagged == {"https://tracker0.test/widget.html"}
@@ -237,6 +230,90 @@ def test_set_cookie_with_public_suffix_domain_not_stored(rules):
         return replay(events, PolicyKind.PERMISSIVE, rules).flows
     assert [f.cookie_name for f in flows("x.co.uk")] == ["uid"]
     assert flows("co.uk") == []
+
+
+_STORAGE_EDGE = _edge_string(NodeType.SCRIPT.value, "s", "writes", NodeType.COOKIE_JAR.value,
+                             "t.net")
+
+
+def _condition_outcome(frame_url, set_cookie_url, header, policy, rules):
+    """Whether each of an edge on ``uid`` present and one on ``uid`` absent is
+    recorded, in a frame at ``frame_url``, after a request of that frame to
+    ``set_cookie_url`` whose response sets ``header``."""
+    events = [_VISIT, FrameLoad("t", "f1", frame_url),
+              HttpRequest("t", "f1", set_cookie_url, (header,)),
+              BehaviorEdge("t", "f1", _EDGE, ("uid", True)),
+              BehaviorEdge("t", "f1", _STORAGE_EDGE, ("uid", False))]
+    (record,) = replay(events, policy, rules).frames.values()
+    return _EDGE in record.edge_set, _STORAGE_EDGE in record.edge_set
+
+
+class TestConditions:
+    """``when`` asks whether the frame's jar holds a cookie of that name that
+    the frame URL can read."""
+
+    @pytest.mark.parametrize("policy", list(PolicyKind))
+    def test_readable_cookie_is_present(self, policy, rules):
+        expected = (False, True) if policy is PolicyKind.BLOCKING else (True, False)
+        assert _condition_outcome("https://t.net/w", "https://t.net/s", "uid=1; Path=/",
+                                  policy, rules) == expected
+
+    @pytest.mark.parametrize("frame_url,set_cookie_url,header", [
+        # host-only on t.net, read from a subdomain in the same partition
+        ("https://x.t.net/w", "https://t.net/s", "uid=1"),
+        # a path the frame URL does not path-match
+        ("https://t.net/w", "https://t.net/x/s", "uid=1; Path=/x"),
+        # another name
+        ("https://t.net/w", "https://t.net/s", "sid=1; Path=/"),
+        # expired before the edges
+        ("https://t.net/w", "https://t.net/s", "uid=1; Max-Age=0"),
+    ])
+    def test_unreadable_cookie_is_absent(self, frame_url, set_cookie_url, header, rules):
+        assert _condition_outcome(frame_url, set_cookie_url, header, PolicyKind.PERMISSIVE,
+                                  rules) == (False, True)
+
+    def test_blocked_frame_finds_no_cookie(self, rules):
+        # The first-party frame's jar holds uid; the blocked frame has no jar.
+        events = [_VISIT, FrameLoad("t", "f0", "https://a.com/"), _FRAME,
+                  HttpRequest("t", "f0", "https://a.com/s", ("uid=1",)),
+                  BehaviorEdge("t", "f0", _EDGE, ("uid", True)),
+                  BehaviorEdge("t", "f1", _EDGE, ("uid", True)),
+                  BehaviorEdge("t", "f1", _STORAGE_EDGE, ("uid", False))]
+        frames = replay(events, PolicyKind.BLOCKING, rules).frames
+        assert frames[("https://a.com/", "https://a.com/", "p0", 1)].edge_set == {_EDGE}
+        assert frames[("https://a.com/", "https://t.net/w", "p0", 1)].edge_set == {_STORAGE_EDGE}
+
+    def test_failed_request_condition_sends_cookies_but_sets_none(self, rules):
+        events = [_VISIT, _FRAME,
+                  HttpRequest("t", "f1", "https://t.net/s", ("uid=1; Path=/",), ("uid", False)),
+                  # uid is present now: this response is ignored, its cookies sent
+                  HttpRequest("t", "f1", "https://t.net/s", ("uid=2; Path=/", "sid=3; Path=/"),
+                              ("uid", False)),
+                  HttpRequest("t", "f1", "https://t.net/s", ("sid=4; Path=/",), ("uid", True)),
+                  HttpRequest("t", "f1", "https://t.net/s")]
+        flows = replay(events, PolicyKind.PERMISSIVE, rules).flows
+        assert [(f.visit_seq, f.cookie_name, f.cookie_value) for f in flows] == [
+            (1, "uid", "1"), (1, "uid", "1"), (1, "uid", "1"), (1, "sid", "4")]
+
+    def test_condition_reads_the_frame_jar_not_the_destination_jar(self, rules):
+        # The first-party frame holds no uid; its request to t.net finds uid
+        # in t.net's jar, and still its condition holds and the set applies.
+        events = [_VISIT, FrameLoad("t", "f0", "https://a.com/"), _FRAME,
+                  HttpRequest("t", "f1", "https://t.net/s", ("uid=1; Path=/",)),
+                  HttpRequest("t", "f0", "https://t.net/s", ("uid=2; Path=/",), ("uid", False)),
+                  HttpRequest("t", "f1", "https://t.net/s")]
+        flows = replay(events, PolicyKind.PERMISSIVE, rules).flows
+        assert [f.cookie_value for f in flows] == ["1", "2"]
+
+    @pytest.mark.parametrize("policy", list(PolicyKind))
+    def test_trace_without_conditions_replays_as_before(self, policy, rules):
+        # The same events with conditions that always hold give the same outputs.
+        plain = [_VISIT, _FRAME, HttpRequest("t", "f1", "https://t.net/s", ("uid=1",)),
+                 BehaviorEdge("t", "f1", _EDGE), HttpRequest("t", "f1", "https://t.net/s")]
+        always = [*plain[:2], HttpRequest("t", "f1", "https://t.net/s", ("uid=1",), ("zz", False)),
+                  BehaviorEdge("t", "f1", _EDGE, ("zz", False)), plain[4]]
+        out, again = replay(plain, policy, rules), replay(always, policy, rules)
+        assert (out.flows, out.frames) == (again.flows, again.frames)
 
 
 class TestOutputFiles:

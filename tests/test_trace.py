@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import pytest
@@ -28,13 +29,15 @@ from storagelab.trace import (
 def sample_trace():
     edge = _edge_string("script", "s.js", "reads", "cookie_jar", "t.net")
     return Trace(
-        meta=TraceMeta(scenario="abc123", policy="permissive", spec={"n_sites": 1}),
+        meta=TraceMeta(scenario="abc123", spec={"n_sites": 1}),
         events=[
             VisitStart("p0", 1, "tab0", "https://a.com/", 1),
             FrameLoad("tab0", "f1", "https://t.net/w"),
             HttpRequest("tab0", "f1", "https://t.net/sync", ("uid=x; Path=/",)),
+            HttpRequest("tab0", "f1", "https://t.net/sync", ("uid=y; Path=/",), ("uid", False)),
             ScriptStorage("tab0", "f1", "local", "set", "k", "v"),
             BehaviorEdge("tab0", "f1", edge),
+            BehaviorEdge("tab0", "f1", edge, ("uid", True)),
             VisitEnd("tab0"),
         ],
     )
@@ -45,6 +48,19 @@ def test_round_trip():
     again = parse_trace(dump_trace(trace).splitlines())
     assert again.meta == trace.meta
     assert again.events == trace.events
+
+
+def test_when_is_written_only_when_set():
+    lines = dump_trace(sample_trace()).splitlines()
+    assert [json.loads(line).get("when") for line in lines[3:5] + lines[6:8]] == [
+        None, {"cookie": "uid", "present": False}, None, {"cookie": "uid", "present": True}]
+    assert sum('"when"' in line for line in lines) == 2
+
+
+def test_meta_policy_of_an_older_trace_is_ignored():
+    trace = parse_trace(['{"type":"meta","scenario":"s","policy":"blocking"}'])
+    assert trace.meta == TraceMeta(scenario="s")
+    assert dump_trace(trace) == '{"scenario":"s","type":"meta"}\n'
 
 
 def test_writers_reject_a_non_event_and_leave_no_file(tmp_path):
@@ -158,6 +174,22 @@ class TestParseErrors:
                 '"target_type":"script","target_key":"t"}}')
         with pytest.raises(TraceFormatError, match="line 1"):
             parse_trace([line])
+
+    @pytest.mark.parametrize("when", [
+        "uid", ["uid", True], {"present": True}, {"cookie": 1, "present": True},
+        {"cookie": "uid"}, {"cookie": "uid", "present": 1}, {"cookie": "uid", "present": "true"},
+    ])
+    @pytest.mark.parametrize("record", [
+        {"type": "http_request", "tab": "t", "frame_id": "f", "dest_url": "https://t.net/",
+         "response_set_cookies": []},
+        {"type": "behavior_edge", "tab": "t", "frame_id": "f",
+         "edge": {"source_type": "script", "source_key": "s", "edge_type": "reads",
+                  "target_type": "cookie_jar", "target_key": "t"}},
+    ])
+    def test_malformed_when_names_the_line(self, record, when):
+        message = 'line 2: when must be {"cookie": a string, "present": a boolean}'
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(message)}$"):
+            parse_trace(['{"type":"visit_end","tab":"t"}', json.dumps({**record, "when": when})])
 
     def test_meta_must_be_first(self):
         with pytest.raises(TraceFormatError, match="meta record only allowed first"):
