@@ -180,7 +180,8 @@ def _load_sim_dir(path_str: str, with_flows: bool = False):
     """The simulate output (``SimOutput``) in a directory, its manifest, and
     the manifest entries (path and sha256) of the files read, by file name.
     Its ``flows.csv`` is read only ``with_flows``; otherwise the output holds
-    no flows."""
+    no flows. A manifest that is not a simulate run's, or names no trace by
+    its sha256, is an input error naming the directory."""
     from storagelab.flows import _json_object, read_flows_csv
     from storagelab.simulator import SimOutput, read_frames_jsonl
     sim_dir = Path(path_str)
@@ -191,6 +192,8 @@ def _load_sim_dir(path_str: str, with_flows: bool = False):
     entries = {"manifest.json": entry}
     if manifest.get("command") != "simulate":
         raise InputError(f"{sim_dir}: manifest is not from a simulate run")
+    if type(manifest.get("trace_sha256")) is not str:
+        raise InputError(f"{sim_dir}: manifest names no trace_sha256")
     flows = None
     if with_flows:
         flows, entries["flows.csv"] = _parse_input(sim_dir / "flows.csv", read_flows_csv, "")

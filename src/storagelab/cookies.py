@@ -131,7 +131,7 @@ def parse_cookie_date(text: str) -> float | None:
         return None
 
 
-# Bounded like policy.site_of: request URLs recur within a page load.
+# Bounded so memory stays flat on long traces; URLs recur within a page load.
 @lru_cache(maxsize=4096)
 def host_and_path(url: str) -> tuple[str, str]:
     """A URL's lowercased host ("" when it has none) and its path."""
@@ -216,29 +216,30 @@ def parse_set_cookie(
                   path=path, expiry=expiry)
 
 
-def matching_cookies(jar: CookieJar, url: str, now: float) -> list[Cookie]:
+def matching_cookies(jar: CookieJar, url: str, now: float,
+                     name: str | None = None) -> list[Cookie]:
     """Cookies of ``jar`` that ``url`` can read, per RFC 6265 section 5.4
     step 1: host-only cookies on their own host only, the others on any host
-    that domain-matches, and only on a request path that path-matches.
-    Expired cookies are purged from the jar in the same pass over one
-    snapshot of it. A URL without a host matches nothing.
+    that domain-matches, and only on a request path that path-matches. Given
+    a ``name``, only the cookies of that name. Expired cookies met in the one
+    pass over the jar are purged after it. A URL without a host matches
+    nothing.
     """
     host, path = host_and_path(url)
     request_path = path or "/"
 
     matched = []
-    for cookie in jar.cookies():
+    expired = []
+    for cookie in jar._cookies.values():
+        if name is not None and cookie.name != name:
+            continue
         if cookie.expiry is not None and cookie.expiry <= now:
-            jar.remove(cookie.name, cookie.domain, cookie.path)
-            continue
-        if cookie.host_only:
-            if host != cookie.domain:
-                continue
-        elif not domain_match(host, cookie.domain):
-            continue
-        if not path_match(request_path, cookie.path):
-            continue
-        matched.append(cookie)
+            expired.append(cookie)
+        elif ((host == cookie.domain if cookie.host_only else domain_match(host, cookie.domain))
+              and path_match(request_path, cookie.path)):
+            matched.append(cookie)
+    for cookie in expired:
+        jar.remove(cookie.name, cookie.domain, cookie.path)
     return matched
 
 

@@ -10,15 +10,15 @@ policies differ only in what they hand third parties:
 * page-length  - ephemeral partition per (page load, third-party site),
                  destroyed when the top-level page goes away
 
-Partition identity is site-granular (eTLD+1) by default; ``origin_keyed``
-switches the third-party identifier to scheme://host[:port].
+The policies are defined on sites, and so is ``resolve_partition``. A third
+party's identifier is its site (eTLD+1), or its scheme://host[:port] origin
+under origin keying; replay forms each URL's site or origin once per run.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from enum import Enum
-from functools import lru_cache
 from urllib.parse import urlsplit
 
 from storagelab.cookies import CookieJar, host_and_path, matching_cookies, parse_set_cookie
@@ -63,12 +63,9 @@ STORAGE_APIS = ("cookie", "local", "session", "indexed")
 STORAGE_OPS = ("get", "set", "delete")
 
 
-# Bounded so memory stays flat on long traces; URLs recur within a page load.
-@lru_cache(maxsize=4096)
 def site_of(url: str, rules: SuffixRuleSet) -> str:
     """eTLD+1 of the URL's host; hosts with no registrable domain (bare
-    suffixes, IP addresses) are their own site. Memoized per (URL, rule set),
-    so each distinct URL is split and looked up once."""
+    suffixes, IP addresses) are their own site."""
     host = host_and_path(url)[0]
     if not host:
         raise ValueError(f"URL has no host: {url!r}")
@@ -86,35 +83,28 @@ def origin_of(url: str) -> str:
 
 
 def resolve_partition(
-    policy: PolicyKind,
-    top_url: str,
-    load_key: int,
-    subject_url: str,
-    rules: SuffixRuleSet,
-    *,
-    origin_keyed: bool = False,
+    policy: PolicyKind, top_site: str, load_key: int, subject_site: str, subject_id: str
 ) -> PartitionKey:
-    """Partition key for a frame (script storage) or request destination. The
-    subject is first party iff its site equals the top-level page's site (not
-    an intermediate parent's)."""
-    top_site = site_of(top_url, rules)
-    subject_site = site_of(subject_url, rules)
+    """Partition key for a frame (script storage) or request destination of
+    site ``subject_site`` in page load ``load_key`` of a top-level page of site
+    ``top_site``. The subject is first party iff its site is the top site (not
+    an intermediate parent's); a third party is keyed by ``subject_id``, its
+    site or its origin."""
     if subject_site == top_site:
         return FirstParty(top_site)
-    subject = origin_of(subject_url) if origin_keyed else subject_site
     if policy is PolicyKind.PERMISSIVE:
-        return GlobalThirdParty(subject)
+        return GlobalThirdParty(subject_id)
     if policy is PolicyKind.BLOCKING:
         return BLOCKED
     if policy is PolicyKind.SITE_KEYED:
-        return SiteKeyedThirdParty(top_site, subject)
-    return Ephemeral(load_key, subject)
+        return SiteKeyedThirdParty(top_site, subject_id)
+    return Ephemeral(load_key, subject_id)
 
 
 class PartitionStore:
     """The cookie jars of one simulated browser profile, one per partition key.
 
-    A jar is created empty when a request or a cookie write first needs it,
+    A jar is created empty when a frame or a request first needs it,
     and lives exactly as long as its partition key: persistent keys survive
     page loads, ephemeral keys die with :meth:`end_page_load`. A Blocked key
     has no jar. Cookies set through the store are parsed against the
@@ -138,38 +128,32 @@ class PartitionStore:
 
     def storage_access(
         self,
-        key: PartitionKey,
+        jar: CookieJar | None,
         op: str,
         api: str,
         storage_key: str | None = None,
         value: str | None = None,
         *,
-        url: str | None = None,
+        url: str,
         now: float = 0.0,
     ) -> None:
-        """Check one script storage op; only a cookie ``set`` or ``delete``
-        then changes state, in the key's jar (none for a Blocked key). A
+        """Check one script storage op of the frame at ``url``; only a cookie
+        ``set`` or ``delete`` then changes its ``jar`` (None when blocked). A
         delete removes the cookies of that name that ``url`` can read."""
         if api not in STORAGE_APIS:
             raise ValueError(f"unknown storage api {api!r}")
         if op not in STORAGE_OPS:
             raise ValueError(f"unknown storage op {op!r}")
-        if api != "cookie" or op == "get":
+        if jar is None or api != "cookie" or op == "get":
             return
-        jar = self.jar(key)
-        if jar is None:
-            return
-        if url is None:
-            raise ValueError("cookie access requires the frame URL")
         if op == "set":
             header = f"{storage_key}={value if value is not None else ''}"
             cookie = parse_set_cookie(header, url, self.rules, now)
             if cookie is not None:
                 jar.add(cookie)
         else:  # delete
-            for cookie in matching_cookies(jar, url, now):
-                if cookie.name == storage_key:
-                    jar.remove(cookie.name, cookie.domain, cookie.path)
+            for cookie in matching_cookies(jar, url, now, storage_key):
+                jar.remove(cookie.name, cookie.domain, cookie.path)
 
     def end_page_load(self, load_key: int) -> None:
         """Destroy every ephemeral jar minted under ``load_key``. Idempotent."""

@@ -6,17 +6,21 @@ per-frame behavior-edge sets. The jars are the only replay state an output
 reads, so a script storage op changes state only when it is a cookie ``set``
 or ``delete``; the others are checked and dropped. Replay dispatches on an
 event's exact class, the one ``parse_trace`` builds, behavior edges first.
-Under every policy a frame's partition depends only on its page load and
-its site, so it is resolved once, with its jar, when the frame loads; a
-request resolves only its destination. A tab's frame registry maps a frame
-id to the frame's URL, partition key, jar and output record, so an edge (its
-canonical string) is one set insert. A frame's party is ``"first"`` or
-``"third"``. Every page load ends in ``end_page_load`` under every policy;
-only page-length hands out the ephemeral keys it destroys. Flows and frames
-are replay's only outputs. Content adaptivity is the trace's ``when``
-conditions, which replay evaluates on the frame's jar (a blocked frame has
-none): an edge whose condition fails is not recorded, and a request whose
-condition fails still sends its cookies but sets none.
+A run owns one URL table: it looks each distinct URL's site up once, through
+``policy.site_of``, and under origin keying forms a URL's origin once, at its
+first third-party use; ``resolve_partition`` maps sites to a partition key.
+A frame's partition depends only on its page load and its site, so its jar
+is found when the frame loads; a request's comes from its destination, whose
+one site serves its partition and its flows. A tab's frame registry maps a
+frame id to the frame's URL, jar and output record, so an edge (its canonical
+string) is one set insert, and a script op or a condition goes straight to
+the jar. A frame's party is ``"first"`` or ``"third"``. Every page load ends
+in ``end_page_load`` under every policy; only page-length hands out the
+ephemeral keys it destroys. Flows and frames are replay's only outputs.
+Content adaptivity is the trace's ``when`` conditions, which replay
+evaluates on the frame's jar (a blocked frame has none): an edge whose
+condition fails is not recorded, and a request whose condition fails still
+sends its cookies but sets none.
 
 Virtual time advances one tick per event; cookie expiries are interpreted
 against it.
@@ -28,7 +32,7 @@ import json
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from storagelab.cookies import CookieJar, cookies_for_request, matching_cookies, parse_set_cookie
 from storagelab.filterlist import AdRuleSet, EMPTY_RULES, is_ad_url
@@ -41,10 +45,9 @@ from storagelab.flows import (
     write_csv,
 )
 from storagelab.policy import (
-    FirstParty,
-    PartitionKey,
     PartitionStore,
     PolicyKind,
+    origin_of,
     resolve_partition,
     site_of,
 )
@@ -96,7 +99,7 @@ class SimOutput:
 
 
 class _TabState(Record):
-    # frames: frame_id -> (frame URL, the frame's partition key, jar and FrameRecord)
+    # frames: frame_id -> (frame URL, the jar of its partition, its FrameRecord)
     __slots__ = ("profile", "crawl_iter", "visit_seq", "page_url", "site", "load_key", "frames")
 
 
@@ -104,14 +107,21 @@ _EVENT_TYPES = frozenset((VisitStart, FrameLoad, HttpRequest, ScriptStorage, Beh
                           VisitEnd))
 
 
+class _Memo(dict):
+    """Each key's value under ``fn``, computed on its first lookup."""
+
+    def __init__(self, fn: Callable[[str], str]) -> None:
+        self.fn = fn
+
+    def __missing__(self, key: str) -> str:
+        self[key] = value = self.fn(key)
+        return value
+
+
 def _holds(when: tuple[str, bool], jar: CookieJar | None, url: str, now: float) -> bool:
     """Whether ``jar`` (None when blocked) holds a cookie named ``when[0]``
     that ``url`` can read, exactly when ``when[1]`` is true."""
-    if jar is not None:
-        for cookie in matching_cookies(jar, url, now):
-            if cookie.name == when[0]:
-                return when[1]
-    return not when[1]
+    return (jar is not None and bool(matching_cookies(jar, url, now, when[0]))) == when[1]
 
 
 def replay(
@@ -134,6 +144,17 @@ def replay(
     tabs: dict[str, _TabState] = {}
     last_seq: dict[str, int] = {}
     load_counter = 0
+    # The run's URL table: each distinct URL's site, and a third party's
+    # origin when origin keyed, each formed on the URL's first use.
+    sites = _Memo(lambda url: site_of(url, rules))
+    origins = _Memo(origin_of)
+
+    def resolve(state: _TabState, url: str) -> tuple[str, CookieJar | None]:
+        """A frame or request URL's site, and its partition's jar or None."""
+        site = sites[url]
+        subject_id = origins[url] if origin_keyed and site != state.site else site
+        return site, stores[state.profile].jar(
+            resolve_partition(policy, state.site, state.load_key, site, subject_id))
 
     for index, event in enumerate(events):
         kind = type(event)
@@ -150,23 +171,20 @@ def replay(
                     raise ValueError(f"unknown frame {event.frame_id!r}")
                 if kind is BehaviorEdge:
                     when = event.when
-                    if when is None or _holds(when, frame[2], frame[0], float(index)):
-                        frame[3].edge_set.add(event.edge)
+                    if when is None or _holds(when, frame[1], frame[0], float(index)):
+                        frame[2].edge_set.add(event.edge)
                     continue
-                frame_url, frame_pkey, frame_jar, _ = frame
+                frame_url, frame_jar, _ = frame
                 now = float(index)
                 if kind is ScriptStorage:
                     stores[state.profile].storage_access(
-                        frame_pkey, event.op, event.api, event.key, event.value,
+                        frame_jar, event.op, event.api, event.key, event.value,
                         url=frame_url, now=now)
                     continue
-                pkey = resolve_partition(policy, state.page_url, state.load_key,
-                                         event.dest_url, rules, origin_keyed=origin_keyed)
-                jar = stores[state.profile].jar(pkey)
+                dest_site, jar = resolve(state, event.dest_url)
                 if jar is None:
                     continue
-                if not isinstance(pkey, FirstParty):
-                    dest_site = site_of(event.dest_url, rules)
+                if dest_site != state.site:
                     for name, value in cookies_for_request(jar, event.dest_url, now):
                         out.flows.append(CookieFlowRecord(
                             state.profile, state.crawl_iter, state.visit_seq,
@@ -180,16 +198,14 @@ def replay(
                         jar.add(cookie)
 
             elif kind is FrameLoad:
-                pkey = resolve_partition(policy, state.page_url, state.load_key,
-                                         event.frame_url, rules, origin_keyed=origin_keyed)
-                party = "first" if isinstance(pkey, FirstParty) else "third"
+                site, jar = resolve(state, event.frame_url)
+                party = "first" if site == state.site else "third"
                 ad = event.is_ad if event.is_ad is not None else is_ad_url(event.frame_url, ads)
                 key = (state.page_url, event.frame_url, state.profile, state.crawl_iter)
                 record = out.frames.setdefault(key, FrameRecord(is_ad=ad, party=party))
                 record.is_ad = ad
                 record.party = party
-                state.frames[event.frame_id] = (event.frame_url, pkey,
-                                                stores[state.profile].jar(pkey), record)
+                state.frames[event.frame_id] = (event.frame_url, jar, record)
 
             elif kind is VisitEnd:
                 stores[state.profile].end_page_load(state.load_key)
@@ -210,7 +226,7 @@ def replay(
                     crawl_iter=event.crawl_iter,
                     visit_seq=event.visit_seq,
                     page_url=event.page_url,
-                    site=site_of(event.page_url, rules),
+                    site=sites[event.page_url],
                     load_key=load_counter,
                     frames={},
                 )
@@ -231,14 +247,6 @@ def write_flows_csv(flows: Iterable[CookieFlowRecord], path: str | Path) -> None
     write_csv(path, [FLOW_FIELDS, *flows])
 
 
-class _Encoded(dict):
-    """Each string's ``json.dumps`` encoding (ASCII), made on first lookup."""
-
-    def __missing__(self, text: str) -> str:
-        self[text] = encoded = encode_basestring_ascii(text)
-        return encoded
-
-
 # A frames.jsonl line, keys sorted; crawl_iter is an int, never a bool, as
 # read_frames_jsonl requires.
 _FRAME_LINE = ('{"crawl_iter":%d,"edges":[%s],"frame_url":%s,"is_ad":%s,"page_url":%s,'
@@ -248,7 +256,7 @@ _FRAME_LINE = ('{"crawl_iter":%d,"edges":[%s],"frame_url":%s,"is_ad":%s,"page_ur
 def write_frames_jsonl(frames: dict[FrameKey, FrameRecord], path: str | Path) -> None:
     """One compact JSON object per frame, keys sorted, in frame-key order;
     each distinct string is encoded once."""
-    encoded = _Encoded()
+    encoded = _Memo(encode_basestring_ascii)
     with open(path, "w", encoding="utf-8") as fh:
         for key in sorted(frames):
             page_url, frame_url, profile, crawl_iter = key

@@ -6,12 +6,14 @@ node-type functions re-parse every edge string and test enum membership subset
 by subset, kept as oracles for the bitmask forms in ``storagelab.metrics``.
 ``edge_string`` runs ``json.dumps`` on an edge's five fields, kept as the
 oracle for ``storagelab.trace._edge_string``, which joins the fields' JSON
-string encodings. ``replay`` resolves a partition and classifies the party
-again (with ``classify_party``, a second pair of site lookups) on every
-storage touch, looks up a frame's output record by its key on every edge, and
-evaluates a ``when`` condition by resolving the frame's partition again and
-scanning its whole jar, kept as the oracle for ``storagelab.simulator.replay``,
-which resolves each frame once and keeps its jar and record in the frame
+string encodings. ``replay`` resolves a partition from its URLs (with
+``resolve_partition``, which looks both sites up on every call) and
+classifies the party again (with ``classify_party``, a second pair of site
+lookups) on every storage touch, looks up a frame's output record by its key
+on every edge, and evaluates a ``when`` condition by resolving the frame's
+partition again and scanning its whole jar, kept as the oracle for
+``storagelab.simulator.replay``, which looks each distinct URL up once per
+run, resolves each frame once and keeps its jar and record in the frame
 registry. Its ``PartitionStore`` keeps a DOM-storage area beside each cookie
 jar and answers every script read, kept as the oracle for
 ``storagelab.policy.PartitionStore``, which keeps only the jar and applies
@@ -67,14 +69,17 @@ from storagelab.filterlist import is_ad_url as fast_is_ad_url
 from storagelab.flows import FLOW_FIELDS, CookieFlowRecord, TraceFormatError
 from storagelab.metrics import OptimizeInstance, OptimizeResult, Score, mean_defined
 from storagelab.policy import (
+    BLOCKED,
     STORAGE_APIS,
     STORAGE_OPS,
     Blocked,
     Ephemeral,
     FirstParty,
+    GlobalThirdParty,
     PartitionKey,
     PolicyKind,
-    resolve_partition,
+    SiteKeyedThirdParty,
+    origin_of,
     site_of,
 )
 from storagelab.psl import PslParseError, SuffixRuleSet, is_ip_host
@@ -272,6 +277,32 @@ def optimize_node_types(
         raise ValueError("all similarity scores undefined under every subset")
     separation, subset, base_mean, contrast_mean = best
     return OptimizeResult(subset, separation, base_mean, contrast_mean, evaluated)
+
+
+def resolve_partition(
+    policy: PolicyKind,
+    top_url: str,
+    load_key: int,
+    subject_url: str,
+    rules: SuffixRuleSet,
+    *,
+    origin_keyed: bool = False,
+) -> PartitionKey:
+    """Partition key for a frame or request URL, with both sites looked up
+    (and a third party's origin formed) again on every call. The subject is
+    first party iff its site equals the top-level page's site."""
+    top_site = site_of(top_url, rules)
+    subject_site = site_of(subject_url, rules)
+    if subject_site == top_site:
+        return FirstParty(top_site)
+    subject = origin_of(subject_url) if origin_keyed else subject_site
+    if policy is PolicyKind.PERMISSIVE:
+        return GlobalThirdParty(subject)
+    if policy is PolicyKind.BLOCKING:
+        return BLOCKED
+    if policy is PolicyKind.SITE_KEYED:
+        return SiteKeyedThirdParty(top_site, subject)
+    return Ephemeral(load_key, subject)
 
 
 def classify_party(subject_url: str, top_url: str, rules: SuffixRuleSet) -> str:

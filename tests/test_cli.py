@@ -288,6 +288,25 @@ class TestMetricsCommands:
                    "--compared", other_sim, "--out", tmp_path / "out") == 2
         assert "similarity: outputs come from different traces" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, other_flag", [("similarity", "--compared"),
+                                                     ("optimize", "--contrast")])
+    def test_manifest_without_trace_sha256_is_input_error_naming_its_directory(
+            self, pipeline, tmp_path, capsys, command, other_flag):
+        # Two outputs with different frames, whose manifests name no trace:
+        # neither can be shown to come from the other's trace.
+        base, dirs = pipeline
+        sims = []
+        for policy in ("permissive", "blocking"):
+            sim = tmp_path / policy
+            shutil.copytree(dirs[policy], sim)
+            (sim / "manifest.json").write_text('{"command": "simulate"}')
+            sims.append(sim)
+        assert (sims[0] / "frames.jsonl").read_bytes() != (sims[1] / "frames.jsonl").read_bytes()
+        assert run("metrics", command, "--permissive", sims[0], other_flag, sims[1],
+                   "--out", tmp_path / "o") == 2
+        assert f"{sims[0]}: manifest names no trace_sha256" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_outputs_of_traces_generated_for_two_policies_compare(self, pipeline, tmp_path):
         # Each pipeline policy has its own gen-trace call, differing only in --policy.
         base, dirs = pipeline

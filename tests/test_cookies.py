@@ -10,6 +10,7 @@ from storagelab.cookies import (
     cookies_for_request,
     default_path,
     domain_match,
+    matching_cookies,
     parse_cookie_date,
     parse_set_cookie,
     path_match,
@@ -298,6 +299,23 @@ class TestCookiesForRequest:
             Cookie("later", "3", "a.com", True, "/"),
         )
         assert cookies_for_request(jar, "https://a.com/", 0) == [("late", "2"), ("later", "3")]
+
+    def test_matching_cookies_of_one_name(self):
+        # A named match reads, and purges, only cookies of that name.
+        jar = self.make_jar(
+            Cookie("a", "1", "a.com", True, "/"),
+            Cookie("a", "2", "a.com", False, "/x"),
+            Cookie("a", "3", "www.a.com", True, "/"),
+            Cookie("b", "4", "a.com", True, "/"),
+            Cookie("a", "5", "a.com", True, "/x/z", expiry=9.0),
+            Cookie("b", "6", "a.com", True, "/x", expiry=9.0),
+        )
+        url = "https://a.com/x/z"
+        assert [c.value for c in matching_cookies(jar, url, 10.0, "a")] == ["1", "2"]
+        assert len(jar) == 5
+        assert [c.value for c in matching_cookies(jar, url, 10.0, "zz")] == []
+        assert [c.value for c in matching_cookies(jar, url, 10.0)] == ["1", "2", "4"]
+        assert len(jar) == 4
 
     def test_no_duplicate_name_domain_path(self):
         jar = CookieJar()

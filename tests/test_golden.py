@@ -2,9 +2,10 @@
 seeded experiment.
 
 ``gen-trace`` and then ``simulate`` run for all four policies through
-``cli.main``, in-process, with every path relative to one working
-directory (the manifests record the paths). Every metrics command then
-runs on those outputs: ``picf``, ``cross-site`` and ``cross-time`` per
+``cli.main``, in-process, and ``simulate --origin-keyed`` for permissive and
+site-keyed, with every path relative to one working directory (the
+manifests record the paths). Every metrics command then runs on the
+outputs without the flag: ``picf``, ``cross-site`` and ``cross-time`` per
 policy, ``similarity`` of each other policy against permissive,
 ``optimize``, ``candidates`` and ``kappa`` on a fixed grades file. The
 four ``gen-trace`` calls differ only in ``--policy``, which has no effect,
@@ -50,6 +51,20 @@ GOLDEN = {
     "page-length/flows.csv": "63a41b6dcb276ce8cdaa2ba1110594da628ae3df38eece082e46ed92e81d1ad8",
     "page-length/frames.jsonl": "215557bbf9df2f58eeac1ac5253772cbb9089bda2185a60c1fc6e6be1449ede5",
     "page-length/manifest.json": "77a5002223dfaa44fc89226e5dbf0e096607df9f8c5d0c368075870df7534470",
+}
+
+# ``simulate --origin-keyed``: each synthetic third-party site is served from
+# one origin, so the flows and frames equal those of the runs without the
+# flag, and only the manifests (which echo it) differ.
+ORIGIN_KEYED_POLICIES = ("permissive", "site-keyed")
+
+ORIGIN_KEYED_GOLDEN = {
+    "permissive/flows.csv": "ec06f3feb8001cec8a9e959526252da50d0ab439833ed9ce2c1fdf80594b04f8",
+    "permissive/frames.jsonl": "215557bbf9df2f58eeac1ac5253772cbb9089bda2185a60c1fc6e6be1449ede5",
+    "permissive/manifest.json": "4374abe0fc0d0903868bae42d081a7b534e1931981b91a134ad76959f1ef2b9a",
+    "site-keyed/flows.csv": "f058a302a11baaf286a8e445fe83d89b5d847b9019a44e52f0cd782fc68a215b",
+    "site-keyed/frames.jsonl": "215557bbf9df2f58eeac1ac5253772cbb9089bda2185a60c1fc6e6be1449ede5",
+    "site-keyed/manifest.json": "3f8d4e54a4e03550ad7856d467d52c6f02edfbe3084f99e9fb7f922a8583d6d1",
 }
 
 METRICS_GOLDEN = {
@@ -179,6 +194,10 @@ def experiment(tmp_path_factory):
                         "--policy", policy, "--out", f"traces/{policy}") == 0
             assert _run("simulate", "--policy", policy,
                         "--trace", f"traces/{policy}/trace.jsonl", "--out", f"sim/{policy}") == 0
+        for policy in ORIGIN_KEYED_POLICIES:
+            assert _run("simulate", "--policy", policy, "--origin-keyed",
+                        "--trace", f"traces/{policy}/trace.jsonl",
+                        "--out", f"sim-origin-keyed/{policy}") == 0
         (base / "grades.csv").write_text(GRADES, encoding="utf-8")
         for out, argv in _metrics_runs():
             assert _run(*argv, "--out", f"metrics/{out}") == 0, argv
@@ -196,6 +215,10 @@ def test_gen_trace_outputs_match_pinned_digests(experiment):
 
 def test_simulate_outputs_match_pinned_digests(experiment):
     assert _digests(experiment / "sim") == GOLDEN
+
+
+def test_origin_keyed_simulate_outputs_match_pinned_digests(experiment):
+    assert _digests(experiment / "sim-origin-keyed") == ORIGIN_KEYED_GOLDEN
 
 
 def test_metrics_outputs_match_pinned_digests(experiment):

@@ -34,7 +34,14 @@ from storagelab.filterlist import EMPTY_RULES, AdRuleSet, is_ad_url, parse_rules
 from storagelab.cli import InputError, _parse_input
 from storagelab.flows import FLOW_FIELDS, TraceFormatError
 from storagelab.metrics import OptimizeInstance, frame_similarity, jaccard, optimize_node_types
-from storagelab.policy import STORAGE_APIS, Ephemeral, PolicyKind, resolve_partition, site_of
+from storagelab.policy import (
+    STORAGE_APIS,
+    Ephemeral,
+    PolicyKind,
+    origin_of,
+    resolve_partition,
+    site_of,
+)
 from storagelab.psl import (
     PslParseError,
     SuffixRuleSet,
@@ -436,8 +443,10 @@ def test_flows_keep_to_their_policy_definitions(events):
 def test_only_page_length_hands_out_ephemeral_keys(policy):
     """Replay ends every page load under every policy, which destroys nothing
     unless the policy hands frames Ephemeral keys."""
-    keys = [resolve_partition(policy, top, 1, subject, builtin_rules(), origin_keyed=keyed)
-            for top, subject, keyed in product(PAGE_URLS, PAGE_URLS + SUBJECT_URLS, (False, True))]
+    rules = builtin_rules()
+    keys = [resolve_partition(policy, site_of(top, rules), 1, site_of(subject, rules), subject_id)
+            for top, subject in product(PAGE_URLS, PAGE_URLS + SUBJECT_URLS)
+            for subject_id in (site_of(subject, rules), origin_of(subject))]
     assert any(isinstance(k, Ephemeral) for k in keys) == (policy is PolicyKind.PAGE_LENGTH)
 
 

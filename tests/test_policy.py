@@ -1,6 +1,6 @@
 import pytest
 
-from storagelab.cookies import cookies_for_request
+from storagelab.cookies import CookieJar, cookies_for_request
 from storagelab.policy import (
     BLOCKED,
     STORAGE_APIS,
@@ -18,66 +18,62 @@ from storagelab.policy import (
 from storagelab.psl import builtin_rules
 
 RULES = builtin_rules()
-TOP = "https://www.a.com/"
 TRACKER = "https://t.net/w"
+ORIGIN = "https://sub.t.net:8443"
 
 
-def is_first_party(subject_url: str, top_url: str, rules) -> bool:
-    key = resolve_partition(PolicyKind.PERMISSIVE, top_url, 1, subject_url, rules)
-    return isinstance(key, FirstParty)
+class TestSiteOf:
+    """The party split: a subject is first party iff its site (``site_of``)
+    is the top-level page's site, which ``resolve_partition`` compares."""
 
-
-class TestClassifyParty:
-    """The party split inside ``resolve_partition``: first party iff the
-    subject's site equals the top-level page's site."""
+    def test_site_of_uses_etld_plus_one(self, rules):
+        assert site_of("https://deep.sub.example.co.uk/x", rules) == "example.co.uk"
 
     def test_same_site_subdomain_is_first(self, rules):
-        assert is_first_party("https://cdn.a.com/x", TOP, rules)
+        assert site_of("https://cdn.a.com/x", rules) == site_of("https://www.a.com/", rules)
+        assert site_of("https://sub.a.com/inner", rules) == site_of("https://a.com/", rules)
 
     def test_distinct_sites_are_third(self, rules):
-        assert not is_first_party(TRACKER, "https://a.com/", rules)
-
-    def test_nested_frames_classify_against_top_only(self, rules):
-        # t.net inside b.org inside a.com: relative to the top page, not b.org.
-        assert not is_first_party(TRACKER, "https://a.com/", rules)
-        assert is_first_party("https://sub.a.com/inner", "https://a.com/", rules)
+        assert site_of(TRACKER, rules) != site_of("https://a.com/", rules)
 
     def test_host_without_registrable_domain_uses_full_host(self, rules):
-        assert is_first_party("https://com/x", "https://com/y", rules)
+        assert site_of("https://com/x", rules) == site_of("https://com/y", rules) == "com"
+        assert site_of("http://127.0.0.1/", rules) == "127.0.0.1"
 
     def test_missing_host_raises(self, rules):
-        with pytest.raises(ValueError):
-            resolve_partition(PolicyKind.PERMISSIVE, TOP, 1, "not-a-url", rules)
+        for url in ("not-a-url", "https:///path"):
+            with pytest.raises(ValueError, match="URL has no host"):
+                site_of(url, rules)
 
 
-class TestResolvePartition:
-    def test_page_length_third_party(self, rules):
-        key = resolve_partition(PolicyKind.PAGE_LENGTH, "https://a.com/", 1, TRACKER, rules)
-        assert key == Ephemeral(1, "t.net")
+# (policy, top site, load key, subject site, subject id, key): first and third
+# parties under each policy, each with its site or its origin as identifier.
+# A first party's key ignores the identifier and the load.
+PARTITIONS = [
+    (PolicyKind.PERMISSIVE, "a.com", 1, "a.com", "a.com", FirstParty("a.com")),
+    (PolicyKind.PERMISSIVE, "a.com", 1, "a.com", "https://cdn.a.com", FirstParty("a.com")),
+    (PolicyKind.PERMISSIVE, "a.com", 1, "t.net", "t.net", GlobalThirdParty("t.net")),
+    (PolicyKind.PERMISSIVE, "b.com", 2, "t.net", ORIGIN, GlobalThirdParty(ORIGIN)),
+    (PolicyKind.BLOCKING, "a.com", 1, "a.com", "a.com", FirstParty("a.com")),
+    (PolicyKind.BLOCKING, "a.com", 1, "a.com", "https://cdn.a.com", FirstParty("a.com")),
+    (PolicyKind.BLOCKING, "a.com", 1, "t.net", "t.net", BLOCKED),
+    (PolicyKind.BLOCKING, "a.com", 1, "t.net", ORIGIN, BLOCKED),
+    (PolicyKind.SITE_KEYED, "a.com", 7, "a.com", "a.com", FirstParty("a.com")),
+    (PolicyKind.SITE_KEYED, "a.com", 7, "a.com", "https://cdn.a.com", FirstParty("a.com")),
+    (PolicyKind.SITE_KEYED, "a.com", 1, "t.net", "t.net", SiteKeyedThirdParty("a.com", "t.net")),
+    (PolicyKind.SITE_KEYED, "b.com", 2, "t.net", "t.net", SiteKeyedThirdParty("b.com", "t.net")),
+    (PolicyKind.SITE_KEYED, "a.com", 1, "t.net", ORIGIN, SiteKeyedThirdParty("a.com", ORIGIN)),
+    (PolicyKind.PAGE_LENGTH, "a.com", 7, "a.com", "a.com", FirstParty("a.com")),
+    (PolicyKind.PAGE_LENGTH, "a.com", 7, "a.com", "https://cdn.a.com", FirstParty("a.com")),
+    (PolicyKind.PAGE_LENGTH, "a.com", 1, "t.net", "t.net", Ephemeral(1, "t.net")),
+    (PolicyKind.PAGE_LENGTH, "a.com", 2, "t.net", "t.net", Ephemeral(2, "t.net")),
+    (PolicyKind.PAGE_LENGTH, "a.com", 1, "t.net", ORIGIN, Ephemeral(1, ORIGIN)),
+]
 
-    def test_blocking_third_party(self, rules):
-        key = resolve_partition(PolicyKind.BLOCKING, "https://a.com/", 1, TRACKER, rules)
-        assert key == BLOCKED
 
-    def test_site_keyed_differs_by_top_site(self, rules):
-        key_a = resolve_partition(PolicyKind.SITE_KEYED, "https://a.com/", 1, TRACKER, rules)
-        key_b = resolve_partition(PolicyKind.SITE_KEYED, "https://b.com/", 2, TRACKER, rules)
-        assert key_a == SiteKeyedThirdParty("a.com", "t.net")
-        assert key_a != key_b
-
-    def test_first_party_same_under_every_policy(self, rules):
-        for policy in PolicyKind:
-            key = resolve_partition(policy, "https://a.com/", 7, "https://cdn.a.com/x", rules)
-            assert key == FirstParty("a.com")
-
-    def test_permissive_third_party_is_global(self, rules):
-        key = resolve_partition(PolicyKind.PERMISSIVE, "https://a.com/", 1, TRACKER, rules)
-        assert key == GlobalThirdParty("t.net")
-
-    def test_origin_keyed_flag(self, rules):
-        key = resolve_partition(PolicyKind.PERMISSIVE, "https://a.com/", 1,
-                                "https://sub.t.net:8443/w", rules, origin_keyed=True)
-        assert key == GlobalThirdParty("https://sub.t.net:8443")
+@pytest.mark.parametrize("policy, top_site, load_key, subject_site, subject_id, key", PARTITIONS)
+def test_resolve_partition(policy, top_site, load_key, subject_site, subject_id, key):
+    assert resolve_partition(policy, top_site, load_key, subject_site, subject_id) == key
 
 
 def names(store: PartitionStore, key) -> list[str]:
@@ -87,49 +83,48 @@ def names(store: PartitionStore, key) -> list[str]:
 
 def set_cookie(store: PartitionStore, key, header: str, url: str = TRACKER) -> None:
     name, _, value = header.partition("=")
-    store.storage_access(key, "set", "cookie", name, value, url=url, now=1.0)
+    store.storage_access(store.jar(key), "set", "cookie", name, value, url=url, now=1.0)
 
 
 class TestStorageAccess:
     def test_dom_ops_and_gets_change_no_state(self):
-        # Only a cookie set or delete reaches a jar; nothing else makes one.
+        # Only a cookie set or delete changes the frame's jar.
         store = PartitionStore(RULES)
-        keys = [FirstParty("a.com"), GlobalThirdParty("t.net"),
-                SiteKeyedThirdParty("a.com", "t.net"), Ephemeral(1, "t.net")]
-        for key in keys:
-            for api in STORAGE_APIS:
-                for op in STORAGE_OPS:
-                    if api != "cookie" or op == "get":
-                        assert store.storage_access(key, op, api, "u", "x", url=TRACKER) is None
+        jar = CookieJar()
+        for api in STORAGE_APIS:
+            for op in STORAGE_OPS:
+                if api != "cookie" or op == "get":
+                    assert store.storage_access(jar, op, api, "u", "x", url=TRACKER) is None
+        assert len(jar) == 0
         assert store.persistent == {} and store.ephemeral == {}
 
     def test_blocked_get_is_absent_and_nothing_mutates(self):
         store = PartitionStore(RULES)
         assert store.jar(BLOCKED) is None
         with pytest.raises(ValueError, match="unknown storage op 'clear'"):
-            store.storage_access(BLOCKED, "clear", "session")
+            store.storage_access(None, "clear", "session", url=TRACKER)
         set_cookie(store, BLOCKED, "a=1")
-        store.storage_access(BLOCKED, "delete", "cookie", "a", url=TRACKER)
+        store.storage_access(None, "delete", "cookie", "a", url=TRACKER)
         assert store.persistent == {} and store.ephemeral == {}
 
     def test_same_partition_shared_between_frames(self, rules):
         # Two frames from the same third party on one page resolve to equal
         # keys, so a cookie set by one is visible to the other.
         store = PartitionStore(RULES)
-        key_1 = resolve_partition(PolicyKind.PAGE_LENGTH, "https://a.com/", 5, TRACKER, rules)
-        key_2 = resolve_partition(PolicyKind.PAGE_LENGTH, "https://a.com/", 5,
-                                  "https://t.net/other", rules)
+        sites = [site_of(url, rules) for url in (TRACKER, "https://t.net/other")]
+        key_1, key_2 = (resolve_partition(PolicyKind.PAGE_LENGTH, "a.com", 5, site, site)
+                        for site in sites)
         assert key_1 == key_2
         set_cookie(store, key_1, "u=x")
         assert cookies_for_request(store.jar(key_2), "https://t.net/other", 2.0) == [("u", "x")]
 
     def test_cookie_api_round_trip(self):
         store = PartitionStore(RULES)
-        key = GlobalThirdParty("t.net")
-        store.storage_access(key, "set", "cookie", "uid", "tok", url=TRACKER, now=1.0)
-        assert cookies_for_request(store.jar(key), TRACKER, 2.0) == [("uid", "tok")]
-        store.storage_access(key, "delete", "cookie", "uid", url=TRACKER, now=3.0)
-        assert cookies_for_request(store.jar(key), TRACKER, 4.0) == []
+        jar = store.jar(GlobalThirdParty("t.net"))
+        store.storage_access(jar, "set", "cookie", "uid", "tok", url=TRACKER, now=1.0)
+        assert cookies_for_request(jar, TRACKER, 2.0) == [("uid", "tok")]
+        store.storage_access(jar, "delete", "cookie", "uid", url=TRACKER, now=3.0)
+        assert cookies_for_request(jar, TRACKER, 4.0) == []
 
     def test_script_cookie_with_public_suffix_domain_not_stored(self):
         key = GlobalThirdParty("x.co.uk")
@@ -144,7 +139,8 @@ class TestStorageAccess:
         store = PartitionStore(RULES)
         key = GlobalThirdParty("t.net")
         set_cookie(store, key, "uid=tok")
-        assert store.storage_access(key, "delete", "cookie", "uid", url="not-a-url", now=2.0) is None
+        assert store.storage_access(store.jar(key), "delete", "cookie", "uid", url="not-a-url",
+                                    now=2.0) is None
         assert names(store, key) == ["uid"]
 
     def test_area_created_empty_on_demand(self):
@@ -156,10 +152,11 @@ class TestStorageAccess:
 
     def test_unknown_api_or_op(self):
         store = PartitionStore(RULES)
+        jar = store.jar(FirstParty("a.com"))
         with pytest.raises(ValueError):
-            store.storage_access(FirstParty("a.com"), "get", "webSQL", "k")
+            store.storage_access(jar, "get", "webSQL", "k", url=TRACKER)
         with pytest.raises(ValueError):
-            store.storage_access(FirstParty("a.com"), "peek", "local", "k")
+            store.storage_access(jar, "peek", "local", "k", url=TRACKER)
 
 
 class TestScriptCookieDelete:
@@ -172,7 +169,7 @@ class TestScriptCookieDelete:
         store = PartitionStore(RULES)
         set_cookie(store, self.KEY, header, set_url)
         assert len(store.jar(self.KEY)) == 1
-        assert store.storage_access(self.KEY, "delete", "cookie", header.split("=")[0],
+        assert store.storage_access(store.jar(self.KEY), "delete", "cookie", header.split("=")[0],
                                     url=delete_url, now=2.0) is None
         return names(store, self.KEY)
 
@@ -189,7 +186,7 @@ class TestScriptCookieDelete:
         store = PartitionStore(RULES)
         set_cookie(store, self.KEY, "a=1")
         set_cookie(store, self.KEY, "b=2")
-        store.storage_access(self.KEY, "delete", "cookie", "a", url=TRACKER, now=2.0)
+        store.storage_access(store.jar(self.KEY), "delete", "cookie", "a", url=TRACKER, now=2.0)
         assert names(store, self.KEY) == ["b"]
 
 
@@ -236,9 +233,6 @@ class TestIsolationProperties:
         set_cookie(store, SiteKeyedThirdParty("a.com", "t.net"), "u=x")
         assert names(store, SiteKeyedThirdParty("a.com", "t.net")) == ["u"]
         assert names(store, SiteKeyedThirdParty("b.com", "t.net")) == []
-
-    def test_site_of_uses_etld_plus_one(self, rules):
-        assert site_of("https://deep.sub.example.co.uk/x", rules) == "example.co.uk"
 
     def test_blocked_is_shared_singleton_value(self):
         assert Blocked() == BLOCKED

@@ -1,7 +1,9 @@
 import csv
+import gc
 import io
 import json
 import re
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -11,14 +13,21 @@ import support
 from storagelab.cli import InputError
 from storagelab.filterlist import parse_rules
 from storagelab.flows import FLOW_FIELDS, CookieFlowRecord, read_flows_csv
-from storagelab.policy import PolicyKind
+from storagelab import simulator
+from storagelab.policy import PolicyKind, site_of
+from storagelab.psl import BUILTIN_PSL, parse_psl
 from storagelab.simulator import (
     ReplayError,
     replay,
     write_flows_csv,
     write_frames_jsonl,
 )
-from storagelab.synthetic import SyntheticSpec, TrackerSpec, generate_synthetic_trace
+from storagelab.synthetic import (
+    SyntheticSpec,
+    TrackerSpec,
+    default_tracker_sites,
+    generate_synthetic_trace,
+)
 from storagelab.trace import (
     BehaviorEdge,
     FrameLoad,
@@ -217,6 +226,49 @@ def test_origin_keyed_frame_with_bad_port_fails_at_its_load(rules):
     assert replay(events, PolicyKind.PERMISSIVE, rules).frames
     with pytest.raises(ReplayError, match="^event 1: Port out of range"):
         replay(events, PolicyKind.PERMISSIVE, rules, origin_keyed=True)
+    # A first party is keyed by its site, so its origin is never formed.
+    first_party = [_VISIT, FrameLoad("t", "f1", "https://cdn.a.com:99999/w")]
+    assert replay(first_party, PolicyKind.PERMISSIVE, rules, origin_keyed=True).frames
+
+
+def _small_trace():
+    spec = SyntheticSpec(n_sites=3, trackers=tuple(TrackerSpec(site)
+                                                   for site in default_tracker_sites(2)),
+                         pages_per_site=2, crawl_iters=2, profiles=2, seed=5)
+    return generate_synthetic_trace(spec).events
+
+
+@pytest.mark.parametrize("origin_keyed", [False, True])
+@pytest.mark.parametrize("policy", list(PolicyKind))
+def test_replay_looks_each_url_up_once(policy, origin_keyed, rules, monkeypatch):
+    """One ``site_of`` call per distinct page, frame and destination URL."""
+    events = _small_trace()
+    urls = ({e.page_url for e in events if type(e) is VisitStart}
+            | {e.frame_url for e in events if type(e) is FrameLoad}
+            | {e.dest_url for e in events if type(e) is HttpRequest})
+    looked_up = []
+
+    def counted(url, rules):
+        looked_up.append(url)
+        return site_of(url, rules)
+
+    monkeypatch.setattr(simulator, "site_of", counted)
+    replay(events, policy, rules, origin_keyed=origin_keyed)
+    assert len(looked_up) == len(urls) < len(events)
+    assert set(looked_up) == urls
+
+
+def test_replay_keeps_no_rule_set_alive():
+    # builtin_rules() is memoized on purpose, so the rules here are a fresh
+    # parse that nothing else holds, with one extra rule so that they equal
+    # no rule set another test has used.
+    rules = parse_psl(BUILTIN_PSL + "unused.example\n")
+    alive = weakref.ref(rules.normal_rules)
+    for policy in PolicyKind:
+        replay(_small_trace(), policy, rules, origin_keyed=True)
+    del rules
+    gc.collect()
+    assert alive() is None
 
 
 def test_set_cookie_with_public_suffix_domain_not_stored(rules):
