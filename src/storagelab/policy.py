@@ -13,11 +13,13 @@ policies differ only in what they hand third parties:
 The policies are defined on sites, and so is ``resolve_partition``. A third
 party's identifier is its site (eTLD+1), or its scheme://host[:port] origin
 under origin keying; replay forms each URL's site or origin once per run.
+An ``Ephemeral`` key names only its subject: it is looked up in the jars of
+the page load that resolved it, which die with that load, while every other
+key is looked up in its profile's jars (``partition_jar``).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from enum import Enum
 from urllib.parse import urlsplit
 
@@ -48,7 +50,7 @@ class SiteKeyedThirdParty(Record):
 
 
 class Ephemeral(Record):
-    __slots__ = ("load_key", "third_party_site")
+    __slots__ = ("third_party_site",)
 
 
 class Blocked(Record):
@@ -83,13 +85,13 @@ def origin_of(url: str) -> str:
 
 
 def resolve_partition(
-    policy: PolicyKind, top_site: str, load_key: int, subject_site: str, subject_id: str
+    policy: PolicyKind, top_site: str, subject_site: str, subject_id: str
 ) -> PartitionKey:
     """Partition key for a frame (script storage) or request destination of
-    site ``subject_site`` in page load ``load_key`` of a top-level page of site
-    ``top_site``. The subject is first party iff its site is the top site (not
-    an intermediate parent's); a third party is keyed by ``subject_id``, its
-    site or its origin."""
+    site ``subject_site`` on a top-level page of site ``top_site``. The
+    subject is first party iff its site is the top site (not an intermediate
+    parent's); a third party is keyed by ``subject_id``, its site or its
+    origin."""
     if subject_site == top_site:
         return FirstParty(top_site)
     if policy is PolicyKind.PERMISSIVE:
@@ -98,63 +100,52 @@ def resolve_partition(
         return BLOCKED
     if policy is PolicyKind.SITE_KEYED:
         return SiteKeyedThirdParty(top_site, subject_id)
-    return Ephemeral(load_key, subject_id)
+    return Ephemeral(subject_id)
 
 
-class PartitionStore:
-    """The cookie jars of one simulated browser profile, one per partition key.
+def partition_jar(
+    key: PartitionKey,
+    page_jars: dict[PartitionKey, CookieJar],
+    profile_jars: dict[PartitionKey, CookieJar],
+) -> CookieJar | None:
+    """The jar of ``key``, created empty on first use: an Ephemeral key's in
+    ``page_jars``, the page load's own, and any other key's in
+    ``profile_jars``; None for a Blocked key."""
+    if isinstance(key, Blocked):
+        return None
+    jars = page_jars if isinstance(key, Ephemeral) else profile_jars
+    jar = jars.get(key)
+    if jar is None:
+        jar = jars[key] = CookieJar()
+    return jar
 
-    A jar is created empty when a frame or a request first needs it,
-    and lives exactly as long as its partition key: persistent keys survive
-    page loads, ephemeral keys die with :meth:`end_page_load`. A Blocked key
-    has no jar. Cookies set through the store are parsed against the
-    profile's suffix ``rules``.
-    """
 
-    def __init__(self, rules: SuffixRuleSet) -> None:
-        self.rules = rules
-        self.persistent: dict[PartitionKey, CookieJar] = {}
-        # load key -> the jars of the Ephemeral keys minted under it
-        self.ephemeral: defaultdict[int, dict[Ephemeral, CookieJar]] = defaultdict(dict)
-
-    def jar(self, key: PartitionKey) -> CookieJar | None:
-        if isinstance(key, Blocked):
-            return None
-        jars = self.ephemeral[key.load_key] if isinstance(key, Ephemeral) else self.persistent
-        jar = jars.get(key)
-        if jar is None:
-            jar = jars[key] = CookieJar()
-        return jar
-
-    def storage_access(
-        self,
-        jar: CookieJar | None,
-        op: str,
-        api: str,
-        storage_key: str | None = None,
-        value: str | None = None,
-        *,
-        url: str,
-        now: float = 0.0,
-    ) -> None:
-        """Check one script storage op of the frame at ``url``; only a cookie
-        ``set`` or ``delete`` then changes its ``jar`` (None when blocked). A
-        delete removes the cookies of that name that ``url`` can read."""
-        if api not in STORAGE_APIS:
-            raise ValueError(f"unknown storage api {api!r}")
-        if op not in STORAGE_OPS:
-            raise ValueError(f"unknown storage op {op!r}")
-        if jar is None or api != "cookie" or op == "get":
-            return
-        if op == "set":
-            header = f"{storage_key}={value if value is not None else ''}"
-            cookie = parse_set_cookie(header, url, self.rules, now)
-            if cookie is not None:
-                jar.add(cookie)
-        else:  # delete
-            for cookie in matching_cookies(jar, url, now, storage_key):
-                jar.remove(cookie.name, cookie.domain, cookie.path)
-
-    def end_page_load(self, load_key: int) -> None:
-        """Destroy every ephemeral jar minted under ``load_key``. Idempotent."""
-        self.ephemeral.pop(load_key, None)
+def storage_access(
+    jar: CookieJar | None,
+    op: str,
+    api: str,
+    storage_key: str | None = None,
+    value: str | None = None,
+    *,
+    url: str,
+    rules: SuffixRuleSet,
+    now: float = 0.0,
+) -> None:
+    """Check one script storage op of the frame at ``url``; only a cookie
+    ``set`` or ``delete`` then changes its ``jar`` (None when blocked). A set
+    is parsed against the suffix ``rules``; a delete removes the cookies of
+    that name that ``url`` can read."""
+    if api not in STORAGE_APIS:
+        raise ValueError(f"unknown storage api {api!r}")
+    if op not in STORAGE_OPS:
+        raise ValueError(f"unknown storage op {op!r}")
+    if jar is None or api != "cookie" or op == "get":
+        return
+    if op == "set":
+        header = f"{storage_key}={value if value is not None else ''}"
+        cookie = parse_set_cookie(header, url, rules, now)
+        if cookie is not None:
+            jar.add(cookie)
+    else:  # delete
+        for cookie in matching_cookies(jar, url, now, storage_key):
+            jar.remove(cookie.name, cookie.domain, cookie.path)

@@ -7,16 +7,19 @@ reads, so a script storage op changes state only when it is a cookie ``set``
 or ``delete``; the others are checked and dropped. Replay dispatches on an
 event's exact class, the one ``parse_trace`` builds, behavior edges first.
 A run owns one URL table: it looks each distinct URL's site up once, through
-``policy.site_of``, and under origin keying forms a URL's origin once, at its
-first third-party use; ``resolve_partition`` maps sites to a partition key.
+``policy.site_of``, and each frame URL's filter-list verdict once; under
+origin keying it forms a URL's origin once, at its first third-party use.
+``resolve_partition`` maps sites to a partition key. A tab's state is its
+page load: it holds that load's page-length jars beside its profile's
+persistent ones, and when the visit ends or the tab navigates, the state is
+dropped and the page's jars with it.
 A frame's partition depends only on its page load and its site, so its jar
 is found when the frame loads; a request's comes from its destination, whose
 one site serves its partition and its flows. A tab's frame registry maps a
 frame id to the frame's URL, jar and output record, so an edge (its canonical
 string) is one set insert, and a script op or a condition goes straight to
-the jar. A frame's party is ``"first"`` or ``"third"``. Every page load ends
-in ``end_page_load`` under every policy; only page-length hands out the
-ephemeral keys it destroys. Flows and frames are replay's only outputs.
+the jar. A frame's party is ``"first"`` or ``"third"``. Flows and frames are
+replay's only outputs.
 Content adaptivity is the trace's ``when`` conditions, which replay
 evaluates on the frame's jar (a blocked frame has none): an edge whose
 condition fails is not recorded, and a request whose condition fails still
@@ -29,10 +32,11 @@ against it.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from storagelab.cookies import CookieJar, cookies_for_request, matching_cookies, parse_set_cookie
 from storagelab.filterlist import AdRuleSet, EMPTY_RULES, is_ad_url
@@ -45,11 +49,12 @@ from storagelab.flows import (
     write_csv,
 )
 from storagelab.policy import (
-    PartitionStore,
     PolicyKind,
     origin_of,
+    partition_jar,
     resolve_partition,
     site_of,
+    storage_access,
 )
 from storagelab.psl import SuffixRuleSet
 from storagelab.record import Record
@@ -62,6 +67,7 @@ from storagelab.trace import (
     VisitEnd,
     VisitStart,
     _EDGE_MASKS,
+    _Memo,
 )
 
 
@@ -99,23 +105,14 @@ class SimOutput:
 
 
 class _TabState(Record):
-    # frames: frame_id -> (frame URL, the jar of its partition, its FrameRecord)
-    __slots__ = ("profile", "crawl_iter", "visit_seq", "page_url", "site", "load_key", "frames")
+    # profile_jars and page_jars: the profile's persistent jars and this page
+    # load's own; frames: frame_id -> (frame URL, its jar, its FrameRecord)
+    __slots__ = ("profile", "crawl_iter", "visit_seq", "page_url", "site", "profile_jars",
+                 "page_jars", "frames")
 
 
 _EVENT_TYPES = frozenset((VisitStart, FrameLoad, HttpRequest, ScriptStorage, BehaviorEdge,
                           VisitEnd))
-
-
-class _Memo(dict):
-    """Each key's value under ``fn``, computed on its first lookup."""
-
-    def __init__(self, fn: Callable[[str], str]) -> None:
-        self.fn = fn
-
-    def __missing__(self, key: str) -> str:
-        self[key] = value = self.fn(key)
-        return value
 
 
 def _holds(when: tuple[str, bool], jar: CookieJar | None, url: str, now: float) -> bool:
@@ -140,21 +137,22 @@ def replay(
     type is not exactly one of the event classes.
     """
     out = SimOutput()
-    stores: dict[str, PartitionStore] = {}
+    profiles: defaultdict[str, dict] = defaultdict(dict)  # profile -> its persistent jars
     tabs: dict[str, _TabState] = {}
     last_seq: dict[str, int] = {}
-    load_counter = 0
-    # The run's URL table: each distinct URL's site, and a third party's
-    # origin when origin keyed, each formed on the URL's first use.
+    # The run's URL table: each distinct URL's site, a third party's origin
+    # when origin keyed, and a frame URL's filter-list verdict, each formed
+    # on the URL's first use.
     sites = _Memo(lambda url: site_of(url, rules))
     origins = _Memo(origin_of)
+    ad_verdicts = _Memo(lambda url: is_ad_url(url, ads))
 
     def resolve(state: _TabState, url: str) -> tuple[str, CookieJar | None]:
         """A frame or request URL's site, and its partition's jar or None."""
         site = sites[url]
         subject_id = origins[url] if origin_keyed and site != state.site else site
-        return site, stores[state.profile].jar(
-            resolve_partition(policy, state.site, state.load_key, site, subject_id))
+        return site, partition_jar(resolve_partition(policy, state.site, site, subject_id),
+                                   state.page_jars, state.profile_jars)
 
     for index, event in enumerate(events):
         kind = type(event)
@@ -177,9 +175,8 @@ def replay(
                 frame_url, frame_jar, _ = frame
                 now = float(index)
                 if kind is ScriptStorage:
-                    stores[state.profile].storage_access(
-                        frame_jar, event.op, event.api, event.key, event.value,
-                        url=frame_url, now=now)
+                    storage_access(frame_jar, event.op, event.api, event.key, event.value,
+                                   url=frame_url, rules=rules, now=now)
                     continue
                 dest_site, jar = resolve(state, event.dest_url)
                 if jar is None:
@@ -198,36 +195,35 @@ def replay(
                         jar.add(cookie)
 
             elif kind is FrameLoad:
-                site, jar = resolve(state, event.frame_url)
+                frame_url = event.frame_url
+                site, jar = resolve(state, frame_url)
                 party = "first" if site == state.site else "third"
-                ad = event.is_ad if event.is_ad is not None else is_ad_url(event.frame_url, ads)
-                key = (state.page_url, event.frame_url, state.profile, state.crawl_iter)
-                record = out.frames.setdefault(key, FrameRecord(is_ad=ad, party=party))
-                record.is_ad = ad
+                ad = event.is_ad if event.is_ad is not None else ad_verdicts[frame_url]
+                key = (state.page_url, frame_url, state.profile, state.crawl_iter)
+                record = out.frames.get(key)
+                if record is None:
+                    record = out.frames[key] = FrameRecord()
+                record.is_ad = ad  # the frame's latest load decides its flags
                 record.party = party
-                state.frames[event.frame_id] = (event.frame_url, jar, record)
+                state.frames[event.frame_id] = (frame_url, jar, record)
 
             elif kind is VisitEnd:
-                stores[state.profile].end_page_load(state.load_key)
                 del tabs[event.tab]
 
-            else:  # VisitStart; ``state`` is the tab's previous page load, if any
+            else:  # VisitStart; it replaces the tab's previous page load, if any
                 prev_seq = last_seq.get(event.profile)
                 if prev_seq is not None and event.visit_seq <= prev_seq:
                     raise ValueError(f"visit_seq {event.visit_seq} not increasing "
                                      f"for profile {event.profile!r}")
                 last_seq[event.profile] = event.visit_seq
-                if state is not None:
-                    stores[state.profile].end_page_load(state.load_key)
-                load_counter += 1
-                stores.setdefault(event.profile, PartitionStore(rules))
                 tabs[event.tab] = _TabState(
                     profile=event.profile,
                     crawl_iter=event.crawl_iter,
                     visit_seq=event.visit_seq,
                     page_url=event.page_url,
                     site=sites[event.page_url],
-                    load_key=load_counter,
+                    profile_jars=profiles[event.profile],
+                    page_jars={},
                     frames={},
                 )
         except ValueError as exc:

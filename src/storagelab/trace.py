@@ -24,7 +24,7 @@ import json
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 from storagelab.flows import TraceFormatError, _json_object, _require
 from storagelab.policy import STORAGE_APIS, STORAGE_OPS
@@ -93,18 +93,26 @@ def edge_endpoint_types(encoded: str) -> tuple[NodeType, NodeType]:
     raise ValueError(f"not a canonical edge: {encoded!r}")
 
 
-class _EdgeMasks(dict):
-    """The node-type mask of each canonical edge string, the bits of its two
-    endpoint types: parsed on first lookup, so once per distinct edge per
-    process, by whichever reader or metric meets it first."""
+class _Memo(dict):
+    """Each key's value under ``fn``, computed on its first lookup."""
 
-    def __missing__(self, edge: str) -> int:
-        source, target = edge_endpoint_types(edge)
-        self[edge] = mask = _TYPE_BIT[source] | _TYPE_BIT[target]
-        return mask
+    def __init__(self, fn: Callable[[str], object]) -> None:
+        self.fn = fn
+
+    def __missing__(self, key: str):
+        self[key] = value = self.fn(key)
+        return value
 
 
-_EDGE_MASKS = _EdgeMasks()
+def _edge_mask(edge: str) -> int:
+    source, target = edge_endpoint_types(edge)
+    return _TYPE_BIT[source] | _TYPE_BIT[target]
+
+
+# The node-type mask of each canonical edge string, the bits of its two
+# endpoint types: parsed on first lookup, so once per distinct edge per
+# process, by whichever reader or metric meets it first.
+_EDGE_MASKS = _Memo(_edge_mask)
 
 
 class TraceMeta(NamedTuple):

@@ -15,9 +15,11 @@ partition again and scanning its whole jar, kept as the oracle for
 ``storagelab.simulator.replay``, which looks each distinct URL up once per
 run, resolves each frame once and keeps its jar and record in the frame
 registry. Its ``PartitionStore`` keeps a DOM-storage area beside each cookie
-jar and answers every script read, kept as the oracle for
-``storagelab.policy.PartitionStore``, which keeps only the jar and applies
-only a script cookie ``set`` or ``delete``.
+jar, answers every script read, and keys page-length areas by a page-load
+counter (its own two-field ``Ephemeral``) that ``end_page_load`` destroys;
+it is the oracle for replay's jars, which keep only the cookie jar, apply
+only a script cookie ``set`` or ``delete``, and hold a page load's
+page-length jars in the page load's own state, dropped with it.
 ``parse_trace`` decodes and checks every line, repeated or not, kept as the
 oracle for ``storagelab.trace.parse_trace``, which does so once per distinct
 line. ``generate_synthetic_trace`` writes a trace for one policy, without
@@ -73,7 +75,6 @@ from storagelab.policy import (
     STORAGE_APIS,
     STORAGE_OPS,
     Blocked,
-    Ephemeral,
     FirstParty,
     GlobalThirdParty,
     PartitionKey,
@@ -83,6 +84,7 @@ from storagelab.policy import (
     site_of,
 )
 from storagelab.psl import PslParseError, SuffixRuleSet, is_ip_host
+from storagelab.record import Record
 from storagelab.simulator import (
     FrameRecord,
     ReplayError,
@@ -277,6 +279,12 @@ def optimize_node_types(
         raise ValueError("all similarity scores undefined under every subset")
     separation, subset, base_mean, contrast_mean = best
     return OptimizeResult(subset, separation, base_mean, contrast_mean, evaluated)
+
+
+class Ephemeral(Record):
+    """A page-length key of this oracle's store: the page load's number and
+    the third party."""
+    __slots__ = ("load_key", "third_party_site")
 
 
 def resolve_partition(

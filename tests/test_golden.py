@@ -7,7 +7,10 @@ site-keyed, with every path relative to one working directory (the
 manifests record the paths). Every metrics command then runs on the
 outputs without the flag: ``picf``, ``cross-site`` and ``cross-time`` per
 policy, ``similarity`` of each other policy against permissive,
-``optimize``, ``candidates`` and ``kappa`` on a fixed grades file. The
+``optimize``, ``candidates`` and ``kappa`` on a fixed grades file. A
+hand-written two-origin trace is then simulated under every policy with and
+without ``--origin-keyed``, since the generated trace cannot tell the two
+apart. The
 four ``gen-trace`` calls differ only in ``--policy``, which has no effect,
 so the four traces are the same bytes and only their manifests differ. Each
 sha256 below was taken before the code it guards was last reworked (the
@@ -223,3 +226,105 @@ def test_origin_keyed_simulate_outputs_match_pinned_digests(experiment):
 
 def test_metrics_outputs_match_pinned_digests(experiment):
     assert _digests(experiment / "metrics") == METRICS_GOLDEN
+
+
+# Third party t.net served from two origins on one page: frame a's request
+# sets a cookie for the whole site, and frame b then sends a request. Keyed
+# by site, the two origins share a partition and b's request carries the
+# cookie; keyed by origin, they do not.
+TWO_ORIGIN_TRACE = (
+    '{"type":"visit_start","profile":"p0","crawl_iter":1,"tab":"t",'
+    '"page_url":"https://a.com/","visit_seq":1}\n'
+    '{"type":"frame_load","tab":"t","frame_id":"a","frame_url":"https://a.t.net/w"}\n'
+    '{"type":"frame_load","tab":"t","frame_id":"b","frame_url":"https://b.t.net:8443/w"}\n'
+    '{"type":"http_request","tab":"t","frame_id":"a","dest_url":"https://a.t.net/s",'
+    '"response_set_cookies":["uid=u1; Domain=t.net"]}\n'
+    '{"type":"http_request","tab":"t","frame_id":"b","dest_url":"https://b.t.net:8443/r"}\n'
+    '{"type":"visit_end","tab":"t"}\n'
+)
+
+TWO_ORIGIN_GOLDEN = {
+    "origin/blocking/flows.csv":
+        "34709d3ddac120a6249843adc52f63a8cf2030a30982e3e392e1f09f1eebf520",
+    "origin/blocking/frames.jsonl":
+        "5ed80c8401c16012770f7cba512b3a31efa6a44f1db4529e0b35991d425cbba4",
+    "origin/blocking/manifest.json":
+        "83ba8c58fe481bc24311f0ed7a8958d4e2e250731ab7a6b8c4b1fb095d07ef79",
+    "origin/page-length/flows.csv":
+        "34709d3ddac120a6249843adc52f63a8cf2030a30982e3e392e1f09f1eebf520",
+    "origin/page-length/frames.jsonl":
+        "5ed80c8401c16012770f7cba512b3a31efa6a44f1db4529e0b35991d425cbba4",
+    "origin/page-length/manifest.json":
+        "d071752151bbcd0c41672ff0d91fa353c1d25cb17c1a53a32f93d142361dc708",
+    "origin/permissive/flows.csv":
+        "34709d3ddac120a6249843adc52f63a8cf2030a30982e3e392e1f09f1eebf520",
+    "origin/permissive/frames.jsonl":
+        "5ed80c8401c16012770f7cba512b3a31efa6a44f1db4529e0b35991d425cbba4",
+    "origin/permissive/manifest.json":
+        "48392dd7fec18c30c9437c044bdedd73fe5c021370361fe8dd511db277046c06",
+    "origin/site-keyed/flows.csv":
+        "34709d3ddac120a6249843adc52f63a8cf2030a30982e3e392e1f09f1eebf520",
+    "origin/site-keyed/frames.jsonl":
+        "5ed80c8401c16012770f7cba512b3a31efa6a44f1db4529e0b35991d425cbba4",
+    "origin/site-keyed/manifest.json":
+        "1bf5a1905002b4f7bb5577ea95716fd20ef5038b640253d698db904f84c4c511",
+    "site/blocking/flows.csv":
+        "34709d3ddac120a6249843adc52f63a8cf2030a30982e3e392e1f09f1eebf520",
+    "site/blocking/frames.jsonl":
+        "5ed80c8401c16012770f7cba512b3a31efa6a44f1db4529e0b35991d425cbba4",
+    "site/blocking/manifest.json":
+        "c42c14b733d906297d384441a009f4f9c35ab05d045bfdfee97f1067a8a3cffd",
+    "site/page-length/flows.csv":
+        "22ba69a4d44c1e82a46bfe7ff57d0d1834f38a5439619d51283766a0d78171f8",
+    "site/page-length/frames.jsonl":
+        "5ed80c8401c16012770f7cba512b3a31efa6a44f1db4529e0b35991d425cbba4",
+    "site/page-length/manifest.json":
+        "4a549758230b583cc9a01c4a9135c2bba9b660bacad72305df011da39ff06ce0",
+    "site/permissive/flows.csv":
+        "22ba69a4d44c1e82a46bfe7ff57d0d1834f38a5439619d51283766a0d78171f8",
+    "site/permissive/frames.jsonl":
+        "5ed80c8401c16012770f7cba512b3a31efa6a44f1db4529e0b35991d425cbba4",
+    "site/permissive/manifest.json":
+        "0fe13dc428381edda395e7961a4b0dfe2ad0b0bf238452b53bb63e3204e1a2b1",
+    "site/site-keyed/flows.csv":
+        "22ba69a4d44c1e82a46bfe7ff57d0d1834f38a5439619d51283766a0d78171f8",
+    "site/site-keyed/frames.jsonl":
+        "5ed80c8401c16012770f7cba512b3a31efa6a44f1db4529e0b35991d425cbba4",
+    "site/site-keyed/manifest.json":
+        "722d905f6a2a206696a5335aae37514fece1bcb30184ac5033c4205a6a61cf0a",
+    "trace.jsonl":
+        "5b0752a10e390d3ee027e69017899f56c83e08efca3155b9faf8bff89d1e2e32",
+}
+
+
+@pytest.fixture(scope="module")
+def two_origins(tmp_path_factory):
+    """The working directory after ``simulate`` of the two-origin trace under
+    every policy, into ``site/POLICY`` and, with ``--origin-keyed``, into
+    ``origin/POLICY``."""
+    base = tmp_path_factory.mktemp("two-origins")
+    (base / "trace.jsonl").write_text(TWO_ORIGIN_TRACE, encoding="utf-8")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(base)
+        for policy in POLICIES:
+            assert _run("simulate", "--policy", policy, "--trace", "trace.jsonl",
+                        "--out", f"site/{policy}") == 0
+            assert _run("simulate", "--policy", policy, "--origin-keyed", "--trace",
+                        "trace.jsonl", "--out", f"origin/{policy}") == 0
+    return base
+
+
+def test_two_origin_simulate_outputs_match_pinned_digests(two_origins):
+    assert _digests(two_origins) == TWO_ORIGIN_GOLDEN
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_origin_keying_separates_the_two_origins(two_origins, policy):
+    """One flow keyed by site and none keyed by origin, except under blocking,
+    which sends no third-party cookie either way."""
+    flows = {keyed: (two_origins / keyed / policy / "flows.csv").read_text(encoding="utf-8")
+             for keyed in ("site", "origin")}
+    sent = {keyed: len(text.splitlines()) - 1 for keyed, text in flows.items()}
+    assert sent == ({"site": 0, "origin": 0} if policy == "blocking"
+                    else {"site": 1, "origin": 0})
+    assert (flows["site"] != flows["origin"]) == (policy != "blocking")

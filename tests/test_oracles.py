@@ -441,10 +441,8 @@ def test_flows_keep_to_their_policy_definitions(events):
 
 @pytest.mark.parametrize("policy", list(PolicyKind))
 def test_only_page_length_hands_out_ephemeral_keys(policy):
-    """Replay ends every page load under every policy, which destroys nothing
-    unless the policy hands frames Ephemeral keys."""
     rules = builtin_rules()
-    keys = [resolve_partition(policy, site_of(top, rules), 1, site_of(subject, rules), subject_id)
+    keys = [resolve_partition(policy, site_of(top, rules), site_of(subject, rules), subject_id)
             for top, subject in product(PAGE_URLS, PAGE_URLS + SUBJECT_URLS)
             for subject_id in (site_of(subject, rules), origin_of(subject))]
     assert any(isinstance(k, Ephemeral) for k in keys) == (policy is PolicyKind.PAGE_LENGTH)

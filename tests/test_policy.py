@@ -9,11 +9,12 @@ from storagelab.policy import (
     Ephemeral,
     FirstParty,
     GlobalThirdParty,
-    PartitionStore,
     PolicyKind,
     SiteKeyedThirdParty,
+    partition_jar,
     resolve_partition,
     site_of,
+    storage_access,
 )
 from storagelab.psl import builtin_rules
 
@@ -46,132 +47,140 @@ class TestSiteOf:
                 site_of(url, rules)
 
 
-# (policy, top site, load key, subject site, subject id, key): first and third
-# parties under each policy, each with its site or its origin as identifier.
-# A first party's key ignores the identifier and the load.
+# (policy, top site, subject site, subject id, key): first and third parties
+# under each policy, each with its site or its origin as identifier. A first
+# party's key ignores the identifier.
 PARTITIONS = [
-    (PolicyKind.PERMISSIVE, "a.com", 1, "a.com", "a.com", FirstParty("a.com")),
-    (PolicyKind.PERMISSIVE, "a.com", 1, "a.com", "https://cdn.a.com", FirstParty("a.com")),
-    (PolicyKind.PERMISSIVE, "a.com", 1, "t.net", "t.net", GlobalThirdParty("t.net")),
-    (PolicyKind.PERMISSIVE, "b.com", 2, "t.net", ORIGIN, GlobalThirdParty(ORIGIN)),
-    (PolicyKind.BLOCKING, "a.com", 1, "a.com", "a.com", FirstParty("a.com")),
-    (PolicyKind.BLOCKING, "a.com", 1, "a.com", "https://cdn.a.com", FirstParty("a.com")),
-    (PolicyKind.BLOCKING, "a.com", 1, "t.net", "t.net", BLOCKED),
-    (PolicyKind.BLOCKING, "a.com", 1, "t.net", ORIGIN, BLOCKED),
-    (PolicyKind.SITE_KEYED, "a.com", 7, "a.com", "a.com", FirstParty("a.com")),
-    (PolicyKind.SITE_KEYED, "a.com", 7, "a.com", "https://cdn.a.com", FirstParty("a.com")),
-    (PolicyKind.SITE_KEYED, "a.com", 1, "t.net", "t.net", SiteKeyedThirdParty("a.com", "t.net")),
-    (PolicyKind.SITE_KEYED, "b.com", 2, "t.net", "t.net", SiteKeyedThirdParty("b.com", "t.net")),
-    (PolicyKind.SITE_KEYED, "a.com", 1, "t.net", ORIGIN, SiteKeyedThirdParty("a.com", ORIGIN)),
-    (PolicyKind.PAGE_LENGTH, "a.com", 7, "a.com", "a.com", FirstParty("a.com")),
-    (PolicyKind.PAGE_LENGTH, "a.com", 7, "a.com", "https://cdn.a.com", FirstParty("a.com")),
-    (PolicyKind.PAGE_LENGTH, "a.com", 1, "t.net", "t.net", Ephemeral(1, "t.net")),
-    (PolicyKind.PAGE_LENGTH, "a.com", 2, "t.net", "t.net", Ephemeral(2, "t.net")),
-    (PolicyKind.PAGE_LENGTH, "a.com", 1, "t.net", ORIGIN, Ephemeral(1, ORIGIN)),
+    (PolicyKind.PERMISSIVE, "a.com", "a.com", "a.com", FirstParty("a.com")),
+    (PolicyKind.PERMISSIVE, "a.com", "a.com", "https://cdn.a.com", FirstParty("a.com")),
+    (PolicyKind.PERMISSIVE, "a.com", "t.net", "t.net", GlobalThirdParty("t.net")),
+    (PolicyKind.PERMISSIVE, "b.com", "t.net", ORIGIN, GlobalThirdParty(ORIGIN)),
+    (PolicyKind.BLOCKING, "a.com", "a.com", "a.com", FirstParty("a.com")),
+    (PolicyKind.BLOCKING, "a.com", "a.com", "https://cdn.a.com", FirstParty("a.com")),
+    (PolicyKind.BLOCKING, "a.com", "t.net", "t.net", BLOCKED),
+    (PolicyKind.BLOCKING, "a.com", "t.net", ORIGIN, BLOCKED),
+    (PolicyKind.SITE_KEYED, "a.com", "a.com", "a.com", FirstParty("a.com")),
+    (PolicyKind.SITE_KEYED, "a.com", "a.com", "https://cdn.a.com", FirstParty("a.com")),
+    (PolicyKind.SITE_KEYED, "a.com", "t.net", "t.net", SiteKeyedThirdParty("a.com", "t.net")),
+    (PolicyKind.SITE_KEYED, "b.com", "t.net", "t.net", SiteKeyedThirdParty("b.com", "t.net")),
+    (PolicyKind.SITE_KEYED, "a.com", "t.net", ORIGIN, SiteKeyedThirdParty("a.com", ORIGIN)),
+    (PolicyKind.PAGE_LENGTH, "a.com", "a.com", "a.com", FirstParty("a.com")),
+    (PolicyKind.PAGE_LENGTH, "a.com", "a.com", "https://cdn.a.com", FirstParty("a.com")),
+    (PolicyKind.PAGE_LENGTH, "a.com", "t.net", "t.net", Ephemeral("t.net")),
+    (PolicyKind.PAGE_LENGTH, "b.com", "t.net", "t.net", Ephemeral("t.net")),
+    (PolicyKind.PAGE_LENGTH, "a.com", "t.net", ORIGIN, Ephemeral(ORIGIN)),
 ]
 
 
-@pytest.mark.parametrize("policy, top_site, load_key, subject_site, subject_id, key", PARTITIONS)
-def test_resolve_partition(policy, top_site, load_key, subject_site, subject_id, key):
-    assert resolve_partition(policy, top_site, load_key, subject_site, subject_id) == key
+@pytest.mark.parametrize("policy, top_site, subject_site, subject_id, key", PARTITIONS)
+def test_resolve_partition(policy, top_site, subject_site, subject_id, key):
+    assert resolve_partition(policy, top_site, subject_site, subject_id) == key
 
 
-def names(store: PartitionStore, key) -> list[str]:
-    """Names of the cookies in the jar of ``key`` (creating it if absent)."""
-    return sorted(cookie.name for cookie in store.jar(key).cookies())
+def names(jar: CookieJar) -> list[str]:
+    return sorted(cookie.name for cookie in jar.cookies())
 
 
-def set_cookie(store: PartitionStore, key, header: str, url: str = TRACKER) -> None:
+def set_cookie(jar: CookieJar | None, header: str, url: str = TRACKER) -> None:
     name, _, value = header.partition("=")
-    store.storage_access(store.jar(key), "set", "cookie", name, value, url=url, now=1.0)
+    storage_access(jar, "set", "cookie", name, value, url=url, rules=RULES, now=1.0)
+
+
+class TestPartitionJar:
+    """A page load's page-length jars and its profile's persistent jars are
+    two dicts; ``partition_jar`` picks one by the key's kind."""
+
+    def test_blocked_has_no_jar(self):
+        page, profile = {}, {}
+        assert partition_jar(BLOCKED, page, profile) is None
+        assert page == {} and profile == {}
+
+    @pytest.mark.parametrize("key", [FirstParty("a.com"), GlobalThirdParty("t.net"),
+                                     SiteKeyedThirdParty("a.com", "t.net")])
+    def test_persistent_jar_created_empty_in_the_profile(self, key):
+        page, profile = {}, {}
+        jar = partition_jar(key, page, profile)
+        assert len(jar) == 0
+        assert profile == {key: jar} and page == {}
+        assert partition_jar(key, {}, profile) is jar
+
+    def test_page_length_jar_created_empty_in_the_page_load(self):
+        page, profile = {}, {}
+        jar = partition_jar(Ephemeral("t.net"), page, profile)
+        assert len(jar) == 0
+        assert page == {Ephemeral("t.net"): jar} and profile == {}
+        assert partition_jar(Ephemeral("t.net"), page, profile) is jar
 
 
 class TestStorageAccess:
     def test_dom_ops_and_gets_change_no_state(self):
         # Only a cookie set or delete changes the frame's jar.
-        store = PartitionStore(RULES)
         jar = CookieJar()
         for api in STORAGE_APIS:
             for op in STORAGE_OPS:
                 if api != "cookie" or op == "get":
-                    assert store.storage_access(jar, op, api, "u", "x", url=TRACKER) is None
+                    assert storage_access(jar, op, api, "u", "x", url=TRACKER, rules=RULES) is None
         assert len(jar) == 0
-        assert store.persistent == {} and store.ephemeral == {}
 
-    def test_blocked_get_is_absent_and_nothing_mutates(self):
-        store = PartitionStore(RULES)
-        assert store.jar(BLOCKED) is None
+    def test_blocked_checks_the_op_and_changes_nothing(self):
         with pytest.raises(ValueError, match="unknown storage op 'clear'"):
-            store.storage_access(None, "clear", "session", url=TRACKER)
-        set_cookie(store, BLOCKED, "a=1")
-        store.storage_access(None, "delete", "cookie", "a", url=TRACKER)
-        assert store.persistent == {} and store.ephemeral == {}
+            storage_access(None, "clear", "session", url=TRACKER, rules=RULES)
+        assert set_cookie(None, "a=1") is None
+        assert storage_access(None, "delete", "cookie", "a", url=TRACKER, rules=RULES) is None
 
     def test_same_partition_shared_between_frames(self, rules):
         # Two frames from the same third party on one page resolve to equal
         # keys, so a cookie set by one is visible to the other.
-        store = PartitionStore(RULES)
+        page, profile = {}, {}
         sites = [site_of(url, rules) for url in (TRACKER, "https://t.net/other")]
-        key_1, key_2 = (resolve_partition(PolicyKind.PAGE_LENGTH, "a.com", 5, site, site)
+        key_1, key_2 = (resolve_partition(PolicyKind.PAGE_LENGTH, "a.com", site, site)
                         for site in sites)
         assert key_1 == key_2
-        set_cookie(store, key_1, "u=x")
-        assert cookies_for_request(store.jar(key_2), "https://t.net/other", 2.0) == [("u", "x")]
+        set_cookie(partition_jar(key_1, page, profile), "u=x")
+        assert cookies_for_request(partition_jar(key_2, page, profile), "https://t.net/other",
+                                   2.0) == [("u", "x")]
 
     def test_cookie_api_round_trip(self):
-        store = PartitionStore(RULES)
-        jar = store.jar(GlobalThirdParty("t.net"))
-        store.storage_access(jar, "set", "cookie", "uid", "tok", url=TRACKER, now=1.0)
+        jar = CookieJar()
+        storage_access(jar, "set", "cookie", "uid", "tok", url=TRACKER, rules=RULES, now=1.0)
         assert cookies_for_request(jar, TRACKER, 2.0) == [("uid", "tok")]
-        store.storage_access(jar, "delete", "cookie", "uid", url=TRACKER, now=3.0)
+        storage_access(jar, "delete", "cookie", "uid", url=TRACKER, rules=RULES, now=3.0)
         assert cookies_for_request(jar, TRACKER, 4.0) == []
 
     def test_script_cookie_with_public_suffix_domain_not_stored(self):
-        key = GlobalThirdParty("x.co.uk")
-        store = PartitionStore(RULES)
+        jar = CookieJar()
         url = "https://x.co.uk/w"
-        set_cookie(store, key, "uid=tok; Domain=co.uk", url)
-        assert names(store, key) == []
-        set_cookie(store, key, "uid=tok; Domain=x.co.uk", url)
-        assert cookies_for_request(store.jar(key), url, 4.0) == [("uid", "tok")]
+        set_cookie(jar, "uid=tok; Domain=co.uk", url)
+        assert names(jar) == []
+        set_cookie(jar, "uid=tok; Domain=x.co.uk", url)
+        assert cookies_for_request(jar, url, 4.0) == [("uid", "tok")]
 
     def test_cookie_delete_with_hostless_url_is_noop(self):
-        store = PartitionStore(RULES)
-        key = GlobalThirdParty("t.net")
-        set_cookie(store, key, "uid=tok")
-        assert store.storage_access(store.jar(key), "delete", "cookie", "uid", url="not-a-url",
-                                    now=2.0) is None
-        assert names(store, key) == ["uid"]
-
-    def test_area_created_empty_on_demand(self):
-        store = PartitionStore(RULES)
-        key = SiteKeyedThirdParty("a.com", "t.net")
-        assert len(store.jar(key)) == 0
-        assert key in store.persistent
-        assert store.jar(key) is store.persistent[key]
+        jar = CookieJar()
+        set_cookie(jar, "uid=tok")
+        assert storage_access(jar, "delete", "cookie", "uid", url="not-a-url", rules=RULES,
+                              now=2.0) is None
+        assert names(jar) == ["uid"]
 
     def test_unknown_api_or_op(self):
-        store = PartitionStore(RULES)
-        jar = store.jar(FirstParty("a.com"))
-        with pytest.raises(ValueError):
-            store.storage_access(jar, "get", "webSQL", "k", url=TRACKER)
-        with pytest.raises(ValueError):
-            store.storage_access(jar, "peek", "local", "k", url=TRACKER)
+        jar = CookieJar()
+        with pytest.raises(ValueError, match="unknown storage api 'webSQL'"):
+            storage_access(jar, "get", "webSQL", "k", url=TRACKER, rules=RULES)
+        with pytest.raises(ValueError, match="unknown storage op 'peek'"):
+            storage_access(jar, "peek", "local", "k", url=TRACKER, rules=RULES)
 
 
 class TestScriptCookieDelete:
     """A script deletes only the cookies of that name its frame can read
     (RFC 6265 section 5.4 step 1: host-only, domain-match and path-match)."""
 
-    KEY = GlobalThirdParty("t.net")
-
     def delete(self, set_url: str, header: str, delete_url: str) -> list[str]:
-        store = PartitionStore(RULES)
-        set_cookie(store, self.KEY, header, set_url)
-        assert len(store.jar(self.KEY)) == 1
-        assert store.storage_access(store.jar(self.KEY), "delete", "cookie", header.split("=")[0],
-                                    url=delete_url, now=2.0) is None
-        return names(store, self.KEY)
+        jar = CookieJar()
+        set_cookie(jar, header, set_url)
+        assert len(jar) == 1
+        assert storage_access(jar, "delete", "cookie", header.split("=")[0], url=delete_url,
+                              rules=RULES, now=2.0) is None
+        return names(jar)
 
     def test_host_only_cookie_survives_delete_from_subdomain(self):
         assert self.delete("https://a.t.net/w", "uid=1", "https://b.a.t.net/w") == ["uid"]
@@ -183,56 +192,27 @@ class TestScriptCookieDelete:
         assert self.delete("https://t.net/w", "sid=1; Domain=t.net", "https://x.t.net/w") == []
 
     def test_other_names_survive(self):
-        store = PartitionStore(RULES)
-        set_cookie(store, self.KEY, "a=1")
-        set_cookie(store, self.KEY, "b=2")
-        store.storage_access(store.jar(self.KEY), "delete", "cookie", "a", url=TRACKER, now=2.0)
-        assert names(store, self.KEY) == ["b"]
-
-
-class TestEndPageLoad:
-    def test_ephemeral_areas_destroyed(self):
-        store = PartitionStore(RULES)
-        set_cookie(store, Ephemeral(1, "t.net"), "u=x")
-        set_cookie(store, Ephemeral(2, "t.net"), "u=y")
-        store.end_page_load(1)
-        assert list(store.ephemeral) == [2]
-        assert names(store, Ephemeral(2, "t.net")) == ["u"]
-        assert names(store, Ephemeral(1, "t.net")) == []
-
-    def test_persistent_areas_survive(self):
-        store = PartitionStore(RULES)
-        set_cookie(store, FirstParty("a.com"), "u=x", "https://a.com/")
-        store.end_page_load(1)
-        assert cookies_for_request(store.jar(FirstParty("a.com")), "https://a.com/", 2.0) == [
-            ("u", "x")]
-
-    def test_idempotent(self):
-        store = PartitionStore(RULES)
-        set_cookie(store, Ephemeral(1, "t.net"), "u=x")
-        assert store.ephemeral != {}
-        store.end_page_load(1)
-        store.end_page_load(1)
-        assert store.ephemeral == {}
-
-    def test_unknown_load_key_is_noop(self):
-        store = PartitionStore(RULES)
-        store.end_page_load(999)
-        assert store.ephemeral == {}
+        jar = CookieJar()
+        set_cookie(jar, "a=1")
+        set_cookie(jar, "b=2")
+        storage_access(jar, "delete", "cookie", "a", url=TRACKER, rules=RULES, now=2.0)
+        assert names(jar) == ["b"]
 
 
 class TestIsolationProperties:
-    def test_load_key_isolation(self):
-        store = PartitionStore(RULES)
-        set_cookie(store, Ephemeral(1, "t.net"), "u=x")
-        assert names(store, Ephemeral(1, "t.net")) == ["u"]
-        assert names(store, Ephemeral(2, "t.net")) == []
+    def test_page_load_isolation(self):
+        # Two page loads of one profile: each has its own page-length jars.
+        page_1, page_2, profile = {}, {}, {}
+        set_cookie(partition_jar(Ephemeral("t.net"), page_1, profile), "u=x")
+        assert names(partition_jar(Ephemeral("t.net"), page_1, profile)) == ["u"]
+        assert names(partition_jar(Ephemeral("t.net"), page_2, profile)) == []
+        assert profile == {}
 
     def test_site_keyed_isolation_between_top_sites(self):
-        store = PartitionStore(RULES)
-        set_cookie(store, SiteKeyedThirdParty("a.com", "t.net"), "u=x")
-        assert names(store, SiteKeyedThirdParty("a.com", "t.net")) == ["u"]
-        assert names(store, SiteKeyedThirdParty("b.com", "t.net")) == []
+        profile = {}
+        set_cookie(partition_jar(SiteKeyedThirdParty("a.com", "t.net"), {}, profile), "u=x")
+        assert names(partition_jar(SiteKeyedThirdParty("a.com", "t.net"), {}, profile)) == ["u"]
+        assert names(partition_jar(SiteKeyedThirdParty("b.com", "t.net"), {}, profile)) == []
 
     def test_blocked_is_shared_singleton_value(self):
         assert Blocked() == BLOCKED

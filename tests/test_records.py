@@ -26,7 +26,7 @@ from storagelab.trace import (
 
 # Each class with its number of fields; every field gets the same value, so
 # two classes of the same arity hold equal field values.
-PARTITION_KEYS = {FirstParty: 1, GlobalThirdParty: 1, SiteKeyedThirdParty: 2, Ephemeral: 2,
+PARTITION_KEYS = {FirstParty: 1, GlobalThirdParty: 1, SiteKeyedThirdParty: 2, Ephemeral: 1,
                   Blocked: 0}
 EVENTS = {VisitStart: 5, FrameLoad: 4, HttpRequest: 4, ScriptStorage: 6, BehaviorEdge: 3,
           VisitEnd: 1}
@@ -66,11 +66,11 @@ def test_records_of_one_type_compare_and_hash_by_value(cls, n_fields):
     FirstParty("a.com"),
     GlobalThirdParty("t.net"),
     SiteKeyedThirdParty("a.com", "t.net"),
-    Ephemeral(1, "t.net"),
+    Ephemeral("t.net"),
     Blocked(),
 ], ids=lambda record: type(record).__name__)
 def test_records_refuse_attribute_assignment(record):
-    for name in ("tab", "site", "source_key", "load_key", "not_a_field"):
+    for name in ("tab", "site", "source_key", "third_party_site", "not_a_field"):
         with pytest.raises(AttributeError):
             setattr(record, name, "x")
     with pytest.raises(AttributeError):

@@ -192,6 +192,7 @@ class TestReplayErrors:
 _VISIT = VisitStart("p0", 1, "t", "https://a.com/", 1)
 _FRAME = FrameLoad("t", "f1", "https://t.net/w")
 _EDGE = _edge_string(NodeType.SCRIPT.value, "s", "reads", NodeType.COOKIE_JAR.value, "t.net")
+_TRACKER = "https://t.net/w"
 
 
 @pytest.mark.parametrize("events,message", [
@@ -212,6 +213,11 @@ _EDGE = _edge_string(NodeType.SCRIPT.value, "s", "reads", NodeType.COOKIE_JAR.va
                     ScriptStorage("t", "f9", "local", "get", "k"), BehaviorEdge("t", "f9", _EDGE))],
     pytest.param([_VISIT, _FRAME, ("t", "f1")], "event 2: not a trace event: ('t', 'f1')",
                  id="non-event"),
+    # in memory, a ScriptStorage may hold what parse_trace would refuse
+    pytest.param([_VISIT, _FRAME, ScriptStorage("t", "f1", "webSQL", "get", "k")],
+                 "event 2: unknown storage api 'webSQL'", id="unknown-storage-api"),
+    pytest.param([_VISIT, _FRAME, ScriptStorage("t", "f1", "cookie", "peek", "k")],
+                 "event 2: unknown storage op 'peek'", id="unknown-storage-op"),
 ])
 @pytest.mark.parametrize("policy", list(PolicyKind))
 def test_replay_error_names_event_index(events, message, policy, rules):
@@ -229,6 +235,57 @@ def test_origin_keyed_frame_with_bad_port_fails_at_its_load(rules):
     # A first party is keyed by its site, so its origin is never formed.
     first_party = [_VISIT, FrameLoad("t", "f1", "https://cdn.a.com:99999/w")]
     assert replay(first_party, PolicyKind.PERMISSIVE, rules, origin_keyed=True).frames
+
+
+class TestPageLoadLifetime:
+    """A page load's page-length jars die with it, when its visit ends or its
+    tab navigates; other page loads' jars and the profile's persistent jars
+    live on. Seen through the flows of frame f's requests to t.net, whose
+    script stores ``u``."""
+
+    @staticmethod
+    def load(tab: str, seq: int) -> list:
+        return [VisitStart("p0", 1, tab, "https://a.com/", seq), FrameLoad(tab, "f", _TRACKER)]
+
+    @staticmethod
+    def store(tab: str, value: str) -> ScriptStorage:
+        return ScriptStorage(tab, "f", "cookie", "set", "u", value)
+
+    @staticmethod
+    def send(tab: str) -> HttpRequest:
+        return HttpRequest(tab, "f", _TRACKER)
+
+    def sent(self, events, policy, rules) -> list[tuple[int, str]]:
+        return [(f.visit_seq, f.cookie_value) for f in replay(events, policy, rules).flows]
+
+    @pytest.mark.parametrize("end", [[VisitEnd("t1")], []], ids=["visit-end", "in-tab-reload"])
+    @pytest.mark.parametrize("policy", [PolicyKind.PERMISSIVE, PolicyKind.SITE_KEYED,
+                                        PolicyKind.PAGE_LENGTH])
+    def test_page_length_cookie_is_gone_after_its_page_load(self, end, policy, rules):
+        events = [*self.load("t1", 1), self.store("t1", "x"), self.send("t1"), *end,
+                  *self.load("t1", 2), self.send("t1")]
+        expected = [(1, "x")] if policy is PolicyKind.PAGE_LENGTH else [(1, "x"), (2, "x")]
+        assert self.sent(events, policy, rules) == expected
+
+    @pytest.mark.parametrize("end", [VisitEnd("t1"),
+                                     VisitStart("p0", 1, "t1", "https://b.com/", 3)],
+                             ids=["visit-end", "in-tab-navigation"])
+    def test_concurrent_tab_keeps_its_own(self, end, rules):
+        events = [*self.load("t1", 1), self.store("t1", "x"), *self.load("t2", 2),
+                  self.store("t2", "y"), end, self.send("t2")]
+        assert self.sent(events, PolicyKind.PAGE_LENGTH, rules) == [(2, "y")]
+
+    @pytest.mark.parametrize("policy", list(PolicyKind))
+    def test_persistent_jars_survive(self, policy, rules):
+        # The first party's jar outlives the page load under every policy;
+        # a condition on its cookie sees it in the next load (crawl_iter 2).
+        def load(crawl_iter, seq, *events):
+            return [VisitStart("p0", crawl_iter, "t1", "https://a.com/", seq),
+                    FrameLoad("t1", "f", "https://a.com/w"), *events, VisitEnd("t1")]
+        events = [*load(1, 1, ScriptStorage("t1", "f", "cookie", "set", "fp", "1")),
+                  *load(2, 2, BehaviorEdge("t1", "f", _EDGE, ("fp", True)))]
+        frames = replay(events, policy, rules).frames
+        assert frames[("https://a.com/", "https://a.com/w", "p0", 2)].edge_set == {_EDGE}
 
 
 def _small_trace():
