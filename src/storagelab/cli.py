@@ -153,7 +153,8 @@ def cmd_gen_trace(args) -> int:
 
 def cmd_simulate(args) -> int:
     from storagelab.policy import PolicyKind
-    from storagelab.simulator import replay, write_flows_csv, write_frames_jsonl
+    from storagelab.frames import write_frames_jsonl
+    from storagelab.simulator import replay, write_flows_csv
     from storagelab.trace import parse_trace
     rules, psl_entry = _load_suffix_rules(args.psl)
     ads, filters_entry = _load_ad_rules(args.filters)
@@ -177,13 +178,13 @@ def cmd_simulate(args) -> int:
 
 
 def _load_sim_dir(path_str: str, with_flows: bool = False):
-    """The simulate output (``SimOutput``) in a directory, its manifest, and
-    the manifest entries (path and sha256) of the files read, by file name.
-    Its ``flows.csv`` is read only ``with_flows``; otherwise the output holds
-    no flows. A manifest that is not a simulate run's, or names no trace by
-    its sha256, is an input error naming the directory."""
+    """The frames of the simulate output in a directory, its flows (None
+    unless ``with_flows``: only then is ``flows.csv`` read), its manifest,
+    and the manifest entries (path and sha256) of the files read, by file
+    name. A manifest that is not a simulate run's, or names no trace by its
+    sha256, is an input error naming the directory."""
     from storagelab.flows import _json_object, read_flows_csv
-    from storagelab.simulator import SimOutput, read_frames_jsonl
+    from storagelab.frames import read_frames_jsonl
     sim_dir = Path(path_str)
     manifest_path = sim_dir / "manifest.json"
     if not manifest_path.is_file():
@@ -199,7 +200,7 @@ def _load_sim_dir(path_str: str, with_flows: bool = False):
         flows, entries["flows.csv"] = _parse_input(sim_dir / "flows.csv", read_flows_csv, "")
     frames, entries["frames.jsonl"] = _parse_input(sim_dir / "frames.jsonl", read_frames_jsonl,
                                                    None)
-    return SimOutput(flows, frames), manifest, entries
+    return frames, flows, manifest, entries
 
 
 def _require_same_trace(a: dict, b: dict, what: str) -> None:
@@ -280,8 +281,8 @@ def cmd_metrics_similarity(args) -> int:
     from storagelab.flows import write_csv
     from storagelab.metrics import (align_curve_inputs, frame_similarity, mean_defined,
                                     similarity_curve)
-    permissive, perm_manifest, perm_entries = _load_sim_dir(args.permissive)
-    compared, comp_manifest, comp_entries = _load_sim_dir(args.compared)
+    permissive, _, perm_manifest, perm_entries = _load_sim_dir(args.permissive)
+    compared, _, comp_manifest, comp_entries = _load_sim_dir(args.compared)
     _require_same_trace(perm_manifest, comp_manifest, "similarity")
     node_filter = _parse_node_filter(args.node_filter)
 
@@ -326,8 +327,8 @@ def cmd_metrics_optimize(args) -> int:
     import random
     from storagelab.metrics import build_optimize_sample, optimize_node_types
     _at_least(0, sample_size=args.sample_size)
-    permissive, perm_manifest, perm_entries = _load_sim_dir(args.permissive)
-    contrast, contrast_manifest, contrast_entries = _load_sim_dir(args.contrast)
+    permissive, _, perm_manifest, perm_entries = _load_sim_dir(args.permissive)
+    contrast, _, contrast_manifest, contrast_entries = _load_sim_dir(args.contrast)
     _require_same_trace(perm_manifest, contrast_manifest, "optimize")
     profiles = [p.strip() for p in args.baseline_profiles.split(",")]
     if len(profiles) != 2:
@@ -363,21 +364,21 @@ def cmd_metrics_candidates(args) -> int:
     from storagelab.policy import site_of
     _at_least(1, top=args.top)
     rules, psl_entry = _load_suffix_rules(args.psl)
-    output, _, sim_entries = _load_sim_dir(args.sim, with_flows=True)
+    frames, flows, _, sim_entries = _load_sim_dir(args.sim, with_flows=True)
     pages_by_frame: dict[str, set[str]] = {}
-    for (page_url, frame_url, _profile, _iter), record in output.frames.items():
+    for (page_url, frame_url, _profile, _iter), record in frames.items():
         if record.party != "third" or record.is_ad:
             continue
         pages_by_frame.setdefault(frame_url, set()).add(page_url)
     cookies_by_site: dict[str, set[tuple[str, str]]] = {}
-    for flow in output.flows:
+    for flow in flows:
         cookies_by_site.setdefault(flow.third_party_site, set()).add(
             (flow.cookie_name, flow.cookie_value))
-    stats = [FrameStat(frame_url=frame_url,
-                       n_embedding_pages=len(pages_by_frame[frame_url]),
-                       n_cookies=len(cookies_by_site.get(site_of(frame_url, rules), ())))
+    sites = {frame_url: site_of(frame_url, rules) for frame_url in pages_by_frame}
+    stats = [FrameStat(frame_url, sites[frame_url], len(pages_by_frame[frame_url]),
+                       len(cookies_by_site.get(sites[frame_url], ())))
              for frame_url in sorted(pages_by_frame)]
-    selection = select_candidates(stats, args.top, rules)
+    selection = select_candidates(stats, args.top)
     out = _out_dir(args.out)
     write_csv(out / "candidates.csv", [
         ("rank", "frame_url", "site", "n_embedding_pages", "n_cookies", "score"),
@@ -408,14 +409,14 @@ def _read_grades_csv(lines) -> dict[tuple[str, str], tuple[int, int]]:
         try:
             url, profile, grade_a, grade_b = _require(
                 _csv_record(header, row), "url", "profile", "grader_a", "grader_b")
-        except TraceFormatError as exc:
+            cell = (url, profile)
+            if cell in grades:
+                raise TraceFormatError(f"duplicate cell {cell!r}")
+            if not (_INTEGER(grade_a) and _INTEGER(grade_b)):
+                raise TraceFormatError(f"non-integer grade in {cell!r}")
+            grades[cell] = (int(grade_a), int(grade_b))
+        except ValueError as exc:  # also an integer past int()'s digit limit
             raise TraceFormatError(f"line {reader.line_num}: {exc}") from None
-        cell = (url, profile)
-        if cell in grades:
-            raise TraceFormatError(f"duplicate cell {cell!r}")
-        if not (_INTEGER(grade_a) and _INTEGER(grade_b)):
-            raise TraceFormatError(f"non-integer grade in {cell!r}")
-        grades[cell] = (int(grade_a), int(grade_b))
     return grades
 
 

@@ -58,8 +58,8 @@ _INTEGER = re.compile(r"-?[0-9]+").fullmatch
 def _json_object(line: str) -> dict:
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise TraceFormatError(f"invalid JSON ({exc.msg})") from None
+    except ValueError as exc:  # bad JSON, or an integer past int()'s digit limit
+        raise TraceFormatError(f"invalid JSON ({getattr(exc, 'msg', exc)})") from None
     if not isinstance(record, dict):
         raise TraceFormatError("record must be a JSON object")
     return record
@@ -128,13 +128,13 @@ def read_flows_csv(lines: Iterable[str]) -> list[CookieFlowRecord]:
             profile, crawl_iter, visit_seq, top_site, third_party_site, name, value = row
         except ValueError:
             crawl_iter = visit_seq = ""
-        if (crawl_iter.isdecimal() and visit_seq.isdecimal()
-                and crawl_iter.isascii() and visit_seq.isascii()):
-            flows.append(CookieFlowRecord(profile, int(crawl_iter), int(visit_seq),
-                                          top_site, third_party_site, name, value))
-        elif row:
-            try:
+        try:
+            if (crawl_iter.isdecimal() and visit_seq.isdecimal()
+                    and crawl_iter.isascii() and visit_seq.isascii()):
+                flows.append(CookieFlowRecord(profile, int(crawl_iter), int(visit_seq),
+                                              top_site, third_party_site, name, value))
+            elif row:
                 flows.append(_flow_record(row))
-            except TraceFormatError as exc:
-                raise TraceFormatError(f"line {reader.line_num}: {exc}") from None
+        except ValueError as exc:  # also an integer past int()'s digit limit
+            raise TraceFormatError(f"line {reader.line_num}: {exc}") from None
     return flows

@@ -1,11 +1,13 @@
-"""Compatibility metrics over simulator outputs: Jaccard similarity of
-per-frame behavior-edge sets against a permissive baseline, node-type subset
-optimization by brute force over the power set, candidate selection for
-manual grading, and the grading arithmetic (agreement, Cohen's kappa,
-breakage table). The privacy metrics are in ``storagelab.picf``.
+"""Compatibility metrics over the frames of simulate outputs (the dicts
+``storagelab.frames`` reads): Jaccard similarity of per-frame behavior-edge
+sets against a permissive baseline, node-type subset optimization by brute
+force over the power set, candidate selection for manual grading, and the
+grading arithmetic (agreement, Cohen's kappa, breakage table). The privacy
+metrics are in ``storagelab.picf``.
 
 An edge is its canonical string. Similarity scores are exact rationals;
-everything here is a pure function of its inputs.
+everything here is a pure function of its inputs. A candidate's site comes
+with its ``FrameStat``, so no replay, partition or PSL code is imported.
 """
 
 from __future__ import annotations
@@ -15,9 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from storagelab.policy import site_of
-from storagelab.psl import SuffixRuleSet
-from storagelab.simulator import FrameRecord, SimOutput
+from storagelab.frames import FrameKey, FrameRecord
 from storagelab.trace import _EDGE_MASKS, _TYPE_BIT, NodeType
 
 Score = Fraction | None  # None = undefined (both compared sets empty)
@@ -69,17 +69,18 @@ def _filter_edges(edges: set[str], mask: int) -> set[str]:
     return {edge for edge in edges if not _EDGE_MASKS[edge] & ~mask}
 
 
-def _profile_frames(out: SimOutput, profile: str) -> dict[tuple[str, str, int], FrameRecord]:
+def _profile_frames(frames: dict[FrameKey, FrameRecord],
+                    profile: str) -> dict[tuple[str, str, int], FrameRecord]:
     views = {}
-    for (page_url, frame_url, frame_profile, crawl_iter), record in out.frames.items():
+    for (page_url, frame_url, frame_profile, crawl_iter), record in frames.items():
         if frame_profile == profile:
             views[(page_url, frame_url, crawl_iter)] = record
     return views
 
 
 def frame_similarity(
-    base: SimOutput,
-    other: SimOutput,
+    base: dict[FrameKey, FrameRecord],
+    other: dict[FrameKey, FrameRecord],
     node_filter: frozenset[NodeType],
     base_profile: str,
     other_profile: str,
@@ -262,8 +263,8 @@ def optimize_node_types(
 
 
 def build_optimize_sample(
-    permissive: SimOutput,
-    contrast: SimOutput,
+    permissive: dict[FrameKey, FrameRecord],
+    contrast: dict[FrameKey, FrameRecord],
     baseline_profiles: tuple[str, str],
     contrast_profile: str,
 ) -> list[OptimizeInstance]:
@@ -290,6 +291,7 @@ def build_optimize_sample(
 
 class FrameStat(NamedTuple):
     frame_url: str
+    site: str  # the frame URL's eTLD+1
     n_embedding_pages: int
     n_cookies: int
 
@@ -315,11 +317,9 @@ def harmonic_score(a: int, b: int) -> Fraction:
     return Fraction(2 * a * b, a + b)
 
 
-def select_candidates(
-    frame_stats: Sequence[FrameStat], k: int, rules: SuffixRuleSet
-) -> CandidateSelection:
+def select_candidates(frame_stats: Sequence[FrameStat], k: int) -> CandidateSelection:
     """Top-k frame URLs by harmonic mean of embedding-page and cookie counts,
-    keeping only the first (best) frame per eTLD+1. Raises ValueError for k < 1."""
+    keeping only the first (best) frame per site. Raises ValueError for k < 1."""
     if k < 1:
         raise ValueError(f"the number of candidates must be at least 1, got {k}")
     scored = sorted(
@@ -329,11 +329,10 @@ def select_candidates(
     chosen: list[Candidate] = []
     seen_sites: set[str] = set()
     for stat in scored:
-        site = site_of(stat.frame_url, rules)
-        if site in seen_sites:
+        if stat.site in seen_sites:
             continue
-        seen_sites.add(site)
-        chosen.append(Candidate(stat.frame_url, site, stat.n_embedding_pages,
+        seen_sites.add(stat.site)
+        chosen.append(Candidate(stat.frame_url, stat.site, stat.n_embedding_pages,
                                 stat.n_cookies, harmonic_score(stat.n_embedding_pages, stat.n_cookies)))
         if len(chosen) == k:
             break

@@ -26,6 +26,7 @@ from urllib.parse import urlsplit
 from storagelab.cookies import CookieJar, host_and_path, matching_cookies, parse_set_cookie
 from storagelab.psl import SuffixRuleSet, etld_plus_one
 from storagelab.record import Record
+from storagelab.trace import STORAGE_APIS, STORAGE_OPS
 
 
 class PolicyKind(Enum):
@@ -60,9 +61,6 @@ class Blocked(Record):
 PartitionKey = FirstParty | GlobalThirdParty | SiteKeyedThirdParty | Ephemeral | Blocked
 
 BLOCKED = Blocked()
-
-STORAGE_APIS = ("cookie", "local", "session", "indexed")
-STORAGE_OPS = ("get", "set", "delete")
 
 
 def site_of(url: str, rules: SuffixRuleSet) -> str:

@@ -16,6 +16,9 @@ From parse to the metrics an edge is its canonical string, built once per
 distinct line. :func:`edge_endpoint_types`, its one parser, accepts only a
 string that re-encodes to itself; one memo keeps each distinct edge's
 node-type mask for the frames reader and every metric.
+
+It defines its ``script_storage`` vocabulary (``STORAGE_APIS``, ``STORAGE_OPS``)
+for ``policy``, and imports no partition or replay code.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 from storagelab.flows import TraceFormatError, _json_object, _require
-from storagelab.policy import STORAGE_APIS, STORAGE_OPS
 from storagelab.record import Record
 
 
@@ -140,8 +142,11 @@ class HttpRequest(Record):
     _defaults = {"response_set_cookies": (), "when": None}
 
 
+STORAGE_APIS = ("cookie", "local", "session", "indexed")
+STORAGE_OPS = ("get", "set", "delete")
+
+
 class ScriptStorage(Record):
-    # api: cookie | local | session | indexed; op: get | set | delete
     __slots__ = ("tab", "frame_id", "api", "op", "key", "value")
     _defaults = {"value": None}
 
@@ -287,11 +292,10 @@ def _json_line(record: dict) -> str:
 def _trace_lines(trace: Trace) -> Iterator[str]:
     """The lines of a trace file: the meta line, if any, then one line per
     event; a trace with neither is the single line ``"\n"``. Each distinct
-    event is encoded once: a repeat, equal by class and fields, reuses the
-    line of its first copy. A repeat that is the first copy itself, as
-    :func:`parse_trace` and the generator build them, is found by identity,
-    without hashing its fields; the memo keeps each first copy alive, so
-    its id is never reused during the write."""
+    event object is encoded once: a repeat, as :func:`parse_trace` and the
+    generator build them, is the same object, found by identity without
+    hashing its fields. ``trace.events`` keeps every event alive during the
+    write, so no id is reused."""
     if trace.meta is None and not trace.events:
         yield "\n"
         return
@@ -302,27 +306,17 @@ def _trace_lines(trace: Trace) -> Iterator[str]:
         if trace.meta.spec is not None:
             meta["spec"] = trace.meta.spec
         yield _json_line(meta)
-    lines: dict[int, str] = {}  # id of each distinct event's first copy -> its line
-    first: dict[TraceEvent, TraceEvent] = {}  # each distinct event -> its first copy
+    lines: dict[int, str] = {}  # id of each distinct event object -> its line
     for event in trace.events:
         line = lines.get(id(event))
         if line is None:
-            copy = first.setdefault(event, event)
-            if copy is event:
-                line = lines[id(event)] = _json_line(event_to_record(event))
-            else:
-                line = lines[id(copy)]
+            line = lines[id(event)] = _json_line(event_to_record(event))
         yield line
 
 
 def dump_trace(trace: Trace) -> str:
     """The text of a trace file; ``TypeError`` for an item that is not a
-    trace event.
-
-    Defined for events of the types :func:`parse_trace` builds: an event's
-    line is looked up by the event, and the lookup, like record equality,
-    treats ``1`` and ``True`` as one value, though they encode differently.
-    """
+    trace event."""
     return "".join(_trace_lines(trace))
 
 

@@ -31,13 +31,13 @@ with ``when`` conditions for every policy: replaying that trace under a
 policy must give the frames of this one's, and its flows up to a renaming of
 cookie values. ``dump_trace`` encodes every event, repeated or not, into one
 string, kept as the oracle for ``storagelab.trace``'s writers, which encode
-each distinct event once and stream the lines.
+each distinct event object once and stream the lines.
 ``read_flows_csv`` and ``read_frames_jsonl`` build a dict per row and check
 each field with its own call, kept as the oracles for
 ``storagelab.flows.read_flows_csv`` and
-``storagelab.simulator.read_frames_jsonl``, which check each row in one pass.
+``storagelab.frames.read_frames_jsonl``, which check each row in one pass.
 ``write_frames_jsonl`` runs ``json.dumps`` on a dict per frame, kept as the
-oracle for ``storagelab.simulator.write_frames_jsonl``, which fills one line
+oracle for ``storagelab.frames.write_frames_jsonl``, which fills one line
 template with each distinct string encoded once. ``check_rule`` splits a PSL
 rule into its labels and lowercases it a character at a time, kept as the
 oracle for ``storagelab.psl._check_rule``. ``parse_psl`` and ``parse_rules``
@@ -69,11 +69,10 @@ from storagelab.cookies import Cookie, CookieJar, cookies_for_request, parse_set
 from storagelab.filterlist import EMPTY_RULES, AdRuleSet
 from storagelab.filterlist import is_ad_url as fast_is_ad_url
 from storagelab.flows import FLOW_FIELDS, CookieFlowRecord, TraceFormatError
+from storagelab.frames import FrameRecord
 from storagelab.metrics import OptimizeInstance, OptimizeResult, Score, mean_defined
 from storagelab.policy import (
     BLOCKED,
-    STORAGE_APIS,
-    STORAGE_OPS,
     Blocked,
     FirstParty,
     GlobalThirdParty,
@@ -85,11 +84,7 @@ from storagelab.policy import (
 )
 from storagelab.psl import PslParseError, SuffixRuleSet, is_ip_host
 from storagelab.record import Record
-from storagelab.simulator import (
-    FrameRecord,
-    ReplayError,
-    SimOutput,
-)
+from storagelab.simulator import ReplayError, SimOutput
 from storagelab.synthetic import (
     SyntheticSpec,
     _scenario_fields,
@@ -102,6 +97,8 @@ from storagelab.synthetic import (
     tracker_storage_edges,
 )
 from storagelab.trace import (
+    STORAGE_APIS,
+    STORAGE_OPS,
     BehaviorEdge,
     FrameLoad,
     HttpRequest,

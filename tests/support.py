@@ -9,7 +9,8 @@ from storagelab.cli import _parse_input
 from storagelab.flows import read_flows_csv
 from storagelab.metrics import OptimizeInstance, jaccard
 from storagelab.policy import PolicyKind
-from storagelab.simulator import read_frames_jsonl, replay
+from storagelab.frames import read_frames_jsonl
+from storagelab.simulator import replay
 from storagelab.trace import (
     FrameLoad,
     HttpRequest,

@@ -58,7 +58,7 @@ def test_criterion_03_cross_time_ordering(policy_outputs):
 
 
 def test_criterion_04_similarity_separation(policy_outputs):
-    perm = policy_outputs[PolicyKind.PERMISSIVE]
+    perm = policy_outputs[PolicyKind.PERMISSIVE].frames
     means = {}
     for policy, other_profile in [
         (PolicyKind.PERMISSIVE, "prof1"),
@@ -66,7 +66,7 @@ def test_criterion_04_similarity_separation(policy_outputs):
         (PolicyKind.PAGE_LENGTH, "prof0"),
         (PolicyKind.BLOCKING, "prof0"),
     ]:
-        scores = frame_similarity(perm, policy_outputs[policy], ALL_NODE_TYPES,
+        scores = frame_similarity(perm, policy_outputs[policy].frames, ALL_NODE_TYPES,
                                   "prof0", other_profile)
         assert scores
         means[policy] = mean_defined([s.score for s in scores])

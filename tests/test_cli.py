@@ -570,7 +570,34 @@ class TestMetricsCommands:
         grades = tmp_path / "grades.csv"
         grades.write_text(f"url,profile,grader_a,grader_b\nu,p,1,{cell}\n", encoding="utf-8")
         assert run("metrics", "kappa", "--grades", grades, "--out", tmp_path / "k") == 2
-        assert f"{grades}: non-integer grade in ('u', 'p')" in capsys.readouterr().err
+        assert f"{grades}: line 2: non-integer grade in ('u', 'p')" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reader", ["flows", "frames", "grades"])
+    def test_integer_past_the_digit_limit_is_input_error_naming_the_line(
+            self, pipeline, tmp_path, capsys, reader):
+        big = "9" * 5000  # past int()'s default limit of 4,300 digits
+        base, dirs = pipeline
+        if reader == "flows":
+            header, row = (dirs["permissive"] / "flows.csv").read_text().splitlines()[:2]
+            profile, _, rest = row.split(",", 2)
+            path = tmp_path / "flows.csv"
+            path.write_text(f"{header}\n{row}\n{profile},{big},{rest}\n")
+            argv = ["cross-site", "--flows", path]
+        elif reader == "frames":
+            sim = tmp_path / "sim"
+            shutil.copytree(dirs["permissive"], sim)
+            path = sim / "frames.jsonl"
+            lines = path.read_text().splitlines()
+            lines[2] = re.sub(r'^\{"crawl_iter":[0-9]+', '{"crawl_iter":' + big, lines[2])
+            path.write_text("\n".join(lines) + "\n")
+            argv = ["similarity", "--permissive", sim, "--compared", dirs["blocking"]]
+        else:
+            path = tmp_path / "grades.csv"
+            path.write_text(f"url,profile,grader_a,grader_b\nu,p,1,1\nv,p,1,{big}\n")
+            argv = ["kappa", "--grades", path]
+        assert run("metrics", *argv, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line 3: " in err and "Exceeds the limit (4300 digits)" in err
 
 
 def _break_first_edge(sim_dir: Path, copy: Path) -> tuple[Path, int]:

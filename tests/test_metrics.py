@@ -164,45 +164,45 @@ class TestJaccard:
 
 class TestFrameSimilarity:
     def test_identical_outputs_score_one(self, policy_outputs):
-        out = policy_outputs[PolicyKind.PERMISSIVE]
+        out = policy_outputs[PolicyKind.PERMISSIVE].frames
         scores = frame_similarity(out, out, ALL_NODE_TYPES, "prof0", "prof0")
         assert scores and all(s.score == 1 for s in scores)
 
     def test_frame_missing_from_one_side_omitted(self, policy_outputs, rules):
-        out = policy_outputs[PolicyKind.PERMISSIVE]
+        out = policy_outputs[PolicyKind.PERMISSIVE].frames
         spec = SyntheticSpec(n_sites=2, trackers=(TrackerSpec("tracker0.test"),),
                              crawl_iters=1, profiles=1, seed=42)
-        small = replay(generate_synthetic_trace(spec).events, PolicyKind.PERMISSIVE, rules)
+        small = replay(generate_synthetic_trace(spec).events, PolicyKind.PERMISSIVE, rules).frames
         scores = frame_similarity(out, small, ALL_NODE_TYPES, "prof0", "prof0")
         keys = {(s.page_url, s.frame_url, s.crawl_iter) for s in scores}
         assert all(key[0].startswith(("https://site0.", "https://site1.")) for key in keys)
         assert all(key[2] == 1 for key in keys)
 
     def test_first_party_and_ad_frames_excluded(self, policy_outputs):
-        out = policy_outputs[PolicyKind.PERMISSIVE]
+        out = policy_outputs[PolicyKind.PERMISSIVE].frames
         scores = frame_similarity(out, out, ALL_NODE_TYPES, "prof0", "prof0")
         urls = {s.frame_url for s in scores}
         assert all("tracker" in url for url in urls)
 
     def test_node_filter_restricts_edges(self, policy_outputs):
-        perm = policy_outputs[PolicyKind.PERMISSIVE]
-        blocking = policy_outputs[PolicyKind.BLOCKING]
+        perm = policy_outputs[PolicyKind.PERMISSIVE].frames
+        blocking = policy_outputs[PolicyKind.BLOCKING].frames
         storage_only = frozenset({NodeType.SCRIPT}) | STORAGE_NODE_TYPES
         scores = frame_similarity(perm, blocking, storage_only, "prof0", "prof0")
         # Blocking frames have no storage edges at all: similarity 0 everywhere.
         assert scores and all(s.score == 0 for s in scores)
 
     def test_all_types_score_the_unfiltered_edge_sets(self, policy_outputs):
-        perm = policy_outputs[PolicyKind.PERMISSIVE]
-        blocking = policy_outputs[PolicyKind.BLOCKING]
+        perm = policy_outputs[PolicyKind.PERMISSIVE].frames
+        blocking = policy_outputs[PolicyKind.BLOCKING].frames
         scores = frame_similarity(perm, blocking, ALL_NODE_TYPES, "prof0", "prof0")
         keys = [(s.page_url, s.frame_url, "prof0", s.crawl_iter) for s in scores]
         assert scores and [s.score for s in scores] == [
-            jaccard(perm.frames[key].edge_set, blocking.frames[key].edge_set) for key in keys]
+            jaccard(perm[key].edge_set, blocking[key].edge_set) for key in keys]
 
     def test_blocking_gap_is_exact(self, policy_outputs):
-        perm = policy_outputs[PolicyKind.PERMISSIVE]
-        blocking = policy_outputs[PolicyKind.BLOCKING]
+        perm = policy_outputs[PolicyKind.PERMISSIVE].frames
+        blocking = policy_outputs[PolicyKind.BLOCKING].frames
         scores = frame_similarity(perm, blocking, ALL_NODE_TYPES, "prof0", "prof0")
         assert scores and all(s.score == Fraction(1, 2) for s in scores)
 
@@ -274,8 +274,8 @@ class TestOptimizeNodeTypes:
 
     def test_build_sample_from_outputs(self, policy_outputs):
         sample = build_optimize_sample(
-            policy_outputs[PolicyKind.PERMISSIVE],
-            policy_outputs[PolicyKind.BLOCKING],
+            policy_outputs[PolicyKind.PERMISSIVE].frames,
+            policy_outputs[PolicyKind.BLOCKING].frames,
             ("prof0", "prof1"), "prof0")
         assert sample
         result = optimize_node_types(sample)
@@ -289,37 +289,37 @@ class TestSelectCandidates:
         assert harmonic_score(2, 6) == 3
         assert harmonic_score(0, 9) == 0
 
-    def test_distinct_sites_kept(self, rules):
+    def test_distinct_sites_kept(self):
         stats = [
-            FrameStat("https://w1.t.net/a", 10, 10),
-            FrameStat("https://w2.t.net/b", 9, 9),
-            FrameStat("https://other.org/c", 1, 1),
+            FrameStat("https://w1.t.net/a", "t.net", 10, 10),
+            FrameStat("https://w2.t.net/b", "t.net", 9, 9),
+            FrameStat("https://other.org/c", "other.org", 1, 1),
         ]
-        selection = select_candidates(stats, 2, rules)
+        selection = select_candidates(stats, 2)
         assert [c.frame_url for c in selection.candidates] == [
             "https://w1.t.net/a", "https://other.org/c"]
         assert not selection.short
 
-    def test_short_when_not_enough_sites(self, rules):
-        stats = [FrameStat("https://w.t.net/a", 2, 2)]
-        selection = select_candidates(stats, 10, rules)
+    def test_short_when_not_enough_sites(self):
+        stats = [FrameStat("https://w.t.net/a", "t.net", 2, 2)]
+        selection = select_candidates(stats, 10)
         assert selection.short
         assert len(selection.candidates) == 1
 
-    def test_sorted_by_score_then_url(self, rules):
+    def test_sorted_by_score_then_url(self):
         stats = [
-            FrameStat("https://b.net/x", 4, 4),
-            FrameStat("https://a.org/x", 4, 4),
-            FrameStat("https://c.com/x", 8, 8),
+            FrameStat("https://b.net/x", "b.net", 4, 4),
+            FrameStat("https://a.org/x", "a.org", 4, 4),
+            FrameStat("https://c.com/x", "c.com", 8, 8),
         ]
-        selection = select_candidates(stats, 3, rules)
+        selection = select_candidates(stats, 3)
         assert [c.frame_url for c in selection.candidates] == [
             "https://c.com/x", "https://a.org/x", "https://b.net/x"]
 
     @pytest.mark.parametrize("k", [0, -3])
-    def test_k_below_one_rejected(self, rules, k):
+    def test_k_below_one_rejected(self, k):
         with pytest.raises(ValueError, match="at least 1"):
-            select_candidates([FrameStat("https://w.t.net/a", 2, 2)], k, rules)
+            select_candidates([FrameStat("https://w.t.net/a", "t.net", 2, 2)], k)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):

@@ -34,8 +34,8 @@ from storagelab.filterlist import EMPTY_RULES, AdRuleSet, is_ad_url, parse_rules
 from storagelab.cli import InputError, _parse_input
 from storagelab.flows import FLOW_FIELDS, TraceFormatError
 from storagelab.metrics import OptimizeInstance, frame_similarity, jaccard, optimize_node_types
+from storagelab.frames import FrameRecord, write_frames_jsonl
 from storagelab.policy import (
-    STORAGE_APIS,
     Ephemeral,
     PolicyKind,
     origin_of,
@@ -51,13 +51,7 @@ from storagelab.psl import (
     parse_psl,
     public_suffix,
 )
-from storagelab.simulator import (
-    FrameRecord,
-    ReplayError,
-    SimOutput,
-    replay,
-    write_frames_jsonl,
-)
+from storagelab.simulator import ReplayError, replay
 from storagelab.synthetic import (
     SyntheticSpec,
     TrackerSpec,
@@ -65,6 +59,7 @@ from storagelab.synthetic import (
     generate_synthetic_trace,
 )
 from storagelab.trace import (
+    STORAGE_APIS,
     BehaviorEdge,
     FrameLoad,
     HttpRequest,
@@ -236,8 +231,8 @@ def test_all_undefined_raises_in_both(sample):
 
 
 def _frames(edge_sets, profile):
-    return SimOutput(frames={("https://p.com/", f"https://f{i}.net/", profile, 1):
-                             FrameRecord(edge_set=set(edges)) for i, edges in enumerate(edge_sets)})
+    return {("https://p.com/", f"https://f{i}.net/", profile, 1): FrameRecord(edge_set=set(edges))
+            for i, edges in enumerate(edge_sets)}
 
 
 @given(samples(max_instances=4), st.frozensets(st.sampled_from(list(NodeType))))

@@ -3,8 +3,6 @@ import pytest
 from storagelab.cookies import CookieJar, cookies_for_request
 from storagelab.policy import (
     BLOCKED,
-    STORAGE_APIS,
-    STORAGE_OPS,
     Blocked,
     Ephemeral,
     FirstParty,
@@ -17,6 +15,7 @@ from storagelab.policy import (
     storage_access,
 )
 from storagelab.psl import builtin_rules
+from storagelab.trace import STORAGE_APIS, STORAGE_OPS
 
 RULES = builtin_rules()
 TRACKER = "https://t.net/w"

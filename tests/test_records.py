@@ -1,8 +1,8 @@
 """Semantics every record class keeps, whatever it is built from: records of
 different types never compare equal, events and partition keys refuse
 attribute assignment, and derived values are computed once: an edge string
-per distinct trace line, a written line per distinct event, a substring
-regex per rule set."""
+per distinct trace line, a written line per distinct event object, a
+substring regex per rule set."""
 
 import itertools
 import json
@@ -113,25 +113,34 @@ WRITE_EVENTS = [VisitStart("p", 1, "t", "https://a.com/", 1),
                 FrameLoad("t", "f", "https://t.net/w"), BehaviorEdge("t", "f", EDGE), VisitEnd("t")]
 
 
-def test_repeats_that_are_one_object_hash_once_per_distinct_event(monkeypatch):
+def test_repeats_that_are_one_object_encode_once_and_hash_never(monkeypatch):
     hashed = []
+    encoded = []
     real_hash = Record.__hash__
+    real_encode = trace.event_to_record
     monkeypatch.setattr(Record, "__hash__", lambda self: hashed.append(self) or real_hash(self))
+    monkeypatch.setattr(trace, "event_to_record", lambda e: encoded.append(e) or real_encode(e))
     events = [WRITE_EVENTS[i] for i in (0, 1, 2, 2, 1, 2, 3, 0, 3)] * 50
     text = trace.dump_trace(trace.Trace(None, events))
-    assert hashed == WRITE_EVENTS  # the identity lookup finds every repeat
-    assert text == "".join(trace._json_line(trace.event_to_record(e)) for e in events)
+    assert hashed == []  # a repeat is found by identity
+    assert encoded == WRITE_EVENTS
+    assert text == "".join(trace._json_line(real_encode(e)) for e in events)
 
 
-def test_equal_copies_encode_once_per_distinct_event(monkeypatch):
-    encoded = []
-    real_encode = trace.event_to_record
-    monkeypatch.setattr(trace, "event_to_record", lambda e: encoded.append(e) or real_encode(e))
+def test_equal_copies_write_their_own_lines():
     events = [type(e)(*(getattr(e, name) for name in e._fields))
               for _ in range(3) for e in WRITE_EVENTS]
     lines = trace.dump_trace(trace.Trace(None, events)).splitlines(keepends=True)
-    assert encoded == WRITE_EVENTS  # a copy's line is found by equality
-    assert lines == [trace._json_line(real_encode(e)) for e in WRITE_EVENTS] * 3
+    assert lines == [trace._json_line(trace.event_to_record(e)) for e in WRITE_EVENTS] * 3
+
+
+def test_events_equal_as_records_keep_their_own_json():
+    """``1 == True``, so these two events are equal records, but each is
+    written with its own value."""
+    events = [FrameLoad("t", "f", "https://t.net/w", is_ad) for is_ad in (1, True)]
+    lines = trace.dump_trace(trace.Trace(None, events)).splitlines()
+    assert events[0] == events[1]
+    assert '"is_ad":1,' in lines[0] and '"is_ad":true,' in lines[1]
 
 
 def test_substring_regex_is_compiled_once_per_rule_set(monkeypatch):

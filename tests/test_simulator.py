@@ -16,12 +16,8 @@ from storagelab.flows import FLOW_FIELDS, CookieFlowRecord, read_flows_csv
 from storagelab import simulator
 from storagelab.policy import PolicyKind, site_of
 from storagelab.psl import BUILTIN_PSL, parse_psl
-from storagelab.simulator import (
-    ReplayError,
-    replay,
-    write_flows_csv,
-    write_frames_jsonl,
-)
+from storagelab.frames import write_frames_jsonl
+from storagelab.simulator import ReplayError, replay, write_flows_csv
 from storagelab.synthetic import (
     SyntheticSpec,
     TrackerSpec,

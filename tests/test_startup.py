@@ -1,9 +1,11 @@
-"""Each CLI call imports only the modules its command runs (README "Start-up").
+"""Each CLI call imports only the modules its command runs, and exactly the
+``storagelab`` modules README's "Start-up" table lists for it.
 
 Every subcommand runs in a fresh interpreter started without ``site`` (whose
 ``.pth`` hooks may import anything), which then lists the modules it loaded.
 """
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,19 +24,39 @@ print(code, *sorted(sys.modules))
 """
 
 NEVER = {"dataclasses", "inspect", "traceback"}
+REPLAY = {"storagelab.simulator", "storagelab.filterlist"}
+PARTITIONS = {"storagelab.policy", "storagelab.cookies"}
 # Command -> the modules a successful call must not load, besides NEVER.
 NOT_LOADED = {
     "gen-trace": {"storagelab.metrics", "storagelab.simulator", "fractions", "random"},
     "simulate": {"storagelab.metrics", "storagelab.synthetic", "fractions", "random"},
     # The privacy metrics read only the flow table.
     **{f"metrics {metric}": {"storagelab.synthetic", "random", "storagelab.metrics",
-                             "storagelab.simulator", "storagelab.trace", "storagelab.policy",
-                             "storagelab.cookies", "storagelab.filterlist", "fractions"}
+                             "storagelab.frames", "storagelab.trace", "fractions",
+                             *REPLAY, *PARTITIONS}
        for metric in ("picf", "cross-site", "cross-time")},
-    **{f"metrics {metric}": {"storagelab.synthetic", "random"}
-       for metric in ("similarity", "candidates", "kappa")},
-    "metrics optimize": {"storagelab.synthetic"},
+    # The compatibility metrics read frames.jsonl through storagelab.frames;
+    # only candidates maps a frame URL to its site.
+    **{f"metrics {metric}": {"storagelab.synthetic", "random", *REPLAY, *PARTITIONS}
+       for metric in ("similarity", "kappa")},
+    "metrics optimize": {"storagelab.synthetic", *REPLAY, *PARTITIONS},
+    "metrics candidates": {"storagelab.synthetic", "random", *REPLAY},
 }
+# What every call loads: cli imports the PSL parser for its --psl options.
+ALWAYS = {"cli", "psl"}
+MODULES = {path.stem for path in (SRC / "storagelab").glob("*.py")} - {"__init__"}
+
+
+def readme_startup_imports() -> dict[str, set[str]]:
+    """The ``storagelab`` modules each command's row of README's "Start-up"
+    table names, by command."""
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Start-up\n", 1)[1].split("\n## ", 1)[0]
+    listed = {}
+    for commands, imports in re.findall(r"^\| (`[^|]*`) \| (.*) \|$", section, re.MULTILINE):
+        modules = set(re.findall(r"`([a-z]+)`", imports)) & MODULES
+        listed.update(dict.fromkeys(re.findall(r"`([a-z -]+)`", commands), modules))
+    return listed
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +98,13 @@ def test_a_call_loads_only_what_its_command_runs(inputs, tmp_path, command):
     assert code == "0", proc.stderr
     assert "storagelab.cli" in modules
     assert (NEVER | NOT_LOADED[command]).isdisjoint(modules)
+    loaded = {module[len("storagelab."):] for module in modules
+              if module.startswith("storagelab.")}
+    assert loaded == ALWAYS | readme_startup_imports()[command]
+
+
+def test_readme_startup_table_has_a_row_per_command():
+    assert sorted(readme_startup_imports()) == sorted(NOT_LOADED)
 
 
 def test_an_internal_error_still_prints_its_traceback(monkeypatch, capsys):
