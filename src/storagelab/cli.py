@@ -271,6 +271,8 @@ def _parse_node_filter(value: str) -> frozenset:
     if value == "optimal":
         return OPTIMAL_NODE_TYPES
     names = [name.strip() for name in value.split(",") if name.strip()]
+    if not names:
+        raise InputError(f"--node-filter names no node type: {value!r}")
     try:
         return frozenset(NodeType(name) for name in names)
     except ValueError as exc:
@@ -281,10 +283,10 @@ def cmd_metrics_similarity(args) -> int:
     from storagelab.flows import write_csv
     from storagelab.metrics import (align_curve_inputs, frame_similarity, mean_defined,
                                     similarity_curve)
+    node_filter = _parse_node_filter(args.node_filter)
     permissive, _, perm_manifest, perm_entries = _load_sim_dir(args.permissive)
     compared, _, comp_manifest, comp_entries = _load_sim_dir(args.compared)
     _require_same_trace(perm_manifest, comp_manifest, "similarity")
-    node_filter = _parse_node_filter(args.node_filter)
 
     baseline = frame_similarity(permissive, permissive, node_filter,
                                 args.anchor_profile, args.baseline_profile)

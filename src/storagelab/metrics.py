@@ -8,6 +8,12 @@ metrics are in ``storagelab.picf``.
 An edge is its canonical string. Similarity scores are exact rationals;
 everything here is a pure function of its inputs. A candidate's site comes
 with its ``FrameStat``, so no replay, partition or PSL code is imported.
+
+Work is done once per distinct edge set, not per frame: ``frame_similarity``
+scores each distinct pair of edge-set objects once (the frames reader gives
+every record with the same edge list one shared frozenset), and
+``optimize_node_types`` scores each distinct sample instance once, weighting
+its exact scores by its count.
 """
 
 from __future__ import annotations
@@ -95,14 +101,21 @@ def frame_similarity(
     mask = _type_mask(node_filter)
     base_frames = _profile_frames(base, base_profile)
     other_frames = _profile_frames(other, other_profile)
+    # The score of each distinct pair of edge-set objects, by their ids: the
+    # frames reader shares one set per distinct edge list, and the records
+    # keep every set alive until the call returns, so no id is reused.
+    scores: dict[tuple[int, int], Score] = {}
     results = []
     for key in sorted(set(base_frames) & set(other_frames)):
         a = base_frames[key]
         b = other_frames[key]
         if a.party != "third" or b.party != "third" or a.is_ad or b.is_ad:
             continue
-        score = jaccard(_filter_edges(a.edge_set, mask), _filter_edges(b.edge_set, mask))
-        results.append(FrameSimilarity(key[0], key[1], key[2], score))
+        pair = id(a.edge_set), id(b.edge_set)
+        if pair not in scores:
+            scores[pair] = jaccard(_filter_edges(a.edge_set, mask),
+                                   _filter_edges(b.edge_set, mask))
+        results.append(FrameSimilarity(key[0], key[1], key[2], scores[pair]))
     return results
 
 
@@ -199,6 +212,19 @@ def _subset_jaccard(counts: PairCounts, subset: int) -> Score:
     return Fraction(inter, union)
 
 
+def _mean_score(weighted: list[tuple[PairCounts, int]], subset: int) -> Fraction | None:
+    """The mean of the defined scores under ``subset``, each pair's counted as
+    many times as its weight: ``mean_defined`` of the repeated scores."""
+    total = Fraction(0)
+    defined = 0
+    for counts, weight in weighted:
+        score = _subset_jaccard(counts, subset)
+        if score is not None:
+            total += score * weight
+            defined += weight
+    return total / defined if defined else None
+
+
 def _submasks(mask: int) -> Iterator[int]:
     """Every submask of ``mask``, the empty one included."""
     sub = mask
@@ -225,21 +251,25 @@ def optimize_node_types(
     A subset's scores depend only on which of the sample's endpoint types it
     keeps, so the means are computed once per projection ``subset & used``
     (2^|used| of them) and every subset of ``node_types`` is then ranked.
+    Equal instances score alike, so each distinct instance is scored once and
+    weighted by its count; the means are exact, so they equal those over the
+    whole sample.
     """
     if not sample:
         raise ValueError("sample must be non-empty")
-    baseline_counts = [_pair_counts(i.baseline_a, i.baseline_b) for i in sample]
-    contrast_counts = [_pair_counts(i.contrast, i.baseline_a) for i in sample]
+    instances = Counter(sample).items()
+    baseline_counts = [(_pair_counts(i.baseline_a, i.baseline_b), n) for i, n in instances]
+    contrast_counts = [(_pair_counts(i.contrast, i.baseline_a), n) for i, n in instances]
 
     allowed = _type_mask(node_types)
     used = 0
-    for counts in baseline_counts + contrast_counts:
+    for counts, _ in baseline_counts + contrast_counts:
         for mask, _, _ in counts:
             used |= mask
     scored: dict[int, tuple[Fraction, Fraction, Fraction] | None] = {}
     for projection in _submasks(used & allowed):
-        base_mean = mean_defined(_subset_jaccard(c, projection) for c in baseline_counts)
-        contrast_mean = mean_defined(_subset_jaccard(c, projection) for c in contrast_counts)
+        base_mean = _mean_score(baseline_counts, projection)
+        contrast_mean = _mean_score(contrast_counts, projection)
         if base_mean is not None and contrast_mean is not None:
             scored[projection] = (base_mean - contrast_mean, base_mean, contrast_mean)
         else:

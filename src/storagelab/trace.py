@@ -285,8 +285,12 @@ def parse_trace(lines: Iterable[str]) -> Trace:
     return Trace(meta, events)
 
 
+# json.dumps with these arguments builds a new encoder on every call.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _json_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    return _encode(record) + "\n"
 
 
 def _trace_lines(trace: Trace) -> Iterator[str]:
@@ -294,8 +298,10 @@ def _trace_lines(trace: Trace) -> Iterator[str]:
     event; a trace with neither is the single line ``"\n"``. Each distinct
     event object is encoded once: a repeat, as :func:`parse_trace` and the
     generator build them, is the same object, found by identity without
-    hashing its fields. ``trace.events`` keeps every event alive during the
-    write, so no id is reused."""
+    hashing its fields. A line is kept only while its object occurs again
+    later, so a trace whose events do not repeat is never held whole.
+    ``trace.events`` keeps every event alive during the write, so no id is
+    reused."""
     if trace.meta is None and not trace.events:
         yield "\n"
         return
@@ -306,11 +312,20 @@ def _trace_lines(trace: Trace) -> Iterator[str]:
         if trace.meta.spec is not None:
             meta["spec"] = trace.meta.spec
         yield _json_line(meta)
-    lines: dict[int, str] = {}  # id of each distinct event object -> its line
-    for event in trace.events:
-        line = lines.get(id(event))
+    # The index of each event object's last occurrence: its line is kept from
+    # its first occurrence until then, so not at all for an object that occurs
+    # once.
+    last = {id(event): index for index, event in enumerate(trace.events)}
+    lines: dict[int, str] = {}  # id of an event object that occurs again -> its line
+    for index, event in enumerate(trace.events):
+        key = id(event)
+        line = lines.get(key)
         if line is None:
-            line = lines[id(event)] = _json_line(event_to_record(event))
+            line = _json_line(event_to_record(event))
+            if last[key] != index:
+                lines[key] = line
+        elif last[key] == index:
+            del lines[key]
         yield line
 
 
@@ -322,8 +337,9 @@ def dump_trace(trace: Trace) -> str:
 
 def write_trace(trace: Trace, path: str | Path) -> None:
     """Stream the trace file to ``path`` line by line, never holding its whole
-    text. When an event cannot be encoded, the file is removed and the error
-    re-raised, so no partial trace is left behind."""
+    text: it keeps the index of each event object's last occurrence, and the
+    object's line only until then. When an event cannot be encoded, the file
+    is removed and the error re-raised, so no partial trace is left behind."""
     fh = open(path, "w", encoding="utf-8")
     try:
         with fh:

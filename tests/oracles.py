@@ -34,8 +34,9 @@ string, kept as the oracle for ``storagelab.trace``'s writers, which encode
 each distinct event object once and stream the lines.
 ``read_flows_csv`` and ``read_frames_jsonl`` build a dict per row and check
 each field with its own call, kept as the oracles for
-``storagelab.flows.read_flows_csv`` and
-``storagelab.frames.read_frames_jsonl``, which check each row in one pass.
+``storagelab.flows.read_flows_csv``, which checks each row in one pass, and
+``storagelab.frames.read_frames_jsonl``, which decodes each distinct edge
+list and each distinct rest of a writer-form line once.
 ``write_frames_jsonl`` runs ``json.dumps`` on a dict per frame, kept as the
 oracle for ``storagelab.frames.write_frames_jsonl``, which fills one line
 template with each distinct string encoded once. ``check_rule`` splits a PSL
@@ -914,6 +915,11 @@ def _frame_entry(line: str):
         raise TraceFormatError("field 'edges' must hold strings")
     if party not in ("first", "third"):
         raise TraceFormatError(f"unknown party {party!r}")
+    for edge in edges:
+        try:
+            edge_endpoint_types(edge)
+        except ValueError as exc:
+            raise TraceFormatError(str(exc)) from None
     key = (page_url, frame_url, profile, crawl_iter)
     return key, FrameRecord(edge_set=set(edges), is_ad=is_ad, party=party)
 

@@ -241,6 +241,27 @@ BAD_FRAME_LINES = [
      '"is_ad":false,"edges":{}}', "field 'edges' must be an array"),
     ('{"page_url":"p","frame_url":"f","profile":"p","party":"third","crawl_iter":1,'
      '"is_ad":false,"edges":"ab"}', "field 'edges' must be an array"),
+    # The writer's form, with one thing wrong.
+    ('{"crawl_iter":1' + "0" * 4300 + ',"edges":[],"frame_url":"f","is_ad":false,'
+     '"page_url":"p","party":"third","profile":"p"}', "invalid JSON"),
+    ('{"crawl_iter":01,"edges":[],"frame_url":"f","is_ad":false,"page_url":"p",'
+     '"party":"third","profile":"p"}', "invalid JSON"),
+    ('{"crawl_iter":1,"edges":[1],"frame_url":"f","is_ad":false,"page_url":"p",'
+     '"party":"third","profile":"p"}', "field 'edges' must hold strings"),
+    ('{"crawl_iter":1,"edges":["foo"],"frame_url":"f","is_ad":false,"page_url":"p",'
+     '"party":"third","profile":"p"}', "not a canonical edge: 'foo'"),
+    ('{"crawl_iter":1,"edges":[],"frame_url":"f","is_ad":0,"page_url":"p",'
+     '"party":"third","profile":"p"}', "field 'is_ad' must be a boolean"),
+    ('{"crawl_iter":1,"edges":[],"frame_url":"f","is_ad":false,"page_url":"p",'
+     '"party":"fourth","profile":"p"}', "unknown party 'fourth'"),
+    ('{"crawl_iter":1,"edges":[],"frame_url":"f","is_ad":false,"page_url":"p",'
+     '"party":"third"}', "missing field 'profile'"),
+    ('{"crawl_iter":1,"edges":[],"frame_url":"f","is_ad":false,"page_url":"p",'
+     '"party":"third","profile":"p","crawl_iter":"1"}', "field 'crawl_iter' must be an integer"),
+    ('{"crawl_iter":1,"edges":[],"frame_url":"f","is_ad":false,"page_url":"p",'
+     '"party":"third","profile":"p","edges":{}}', "field 'edges' must be an array"),
+    ('{"crawl_iter":1,"edges":[],"frame_url":"f","is_ad":false,"page_url":"p",'
+     '"party":"third","profile":"p"}}', "invalid JSON"),
 ]
 
 BAD_FLOW_ROWS = [

@@ -322,6 +322,15 @@ class TestMetricsCommands:
                    "--compared", dirs["blocking"], "--node-filter", "martian",
                    "--out", tmp_path / "o") == 2
 
+    @pytest.mark.parametrize("value", ["", ",", " , "])
+    def test_node_filter_naming_no_type_rejected(self, pipeline, tmp_path, capsys, value):
+        base, dirs = pipeline
+        assert run("metrics", "similarity", "--permissive", dirs["permissive"],
+                   "--compared", dirs["blocking"], "--node-filter", value,
+                   "--out", tmp_path / "o") == 2
+        assert f"--node-filter names no node type: {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_optimize(self, pipeline):
         base, dirs = pipeline
         out = base / "optimize"

@@ -1,19 +1,21 @@
 """The fast paths agree with the reference implementations kept in
 ``oracles.py``: the label-walk PSL and filter-anchor lookups with the linear
 scans, the edge string builder with ``json.dumps``, the bitmask node-type
-filter and optimizer with the enum-set ones, the resolve-once replay loop
-that keeps only cookie jars with the one that resolves every storage touch
-and keeps DOM storage and script reads as well, the once-per-distinct-line
-trace parser with the one that parses every line, the one trace with
-``when`` conditions that the generator writes for every policy, replayed
-under each, with the per-policy trace of the generator that keeps its own
-model of the partition keys, the trace writers that encode each distinct event
-once with the dump that encodes every event, the one-pass simulate output
-readers with the per-field ones, the input helper's not-UTF-8 line and
-column with a second line-by-line read of the file, the templated frames
-writer with the per-record ``json.dumps``, the one-pass PSL rule check with
-the per-character one, and the rule-file parsers that scan the canonical
-lines in one regex pass with the line-by-line ones.
+filter and the optimizer that scores each distinct instance once with the
+enum-set ones, the resolve-once replay loop that keeps only cookie jars with
+the one that resolves every storage touch and keeps DOM storage and script
+reads as well, the once-per-distinct-line trace parser with the one that
+parses every line, the one trace with ``when`` conditions that the generator
+writes for every policy, replayed under each, with the per-policy trace of
+the generator that keeps its own model of the partition keys, the trace
+writers that encode each distinct event once with the dump that encodes
+every event, the one-pass flows reader and the frames reader that decodes
+each distinct part of a writer-form line once with the per-field ones, the
+input helper's not-UTF-8 line and column with a second line-by-line read of
+the file, the templated frames writer with the per-record ``json.dumps``,
+the one-pass PSL rule check with the per-character one, and the rule-file
+parsers that scan the canonical lines in one regex pass with the
+line-by-line ones.
 
 Rules and hosts are drawn from a small label alphabet so that normal,
 wildcard and exception rules actually match, nest and compete. Edge sets are
@@ -34,7 +36,7 @@ from storagelab.filterlist import EMPTY_RULES, AdRuleSet, is_ad_url, parse_rules
 from storagelab.cli import InputError, _parse_input
 from storagelab.flows import FLOW_FIELDS, TraceFormatError
 from storagelab.metrics import OptimizeInstance, frame_similarity, jaccard, optimize_node_types
-from storagelab.frames import FrameRecord, write_frames_jsonl
+from storagelab.frames import FrameRecord, read_frames_jsonl, write_frames_jsonl
 from storagelab.policy import (
     Ephemeral,
     PolicyKind,
@@ -230,18 +232,42 @@ def test_all_undefined_raises_in_both(sample):
     assert _outcome(oracles.optimize_node_types, sample) is ValueError
 
 
+@st.composite
+def repeated(draw, sample):
+    """Each instance of ``sample`` one to three times, in any order: a repeat
+    is the same object or an equal copy with sets of its own."""
+    out = []
+    for instance in sample:
+        for _ in range(draw(st.integers(1, 3))):
+            out.append(instance if draw(st.booleans())
+                       else OptimizeInstance(*(frozenset(set(edges)) for edges in instance)))
+    return draw(st.permutations(out))
+
+
+@settings(max_examples=50, deadline=None)
+@given(samples().flatmap(repeated))
+def test_optimizer_with_repeated_instances_matches_enum_search(sample):
+    assert _outcome(optimize_node_types, sample) == _outcome(oracles.optimize_node_types, sample)
+
+
 def _frames(edge_sets, profile):
-    return {("https://p.com/", f"https://f{i}.net/", profile, 1): FrameRecord(edge_set=set(edges))
+    return {("https://p.com/", f"https://f{i}.net/", profile, 1): FrameRecord(edge_set=edges)
             for i, edges in enumerate(edge_sets)}
 
 
-@given(samples(max_instances=4), st.frozensets(st.sampled_from(list(NodeType))))
-def test_frame_similarity_matches_enum_filter(sample, node_filter):
-    base = _frames([i.baseline_a for i in sample], "x")
-    other = _frames([i.contrast for i in sample], "y")
-    scores = [s.score for s in frame_similarity(base, other, node_filter, "x", "y")]
-    assert scores == [jaccard(oracles._filter_edges(i.baseline_a, node_filter),
-                              oracles._filter_edges(i.contrast, node_filter)) for i in sample]
+@given(samples(max_instances=4).flatmap(repeated), st.frozensets(st.sampled_from(list(NodeType))),
+       st.data())
+def test_frame_similarity_matches_enum_filter(sample, node_filter, data):
+    """Instances that repeat share their edge-set objects, as the frames
+    reader's records do, or hold equal copies; the contrasts are shuffled, so
+    that one shared set meets different ones."""
+    bases = [i.baseline_a for i in sample]
+    others = data.draw(st.permutations([i.contrast for i in sample]))
+    scores = [s.score for s in frame_similarity(_frames(bases, "x"), _frames(others, "y"),
+                                                node_filter, "x", "y")]
+    by_key = sorted(range(len(sample)), key=lambda i: f"https://f{i}.net/")
+    assert scores == [jaccard(oracles._filter_edges(bases[i], node_filter),
+                              oracles._filter_edges(others[i], node_filter)) for i in by_key]
 
 
 # ---------------------------------------------------------------------------
@@ -608,11 +634,14 @@ def test_writers_match_dump_of_every_event(tmp_path_factory, trace):
 
 # ---------------------------------------------------------------------------
 # Simulate output readers: valid files with any text in the string fields
-# and integers in any ``-?[0-9]+`` form; frame records with extra fields, in
-# any key order and spacing, between blank lines, with edges from a pool and
-# fresh ones, so that some edges are met for the first time in the process.
-# A malformed row from the unit tests, put anywhere in such a file, gets the
-# same message from both readers.
+# and integers in any ``-?[0-9]+`` form; frame records in the writer's exact
+# form, in forms that look like it and are not (a duplicate key whose later
+# value JSON keeps, ``-0``, a crawl_iter past 18 digits, padding, an escaped
+# or non-ASCII string, a sixth field), or with extra fields, in any key order
+# and spacing, between blank lines, with edges from a pool and fresh ones, so
+# that some edges are met for the first time in the process. A malformed row
+# from the unit tests, put anywhere in such a file, gets the same message
+# from both readers.
 
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
 # csv.writer quotes a cell holding its line terminator, "\n", but not a bare
@@ -673,9 +702,61 @@ def test_bad_flow_row_fails_alike(tmp_path_factory, rows, bad, index):
 
 FRAME_EDGE = st.one_of(
     st.sampled_from([_edge(NodeType.SCRIPT, NodeType.COOKIE_JAR),
-                     _edge(NodeType.WEB_API, NodeType.SCRIPT)]),
+                     _edge(NodeType.WEB_API, NodeType.SCRIPT),
+                     # The text that ends the edge list in the writer's form.
+                     _edge(NodeType.SCRIPT, NodeType.SCRIPT, '],"frame_url":')]),
     st.builds(_edge, st.sampled_from(list(NodeType)), st.sampled_from(list(NodeType)), TEXT),
 )
+# Small crawl iterations, and the writer's widest machine-sized ones and past.
+CRAWL_ITER = st.one_of(st.integers(-2, 3), st.sampled_from(
+    [10**17, 10**18 - 1, -(10**18 - 1), 10**18, -(10**18), 10**19 - 1, 10**30]))
+
+
+def _writer_form(record: dict, ensure_ascii: bool = True) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":"), ensure_ascii=ensure_ascii)
+
+
+def _any_json_line(draw, record):
+    """Extra fields, any key order and spacing, escaped or not."""
+    if draw(st.booleans()):
+        record = dict(record, extra=draw(st.sampled_from([None, 1, "x", [1]])))
+    items = draw(st.permutations(list(record.items())))
+    line = json.dumps(dict(items), sort_keys=draw(st.booleans()),
+                      ensure_ascii=draw(st.booleans()))
+    return draw(PAD) + line + draw(PAD)
+
+
+def _writer_line(draw, record):
+    return _writer_form(record, ensure_ascii=draw(st.booleans()))
+
+
+def _decoy_first_value(draw, record):
+    """A later duplicate ``edges`` or ``crawl_iter`` key holds the value JSON
+    reads; the writer-form head holds a decoy."""
+    name = draw(st.sampled_from(["edges", "crawl_iter"]))
+    decoy = draw(st.lists(FRAME_EDGE, max_size=2) if name == "edges" else st.integers(-2, 3))
+    return (_writer_form(dict(record, **{name: decoy}))[:-1]
+            + f',"{name}":{json.dumps(record[name], separators=(",", ":"))}}}')
+
+
+def _lookalike_line(draw, record):
+    """The writer's form with one difference that keeps its meaning: a
+    ``-0`` (where crawl_iter is 0), padding, an escaped tail string, or
+    else a sixth field."""
+    line = _writer_form(record)
+    kind = draw(st.sampled_from(["-0", "pad", "escape", "extra"]))
+    if kind == "-0" and record["crawl_iter"] == 0:
+        return line.replace('{"crawl_iter":0,', '{"crawl_iter":-0,', 1)
+    if kind == "pad":
+        return draw(st.sampled_from(["", " "])) + line + draw(st.sampled_from([" ", "\t", "\r"]))
+    if kind == "escape":  # the party's first letter as a \u escape
+        party = record["party"]
+        return line.replace(f'"party":"{party}"', f'"party":"\\u{ord(party[0]):04x}{party[1:]}"')
+    return line[:-1] + ',"zz":0}'
+
+
+FRAME_LINE_FORMS = [_any_json_line, _writer_line, _writer_line, _decoy_first_value,
+                    _lookalike_line]
 
 
 @st.composite
@@ -683,30 +764,43 @@ def frame_lines(draw):
     records = {}
     for _ in range(draw(st.integers(0, 8))):
         key = (draw(TEXT), draw(st.sampled_from(["f", "g\u00fc"])),
-               draw(st.sampled_from(["p0", "p1"])), draw(st.integers(-2, 3)))
+               draw(st.sampled_from(["p0", "p1"])), draw(CRAWL_ITER))
         records[key] = {"page_url": key[0], "frame_url": key[1], "profile": key[2],
                         "crawl_iter": key[3], "party": draw(st.sampled_from(["first", "third"])),
                         "is_ad": draw(st.booleans()),
                         "edges": draw(st.lists(FRAME_EDGE, max_size=4))}
     lines = []
     for record in records.values():
-        if draw(st.booleans()):
-            record["extra"] = draw(st.sampled_from([None, 1, "x", [1]]))
-        items = draw(st.permutations(list(record.items())))
-        line = json.dumps(dict(items), sort_keys=draw(st.booleans()),
-                          ensure_ascii=draw(st.booleans()))
-        lines.append(draw(PAD) + line + draw(PAD))
+        lines.append(draw(st.sampled_from(FRAME_LINE_FORMS))(draw, record))
         if draw(st.integers(0, 4)) == 0:
             lines.append(draw(st.sampled_from(["", "  "])))
     return lines
 
 
-@settings(max_examples=200)
+def _read_lines(text: str):
+    """The frames that ``read_frames_jsonl`` reads from the lines of ``text``
+    split at each \\n alone, so that a \\r stays in its line."""
+    try:
+        return read_frames_jsonl(line + "\n" for line in text.split("\n"))
+    except TraceFormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300)
 @given(frame_lines())
+@example(['{"crawl_iter":-0,"edges":[],"frame_url":"f","is_ad":false,"page_url":"p",'
+          '"party":"third","profile":"p"}',
+          '{"crawl_iter":1,"edges":[],"frame_url":"f","is_ad":false,"page_url":"p",'
+          '"party":"third","profile":"p","crawl_iter":2} \r',
+          '{"crawl_iter":1,"edges":["x"],"frame_url":"f","is_ad":false,"page_url":"p",'
+          '"party":"\\u0074hird","profile":"p","edges":[]}'])
 def test_frames_reader_matches_per_field_reader(tmp_path_factory, lines):
     path = tmp_path_factory.getbasetemp() / "drawn-frames.jsonl"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    assert support.read_frames(path) == oracles.read_frames_jsonl(path)
+    text = "\n".join(lines) + "\n"
+    path.write_text(text, encoding="utf-8")
+    frames = oracles.read_frames_jsonl(path)
+    assert support.read_frames(path) == frames
+    assert _read_lines(text) == frames
 
 
 @settings(max_examples=100)
@@ -716,10 +810,12 @@ def test_bad_frame_line_fails_alike(tmp_path_factory, lines, bad, index):
     lines = "\n".join(lines).split("\n")
     index = min(index, len(lines))
     lines.insert(index, bad[0])
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = "\n".join(lines) + "\n"
+    path.write_text(text, encoding="utf-8")
     message = _read_outcome(support.read_frames, path)
     assert message == _read_outcome(oracles.read_frames_jsonl, path)
     assert f": line {1 + index}: {bad[1]}" in message
+    assert message.endswith(_read_lines(text))
 
 
 # Any text: non-ASCII, '"', '\\', control characters and lone surrogates (which

@@ -2,7 +2,9 @@
 different types never compare equal, events and partition keys refuse
 attribute assignment, and derived values are computed once: an edge string
 per distinct trace line, a written line per distinct event object, a
-substring regex per rule set."""
+substring regex per rule set, a decoded edge set per distinct edge list of a
+frames file, a similarity score per distinct pair of edge sets, and the
+optimizer's pair counts per distinct instance."""
 
 import itertools
 import json
@@ -10,11 +12,13 @@ import re
 
 import pytest
 
-from storagelab import filterlist, trace
+from storagelab import filterlist, frames, metrics, trace
 from storagelab.filterlist import AdRuleSet, is_ad_url
+from storagelab.frames import FrameRecord, read_frames_jsonl, write_frames_jsonl
 from storagelab.policy import Blocked, Ephemeral, FirstParty, GlobalThirdParty, SiteKeyedThirdParty
 from storagelab.record import Record
 from storagelab.trace import (
+    ALL_NODE_TYPES,
     BehaviorEdge,
     FrameLoad,
     HttpRequest,
@@ -157,3 +161,69 @@ def test_substring_regex_is_compiled_once_per_rule_set(monkeypatch):
     assert is_ad_url("https://a.com/track/1px", rules)
     assert not is_ad_url("https://a.com/ok", rules)
     assert len([p for p in compiled if "/ads/" in p]) == 1
+
+
+# The compatibility side: each distinct edge list of a frames file is decoded
+# once, into one shared set, and each distinct pair of edge sets is scored once.
+
+FRAME_EDGES = [trace._edge_string("script", f"https://t.net/{i}.js", "reads", "cookie_jar",
+                                  "t.net") for i in range(3)]
+EDGE_LISTS = [frozenset(), frozenset(FRAME_EDGES[:1]), frozenset(FRAME_EDGES[:2]),
+              frozenset(FRAME_EDGES[1:])]
+
+
+def _written_frames(tmp_path, edge_list_of):
+    """The lines of a frames file of 20 pages x 2 profiles x 2 crawl
+    iterations, the page's edge list under each profile chosen by
+    ``edge_list_of(page, profile)``."""
+    records = {(f"https://s{page}.com/", "https://t.net/w", profile, crawl_iter):
+               FrameRecord(set(EDGE_LISTS[edge_list_of(page, profile)]))
+               for page in range(20) for profile in ("p0", "p1") for crawl_iter in (1, 2)}
+    write_frames_jsonl(records, tmp_path / "frames.jsonl")
+    return records, (tmp_path / "frames.jsonl").read_text().splitlines(keepends=True)
+
+
+def test_each_distinct_edge_list_is_decoded_once_into_one_shared_set(monkeypatch, tmp_path):
+    decoded = []
+    real = frames._decode
+    monkeypatch.setattr(frames, "_decode", lambda text: decoded.append(text) or real(text))
+    records, lines = _written_frames(tmp_path, lambda page, profile: page % 4)
+    read = read_frames_jsonl(lines)
+    assert read == records
+    assert len([text for text in decoded if text.startswith("[")]) == len(EDGE_LISTS)
+    # The rest of a line, past its edges, once per (page, profile): not per
+    # crawl iteration, which comes before the edges.
+    assert len([text for text in decoded if text.startswith("{")]) == len(lines) // 2
+    edge_sets = {id(record.edge_set): record.edge_set for record in read.values()}
+    assert len(edge_sets) == len(EDGE_LISTS)
+    assert all(type(edge_set) is frozenset for edge_set in edge_sets.values())
+
+
+def test_similarity_scores_each_distinct_pair_of_edge_sets_once(monkeypatch, tmp_path):
+    scored = []
+    real = metrics.jaccard
+    monkeypatch.setattr(metrics, "jaccard", lambda a, b: scored.append((a, b)) or real(a, b))
+    def choose(page, profile):
+        return page % 4 if profile == "p0" else page // 2 % 4
+
+    _, lines = _written_frames(tmp_path, choose)
+    read = read_frames_jsonl(lines)
+    scores = metrics.frame_similarity(read, read, ALL_NODE_TYPES, "p0", "p1")
+    assert len(scores) == 40
+    assert len(scored) == len({(choose(page, "p0"), choose(page, "p1")) for page in range(20)})
+    assert [s.score for s in scores] == [
+        real(read[(s.page_url, s.frame_url, "p0", s.crawl_iter)].edge_set,
+             read[(s.page_url, s.frame_url, "p1", s.crawl_iter)].edge_set) for s in scores]
+
+
+def test_optimizer_counts_each_distinct_instance_once(monkeypatch):
+    counted = []
+    real = metrics._pair_counts
+    monkeypatch.setattr(metrics, "_pair_counts", lambda a, b: counted.append((a, b)) or real(a, b))
+    one = metrics.OptimizeInstance(EDGE_LISTS[2], EDGE_LISTS[2], EDGE_LISTS[1])
+    other = metrics.OptimizeInstance(EDGE_LISTS[3], EDGE_LISTS[2], EDGE_LISTS[0])
+    copy = metrics.OptimizeInstance(*(frozenset(set(edges)) for edges in other))
+    sample = [one] * 5 + [other, copy] * 3
+    result = metrics.optimize_node_types(sample)
+    assert len(counted) == 2 * 2  # a baseline and a contrast pair per distinct instance
+    assert result == metrics.optimize_node_types([one] * 5 + [other] * 6)

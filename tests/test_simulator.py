@@ -508,13 +508,16 @@ class TestOutputFiles:
         '{"0":"script"}', '"script"',
     ])
     @pytest.mark.parametrize("padding", ["", "  "])
-    def test_non_canonical_edge_names_file_line_and_edge(self, tmp_path, edge, padding):
+    @pytest.mark.parametrize("form", [{}, {"sort_keys": True, "separators": (",", ":")}],
+                             ids=["spaced", "writer"])
+    def test_non_canonical_edge_names_file_line_and_edge(self, tmp_path, edge, padding, form):
         good = _edge_string(NodeType.SCRIPT.value, "s", "op", NodeType.WEB_API.value, "w")
         path = tmp_path / "frames.jsonl"
         record = {"page_url": "p", "frame_url": "f", "profile": "p", "party": "third",
                   "crawl_iter": 1, "is_ad": False, "edges": [good]}
-        lines = [json.dumps(record), padding + json.dumps({**record, "crawl_iter": 2,
-                                                          "edges": [good, edge]}) + padding]
+        lines = [json.dumps(record, **form),
+                 padding + json.dumps({**record, "crawl_iter": 2, "edges": [good, edge]},
+                                      **form) + padding]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InputError, match=re.escape(
                 f"frames.jsonl: line 2: not a canonical edge: {edge!r}")):

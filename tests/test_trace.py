@@ -92,6 +92,22 @@ def test_write_trace_streams(tmp_path):
     assert peak < path.stat().st_size / 20
 
 
+def test_write_trace_of_distinct_events_holds_no_line_past_its_use(tmp_path):
+    """With no event repeated, the writer keeps no line once it is written:
+    its peak traced memory stays below the file's size."""
+    trace = Trace(None, [VisitStart("p0", 1, "tab0", f"https://site{i}.example/", i)
+                         for i in range(20_000)])
+    path = tmp_path / "trace.jsonl"
+    tracemalloc.start()
+    try:
+        write_trace(trace, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_text(encoding="utf-8") == dump_trace(trace)
+    assert peak < path.stat().st_size
+
+
 def test_dump_is_deterministic():
     trace = sample_trace()
     assert dump_trace(trace) == dump_trace(trace)
