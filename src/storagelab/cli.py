@@ -203,6 +203,17 @@ def _load_sim_dir(path_str: str, with_flows: bool = False):
     return frames, flows, manifest, entries
 
 
+def _psl_named(entry) -> str | None:
+    """The PSL a manifest's ``psl`` input entry names: "builtin", or its
+    file's sha256; None when it names none."""
+    if not isinstance(entry, dict):
+        return None
+    if entry.get("builtin") is True:
+        return "builtin"
+    sha256 = entry.get("sha256")
+    return sha256 if type(sha256) is str else None
+
+
 def _require_same_trace(a: dict, b: dict, what: str) -> None:
     """An input error unless two simulate manifests name one trace by content."""
     if a.get("trace_sha256") != b.get("trace_sha256"):
@@ -366,7 +377,15 @@ def cmd_metrics_candidates(args) -> int:
     from storagelab.policy import site_of
     _at_least(1, top=args.top)
     rules, psl_entry = _load_suffix_rules(args.psl)
-    frames, flows, _, sim_entries = _load_sim_dir(args.sim, with_flows=True)
+    frames, flows, manifest, sim_entries = _load_sim_dir(args.sim, with_flows=True)
+    # A frame's site must come from the rules that gave the flows' third_party_site.
+    inputs = manifest.get("inputs")
+    sim_psl = _psl_named(inputs.get("psl") if isinstance(inputs, dict) else None)
+    if sim_psl is None:
+        raise InputError(f"{args.sim}: manifest names no PSL")
+    if sim_psl != _psl_named(psl_entry):
+        raise InputError(f"{args.sim}: its simulate run used another PSL than --psl "
+                         "(built in when omitted)")
     pages_by_frame: dict[str, set[str]] = {}
     for (page_url, frame_url, _profile, _iter), record in frames.items():
         if record.party != "third" or record.is_ad:

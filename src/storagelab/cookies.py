@@ -4,7 +4,9 @@ Covers Set-Cookie parsing (RFC 6265 section 5.2, and RFC 6265bis's step 1 of
 "The Set-Cookie Header Field": a string holding a control character other
 than HTAB is ignored), domain matching (5.1.3),
 default-path computation (5.1.4), the public-suffix check on the Domain
-attribute (5.3 step 5) and request retrieval ordering (5.4).
+attribute (5.3 step 5) and request retrieval ordering (5.4). A jar's dict
+order is its cookies' creation order, which retrieval sorts by after path
+length, so a cookie carries no creation stamp.
 Secure, HttpOnly, and SameSite are parsed and ignored. Time is always an
 explicit argument: the replayer supplies virtual time, never the wall clock.
 """
@@ -26,24 +28,23 @@ class Cookie(NamedTuple):
     host_only: bool
     path: str
     expiry: float | None = None  # absolute seconds; None = lives with its partition
-    created_seq: int = 0
 
 
 class CookieJar:
-    """Cookies keyed by (name, domain, path); at most one per key.
+    """Cookies keyed by (name, domain, path); at most one per key, in
+    creation order: the dict's own order.
 
-    Re-setting an existing key replaces value and expiry and assigns a fresh
-    created_seq (old creation order is not retained).
+    Re-setting an existing key replaces value and expiry and moves the cookie
+    to the end, as if newly created (old creation order is not retained).
     """
 
     def __init__(self) -> None:
         self._cookies: dict[tuple[str, str, str], Cookie] = {}
-        self._next_seq = 0
 
     def add(self, cookie: Cookie) -> None:
-        seq = self._next_seq
-        self._next_seq += 1
-        self._cookies[(cookie.name, cookie.domain, cookie.path)] = cookie._replace(created_seq=seq)
+        key = (cookie.name, cookie.domain, cookie.path)
+        self._cookies.pop(key, None)
+        self._cookies[key] = cookie
 
     def remove(self, name: str, domain: str, path: str) -> None:
         self._cookies.pop((name, domain, path), None)
@@ -245,8 +246,9 @@ def matching_cookies(jar: CookieJar, url: str, now: float,
 
 def cookies_for_request(jar: CookieJar, url: str, now: float) -> list[tuple[str, str]]:
     """Cookies to attach to a request, per RFC 6265 section 5.4: the
-    :func:`matching_cookies`, longer path first, then earlier created_seq.
+    :func:`matching_cookies`, longer path first, then earlier created (the
+    sort is stable, and the jar is in creation order).
     """
     matched = matching_cookies(jar, url, now)
-    matched.sort(key=lambda c: (-len(c.path), c.created_seq))
+    matched.sort(key=lambda c: -len(c.path))
     return [(c.name, c.value) for c in matched]

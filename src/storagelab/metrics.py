@@ -235,11 +235,7 @@ def _submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-def optimize_node_types(
-    sample: Sequence[OptimizeInstance],
-    *,
-    node_types: frozenset[NodeType] = frozenset(NodeType),
-) -> OptimizeResult:
+def optimize_node_types(sample: Sequence[OptimizeInstance]) -> OptimizeResult:
     """Brute-force the node-type power set for the subset maximizing the gap
     between the baseline pair's similarity and the contrast's similarity to
     the baseline anchor.
@@ -250,7 +246,7 @@ def optimize_node_types(
 
     A subset's scores depend only on which of the sample's endpoint types it
     keeps, so the means are computed once per projection ``subset & used``
-    (2^|used| of them) and every subset of ``node_types`` is then ranked.
+    (2^|used| of them) and every subset of the node types is then ranked.
     Equal instances score alike, so each distinct instance is scored once and
     weighted by its count; the means are exact, so they equal those over the
     whole sample.
@@ -261,13 +257,12 @@ def optimize_node_types(
     baseline_counts = [(_pair_counts(i.baseline_a, i.baseline_b), n) for i, n in instances]
     contrast_counts = [(_pair_counts(i.contrast, i.baseline_a), n) for i, n in instances]
 
-    allowed = _type_mask(node_types)
     used = 0
     for counts, _ in baseline_counts + contrast_counts:
         for mask, _, _ in counts:
             used |= mask
     scored: dict[int, tuple[Fraction, Fraction, Fraction] | None] = {}
-    for projection in _submasks(used & allowed):
+    for projection in _submasks(used):
         base_mean = _mean_score(baseline_counts, projection)
         contrast_mean = _mean_score(contrast_counts, projection)
         if base_mean is not None and contrast_mean is not None:
@@ -275,7 +270,7 @@ def optimize_node_types(
         else:
             scored[projection] = None
 
-    bits = [1 << i for i in range(len(_TYPE_BIT)) if allowed >> i & 1]  # tie-break order
+    bits = [1 << i for i in range(len(_TYPE_BIT))]  # tie-break order
     best: tuple[tuple[Fraction, Fraction, Fraction], int] | None = None
     evaluated = 0
     for size in range(1, len(bits) + 1):

@@ -1,19 +1,21 @@
 """Storage partition resolution for the four third-party storage policies.
 
 A partition key names the cookie jar a frame or request reads and writes.
-First-party storage is keyed the same way under every policy; the
-policies differ only in what they hand third parties:
+It is a tuple whose first item names its kind. First-party storage is keyed
+``("first", top_site)`` under every policy; the policies differ only in what
+they hand third parties, each keyed by its policy's value:
 
-* permissive   - one global partition per third-party site
-* blocking     - no partition at all; every access is a silent no-op
-* site-keyed   - persistent partition per (first-party site, third-party site)
-* page-length  - ephemeral partition per (page load, third-party site),
-                 destroyed when the top-level page goes away
+* permissive   - ``("permissive", id)``: one global partition per third party
+* blocking     - no partition at all (``None``); every access is a silent no-op
+* site-keyed   - ``("site-keyed", top_site, id)``: persistent partition per
+                 (first-party site, third party)
+* page-length  - ``("page-length", id)``: ephemeral partition per (page load,
+                 third party), destroyed when the top-level page goes away
 
 The policies are defined on sites, and so is ``resolve_partition``. A third
 party's identifier is its site (eTLD+1), or its scheme://host[:port] origin
 under origin keying; replay forms each URL's site or origin once per run.
-An ``Ephemeral`` key names only its subject: it is looked up in the jars of
+A page-length key names only its subject: it is looked up in the jars of
 the page load that resolved it, which die with that load, while every other
 key is looked up in its profile's jars (``partition_jar``).
 """
@@ -25,7 +27,6 @@ from urllib.parse import urlsplit
 
 from storagelab.cookies import CookieJar, host_and_path, matching_cookies, parse_set_cookie
 from storagelab.psl import SuffixRuleSet, etld_plus_one
-from storagelab.record import Record
 from storagelab.trace import STORAGE_APIS, STORAGE_OPS
 
 
@@ -34,33 +35,6 @@ class PolicyKind(Enum):
     BLOCKING = "blocking"
     SITE_KEYED = "site-keyed"
     PAGE_LENGTH = "page-length"
-
-
-# Partition keys are records, so keys of two kinds never compare equal.
-
-class FirstParty(Record):
-    __slots__ = ("site",)
-
-
-class GlobalThirdParty(Record):
-    __slots__ = ("site",)
-
-
-class SiteKeyedThirdParty(Record):
-    __slots__ = ("first_party_site", "third_party_site")
-
-
-class Ephemeral(Record):
-    __slots__ = ("third_party_site",)
-
-
-class Blocked(Record):
-    __slots__ = ()
-
-
-PartitionKey = FirstParty | GlobalThirdParty | SiteKeyedThirdParty | Ephemeral | Blocked
-
-BLOCKED = Blocked()
 
 
 def site_of(url: str, rules: SuffixRuleSet) -> str:
@@ -84,34 +58,32 @@ def origin_of(url: str) -> str:
 
 def resolve_partition(
     policy: PolicyKind, top_site: str, subject_site: str, subject_id: str
-) -> PartitionKey:
+) -> tuple[str, ...] | None:
     """Partition key for a frame (script storage) or request destination of
-    site ``subject_site`` on a top-level page of site ``top_site``. The
-    subject is first party iff its site is the top site (not an intermediate
-    parent's); a third party is keyed by ``subject_id``, its site or its
-    origin."""
+    site ``subject_site`` on a top-level page of site ``top_site``, or None
+    when blocked. The subject is first party iff its site is the top site
+    (not an intermediate parent's); a third party is keyed by ``subject_id``,
+    its site or its origin."""
     if subject_site == top_site:
-        return FirstParty(top_site)
-    if policy is PolicyKind.PERMISSIVE:
-        return GlobalThirdParty(subject_id)
+        return ("first", top_site)
     if policy is PolicyKind.BLOCKING:
-        return BLOCKED
+        return None
     if policy is PolicyKind.SITE_KEYED:
-        return SiteKeyedThirdParty(top_site, subject_id)
-    return Ephemeral(subject_id)
+        return (policy.value, top_site, subject_id)
+    return (policy.value, subject_id)
 
 
 def partition_jar(
-    key: PartitionKey,
-    page_jars: dict[PartitionKey, CookieJar],
-    profile_jars: dict[PartitionKey, CookieJar],
+    key: tuple[str, ...] | None,
+    page_jars: dict[tuple[str, ...], CookieJar],
+    profile_jars: dict[tuple[str, ...], CookieJar],
 ) -> CookieJar | None:
-    """The jar of ``key``, created empty on first use: an Ephemeral key's in
+    """The jar of ``key``, created empty on first use: a page-length key's in
     ``page_jars``, the page load's own, and any other key's in
-    ``profile_jars``; None for a Blocked key."""
-    if isinstance(key, Blocked):
+    ``profile_jars``; None for a blocked (None) key."""
+    if key is None:
         return None
-    jars = page_jars if isinstance(key, Ephemeral) else profile_jars
+    jars = page_jars if key[0] == "page-length" else profile_jars
     jar = jars.get(key)
     if jar is None:
         jar = jars[key] = CookieJar()

@@ -10,8 +10,8 @@ class Record:
     ``__dict__`` slot, where a ``cached_property`` keeps its value), given by
     position or by name; ``_defaults`` maps the trailing optional fields to
     their values. A record equals only a record of its own class with equal
-    fields, so ``FirstParty("a") != GlobalThirdParty("a")``, unlike two
-    NamedTuples. Setting an attribute raises."""
+    fields, so ``FrameLoad("t", "f", "x") != BehaviorEdge("t", "f", "x")``,
+    unlike two NamedTuples. Setting an attribute raises."""
 
     __slots__ = ()
     _defaults: dict = {}

@@ -51,6 +51,7 @@ from storagelab.trace import (
     VisitEnd,
     VisitStart,
     _edge_string,
+    _Memo,
 )
 
 
@@ -168,14 +169,7 @@ def generate_synthetic_trace(spec: SyntheticSpec) -> Trace:
     # so a repeat is the same object and the writer finds its line by
     # identity. Every field is passed, defaults too: the key is the fields
     # as given, and an omitted default would make a second key for one event.
-    built: dict[tuple, TraceEvent] = {}
-
-    def event(cls, *fields):
-        key = (cls, *fields)
-        made = built.get(key)
-        if made is None:
-            made = built[key] = cls(*fields)
-        return made
+    event = _Memo(lambda key: key[0](*key[1:]))
 
     widget_content = []  # per tracker: its widget's URL and its two edge lists
     for tracker in spec.trackers:
@@ -188,9 +182,9 @@ def generate_synthetic_trace(spec: SyntheticSpec) -> Trace:
         for page_index in range(spec.pages_per_site):
             page_url = f"https://{site}/p{page_index}"
             first_party = (
-                event(ScriptStorage, tab, "f0", "local", "set", "fp_flag", "1"),
-                event(ScriptStorage, tab, "f0", "local", "get", "fp_flag", None),
-                *(event(BehaviorEdge, tab, "f0", edge, None)
+                event[ScriptStorage, tab, "f0", "local", "set", "fp_flag", "1"],
+                event[ScriptStorage, tab, "f0", "local", "get", "fp_flag", None],
+                *(event[BehaviorEdge, tab, "f0", edge, None]
                   for edge in page_fixed_edges(page_url, site)),
             )
             widgets = []
@@ -198,24 +192,24 @@ def generate_synthetic_trace(spec: SyntheticSpec) -> Trace:
                 if not is_embedded(spec, site_index, page_index, tracker):
                     continue
                 frame_id = f"f{len(widgets) + 1}"
-                uid_get = event(ScriptStorage, tab, frame_id, "cookie", "get", "uid", None)
-                before_sync = (event(FrameLoad, tab, frame_id, widget_url, None), uid_get)
+                uid_get = event[ScriptStorage, tab, frame_id, "cookie", "get", "uid", None]
+                before_sync = (event[FrameLoad, tab, frame_id, widget_url, None], uid_get)
                 after_sync = (
-                    event(HttpRequest, tab, frame_id,
-                          f"https://{tracker.site}/beacon?src={site}", (), None),
+                    event[HttpRequest, tab, frame_id,
+                          f"https://{tracker.site}/beacon?src={site}", (), None],
                     # Read-back of the just-stored ID: it finds one except in
                     # a blocked partition, where the set was a no-op; only
                     # then does the widget touch storage.
                     uid_get,
-                    event(ScriptStorage, tab, frame_id, "local", "set", "seen", "1"),
-                    event(ScriptStorage, tab, frame_id, "local", "get", "seen", None),
-                    *(event(BehaviorEdge, tab, frame_id, edge, None) for edge in fixed),
-                    *(event(BehaviorEdge, tab, frame_id, edge, ("uid", True))
+                    event[ScriptStorage, tab, frame_id, "local", "set", "seen", "1"],
+                    event[ScriptStorage, tab, frame_id, "local", "get", "seen", None],
+                    *(event[BehaviorEdge, tab, frame_id, edge, None] for edge in fixed),
+                    *(event[BehaviorEdge, tab, frame_id, edge, ("uid", True)]
                       for edge in storage),
                 )
                 widgets.append((tracker.site, frame_id, f"https://{tracker.site}/sync",
                                 before_sync, after_sync))
-            pages.append((site, event(FrameLoad, tab, "f0", page_url, None), first_party,
+            pages.append((site, event[FrameLoad, tab, "f0", page_url, None], first_party,
                           widgets))
     visit_end = VisitEnd(tab)
 

@@ -27,7 +27,7 @@ import json
 from enum import Enum
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Union
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Union
 
 from storagelab.flows import TraceFormatError, _json_object, _require
 from storagelab.record import Record
@@ -98,10 +98,10 @@ def edge_endpoint_types(encoded: str) -> tuple[NodeType, NodeType]:
 class _Memo(dict):
     """Each key's value under ``fn``, computed on its first lookup."""
 
-    def __init__(self, fn: Callable[[str], object]) -> None:
+    def __init__(self, fn: Callable[[Hashable], object]) -> None:
         self.fn = fn
 
-    def __missing__(self, key: str):
+    def __missing__(self, key: Hashable):
         self[key] = value = self.fn(key)
         return value
 

@@ -14,9 +14,11 @@ on every edge, and evaluates a ``when`` condition by resolving the frame's
 partition again and scanning its whole jar, kept as the oracle for
 ``storagelab.simulator.replay``, which looks each distinct URL up once per
 run, resolves each frame once and keeps its jar and record in the frame
-registry. Its ``PartitionStore`` keeps a DOM-storage area beside each cookie
-jar, answers every script read, and keys page-length areas by a page-load
-counter (its own two-field ``Ephemeral``) that ``end_page_load`` destroys;
+registry. Its partition keys are records of its own, one class per kind,
+where replay's are tagged tuples. Its ``PartitionStore`` keeps a DOM-storage
+area beside each cookie jar, answers every script read, and keys page-length
+areas by a page-load counter (its two-field ``Ephemeral``) that
+``end_page_load`` destroys;
 it is the oracle for replay's jars, which keep only the cookie jar, apply
 only a script cookie ``set`` or ``delete``, and hold a page load's
 page-length jars in the page load's own state, dropped with it.
@@ -72,17 +74,7 @@ from storagelab.filterlist import is_ad_url as fast_is_ad_url
 from storagelab.flows import FLOW_FIELDS, CookieFlowRecord, TraceFormatError
 from storagelab.frames import FrameRecord
 from storagelab.metrics import OptimizeInstance, OptimizeResult, Score, mean_defined
-from storagelab.policy import (
-    BLOCKED,
-    Blocked,
-    FirstParty,
-    GlobalThirdParty,
-    PartitionKey,
-    PolicyKind,
-    SiteKeyedThirdParty,
-    origin_of,
-    site_of,
-)
+from storagelab.policy import PolicyKind, origin_of, site_of
 from storagelab.psl import PslParseError, SuffixRuleSet, is_ip_host
 from storagelab.record import Record
 from storagelab.simulator import ReplayError, SimOutput
@@ -241,11 +233,7 @@ def _subset_jaccard(counts, subset: frozenset[NodeType]) -> Score:
     return Fraction(inter, union)
 
 
-def optimize_node_types(
-    sample: Sequence[OptimizeInstance],
-    *,
-    node_types: frozenset[NodeType] = frozenset(NodeType),
-) -> OptimizeResult:
+def optimize_node_types(sample: Sequence[OptimizeInstance]) -> OptimizeResult:
     """Brute-force the node-type power set for the subset maximizing the gap
     between the baseline pair's similarity and the contrast's similarity to
     the baseline anchor.
@@ -259,7 +247,7 @@ def optimize_node_types(
     baseline_counts = [_pair_counts(i.baseline_a, i.baseline_b) for i in sample]
     contrast_counts = [_pair_counts(i.contrast, i.baseline_a) for i in sample]
 
-    ordered_types = sorted(node_types, key=lambda t: t.value)
+    ordered_types = sorted(NodeType, key=lambda t: t.value)
     best: tuple[Fraction, frozenset[NodeType], Fraction, Fraction] | None = None
     evaluated = 0
     for size in range(1, len(ordered_types) + 1):
@@ -279,10 +267,34 @@ def optimize_node_types(
     return OptimizeResult(subset, separation, base_mean, contrast_mean, evaluated)
 
 
+# This oracle's partition keys, one record class per kind, so keys of two
+# kinds never compare equal. Replay's keys are tagged tuples.
+
+class FirstParty(Record):
+    __slots__ = ("site",)
+
+
+class GlobalThirdParty(Record):
+    __slots__ = ("site",)
+
+
+class SiteKeyedThirdParty(Record):
+    __slots__ = ("first_party_site", "third_party_site")
+
+
 class Ephemeral(Record):
     """A page-length key of this oracle's store: the page load's number and
     the third party."""
     __slots__ = ("load_key", "third_party_site")
+
+
+class Blocked(Record):
+    __slots__ = ()
+
+
+PartitionKey = FirstParty | GlobalThirdParty | SiteKeyedThirdParty | Ephemeral | Blocked
+
+BLOCKED = Blocked()
 
 
 def resolve_partition(

@@ -369,6 +369,32 @@ class TestMetricsCommands:
         assert "--top must be >= 1" in capsys.readouterr().err
         assert not (out / "candidates.csv").exists()
 
+    def test_candidates_psl_must_be_the_simulate_runs(self, pipeline, tmp_path, capsys):
+        # A frame's site and the flows' third_party_site come from one PSL:
+        # both built in, or two files with one sha256.
+        base, dirs = pipeline
+        psl = tmp_path / "psl.dat"
+        psl.write_text("com\ntest\nco.uk\n")
+        copy = tmp_path / "copy.dat"
+        shutil.copy(psl, copy)
+        sim = tmp_path / "sim"
+        assert run("simulate", "--policy", "permissive", "--trace",
+                   base / "trace-permissive" / "trace.jsonl", "--psl", psl, "--out", sim) == 0
+        no_psl = tmp_path / "no-psl"
+        shutil.copytree(dirs["permissive"], no_psl)
+        manifest = json.loads((no_psl / "manifest.json").read_text())
+        del manifest["inputs"]["psl"]
+        (no_psl / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "o"
+        other = "its simulate run used another PSL than --psl (built in when omitted)"
+        for sim_dir, flags, message in [(sim, [], other),
+                                         (dirs["permissive"], ["--psl", psl], other),
+                                         (no_psl, [], "manifest names no PSL")]:
+            assert run("metrics", "candidates", "--sim", sim_dir, *flags, "--out", out) == 2
+            assert capsys.readouterr().err == f"storagelab: {sim_dir}: {message}\n"
+            assert not out.exists()
+        assert run("metrics", "candidates", "--sim", sim, "--psl", copy, "--out", out) == 0
+
     # Each out-of-range count is named before any input is read: every input
     # here is missing, and the error names the flag, not the file.
     @pytest.mark.parametrize("argv,message", [
@@ -782,8 +808,8 @@ READ_CASES = {
         [d[p] / name for p in ("permissive", "blocking")
          for name in ("manifest.json", "frames.jsonl")]),
     "metrics candidates": lambda d, f: (
-        ["--sim", d["permissive"], "--psl", f["psl"]],
-        [f["psl"], *(d["permissive"] / name
+        ["--sim", f["psl-sim"], "--psl", f["psl"]],
+        [f["psl"], *(f["psl-sim"] / name
                      for name in ("manifest.json", "flows.csv", "frames.jsonl"))]),
     "metrics kappa": lambda d, f: (["--grades", f["grades"]], [f["grades"]]),
 }
@@ -795,6 +821,10 @@ def test_each_input_file_is_opened_once(pipeline, tmp_path, monkeypatch, command
     files = write_inputs(base, tmp_path)
     files["psl"] = tmp_path / "psl.dat"
     files["psl"].write_text("com\ntest\nco.uk\n")
+    if command == "metrics candidates":  # candidates reads the PSL its simulate run used
+        files["psl-sim"] = tmp_path / "psl-sim"
+        assert run("simulate", "--policy", "permissive", "--trace", files["trace"],
+                   "--psl", files["psl"], "--out", files["psl-sim"]) == 0
     flags, inputs = READ_CASES[command](dirs, files)
     opened = Counter()
     real_open = io.open

@@ -299,6 +299,10 @@ class TestCookiesForRequest:
             Cookie("later", "3", "a.com", True, "/"),
         )
         assert cookies_for_request(jar, "https://a.com/", 0) == [("late", "2"), ("later", "3")]
+        # A re-set cookie is created anew, so it moves behind its peers
+        # (RFC 6265 §5.3 step 11.3 would keep its old creation time).
+        jar.add(Cookie("late", "4", "a.com", True, "/"))
+        assert cookies_for_request(jar, "https://a.com/", 0) == [("later", "3"), ("late", "4")]
 
     def test_matching_cookies_of_one_name(self):
         # A named match reads, and purges, only cookies of that name.

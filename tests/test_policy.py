@@ -2,13 +2,7 @@ import pytest
 
 from storagelab.cookies import CookieJar, cookies_for_request
 from storagelab.policy import (
-    BLOCKED,
-    Blocked,
-    Ephemeral,
-    FirstParty,
-    GlobalThirdParty,
     PolicyKind,
-    SiteKeyedThirdParty,
     partition_jar,
     resolve_partition,
     site_of,
@@ -50,24 +44,24 @@ class TestSiteOf:
 # under each policy, each with its site or its origin as identifier. A first
 # party's key ignores the identifier.
 PARTITIONS = [
-    (PolicyKind.PERMISSIVE, "a.com", "a.com", "a.com", FirstParty("a.com")),
-    (PolicyKind.PERMISSIVE, "a.com", "a.com", "https://cdn.a.com", FirstParty("a.com")),
-    (PolicyKind.PERMISSIVE, "a.com", "t.net", "t.net", GlobalThirdParty("t.net")),
-    (PolicyKind.PERMISSIVE, "b.com", "t.net", ORIGIN, GlobalThirdParty(ORIGIN)),
-    (PolicyKind.BLOCKING, "a.com", "a.com", "a.com", FirstParty("a.com")),
-    (PolicyKind.BLOCKING, "a.com", "a.com", "https://cdn.a.com", FirstParty("a.com")),
-    (PolicyKind.BLOCKING, "a.com", "t.net", "t.net", BLOCKED),
-    (PolicyKind.BLOCKING, "a.com", "t.net", ORIGIN, BLOCKED),
-    (PolicyKind.SITE_KEYED, "a.com", "a.com", "a.com", FirstParty("a.com")),
-    (PolicyKind.SITE_KEYED, "a.com", "a.com", "https://cdn.a.com", FirstParty("a.com")),
-    (PolicyKind.SITE_KEYED, "a.com", "t.net", "t.net", SiteKeyedThirdParty("a.com", "t.net")),
-    (PolicyKind.SITE_KEYED, "b.com", "t.net", "t.net", SiteKeyedThirdParty("b.com", "t.net")),
-    (PolicyKind.SITE_KEYED, "a.com", "t.net", ORIGIN, SiteKeyedThirdParty("a.com", ORIGIN)),
-    (PolicyKind.PAGE_LENGTH, "a.com", "a.com", "a.com", FirstParty("a.com")),
-    (PolicyKind.PAGE_LENGTH, "a.com", "a.com", "https://cdn.a.com", FirstParty("a.com")),
-    (PolicyKind.PAGE_LENGTH, "a.com", "t.net", "t.net", Ephemeral("t.net")),
-    (PolicyKind.PAGE_LENGTH, "b.com", "t.net", "t.net", Ephemeral("t.net")),
-    (PolicyKind.PAGE_LENGTH, "a.com", "t.net", ORIGIN, Ephemeral(ORIGIN)),
+    (PolicyKind.PERMISSIVE, "a.com", "a.com", "a.com", ("first", "a.com")),
+    (PolicyKind.PERMISSIVE, "a.com", "a.com", "https://cdn.a.com", ("first", "a.com")),
+    (PolicyKind.PERMISSIVE, "a.com", "t.net", "t.net", ("permissive", "t.net")),
+    (PolicyKind.PERMISSIVE, "b.com", "t.net", ORIGIN, ("permissive", ORIGIN)),
+    (PolicyKind.BLOCKING, "a.com", "a.com", "a.com", ("first", "a.com")),
+    (PolicyKind.BLOCKING, "a.com", "a.com", "https://cdn.a.com", ("first", "a.com")),
+    (PolicyKind.BLOCKING, "a.com", "t.net", "t.net", None),
+    (PolicyKind.BLOCKING, "a.com", "t.net", ORIGIN, None),
+    (PolicyKind.SITE_KEYED, "a.com", "a.com", "a.com", ("first", "a.com")),
+    (PolicyKind.SITE_KEYED, "a.com", "a.com", "https://cdn.a.com", ("first", "a.com")),
+    (PolicyKind.SITE_KEYED, "a.com", "t.net", "t.net", ("site-keyed", "a.com", "t.net")),
+    (PolicyKind.SITE_KEYED, "b.com", "t.net", "t.net", ("site-keyed", "b.com", "t.net")),
+    (PolicyKind.SITE_KEYED, "a.com", "t.net", ORIGIN, ("site-keyed", "a.com", ORIGIN)),
+    (PolicyKind.PAGE_LENGTH, "a.com", "a.com", "a.com", ("first", "a.com")),
+    (PolicyKind.PAGE_LENGTH, "a.com", "a.com", "https://cdn.a.com", ("first", "a.com")),
+    (PolicyKind.PAGE_LENGTH, "a.com", "t.net", "t.net", ("page-length", "t.net")),
+    (PolicyKind.PAGE_LENGTH, "b.com", "t.net", "t.net", ("page-length", "t.net")),
+    (PolicyKind.PAGE_LENGTH, "a.com", "t.net", ORIGIN, ("page-length", ORIGIN)),
 ]
 
 
@@ -91,11 +85,11 @@ class TestPartitionJar:
 
     def test_blocked_has_no_jar(self):
         page, profile = {}, {}
-        assert partition_jar(BLOCKED, page, profile) is None
+        assert partition_jar(None, page, profile) is None
         assert page == {} and profile == {}
 
-    @pytest.mark.parametrize("key", [FirstParty("a.com"), GlobalThirdParty("t.net"),
-                                     SiteKeyedThirdParty("a.com", "t.net")])
+    @pytest.mark.parametrize("key", [("first", "a.com"), ("permissive", "t.net"),
+                                     ("site-keyed", "a.com", "t.net")])
     def test_persistent_jar_created_empty_in_the_profile(self, key):
         page, profile = {}, {}
         jar = partition_jar(key, page, profile)
@@ -105,10 +99,10 @@ class TestPartitionJar:
 
     def test_page_length_jar_created_empty_in_the_page_load(self):
         page, profile = {}, {}
-        jar = partition_jar(Ephemeral("t.net"), page, profile)
+        jar = partition_jar(("page-length", "t.net"), page, profile)
         assert len(jar) == 0
-        assert page == {Ephemeral("t.net"): jar} and profile == {}
-        assert partition_jar(Ephemeral("t.net"), page, profile) is jar
+        assert page == {("page-length", "t.net"): jar} and profile == {}
+        assert partition_jar(("page-length", "t.net"), page, profile) is jar
 
 
 class TestStorageAccess:
@@ -202,16 +196,20 @@ class TestIsolationProperties:
     def test_page_load_isolation(self):
         # Two page loads of one profile: each has its own page-length jars.
         page_1, page_2, profile = {}, {}, {}
-        set_cookie(partition_jar(Ephemeral("t.net"), page_1, profile), "u=x")
-        assert names(partition_jar(Ephemeral("t.net"), page_1, profile)) == ["u"]
-        assert names(partition_jar(Ephemeral("t.net"), page_2, profile)) == []
+        set_cookie(partition_jar(("page-length", "t.net"), page_1, profile), "u=x")
+        assert names(partition_jar(("page-length", "t.net"), page_1, profile)) == ["u"]
+        assert names(partition_jar(("page-length", "t.net"), page_2, profile)) == []
         assert profile == {}
 
     def test_site_keyed_isolation_between_top_sites(self):
         profile = {}
-        set_cookie(partition_jar(SiteKeyedThirdParty("a.com", "t.net"), {}, profile), "u=x")
-        assert names(partition_jar(SiteKeyedThirdParty("a.com", "t.net"), {}, profile)) == ["u"]
-        assert names(partition_jar(SiteKeyedThirdParty("b.com", "t.net"), {}, profile)) == []
+        set_cookie(partition_jar(("site-keyed", "a.com", "t.net"), {}, profile), "u=x")
+        assert names(partition_jar(("site-keyed", "a.com", "t.net"), {}, profile)) == ["u"]
+        assert names(partition_jar(("site-keyed", "b.com", "t.net"), {}, profile)) == []
 
-    def test_blocked_is_shared_singleton_value(self):
-        assert Blocked() == BLOCKED
+    def test_keys_of_two_kinds_never_compare_equal(self):
+        # One third party under each policy, and as the first party: the
+        # tag keeps five keys apart (blocking's is None).
+        keys = {resolve_partition(policy, "a.com", "t.net", "t.net") for policy in PolicyKind}
+        keys.add(resolve_partition(PolicyKind.PERMISSIVE, "t.net", "t.net", "t.net"))
+        assert len(keys) == 5

@@ -62,12 +62,13 @@ def readme_startup_imports() -> dict[str, set[str]]:
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     base = tmp_path_factory.mktemp("startup")
-    for policy in ("permissive", "blocking"):
+    (base / "psl.dat").write_text("com\ntest\n")
+    for policy in ("permissive", "blocking"):  # with the PSL that candidates is given
         assert main(["gen-trace", "--sites", "3", "--iters", "2", "--profiles", "2",
                      "--policy", policy, "--out", str(base / f"t-{policy}")]) == 0
         assert main(["simulate", "--policy", policy, "--trace",
-                     str(base / f"t-{policy}" / "trace.jsonl"), "--out", str(base / policy)]) == 0
-    (base / "psl.dat").write_text("com\ntest\n")
+                     str(base / f"t-{policy}" / "trace.jsonl"), "--psl", str(base / "psl.dat"),
+                     "--out", str(base / policy)]) == 0
     (base / "ads.txt").write_text("||tracker0.test^\n/ads/\n")
     (base / "grades.csv").write_text("url,profile,grader_a,grader_b\nu,p,1,1\nv,p,2,1\n")
     return base
