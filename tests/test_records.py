@@ -1,6 +1,6 @@
 """Semantics every record class keeps, whatever it is built from: records of
-different types never compare equal, even with equal fields, events refuse
-attribute assignment, and derived values are computed once: an edge string
+different types never compare equal, even with equal fields, events and
+the test oracle's partition keys refuse attribute assignment, and derived values are computed once: an edge string
 per distinct trace line, a written line per distinct event object, a
 substring regex per rule set, a decoded edge set per distinct edge list of a
 frames file, a similarity score per distinct pair of edge sets, and the
@@ -12,6 +12,7 @@ import re
 
 import pytest
 
+from oracles import Blocked, Ephemeral, FirstParty, GlobalThirdParty, SiteKeyedThirdParty
 from storagelab import filterlist, frames, metrics, trace
 from storagelab.filterlist import AdRuleSet, is_ad_url
 from storagelab.frames import FrameRecord, read_frames_jsonl, write_frames_jsonl
@@ -28,8 +29,11 @@ from storagelab.trace import (
 )
 
 # Each class with its number of fields; every field gets the same value, so
-# two classes of the same arity hold equal field values.
-EVENTS = {VisitStart: 5, FrameLoad: 4, HttpRequest: 4, ScriptStorage: 6, BehaviorEdge: 4,
+# two classes of the same arity hold equal field values. The partition keys
+# are the oracle's: replay's own keys are tagged tuples.
+PARTITION_KEYS = {FirstParty: 1, GlobalThirdParty: 1, SiteKeyedThirdParty: 2, Ephemeral: 2,
+                  Blocked: 0}
+EVENTS = {VisitStart: 5, FrameLoad: 4, HttpRequest: 4, ScriptStorage: 6, BehaviorEdge: 3,
           VisitEnd: 1}
 
 
@@ -40,18 +44,23 @@ def build(cls, n_fields: int):
 EDGE = trace._edge_string("script", "https://t.net/w.js", "reads", "cookie_jar", "t.net")
 
 
-def test_records_of_different_types_never_compare_equal():
-    # Two classes with equal fields, as two NamedTuples would compare equal.
-    frame, edge = build(FrameLoad, 4), build(BehaviorEdge, 4)
+def test_two_event_classes_with_equal_fields_never_compare_equal():
+    # Record's own example: two NamedTuples with these fields would compare equal.
+    frame, edge = FrameLoad("t", "f", "x"), BehaviorEdge("t", "f", "x")
     assert [getattr(frame, f) for f in frame._fields] == [getattr(edge, f) for f in edge._fields]
-    for (a_cls, a_n), (b_cls, b_n) in itertools.combinations(EVENTS.items(), 2):
+    assert frame != edge and len({frame: 1, edge: 2}) == 2
+
+
+@pytest.mark.parametrize("kinds", [PARTITION_KEYS, EVENTS], ids=["partition-keys", "events"])
+def test_records_of_different_types_never_compare_equal(kinds):
+    for (a_cls, a_n), (b_cls, b_n) in itertools.combinations(kinds.items(), 2):
         a, b = build(a_cls, a_n), build(b_cls, b_n)
         assert a != b and b != a
         assert not a == b and not b == a
         assert len({a: 1, b: 2}) == 2
 
 
-@pytest.mark.parametrize("cls,n_fields", EVENTS.items())
+@pytest.mark.parametrize("cls,n_fields", [*PARTITION_KEYS.items(), *EVENTS.items()])
 def test_records_of_one_type_compare_and_hash_by_value(cls, n_fields):
     a, b = build(cls, n_fields), build(cls, n_fields)
     assert a == b and not a != b
@@ -66,6 +75,11 @@ def test_records_of_one_type_compare_and_hash_by_value(cls, n_fields):
     ScriptStorage("t", "f", "local", "set", "k", "v"),
     BehaviorEdge("t", "f", EDGE),
     VisitEnd("t"),
+    FirstParty("a.com"),
+    GlobalThirdParty("t.net"),
+    SiteKeyedThirdParty("a.com", "t.net"),
+    Ephemeral(1, "t.net"),
+    Blocked(),
 ], ids=lambda record: type(record).__name__)
 def test_records_refuse_attribute_assignment(record):
     for name in ("tab", "site", "source_key", "third_party_site", "not_a_field"):
