@@ -4,9 +4,11 @@ Covers Set-Cookie parsing (RFC 6265 section 5.2, and RFC 6265bis's step 1 of
 "The Set-Cookie Header Field": a string holding a control character other
 than HTAB is ignored), domain matching (5.1.3),
 default-path computation (5.1.4), the public-suffix check on the Domain
-attribute (5.3 step 5) and request retrieval ordering (5.4). A jar's dict
-order is its cookies' creation order, which retrieval sorts by after path
-length, so a cookie carries no creation stamp.
+attribute (5.3 step 5) and request retrieval ordering (5.4). A jar is a
+plain dict from a cookie's (name, domain, path) to the cookie, written only
+by ``add_cookie``; its order is the cookies' creation order, which retrieval
+sorts by after path length, so a cookie carries no creation stamp. A Max-Age
+of any length parses (5.2.2): one too large for a float never expires.
 Secure, HttpOnly, and SameSite are parsed and ignored. Time is always an
 explicit argument: the replayer supplies virtual time, never the wall clock.
 """
@@ -30,30 +32,18 @@ class Cookie(NamedTuple):
     expiry: float | None = None  # absolute seconds; None = lives with its partition
 
 
-class CookieJar:
-    """Cookies keyed by (name, domain, path); at most one per key, in
-    creation order: the dict's own order.
+# A cookie jar: at most one cookie per (name, domain, path) key, in creation
+# order, the dict's own order. ``add_cookie`` is its only writer.
+Jar = dict[tuple[str, str, str], Cookie]
 
-    Re-setting an existing key replaces value and expiry and moves the cookie
-    to the end, as if newly created (old creation order is not retained).
-    """
 
-    def __init__(self) -> None:
-        self._cookies: dict[tuple[str, str, str], Cookie] = {}
-
-    def add(self, cookie: Cookie) -> None:
-        key = (cookie.name, cookie.domain, cookie.path)
-        self._cookies.pop(key, None)
-        self._cookies[key] = cookie
-
-    def remove(self, name: str, domain: str, path: str) -> None:
-        self._cookies.pop((name, domain, path), None)
-
-    def cookies(self) -> list[Cookie]:
-        return list(self._cookies.values())
-
-    def __len__(self) -> int:
-        return len(self._cookies)
+def add_cookie(jar: Jar, cookie: Cookie) -> None:
+    """Store ``cookie`` in ``jar``. Re-setting an existing key replaces value
+    and expiry and moves the cookie to the end, as if newly created (old
+    creation order is not retained)."""
+    key = (cookie.name, cookie.domain, cookie.path)
+    jar.pop(key, None)
+    jar[key] = cookie
 
 
 def domain_match(host: str, cookie_domain: str) -> bool:
@@ -175,7 +165,7 @@ def parse_set_cookie(
     domain_attr: str | None = None
     path_attr: str | None = None
     expires_at: float | None = None
-    max_age: int | None = None
+    max_age: float | None = None
     for piece in pieces[1:]:
         attr, _, attr_value = piece.partition("=")
         attr = attr.strip(_WSP).lower()
@@ -189,8 +179,10 @@ def parse_set_cookie(
             if parsed is not None:
                 expires_at = parsed
         elif attr == "max-age":
+            # float(), not int(): a digit run too long for a float is
+            # +-inf, which never expires or expires at once (§5.2.2).
             if _MAX_AGE_RE.fullmatch(attr_value):
-                max_age = int(attr_value)
+                max_age = float(attr_value)
         # Secure / HttpOnly / SameSite and anything else: ignored.
 
     domain = request_host
@@ -217,7 +209,7 @@ def parse_set_cookie(
                   path=path, expiry=expiry)
 
 
-def matching_cookies(jar: CookieJar, url: str, now: float,
+def matching_cookies(jar: Jar, url: str, now: float,
                      name: str | None = None) -> list[Cookie]:
     """Cookies of ``jar`` that ``url`` can read, per RFC 6265 section 5.4
     step 1: host-only cookies on their own host only, the others on any host
@@ -231,20 +223,20 @@ def matching_cookies(jar: CookieJar, url: str, now: float,
 
     matched = []
     expired = []
-    for cookie in jar._cookies.values():
+    for cookie in jar.values():
         if name is not None and cookie.name != name:
             continue
         if cookie.expiry is not None and cookie.expiry <= now:
-            expired.append(cookie)
+            expired.append((cookie.name, cookie.domain, cookie.path))
         elif ((host == cookie.domain if cookie.host_only else domain_match(host, cookie.domain))
               and path_match(request_path, cookie.path)):
             matched.append(cookie)
-    for cookie in expired:
-        jar.remove(cookie.name, cookie.domain, cookie.path)
+    for key in expired:
+        del jar[key]
     return matched
 
 
-def cookies_for_request(jar: CookieJar, url: str, now: float) -> list[tuple[str, str]]:
+def cookies_for_request(jar: Jar, url: str, now: float) -> list[tuple[str, str]]:
     """Cookies to attach to a request, per RFC 6265 section 5.4: the
     :func:`matching_cookies`, longer path first, then earlier created (the
     sort is stable, and the jar is in creation order).

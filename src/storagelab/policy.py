@@ -25,7 +25,7 @@ from __future__ import annotations
 from enum import Enum
 from urllib.parse import urlsplit
 
-from storagelab.cookies import CookieJar, host_and_path, matching_cookies, parse_set_cookie
+from storagelab.cookies import Jar, add_cookie, host_and_path, matching_cookies, parse_set_cookie
 from storagelab.psl import SuffixRuleSet, etld_plus_one
 from storagelab.trace import STORAGE_APIS, STORAGE_OPS
 
@@ -47,10 +47,13 @@ def site_of(url: str, rules: SuffixRuleSet) -> str:
 
 
 def origin_of(url: str) -> str:
+    """The URL's origin serialized as RFC 6454 §6.2 does:
+    scheme://host[:port], an IPv6 host in its brackets."""
     parts = urlsplit(url)
     if not parts.hostname:
         raise ValueError(f"URL has no host: {url!r}")
-    origin = f"{parts.scheme}://{parts.hostname.lower()}"
+    host = parts.hostname.lower()
+    origin = f"{parts.scheme}://[{host}]" if ":" in host else f"{parts.scheme}://{host}"
     if parts.port is not None:
         origin += f":{parts.port}"
     return origin
@@ -75,9 +78,9 @@ def resolve_partition(
 
 def partition_jar(
     key: tuple[str, ...] | None,
-    page_jars: dict[tuple[str, ...], CookieJar],
-    profile_jars: dict[tuple[str, ...], CookieJar],
-) -> CookieJar | None:
+    page_jars: dict[tuple[str, ...], Jar],
+    profile_jars: dict[tuple[str, ...], Jar],
+) -> Jar | None:
     """The jar of ``key``, created empty on first use: a page-length key's in
     ``page_jars``, the page load's own, and any other key's in
     ``profile_jars``; None for a blocked (None) key."""
@@ -86,12 +89,12 @@ def partition_jar(
     jars = page_jars if key[0] == "page-length" else profile_jars
     jar = jars.get(key)
     if jar is None:
-        jar = jars[key] = CookieJar()
+        jar = jars[key] = {}
     return jar
 
 
 def storage_access(
-    jar: CookieJar | None,
+    jar: Jar | None,
     op: str,
     api: str,
     storage_key: str | None = None,
@@ -115,7 +118,7 @@ def storage_access(
         header = f"{storage_key}={value if value is not None else ''}"
         cookie = parse_set_cookie(header, url, rules, now)
         if cookie is not None:
-            jar.add(cookie)
+            add_cookie(jar, cookie)
     else:  # delete
         for cookie in matching_cookies(jar, url, now, storage_key):
-            jar.remove(cookie.name, cookie.domain, cookie.path)
+            del jar[cookie.name, cookie.domain, cookie.path]

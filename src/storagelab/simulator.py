@@ -34,9 +34,15 @@ from __future__ import annotations
 
 from collections import defaultdict
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from storagelab.cookies import CookieJar, cookies_for_request, matching_cookies, parse_set_cookie
+from storagelab.cookies import (
+    Jar,
+    add_cookie,
+    cookies_for_request,
+    matching_cookies,
+    parse_set_cookie,
+)
 from storagelab.filterlist import AdRuleSet, EMPTY_RULES, is_ad_url
 from storagelab.flows import FLOW_FIELDS, CookieFlowRecord, write_csv
 from storagelab.frames import FrameKey, FrameRecord
@@ -66,13 +72,9 @@ class ReplayError(ValueError):
     """A trace violated replay preconditions; names the event index."""
 
 
-class SimOutput:
-    __slots__ = ("flows", "frames")
-
-    def __init__(self, flows: list[CookieFlowRecord] | None = None,
-                 frames: dict[FrameKey, FrameRecord] | None = None) -> None:
-        self.flows = [] if flows is None else flows
-        self.frames = {} if frames is None else frames
+class SimOutput(NamedTuple):
+    flows: list[CookieFlowRecord]
+    frames: dict[FrameKey, FrameRecord]
 
 
 class _TabState(Record):
@@ -86,7 +88,7 @@ _EVENT_TYPES = frozenset((VisitStart, FrameLoad, HttpRequest, ScriptStorage, Beh
                           VisitEnd))
 
 
-def _holds(when: tuple[str, bool], jar: CookieJar | None, url: str, now: float) -> bool:
+def _holds(when: tuple[str, bool], jar: Jar | None, url: str, now: float) -> bool:
     """Whether ``jar`` (None when blocked) holds a cookie named ``when[0]``
     that ``url`` can read, exactly when ``when[1]`` is true."""
     return (jar is not None and bool(matching_cookies(jar, url, now, when[0]))) == when[1]
@@ -107,7 +109,8 @@ def replay(
     api or op, or non-increasing visit sequences, and for an object whose
     type is not exactly one of the event classes.
     """
-    out = SimOutput()
+    flows: list[CookieFlowRecord] = []
+    frames: dict[FrameKey, FrameRecord] = {}
     profiles: defaultdict[str, dict] = defaultdict(dict)  # profile -> its persistent jars
     tabs: dict[str, _TabState] = {}
     last_seq: dict[str, int] = {}
@@ -118,7 +121,7 @@ def replay(
     origins = _Memo(origin_of)
     ad_verdicts = _Memo(lambda url: is_ad_url(url, ads))
 
-    def resolve(state: _TabState, url: str) -> tuple[str, CookieJar | None]:
+    def resolve(state: _TabState, url: str) -> tuple[str, Jar | None]:
         """A frame or request URL's site, and its partition's jar or None."""
         site = sites[url]
         subject_id = origins[url] if origin_keyed and site != state.site else site
@@ -154,7 +157,7 @@ def replay(
                     continue
                 if dest_site != state.site:
                     for name, value in cookies_for_request(jar, event.dest_url, now):
-                        out.flows.append(CookieFlowRecord(
+                        flows.append(CookieFlowRecord(
                             state.profile, state.crawl_iter, state.visit_seq,
                             state.site, dest_site, name, value))
                 when = event.when
@@ -163,7 +166,7 @@ def replay(
                 for header in event.response_set_cookies:
                     cookie = parse_set_cookie(header, event.dest_url, rules, now)
                     if cookie is not None:
-                        jar.add(cookie)
+                        add_cookie(jar, cookie)
 
             elif kind is FrameLoad:
                 frame_url = event.frame_url
@@ -171,9 +174,9 @@ def replay(
                 party = "first" if site == state.site else "third"
                 ad = event.is_ad if event.is_ad is not None else ad_verdicts[frame_url]
                 key = (state.page_url, frame_url, state.profile, state.crawl_iter)
-                record = out.frames.get(key)
+                record = frames.get(key)
                 if record is None:
-                    record = out.frames[key] = FrameRecord()
+                    record = frames[key] = FrameRecord()
                 record.is_ad = ad  # the frame's latest load decides its flags
                 record.party = party
                 state.frames[event.frame_id] = (frame_url, jar, record)
@@ -200,7 +203,7 @@ def replay(
         except ValueError as exc:
             raise ReplayError(f"event {index}: {exc}") from None
 
-    return out
+    return SimOutput(flows, frames)
 
 
 # ---------------------------------------------------------------------------

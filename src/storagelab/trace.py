@@ -166,12 +166,9 @@ _EDGE_FIELDS = ("source_type", "source_key", "edge_type", "target_type", "target
 TraceEvent = Union[VisitStart, FrameLoad, HttpRequest, ScriptStorage, BehaviorEdge, VisitEnd]
 
 
-class Trace:
-    __slots__ = ("meta", "events")
-
-    def __init__(self, meta: TraceMeta | None, events: list[TraceEvent] | None = None) -> None:
-        self.meta = meta
-        self.events = [] if events is None else events
+class Trace(NamedTuple):
+    meta: TraceMeta | None
+    events: list[TraceEvent]
 
 
 def event_to_record(event: TraceEvent) -> dict:

@@ -21,7 +21,10 @@ areas by a page-load counter (its two-field ``Ephemeral``) that
 ``end_page_load`` destroys;
 it is the oracle for replay's jars, which keep only the cookie jar, apply
 only a script cookie ``set`` or ``delete``, and hold a page load's
-page-length jars in the page load's own state, dropped with it.
+page-length jars in the page load's own state, dropped with it. Its cookie
+jar numbers each stored cookie and sorts on that number, kept as the oracle
+for ``storagelab.cookies.add_cookie``, whose jar's dict order is its
+creation order.
 ``parse_trace`` decodes and checks every line, repeated or not, kept as the
 oracle for ``storagelab.trace.parse_trace``, which does so once per distinct
 line. ``generate_synthetic_trace`` writes a trace for one policy, without
@@ -68,7 +71,7 @@ from typing import Iterable, Sequence
 from urllib.parse import urlsplit
 
 from storagelab import flows as _flows
-from storagelab.cookies import Cookie, CookieJar, cookies_for_request, parse_set_cookie
+from storagelab.cookies import Cookie, parse_set_cookie
 from storagelab.filterlist import EMPTY_RULES, AdRuleSet
 from storagelab.filterlist import is_ad_url as fast_is_ad_url
 from storagelab.flows import FLOW_FIELDS, CookieFlowRecord, TraceFormatError
@@ -335,17 +338,32 @@ def classify_party(subject_url: str, top_url: str, rules: SuffixRuleSet) -> str:
 class StorageArea:
     """One cookie jar plus the keyed DOM-storage buckets of a partition.
 
-    Session buckets are additionally scoped per (tab, load); the scope token
-    is supplied by the caller and is uniform across policies.
+    The jar maps a cookie's (name, domain, path) to its creation number and
+    the cookie. Storing a cookie gives it the next number, so a re-set cookie
+    counts as newly created; retrieval sorts on that number, never on the
+    dict's order. Session buckets are additionally scoped per (tab, load);
+    the scope token is supplied by the caller and is uniform across policies.
     """
 
-    __slots__ = ("jar", "local", "indexed", "session")
+    __slots__ = ("jar", "created", "local", "indexed", "session")
 
     def __init__(self) -> None:
-        self.jar = CookieJar()
+        self.jar: dict[tuple[str, str, str], tuple[int, Cookie]] = {}
+        self.created = 0
         self.local: dict[str, str] = {}
         self.indexed: dict[str, str] = {}
         self.session: dict[str, dict[str, str]] = {}
+
+    def store(self, cookie: Cookie) -> None:
+        self.created += 1
+        self.jar[cookie.name, cookie.domain, cookie.path] = (self.created, cookie)
+
+    def attached(self, url: str, now: float) -> list[tuple[str, str]]:
+        """The (name, value) of each cookie ``url`` can read, longer path
+        first, then earlier created (RFC 6265 §5.4)."""
+        entries = sorted((-len(cookie.path), created, cookie)
+                         for created, cookie in self.jar.values() if readable(cookie, url, now))
+        return [(cookie.name, cookie.value) for _, _, cookie in entries]
 
 
 def readable(cookie: Cookie, url: str, now: float) -> bool:
@@ -419,7 +437,7 @@ class PartitionStore:
         if api == "cookie":
             if url is None:
                 raise ValueError("cookie access requires the frame URL")
-            return self._cookie_access(area.jar, op, storage_key, value, url, now)
+            return self._cookie_access(area, op, storage_key, value, url, now)
 
         if api == "session":
             bucket = area.session.setdefault(session_scope, {})
@@ -435,10 +453,11 @@ class PartitionStore:
         return None
 
     def _cookie_access(
-        self, jar: CookieJar, op: str, name: str | None, value: str | None, url: str, now: float
+        self, area: StorageArea, op: str, name: str | None, value: str | None, url: str,
+        now: float,
     ) -> str | None:
         if op == "get":
-            for cookie_name, cookie_value in cookies_for_request(jar, url, now):
+            for cookie_name, cookie_value in area.attached(url, now):
                 if cookie_name == name:
                     return cookie_value
             return None
@@ -446,11 +465,11 @@ class PartitionStore:
             header = f"{name}={value if value is not None else ''}"
             cookie = parse_set_cookie(header, url, self.rules, now)
             if cookie is not None:
-                jar.add(cookie)
+                area.store(cookie)
         else:  # delete: each cookie of that name the URL can read
-            for cookie in jar.cookies():
+            for key, (_, cookie) in list(area.jar.items()):
                 if cookie.name == name and readable(cookie, url, now):
-                    jar.remove(cookie.name, cookie.domain, cookie.path)
+                    del area.jar[key]
         return None
 
     def end_page_load(self, load_key: int) -> None:
@@ -483,7 +502,7 @@ def replay(
     Raises :class:`ReplayError` (naming the event index) for events that
     reference unknown tabs or frames, or for non-increasing visit sequences.
     """
-    out = SimOutput()
+    out = SimOutput([], {})
     stores: dict[str, PartitionStore] = {}
     tabs: dict[str, _TabState] = {}
     last_seq: dict[str, int] = {}
@@ -516,7 +535,7 @@ def replay(
         area = stores[state.profile].area(pkey)
         name, present = when
         found = area is not None and any(cookie.name == name and readable(cookie, frame_url, now)
-                                         for cookie in area.jar.cookies())
+                                         for _, cookie in area.jar.values())
         return found == present
 
     for index, event in enumerate(events):
@@ -574,7 +593,7 @@ def replay(
             area = store.area(pkey)
             if area is not None:
                 holds = condition_holds(index, state, event.frame_id, event.when, now)
-                attached = cookies_for_request(area.jar, event.dest_url, now)
+                attached = area.attached(event.dest_url, now)
                 if not isinstance(pkey, FirstParty):
                     top_site = site_of(state.page_url, rules)
                     dest_site = site_of(event.dest_url, rules)
@@ -591,7 +610,7 @@ def replay(
                 for header in event.response_set_cookies if holds else ():
                     cookie = parse_set_cookie(header, event.dest_url, rules, now)
                     if cookie is not None:
-                        area.jar.add(cookie)
+                        area.store(cookie)
 
         elif isinstance(event, ScriptStorage):
             state = tab_state(index, event.tab)

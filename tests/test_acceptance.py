@@ -13,7 +13,7 @@ from test_cookies import run_jar_equivalence
 from vectors_psl import CASES
 
 from conftest import N_SITES, N_TRACKERS
-from storagelab.cookies import Cookie, CookieJar, cookies_for_request, parse_set_cookie
+from storagelab.cookies import Cookie, add_cookie, cookies_for_request, parse_set_cookie
 from storagelab.metrics import frame_similarity, grade_stats, mean_defined, optimize_node_types
 from storagelab.picf import cross_site_scores, cross_time_scores, extract_picfs
 from storagelab.policy import PolicyKind
@@ -104,21 +104,21 @@ def test_criterion_06_psl_conformance():
 def test_criterion_07_cookie_semantics():
     rules = builtin_rules()
     # Round-trip.
-    jar = CookieJar()
-    jar.add(parse_set_cookie("token=v1; Path=/", "https://shop.example.com/cart", rules))
+    jar = {}
+    add_cookie(jar, parse_set_cookie("token=v1; Path=/", "https://shop.example.com/cart", rules))
     assert ("token", "v1") in cookies_for_request(jar, "https://shop.example.com/cart", 1.0)
     # Default path.
     assert parse_set_cookie("sid=x", "https://a.com/p/q", rules).path == "/p"
     # Domain-match boundary.
     assert parse_set_cookie("a=1; Domain=example.com", "https://badexample.com/", rules) is None
     # Path-sort ordering.
-    jar = CookieJar()
-    jar.add(Cookie("a", "1", "a.com", True, "/"))
-    jar.add(Cookie("b", "2", "a.com", True, "/x"))
+    jar = {}
+    add_cookie(jar, Cookie("a", "1", "a.com", True, "/"))
+    add_cookie(jar, Cookie("b", "2", "a.com", True, "/x"))
     assert cookies_for_request(jar, "https://a.com/x/y", 0) == [("b", "2"), ("a", "1")]
     # Expiry purge.
-    jar = CookieJar()
-    jar.add(Cookie("a", "1", "a.com", True, "/", expiry=9.0))
+    jar = {}
+    add_cookie(jar, Cookie("a", "1", "a.com", True, "/", expiry=9.0))
     assert cookies_for_request(jar, "https://a.com/", 10.0) == []
     assert len(jar) == 0
     # Randomized equivalence against the linear-scan reference jar.

@@ -128,6 +128,29 @@ class TestGenAndSimulate:
         assert run("simulate", "--policy", "permissive", "--trace", trace, "--out", sim) == 0
         assert (sim / "flows.csv").read_text(encoding="utf-8").count("\n") == 1
 
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_max_age_too_long_for_a_float_keeps_the_cookie(self, tmp_path, capsys, digits):
+        # A response's Set-Cookie and a script's cookie set, each with a
+        # Max-Age of ``digits`` nines: both cookies never expire, so the
+        # later request sends them.
+        nines = "9" * digits
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(
+            '{"type":"visit_start","profile":"p","crawl_iter":1,"tab":"t",'
+            '"page_url":"https://a.com/","visit_seq":1}\n'
+            '{"type":"frame_load","tab":"t","frame_id":"f","frame_url":"https://t.net/w"}\n'
+            '{"type":"http_request","tab":"t","frame_id":"f","dest_url":"https://t.net/",'
+            f'"response_set_cookies":["uid=1; Max-Age={nines}"]}}\n'
+            '{"type":"script_storage","tab":"t","frame_id":"f","api":"cookie","op":"set",'
+            f'"key":"sid","value":"2; Max-Age={nines}"}}\n'
+            '{"type":"http_request","tab":"t","frame_id":"f","dest_url":"https://t.net/"}\n'
+            '{"type":"visit_end","tab":"t"}\n', encoding="utf-8")
+        sim = tmp_path / "sim"
+        assert run("simulate", "--policy", "permissive", "--trace", trace, "--out", sim) == 0
+        assert capsys.readouterr().err == ""
+        rows = list(csv.reader(io.StringIO((sim / "flows.csv").read_text(encoding="utf-8"))))
+        assert [row[-2:] for row in rows[1:]] == [["uid", "1"], ["sid", "2"]]
+
     def test_cookie_value_with_carriage_return_reads_back(self, tmp_path, capsys):
         # A flow table from elsewhere may hold a bare "\r" in a cell; the
         # metrics commands read it and write it back quoted.

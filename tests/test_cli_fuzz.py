@@ -75,7 +75,7 @@ def _commands(d: Path) -> dict[str, tuple[Path, list[list]]]:
 
 
 MUTATIONS = ["delete_field", "change_type", "other_json_type", "nested", "truncate",
-             "non_object", "bad_header", "extra_cells", "non_utf8", "empty"]
+             "non_object", "bad_header", "extra_cells", "non_utf8", "empty", "long_number"]
 OTHER_VALUES = [1, -1, 1.5, True, None, "s", "", [], ["x"], {}, {"a": 1}]
 JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
                 | st.text(max_size=3))
@@ -107,6 +107,13 @@ def _other_type(old, draw):
     return draw(JSON_VALUES.filter(lambda value: type(value) is not type(old)))
 
 
+def _json_or_none(line: bytes):
+    try:
+        return json.loads(line)
+    except ValueError:
+        return None
+
+
 def _mutate(data: bytes, kind: str, draw) -> bytes:
     if kind == "empty":
         return b""
@@ -124,14 +131,27 @@ def _mutate(data: bytes, kind: str, draw) -> bytes:
         lines[0] = draw(st.sampled_from([b"nope", b"a,b", b"url,profile", b"{}", b"\t"]))
     elif kind == "extra_cells":
         lines[i] = line + draw(st.sampled_from([b",x", b",", b',"a,b"']))
+    elif kind == "long_number":
+        # A Max-Age or Expires attribute whose digit run is too long for a
+        # float (310) or for int() (4,301), appended to a drawn string that
+        # holds "=", as a Set-Cookie string or a query does, of a JSON line.
+        # A file with none gets it at the end of a line.
+        attribute = (draw(st.sampled_from(["; Max-Age=", "; Expires="]))
+                     + "9" * draw(st.sampled_from([310, 4301])))
+        records = [_json_or_none(line) for line in lines]
+        slots = [(j, container, key) for j, record in enumerate(records)
+                 for container, key in _slots(record, str) if "=" in container[key]]
+        if slots:
+            j, container, key = draw(st.sampled_from(slots))
+            container[key] += attribute
+            lines[j] = json.dumps(records[j]).encode()
+        else:
+            lines[i] = line + attribute.encode()
     elif kind in ("other_json_type", "nested"):
         # A value anywhere in a JSON line (nested ones too) becomes a drawn
         # JSON value of another type, or a string becomes a list or object.
         # A CSV or rule line gets the drawn value's JSON text in a cell.
-        try:
-            record = json.loads(line)
-        except ValueError:
-            record = None
+        record = _json_or_none(line)
         slots = _slots(record, str if kind == "nested" else object)
         if slots:
             container, key = draw(st.sampled_from(slots))
@@ -144,10 +164,7 @@ def _mutate(data: bytes, kind: str, draw) -> bytes:
             cells[draw(st.integers(0, len(cells) - 1))] = json.dumps(value).encode()
             lines[i] = b",".join(cells)
     else:  # delete_field / change_type: a JSON key, else a CSV cell
-        try:
-            record = json.loads(line)
-        except ValueError:
-            record = None
+        record = _json_or_none(line)
         if isinstance(record, dict) and record:
             key = draw(st.sampled_from(sorted(record)))
             if kind == "delete_field":

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from storagelab.cookies import (
     Cookie,
-    CookieJar,
+    add_cookie,
     cookies_for_request,
     default_path,
     domain_match,
@@ -36,8 +36,8 @@ class TestParseSetCookie:
     def test_host_is_lowercased_and_path_kept(self):
         cookie = parse_set_cookie("sid=x", "https://WWW.A.com/P/q", RULES)
         assert (cookie.domain, cookie.path) == ("www.a.com", "/P")
-        jar = CookieJar()
-        jar.add(cookie)
+        jar = {}
+        add_cookie(jar, cookie)
         assert cookies_for_request(jar, "https://www.a.COM/P/r", 0.0) == [("sid", "x")]
         assert cookies_for_request(jar, "https://www.a.com/p/r", 0.0) == []
 
@@ -65,6 +65,29 @@ class TestParseSetCookie:
     def test_nonpositive_max_age_expires_immediately(self):
         cookie = parse_set_cookie("a=1; Max-Age=0", "https://a.com/", RULES, now=50.0)
         assert cookie.expiry == 50.0
+
+    # §5.2.2: a positive delta gives an expiry of now plus delta, a
+    # non-positive one expires at once, whatever the length of the digit run:
+    # 310 nines overflow a float, and 4,301 digits exceed int()'s limit.
+    @pytest.mark.parametrize("digits", [310, 4301])
+    def test_max_age_too_long_for_a_float_never_expires(self, digits):
+        cookie = parse_set_cookie(f"a=1; Max-Age={'9' * digits}", "https://a.com/", RULES,
+                                  now=5.0)
+        assert cookie.expiry == float("inf")
+        jar = {}
+        add_cookie(jar, cookie)
+        assert cookies_for_request(jar, "https://a.com/", 1e308) == [("a", "1")]
+
+    @pytest.mark.parametrize("digits", [310, 4301])
+    def test_negative_max_age_of_any_length_expires_at_once(self, digits):
+        cookie = parse_set_cookie(f"a=1; Max-Age=-{'9' * digits}", "https://a.com/", RULES,
+                                  now=5.0)
+        assert cookie.expiry == 5.0
+
+    def test_max_age_with_leading_zeros_is_its_value(self):
+        cookie = parse_set_cookie(f"a=1; Max-Age={'0' * 4301}60", "https://a.com/", RULES,
+                                  now=5.0)
+        assert cookie.expiry == 65.0
 
     def test_bad_max_age_ignored(self):
         cookie = parse_set_cookie("a=1; Max-Age=soon", "https://a.com/", RULES)
@@ -257,9 +280,9 @@ class TestDefaultPath:
 
 class TestCookiesForRequest:
     def make_jar(self, *cookies):
-        jar = CookieJar()
+        jar = {}
         for cookie in cookies:
-            jar.add(cookie)
+            add_cookie(jar, cookie)
         return jar
 
     def test_order_longer_path_first(self):
@@ -270,7 +293,7 @@ class TestCookiesForRequest:
         assert cookies_for_request(jar, "https://a.com/x/y", 0) == [("b", "2"), ("a", "1")]
 
     def test_empty_jar(self):
-        assert cookies_for_request(CookieJar(), "https://a.com/", 0) == []
+        assert cookies_for_request({}, "https://a.com/", 0) == []
 
     def test_expired_excluded_and_purged(self):
         jar = self.make_jar(Cookie("a", "1", "a.com", True, "/", expiry=9.0))
@@ -288,9 +311,9 @@ class TestCookiesForRequest:
         assert cookies_for_request(jar, "https://a.com/x/y", 0) == [("a", "1")]
 
     def test_set_then_read_round_trips(self):
-        jar = CookieJar()
+        jar = {}
         cookie = parse_set_cookie("token=v1; Path=/", "https://shop.example.com/cart", RULES)
-        jar.add(cookie)
+        add_cookie(jar, cookie)
         assert ("token", "v1") in cookies_for_request(jar, "https://shop.example.com/cart", 1.0)
 
     def test_equal_paths_sorted_by_creation(self):
@@ -301,7 +324,7 @@ class TestCookiesForRequest:
         assert cookies_for_request(jar, "https://a.com/", 0) == [("late", "2"), ("later", "3")]
         # A re-set cookie is created anew, so it moves behind its peers
         # (RFC 6265 §5.3 step 11.3 would keep its old creation time).
-        jar.add(Cookie("late", "4", "a.com", True, "/"))
+        add_cookie(jar, Cookie("late", "4", "a.com", True, "/"))
         assert cookies_for_request(jar, "https://a.com/", 0) == [("later", "3"), ("late", "4")]
 
     def test_matching_cookies_of_one_name(self):
@@ -322,9 +345,9 @@ class TestCookiesForRequest:
         assert len(jar) == 4
 
     def test_no_duplicate_name_domain_path(self):
-        jar = CookieJar()
-        jar.add(Cookie("a", "1", "a.com", True, "/"))
-        jar.add(Cookie("a", "2", "a.com", True, "/"))
+        jar = {}
+        add_cookie(jar, Cookie("a", "1", "a.com", True, "/"))
+        add_cookie(jar, Cookie("a", "2", "a.com", True, "/"))
         result = cookies_for_request(jar, "https://a.com/", 0)
         assert result == [("a", "2")]
         assert len(jar) == 1
@@ -372,7 +395,7 @@ def run_jar_equivalence(n_sequences: int = 500, ops_per_sequence: int = 20, seed
     rng = random.Random(seed)
     checked = 0
     for _ in range(n_sequences):
-        jar = CookieJar()
+        jar = {}
         ref = ReferenceJar()
         now = 0.0
         for _ in range(ops_per_sequence):
@@ -392,7 +415,7 @@ def run_jar_equivalence(n_sequences: int = 500, ops_per_sequence: int = 20, seed
                     path=rng.choice(PATHS),
                     expiry=None if rng.random() < 0.5 else now + rng.randrange(-2, 6),
                 )
-                jar.add(cookie)
+                add_cookie(jar, cookie)
                 ref.set(cookie.name, cookie.value, cookie.domain, cookie.host_only,
                         cookie.path, cookie.expiry)
             else:

@@ -368,6 +368,14 @@ def _replay_outcome(fn, events, policy, ads, origin_keyed):
                  FrameLoad("t1", "f2", "https://t.net/w", None),
                  BehaviorEdge("t1", "f2", EDGES[1])],
          policy=PolicyKind.PAGE_LENGTH, origin_keyed=False, with_ads=False)
+# uid is set again after sid, so it moves behind sid: the two have one path,
+# and the last request sends them in creation order (add_cookie's rule).
+@example(events=[VisitStart("p0", 1, "t1", "https://a.com/", 1),
+                 FrameLoad("t1", "f1", "https://t.net/w", None),
+                 HttpRequest("t1", "f1", "https://t.net/w", ("uid=1", "sid=9; Domain=t.net")),
+                 HttpRequest("t1", "f1", "https://t.net/w", ("uid=2; Max-Age=3",)),
+                 HttpRequest("t1", "f1", "https://t.net/w", ())],
+         policy=PolicyKind.PERMISSIVE, origin_keyed=False, with_ads=False)
 # A trace's own is_ad flag, under rules that flag nothing.
 @example(events=[VisitStart("p0", 1, "t1", "https://a.com/", 1),
                  FrameLoad("t1", "f1", "https://ads.u.org/a", True),

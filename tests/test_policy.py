@@ -1,8 +1,9 @@
 import pytest
 
-from storagelab.cookies import CookieJar, cookies_for_request
+from storagelab.cookies import Jar, cookies_for_request
 from storagelab.policy import (
     PolicyKind,
+    origin_of,
     partition_jar,
     resolve_partition,
     site_of,
@@ -43,6 +44,20 @@ class TestSiteOf:
 # (policy, top site, subject site, subject id, key): first and third parties
 # under each policy, each with its site or its origin as identifier. A first
 # party's key ignores the identifier.
+@pytest.mark.parametrize("url, origin", [
+    ("https://sub.t.net:8443/w", ORIGIN),
+    ("HTTP://Sub.T.net/w", "http://sub.t.net"),
+    ("http://127.0.0.1:8080/", "http://127.0.0.1:8080"),
+    # RFC 6454 §6.2 writes an IPv6 host in its brackets, which keeps these
+    # two origins apart: without them both read https://::1:8080.
+    ("https://[::1]:8080/a", "https://[::1]:8080"),
+    ("https://[::1:8080]/a", "https://[::1:8080]"),
+    ("https://[2001:DB8::1]/", "https://[2001:db8::1]"),
+])
+def test_origin_of(url, origin):
+    assert origin_of(url) == origin
+
+
 PARTITIONS = [
     (PolicyKind.PERMISSIVE, "a.com", "a.com", "a.com", ("first", "a.com")),
     (PolicyKind.PERMISSIVE, "a.com", "a.com", "https://cdn.a.com", ("first", "a.com")),
@@ -70,11 +85,11 @@ def test_resolve_partition(policy, top_site, subject_site, subject_id, key):
     assert resolve_partition(policy, top_site, subject_site, subject_id) == key
 
 
-def names(jar: CookieJar) -> list[str]:
-    return sorted(cookie.name for cookie in jar.cookies())
+def names(jar: Jar) -> list[str]:
+    return sorted(cookie.name for cookie in jar.values())
 
 
-def set_cookie(jar: CookieJar | None, header: str, url: str = TRACKER) -> None:
+def set_cookie(jar: Jar | None, header: str, url: str = TRACKER) -> None:
     name, _, value = header.partition("=")
     storage_access(jar, "set", "cookie", name, value, url=url, rules=RULES, now=1.0)
 
@@ -108,7 +123,7 @@ class TestPartitionJar:
 class TestStorageAccess:
     def test_dom_ops_and_gets_change_no_state(self):
         # Only a cookie set or delete changes the frame's jar.
-        jar = CookieJar()
+        jar = {}
         for api in STORAGE_APIS:
             for op in STORAGE_OPS:
                 if api != "cookie" or op == "get":
@@ -134,14 +149,14 @@ class TestStorageAccess:
                                    2.0) == [("u", "x")]
 
     def test_cookie_api_round_trip(self):
-        jar = CookieJar()
+        jar = {}
         storage_access(jar, "set", "cookie", "uid", "tok", url=TRACKER, rules=RULES, now=1.0)
         assert cookies_for_request(jar, TRACKER, 2.0) == [("uid", "tok")]
         storage_access(jar, "delete", "cookie", "uid", url=TRACKER, rules=RULES, now=3.0)
         assert cookies_for_request(jar, TRACKER, 4.0) == []
 
     def test_script_cookie_with_public_suffix_domain_not_stored(self):
-        jar = CookieJar()
+        jar = {}
         url = "https://x.co.uk/w"
         set_cookie(jar, "uid=tok; Domain=co.uk", url)
         assert names(jar) == []
@@ -149,14 +164,14 @@ class TestStorageAccess:
         assert cookies_for_request(jar, url, 4.0) == [("uid", "tok")]
 
     def test_cookie_delete_with_hostless_url_is_noop(self):
-        jar = CookieJar()
+        jar = {}
         set_cookie(jar, "uid=tok")
         assert storage_access(jar, "delete", "cookie", "uid", url="not-a-url", rules=RULES,
                               now=2.0) is None
         assert names(jar) == ["uid"]
 
     def test_unknown_api_or_op(self):
-        jar = CookieJar()
+        jar = {}
         with pytest.raises(ValueError, match="unknown storage api 'webSQL'"):
             storage_access(jar, "get", "webSQL", "k", url=TRACKER, rules=RULES)
         with pytest.raises(ValueError, match="unknown storage op 'peek'"):
@@ -168,7 +183,7 @@ class TestScriptCookieDelete:
     (RFC 6265 section 5.4 step 1: host-only, domain-match and path-match)."""
 
     def delete(self, set_url: str, header: str, delete_url: str) -> list[str]:
-        jar = CookieJar()
+        jar = {}
         set_cookie(jar, header, set_url)
         assert len(jar) == 1
         assert storage_access(jar, "delete", "cookie", header.split("=")[0], url=delete_url,
@@ -185,7 +200,7 @@ class TestScriptCookieDelete:
         assert self.delete("https://t.net/w", "sid=1; Domain=t.net", "https://x.t.net/w") == []
 
     def test_other_names_survive(self):
-        jar = CookieJar()
+        jar = {}
         set_cookie(jar, "a=1")
         set_cookie(jar, "b=2")
         storage_access(jar, "delete", "cookie", "a", url=TRACKER, rules=RULES, now=2.0)

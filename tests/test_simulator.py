@@ -233,6 +233,20 @@ def test_origin_keyed_frame_with_bad_port_fails_at_its_load(rules):
     assert replay(first_party, PolicyKind.PERMISSIVE, rules, origin_keyed=True).frames
 
 
+@pytest.mark.parametrize("origin_keyed, sent", [(False, 2), (True, 1)])
+def test_ipv6_origins_key_their_own_jars(origin_keyed, sent, rules):
+    # The uid that https://[::1]:8080 sets reaches its site, the host ::1, on
+    # any port (here 8080 and 9090); under origin keying, only its own
+    # origin. The host ::1:8080 is another site and another origin, though
+    # without its brackets it would read like the first one's origin.
+    urls = ["https://[::1]:8080/x", "https://[::1:8080]/", "https://[::1]:9090/"]
+    events = [_VISIT, FrameLoad("t", "f1", "https://[::1]:8080/w"),
+              HttpRequest("t", "f1", "https://[::1]:8080/", ("uid=1",)),
+              *(HttpRequest("t", "f1", url) for url in urls)]
+    flows = replay(events, PolicyKind.PERMISSIVE, rules, origin_keyed=origin_keyed).flows
+    assert [flow.third_party_site for flow in flows] == ["::1"] * sent
+
+
 class TestPageLoadLifetime:
     """A page load's page-length jars die with it, when its visit ends or its
     tab navigates; other page loads' jars and the profile's persistent jars

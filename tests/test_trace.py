@@ -80,7 +80,7 @@ def test_write_trace_streams(tmp_path):
     build them, stays well under the file's size: its text is never held
     whole."""
     trace = sample_trace()
-    trace.events = trace.events * 3400
+    trace = trace._replace(events=trace.events * 3400)
     path = tmp_path / "trace.jsonl"
     tracemalloc.start()
     try:
