@@ -15,14 +15,15 @@ import csv
 import hashlib
 import io
 import json
+import os
 import sys
 from functools import partial
 from pathlib import Path
 
 from storagelab import __version__
 # etld_plus_one is unused here, but bench/tests checks that the span recorder wraps it
-# at this binding. Each command imports the rest of what it runs (see "Start-up" in
-# README.md), so a call loads only its own modules.
+# at this binding. Each command imports the rest of what it runs (see "Start-up and
+# exit" in README.md), so a call loads only its own modules.
 from storagelab.psl import builtin_rules, etld_plus_one, parse_psl  # noqa: F401
 
 # The values of storagelab.policy.PolicyKind, which only simulate imports.
@@ -578,5 +579,26 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def run() -> None:
+    """The command line's entry point: :func:`main` on ``sys.argv``, then the
+    end of the process with its exit code, skipping interpreter finalization
+    (freeing every object and clearing every module): a call's end takes
+    about 1 ms this way, and 10-15 ms with finalization (README "Start-up
+    and exit"). Nothing is lost by the skip: a command writes every output inside
+    ``with`` or ``write_text``, so each file is closed before ``main``
+    returns; storagelab registers no ``atexit`` handler and relies on no
+    finalizer; and ``sys.stdout`` and ``sys.stderr`` are flushed here. If a
+    flush fails, as into a closed pipe, the process exits the normal way,
+    which reports the failure as it always has. ``main`` itself returns, so
+    in-process callers keep a normal interpreter."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -16,7 +16,7 @@ explicit argument: the replayer supplies virtual time, never the wall clock.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import cache
 from typing import NamedTuple
 from urllib.parse import urlsplit
 
@@ -122,10 +122,13 @@ def parse_cookie_date(text: str) -> float | None:
         return None
 
 
-# Bounded so memory stays flat on long traces; URLs recur within a page load.
-@lru_cache(maxsize=4096)
+# A process-wide memo keyed by the URL string, as trace._EDGE_MASKS is: one
+# entry per distinct URL. A 4,096-entry LRU split the 13,210 URLs of a
+# 1,000-site trace about four times each per replay.
+@cache
 def host_and_path(url: str) -> tuple[str, str]:
-    """A URL's lowercased host ("" when it has none) and its path."""
+    """A URL's lowercased host ("" when it has none) and its path, split once
+    per distinct URL per process."""
     parts = urlsplit(url)
     return (parts.hostname or "").lower(), parts.path
 

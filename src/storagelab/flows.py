@@ -8,7 +8,7 @@ which names only the line.
 The privacy metrics read only this module's flow table, so it imports no
 other ``storagelab`` module: a ``metrics picf``, ``cross-site`` or
 ``cross-time`` call compiles neither the replay engine nor the trace event
-model (README "Start-up").
+model (README "Start-up and exit").
 """
 
 from __future__ import annotations
@@ -53,6 +53,21 @@ def _csv_record(header: Sequence[str], row: Sequence[str]) -> dict[str, str]:
 # An integer CSV cell in the form the CLI writes: ``int()`` alone would also
 # take " 1_0", "+1" and non-ASCII digits.
 _INTEGER = re.compile(r"-?[0-9]+").fullmatch
+
+
+# One JSON value at the start of a text and where it ends; unlike json.loads,
+# it makes no per-call checks or whitespace matches of its own.
+_decode = json.JSONDecoder().raw_decode
+
+
+def _whole(text: str):
+    """The JSON value that is all of ``text`` but a final newline; ValueError
+    otherwise. The one-pass readers decode with it, and send any text it
+    refuses to the field-by-field checks that name the error."""
+    value, end = _decode(text)
+    if text[end:] not in ("", "\n"):
+        raise ValueError("text after the value")
+    return value
 
 
 def _json_object(line: str) -> dict:

@@ -8,19 +8,18 @@ every record with that list, so the metrics can score each distinct edge set
 once.
 
 Replay writes the file and the compatibility metrics read it; like ``flows``
-for the flow table, it imports no replay code (README "Start-up").
+for the flow table, it imports no replay code (README "Start-up and exit").
 """
 
 from __future__ import annotations
 
-import json
 import re
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
-from storagelab.flows import TraceFormatError, _json_object, _require
+from storagelab.flows import TraceFormatError, _json_object, _require, _whole
 from storagelab.trace import _EDGE_MASKS, _Memo
 
 
@@ -92,18 +91,6 @@ _WRITER_HEAD = re.compile(r'\{"crawl_iter":(0|-?[1-9][0-9]{0,17}),"edges":\[').m
 # JSON string a '"' is always escaped, so the first match is the real one.
 _EDGES_END = '],"frame_url":'
 _TAIL_FIELDS = itemgetter("page_url", "frame_url", "profile", "party", "is_ad")
-# One JSON value at the start of a text and where it ends; unlike json.loads,
-# it makes no per-call checks or whitespace matches of its own.
-_decode = json.JSONDecoder().raw_decode
-
-
-def _whole(text: str):
-    """The JSON value that is all of ``text`` but a final newline; ValueError
-    otherwise."""
-    value, end = _decode(text)
-    if text[end:] not in ("", "\n"):
-        raise ValueError("text after the value")
-    return value
 
 
 def _edge_list(text: str) -> frozenset[str] | None:

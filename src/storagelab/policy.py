@@ -46,16 +46,23 @@ def site_of(url: str, rules: SuffixRuleSet) -> str:
     return etld_plus_one(host, rules) or host
 
 
+# The port RFC 6454 §6.2 leaves out of a serialized origin: its scheme's default.
+_DEFAULT_PORTS = {"http": 80, "https": 443}
+
+
 def origin_of(url: str) -> str:
     """The URL's origin serialized as RFC 6454 §6.2 does:
-    scheme://host[:port], an IPv6 host in its brackets."""
+    scheme://host[:port], an IPv6 host in its brackets, and the port only
+    when it is not the scheme's default, so ``https://a.com:443`` and
+    ``https://a.com`` are one origin."""
     parts = urlsplit(url)
     if not parts.hostname:
         raise ValueError(f"URL has no host: {url!r}")
     host = parts.hostname.lower()
     origin = f"{parts.scheme}://[{host}]" if ":" in host else f"{parts.scheme}://{host}"
-    if parts.port is not None:
-        origin += f":{parts.port}"
+    port = parts.port
+    if port is not None and port != _DEFAULT_PORTS.get(parts.scheme):
+        origin += f":{port}"
     return origin
 
 

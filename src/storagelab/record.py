@@ -1,6 +1,6 @@
 """The base class of the immutable records that must be type-strict. Plain
 value rows are NamedTuples and mutable state is ``__slots__`` classes; README
-"Start-up" says why."""
+"Start-up and exit" says why."""
 
 from operator import attrgetter
 

@@ -26,10 +26,11 @@ from __future__ import annotations
 import json
 from enum import Enum
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Union
 
-from storagelab.flows import TraceFormatError, _json_object, _require
+from storagelab.flows import TraceFormatError, _json_object, _require, _whole
 from storagelab.record import Record
 
 
@@ -251,13 +252,97 @@ def _record_to_event(record: dict) -> TraceEvent:
     raise TraceFormatError(f"unknown record type {kind!r}")
 
 
+# The one-pass path of parse_trace: a builder per record type takes a decoded
+# record and gives its event, or None, or raises KeyError or ValueError, to
+# decline it. A builder checks exact types (an integer is never a bool) and
+# takes only records that _record_to_event takes, building the same event.
+_VISIT_START_FIELDS = itemgetter("profile", "crawl_iter", "tab", "page_url", "visit_seq")
+_FRAME_FIELDS = itemgetter("tab", "frame_id", "frame_url")
+_REQUEST_FIELDS = itemgetter("tab", "frame_id", "dest_url")
+_SCRIPT_FIELDS = itemgetter("tab", "frame_id", "api", "op", "key")
+_EDGE_EVENT_FIELDS = itemgetter("tab", "frame_id", "edge")
+_EDGE_OBJECT_FIELDS = itemgetter(*_EDGE_FIELDS)
+_NODE_TYPES = frozenset(t.value for t in NodeType)
+
+
+def _build_visit_start(record: dict) -> VisitStart | None:
+    profile, crawl_iter, tab, page_url, visit_seq = _VISIT_START_FIELDS(record)
+    if (type(profile) is str and type(tab) is str and type(page_url) is str
+            and type(crawl_iter) is int and type(visit_seq) is int):
+        return VisitStart(profile, crawl_iter, tab, page_url, visit_seq)
+    return None
+
+
+def _build_frame_load(record: dict) -> FrameLoad | None:
+    tab, frame_id, frame_url = _FRAME_FIELDS(record)
+    is_ad = record.get("is_ad")
+    if (type(tab) is str and type(frame_id) is str and type(frame_url) is str
+            and (is_ad is None or type(is_ad) is bool)):
+        return FrameLoad(tab, frame_id, frame_url, is_ad)
+    return None
+
+
+def _build_http_request(record: dict) -> HttpRequest | None:
+    tab, frame_id, dest_url = _REQUEST_FIELDS(record)
+    cookies = record.get("response_set_cookies", [])
+    if (type(tab) is str and type(frame_id) is str and type(dest_url) is str
+            and type(cookies) is list and all(type(c) is str for c in cookies)):
+        return HttpRequest(tab, frame_id, dest_url, tuple(cookies), _condition(record))
+    return None
+
+
+def _build_script_storage(record: dict) -> ScriptStorage | None:
+    tab, frame_id, api, op, key = _SCRIPT_FIELDS(record)
+    value = record.get("value")
+    if (type(tab) is str and type(frame_id) is str and type(key) is str
+            and type(api) is str and api in STORAGE_APIS and type(op) is str
+            and op in STORAGE_OPS and (value is None or type(value) is str)):
+        return ScriptStorage(tab, frame_id, api, op, key, value)
+    return None
+
+
+def _build_behavior_edge(record: dict) -> BehaviorEdge | None:
+    tab, frame_id, edge = _EDGE_EVENT_FIELDS(record)
+    if type(tab) is str and type(frame_id) is str and type(edge) is dict:
+        fields = _EDGE_OBJECT_FIELDS(edge)
+        if (all(type(field) is str for field in fields)
+                and fields[0] in _NODE_TYPES and fields[3] in _NODE_TYPES):
+            return BehaviorEdge(tab, frame_id, _edge_string(*fields), _condition(record))
+    return None
+
+
+def _build_visit_end(record: dict) -> VisitEnd | None:
+    tab = record["tab"]
+    return VisitEnd(tab) if type(tab) is str else None
+
+
+_BUILDERS = {"visit_start": _build_visit_start, "frame_load": _build_frame_load,
+             "http_request": _build_http_request, "script_storage": _build_script_storage,
+             "behavior_edge": _build_behavior_edge, "visit_end": _build_visit_end}
+
+
+def _fast_event(line: str) -> TraceEvent | None:
+    """The event of a stripped trace line, from one decode that must end at
+    the end of the line and its type's builder; None when the line is not a
+    JSON object of a known event type or a builder declines it."""
+    try:
+        record = _whole(line)
+        return _BUILDERS[record["type"]](record)
+    except (ValueError, KeyError, TypeError):  # TypeError: not an object, or an unhashable type
+        return None
+
+
 def parse_trace(lines: Iterable[str]) -> Trace:
     """Parse trace lines; :class:`TraceFormatError` names the first bad line.
 
     Each distinct (stripped) line is decoded and checked once: a repeat
     reuses the frozen event parsed from its first copy, so events from
-    identical lines are the same object. The meta record is never reused,
-    since its ``spec`` is a mutable dict and only line 1 may hold it.
+    identical lines are the same object. A line is decoded in one pass and
+    checked by exact types (``_fast_event``); a line that pass declines, a
+    meta or a bad record, is decoded again and checked field by field
+    (``_record_to_event``), which names what is wrong. The meta record is
+    never reused, since its ``spec`` is a mutable dict and only line 1 may
+    hold it.
     """
     meta: TraceMeta | None = None
     events: list[TraceEvent] = []
@@ -268,16 +353,19 @@ def parse_trace(lines: Iterable[str]) -> Trace:
             continue
         event = parsed.get(line)
         if event is None:
-            try:
-                record = _json_object(line)
-                if record.get("type") == "meta":
-                    if line_no != 1:
-                        raise TraceFormatError("meta record only allowed first")
-                    meta = TraceMeta(record.get("scenario"), record.get("spec"))
-                    continue
-                event = parsed[line] = _record_to_event(record)
-            except ValueError as exc:  # a TraceFormatError, or an unknown node type
-                raise TraceFormatError(f"line {line_no}: {exc}") from None
+            event = _fast_event(line)
+            if event is None:
+                try:
+                    record = _json_object(line)
+                    if record.get("type") == "meta":
+                        if line_no != 1:
+                            raise TraceFormatError("meta record only allowed first")
+                        meta = TraceMeta(record.get("scenario"), record.get("spec"))
+                        continue
+                    event = _record_to_event(record)
+                except ValueError as exc:  # a TraceFormatError, or an unknown node type
+                    raise TraceFormatError(f"line {line_no}: {exc}") from None
+            parsed[line] = event
         events.append(event)
     return Trace(meta, events)
 

@@ -14,8 +14,11 @@ on every edge, and evaluates a ``when`` condition by resolving the frame's
 partition again and scanning its whole jar, kept as the oracle for
 ``storagelab.simulator.replay``, which looks each distinct URL up once per
 run, resolves each frame once and keeps its jar and record in the frame
-registry. Its partition keys are records of its own, one class per kind,
-where replay's are tagged tuples. Its ``PartitionStore`` keeps a DOM-storage
+registry. It forms a third party's origin with ``origin``, which reads the
+URL's text as RFC 3986 and RFC 6454 describe it, kept as the oracle for
+``storagelab.policy.origin_of``, which reads ``urlsplit``'s fields. Its
+partition keys are records of its own, one class per kind, where replay's
+are tagged tuples. Its ``PartitionStore`` keeps a DOM-storage
 area beside each cookie jar, answers every script read, and keys page-length
 areas by a page-load counter (its two-field ``Ephemeral``) that
 ``end_page_load`` destroys;
@@ -25,9 +28,10 @@ page-length jars in the page load's own state, dropped with it. Its cookie
 jar numbers each stored cookie and sorts on that number, kept as the oracle
 for ``storagelab.cookies.add_cookie``, whose jar's dict order is its
 creation order.
-``parse_trace`` decodes and checks every line, repeated or not, kept as the
-oracle for ``storagelab.trace.parse_trace``, which does so once per distinct
-line. ``generate_synthetic_trace`` writes a trace for one policy, without
+``parse_trace`` decodes and checks every line, repeated or not, field by
+field, kept as the oracle for ``storagelab.trace.parse_trace``, which does so
+once per distinct line, in one pass of exact type checks.
+``generate_synthetic_trace`` writes a trace for one policy, without
 conditions: it keeps its own copy of that policy's partition keys to decide
 which visits set an ID and which widgets touch storage, draws each embedding
 on every visit and builds every event afresh. It is the oracle for
@@ -77,7 +81,7 @@ from storagelab.filterlist import is_ad_url as fast_is_ad_url
 from storagelab.flows import FLOW_FIELDS, CookieFlowRecord, TraceFormatError
 from storagelab.frames import FrameRecord
 from storagelab.metrics import OptimizeInstance, OptimizeResult, Score, mean_defined
-from storagelab.policy import PolicyKind, origin_of, site_of
+from storagelab.policy import PolicyKind, site_of
 from storagelab.psl import PslParseError, SuffixRuleSet, is_ip_host
 from storagelab.record import Record
 from storagelab.simulator import ReplayError, SimOutput
@@ -270,6 +274,38 @@ def optimize_node_types(sample: Sequence[OptimizeInstance]) -> OptimizeResult:
     return OptimizeResult(subset, separation, base_mean, contrast_mean, evaluated)
 
 
+# A URL's scheme and authority (RFC 3986 §3), and the ports that RFC 6454
+# §4 reads for an absent one.
+_SCHEME_AUTHORITY = re.compile(r"([A-Za-z][A-Za-z0-9+.-]*)://([^/?#]*)")
+DEFAULT_PORTS = {"http": 80, "https": 443}
+
+
+def origin(url: str) -> str:
+    """The URL's origin serialized as RFC 6454 §6.2 says, from the text of
+    the URL, with no URL parser: the scheme in lower case, ``://``, the host
+    in lower case (an IPv6 literal with its brackets, RFC 3986 §3.2.2), and
+    ``:`` with the port in decimal only when it is not the scheme's default.
+    Userinfo is dropped and an empty port is the default (RFC 3986 §3.2.3).
+    ValueError for a URL with no host or a port that is not 0-65535."""
+    match = _SCHEME_AUTHORITY.match(url)
+    authority = match[2].rpartition("@")[2] if match else ""
+    if authority.startswith("["):
+        end = authority.find("]") + 1
+        host, port = authority[:end], authority[end:]
+    else:
+        host, colon, port = authority.partition(":")
+        port = colon + port
+    if host in ("", "[]"):
+        raise ValueError(f"URL has no host: {url!r}")
+    scheme, host, port = match[1].lower(), host.lower(), port.removeprefix(":")
+    if port:
+        if not (port.isascii() and port.isdigit() and int(port) <= 65535):
+            raise ValueError(f"bad port in {url!r}")
+        if int(port) != DEFAULT_PORTS.get(scheme):
+            return f"{scheme}://{host}:{int(port)}"
+    return f"{scheme}://{host}"
+
+
 # This oracle's partition keys, one record class per kind, so keys of two
 # kinds never compare equal. Replay's keys are tagged tuples.
 
@@ -316,7 +352,7 @@ def resolve_partition(
     subject_site = site_of(subject_url, rules)
     if subject_site == top_site:
         return FirstParty(top_site)
-    subject = origin_of(subject_url) if origin_keyed else subject_site
+    subject = origin(subject_url) if origin_keyed else subject_site
     if policy is PolicyKind.PERMISSIVE:
         return GlobalThirdParty(subject)
     if policy is PolicyKind.BLOCKING:

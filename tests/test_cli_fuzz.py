@@ -12,11 +12,13 @@ import json
 import shutil
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from storagelab import simulator
 from storagelab.cli import main
 
 PSL = "// rules\ncom\ntest\n*.wild.test\n!ex.wild.test\n"
@@ -114,6 +116,13 @@ def _json_or_none(line: bytes):
         return None
 
 
+def _long_attribute(draw) -> str:
+    """A Max-Age or Expires attribute whose digit run is too long for a float
+    (310) or for int() (4,301)."""
+    return (draw(st.sampled_from(["; Max-Age=", "; Expires="]))
+            + "9" * draw(st.sampled_from([310, 4301])))
+
+
 def _mutate(data: bytes, kind: str, draw) -> bytes:
     if kind == "empty":
         return b""
@@ -136,8 +145,7 @@ def _mutate(data: bytes, kind: str, draw) -> bytes:
         # float (310) or for int() (4,301), appended to a drawn string that
         # holds "=", as a Set-Cookie string or a query does, of a JSON line.
         # A file with none gets it at the end of a line.
-        attribute = (draw(st.sampled_from(["; Max-Age=", "; Expires="]))
-                     + "9" * draw(st.sampled_from([310, 4301])))
+        attribute = _long_attribute(draw)
         records = [_json_or_none(line) for line in lines]
         slots = [(j, container, key) for j, record in enumerate(records)
                  for container, key in _slots(record, str) if "=" in container[key]]
@@ -197,3 +205,37 @@ def test_mutated_input_never_exits_3(inputs, target, kind, data):
             assert code in (0, 1, 2), f"{target}/{kind}: {argv[:2]} exit {code}\n{err}"
             if kind == "non_utf8":  # an input error that names the file
                 assert code == 2 and str(path) in err, f"{target}: {argv[:2]}\n{err}"
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(policy=st.sampled_from(["permissive", "site-keyed", "page-length"]), data=st.data())
+def test_a_long_max_age_or_expires_from_a_trace_set_cookie_is_parsed(inputs, policy, data):
+    """The trace/``long_number`` pair alone, made to reach the parser: a
+    Set-Cookie string of the trace gets a 310- or 4,301-digit Max-Age or
+    Expires, and its request loses its ``when``, so that replay applies it
+    under a policy that gives every request a jar. ``simulate`` parses that
+    header and exits 0."""
+    lines = (inputs / "trace.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    slots = [(i, j) for i, record in enumerate(records)
+             for j in range(len(record.get("response_set_cookies", ())))]
+    i, j = data.draw(st.sampled_from(slots))
+    header = records[i]["response_set_cookies"][j] + _long_attribute(data.draw)
+    records[i]["response_set_cookies"][j] = header
+    records[i].pop("when", None)
+    lines[i] = json.dumps(records[i], sort_keys=True, separators=(",", ":"))
+    parsed = []
+    parse_set_cookie = simulator.parse_set_cookie
+
+    def spy(header, *args):
+        parsed.append(header)
+        return parse_set_cookie(header, *args)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = Path(tmp) / "trace.jsonl"
+        trace.write_text("\n".join(lines) + "\n")
+        with mock.patch.object(simulator, "parse_set_cookie", spy):
+            code, err = _run("simulate", "--policy", policy, "--trace", trace,
+                             "--out", Path(tmp) / "out")
+    assert code == 0, err
+    assert header in parsed

@@ -263,7 +263,8 @@ def test_frame_similarity_matches_enum_filter(sample, node_filter, data):
 PAGE_URLS = ["https://a.com/", "https://www.a.com/p", "https://b.co.uk/", "https://t.net/",
              "http://127.0.0.1/"]
 SUBJECT_URLS = ["https://t.net/w", "https://x.t.net/w/i", "http://t.net:8080/w", "https://a.com/f",
-                "https://cdn.a.com/f", "https://w.x.co.uk/", "https://ads.u.org/a"]
+                "https://cdn.a.com/f", "https://w.x.co.uk/", "https://ads.u.org/a",
+                "https://T.net:443/x"]
 HOSTLESS_URLS = ["not-a-url", "https:///path"]
 SET_COOKIES = ["uid=1", "uid=2; Max-Age=3", "sid=9; Domain=t.net", "p=w; Path=/w",
                "ps=1; Domain=co.uk", "gone=1; Max-Age=0"]
@@ -448,6 +449,41 @@ def test_flows_keep_to_their_policy_definitions(events):
                 assert origin.visit_seq == flow.visit_seq
             if policy is PolicyKind.SITE_KEYED:
                 assert site_of(origin.page_url, rules) == flow.top_site
+
+
+# RFC 6454 §6.2 serializations, written by hand: an IPv6 host keeps its
+# brackets, a host is lower case, and a port is written only when it is not
+# the scheme's default, whether the URL names the default or leaves it out.
+ORIGINS = [
+    ("https://[::1]:8080/a", "https://[::1]:8080"),
+    ("https://[::1:8080]/a", "https://[::1:8080]"),
+    ("https://[2001:DB8::1]:443/", "https://[2001:db8::1]"),
+    ("https://sub.t.net:8443/w", "https://sub.t.net:8443"),
+    ("https://t.net:443/w", "https://t.net"),
+    ("https://t.net/w", "https://t.net"),
+    ("https://t.net:/w", "https://t.net"),
+    ("https://t.net:0443/w", "https://t.net"),
+    ("https://t.net:80/w", "https://t.net:80"),
+    ("http://t.net:80/w", "http://t.net"),
+    ("http://t.net:443/w", "http://t.net:443"),
+    ("HTTP://Sub.T.NET:8080/W", "http://sub.t.net:8080"),
+    ("https://user:pw@t.net:8080/", "https://t.net:8080"),
+    ("http://127.0.0.1:8080/", "http://127.0.0.1:8080"),
+]
+
+
+@pytest.mark.parametrize("url, expected", ORIGINS)
+def test_both_origin_serializers_follow_rfc_6454(url, expected):
+    assert origin_of(url) == oracles.origin(url) == expected
+
+
+@pytest.mark.parametrize("url", ["https:///path", "not-a-url", "https://t.net:65536/",
+                                 "https://t.net:x/", "https://t.net:-1/"])
+def test_both_origin_serializers_refuse_a_url_without_an_origin(url):
+    with pytest.raises(ValueError):
+        origin_of(url)
+    with pytest.raises(ValueError):
+        oracles.origin(url)
 
 
 @pytest.mark.parametrize("policy", list(PolicyKind))

@@ -13,7 +13,7 @@ import re
 import pytest
 
 from oracles import Blocked, Ephemeral, FirstParty, GlobalThirdParty, SiteKeyedThirdParty
-from storagelab import filterlist, frames, metrics, trace
+from storagelab import filterlist, flows, metrics, trace
 from storagelab.filterlist import AdRuleSet, is_ad_url
 from storagelab.frames import FrameRecord, read_frames_jsonl, write_frames_jsonl
 from storagelab.record import Record
@@ -111,6 +111,21 @@ def test_canonical_is_encoded_once_per_edge(edge_strings_built):
     assert events[0].edge is events[2].edge
 
 
+def test_each_distinct_trace_line_is_decoded_once_in_one_pass(monkeypatch):
+    decoded, loaded = [], []
+    real = flows._decode
+    monkeypatch.setattr(flows, "_decode", lambda text: decoded.append(text) or real(text))
+    monkeypatch.setattr(trace, "_json_object", loaded.append)
+    events = [VisitStart("p", 1, "t", "https://a.com/", 1), FrameLoad("t", "f", "https://t.net/w"),
+              HttpRequest("t", "f", "https://t.net/s", ("u=1",), ("u", False)),
+              ScriptStorage("t", "f", "cookie", "get", "u"),
+              BehaviorEdge("t", "f", EDGE, ("u", True)), VisitEnd("t")] * 2
+    lines = trace.dump_trace(trace.Trace(None, events)).splitlines()
+    assert parse_trace(lines).events == events
+    assert decoded == lines[:6]
+    assert loaded == []  # no line needed the field-by-field path
+
+
 def test_repeated_edge_lines_encode_once(monkeypatch):
     decoded = []
     real_loads = json.loads
@@ -193,8 +208,8 @@ def _written_frames(tmp_path, edge_list_of):
 
 def test_each_distinct_edge_list_is_decoded_once_into_one_shared_set(monkeypatch, tmp_path):
     decoded = []
-    real = frames._decode
-    monkeypatch.setattr(frames, "_decode", lambda text: decoded.append(text) or real(text))
+    real = flows._decode
+    monkeypatch.setattr(flows, "_decode", lambda text: decoded.append(text) or real(text))
     records, lines = _written_frames(tmp_path, lambda page, profile: page % 4)
     read = read_frames_jsonl(lines)
     assert read == records

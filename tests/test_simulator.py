@@ -4,6 +4,7 @@ import io
 import json
 import re
 import weakref
+from urllib.parse import urlsplit
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ import support
 from storagelab.cli import InputError
 from storagelab.filterlist import parse_rules
 from storagelab.flows import FLOW_FIELDS, CookieFlowRecord, read_flows_csv
-from storagelab import simulator
+from storagelab import cookies, simulator
 from storagelab.policy import PolicyKind, site_of
 from storagelab.psl import BUILTIN_PSL, parse_psl
 from storagelab.frames import write_frames_jsonl
@@ -323,6 +324,37 @@ def test_replay_looks_each_url_up_once(policy, origin_keyed, rules, monkeypatch)
     replay(events, policy, rules, origin_keyed=origin_keyed)
     assert len(looked_up) == len(urls) < len(events)
     assert set(looked_up) == urls
+
+
+@pytest.mark.parametrize("policy", [PolicyKind.PERMISSIVE, PolicyKind.SITE_KEYED])
+def test_replay_splits_each_url_once_past_4096_urls(policy, rules, monkeypatch):
+    """``cookies.host_and_path`` splits each distinct URL once, however many
+    there are: here 4,200, each used again in a second crawl iteration after
+    all the others, as a trace of 1,000 sites uses its 13,210."""
+    events = []
+    for crawl_iter in range(2):
+        for i in range(1400):
+            events += [
+                VisitStart("p", crawl_iter, "t", f"https://site{i}.split.test/",
+                           2000 * crawl_iter + i),
+                FrameLoad("t", "f", f"https://tracker.test/w{i}"),
+                HttpRequest("t", "f", f"https://tracker.test/r?page={i}", ("uid=1",)),
+                VisitEnd("t"),
+            ]
+    urls = {e.page_url for e in events if type(e) is VisitStart} | {
+        e.frame_url for e in events if type(e) is FrameLoad} | {
+        e.dest_url for e in events if type(e) is HttpRequest}
+    split = []
+
+    def counted(url):
+        split.append(url)
+        return urlsplit(url)
+
+    cookies.host_and_path.cache_clear()
+    monkeypatch.setattr(cookies, "urlsplit", counted)
+    replay(events, policy, rules)
+    assert len(split) == len(urls) == 4200
+    assert set(split) == urls
 
 
 def test_replay_keeps_no_rule_set_alive():

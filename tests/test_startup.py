@@ -1,10 +1,16 @@
 """Each CLI call imports only the modules its command runs, and exactly the
-``storagelab`` modules README's "Start-up" table lists for it.
+``storagelab`` modules README's "Start-up and exit" table lists for it.
 
 Every subcommand runs in a fresh interpreter started without ``site`` (whose
 ``.pth`` hooks may import anything), which then lists the modules it loaded.
+``python -m storagelab.cli`` ends through ``cli.run``, which skips interpreter
+finalization: its output and exit codes are checked in child processes
+whose stdout is block-buffered.
 """
 
+import contextlib
+import io
+import os
 import re
 import subprocess
 import sys
@@ -13,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from storagelab.cli import main
+from storagelab.flows import FLOW_FIELDS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CHILD = f"""\
@@ -48,10 +55,10 @@ MODULES = {path.stem for path in (SRC / "storagelab").glob("*.py")} - {"__init__
 
 
 def readme_startup_imports() -> dict[str, set[str]]:
-    """The ``storagelab`` modules each command's row of README's "Start-up"
-    table names, by command."""
+    """The ``storagelab`` modules each command's row of README's "Start-up
+    and exit" table names, by command."""
     readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Start-up\n", 1)[1].split("\n## ", 1)[0]
+    section = readme.split("\n## Start-up and exit\n", 1)[1].split("\n## ", 1)[0]
     listed = {}
     for commands, imports in re.findall(r"^\| (`[^|]*`) \| (.*) \|$", section, re.MULTILINE):
         modules = set(re.findall(r"`([a-z]+)`", imports)) & MODULES
@@ -118,3 +125,97 @@ def test_an_internal_error_still_prints_its_traceback(monkeypatch, capsys):
     assert main(["metrics", "kappa", "--grades", "g.csv", "--out", "o"]) == 3
     err = capsys.readouterr().err
     assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+# ---------------------------------------------------------------------------
+# Exit: ``python -m storagelab.cli`` runs ``cli.run``, which flushes stdio and
+# ends the process without finalizing the interpreter.
+
+# An internal error: the lazily imported function a command calls raises, and
+# the module then runs as ``python -m`` runs it. The atexit handler shows
+# whether the interpreter was finalized.
+BROKEN_CHILD = """\
+import atexit, runpy, sys
+import storagelab.picf
+def broken(*args, **kwargs):
+    raise RuntimeError("boom")
+storagelab.picf.cross_site_scores = broken
+atexit.register(print, "interpreter finalized", file=sys.stderr)
+sys.argv[0] = "storagelab"
+runpy.run_module("storagelab.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def _child_env() -> dict[str, str]:
+    """The environment with ``src`` on the path and stdout block-buffered, as
+    it is for any CLI call whose output goes to a pipe or a file."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    path = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = str(SRC) + (os.pathsep + path if path else "")
+    return env
+
+
+def _cli(*argv, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "storagelab.cli", *map(str, argv)],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env=_child_env(), timeout=120)
+
+
+def test_the_console_script_ends_through_run():
+    pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert '\nstoragelab = "storagelab.cli:run"\n' in pyproject.split("[project.scripts]")[1]
+
+
+def test_help_is_printed_whole_and_exits_0():
+    expected = io.StringIO()
+    with contextlib.redirect_stdout(expected):
+        assert main(["--help"]) == 0
+    proc = _cli("--help")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected.getvalue(), "")
+
+
+def test_a_usage_error_exits_1():
+    proc = _cli("simulate", "--policy", "permissive")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("usage: storagelab simulate")
+    assert proc.stderr.endswith("error: the following arguments are required: --trace, --out\n")
+
+
+def test_a_missing_input_exits_2_naming_it(tmp_path):
+    missing = tmp_path / "grades.csv"
+    proc = _cli("metrics", "kappa", "--grades", missing, "--out", tmp_path / "out")
+    assert proc.returncode == 2
+    assert proc.stderr == f"storagelab: input file not found: {missing}\n"
+
+
+def test_an_internal_error_exits_3_with_its_traceback_and_no_finalization(tmp_path):
+    flows = tmp_path / "flows.csv"
+    flows.write_text(",".join(FLOW_FIELDS) + "\n")
+    proc = subprocess.run([sys.executable, "-c", BROKEN_CHILD, "metrics", "cross-site",
+                           "--flows", str(flows), "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("Traceback (most recent call last):\n")
+    assert proc.stderr.endswith("RuntimeError: boom\n")
+    assert "interpreter finalized" not in proc.stderr
+
+
+def test_candidates_prints_its_note(inputs, tmp_path):
+    proc = _cli("metrics", "candidates", "--sim", inputs / "permissive",
+                "--psl", inputs / "psl.dat", "--top", 1000, "--out", tmp_path / "out")
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(r"note: only \d+ distinct-site candidates available "
+                        r"\(requested 1000\)\n", proc.stderr)
+    assert (tmp_path / "out" / "manifest.json").is_file()
+
+
+def test_help_into_a_closed_pipe_exits_120_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _cli("--help", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 120
+    assert "BrokenPipeError" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,10 +1,13 @@
+import copy
 import json
 import re
 import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from storagelab.flows import TraceFormatError
+from storagelab.flows import TraceFormatError, _json_object
 from storagelab.trace import (
     ALL_NODE_TYPES,
     BehaviorEdge,
@@ -12,15 +15,21 @@ from storagelab.trace import (
     HttpRequest,
     NodeType,
     OPTIMAL_NODE_TYPES,
+    STORAGE_APIS,
     STORAGE_NODE_TYPES,
+    STORAGE_OPS,
     ScriptStorage,
     Trace,
     TraceMeta,
     VisitEnd,
     VisitStart,
     _edge_string,
+    _fast_event,
+    _json_line,
+    _record_to_event,
     dump_trace,
     edge_endpoint_types,
+    event_to_record,
     parse_trace,
     write_trace,
 )
@@ -219,3 +228,100 @@ class TestParseErrors:
     def test_blank_lines_skipped(self):
         trace = parse_trace(["", '{"type":"visit_end","tab":"t"}', ""])
         assert trace.events == [VisitEnd("t")]
+
+
+# ---------------------------------------------------------------------------
+# The one-pass path of parse_trace against the field-by-field path: on any
+# line, it declines or builds the same event.
+
+TEXT = st.text(max_size=3)
+NODE_TYPE_VALUES = st.sampled_from([t.value for t in NodeType])
+CONDITIONS = st.none() | st.tuples(TEXT, st.booleans())
+EVENTS = st.one_of(
+    st.builds(VisitStart, TEXT, st.integers(), TEXT, TEXT, st.integers()),
+    st.builds(FrameLoad, TEXT, TEXT, TEXT, st.none() | st.booleans()),
+    st.builds(HttpRequest, TEXT, TEXT, TEXT, st.lists(TEXT, max_size=2).map(tuple), CONDITIONS),
+    st.builds(ScriptStorage, TEXT, TEXT, st.sampled_from(STORAGE_APIS),
+              st.sampled_from(STORAGE_OPS), TEXT, st.none() | TEXT),
+    st.builds(lambda tab, frame_id, fields, when: BehaviorEdge(
+        tab, frame_id, _edge_string(*fields), when), TEXT, TEXT,
+        st.tuples(NODE_TYPE_VALUES, TEXT, TEXT, NODE_TYPE_VALUES, TEXT), CONDITIONS),
+    st.builds(VisitEnd, TEXT),
+)
+# Strings a field may need to hold, and values that a field of another type
+# might take.
+VOCABULARY = ["meta", "visit_end", *STORAGE_APIS, *STORAGE_OPS, *(t.value for t in NodeType)]
+VALUES = st.sampled_from([
+    None, True, False, 0, 1, -1, 1.5, 2 ** 64, "", "x", [], ["x"], [1], {}, {"a": 1},
+    {"cookie": "u", "present": True}, {"cookie": "u", "present": 1}, *VOCABULARY,
+]).map(copy.deepcopy)  # a later step may add to a drawn list or object
+DELETE = object()
+SUFFIXES = ["", " ", "\t", "x", "}", "]", ",{}", " 1", "{}", "\n", "\\"]
+
+
+def _slots(value) -> list[tuple]:
+    """(container, key) of every value nested in a JSON ``value``."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    return [slot for key, inner in items for slot in [(value, key), *_slots(inner)]]
+
+
+def _field_by_field(line: str):
+    """The event ``_record_to_event`` builds from a line, or None when the
+    line is no event record or it names an error."""
+    try:
+        return _record_to_event(_json_object(line))
+    except ValueError:
+        return None
+
+
+def _assert_declined_or_equal(line: str) -> None:
+    fast = _fast_event(line)
+    if fast is not None:
+        expected = _field_by_field(line)
+        assert type(fast) is type(expected) and fast == expected, line
+
+
+def test_one_pass_parse_of_each_single_field_change():
+    """Every field of every event of the sample trace (and of a frame load
+    with its ad flag) deleted, or given a value of each JSON type."""
+    events = [*sample_trace().events, FrameLoad("tab0", "f1", "https://t.net/w", True)]
+    for event in events:
+        line = _json_line(event_to_record(event)).strip()
+        assert _fast_event(line) == event
+        for path_index in range(len(_slots(json.loads(line)))):
+            for value in [DELETE, None, True, 0, 1.5, "x", [], {}, *VOCABULARY]:
+                record = json.loads(line)
+                container, key = _slots(record)[path_index]
+                if value is DELETE:
+                    del container[key]
+                else:
+                    container[key] = value
+                _assert_declined_or_equal(json.dumps(record))
+
+
+@given(event=EVENTS, data=st.data())
+def test_one_pass_parse_declines_or_builds_the_field_by_field_event(event, data):
+    record = event_to_record(event)
+    line = _json_line(record).strip()
+    assert _fast_event(line) == event  # the writer's lines take the one-pass path
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = _slots(record)
+        kind = data.draw(st.sampled_from(["delete", "replace", "add"] if slots else ["add"]))
+        if kind == "add":
+            containers = [record] + [c[k] for c, k in slots if isinstance(c[k], (dict, list))]
+            container = data.draw(st.sampled_from(containers))
+            value = data.draw(VALUES)
+            if isinstance(container, dict):
+                container[data.draw(st.sampled_from(["type", "tab", "when", "edge", "z"]))] = value
+            else:
+                container.append(value)
+        else:
+            container, key = data.draw(st.sampled_from(slots))
+            if kind == "delete":
+                del container[key]
+            else:
+                container[key] = data.draw(VALUES)
+    separators = data.draw(st.sampled_from([(",", ":"), (", ", ": ")]))
+    mutated = json.dumps(record, separators=separators) + data.draw(st.sampled_from(SUFFIXES))
+    _assert_declined_or_equal(mutated)
