@@ -58,16 +58,42 @@ _INTEGER = re.compile(r"-?[0-9]+").fullmatch
 # One JSON value at the start of a text and where it ends; unlike json.loads,
 # it makes no per-call checks or whitespace matches of its own.
 _decode = json.JSONDecoder().raw_decode
+_SURROGATE = re.compile("[\ud800-\udfff]").search
+
+
+def _no_surrogate(value, text: str):
+    """``value``, decoded from the JSON ``text``; a TraceFormatError if a
+    string in it, key or value, holds a surrogate code point, which only a
+    ``\\u`` escape gives and no UTF-8 output can hold. A text with no
+    ``\\ud`` or ``\\uD`` in it is not walked."""
+    if "\\ud" not in text and "\\uD" not in text:
+        return value
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            if _SURROGATE(item):
+                raise TraceFormatError(f"lone surrogate in string {item!r}")
+        elif type(item) is dict:
+            stack += item
+            stack += item.values()
+        elif type(item) is list:
+            stack += item
+    return value
 
 
 def _whole(text: str):
     """The JSON value that is all of ``text`` but a final newline; ValueError
-    otherwise. The one-pass readers decode with it, and send any text it
-    refuses to the field-by-field checks that name the error."""
-    value, end = _decode(text)
+    otherwise, or for a string holding a surrogate. The one-pass readers
+    decode with it, and send any text it refuses to the field-by-field checks
+    that name the error."""
+    try:
+        value, end = _decode(text)
+    except RecursionError:  # json's scanner, on a value nested too deeply
+        raise ValueError("nested too deeply") from None
     if text[end:] not in ("", "\n"):
         raise ValueError("text after the value")
-    return value
+    return _no_surrogate(value, text)
 
 
 def _json_object(line: str) -> dict:
@@ -75,6 +101,8 @@ def _json_object(line: str) -> dict:
         record = json.loads(line)
     except ValueError as exc:  # bad JSON, or an integer past int()'s digit limit
         raise TraceFormatError(f"invalid JSON ({getattr(exc, 'msg', exc)})") from None
+    except RecursionError:  # json's scanner, on a value nested too deeply
+        raise TraceFormatError("invalid JSON (nested too deeply)") from None
     if not isinstance(record, dict):
         raise TraceFormatError("record must be a JSON object")
     return record

@@ -19,7 +19,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
-from storagelab.flows import TraceFormatError, _json_object, _require, _whole
+from storagelab.flows import TraceFormatError, _json_object, _no_surrogate, _require, _whole
 from storagelab.trace import _EDGE_MASKS, _Memo
 
 
@@ -65,7 +65,7 @@ def write_frames_jsonl(frames: dict[FrameKey, FrameRecord], path: str | Path) ->
 
 
 def _frame_entry(line: str) -> tuple[FrameKey, FrameRecord]:
-    record = _json_object(line)
+    record = _no_surrogate(_json_object(line), line)
     page_url, frame_url, profile, party = _require(
         record, "page_url", "frame_url", "profile", "party")
     (crawl_iter,) = _require(record, "crawl_iter", of=int)

@@ -6,8 +6,12 @@ grading arithmetic (agreement, Cohen's kappa, breakage table). The privacy
 metrics are in ``storagelab.picf``.
 
 An edge is its canonical string. Similarity scores are exact rationals;
-everything here is a pure function of its inputs. A candidate's site comes
-with its ``FrameStat``, so no replay, partition or PSL code is imported.
+everything here is a pure function of its inputs, but for the CLI commands
+at the end (``metrics similarity``, ``optimize``, ``candidates`` and
+``kappa``), which read simulate outputs and grades and write the results.
+A candidate's site comes with its ``FrameStat``, so no replay, partition or
+PSL code is imported; only the ``candidates`` command loads the PSL and
+``policy.site_of``.
 
 Work is done once per distinct edge set, not per frame: ``frame_similarity``
 scores each distinct pair of edge-set objects once (the frames reader gives
@@ -18,13 +22,20 @@ its exact scores by its count.
 
 from __future__ import annotations
 
+import csv
+import sys
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from storagelab.frames import FrameKey, FrameRecord
-from storagelab.trace import _EDGE_MASKS, _TYPE_BIT, NodeType
+from storagelab.artifacts import (InputError, _at_least, _fnum, _frac, _load_suffix_rules,
+                                  _out_dir, _parse_input, _write_json, _write_manifest)
+from storagelab.flows import (_INTEGER, TraceFormatError, _csv_record, _json_object, _require,
+                              read_flows_csv, write_csv)
+from storagelab.frames import FrameKey, FrameRecord, read_frames_jsonl
+from storagelab.trace import _EDGE_MASKS, _TYPE_BIT, OPTIMAL_NODE_TYPES, NodeType
 
 Score = Fraction | None  # None = undefined (both compared sets empty)
 
@@ -419,3 +430,228 @@ def grade_stats(grades: Mapping[tuple[str, str], tuple[int, int]]) -> GradeStats
         broken = sum(1 for a, b in cells if max(a, b) > 1)
         breakage[profile] = ProfileBreakage(broken, len(cells), Fraction(broken, len(cells)))
     return GradeStats(agreement=p_o, kappa=kappa, breakage=breakage)
+
+
+# ---------------------------------------------------------------------------
+# CLI commands
+
+
+def _load_sim_dir(path_str: str, with_flows: bool = False):
+    """The frames of the simulate output in a directory, its flows (None
+    unless ``with_flows``: only then is ``flows.csv`` read), its manifest,
+    and the manifest entries (path and sha256) of the files read, by file
+    name. A manifest that is not a simulate run's, or names no trace by its
+    sha256, is an input error naming the directory."""
+    sim_dir = Path(path_str)
+    manifest_path = sim_dir / "manifest.json"
+    if not manifest_path.is_file():
+        raise InputError(f"not a simulation output directory (no manifest): {sim_dir}")
+    # Its strings are not checked for surrogates: none reaches an output, and a
+    # path from a file name that is not UTF-8 holds one.
+    manifest, entry = _parse_input(manifest_path, lambda fh: _json_object(fh.read()), None)
+    entries = {"manifest.json": entry}
+    if manifest.get("command") != "simulate":
+        raise InputError(f"{sim_dir}: manifest is not from a simulate run")
+    if type(manifest.get("trace_sha256")) is not str:
+        raise InputError(f"{sim_dir}: manifest names no trace_sha256")
+    flows = None
+    if with_flows:
+        flows, entries["flows.csv"] = _parse_input(sim_dir / "flows.csv", read_flows_csv, "")
+    frames, entries["frames.jsonl"] = _parse_input(sim_dir / "frames.jsonl", read_frames_jsonl,
+                                                   None)
+    return frames, flows, manifest, entries
+
+
+def _psl_named(entry) -> str | None:
+    """The PSL a manifest's ``psl`` input entry names: "builtin", or its
+    file's sha256; None when it names none."""
+    if not isinstance(entry, dict):
+        return None
+    if entry.get("builtin") is True:
+        return "builtin"
+    sha256 = entry.get("sha256")
+    return sha256 if type(sha256) is str else None
+
+
+def _require_same_trace(a: dict, b: dict, what: str) -> None:
+    """An input error unless two simulate manifests name one trace by content."""
+    if a.get("trace_sha256") != b.get("trace_sha256"):
+        raise InputError(f"{what}: outputs come from different traces")
+
+
+def _parse_node_filter(value: str) -> frozenset:
+    if value == "all":
+        return frozenset(NodeType)
+    if value == "optimal":
+        return OPTIMAL_NODE_TYPES
+    names = [name.strip() for name in value.split(",") if name.strip()]
+    if not names:
+        raise InputError(f"--node-filter names no node type: {value!r}")
+    try:
+        return frozenset(NodeType(name) for name in names)
+    except ValueError as exc:
+        raise InputError(f"unknown node type in --node-filter: {exc}") from None
+
+
+def cmd_metrics_similarity(args) -> int:
+    node_filter = _parse_node_filter(args.node_filter)
+    permissive, _, perm_manifest, perm_entries = _load_sim_dir(args.permissive)
+    compared, _, comp_manifest, comp_entries = _load_sim_dir(args.compared)
+    _require_same_trace(perm_manifest, comp_manifest, "similarity")
+
+    baseline = frame_similarity(permissive, permissive, node_filter,
+                                args.anchor_profile, args.baseline_profile)
+    scores = frame_similarity(permissive, compared, node_filter,
+                              args.anchor_profile, args.compared_profile)
+    aligned, baseline_defined, dropped = align_curve_inputs(baseline, scores)
+    curve = similarity_curve(aligned, baseline_defined)
+
+    out = _out_dir(args.out)
+    write_csv(out / "similarity_scores.csv", [
+        ("page_url", "frame_url", "crawl_iter", "score", "score_exact"),
+        *((s.page_url, s.frame_url, s.crawl_iter,
+           "" if s.score is None else _fnum(s.score),
+           "undefined" if s.score is None else _frac(s.score)) for s in scores),
+    ])
+    write_csv(out / "similarity_curve.csv", [
+        ("rank", "cumulative", "cumulative_exact"),
+        *((rank, _fnum(value), _frac(value)) for rank, value in curve),
+    ])
+    mean = mean_defined([s.score for s in scores])
+    _write_json(out / "similarity_report.json", {
+        "instances": len(aligned),
+        "baseline_defined": baseline_defined,
+        "dropped_undefined_in_both": dropped,
+        "undefined_scored_zero": sum(1 for s in aligned if s is None),
+        "mean_defined": _frac(mean),
+        "mean_defined_float": None if mean is None else float(mean),
+        "final_point": float(curve[-1][1]) if curve else None,
+        "node_filter": sorted(t.value for t in node_filter),
+    })
+    _write_manifest(out, args,
+                    inputs={"permissive_manifest": perm_entries,
+                            "compared_manifest": comp_entries},
+                    outputs=["similarity_scores.csv", "similarity_curve.csv",
+                             "similarity_report.json"])
+    return 0
+
+
+def cmd_metrics_optimize(args) -> int:
+    import random
+    _at_least(0, sample_size=args.sample_size)
+    permissive, _, perm_manifest, perm_entries = _load_sim_dir(args.permissive)
+    contrast, _, contrast_manifest, contrast_entries = _load_sim_dir(args.contrast)
+    _require_same_trace(perm_manifest, contrast_manifest, "optimize")
+    profiles = [p.strip() for p in args.baseline_profiles.split(",")]
+    if len(profiles) != 2:
+        raise InputError("--baseline-profiles must name two profiles, comma-separated")
+    sample = build_optimize_sample(permissive, contrast, (profiles[0], profiles[1]),
+                                   args.contrast_profile)
+    if not sample:
+        raise InputError("no comparable third-party frame instances between outputs")
+    if args.sample_size and len(sample) > args.sample_size:
+        rng = random.Random(args.seed)
+        sample = rng.sample(sample, args.sample_size)
+    result = optimize_node_types(sample)
+    out = _out_dir(args.out)
+    _write_json(out / "optimize_report.json", {
+        "best_subset": sorted(t.value for t in result.best_subset),
+        "separation": _frac(result.separation),
+        "separation_float": float(result.separation),
+        "baseline_mean": _frac(result.baseline_mean),
+        "contrast_mean": _frac(result.contrast_mean),
+        "subsets_evaluated": result.subsets_evaluated,
+        "sample_size": len(sample),
+    })
+    _write_manifest(out, args,
+                    inputs={"permissive_manifest": perm_entries,
+                            "contrast_manifest": contrast_entries},
+                    outputs=["optimize_report.json"])
+    return 0
+
+
+def cmd_metrics_candidates(args) -> int:
+    from storagelab.policy import site_of
+    _at_least(1, top=args.top)
+    rules, psl_entry = _load_suffix_rules(args.psl)
+    frames, flows, manifest, sim_entries = _load_sim_dir(args.sim, with_flows=True)
+    # A frame's site must come from the rules that gave the flows' third_party_site.
+    inputs = manifest.get("inputs")
+    sim_psl = _psl_named(inputs.get("psl") if isinstance(inputs, dict) else None)
+    if sim_psl is None:
+        raise InputError(f"{args.sim}: manifest names no PSL")
+    if sim_psl != _psl_named(psl_entry):
+        raise InputError(f"{args.sim}: its simulate run used another PSL than --psl "
+                         "(built in when omitted)")
+    pages_by_frame: dict[str, set[str]] = {}
+    for (page_url, frame_url, _profile, _iter), record in frames.items():
+        if record.party != "third" or record.is_ad:
+            continue
+        pages_by_frame.setdefault(frame_url, set()).add(page_url)
+    cookies_by_site: dict[str, set[tuple[str, str]]] = {}
+    for flow in flows:
+        cookies_by_site.setdefault(flow.third_party_site, set()).add(
+            (flow.cookie_name, flow.cookie_value))
+    sites = {frame_url: site_of(frame_url, rules) for frame_url in pages_by_frame}
+    stats = [FrameStat(frame_url, sites[frame_url], len(pages_by_frame[frame_url]),
+                       len(cookies_by_site.get(sites[frame_url], ())))
+             for frame_url in sorted(pages_by_frame)]
+    selection = select_candidates(stats, args.top)
+    out = _out_dir(args.out)
+    write_csv(out / "candidates.csv", [
+        ("rank", "frame_url", "site", "n_embedding_pages", "n_cookies", "score"),
+        *((rank, c.frame_url, c.site, c.n_embedding_pages, c.n_cookies, _fnum(c.score))
+          for rank, c in enumerate(selection.candidates, start=1)),
+    ])
+    if selection.short:
+        print(f"note: only {len(selection.candidates)} distinct-site candidates "
+              f"available (requested {args.top})", file=sys.stderr)
+    _write_manifest(out, args,
+                    inputs={"psl": psl_entry, "sim_manifest": sim_entries},
+                    outputs=["candidates.csv"],
+                    extra={"short": selection.short})
+    return 0
+
+
+def _read_grades_csv(lines) -> dict[tuple[str, str], tuple[int, int]]:
+    grades: dict[tuple[str, str], tuple[int, int]] = {}
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    required = {"url", "profile", "grader_a", "grader_b"}
+    if header is None or not required.issubset(header):
+        raise TraceFormatError(f"grades CSV needs columns {sorted(required)}")
+    for row in reader:
+        if not row:
+            continue
+        try:
+            url, profile, grade_a, grade_b = _require(
+                _csv_record(header, row), "url", "profile", "grader_a", "grader_b")
+            cell = (url, profile)
+            if cell in grades:
+                raise TraceFormatError(f"duplicate cell {cell!r}")
+            if not (_INTEGER(grade_a) and _INTEGER(grade_b)):
+                raise TraceFormatError(f"non-integer grade in {cell!r}")
+            grades[cell] = (int(grade_a), int(grade_b))
+        except ValueError as exc:  # also an integer past int()'s digit limit
+            raise TraceFormatError(f"line {reader.line_num}: {exc}") from None
+    return grades
+
+
+def cmd_metrics_kappa(args) -> int:
+    grades, entry = _parse_input(args.grades, _read_grades_csv, "")
+    stats = grade_stats(grades)
+    out = _out_dir(args.out)
+    _write_json(out / "grading_report.json", {
+        "agreement_pct": float(stats.agreement * 100),
+        "agreement_exact": _frac(stats.agreement),
+        "cohens_kappa": float(stats.kappa),
+        "kappa_exact": _frac(stats.kappa),
+        "breakage": {
+            profile: {"broken": row.broken, "n": row.n, "pct": float(row.pct * 100)}
+            for profile, row in sorted(stats.breakage.items())
+        },
+    })
+    _write_manifest(out, args,
+                    inputs={"grades": entry},
+                    outputs=["grading_report.json"])
+    return 0

@@ -2,15 +2,19 @@
 (PICFs) and the cross-site / cross-time trackability scores they support,
 visualized as cumulative-sum curves.
 
-Everything here is a pure function of its inputs.
+Everything here is a pure function of its inputs, but for the ``metrics
+picf``, ``cross-site`` and ``cross-time`` commands at the end, which read
+the ``--flows`` files and write the results.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import partial
 from typing import Iterable, Mapping, NamedTuple
 
-from storagelab.flows import CookieFlowRecord
+from storagelab.artifacts import _at_least, _out_dir, _parse_input, _write_manifest
+from storagelab.flows import CookieFlowRecord, read_flows_csv, write_csv
 
 
 class PICF(NamedTuple):
@@ -107,3 +111,51 @@ def curve_rows(scores: Mapping[str, int]) -> list[tuple[int, str, int, int]]:
         total += score
         rows.append((rank, key, score, total))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# CLI commands
+
+
+def _read_all_flows(paths: list[str]):
+    entries = {}
+    flows = []
+    for i, path in enumerate(paths):
+        file_flows, entries[f"flows_{i}"] = _parse_input(path, read_flows_csv, "")
+        flows.extend(file_flows)
+    return flows, entries
+
+
+def cmd_metrics_picf(args) -> int:
+    _at_least(1, threshold=args.threshold)
+    flows, entries = _read_all_flows(args.flows)
+    picfs = extract_picfs(flows, args.threshold)
+    out = _out_dir(args.out)
+    write_csv(out / "picfs.csv", [
+        ("third_party_site", "cookie_name", "cookie_value", "owning_profile"),
+        *sorted((p.third_party_site, p.cookie_name, p.cookie_value, p.owning_profile)
+                for p in picfs),
+    ])
+    _write_manifest(out, args, inputs=entries, outputs=["picfs.csv"])
+    return 0
+
+
+def _curve_command(args, name: str, key_name: str, scores_of) -> int:
+    """Write the curve of ``scores_of(picfs, flows)`` over the ``--flows`` files."""
+    _at_least(1, threshold=args.threshold)
+    flows, entries = _read_all_flows(args.flows)
+    scores = scores_of(extract_picfs(flows, args.threshold), flows)
+    out = _out_dir(args.out)
+    write_csv(out / name, [("rank", key_name, "score", "cumulative"), *curve_rows(scores)])
+    _write_manifest(out, args, inputs=entries, outputs=[name],
+                    extra={"total": sum(scores.values())})
+    return 0
+
+
+def cmd_metrics_cross_site(args) -> int:
+    return _curve_command(args, "cross_site_curve.csv", "third_party_site", cross_site_scores)
+
+
+def cmd_metrics_cross_time(args) -> int:
+    return _curve_command(args, "cross_time_curve.csv", "top_site", partial(
+        cross_time_scores, across_iterations_only=args.across_iterations_only))

@@ -27,7 +27,8 @@ condition fails is not recorded, and a request whose condition fails still
 sends its cookies but sets none.
 
 Virtual time advances one tick per event; cookie expiries are interpreted
-against it.
+against it. The ``simulate`` command, at the end, reads a trace and writes
+the replay's ``flows.csv`` and ``frames.jsonl``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from collections import defaultdict
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
+from storagelab.artifacts import (_load_ad_rules, _load_suffix_rules, _out_dir, _parse_input,
+                                  _write_manifest)
 from storagelab.cookies import (
     Jar,
     add_cookie,
@@ -45,7 +48,7 @@ from storagelab.cookies import (
 )
 from storagelab.filterlist import AdRuleSet, EMPTY_RULES, is_ad_url
 from storagelab.flows import FLOW_FIELDS, CookieFlowRecord, write_csv
-from storagelab.frames import FrameKey, FrameRecord
+from storagelab.frames import FrameKey, FrameRecord, write_frames_jsonl
 from storagelab.policy import (
     PolicyKind,
     origin_of,
@@ -65,6 +68,7 @@ from storagelab.trace import (
     VisitEnd,
     VisitStart,
     _Memo,
+    parse_trace,
 )
 
 
@@ -211,3 +215,29 @@ def replay(
 
 def write_flows_csv(flows: Iterable[CookieFlowRecord], path: str | Path) -> None:
     write_csv(path, [FLOW_FIELDS, *flows])
+
+
+# ---------------------------------------------------------------------------
+# CLI command
+
+
+def cmd_simulate(args) -> int:
+    rules, psl_entry = _load_suffix_rules(args.psl)
+    ads, filters_entry = _load_ad_rules(args.filters)
+    trace, trace_entry = _parse_input(args.trace, parse_trace, None)
+    output = replay(trace.events, PolicyKind(args.policy), rules, ads,
+                    origin_keyed=args.origin_keyed)
+    out = _out_dir(args.out)
+    write_flows_csv(output.flows, out / "flows.csv")
+    write_frames_jsonl(output.frames, out / "frames.jsonl")
+    inputs = {"trace": trace_entry, "psl": psl_entry}
+    if filters_entry:
+        inputs["filters"] = filters_entry
+    _write_manifest(
+        out, args, inputs=inputs, outputs=["flows.csv", "frames.jsonl"],
+        extra={
+            "trace_scenario": trace.meta.scenario if trace.meta else None,
+            "trace_sha256": trace_entry["sha256"],
+        },
+    )
+    return 0

@@ -29,7 +29,7 @@ and per tracker, and one record per distinct event, appended again each time
 the event repeats. Only a visit's start and its sync requests, each with the
 visit's own ID, are new on each visit. So equal events in a generated trace
 are one object, as in a parsed one, and the writer finds a repeat's line by
-identity.
+identity. The ``gen-trace`` command, at the end, writes a scenario's trace.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import hashlib
 import json
 from typing import NamedTuple
 
+from storagelab.artifacts import InputError, _at_least, _out_dir, _write_manifest
 from storagelab.policy import site_of
 from storagelab.psl import builtin_rules
 from storagelab.trace import (
@@ -52,6 +53,7 @@ from storagelab.trace import (
     VisitStart,
     _edge_string,
     _Memo,
+    write_trace,
 )
 
 
@@ -241,3 +243,25 @@ def generate_synthetic_trace(spec: SyntheticSpec) -> Trace:
                 events.append(visit_end)
 
     return Trace(TraceMeta(scenario_id(spec), _scenario_fields(spec)), events)
+
+
+# ---------------------------------------------------------------------------
+# CLI command
+
+
+def cmd_gen_trace(args) -> int:
+    _at_least(1, sites=args.sites, profiles=args.profiles, pages=args.pages, iters=args.iters)
+    _at_least(0, trackers=args.trackers)
+    if not 0 <= args.tracker_prob <= 1:
+        raise InputError("--tracker-prob must be in [0, 1]")
+    trackers = tuple(
+        TrackerSpec(site, args.tracker_prob) for site in default_tracker_sites(args.trackers)
+    )
+    trace = generate_synthetic_trace(SyntheticSpec(
+        n_sites=args.sites, trackers=trackers, pages_per_site=args.pages,
+        crawl_iters=args.iters, profiles=args.profiles, seed=args.seed))
+    out = _out_dir(args.out)
+    write_trace(trace, out / "trace.jsonl")
+    _write_manifest(out, args, inputs={}, outputs=["trace.jsonl"],
+                    extra={"trace_scenario": trace.meta.scenario})
+    return 0

@@ -30,7 +30,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Union
 
-from storagelab.flows import TraceFormatError, _json_object, _require, _whole
+from storagelab.flows import TraceFormatError, _json_object, _no_surrogate, _require, _whole
 from storagelab.record import Record
 
 
@@ -91,7 +91,8 @@ def edge_endpoint_types(encoded: str) -> tuple[NodeType, NodeType]:
                 and all(type(field) is str for field in fields)
                 and _edge_string(*fields) == encoded):
             return NodeType(fields[0]), NodeType(fields[3])
-    except (ValueError, TypeError):  # not JSON text, not text, or an unknown node type
+    # Not JSON text (RecursionError: nested too deeply), not text, or an unknown node type.
+    except (ValueError, TypeError, RecursionError):
         pass
     raise ValueError(f"not a canonical edge: {encoded!r}")
 
@@ -356,7 +357,7 @@ def parse_trace(lines: Iterable[str]) -> Trace:
             event = _fast_event(line)
             if event is None:
                 try:
-                    record = _json_object(line)
+                    record = _no_surrogate(_json_object(line), line)
                     if record.get("type") == "meta":
                         if line_no != 1:
                             raise TraceFormatError("meta record only allowed first")

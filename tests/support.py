@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from storagelab.cli import _parse_input
+from storagelab.artifacts import _parse_input
 from storagelab.flows import read_flows_csv
 from storagelab.metrics import OptimizeInstance, jaccard
 from storagelab.policy import PolicyKind

@@ -1,9 +1,11 @@
 import argparse
 import builtins
+import contextlib
 import csv
 import hashlib
 import io
 import json
+import os
 import re
 import shutil
 from collections import Counter
@@ -78,6 +80,27 @@ class TestGenAndSimulate:
         assert run("simulate", "--policy", "permissive", "--trace", bad,
                    "--out", tmp_path / "o") == 2
         assert capsys.readouterr().err == f"storagelab: {bad}: line 3: missing field 'tab'\n"
+
+    @pytest.mark.parametrize("line, error", [
+        ("[" * 100_000, "invalid JSON (nested too deeply)"),
+        ('{"type":"http_request","tab":"t","frame_id":"f","dest_url":"https://a.com/",'
+         '"response_set_cookies":["uid=\\udc80abc"]}',
+         "lone surrogate in string 'uid=\\udc80abc'"),
+    ])
+    def test_unwritable_trace_line_is_input_error_naming_it(self, tmp_path, capsys, line,
+                                                            error):
+        """A line nested too deeply for json's scanner, or holding a string
+        that no UTF-8 output can hold, fails the parse, naming its line, and
+        the call writes nothing."""
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"type":"visit_start","profile":"p","crawl_iter":1,"tab":"t",'
+                       '"page_url":"https://a.com/","visit_seq":1}\n'
+                       '{"type":"frame_load","tab":"t","frame_id":"f","frame_url":"https://a.com/"}\n'
+                       f'{line}\n{{"type":"visit_end","tab":"t"}}\n')
+        assert run("simulate", "--policy", "permissive", "--trace", bad,
+                   "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"storagelab: {bad}: line 3: {error}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_non_ascii_digit_in_expires_is_no_date(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
@@ -456,6 +479,7 @@ class TestMetricsCommands:
         ("[]", "record must be a JSON object"),
         ('"simulate"', "record must be a JSON object"),
         ('{"command": "simulate"', "invalid JSON"),
+        ("[" * 100_000, "invalid JSON (nested too deeply)"),
     ])
     def test_bad_manifest_is_input_error_naming_the_file(
             self, pipeline, tmp_path, capsys, command, content, message):
@@ -468,6 +492,17 @@ class TestMetricsCommands:
                  "optimize": ["--permissive", sim, "--contrast", dirs["blocking"]]}[command]
         assert run("metrics", command, *flags, "--out", tmp_path / "o") == 2
         assert f"{sim / 'manifest.json'}: {message}" in capsys.readouterr().err
+
+    def test_a_manifest_path_from_a_non_utf8_name_still_reads(self, tmp_path):
+        """A file name that is not UTF-8 gives a path holding a lone
+        surrogate, which a manifest writes as its \\u escape. No manifest
+        string reaches an output, so the metrics read it."""
+        base = tmp_path / os.fsdecode(b"d\xff")
+        sim = gen_and_simulate(base, "permissive")[1]
+        assert "\\udcff" in (sim / "manifest.json").read_text()
+        assert run("metrics", "similarity", "--permissive", sim, "--compared", sim,
+                   "--out", tmp_path / "s") == 0
+        assert run("metrics", "candidates", "--sim", sim, "--out", tmp_path / "c") == 0
 
     def test_short_flow_row_is_input_error_naming_file_and_line(
             self, pipeline, tmp_path, capsys):
@@ -754,6 +789,58 @@ def test_readme_cli_table_lists_each_commands_options():
     for command, flags in listed.items():
         assert flags == {flag for a in subparser_options(command)
                          for flag in a.option_strings}, command
+
+
+# Each command with its required flags, the files named left unread: a call
+# that adds an unknown flag fails as it parses.
+REQUIRED_FLAGS = {
+    "gen-trace": ["--sites", "2"],
+    "simulate": ["--policy", "permissive", "--trace", "t.jsonl"],
+    **{f"metrics {m}": ["--flows", "f.csv"] for m in ("picf", "cross-site", "cross-time")},
+    "metrics similarity": ["--permissive", "p", "--compared", "c"],
+    "metrics optimize": ["--permissive", "p", "--contrast", "c"],
+    "metrics candidates": ["--sim", "s"],
+    "metrics kappa": ["--grades", "g.csv"],
+}
+
+
+def _parse_outcome(argv: list[str]) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_required_flags_cover_every_command():
+    assert sorted(REQUIRED_FLAGS) == sorted(cli_commands())
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["nope"], ["--bogus", "simulate"], ["metrics"], ["metrics", "--help"],
+    ["metrics", "nope"], ["metrics", "--bogus", "kappa"],
+    *([*command.split(), *tail] for command, flags in REQUIRED_FLAGS.items()
+      for tail in (["--help"], [], [*flags, "--out", "o", "--bogus", "x"])),
+])
+def test_the_per_command_parser_parses_as_the_full_one(monkeypatch, argv):
+    """``main`` builds only the parser of the command its argv names; its
+    help, its usage errors and their exit codes are the full parser's, byte
+    for byte."""
+    from storagelab import cli
+    per_command = _parse_outcome(argv)
+    full_parser = build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda argv: full_parser)
+    assert per_command == _parse_outcome(argv)
+    assert per_command[0] in (0, 1)
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED_FLAGS))
+def test_a_call_builds_only_its_commands_parser(command):
+    parser = build_parser([*command.split(), *REQUIRED_FLAGS[command]])
+    for name in command.split():
+        assert list(_subparsers(parser)) == [name]
+        parser = _subparsers(parser)[name]
+    args = parser.parse_args([*REQUIRED_FLAGS[command], "--out", "o"])
+    assert set(vars(args)) == subparser_dests(command) | {"func"}
 
 
 def write_inputs(base: Path, tmp_path: Path) -> dict[str, Path]:

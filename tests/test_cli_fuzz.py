@@ -77,7 +77,8 @@ def _commands(d: Path) -> dict[str, tuple[Path, list[list]]]:
 
 
 MUTATIONS = ["delete_field", "change_type", "other_json_type", "nested", "truncate",
-             "non_object", "bad_header", "extra_cells", "non_utf8", "empty", "long_number"]
+             "non_object", "bad_header", "extra_cells", "non_utf8", "empty", "long_number",
+             "deep_nesting", "lone_surrogate"]
 OTHER_VALUES = [1, -1, 1.5, True, None, "s", "", [], ["x"], {}, {"a": 1}]
 JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
                 | st.text(max_size=3))
@@ -155,6 +156,25 @@ def _mutate(data: bytes, kind: str, draw) -> bytes:
             lines[j] = json.dumps(records[j]).encode()
         else:
             lines[i] = line + attribute.encode()
+    elif kind in ("deep_nesting", "lone_surrogate"):
+        # A value of a JSON line becomes arrays nested deeper than json's
+        # scanner recurses, or a string of it gets a lone surrogate (written
+        # as its \\u escape). A line with no such value is replaced by the
+        # arrays, or gets the escape at its end.
+        depth = draw(st.sampled_from([2_000, 100_000]))
+        deep = b"[" * depth + b"]" * depth
+        record = _json_or_none(line)
+        slots = _slots(record, object if kind == "deep_nesting" else str)
+        if slots:
+            container, key = draw(st.sampled_from(slots))
+            if kind == "deep_nesting":
+                container[key] = "\0"  # a placeholder for the arrays
+                lines[i] = json.dumps(record).encode().replace(b'"\\u0000"', deep)
+            else:
+                container[key] += draw(st.sampled_from(["\udc80", "\ud800", "\udfff"]))
+                lines[i] = json.dumps(record).encode()
+        else:
+            lines[i] = deep if kind == "deep_nesting" else line + b"\\ud800"
     elif kind in ("other_json_type", "nested"):
         # A value anywhere in a JSON line (nested ones too) becomes a drawn
         # JSON value of another type, or a string becomes a list or object.
@@ -205,6 +225,28 @@ def test_mutated_input_never_exits_3(inputs, target, kind, data):
             assert code in (0, 1, 2), f"{target}/{kind}: {argv[:2]} exit {code}\n{err}"
             if kind == "non_utf8":  # an input error that names the file
                 assert code == 2 and str(path) in err, f"{target}: {argv[:2]}\n{err}"
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(target_kind=st.sampled_from([("trace", "deep_nesting"), ("frames", "deep_nesting"),
+                                    ("manifest", "deep_nesting"), ("trace", "lone_surrogate"),
+                                    ("frames", "lone_surrogate")]), data=st.data())
+def test_deep_nesting_or_a_lone_surrogate_is_an_input_error(inputs, target_kind, data):
+    """The JSON inputs alone, with a value nested too deeply for json's
+    scanner, or a string no UTF-8 output can hold where one would reach an
+    output: every command that reads the file exits 2, naming it, and writes
+    nothing."""
+    target, kind = target_kind
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp) / "in"
+        shutil.copytree(inputs, d)
+        path, commands = _commands(d)[target]
+        path.write_bytes(_mutate(path.read_bytes(), kind, data.draw))
+        for argv in commands:
+            code, err = _run(*argv)
+            assert code == 2 and err.startswith(f"storagelab: {path}: "), \
+                f"{target}/{kind}: {argv[:2]} exit {code}\n{err}"
+            assert not (d / "out").exists()
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])

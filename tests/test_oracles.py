@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 import oracles
 import support
 from storagelab.filterlist import EMPTY_RULES, AdRuleSet, is_ad_url, parse_rules
-from storagelab.cli import InputError, _parse_input
+from storagelab.artifacts import InputError, _parse_input
 from storagelab.flows import FLOW_FIELDS, TraceFormatError
 from storagelab.metrics import OptimizeInstance, frame_similarity, jaccard, optimize_node_types
 from storagelab.frames import FrameRecord, read_frames_jsonl, write_frames_jsonl
@@ -871,13 +871,20 @@ def frame_records(draw):
                           "first"),
           ("", "", "", 0): FrameRecord()})
 def test_frames_writer_matches_per_record_dumps(tmp_path_factory, frames):
-    """Byte for byte the per-record json.dumps lines, read back equal."""
+    """Byte for byte the per-record json.dumps lines, read back equal; or,
+    when a key string holds a lone surrogate, which no UTF-8 output of a
+    metric could hold, read back as an input error naming it. An edge's
+    surrogate is its ``\\u`` escape, so it reads back."""
     base = tmp_path_factory.getbasetemp()
     write_frames_jsonl(frames, base / "written-frames.jsonl")
     oracles.write_frames_jsonl(frames, base / "dumped-frames.jsonl")
     written = (base / "written-frames.jsonl").read_bytes()
     assert written == (base / "dumped-frames.jsonl").read_bytes()
-    assert support.read_frames(base / "written-frames.jsonl") == frames
+    if any(0xD800 <= ord(c) <= 0xDFFF for key in frames for text in key[:3] for c in text):
+        with pytest.raises(InputError, match=r": line \d+: lone surrogate in string "):
+            support.read_frames(base / "written-frames.jsonl")
+    else:
+        assert support.read_frames(base / "written-frames.jsonl") == frames
 
 
 # ---------------------------------------------------------------------------

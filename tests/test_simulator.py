@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from storagelab.cli import InputError
+from storagelab.artifacts import InputError
 from storagelab.filterlist import parse_rules
 from storagelab.flows import FLOW_FIELDS, CookieFlowRecord, read_flows_csv
 from storagelab import cookies, simulator

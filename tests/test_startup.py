@@ -14,6 +14,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -32,7 +33,8 @@ print(code, *sorted(sys.modules))
 
 NEVER = {"dataclasses", "inspect", "traceback"}
 REPLAY = {"storagelab.simulator", "storagelab.filterlist"}
-PARTITIONS = {"storagelab.policy", "storagelab.cookies"}
+# The partition model, and the PSL that gives it each URL's site.
+PARTITIONS = {"storagelab.policy", "storagelab.cookies", "storagelab.psl"}
 # Command -> the modules a successful call must not load, besides NEVER.
 NOT_LOADED = {
     "gen-trace": {"storagelab.metrics", "storagelab.simulator", "fractions", "random"},
@@ -43,14 +45,14 @@ NOT_LOADED = {
                              *REPLAY, *PARTITIONS}
        for metric in ("picf", "cross-site", "cross-time")},
     # The compatibility metrics read frames.jsonl through storagelab.frames;
-    # only candidates maps a frame URL to its site.
+    # only candidates maps a frame URL to its site, by the PSL.
     **{f"metrics {metric}": {"storagelab.synthetic", "random", *REPLAY, *PARTITIONS}
        for metric in ("similarity", "kappa")},
     "metrics optimize": {"storagelab.synthetic", *REPLAY, *PARTITIONS},
     "metrics candidates": {"storagelab.synthetic", "random", *REPLAY},
 }
-# What every call loads: cli imports the PSL parser for its --psl options.
-ALWAYS = {"cli", "psl"}
+# What every call loads: the argument table and the file helpers every command uses.
+ALWAYS = {"cli", "artifacts"}
 MODULES = {path.stem for path in (SRC / "storagelab").glob("*.py")} - {"__init__"}
 
 
@@ -111,17 +113,47 @@ def test_a_call_loads_only_what_its_command_runs(inputs, tmp_path, command):
     assert loaded == ALWAYS | readme_startup_imports()[command]
 
 
+# A call run as ``python -m storagelab.cli`` runs, with an audit hook that
+# prints the path of each source file compiled. No bytecode cache is read or
+# written (an empty PYTHONPYCACHEPREFIX), so every module a call loads is compiled.
+COMPILES_CHILD = f"""\
+import runpy, sys
+def hook(event, args):
+    if event == "compile" and str(args[1]).startswith({str(SRC / "storagelab")!r}):
+        print("compiled", args[1])
+sys.addaudithook(hook)
+sys.argv[0] = "storagelab"
+runpy.run_module("storagelab.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("command", sorted(NOT_LOADED))
+def test_a_call_compiles_each_module_once(inputs, tmp_path, command):
+    """No module imports ``storagelab.cli``: under ``-m`` that would compile
+    and run it a second time, beside ``__main__``."""
+    argv = [*command.split(), *_args(command, inputs), "--out", tmp_path / "out"]
+    env = dict(_child_env(), PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPYCACHEPREFIX=str(tmp_path / "pycache"))
+    proc = subprocess.run([sys.executable, "-c", COMPILES_CHILD, *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    compiled = Counter(Path(line.split(" ", 1)[1]).stem for line in proc.stdout.splitlines()
+                       if line.startswith("compiled "))
+    assert ALWAYS <= set(compiled)
+    assert max(compiled.values()) == 1, compiled
+
+
 def test_readme_startup_table_has_a_row_per_command():
     assert sorted(readme_startup_imports()) == sorted(NOT_LOADED)
 
 
 def test_an_internal_error_still_prints_its_traceback(monkeypatch, capsys):
-    import storagelab.cli as cli
+    import storagelab.metrics as metrics
 
     def broken(args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "cmd_metrics_kappa", broken)
+    monkeypatch.setattr(metrics, "cmd_metrics_kappa", broken)
     assert main(["metrics", "kappa", "--grades", "g.csv", "--out", "o"]) == 3
     err = capsys.readouterr().err
     assert "Traceback" in err and "RuntimeError: boom" in err
