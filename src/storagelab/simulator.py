@@ -4,11 +4,16 @@ Replay is policy-pure: it maintains per-profile browser state (one cookie
 jar per partition, open tabs, frame registries) and records cookie flows and
 per-frame behavior-edge sets. The jars are the only replay state an output
 reads, so a script storage op changes state only when it is a cookie ``set``
-or ``delete``; the others are checked and dropped. Replay dispatches on an
-event's exact class, the one ``parse_trace`` builds, behavior edges first.
-A run owns one URL table: it looks each distinct URL's site up once, through
-``policy.site_of``, and each frame URL's filter-list verdict once; under
-origin keying it forms a URL's origin once, at its first third-party use.
+or ``delete`` on a jar; the others are checked inline against the trace's
+``api`` and ``op`` vocabulary and dropped, and an unknown value goes to
+``storage_access``, which names it. Replay dispatches on an event's exact
+class, the one ``parse_trace`` builds: the three frame events (behavior
+edges, script ops, requests; nine in ten events) are tested first, and only
+the rest go through the check against every event class. A run owns one URL
+table: it forms each distinct URL's site once, looking each distinct host's
+site up once through ``policy.site_of`` on the first URL naming it, and each
+frame URL's filter-list verdict once; under origin keying it forms a URL's
+origin once, at its first third-party use.
 ``resolve_partition`` maps sites to a partition key. A tab's state is its
 page load: it holds that load's page-length jars beside its profile's
 persistent ones, and when the visit ends or the tab navigates, the state is
@@ -28,7 +33,10 @@ sends its cookies but sets none.
 
 Virtual time advances one tick per event; cookie expiries are interpreted
 against it. The ``simulate`` command, at the end, reads a trace and writes
-the replay's ``flows.csv`` and ``frames.jsonl``.
+the replay's ``flows.csv`` and ``frames.jsonl``. It reads the trace through
+``artifacts._parse_input``, which hashes a trace of 1 MiB or more in a
+helper thread while it decodes it and joins that thread before it returns,
+so no thread is running when ``cli.run`` ends the process with ``os._exit``.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ from storagelab.cookies import (
     Jar,
     add_cookie,
     cookies_for_request,
+    host_and_path,
     matching_cookies,
     parse_set_cookie,
 )
@@ -60,6 +69,8 @@ from storagelab.policy import (
 from storagelab.psl import SuffixRuleSet
 from storagelab.record import Record
 from storagelab.trace import (
+    STORAGE_APIS,
+    STORAGE_OPS,
     BehaviorEdge,
     FrameLoad,
     HttpRequest,
@@ -120,8 +131,19 @@ def replay(
     last_seq: dict[str, int] = {}
     # The run's URL table: each distinct URL's site, a third party's origin
     # when origin keyed, and a frame URL's filter-list verdict, each formed
-    # on the URL's first use.
-    sites = _Memo(lambda url: site_of(url, rules))
+    # on the URL's first use. A site depends only on the host, so each
+    # distinct host's is looked up once, from the first URL that names it;
+    # a URL without a host is passed on, and site_of names it.
+    host_sites: dict[str, str] = {}
+
+    def url_site(url: str) -> str:
+        host = host_and_path(url)[0]
+        site = host_sites.get(host)
+        if site is None:
+            site = host_sites[host] = site_of(url, rules)
+        return site
+
+    sites = _Memo(url_site)
     origins = _Memo(origin_of)
     ad_verdicts = _Memo(lambda url: is_ad_url(url, ads))
 
@@ -135,13 +157,10 @@ def replay(
     for index, event in enumerate(events):
         kind = type(event)
         try:
-            if kind not in _EVENT_TYPES:
-                raise ValueError(f"not a trace event: {event!r}")
-            state = tabs.get(event.tab)
-            if state is None and kind is not VisitStart:
-                raise ValueError(f"tab {event.tab!r} has no active visit")
-
-            if kind is BehaviorEdge or kind is HttpRequest or kind is ScriptStorage:
+            if kind is BehaviorEdge or kind is ScriptStorage or kind is HttpRequest:
+                state = tabs.get(event.tab)
+                if state is None:
+                    raise ValueError(f"tab {event.tab!r} has no active visit")
                 frame = state.frames.get(event.frame_id)
                 if frame is None:
                     raise ValueError(f"unknown frame {event.frame_id!r}")
@@ -151,11 +170,18 @@ def replay(
                         frame[2].edge_set.add(event.edge)
                     continue
                 frame_url, frame_jar, _ = frame
-                now = float(index)
                 if kind is ScriptStorage:
-                    storage_access(frame_jar, event.op, event.api, event.key, event.value,
-                                   url=frame_url, rules=rules, now=now)
+                    # Only a cookie set or delete on a jar changes state; any
+                    # other op of a known api and op is dropped here, and the
+                    # rest go to storage_access, which names an unknown one.
+                    api, op = event.api, event.op
+                    if ((frame_jar is None or api != "cookie" or op == "get")
+                            and api in STORAGE_APIS and op in STORAGE_OPS):
+                        continue
+                    storage_access(frame_jar, op, api, event.key, event.value,
+                                   url=frame_url, rules=rules, now=float(index))
                     continue
+                now = float(index)
                 dest_site, jar = resolve(state, event.dest_url)
                 if jar is None:
                     continue
@@ -171,8 +197,15 @@ def replay(
                     cookie = parse_set_cookie(header, event.dest_url, rules, now)
                     if cookie is not None:
                         add_cookie(jar, cookie)
+                continue
 
-            elif kind is FrameLoad:
+            if kind not in _EVENT_TYPES:
+                raise ValueError(f"not a trace event: {event!r}")
+            state = tabs.get(event.tab)
+            if state is None and kind is not VisitStart:
+                raise ValueError(f"tab {event.tab!r} has no active visit")
+
+            if kind is FrameLoad:
                 frame_url = event.frame_url
                 site, jar = resolve(state, frame_url)
                 party = "first" if site == state.site else "third"

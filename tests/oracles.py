@@ -536,7 +536,9 @@ def replay(
     """Replay a trace under ``policy`` and collect flows and edge sets.
 
     Raises :class:`ReplayError` (naming the event index) for events that
-    reference unknown tabs or frames, or for non-increasing visit sequences.
+    reference unknown tabs or frames, URLs without a host, an unknown storage
+    api or op, or non-increasing visit sequences, and for an object that is
+    not a trace event.
     """
     out = SimOutput([], {})
     stores: dict[str, PartitionStore] = {}
@@ -657,13 +659,13 @@ def replay(
                     policy, state.page_url, state.load_key, frame_url, rules,
                     origin_keyed=origin_keyed,
                 )
+                store.storage_access(
+                    pkey, event.op, event.api, event.key, event.value,
+                    url=frame_url, now=now,
+                    session_scope=f"{event.tab}:{state.load_key}",
+                )
             except ValueError as exc:
                 raise ReplayError(f"event {index}: {exc}") from None
-            store.storage_access(
-                pkey, event.op, event.api, event.key, event.value,
-                url=frame_url, now=now,
-                session_scope=f"{event.tab}:{state.load_key}",
-            )
 
         elif isinstance(event, BehaviorEdge):
             state = tab_state(index, event.tab)

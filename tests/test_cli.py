@@ -264,6 +264,23 @@ class TestGenAndSimulate:
                   (sim_dir / "frames.jsonl").read_text().splitlines()]
         assert any(f["is_ad"] for f in frames)
 
+    def test_failed_rerun_leaves_no_run_a_metric_reads(self, tmp_path, capsys):
+        """A rerun into an earlier run's directory drops its manifest before
+        it writes, so when it fails after ``flows.csv`` the directory is no
+        finished run: a metrics call on it exits 2 and names it, where the
+        old manifest beside the new, truncated flows passed for a run."""
+        trace_dir, sim_dir = gen_and_simulate(tmp_path, "permissive")
+        (sim_dir / "frames.jsonl").unlink()
+        (sim_dir / "frames.jsonl").mkdir()
+        assert run("simulate", "--policy", "blocking", "--trace", trace_dir / "trace.jsonl",
+                   "--out", sim_dir) == 2
+        assert (sim_dir / "flows.csv").read_text().count("\n") == 1  # blocking: header only
+        assert not (sim_dir / "manifest.json").exists()
+        capsys.readouterr()
+        assert run("metrics", "candidates", "--sim", sim_dir, "--out", tmp_path / "c") == 2
+        assert capsys.readouterr().err == (
+            f"storagelab: not a simulation output directory (no manifest): {sim_dir}\n")
+
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):

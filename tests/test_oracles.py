@@ -47,6 +47,7 @@ from storagelab.psl import (
     parse_psl,
     public_suffix,
 )
+from storagelab.record import Record
 from storagelab.simulator import ReplayError, replay
 from storagelab.synthetic import (
     SyntheticSpec,
@@ -255,8 +256,12 @@ def test_frame_similarity_matches_enum_filter(sample, node_filter, data):
 # ---------------------------------------------------------------------------
 # Replay: two tabs, two profiles, reloads, shared and hostless URLs. Events
 # name an open tab and a loaded frame, and requests mostly go to their frame's
-# URL. In half the event lists, about one choice in thirty is instead any tab,
-# frame or URL, a reused visit_seq or a non-event.
+# URL. Script ops set, delete and read the cookies that requests set and that
+# conditions ask for, besides the ops that change no jar. In half the event
+# lists, about one choice in thirty is instead any tab, frame or URL, a reused
+# visit_seq, or a bad event: a non-event object, a record of another class
+# with a behavior edge's fields, an unknown storage api or op, or an unknown
+# tab or frame.
 # Ports are valid: an origin-keyed third-party frame whose port does not parse
 # fails at its FrameLoad here but only at its first storage touch in the oracle.
 
@@ -270,6 +275,15 @@ SET_COOKIES = ["uid=1", "uid=2; Max-Age=3", "sid=9; Domain=t.net", "p=w; Path=/w
                "ps=1; Domain=co.uk", "gone=1; Max-Age=0"]
 EDGES = [_edge(NodeType.SCRIPT, NodeType.COOKIE_JAR),
          _edge(NodeType.SCRIPT, NodeType.LOCAL_STORAGE, "b")]
+
+
+class _EdgeLookalike(Record):
+    """Not a trace event, though it has a behavior edge's fields."""
+    __slots__ = BehaviorEdge.__slots__
+    _defaults = BehaviorEdge._defaults
+
+
+NON_EVENTS = ["not an event", ("t1", "f1"), None, {"type": "behavior_edge"}]
 
 
 KINDS = ["visit", "frame", "frame", "request", "request", "request", "script", "script",
@@ -292,6 +306,26 @@ def replay_events(draw):
 
     def url(urls):
         return pick(HOSTLESS_URLS if rare() else urls)
+
+    def bad_event(tab, frame_id):
+        bad = pick(["object", "record", "api", "op", "tab", "frame"])
+        if bad == "object":
+            return pick(NON_EVENTS)
+        if bad == "record":
+            return _EdgeLookalike(tab, frame_id, pick(EDGES), draw(CONDITIONS))
+        if bad in ("api", "op"):
+            api = pick(["webSQL", "Cookie"]) if bad == "api" else pick(STORAGE_APIS)
+            op = pick(["peek", "GET"]) if bad == "op" else pick(["get", "set", "delete"])
+            return ScriptStorage(tab, frame_id, api, op, "uid", "1")
+        if bad == "frame":
+            frame_id = "f9"
+        frame_events = [BehaviorEdge(tab, frame_id, pick(EDGES), draw(CONDITIONS)),
+                        HttpRequest(tab, frame_id, pick(SUBJECT_URLS), (), draw(CONDITIONS)),
+                        ScriptStorage(tab, frame_id, "cookie", "set", "uid", "1")]
+        if bad == "frame":
+            return pick(frame_events)
+        tab = "t9"
+        return pick([*frame_events, FrameLoad(tab, frame_id, pick(SUBJECT_URLS)), VisitEnd(tab)])
 
     open_tabs: dict[str, dict[str, str]] = {}  # tab -> frame_id -> frame URL
     events: list = []
@@ -321,14 +355,15 @@ def replay_events(draw):
             # Only the cookie api reaches an output (a later request's flows).
             events.append(ScriptStorage(tab, frame_id, pick(["cookie", "cookie", *STORAGE_APIS]),
                                         pick(["get", "set", "set", "delete"]),
-                                        pick(["u", "v"]), pick(["1", "2", None])))
+                                        pick(["u", "v", "uid", "sid", "p"]),
+                                        pick(["1", "2", None])))
         elif kind == "edge":
             events.append(BehaviorEdge(tab, frame_id, pick(EDGES), draw(CONDITIONS)))
         else:
             events.append(VisitEnd(tab))
             open_tabs.pop(tab, None)
         if rare():
-            events.append("not an event")
+            events.append(bad_event(tab, frame_id))
     return events
 
 

@@ -186,6 +186,13 @@ class TestReplayErrors:
             replay(events, PolicyKind.PERMISSIVE, rules)
 
 
+def _subclass_event(cls, *fields):
+    """An event of a subclass of ``cls`` with the same fields."""
+    subclass = type(f"Sub{cls.__name__}", (cls,),
+                    {"__slots__": cls.__slots__, "_defaults": cls._defaults})
+    return subclass(*fields)
+
+
 _VISIT = VisitStart("p0", 1, "t", "https://a.com/", 1)
 _FRAME = FrameLoad("t", "f1", "https://t.net/w")
 _EDGE = _edge_string(NodeType.SCRIPT.value, "s", "reads", NodeType.COOKIE_JAR.value, "t.net")
@@ -210,6 +217,15 @@ _TRACKER = "https://t.net/w"
                     ScriptStorage("t", "f9", "local", "get", "k"), BehaviorEdge("t", "f9", _EDGE))],
     pytest.param([_VISIT, _FRAME, ("t", "f1")], "event 2: not a trace event: ('t', 'f1')",
                  id="non-event"),
+    # replay takes an event by its exact class, so a subclass's fields are never read
+    *[pytest.param([_VISIT, _FRAME, event], f"event 2: not a trace event: {event!r}",
+                   id=f"subclass-of-{type(event).__name__}")
+      for event in (_subclass_event(BehaviorEdge, "t", "f1", _EDGE),
+                    _subclass_event(ScriptStorage, "t", "f1", "cookie", "set", "k", "v"),
+                    _subclass_event(HttpRequest, "t", "f1", "https://t.net/"),
+                    _subclass_event(FrameLoad, "t", "f2", "https://t.net/w"),
+                    _subclass_event(VisitStart, "p0", 1, "t", "https://b.com/", 2),
+                    _subclass_event(VisitEnd, "t"))],
     # in memory, a ScriptStorage may hold what parse_trace would refuse
     pytest.param([_VISIT, _FRAME, ScriptStorage("t", "f1", "webSQL", "get", "k")],
                  "event 2: unknown storage api 'webSQL'", id="unknown-storage-api"),
@@ -306,14 +322,8 @@ def _small_trace():
     return generate_synthetic_trace(spec).events
 
 
-@pytest.mark.parametrize("origin_keyed", [False, True])
-@pytest.mark.parametrize("policy", list(PolicyKind))
-def test_replay_looks_each_url_up_once(policy, origin_keyed, rules, monkeypatch):
-    """One ``site_of`` call per distinct page, frame and destination URL."""
-    events = _small_trace()
-    urls = ({e.page_url for e in events if type(e) is VisitStart}
-            | {e.frame_url for e in events if type(e) is FrameLoad}
-            | {e.dest_url for e in events if type(e) is HttpRequest})
+def _spy_site_of(monkeypatch) -> list[str]:
+    """The URLs replay hands ``policy.site_of``, in call order."""
     looked_up = []
 
     def counted(url, rules):
@@ -321,9 +331,55 @@ def test_replay_looks_each_url_up_once(policy, origin_keyed, rules, monkeypatch)
         return site_of(url, rules)
 
     monkeypatch.setattr(simulator, "site_of", counted)
+    return looked_up
+
+
+def _first_url_of_each_host(urls) -> dict[str, str]:
+    first: dict[str, str] = {}
+    for url in urls:
+        first.setdefault(urlsplit(url).hostname.lower(), url)
+    return first
+
+
+@pytest.mark.parametrize("origin_keyed", [False, True])
+@pytest.mark.parametrize("policy", list(PolicyKind))
+def test_replay_looks_each_host_up_once(policy, origin_keyed, rules, monkeypatch):
+    """One ``site_of`` call per distinct host of the page, frame and
+    destination URLs, on the first URL that names it."""
+    events = _small_trace()
+    urls = [getattr(e, name) for e in events for name in ("page_url", "frame_url", "dest_url")
+            if hasattr(e, name)]
+    first = _first_url_of_each_host(urls)
+    looked_up = _spy_site_of(monkeypatch)
     replay(events, policy, rules, origin_keyed=origin_keyed)
-    assert len(looked_up) == len(urls) < len(events)
-    assert set(looked_up) == urls
+    assert looked_up == list(first.values())
+    assert len(first) < len(set(urls))
+
+
+@pytest.mark.parametrize("policy", list(PolicyKind))
+def test_replay_looks_a_host_up_once_across_many_urls(policy, rules, monkeypatch):
+    # 201 distinct URLs name 4 hosts, two of them written in two cases.
+    events = [_VISIT]
+    for i in range(40):
+        events += [FrameLoad("t", f"f{i}", f"https://T.net/w{i}"),
+                   *(HttpRequest("t", f"f{i}", url, ("uid=1",))
+                     for url in (f"https://t.net/r{i}", f"https://cdn.a.com/{i}",
+                                 f"https://CDN.a.com/x{i}", f"https://x.t.net/{i}"))]
+    looked_up = _spy_site_of(monkeypatch)
+    replay(events, policy, rules)
+    assert looked_up == ["https://a.com/", "https://T.net/w0", "https://cdn.a.com/0",
+                         "https://x.t.net/0"]
+
+
+@pytest.mark.parametrize("url", ["https:///a", "not-a-url"])
+def test_hostless_url_after_its_peers_still_names_its_event(url, rules, monkeypatch):
+    looked_up = _spy_site_of(monkeypatch)
+    events = [_VISIT, _FRAME, HttpRequest("t", "f1", "https://t.net/a"),
+              HttpRequest("t", "f1", url)]
+    with pytest.raises(ReplayError) as error:
+        replay(events, PolicyKind.PERMISSIVE, rules)
+    assert str(error.value) == f"event 3: URL has no host: {url!r}"
+    assert looked_up == ["https://a.com/", "https://t.net/w", url]
 
 
 @pytest.mark.parametrize("policy", [PolicyKind.PERMISSIVE, PolicyKind.SITE_KEYED])
