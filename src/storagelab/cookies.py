@@ -122,7 +122,7 @@ def parse_cookie_date(text: str) -> float | None:
         return None
 
 
-# A process-wide memo keyed by the URL string, as trace._EDGE_MASKS is: one
+# A process-wide memo keyed by the URL string, as vocab._EDGE_MASKS is: one
 # entry per distinct URL. A 4,096-entry LRU split the 13,210 URLs of a
 # 1,000-site trace about four times each per replay.
 @cache

@@ -3,12 +3,13 @@
 sort_keys=True, separators=(",", ":")) gives. The writer takes a path; the
 reader takes the lines of a file, which the CLI reads and decodes once, and
 accepts an edge only as its exact canonical string. A record read back holds
-its edges as a frozenset, one per distinct edge list in the file, shared by
-every record with that list, so the metrics can score each distinct edge set
+its edges as a frozenset, one per distinct edge set in the file, shared by
+every record with that set, so the metrics can score each distinct edge set
 once.
 
 Replay writes the file and the compatibility metrics read it; like ``flows``
-for the flow table, it imports no replay code (README "Start-up and exit").
+for the flow table, it imports no replay code, and of the trace only its
+vocabulary, ``storagelab.vocab`` (README "Start-up and exit").
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 from typing import Iterable
 
 from storagelab.flows import TraceFormatError, _json_object, _no_surrogate, _require, _whole
-from storagelab.trace import _EDGE_MASKS, _Memo
+from storagelab.vocab import _EDGE_MASKS, _Memo
 
 
 class FrameRecord:
@@ -90,6 +91,13 @@ _WRITER_HEAD = re.compile(r'\{"crawl_iter":(0|-?[1-9][0-9]{0,17}),"edges":\[').m
 # What ends the edge list and starts the rest of the line; inside an edge's
 # JSON string a '"' is always escaped, so the first match is the real one.
 _EDGES_END = '],"frame_url":'
+# The rest of a line in the writer's form, each string holding no quote, no
+# backslash and no control character, so that its text is its value, as JSON
+# reads it.
+_STRING = r'"([^"\\\x00-\x1f]*)"'
+_WRITER_TAIL = re.compile(
+    rf'"frame_url":{_STRING},"is_ad":(true|false),"page_url":{_STRING},'
+    rf'"party":"(first|third)","profile":{_STRING}}}\n?').fullmatch
 _TAIL_FIELDS = itemgetter("page_url", "frame_url", "profile", "party", "is_ad")
 
 
@@ -111,7 +119,12 @@ def _edge_list(text: str) -> frozenset[str] | None:
 def _line_tail(text: str) -> tuple | None:
     """``(page_url, frame_url, profile, party, is_ad)`` from the text after a
     writer-form line's edge list, ``"frame_url":`` to the end; None unless it
-    holds exactly those five fields, of the writer's types."""
+    holds exactly those five fields, of the writer's types. A text whose
+    strings need no unescaping is matched; any other is decoded."""
+    tail = _WRITER_TAIL(text)
+    if tail is not None:
+        frame_url, is_ad, page_url, party, profile = tail.groups()
+        return page_url, frame_url, profile, party, is_ad == "true"
     try:
         fields = _whole("{" + text)
         if len(fields) == 5:
@@ -133,12 +146,18 @@ def read_frames_jsonl(lines: Iterable[str]) -> dict[FrameKey, FrameRecord]:
 
     A line in the writer's exact form is taken as three parts: its
     crawl_iter, its edge-list text and the text after it. Each distinct
-    edge-list text is decoded and checked once, into one frozenset that every
-    record with that list shares, and each distinct rest of a line is decoded
-    once. Any other line, or one whose parts fail a check, is decoded whole
-    by ``_frame_entry``, which names what is wrong."""
+    edge-list text is decoded and checked once, and each distinct rest of a
+    line is matched or decoded once. Any other line, or one whose parts fail
+    a check, is decoded whole by ``_frame_entry``, which names what is wrong.
+    Either way, every record with an equal edge set shares one frozenset."""
     frames: dict[FrameKey, FrameRecord] = {}
-    edge_lists = _Memo(_edge_list)
+    shared: dict[frozenset[str], frozenset[str]] = {}  # each distinct edge set
+
+    def shared_edges(text: str) -> frozenset[str] | None:
+        edges = _edge_list(text)
+        return None if edges is None else shared.setdefault(edges, edges)
+
+    edge_lists = _Memo(shared_edges)
     tails = _Memo(_line_tail)
     for line_no, line in enumerate(lines, start=1):
         try:
@@ -156,6 +175,7 @@ def read_frames_jsonl(lines: Iterable[str]) -> dict[FrameKey, FrameRecord]:
                 if not line:
                     continue
                 key, record = _frame_entry(line)
+                record.edge_set = shared.setdefault(record.edge_set, record.edge_set)
             if frames.setdefault(key, record) is not record:
                 raise TraceFormatError(f"duplicate frame record {key!r}")
         except TraceFormatError as exc:

@@ -27,6 +27,7 @@ import sys
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -35,7 +36,7 @@ from storagelab.artifacts import (InputError, _at_least, _fnum, _frac, _load_suf
 from storagelab.flows import (_INTEGER, TraceFormatError, _csv_record, _json_object, _require,
                               read_flows_csv, write_csv)
 from storagelab.frames import FrameKey, FrameRecord, read_frames_jsonl
-from storagelab.trace import _EDGE_MASKS, _TYPE_BIT, OPTIMAL_NODE_TYPES, NodeType
+from storagelab.vocab import _EDGE_MASKS, _TYPE_BIT, OPTIMAL_NODE_TYPES, NodeType, _Memo
 
 Score = Fraction | None  # None = undefined (both compared sets empty)
 
@@ -43,9 +44,9 @@ Score = Fraction | None  # None = undefined (both compared sets empty)
 # ---------------------------------------------------------------------------
 # Node-type masks
 #
-# A set of node types is an int with one bit per type (``trace._TYPE_BIT``).
+# A set of node types is an int with one bit per type (``vocab._TYPE_BIT``).
 # An edge's mask, the bits of its two endpoint types, comes from the memo in
-# ``storagelab.trace`` that the frames reader fills; a filter keeps the edge
+# ``storagelab.vocab`` that the frames reader fills; a filter keeps the edge
 # iff its mask has no bit outside the filter's.
 
 
@@ -131,11 +132,14 @@ def frame_similarity(
 
 
 def mean_defined(scores: Iterable[Score]) -> Fraction | None:
-    """Mean of the defined scores; None when every score is undefined."""
+    """Mean of the defined scores; None when every score is undefined. The
+    scores are summed as integers over their least common denominator."""
     defined = [s for s in scores if s is not None]
     if not defined:
         return None
-    return sum(defined, Fraction(0)) / len(defined)
+    common = lcm(*{s.denominator for s in defined})
+    return Fraction(sum(s.numerator * (common // s.denominator) for s in defined),
+                    common * len(defined))
 
 
 def align_curve_inputs(
@@ -169,16 +173,20 @@ def similarity_curve(scores: Sequence[Score], baseline_max: int) -> list[tuple[i
 
     Undefined scores contribute 0; ``baseline_max`` is the number of
     instances the baseline pair defined, so 1.0 means perfect similarity on
-    every baseline-comparable instance.
+    every baseline-comparable instance. Each cumulative sum is an integer
+    over the least common denominator of the scores.
     """
     if baseline_max < 0:
         raise ValueError("baseline_max must be >= 0")
+    if not baseline_max:
+        return [(rank, Fraction(0)) for rank in range(1, len(scores) + 1)]
+    common = lcm(*{s.denominator for s in scores if s is not None})
     points = []
-    total = Fraction(0)
+    total = 0
     for rank, score in enumerate(scores, start=1):
         if score is not None:
-            total += score
-        points.append((rank, total / baseline_max if baseline_max else Fraction(0)))
+            total += score.numerator * (common // score.denominator)
+        points.append((rank, Fraction(total, common * baseline_max)))
     return points
 
 
@@ -212,28 +220,27 @@ def _pair_counts(a: frozenset[str], b: frozenset[str]) -> PairCounts:
     return [(mask, inter[mask], n) for mask, n in union.items()]
 
 
-def _subset_jaccard(counts: PairCounts, subset: int) -> Score:
-    inter = union = 0
-    for mask, i, u in counts:
-        if not mask & ~subset:
-            inter += i
-            union += u
-    if union == 0:
-        return None
-    return Fraction(inter, union)
-
-
 def _mean_score(weighted: list[tuple[PairCounts, int]], subset: int) -> Fraction | None:
-    """The mean of the defined scores under ``subset``, each pair's counted as
-    many times as its weight: ``mean_defined`` of the repeated scores."""
-    total = Fraction(0)
-    defined = 0
+    """The mean of the defined Jaccard scores under ``subset``, each pair's
+    counted as many times as its weight: ``mean_defined`` of the repeated
+    scores. Each score is |a & b| / |a | b| over the edges ``subset`` keeps,
+    undefined when none is kept, and they are summed as integers over the
+    least common multiple of the unions."""
+    outside = ~subset
+    defined = []  # (|a & b|, |a | b|, weight) of each pair with a defined score
     for counts, weight in weighted:
-        score = _subset_jaccard(counts, subset)
-        if score is not None:
-            total += score * weight
-            defined += weight
-    return total / defined if defined else None
+        inter = union = 0
+        for mask, i, u in counts:
+            if not mask & outside:
+                inter += i
+                union += u
+        if union:
+            defined.append((inter, union, weight))
+    if not defined:
+        return None
+    common = lcm(*{union for _, union, _ in defined})
+    return Fraction(sum(inter * weight * (common // union) for inter, union, weight in defined),
+                    common * sum(weight for _, _, weight in defined))
 
 
 def _submasks(mask: int) -> Iterator[int]:
@@ -507,11 +514,12 @@ def cmd_metrics_similarity(args) -> int:
     curve = similarity_curve(aligned, baseline_defined)
 
     out = _out_dir(args.out)
+    # The two cells of each distinct score, formatted once.
+    cells = _Memo(lambda score: ("", "undefined") if score is None
+                  else (_fnum(score), _frac(score)))
     write_csv(out / "similarity_scores.csv", [
         ("page_url", "frame_url", "crawl_iter", "score", "score_exact"),
-        *((s.page_url, s.frame_url, s.crawl_iter,
-           "" if s.score is None else _fnum(s.score),
-           "undefined" if s.score is None else _frac(s.score)) for s in scores),
+        *((s.page_url, s.frame_url, s.crawl_iter, *cells[s.score]) for s in scores),
     ])
     write_csv(out / "similarity_curve.csv", [
         ("rank", "cumulative", "cumulative_exact"),

@@ -27,7 +27,7 @@ from urllib.parse import urlsplit
 
 from storagelab.cookies import Jar, add_cookie, host_and_path, matching_cookies, parse_set_cookie
 from storagelab.psl import SuffixRuleSet, etld_plus_one
-from storagelab.trace import STORAGE_APIS, STORAGE_OPS
+from storagelab.vocab import STORAGE_APIS, STORAGE_OPS
 
 
 class PolicyKind(Enum):
@@ -73,14 +73,17 @@ def resolve_partition(
     site ``subject_site`` on a top-level page of site ``top_site``, or None
     when blocked. The subject is first party iff its site is the top site
     (not an intermediate parent's); a third party is keyed by ``subject_id``,
-    its site or its origin."""
+    its site or its origin. Each tag is a literal, the value of its policy:
+    reading ``policy.value`` goes through ``Enum``'s descriptor each time."""
     if subject_site == top_site:
         return ("first", top_site)
     if policy is PolicyKind.BLOCKING:
         return None
     if policy is PolicyKind.SITE_KEYED:
-        return (policy.value, top_site, subject_id)
-    return (policy.value, subject_id)
+        return ("site-keyed", top_site, subject_id)
+    if policy is PolicyKind.PAGE_LENGTH:
+        return ("page-length", subject_id)
+    return ("permissive", subject_id)
 
 
 def partition_jar(

@@ -69,8 +69,6 @@ from storagelab.policy import (
 from storagelab.psl import SuffixRuleSet
 from storagelab.record import Record
 from storagelab.trace import (
-    STORAGE_APIS,
-    STORAGE_OPS,
     BehaviorEdge,
     FrameLoad,
     HttpRequest,
@@ -78,9 +76,9 @@ from storagelab.trace import (
     TraceEvent,
     VisitEnd,
     VisitStart,
-    _Memo,
     parse_trace,
 )
+from storagelab.vocab import STORAGE_APIS, STORAGE_OPS, _Memo
 
 
 class ReplayError(ValueError):

@@ -51,10 +51,9 @@ from storagelab.trace import (
     TraceMeta,
     VisitEnd,
     VisitStart,
-    _edge_string,
-    _Memo,
     write_trace,
 )
+from storagelab.vocab import _edge_string, _Memo
 
 
 class TrackerSpec(NamedTuple):

@@ -4,8 +4,13 @@ The matchers are linear scans over every rule, kept as oracles for the
 label-walk lookups in ``storagelab.psl`` and ``storagelab.filterlist``. The
 node-type functions re-parse every edge string and test enum membership subset
 by subset, kept as oracles for the bitmask forms in ``storagelab.metrics``.
+``mean_defined``, ``similarity_curve`` and ``mean_score`` add exact scores
+as ``Fraction``s one at a time, kept as the oracles for
+``storagelab.metrics``' ``mean_defined``, ``similarity_curve`` and
+``_mean_score``, which sum integer numerators over the least common multiple
+of the denominators and build one ``Fraction`` per value they return.
 ``edge_string`` runs ``json.dumps`` on an edge's five fields, kept as the
-oracle for ``storagelab.trace._edge_string``, which joins the fields' JSON
+oracle for ``storagelab.vocab._edge_string``, which joins the fields' JSON
 string encodings. ``replay`` resolves a partition from its URLs (with
 ``resolve_partition``, which looks both sites up on every call) and
 classifies the party again (with ``classify_party``, a second pair of site
@@ -80,7 +85,7 @@ from storagelab.filterlist import EMPTY_RULES, AdRuleSet
 from storagelab.filterlist import is_ad_url as fast_is_ad_url
 from storagelab.flows import FLOW_FIELDS, CookieFlowRecord, TraceFormatError
 from storagelab.frames import FrameRecord
-from storagelab.metrics import OptimizeInstance, OptimizeResult, Score, mean_defined
+from storagelab.metrics import OptimizeInstance, OptimizeResult, Score
 from storagelab.policy import PolicyKind, site_of
 from storagelab.psl import PslParseError, SuffixRuleSet, is_ip_host
 from storagelab.record import Record
@@ -97,21 +102,18 @@ from storagelab.synthetic import (
     tracker_storage_edges,
 )
 from storagelab.trace import (
-    STORAGE_APIS,
-    STORAGE_OPS,
     BehaviorEdge,
     FrameLoad,
     HttpRequest,
-    NodeType,
     ScriptStorage,
     Trace,
     TraceEvent,
     TraceMeta,
     VisitEnd,
     VisitStart,
-    edge_endpoint_types,
     event_to_record,
 )
+from storagelab.vocab import STORAGE_APIS, STORAGE_OPS, NodeType, edge_endpoint_types
 
 
 def _labels(host: str) -> list[str]:
@@ -227,6 +229,45 @@ def _pair_counts(a: frozenset[str], b: frozenset[str]):
         gb = groups_b.get(pair, set())
         counts[pair] = (len(ga & gb), len(ga | gb))
     return counts
+
+
+def mean_defined(scores: Iterable[Score]) -> Fraction | None:
+    """Mean of the defined scores; None when every score is undefined."""
+    defined = [s for s in scores if s is not None]
+    if not defined:
+        return None
+    return sum(defined, Fraction(0)) / len(defined)
+
+
+def similarity_curve(scores: Sequence[Score], baseline_max: int) -> list[tuple[int, Fraction]]:
+    """(instance rank, cumulative / max), undefined scores adding 0."""
+    if baseline_max < 0:
+        raise ValueError("baseline_max must be >= 0")
+    points = []
+    total = Fraction(0)
+    for rank, score in enumerate(scores, start=1):
+        if score is not None:
+            total += score
+        points.append((rank, total / baseline_max if baseline_max else Fraction(0)))
+    return points
+
+
+def mean_score(weighted: list[tuple[list[tuple[int, int, int]], int]],
+               subset: int) -> Fraction | None:
+    """The weighted mean of the defined Jaccard scores of (edge mask,
+    intersection, union) counts under the node-type mask ``subset``."""
+    total = Fraction(0)
+    defined = 0
+    for counts, weight in weighted:
+        inter = union = 0
+        for mask, i, u in counts:
+            if not mask & ~subset:
+                inter += i
+                union += u
+        if union:
+            total += Fraction(inter, union) * weight
+            defined += weight
+    return total / defined if defined else None
 
 
 def _subset_jaccard(counts, subset: frozenset[NodeType]) -> Score:

@@ -11,15 +11,8 @@ from storagelab.metrics import OptimizeInstance, jaccard
 from storagelab.policy import PolicyKind
 from storagelab.frames import read_frames_jsonl
 from storagelab.simulator import replay
-from storagelab.trace import (
-    FrameLoad,
-    HttpRequest,
-    NodeType,
-    ScriptStorage,
-    VisitEnd,
-    VisitStart,
-    _edge_string,
-)
+from storagelab.trace import FrameLoad, HttpRequest, ScriptStorage, VisitEnd, VisitStart
+from storagelab.vocab import NodeType, _edge_string
 
 
 
@@ -262,6 +255,11 @@ BAD_FRAME_LINES = [
      '"party":"third","profile":"p","edges":{}}', "field 'edges' must be an array"),
     ('{"crawl_iter":1,"edges":[],"frame_url":"f","is_ad":false,"page_url":"p",'
      '"party":"third","profile":"p"}}', "invalid JSON"),
+    # A control character JSON takes only escaped, raw in each string after the edges.
+    *((f'{{"crawl_iter":1,"edges":[],"frame_url":"{frame_url}","is_ad":false,'
+       f'"page_url":"{page_url}","party":"third","profile":"{profile}"}}', "invalid JSON")
+      for frame_url, page_url, profile in (("f\x1f", "p", "p"), ("f", "\tp", "p"),
+                                           ("f", "p", "p\x00"))),
 ]
 
 BAD_FLOW_ROWS = [

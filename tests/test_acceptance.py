@@ -19,7 +19,7 @@ from storagelab.picf import cross_site_scores, cross_time_scores, extract_picfs
 from storagelab.policy import PolicyKind
 from storagelab.psl import builtin_rules, etld_plus_one
 from storagelab.synthetic import tracker_fixed_edges, tracker_storage_edges
-from storagelab.trace import ALL_NODE_TYPES, STORAGE_NODE_TYPES
+from storagelab.vocab import ALL_NODE_TYPES, STORAGE_NODE_TYPES
 
 
 def report(criterion: int, text: str) -> None:

@@ -71,6 +71,27 @@ class TestGenAndSimulate:
         assert run("simulate", "--policy", "permissive", "--trace", bad,
                    "--out", tmp_path / "o") == 2
 
+    @pytest.mark.parametrize("policy", ["permissive", "blocking"])
+    @pytest.mark.parametrize("frame_url,index", [
+        ("https://example.com./", 1),  # a frame on a page of another site
+        (None, 0),  # the page itself
+    ])
+    def test_host_with_a_trailing_dot_is_an_input_error_naming_its_event(
+            self, tmp_path, capsys, policy, frame_url, index):
+        """A host is taken as written: ``example.com.`` ends in an empty label,
+        which no site lookup takes (README "CLI reference")."""
+        page_url = "https://a.com/" if frame_url else "https://example.com./"
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(
+            '{"type":"visit_start","profile":"p","crawl_iter":1,"tab":"t",'
+            f'"page_url":"{page_url}","visit_seq":1}}\n'
+            '{"type":"frame_load","tab":"t","frame_id":"f",'
+            f'"frame_url":"{frame_url or page_url}"}}\n')
+        assert run("simulate", "--policy", policy, "--trace", trace,
+                   "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            f"storagelab: event {index}: empty label in host 'example.com.'\n")
+
     def test_malformed_trace_line_names_file_and_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"type":"visit_start","profile":"p","crawl_iter":1,"tab":"t",'

@@ -24,7 +24,7 @@ from storagelab.picf import PICF, cross_site_scores, cross_time_scores, curve_ro
 from storagelab.policy import PolicyKind
 from storagelab.simulator import replay
 from storagelab.synthetic import SyntheticSpec, TrackerSpec, generate_synthetic_trace
-from storagelab.trace import ALL_NODE_TYPES, NodeType, STORAGE_NODE_TYPES
+from storagelab.vocab import ALL_NODE_TYPES, STORAGE_NODE_TYPES, NodeType
 
 
 def flow(profile="p0", crawl_iter=1, visit_seq=1, top="a.com", third="tracker.net",

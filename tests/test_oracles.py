@@ -24,6 +24,7 @@ drawn from a small per-instance pool so that the compared sets overlap.
 
 import csv
 import json
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -35,6 +36,7 @@ import support
 from storagelab.filterlist import EMPTY_RULES, AdRuleSet, is_ad_url, parse_rules
 from storagelab.artifacts import InputError, _parse_input
 from storagelab.flows import FLOW_FIELDS, TraceFormatError
+from storagelab import metrics
 from storagelab.metrics import OptimizeInstance, frame_similarity, jaccard, optimize_node_types
 from storagelab.frames import FrameRecord, read_frames_jsonl, write_frames_jsonl
 from storagelab.policy import PolicyKind, origin_of, resolve_partition, site_of
@@ -56,23 +58,20 @@ from storagelab.synthetic import (
     generate_synthetic_trace,
 )
 from storagelab.trace import (
-    STORAGE_APIS,
     BehaviorEdge,
     FrameLoad,
     HttpRequest,
-    NodeType,
     ScriptStorage,
     Trace,
     TraceMeta,
     VisitEnd,
     VisitStart,
-    _edge_string,
     dump_trace,
-    edge_endpoint_types,
     event_to_record,
     parse_trace,
     write_trace,
 )
+from storagelab.vocab import STORAGE_APIS, NodeType, _edge_string, edge_endpoint_types
 
 LABEL = st.sampled_from(["a", "b", "c", "co", "uk"])
 RULE = st.lists(LABEL, min_size=1, max_size=3).map(".".join)
@@ -189,6 +188,43 @@ def samples(draw, max_instances=3):
 @given(samples())
 def test_optimizer_matches_enum_search_over_all_types(sample):
     assert _outcome(optimize_node_types, sample) == _outcome(oracles.optimize_node_types, sample)
+
+
+# Exact scores whose denominators are equal, coprime or large.
+DENOMINATOR = st.one_of(st.sampled_from([1, 2, 3, 4, 6, 7, 9, 10, 97, 2**61 - 1]),
+                        st.integers(1, 10**40))
+EXACT_SCORES = st.lists(st.one_of(st.none(), DENOMINATOR.flatmap(
+    lambda d: st.integers(0, d).map(lambda n: Fraction(n, d)))), max_size=30)
+
+
+@settings(max_examples=300)
+@given(EXACT_SCORES, st.one_of(st.just(0), st.integers(1, 40)))
+@example([Fraction(1, 3), None, Fraction(2, 7)], 0)
+@example([None, None], 2)
+@example([], 0)
+def test_integer_sums_match_fraction_sums(scores, baseline_max):
+    mean = metrics.mean_defined(scores)
+    assert mean == oracles.mean_defined(scores)
+    assert mean is None or type(mean) is Fraction
+    curve = metrics.similarity_curve(scores, baseline_max)
+    assert curve == oracles.similarity_curve(scores, baseline_max)
+    assert all(type(value) is Fraction for _, value in curve)
+
+
+# (edge mask, |a & b|, |a | b|) of one endpoint-type pair, as _pair_counts gives them.
+PAIR_COUNT = st.tuples(st.integers(0, 10), st.integers(0, 10), st.integers(0, 60),
+                       st.integers(0, 60)).map(
+    lambda t: (1 << t[0] | 1 << t[1], min(t[2], t[3]), max(t[2], t[3])))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.lists(PAIR_COUNT, max_size=5), st.integers(1, 12)), max_size=8),
+       st.integers(0, 2**11 - 1))
+@example([([(1, 1, 3)], 2), ([(1, 2, 5)], 3), ([(2, 0, 0)], 1)], 1)
+def test_optimizer_means_match_fraction_sums(weighted, subset):
+    mean = metrics._mean_score(weighted, subset)
+    assert mean == oracles.mean_score(weighted, subset)
+    assert mean is None or type(mean) is Fraction
 
 
 def test_optimizer_breaks_exact_ties_by_size_then_type_value_order():
@@ -803,10 +839,10 @@ def _decoy_first_value(draw, record):
 
 def _lookalike_line(draw, record):
     """The writer's form with one difference that keeps its meaning: a
-    ``-0`` (where crawl_iter is 0), padding, an escaped tail string, or
-    else a sixth field."""
+    ``-0`` (where crawl_iter is 0), padding, an escaped tail string, each
+    ``/`` of the page URL escaped as ``\\/``, or else a sixth field."""
     line = _writer_form(record)
-    kind = draw(st.sampled_from(["-0", "pad", "escape", "extra"]))
+    kind = draw(st.sampled_from(["-0", "pad", "escape", "solidus", "extra"]))
     if kind == "-0" and record["crawl_iter"] == 0:
         return line.replace('{"crawl_iter":0,', '{"crawl_iter":-0,', 1)
     if kind == "pad":
@@ -814,6 +850,9 @@ def _lookalike_line(draw, record):
     if kind == "escape":  # the party's first letter as a \u escape
         party = record["party"]
         return line.replace(f'"party":"{party}"', f'"party":"\\u{ord(party[0]):04x}{party[1:]}"')
+    if kind == "solidus":
+        page = '"page_url":' + json.dumps(record["page_url"])
+        return line.replace(page, page.replace("/", "\\/"), 1)
     return line[:-1] + ',"zz":0}'
 
 
@@ -821,11 +860,17 @@ FRAME_LINE_FORMS = [_any_json_line, _writer_line, _writer_line, _decoy_first_val
                     _lookalike_line]
 
 
+# Rest-of-line strings: the writer escapes '"', '\\' and non-ASCII; written
+# raw, non-ASCII text, U+2028 and DEL are what JSON reads them as.
+TAIL_TEXT = st.one_of(TEXT, st.lists(st.sampled_from(
+    ['"', "\\", "/", "\u00e9", "\u2028", "\x7f", "\x1f", "a", "\u4e2d"]), max_size=4).map("".join))
+
+
 @st.composite
 def frame_lines(draw):
     records = {}
     for _ in range(draw(st.integers(0, 8))):
-        key = (draw(TEXT), draw(st.sampled_from(["f", "g\u00fc"])),
+        key = (draw(TAIL_TEXT), draw(st.sampled_from(["f", "g\u00fc", "h/\u2028\x7f"])),
                draw(st.sampled_from(["p0", "p1"])), draw(CRAWL_ITER))
         records[key] = {"page_url": key[0], "frame_url": key[1], "profile": key[2],
                         "crawl_iter": key[3], "party": draw(st.sampled_from(["first", "third"])),
@@ -856,6 +901,8 @@ def _read_lines(text: str):
           '"party":"third","profile":"p","crawl_iter":2} \r',
           '{"crawl_iter":1,"edges":["x"],"frame_url":"f","is_ad":false,"page_url":"p",'
           '"party":"\\u0074hird","profile":"p","edges":[]}'])
+@example(['{"crawl_iter":1,"edges":[],"frame_url":"h/\u2028\x7f\u00e9","is_ad":false,'
+          '"page_url":"a\\/\\"\\\\\\u00e9","party":"third","profile":"p"}'])
 def test_frames_reader_matches_per_field_reader(tmp_path_factory, lines):
     path = tmp_path_factory.getbasetemp() / "drawn-frames.jsonl"
     text = "\n".join(lines) + "\n"

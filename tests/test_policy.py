@@ -10,7 +10,7 @@ from storagelab.policy import (
     storage_access,
 )
 from storagelab.psl import builtin_rules
-from storagelab.trace import STORAGE_APIS, STORAGE_OPS
+from storagelab.vocab import STORAGE_APIS, STORAGE_OPS
 
 RULES = builtin_rules()
 TRACKER = "https://t.net/w"

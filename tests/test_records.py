@@ -13,12 +13,11 @@ import re
 import pytest
 
 from oracles import Blocked, Ephemeral, FirstParty, GlobalThirdParty, SiteKeyedThirdParty
-from storagelab import filterlist, flows, metrics, trace
+from storagelab import filterlist, flows, frames, metrics, trace
 from storagelab.filterlist import AdRuleSet, is_ad_url
 from storagelab.frames import FrameRecord, read_frames_jsonl, write_frames_jsonl
 from storagelab.record import Record
 from storagelab.trace import (
-    ALL_NODE_TYPES,
     BehaviorEdge,
     FrameLoad,
     HttpRequest,
@@ -27,6 +26,7 @@ from storagelab.trace import (
     VisitStart,
     parse_trace,
 )
+from storagelab.vocab import ALL_NODE_TYPES
 
 # Each class with its number of fields; every field gets the same value, so
 # two classes of the same arity hold equal field values. The partition keys
@@ -207,19 +207,48 @@ def _written_frames(tmp_path, edge_list_of):
 
 
 def test_each_distinct_edge_list_is_decoded_once_into_one_shared_set(monkeypatch, tmp_path):
-    decoded = []
-    real = flows._decode
-    monkeypatch.setattr(flows, "_decode", lambda text: decoded.append(text) or real(text))
+    decoded, tails = [], []
+    real_decode, real_tail = flows._decode, frames._line_tail
+    monkeypatch.setattr(flows, "_decode", lambda text: decoded.append(text) or real_decode(text))
+    monkeypatch.setattr(frames, "_line_tail", lambda text: tails.append(text) or real_tail(text))
     records, lines = _written_frames(tmp_path, lambda page, profile: page % 4)
     read = read_frames_jsonl(lines)
     assert read == records
     assert len([text for text in decoded if text.startswith("[")]) == len(EDGE_LISTS)
     # The rest of a line, past its edges, once per (page, profile): not per
-    # crawl iteration, which comes before the edges.
-    assert len([text for text in decoded if text.startswith("{")]) == len(lines) // 2
+    # crawl iteration, which comes before the edges. The writer's rest of a
+    # line holds no escape, so it is matched, never decoded.
+    assert len(tails) == len(set(tails)) == len(lines) // 2
+    assert not [text for text in decoded if text.startswith("{")]
     edge_sets = {id(record.edge_set): record.edge_set for record in read.values()}
     assert len(edge_sets) == len(EDGE_LISTS)
     assert all(type(edge_set) is frozenset for edge_set in edge_sets.values())
+
+
+def test_equal_edge_lists_share_one_set_whatever_path_their_line_takes(monkeypatch, tmp_path):
+    """A rest of a line with an escape (the writer's ``\\u00e9``) is decoded,
+    and a padded line or one with a sixth field is read whole; each record
+    still holds the one set of its edge list."""
+    decoded = []
+    real = flows._decode
+    monkeypatch.setattr(flows, "_decode", lambda text: decoded.append(text) or real(text))
+    records = {(f"https://s{page}é.com/", "https://t.net/w", profile, 1):
+               FrameRecord(set(EDGE_LISTS[page % 4]))
+               for page in range(8) for profile in ("p0", "p1")}
+    write_frames_jsonl(records, tmp_path / "frames.jsonl")
+    lines = (tmp_path / "frames.jsonl").read_text().splitlines(keepends=True)
+    assert all("\\u00e9" in line for line in lines)
+    lines[0] = " " + lines[0]
+    lines[1] = lines[1].replace("}\n", ',"zz":0}\n')
+    read = read_frames_jsonl(lines)
+    assert read == records
+    # Every rest of a line is decoded but the padded line's, which no writer-form
+    # head matches.
+    assert len([text for text in decoded if text.startswith("{")]) == len(lines) - 1
+    shared = {}
+    for record in read.values():
+        assert shared.setdefault(record.edge_set, record.edge_set) is record.edge_set
+    assert len(shared) == len(EDGE_LISTS)
 
 
 def test_similarity_scores_each_distinct_pair_of_edge_sets_once(monkeypatch, tmp_path):

@@ -29,13 +29,12 @@ from storagelab.trace import (
     BehaviorEdge,
     FrameLoad,
     HttpRequest,
-    NodeType,
     ScriptStorage,
     VisitEnd,
     VisitStart,
-    _edge_string,
     dump_trace,
 )
+from storagelab.vocab import NodeType, _edge_string
 
 from conftest import N_ITERS, N_PROFILES, N_SITES, N_TRACKERS, make_spec
 

@@ -35,21 +35,25 @@ NEVER = {"dataclasses", "inspect", "traceback"}
 REPLAY = {"storagelab.simulator", "storagelab.filterlist"}
 # The partition model, and the PSL that gives it each URL's site.
 PARTITIONS = {"storagelab.policy", "storagelab.cookies", "storagelab.psl"}
+# The trace event model, whose vocabulary is storagelab.vocab.
+TRACE_MODEL = {"storagelab.trace", "storagelab.record"}
 # Command -> the modules a successful call must not load, besides NEVER.
 NOT_LOADED = {
     "gen-trace": {"storagelab.metrics", "storagelab.simulator", "fractions", "random"},
     "simulate": {"storagelab.metrics", "storagelab.synthetic", "fractions", "random"},
     # The privacy metrics read only the flow table.
     **{f"metrics {metric}": {"storagelab.synthetic", "random", "storagelab.metrics",
-                             "storagelab.frames", "storagelab.trace", "fractions",
-                             *REPLAY, *PARTITIONS}
+                             "storagelab.frames", "storagelab.vocab", "fractions",
+                             *TRACE_MODEL, *REPLAY, *PARTITIONS}
        for metric in ("picf", "cross-site", "cross-time")},
-    # The compatibility metrics read frames.jsonl through storagelab.frames;
-    # only candidates maps a frame URL to its site, by the PSL.
-    **{f"metrics {metric}": {"storagelab.synthetic", "random", *REPLAY, *PARTITIONS}
+    # The compatibility metrics read frames.jsonl through storagelab.frames,
+    # and of the trace only its vocabulary; only candidates maps a frame URL
+    # to its site, by the PSL.
+    **{f"metrics {metric}": {"storagelab.synthetic", "random", *TRACE_MODEL, *REPLAY,
+                             *PARTITIONS}
        for metric in ("similarity", "kappa")},
-    "metrics optimize": {"storagelab.synthetic", *REPLAY, *PARTITIONS},
-    "metrics candidates": {"storagelab.synthetic", "random", *REPLAY},
+    "metrics optimize": {"storagelab.synthetic", *TRACE_MODEL, *REPLAY, *PARTITIONS},
+    "metrics candidates": {"storagelab.synthetic", "random", *TRACE_MODEL, *REPLAY},
 }
 # What every call loads: the argument table and the file helpers every command uses.
 ALWAYS = {"cli", "artifacts"}

@@ -9,29 +9,31 @@ from hypothesis import strategies as st
 
 from storagelab.flows import TraceFormatError, _json_object
 from storagelab.trace import (
-    ALL_NODE_TYPES,
     BehaviorEdge,
     FrameLoad,
     HttpRequest,
-    NodeType,
-    OPTIMAL_NODE_TYPES,
-    STORAGE_APIS,
-    STORAGE_NODE_TYPES,
-    STORAGE_OPS,
     ScriptStorage,
     Trace,
     TraceMeta,
     VisitEnd,
     VisitStart,
-    _edge_string,
     _fast_event,
     _json_line,
     _record_to_event,
     dump_trace,
-    edge_endpoint_types,
     event_to_record,
     parse_trace,
     write_trace,
+)
+from storagelab.vocab import (
+    ALL_NODE_TYPES,
+    OPTIMAL_NODE_TYPES,
+    STORAGE_APIS,
+    STORAGE_NODE_TYPES,
+    STORAGE_OPS,
+    NodeType,
+    _edge_string,
+    edge_endpoint_types,
 )
 
 
