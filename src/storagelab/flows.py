@@ -5,6 +5,11 @@ A reader takes the lines of a file, never its path: the CLI reads, hashes
 and decodes each input once, and adds the file's path to a reader's error,
 which names only the line.
 
+Each reader decodes a line once, JSON with ``_json_object`` and CSV with
+``csv.reader``, and checks it once against its record kind's field table,
+with ``_checked`` or ``_cells``. So each rule is written once, and an error
+names the first bad field in the table's order.
+
 The privacy metrics read only this module's flow table, so it imports no
 other ``storagelab`` module: a ``metrics picf``, ``cross-site`` or
 ``cross-time`` call compiles neither the replay engine nor the trace event
@@ -16,8 +21,9 @@ from __future__ import annotations
 import csv
 import json
 import re
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 
 class TraceFormatError(ValueError):
@@ -29,83 +35,127 @@ _TYPE_NAMES = {str: "a string", int: "an integer", bool: "a boolean", dict: "an 
                list: "an array"}
 
 
-def _require(record: dict, *names: str, of: type = str) -> list:
-    """The values of the named fields, each checked to be exactly of type
-    ``of`` (so a JSON boolean is not an integer). Errors name no line: the
+def _must_be(name: str, kind: type) -> TraceFormatError:
+    return TraceFormatError(f"field {name!r} must be {_TYPE_NAMES[kind]}")
+
+
+# A field table lists a record kind's fields, each as (name, check, default).
+# The check is the exact type the value must have (so a JSON boolean is not an
+# integer), or a function that returns the value to keep or raises. The
+# default is what an absent field takes, or _MISSING for a required one; a
+# field whose default is None also takes null for its default.
+_MISSING = object()
+
+
+def _checked(record: dict, table: tuple) -> list:
+    """The values of ``record``'s fields, in ``table``'s order. Errors name
+    the first field that is missing or fails its check, and no line: the
     caller prefixes where the record came from."""
     values = []
-    for name in names:
-        if name not in record:
-            raise TraceFormatError(f"missing field {name!r}")
-        if type(record[name]) is not of:
-            raise TraceFormatError(f"field {name!r} must be {_TYPE_NAMES[of]}")
-        values.append(record[name])
+    for name, check, default in table:
+        value = record.get(name, default)
+        if type(value) is not check:
+            if value is default:  # absent, or null where the default is None
+                if value is _MISSING:
+                    raise TraceFormatError(f"missing field {name!r}")
+            elif type(check) is type:
+                raise _must_be(name, check)
+            else:
+                value = check(value)
+        values.append(value)
     return values
 
 
-def _csv_record(header: Sequence[str], row: Sequence[str]) -> dict[str, str]:
-    """A CSV row as {column: cell}, lacking the columns a short row has no cell for."""
-    if len(row) > len(header):
-        raise TraceFormatError(f"{len(row)} cells, header has {len(header)}")
-    return dict(zip(header, row))
+def _word(name: str, words: Collection[str], what: str):
+    """The check of a field that must be a string in ``words``; ``what``
+    names such a word in the error for any other string."""
+    def check(value) -> str:
+        if type(value) is not str:
+            raise _must_be(name, str)
+        if value not in words:
+            raise TraceFormatError(f"unknown {what} {value!r}")
+        return value
+    return check
 
 
-# An integer CSV cell in the form the CLI writes: ``int()`` alone would also
-# take " 1_0", "+1" and non-ASCII digits.
-_INTEGER = re.compile(r"-?[0-9]+").fullmatch
-
-
-# One JSON value at the start of a text and where it ends; unlike json.loads,
-# it makes no per-call checks or whitespace matches of its own.
+# One JSON value at a text's index and where it ends; unlike json.loads, it
+# makes no per-call checks or whitespace matches of its own.
 _decode = json.JSONDecoder().raw_decode
+_SPACE = re.compile(r"[ \t\n\r]*").match  # JSON's whitespace
 _SURROGATE = re.compile("[\ud800-\udfff]").search
 
 
-def _no_surrogate(value, text: str):
-    """``value``, decoded from the JSON ``text``; a TraceFormatError if a
-    string in it, key or value, holds a surrogate code point, which only a
-    ``\\u`` escape gives and no UTF-8 output can hold. A text with no
-    ``\\ud`` or ``\\uD`` in it is not walked."""
-    if "\\ud" not in text and "\\uD" not in text:
-        return value
-    stack = [value]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            if _SURROGATE(item):
-                raise TraceFormatError(f"lone surrogate in string {item!r}")
-        elif type(item) is dict:
-            stack += item
-            stack += item.values()
-        elif type(item) is list:
-            stack += item
-    return value
-
-
-def _whole(text: str):
-    """The JSON value that is all of ``text`` but a final newline; ValueError
-    otherwise, or for a string holding a surrogate. The one-pass readers
-    decode with it, and send any text it refuses to the field-by-field checks
-    that name the error."""
+def _json_object(text: str, surrogates: bool = True) -> dict:
+    """The JSON object that is all of ``text`` but JSON whitespace, from one
+    decode. Anything else raises a TraceFormatError, in json.loads's words
+    where it is not JSON: ``invalid JSON (Extra data)``, ``invalid JSON
+    (nested too deeply)``, ``record must be a JSON object``. Unless
+    ``surrogates`` is false, so is a string, key or value, that holds a
+    surrogate code point: only a ``\\u`` escape gives one, and no UTF-8
+    output can hold it. A text with no ``\\ud`` or ``\\uD`` in it is not
+    walked for one."""
     try:
-        value, end = _decode(text)
-    except RecursionError:  # json's scanner, on a value nested too deeply
-        raise ValueError("nested too deeply") from None
-    if text[end:] not in ("", "\n"):
-        raise ValueError("text after the value")
-    return _no_surrogate(value, text)
-
-
-def _json_object(line: str) -> dict:
-    try:
-        record = json.loads(line)
-    except ValueError as exc:  # bad JSON, or an integer past int()'s digit limit
-        raise TraceFormatError(f"invalid JSON ({getattr(exc, 'msg', exc)})") from None
+        # Leading space is matched only where there is some: the readers strip lines.
+        record, end = _decode(text, _SPACE(text).end() if text[:1] in " \t\n\r" else 0)
+        if end != len(text) and _SPACE(text, end).end() != len(text):
+            raise json.JSONDecodeError("Extra data", text, end)
+    except json.JSONDecodeError as exc:
+        message = ("Unexpected UTF-8 BOM (decode using utf-8-sig)" if text[:1] == "\ufeff"
+                   else exc.msg)
+        raise TraceFormatError(f"invalid JSON ({message})") from None
+    except ValueError as exc:  # an integer past int()'s digit limit
+        raise TraceFormatError(f"invalid JSON ({exc})") from None
     except RecursionError:  # json's scanner, on a value nested too deeply
         raise TraceFormatError("invalid JSON (nested too deeply)") from None
-    if not isinstance(record, dict):
+    if type(record) is not dict:
         raise TraceFormatError("record must be a JSON object")
+    if surrogates and ("\\ud" in text or "\\uD" in text):
+        stack = [record]
+        while stack:
+            item = stack.pop()
+            if type(item) is str and _SURROGATE(item):
+                raise TraceFormatError(f"lone surrogate in string {item!r}")
+            elif type(item) is dict:
+                stack += item
+                stack += item.values()
+            elif type(item) is list:
+                stack += item
     return record
+
+
+def _csv_table(header: Sequence[str], names: tuple[str, ...], integers=()) -> tuple:
+    """The field table of a CSV file's rows: the named fields, their columns
+    under ``header`` (a name the header repeats is its last column), what
+    picks them from a row (None when they are the header's columns in its
+    order), the header's width, and which fields are integers, by position."""
+    column = {name: index for index, name in enumerate(header)}
+    indices = tuple(column[name] for name in names)
+    select = None if indices == tuple(range(len(header))) else itemgetter(*indices)
+    return (names, indices, select, len(header),
+            tuple(i for i, name in enumerate(names) if name in integers))
+
+
+def _cells(row: list[str], table: tuple) -> list:
+    """The cells of ``table``'s fields in a CSV row, an integer field's as an
+    int; the row itself, changed in place, when the table takes every
+    column in order. A row with more cells than the header raises, as does
+    the first field with no cell, then the first that is not an integer in
+    the form the CLI writes, ``-?[0-9]+``: ``int()`` alone would also take
+    " 1_0", "+1" and non-ASCII digits."""
+    names, indices, select, width, integers = table
+    if len(row) != width:
+        if len(row) > width:
+            raise TraceFormatError(f"{len(row)} cells, header has {width}")
+        for name, index in zip(names, indices):
+            if index >= len(row):
+                raise TraceFormatError(f"missing field {name!r}")
+    values = row if select is None else list(select(row))
+    for i in integers:
+        digits = values[i].removeprefix("-")
+        if not (digits.isascii() and digits.isdecimal()):
+            raise _must_be(names[i], int)
+        values[i] = int(values[i])
+    return values
 
 
 class CookieFlowRecord(NamedTuple):
@@ -144,40 +194,24 @@ def write_csv(path: str | Path, rows: Iterable[Sequence]) -> None:
         csv.writer(_LineFeedRows(fh)).writerows(rows)
 
 
-def _flow_record(row: list[str]) -> CookieFlowRecord:
-    profile, crawl_iter, visit_seq, top_site, third_party_site, name, value = _require(
-        _csv_record(FLOW_FIELDS, row), *FLOW_FIELDS)
-    if not (_INTEGER(crawl_iter) and _INTEGER(visit_seq)):
-        raise TraceFormatError("crawl_iter and visit_seq must be integers")
-    return CookieFlowRecord(profile, int(crawl_iter), int(visit_seq), top_site,
-                            third_party_site, name, value)
+_FLOW_TABLE = _csv_table(FLOW_FIELDS, FLOW_FIELDS, ("crawl_iter", "visit_seq"))
 
 
 def read_flows_csv(lines: Iterable[str]) -> list[CookieFlowRecord]:
     """The flow table in the lines of a ``flows.csv`` file, as a text file
     opened with ``newline=""`` gives them. Raises :class:`TraceFormatError`,
     naming the line, for a row with a missing or extra field or a crawl_iter
-    or visit_seq that is not an integer (``-?[0-9]+``)."""
+    or visit_seq that is not an integer (``-?[0-9]+``); a blank row is
+    skipped."""
     reader = csv.reader(lines)
     header = next(reader, None)
     if header is None or tuple(header) != FLOW_FIELDS:
         raise ValueError(f"not a flow table (header {header})")
     flows = []
     for row in reader:
-        # One pass: seven cells, and two unsigned ASCII integers. Any other
-        # row, a negative integer included, goes to _flow_record, which names
-        # what is wrong; a blank row is skipped.
-        try:
-            profile, crawl_iter, visit_seq, top_site, third_party_site, name, value = row
-        except ValueError:
-            crawl_iter = visit_seq = ""
-        try:
-            if (crawl_iter.isdecimal() and visit_seq.isdecimal()
-                    and crawl_iter.isascii() and visit_seq.isascii()):
-                flows.append(CookieFlowRecord(profile, int(crawl_iter), int(visit_seq),
-                                              top_site, third_party_site, name, value))
-            elif row:
-                flows.append(_flow_record(row))
-        except ValueError as exc:  # also an integer past int()'s digit limit
-            raise TraceFormatError(f"line {reader.line_num}: {exc}") from None
+        if row:
+            try:
+                flows.append(CookieFlowRecord._make(_cells(row, _FLOW_TABLE)))
+            except ValueError as exc:  # also an integer past int()'s digit limit
+                raise TraceFormatError(f"line {reader.line_num}: {exc}") from None
     return flows

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import re
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
-from storagelab.flows import TraceFormatError, _json_object, _no_surrogate, _require, _whole
+from storagelab.flows import (_MISSING, TraceFormatError, _checked, _decode, _json_object, _must_be,
+                              _word)
 from storagelab.vocab import _EDGE_MASKS, _Memo
 
 
@@ -65,25 +65,22 @@ def write_frames_jsonl(frames: dict[FrameKey, FrameRecord], path: str | Path) ->
                 encoded[record.party], encoded[profile]))
 
 
-def _frame_entry(line: str) -> tuple[FrameKey, FrameRecord]:
-    record = _no_surrogate(_json_object(line), line)
-    page_url, frame_url, profile, party = _require(
-        record, "page_url", "frame_url", "profile", "party")
-    (crawl_iter,) = _require(record, "crawl_iter", of=int)
-    (is_ad,) = _require(record, "is_ad", of=bool)
-    (edges,) = _require(record, "edges", of=list)
-    if not all(isinstance(edge, str) for edge in edges):
+def _edges(value) -> frozenset[str]:
+    """The check of a record's ``edges``: an array of canonical edge strings."""
+    if type(value) is not list:
+        raise _must_be("edges", list)
+    if not all(type(edge) is str for edge in value):
         raise TraceFormatError("field 'edges' must hold strings")
-    if party not in PARTIES:
-        raise TraceFormatError(f"unknown party {party!r}")
-    for edge in edges:
-        try:
-            _EDGE_MASKS[edge]  # parsed once per distinct edge per process
-        except ValueError as exc:
-            raise TraceFormatError(str(exc)) from None
-    key = (page_url, frame_url, profile, crawl_iter)
-    return key, FrameRecord(frozenset(edges), is_ad, party)
+    for edge in value:
+        _EDGE_MASKS[edge]  # parsed once per distinct edge per process; ValueError if not canonical
+    return frozenset(value)
 
+
+# The field table of a frames.jsonl record, in the writer's key order.
+_FIELDS = (("crawl_iter", int, _MISSING), ("edges", _edges, _MISSING),
+           ("frame_url", str, _MISSING), ("is_ad", bool, _MISSING),
+           ("page_url", str, _MISSING), ("party", _word("party", PARTIES, "party"), _MISSING),
+           ("profile", str, _MISSING))
 
 # A line in the writer's form, up to the first edge: its crawl_iter as the
 # writer prints a machine-sized int.
@@ -91,6 +88,11 @@ _WRITER_HEAD = re.compile(r'\{"crawl_iter":(0|-?[1-9][0-9]{0,17}),"edges":\[').m
 # What ends the edge list and starts the rest of the line; inside an edge's
 # JSON string a '"' is always escaped, so the first match is the real one.
 _EDGES_END = '],"frame_url":'
+# An edge list's text, between the brackets, in the writer's form: JSON
+# strings, each followed by a comma and another or by the end, whose escapes
+# are any that JSON takes but one of a surrogate code point. So it decodes.
+_CHARS = r'[^"\\\x00-\x1f]*+(?:\\(?:["\\/bfnrt]|u(?![dD][89a-fA-F])[0-9a-fA-F]{4})[^"\\\x00-\x1f]*+)*+'
+_STRING_LIST = re.compile(rf'(?:"{_CHARS}"(?:,(?=")|\Z))*+').fullmatch
 # The rest of a line in the writer's form, each string holding no quote, no
 # backslash and no control character, so that its text is its value, as JSON
 # reads it.
@@ -98,43 +100,17 @@ _STRING = r'"([^"\\\x00-\x1f]*)"'
 _WRITER_TAIL = re.compile(
     rf'"frame_url":{_STRING},"is_ad":(true|false),"page_url":{_STRING},'
     rf'"party":"(first|third)","profile":{_STRING}}}\n?').fullmatch
-_TAIL_FIELDS = itemgetter("page_url", "frame_url", "profile", "party", "is_ad")
-
-
-def _edge_list(text: str) -> frozenset[str] | None:
-    """The edges of a writer-form line's edge-list text, the part between
-    ``"edges":[`` and ``]``; None unless it is a list of canonical edge
-    strings."""
-    try:
-        edges = _whole(f"[{text}]")
-        if all(type(edge) is str for edge in edges):
-            for edge in edges:
-                _EDGE_MASKS[edge]
-            return frozenset(edges)
-    except ValueError:  # not JSON, or not a canonical edge
-        pass
-    return None
 
 
 def _line_tail(text: str) -> tuple | None:
     """``(page_url, frame_url, profile, party, is_ad)`` from the text after a
-    writer-form line's edge list, ``"frame_url":`` to the end; None unless it
-    holds exactly those five fields, of the writer's types. A text whose
-    strings need no unescaping is matched; any other is decoded."""
+    writer-form line's edge list, ``"frame_url":`` to the end; None unless
+    the writer's form matches it."""
     tail = _WRITER_TAIL(text)
-    if tail is not None:
-        frame_url, is_ad, page_url, party, profile = tail.groups()
-        return page_url, frame_url, profile, party, is_ad == "true"
-    try:
-        fields = _whole("{" + text)
-        if len(fields) == 5:
-            page_url, frame_url, profile, party, is_ad = tail = _TAIL_FIELDS(fields)
-            if (type(page_url) is str and type(frame_url) is str and type(profile) is str
-                    and party in PARTIES and type(is_ad) is bool):
-                return tail
-    except (ValueError, KeyError):  # not JSON, or a field missing
-        pass
-    return None
+    if tail is None:
+        return None
+    frame_url, is_ad, page_url, party, profile = tail.groups()
+    return page_url, frame_url, profile, party, is_ad == "true"
 
 
 def read_frames_jsonl(lines: Iterable[str]) -> dict[FrameKey, FrameRecord]:
@@ -144,18 +120,22 @@ def read_frames_jsonl(lines: Iterable[str]) -> dict[FrameKey, FrameRecord]:
     is not a canonical edge string, or repeats the (page_url, frame_url,
     profile, crawl_iter) of an earlier record.
 
-    A line in the writer's exact form is taken as three parts: its
-    crawl_iter, its edge-list text and the text after it. Each distinct
-    edge-list text is decoded and checked once, and each distinct rest of a
-    line is matched or decoded once. Any other line, or one whose parts fail
-    a check, is decoded whole by ``_frame_entry``, which names what is wrong.
-    Either way, every record with an equal edge set shares one frozenset."""
+    A line in the writer's form is taken as three parts, each found by a
+    regex before anything is decoded: its crawl_iter, its edge-list text and
+    the text after it, which must hold the five other fields alone. Each
+    distinct edge-list text is decoded and checked once, and each distinct
+    rest matched once. Any other line is decoded whole and checked against
+    ``_FIELDS``. So no line is decoded twice, and an error names the first
+    bad field in ``_FIELDS``'s order. Every record with an equal edge set
+    shares one frozenset."""
     frames: dict[FrameKey, FrameRecord] = {}
     shared: dict[frozenset[str], frozenset[str]] = {}  # each distinct edge set
 
     def shared_edges(text: str) -> frozenset[str] | None:
-        edges = _edge_list(text)
-        return None if edges is None else shared.setdefault(edges, edges)
+        if not _STRING_LIST(text):
+            return None
+        edges = _edges(_decode(f"[{text}]")[0])
+        return shared.setdefault(edges, edges)
 
     edge_lists = _Memo(shared_edges)
     tails = _Memo(_line_tail)
@@ -163,21 +143,24 @@ def read_frames_jsonl(lines: Iterable[str]) -> dict[FrameKey, FrameRecord]:
         try:
             head = _WRITER_HEAD(line)
             stop = line.find(_EDGES_END, head.end()) if head else -1
-            edges = edge_lists[line[head.end():stop]] if stop >= 0 else None
-            tail = tails[line[stop + 2:]] if edges is not None else None
-            if tail is not None:
+            # The rest first: only with no edges key of its own may the edge
+            # list's check name the line's error.
+            tail = tails[line[stop + 2:]] if stop >= 0 else None
+            edges = edge_lists[line[head.end():stop]] if tail is not None else None
+            if edges is not None:
                 page_url, frame_url, profile, party, is_ad = tail
                 key = (page_url, frame_url, profile, int(head[1]))
-                record = FrameRecord(edges, is_ad, party)
             else:
-                # _frame_entry names what is wrong; a blank line is skipped.
                 line = line.strip()
-                if not line:
+                if not line:  # a blank line is skipped
                     continue
-                key, record = _frame_entry(line)
-                record.edge_set = shared.setdefault(record.edge_set, record.edge_set)
+                crawl_iter, edges, frame_url, is_ad, page_url, party, profile = _checked(
+                    _json_object(line), _FIELDS)
+                key = (page_url, frame_url, profile, crawl_iter)
+                edges = shared.setdefault(edges, edges)
+            record = FrameRecord(edges, is_ad, party)
             if frames.setdefault(key, record) is not record:
                 raise TraceFormatError(f"duplicate frame record {key!r}")
-        except TraceFormatError as exc:
+        except ValueError as exc:  # also a non-canonical edge
             raise TraceFormatError(f"line {line_no}: {exc}") from None
     return frames

@@ -33,8 +33,8 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from storagelab.artifacts import (InputError, _at_least, _fnum, _frac, _load_suffix_rules,
                                   _out_dir, _parse_input, _write_json, _write_manifest)
-from storagelab.flows import (_INTEGER, TraceFormatError, _csv_record, _json_object, _require,
-                              read_flows_csv, write_csv)
+from storagelab.flows import (TraceFormatError, _cells, _csv_table, _json_object, read_flows_csv,
+                              write_csv)
 from storagelab.frames import FrameKey, FrameRecord, read_frames_jsonl
 from storagelab.vocab import _EDGE_MASKS, _TYPE_BIT, OPTIMAL_NODE_TYPES, NodeType, _Memo
 
@@ -455,7 +455,8 @@ def _load_sim_dir(path_str: str, with_flows: bool = False):
         raise InputError(f"not a simulation output directory (no manifest): {sim_dir}")
     # Its strings are not checked for surrogates: none reaches an output, and a
     # path from a file name that is not UTF-8 holds one.
-    manifest, entry = _parse_input(manifest_path, lambda fh: _json_object(fh.read()), None)
+    manifest, entry = _parse_input(manifest_path,
+                                   lambda fh: _json_object(fh.read(), surrogates=False), None)
     entries = {"manifest.json": entry}
     if manifest.get("command") != "simulate":
         raise InputError(f"{sim_dir}: manifest is not from a simulate run")
@@ -625,21 +626,18 @@ def _read_grades_csv(lines) -> dict[tuple[str, str], tuple[int, int]]:
     grades: dict[tuple[str, str], tuple[int, int]] = {}
     reader = csv.reader(lines)
     header = next(reader, None)
-    required = {"url", "profile", "grader_a", "grader_b"}
-    if header is None or not required.issubset(header):
+    required = ("url", "profile", "grader_a", "grader_b")
+    if header is None or not set(required).issubset(header):
         raise TraceFormatError(f"grades CSV needs columns {sorted(required)}")
+    table = _csv_table(header, required, integers=("grader_a", "grader_b"))
     for row in reader:
         if not row:
             continue
         try:
-            url, profile, grade_a, grade_b = _require(
-                _csv_record(header, row), "url", "profile", "grader_a", "grader_b")
-            cell = (url, profile)
-            if cell in grades:
-                raise TraceFormatError(f"duplicate cell {cell!r}")
-            if not (_INTEGER(grade_a) and _INTEGER(grade_b)):
-                raise TraceFormatError(f"non-integer grade in {cell!r}")
-            grades[cell] = (int(grade_a), int(grade_b))
+            url, profile, grade_a, grade_b = _cells(row, table)
+            if (url, profile) in grades:
+                raise TraceFormatError(f"duplicate cell {(url, profile)!r}")
+            grades[(url, profile)] = (grade_a, grade_b)
         except ValueError as exc:  # also an integer past int()'s digit limit
             raise TraceFormatError(f"line {reader.line_num}: {exc}") from None
     return grades

@@ -22,11 +22,11 @@ partition or replay code.
 from __future__ import annotations
 
 import json
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Union
 
-from storagelab.flows import TraceFormatError, _json_object, _no_surrogate, _require, _whole
+from storagelab.flows import (_MISSING, TraceFormatError, _checked, _json_object, _must_be,
+                              _word)
 from storagelab.record import Record
 from storagelab.vocab import STORAGE_APIS, STORAGE_OPS, NodeType, _edge_string
 
@@ -110,170 +110,95 @@ def event_to_record(event: TraceEvent) -> dict:
     return record
 
 
-def _condition(record: dict) -> tuple[str, bool] | None:
-    """A record's ``when`` as ``(cookie name, present)``; None when absent."""
-    when = record.get("when")
-    if when is None:
-        return None
-    if (type(when) is dict and type(when.get("cookie")) is str
-            and type(when.get("present")) is bool):
-        return when["cookie"], when["present"]
+# The checks of a trace record's fields that are not plain strings; each
+# returns the value its event keeps, or raises the error that names it.
+
+def _set_cookies(value) -> tuple[str, ...]:
+    try:  # str.join raises a TypeError unless every cookie is a string
+        if type(value) is list and "".join(value) is not None:
+            return tuple(value)
+    except TypeError:
+        pass
+    raise TraceFormatError("response_set_cookies must be a string list")
+
+
+def _edge(value) -> str:
+    """An edge object's canonical string."""
+    if type(value) is not dict:
+        raise _must_be("edge", dict)
+    return _edge_string(*_checked(value, _EDGE_TABLE))
+
+
+def _when(value) -> tuple[str, bool]:
+    """A ``when`` condition as ``(cookie name, present)``."""
+    if (type(value) is dict and type(value.get("cookie")) is str
+            and type(value.get("present")) is bool):
+        return value["cookie"], value["present"]
     raise TraceFormatError('when must be {"cookie": a string, "present": a boolean}')
 
 
-def _record_to_event(record: dict) -> TraceEvent:
-    kind = record.get("type")
-    if kind == "visit_start":
-        profile, tab, page_url = _require(record, "profile", "tab", "page_url")
-        crawl_iter, visit_seq = _require(record, "crawl_iter", "visit_seq", of=int)
-        return VisitStart(profile, crawl_iter, tab, page_url, visit_seq)
-    if kind == "frame_load":
-        tab, frame_id, frame_url = _require(record, "tab", "frame_id", "frame_url")
-        is_ad = record.get("is_ad")
-        if is_ad is not None and not isinstance(is_ad, bool):
-            raise TraceFormatError("is_ad must be a boolean")
-        return FrameLoad(tab, frame_id, frame_url, is_ad)
-    if kind == "http_request":
-        tab, frame_id, dest_url = _require(record, "tab", "frame_id", "dest_url")
-        cookies = record.get("response_set_cookies", [])
-        if not isinstance(cookies, list) or not all(isinstance(c, str) for c in cookies):
-            raise TraceFormatError("response_set_cookies must be a string list")
-        return HttpRequest(tab, frame_id, dest_url, tuple(cookies), _condition(record))
-    if kind == "script_storage":
-        tab, frame_id, api, op, key = _require(record, "tab", "frame_id", "api", "op", "key")
-        if api not in STORAGE_APIS:
-            raise TraceFormatError(f"unknown storage api {api!r}")
-        if op not in STORAGE_OPS:
-            raise TraceFormatError(f"unknown storage op {op!r}")
-        value = record.get("value")
-        if value is not None and not isinstance(value, str):
-            raise TraceFormatError("value must be a string or null")
-        return ScriptStorage(tab, frame_id, api, op, key, value)
-    if kind == "behavior_edge":
-        tab, frame_id = _require(record, "tab", "frame_id")
-        (edge,) = _require(record, "edge", of=dict)
-        fields = _require(edge, *_EDGE_FIELDS)
-        NodeType(fields[0]), NodeType(fields[3])  # ValueError for an unknown node type
-        return BehaviorEdge(tab, frame_id, _edge_string(*fields), _condition(record))
-    if kind == "visit_end":
-        (tab,) = _require(record, "tab")
-        return VisitEnd(tab)
-    raise TraceFormatError(f"unknown record type {kind!r}")
-
-
-# The one-pass path of parse_trace: a builder per record type takes a decoded
-# record and gives its event, or None, or raises KeyError or ValueError, to
-# decline it. A builder checks exact types (an integer is never a bool) and
-# takes only records that _record_to_event takes, building the same event.
-_VISIT_START_FIELDS = itemgetter("profile", "crawl_iter", "tab", "page_url", "visit_seq")
-_FRAME_FIELDS = itemgetter("tab", "frame_id", "frame_url")
-_REQUEST_FIELDS = itemgetter("tab", "frame_id", "dest_url")
-_SCRIPT_FIELDS = itemgetter("tab", "frame_id", "api", "op", "key")
-_EDGE_EVENT_FIELDS = itemgetter("tab", "frame_id", "edge")
-_EDGE_OBJECT_FIELDS = itemgetter(*_EDGE_FIELDS)
 _NODE_TYPES = frozenset(t.value for t in NodeType)
+_CHECKS = {"crawl_iter": int, "visit_seq": int, "is_ad": bool,
+           "response_set_cookies": _set_cookies, "edge": _edge, "when": _when, "spec": dict,
+           "api": _word("api", STORAGE_APIS, "storage api"),
+           "op": _word("op", STORAGE_OPS, "storage op"),
+           "source_type": _word("source_type", _NODE_TYPES, "node type"),
+           "target_type": _word("target_type", _NODE_TYPES, "node type")}
 
 
-def _build_visit_start(record: dict) -> VisitStart | None:
-    profile, crawl_iter, tab, page_url, visit_seq = _VISIT_START_FIELDS(record)
-    if (type(profile) is str and type(tab) is str and type(page_url) is str
-            and type(crawl_iter) is int and type(visit_seq) is int):
-        return VisitStart(profile, crawl_iter, tab, page_url, visit_seq)
-    return None
+def _table(fields: tuple[str, ...], defaults: dict) -> tuple:
+    """The field table of a record class, in its fields' order: a field is a
+    string unless ``_CHECKS`` names its check, and required unless it has a
+    default."""
+    return tuple((name, _CHECKS.get(name, str), defaults.get(name, _MISSING)) for name in fields)
 
 
-def _build_frame_load(record: dict) -> FrameLoad | None:
-    tab, frame_id, frame_url = _FRAME_FIELDS(record)
-    is_ad = record.get("is_ad")
-    if (type(tab) is str and type(frame_id) is str and type(frame_url) is str
-            and (is_ad is None or type(is_ad) is bool)):
-        return FrameLoad(tab, frame_id, frame_url, is_ad)
-    return None
+_EDGE_TABLE = _table(_EDGE_FIELDS, {})
+# Each record type's class and field table; only line 1 may be the meta.
+_KINDS = {kind: (cls, _table(cls._fields, cls._defaults)) for kind, cls in (
+    ("visit_start", VisitStart), ("frame_load", FrameLoad), ("http_request", HttpRequest),
+    ("script_storage", ScriptStorage), ("behavior_edge", BehaviorEdge), ("visit_end", VisitEnd))}
+_KINDS["meta"] = (TraceMeta, _table(TraceMeta._fields, TraceMeta._field_defaults))
 
 
-def _build_http_request(record: dict) -> HttpRequest | None:
-    tab, frame_id, dest_url = _REQUEST_FIELDS(record)
-    cookies = record.get("response_set_cookies", [])
-    if (type(tab) is str and type(frame_id) is str and type(dest_url) is str
-            and type(cookies) is list and all(type(c) is str for c in cookies)):
-        return HttpRequest(tab, frame_id, dest_url, tuple(cookies), _condition(record))
-    return None
-
-
-def _build_script_storage(record: dict) -> ScriptStorage | None:
-    tab, frame_id, api, op, key = _SCRIPT_FIELDS(record)
-    value = record.get("value")
-    if (type(tab) is str and type(frame_id) is str and type(key) is str
-            and type(api) is str and api in STORAGE_APIS and type(op) is str
-            and op in STORAGE_OPS and (value is None or type(value) is str)):
-        return ScriptStorage(tab, frame_id, api, op, key, value)
-    return None
-
-
-def _build_behavior_edge(record: dict) -> BehaviorEdge | None:
-    tab, frame_id, edge = _EDGE_EVENT_FIELDS(record)
-    if type(tab) is str and type(frame_id) is str and type(edge) is dict:
-        fields = _EDGE_OBJECT_FIELDS(edge)
-        if (all(type(field) is str for field in fields)
-                and fields[0] in _NODE_TYPES and fields[3] in _NODE_TYPES):
-            return BehaviorEdge(tab, frame_id, _edge_string(*fields), _condition(record))
-    return None
-
-
-def _build_visit_end(record: dict) -> VisitEnd | None:
-    tab = record["tab"]
-    return VisitEnd(tab) if type(tab) is str else None
-
-
-_BUILDERS = {"visit_start": _build_visit_start, "frame_load": _build_frame_load,
-             "http_request": _build_http_request, "script_storage": _build_script_storage,
-             "behavior_edge": _build_behavior_edge, "visit_end": _build_visit_end}
-
-
-def _fast_event(line: str) -> TraceEvent | None:
-    """The event of a stripped trace line, from one decode that must end at
-    the end of the line and its type's builder; None when the line is not a
-    JSON object of a known event type or a builder declines it."""
+def _event(record: dict) -> TraceEvent | TraceMeta:
+    """The event, or the meta, of a decoded trace record; a TraceFormatError
+    names an unknown type or the first bad field in its table."""
+    kind = record.get("type")
     try:
-        record = _whole(line)
-        return _BUILDERS[record["type"]](record)
-    except (ValueError, KeyError, TypeError):  # TypeError: not an object, or an unhashable type
-        return None
+        cls, table = _KINDS[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable type
+        raise TraceFormatError(f"unknown record type {kind!r}") from None
+    return cls(*_checked(record, table))
 
 
 def parse_trace(lines: Iterable[str]) -> Trace:
     """Parse trace lines; :class:`TraceFormatError` names the first bad line.
 
-    Each distinct (stripped) line is decoded and checked once: a repeat
-    reuses the frozen event parsed from its first copy, so events from
-    identical lines are the same object. A line is decoded in one pass and
-    checked by exact types (``_fast_event``); a line that pass declines, a
-    meta or a bad record, is decoded again and checked field by field
-    (``_record_to_event``), which names what is wrong. The meta record is
-    never reused, since its ``spec`` is a mutable dict and only line 1 may
-    hold it.
+    Each distinct line is decoded once (``flows._json_object``) and checked
+    once against its type's field table (``_event``): a repeat of a line as
+    read reuses the frozen event parsed from its first copy, so events from
+    identical lines are the same object. The meta record is never reused,
+    since its ``spec`` is a mutable dict and only line 1 may hold it.
     """
     meta: TraceMeta | None = None
     events: list[TraceEvent] = []
-    parsed: dict[str, TraceEvent] = {}
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    parsed: dict[str, TraceEvent] = {}  # a line as read -> its event
+    for line_no, line in enumerate(lines, start=1):
         event = parsed.get(line)
         if event is None:
-            event = _fast_event(line)
-            if event is None:
-                try:
-                    record = _no_surrogate(_json_object(line), line)
-                    if record.get("type") == "meta":
-                        if line_no != 1:
-                            raise TraceFormatError("meta record only allowed first")
-                        meta = TraceMeta(record.get("scenario"), record.get("spec"))
-                        continue
-                    event = _record_to_event(record)
-                except ValueError as exc:  # a TraceFormatError, or an unknown node type
-                    raise TraceFormatError(f"line {line_no}: {exc}") from None
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                event = _event(_json_object(text))
+                if type(event) is TraceMeta:
+                    if line_no != 1:
+                        raise TraceFormatError("meta record only allowed first")
+                    meta = event
+                    continue
+            except ValueError as exc:
+                raise TraceFormatError(f"line {line_no}: {exc}") from None
             parsed[line] = event
         events.append(event)
     return Trace(meta, events)

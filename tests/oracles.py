@@ -34,8 +34,9 @@ jar numbers each stored cookie and sorts on that number, kept as the oracle
 for ``storagelab.cookies.add_cookie``, whose jar's dict order is its
 creation order.
 ``parse_trace`` decodes and checks every line, repeated or not, field by
-field, kept as the oracle for ``storagelab.trace.parse_trace``, which does so
-once per distinct line, in one pass of exact type checks.
+field with a call per rule, kept as the oracle for
+``storagelab.trace.parse_trace``, which does so once per distinct line,
+walking the record's field table.
 ``generate_synthetic_trace`` writes a trace for one policy, without
 conditions: it keeps its own copy of that policy's partition keys to decide
 which visits set an ID and which widgets touch storage, draws each embedding
@@ -48,9 +49,10 @@ string, kept as the oracle for ``storagelab.trace``'s writers, which encode
 each distinct event object once and stream the lines.
 ``read_flows_csv`` and ``read_frames_jsonl`` build a dict per row and check
 each field with its own call, kept as the oracles for
-``storagelab.flows.read_flows_csv``, which checks each row in one pass, and
-``storagelab.frames.read_frames_jsonl``, which decodes each distinct edge
-list and each distinct rest of a writer-form line once.
+``storagelab.flows.read_flows_csv``, which checks each row against its
+field table, and ``storagelab.frames.read_frames_jsonl``, which decodes each
+distinct edge list of a writer-form line once and matches each distinct rest
+of it once.
 ``write_frames_jsonl`` runs ``json.dumps`` on a dict per frame, kept as the
 oracle for ``storagelab.frames.write_frames_jsonl``, which fills one line
 template with each distinct string encoded once. ``check_rule`` splits a PSL
@@ -79,7 +81,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 from urllib.parse import urlsplit
 
-from storagelab import flows as _flows
 from storagelab.cookies import Cookie, parse_set_cookie
 from storagelab.filterlist import EMPTY_RULES, AdRuleSet
 from storagelab.filterlist import is_ad_url as fast_is_ad_url
@@ -729,10 +730,16 @@ def replay(
 
 # ---------------------------------------------------------------------------
 # Trace parsing: every line is decoded and checked, each error names its line.
-# The one change from the original is that ``_require`` rejects a JSON boolean
-# where an integer is required, as the fast parser does.
+# The changes from the original: ``_require`` rejects a JSON boolean where an
+# integer is required; the fields of a record are checked in its event
+# class's field order, so that a record with several bad fields names the
+# first of them; a wrong ``is_ad`` or ``value`` is named as any other field
+# is; an edge's node type is checked as soon as its field is read, and an
+# unknown one named "unknown node type"; and the meta's ``scenario`` must be
+# a string and its ``spec`` an object, each absent or null otherwise.
 
 _SCRIPT_OPS = ("get", "set", "delete")
+NODE_TYPE_VALUES = [t.value for t in NodeType]
 
 _TYPE_NAMES = {str: "a string", int: "an integer", bool: "a boolean", dict: "an object",
                list: "an array"}
@@ -774,14 +781,16 @@ def _condition(record: dict, line_no: int) -> tuple[str, bool] | None:
 def record_to_event(record: dict, line_no: int) -> TraceEvent:
     kind = record.get("type")
     if kind == "visit_start":
-        profile, tab, page_url = _require(record, line_no, "profile", "tab", "page_url")
-        crawl_iter, visit_seq = _require(record, line_no, "crawl_iter", "visit_seq", of=int)
+        (profile,) = _require(record, line_no, "profile")
+        (crawl_iter,) = _require(record, line_no, "crawl_iter", of=int)
+        tab, page_url = _require(record, line_no, "tab", "page_url")
+        (visit_seq,) = _require(record, line_no, "visit_seq", of=int)
         return VisitStart(profile, crawl_iter, tab, page_url, visit_seq)
     if kind == "frame_load":
         tab, frame_id, frame_url = _require(record, line_no, "tab", "frame_id", "frame_url")
         is_ad = record.get("is_ad")
         if is_ad is not None and not isinstance(is_ad, bool):
-            raise TraceFormatError(f"line {line_no}: is_ad must be a boolean")
+            raise TraceFormatError(f"line {line_no}: field 'is_ad' must be a boolean")
         return FrameLoad(tab, frame_id, frame_url, is_ad)
     if kind == "http_request":
         tab, frame_id, dest_url = _require(record, line_no, "tab", "frame_id", "dest_url")
@@ -790,24 +799,27 @@ def record_to_event(record: dict, line_no: int) -> TraceEvent:
             raise TraceFormatError(f"line {line_no}: response_set_cookies must be a string list")
         return HttpRequest(tab, frame_id, dest_url, tuple(cookies), _condition(record, line_no))
     if kind == "script_storage":
-        tab, frame_id, api, op, key = _require(record, line_no, "tab", "frame_id", "api", "op", "key")
+        tab, frame_id, api = _require(record, line_no, "tab", "frame_id", "api")
         if api not in STORAGE_APIS:
             raise TraceFormatError(f"line {line_no}: unknown storage api {api!r}")
+        (op,) = _require(record, line_no, "op")
         if op not in _SCRIPT_OPS:
             raise TraceFormatError(f"line {line_no}: unknown storage op {op!r}")
+        (key,) = _require(record, line_no, "key")
         value = record.get("value")
         if value is not None and not isinstance(value, str):
-            raise TraceFormatError(f"line {line_no}: value must be a string or null")
+            raise TraceFormatError(f"line {line_no}: field 'value' must be a string")
         return ScriptStorage(tab, frame_id, api, op, key, value)
     if kind == "behavior_edge":
         tab, frame_id = _require(record, line_no, "tab", "frame_id")
         (edge,) = _require(record, line_no, "edge", of=dict)
-        st, sk, et, tt, tk = _require(edge, line_no, "source_type", "source_key",
-                                      "edge_type", "target_type", "target_key")
-        try:
-            NodeType(st), NodeType(tt)
-        except ValueError as exc:
-            raise TraceFormatError(f"line {line_no}: {exc}") from None
+        fields = []
+        for name in ("source_type", "source_key", "edge_type", "target_type", "target_key"):
+            (value,) = _require(edge, line_no, name)
+            if name in ("source_type", "target_type") and value not in NODE_TYPE_VALUES:
+                raise TraceFormatError(f"line {line_no}: unknown node type {value!r}")
+            fields.append(value)
+        st, sk, et, tt, tk = fields
         return BehaviorEdge(tab, frame_id, edge_string(st, sk, et, tt, tk),
                             _condition(record, line_no))
     if kind == "visit_end":
@@ -825,9 +837,14 @@ def parse_trace(lines: Iterable[str]) -> Trace:
             continue
         record = _json_object(line, line_no)
         if record.get("type") == "meta":
+            scenario, spec = record.get("scenario"), record.get("spec")
+            if scenario is not None and not isinstance(scenario, str):
+                raise TraceFormatError(f"line {line_no}: field 'scenario' must be a string")
+            if spec is not None and not isinstance(spec, dict):
+                raise TraceFormatError(f"line {line_no}: field 'spec' must be an object")
             if line_no != 1:
                 raise TraceFormatError(f"line {line_no}: meta record only allowed first")
-            meta = TraceMeta(record.get("scenario"), record.get("spec"))
+            meta = TraceMeta(scenario, spec)
             continue
         events.append(record_to_event(record, line_no))
     return Trace(meta, events)
@@ -967,9 +984,12 @@ def generate_synthetic_trace(spec: SyntheticSpec, policy: PolicyKind) -> Trace:
 
 # ---------------------------------------------------------------------------
 # Simulate output readers: a dict per row, and a call per field checked. The
-# one change from the originals is that the shared reader checks are named
-# with their module, since this file has its own ``_require``. The frames
-# writer builds a dict per frame and encodes it with its own ``json.dumps``.
+# changes from the originals: they check with code of their own, not the
+# product's helpers; they check a row's fields in its field table's order
+# (a frames record's in the writer's key order), so that a row with several
+# bad fields names the first of them; and a flow cell that is not an integer
+# names its field. The frames writer builds a dict per frame and encodes it
+# with its own ``json.dumps``.
 
 
 def _not_utf8(path: str | Path) -> TraceFormatError:
@@ -985,13 +1005,18 @@ def _not_utf8(path: str | Path) -> TraceFormatError:
 
 
 def _flow_record(row: list[str]) -> CookieFlowRecord:
-    profile, crawl_iter, visit_seq, top_site, third_party_site, name, value = _flows._require(
-        _flows._csv_record(FLOW_FIELDS, row), *FLOW_FIELDS)
-    try:
-        return CookieFlowRecord(profile, int(crawl_iter), int(visit_seq), top_site,
-                                third_party_site, name, value)
-    except ValueError:
-        raise TraceFormatError("crawl_iter and visit_seq must be integers") from None
+    if len(row) > len(FLOW_FIELDS):
+        raise TraceFormatError(f"{len(row)} cells, header has {len(FLOW_FIELDS)}")
+    if len(row) < len(FLOW_FIELDS):
+        raise TraceFormatError(f"missing field {FLOW_FIELDS[len(row)]!r}")
+    profile, crawl_iter, visit_seq, top_site, third_party_site, name, value = row
+    for field_name, cell in (("crawl_iter", crawl_iter), ("visit_seq", visit_seq)):
+        try:
+            int(cell)
+        except ValueError:
+            raise TraceFormatError(f"field {field_name!r} must be an integer") from None
+    return CookieFlowRecord(profile, int(crawl_iter), int(visit_seq), top_site,
+                            third_party_site, name, value)
 
 
 def read_flows_csv(path) -> list[CookieFlowRecord]:
@@ -1015,23 +1040,39 @@ def read_flows_csv(path) -> list[CookieFlowRecord]:
 
 
 def _frame_entry(line: str):
-    record = _flows._json_object(line)
-    page_url, frame_url, profile, party = _flows._require(
-        record, "page_url", "frame_url", "profile", "party")
-    (crawl_iter,) = _flows._require(record, "crawl_iter", of=int)
-    (is_ad,) = _flows._require(record, "is_ad", of=bool)
-    (edges,) = _flows._require(record, "edges", of=list)
-    if not all(isinstance(edge, str) for edge in edges):
-        raise TraceFormatError("field 'edges' must hold strings")
-    if party not in ("first", "third"):
-        raise TraceFormatError(f"unknown party {party!r}")
-    for edge in edges:
-        try:
-            edge_endpoint_types(edge)
-        except ValueError as exc:
-            raise TraceFormatError(str(exc)) from None
-    key = (page_url, frame_url, profile, crawl_iter)
-    return key, FrameRecord(edge_set=set(edges), is_ad=is_ad, party=party)
+    """A frames.jsonl record's key and frame, its fields checked in the
+    writer's key order."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise TraceFormatError(f"invalid JSON ({exc.msg})") from None
+    except ValueError as exc:  # an integer past int()'s digit limit
+        raise TraceFormatError(f"invalid JSON ({exc})") from None
+    except RecursionError:
+        raise TraceFormatError("invalid JSON (nested too deeply)") from None
+    if not isinstance(record, dict):
+        raise TraceFormatError("record must be a JSON object")
+    kinds = {"crawl_iter": int, "edges": list, "frame_url": str, "is_ad": bool,
+             "page_url": str, "party": str, "profile": str}
+    for name, kind in kinds.items():
+        if name not in record:
+            raise TraceFormatError(f"missing field {name!r}")
+        value = record[name]
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise TraceFormatError(f"field {name!r} must be {_TYPE_NAMES[kind]}")
+        if name == "edges":
+            if not all(isinstance(edge, str) for edge in value):
+                raise TraceFormatError("field 'edges' must hold strings")
+            for edge in value:
+                try:
+                    edge_endpoint_types(edge)
+                except ValueError as exc:
+                    raise TraceFormatError(str(exc)) from None
+        if name == "party" and value not in ("first", "third"):
+            raise TraceFormatError(f"unknown party {value!r}")
+    key = (record["page_url"], record["frame_url"], record["profile"], record["crawl_iter"])
+    return key, FrameRecord(edge_set=set(record["edges"]), is_ad=record["is_ad"],
+                            party=record["party"])
 
 
 def read_frames_jsonl(path) -> dict:

@@ -264,8 +264,8 @@ BAD_FRAME_LINES = [
 
 BAD_FLOW_ROWS = [
     ("prof0,1", "missing field 'visit_seq'"),
-    ("prof0,x,1,a.com,t.net,id,v", "crawl_iter and visit_seq must be integers"),
-    ("prof0,1,,a.com,t.net,id,v", "crawl_iter and visit_seq must be integers"),
-    ("prof0,-x,1,a.com,t.net,id,v", "crawl_iter and visit_seq must be integers"),
+    ("prof0,x,1,a.com,t.net,id,v", "field 'crawl_iter' must be an integer"),
+    ("prof0,1,,a.com,t.net,id,v", "field 'visit_seq' must be an integer"),
+    ("prof0,-x,1,a.com,t.net,id,v", "field 'crawl_iter' must be an integer"),
     ("prof0,1,1,a.com,t.net,id,v,EXTRA", "8 cells, header has 7"),
 ]

@@ -102,6 +102,20 @@ class TestGenAndSimulate:
                    "--out", tmp_path / "o") == 2
         assert capsys.readouterr().err == f"storagelab: {bad}: line 3: missing field 'tab'\n"
 
+    @pytest.mark.parametrize("meta, error", [
+        ('{"type":"meta","scenario":{"x":[1,2]},"spec":5}', "field 'scenario' must be a string"),
+        ('{"type":"meta","scenario":"s","spec":5}', "field 'spec' must be an object"),
+        ('{"type":"meta","scenario":"s","spec":[1]}', "field 'spec' must be an object"),
+    ])
+    def test_bad_meta_record_is_input_error_naming_line_1(self, tmp_path, capsys, meta, error):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(meta + '\n{"type":"visit_start","profile":"p","crawl_iter":1,"tab":"t",'
+                         '"page_url":"https://a.com/","visit_seq":1}\n{"type":"visit_end","tab":"t"}\n')
+        assert run("simulate", "--policy", "permissive", "--trace", trace,
+                   "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"storagelab: {trace}: line 1: {error}\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("line, error", [
         ("[" * 100_000, "invalid JSON (nested too deeply)"),
         ('{"type":"http_request","tab":"t","frame_id":"f","dest_url":"https://a.com/",'
@@ -696,12 +710,12 @@ class TestMetricsCommands:
         flows = tmp_path / "flows.csv"
         flows.write_text(f"{header}\n{row}\n{profile},{cell},{rest}\n", encoding="utf-8")
         assert run("metrics", "cross-time", "--flows", flows, "--out", tmp_path / "o") == 2
-        assert (f"{flows}: line 3: crawl_iter and visit_seq must be integers"
+        assert (f"{flows}: line 3: field 'crawl_iter' must be an integer"
                 in capsys.readouterr().err)
         grades = tmp_path / "grades.csv"
         grades.write_text(f"url,profile,grader_a,grader_b\nu,p,1,{cell}\n", encoding="utf-8")
         assert run("metrics", "kappa", "--grades", grades, "--out", tmp_path / "k") == 2
-        assert f"{grades}: line 2: non-integer grade in ('u', 'p')" in capsys.readouterr().err
+        assert f"{grades}: line 2: field 'grader_b' must be an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("reader", ["flows", "frames", "grades"])
     def test_integer_past_the_digit_limit_is_input_error_naming_the_line(

@@ -9,8 +9,9 @@ parses every line, the one trace with ``when`` conditions that the generator
 writes for every policy, replayed under each, with the per-policy trace of
 the generator that keeps its own model of the partition keys, the trace
 writers that encode each distinct event once with the dump that encodes
-every event, the one-pass flows reader and the frames reader that decodes
-each distinct part of a writer-form line once with the per-field ones, the
+every event, the table-checked flows reader and the frames reader that
+decodes each distinct edge list of a writer-form line once with the
+per-field ones, the
 input helper's not-UTF-8 line and column with a second line-by-line read of
 the file, the templated frames writer with the per-record ``json.dumps``,
 the one-pass PSL rule check with the per-character one, and the rule-file
@@ -684,14 +685,18 @@ def test_parse_trace_matches_per_line_parse(lines):
 @settings(max_examples=100)
 @given(trace_lines())
 def test_repeated_lines_share_one_event(lines):
+    """A line repeated as read reuses one event object; lines equal but for
+    surrounding whitespace give equal events."""
     try:
         trace = parse_trace(lines)
     except TraceFormatError:
         return
-    texts = [line.strip() for line in lines if line.strip() and line.strip() != META]
+    read = [line for line in lines if line.strip() and line.strip() != META]
     first: dict[str, object] = {}
-    for text, event in zip(texts, trace.events, strict=True):
-        assert first.setdefault(text, event) is event
+    stripped: dict[str, object] = {}
+    for line, event in zip(read, trace.events, strict=True):
+        assert first.setdefault(line, event) is event
+        assert stripped.setdefault(line.strip(), event) == event
 
 
 # ---------------------------------------------------------------------------

@@ -111,11 +111,23 @@ def test_canonical_is_encoded_once_per_edge(edge_strings_built):
     assert events[0].edge is events[2].edge
 
 
-def test_each_distinct_trace_line_is_decoded_once_in_one_pass(monkeypatch):
-    decoded, loaded = [], []
+@pytest.fixture
+def decoded(monkeypatch):
+    """The text of every ``flows._decode`` call, the one JSON decode of every
+    reader (``frames`` imports it by name)."""
+    texts = []
     real = flows._decode
-    monkeypatch.setattr(flows, "_decode", lambda text: decoded.append(text) or real(text))
-    monkeypatch.setattr(trace, "_json_object", loaded.append)
+
+    def counting(text, *at):
+        texts.append(text)
+        return real(text, *at)
+
+    monkeypatch.setattr(flows, "_decode", counting)
+    monkeypatch.setattr(frames, "_decode", counting)
+    return texts
+
+
+def test_each_distinct_trace_line_is_decoded_once_in_one_pass(decoded):
     events = [VisitStart("p", 1, "t", "https://a.com/", 1), FrameLoad("t", "f", "https://t.net/w"),
               HttpRequest("t", "f", "https://t.net/s", ("u=1",), ("u", False)),
               ScriptStorage("t", "f", "cookie", "get", "u"),
@@ -123,7 +135,32 @@ def test_each_distinct_trace_line_is_decoded_once_in_one_pass(monkeypatch):
     lines = trace.dump_trace(trace.Trace(None, events)).splitlines()
     assert parse_trace(lines).events == events
     assert decoded == lines[:6]
-    assert loaded == []  # no line needed the field-by-field path
+
+
+WRITER_FRAME = ('{"crawl_iter":1,"edges":[],"frame_url":"f","is_ad":false,"page_url":"p",'
+                '"party":"third","profile":"p"}')
+BAD_JSON_LINES = [
+    (parse_trace, line) for line in [
+        '{"type":"visit_start","profile":1,"crawl_iter":1,"tab":"t"}', '{"type":"visit_end"} x',
+        '{"type":"behavior_edge","tab":"t","frame_id":"f","edge":{"source_type":"x"}}',
+        '{"type":"meta","spec":5}', '{"type":"visit_end","tab":"\\ud800"}']
+] + [
+    (read_frames_jsonl, line) for line in [
+        WRITER_FRAME.replace("[]", '["nope"]'), WRITER_FRAME.replace("[]", "[1]"),
+        WRITER_FRAME.replace("[]", '["a",]'), WRITER_FRAME.replace("[]", "[]]"),
+        WRITER_FRAME.replace('"p"}', '"p","edges":{}}'), " " + WRITER_FRAME[:-1],
+        WRITER_FRAME.replace("third", "\\u0074hree"),
+        WRITER_FRAME.replace("[]", '["nope"]').replace('"page_url":"p"', '"page_url":"\\u00e9"')]
+] + [(lambda lines: flows._json_object(lines[0], surrogates=False), '{"command":"x",}')]
+
+
+@pytest.mark.parametrize("reader,line", BAD_JSON_LINES)
+def test_a_bad_line_of_each_json_reader_is_decoded_once(decoded, reader, line):
+    """Whatever path a bad trace, frames.jsonl or manifest line takes, the
+    reader decodes it, or the one part of it it reads, once."""
+    with pytest.raises(flows.TraceFormatError):
+        reader([line])
+    assert len(decoded) == 1
 
 
 def test_repeated_edge_lines_encode_once(monkeypatch):
@@ -206,10 +243,10 @@ def _written_frames(tmp_path, edge_list_of):
     return records, (tmp_path / "frames.jsonl").read_text().splitlines(keepends=True)
 
 
-def test_each_distinct_edge_list_is_decoded_once_into_one_shared_set(monkeypatch, tmp_path):
-    decoded, tails = [], []
-    real_decode, real_tail = flows._decode, frames._line_tail
-    monkeypatch.setattr(flows, "_decode", lambda text: decoded.append(text) or real_decode(text))
+def test_each_distinct_edge_list_is_decoded_once_into_one_shared_set(decoded, monkeypatch,
+                                                                     tmp_path):
+    tails = []
+    real_tail = frames._line_tail
     monkeypatch.setattr(frames, "_line_tail", lambda text: tails.append(text) or real_tail(text))
     records, lines = _written_frames(tmp_path, lambda page, profile: page % 4)
     read = read_frames_jsonl(lines)
@@ -225,13 +262,10 @@ def test_each_distinct_edge_list_is_decoded_once_into_one_shared_set(monkeypatch
     assert all(type(edge_set) is frozenset for edge_set in edge_sets.values())
 
 
-def test_equal_edge_lists_share_one_set_whatever_path_their_line_takes(monkeypatch, tmp_path):
-    """A rest of a line with an escape (the writer's ``\\u00e9``) is decoded,
-    and a padded line or one with a sixth field is read whole; each record
+def test_equal_edge_lists_share_one_set_whatever_path_their_line_takes(decoded, tmp_path):
+    """A line whose rest holds an escape (the writer's ``\\u00e9``), a padded
+    line and one with a sixth field are each decoded whole, once; each record
     still holds the one set of its edge list."""
-    decoded = []
-    real = flows._decode
-    monkeypatch.setattr(flows, "_decode", lambda text: decoded.append(text) or real(text))
     records = {(f"https://s{page}é.com/", "https://t.net/w", profile, 1):
                FrameRecord(set(EDGE_LISTS[page % 4]))
                for page in range(8) for profile in ("p0", "p1")}
@@ -242,9 +276,7 @@ def test_equal_edge_lists_share_one_set_whatever_path_their_line_takes(monkeypat
     lines[1] = lines[1].replace("}\n", ',"zz":0}\n')
     read = read_frames_jsonl(lines)
     assert read == records
-    # Every rest of a line is decoded but the padded line's, which no writer-form
-    # head matches.
-    assert len([text for text in decoded if text.startswith("{")]) == len(lines) - 1
+    assert decoded == [line.strip() for line in lines]
     shared = {}
     for record in read.values():
         assert shared.setdefault(record.edge_set, record.edge_set) is record.edge_set

@@ -573,11 +573,12 @@ class TestOutputFiles:
     @pytest.mark.parametrize("cell", [" 1_0", "1_0", "+1", "1 ", "\u0661", "\u00b2", "--1", "-",
                                       ""])
     def test_integer_cells_take_only_ascii_digits(self, tmp_path, cell):
-        for row in (f"prof0,{cell},1,a.com,t.net,id,v", f"prof0,1,{cell},a.com,t.net,id,v"):
+        for name, row in (("crawl_iter", f"prof0,{cell},1,a.com,t.net,id,v"),
+                          ("visit_seq", f"prof0,1,{cell},a.com,t.net,id,v")):
             path = tmp_path / "flows.csv"
             path.write_text(",".join(FLOW_FIELDS) + "\n" + row + "\n", encoding="utf-8")
-            with pytest.raises(InputError, match="flows.csv: line 2: crawl_iter and "
-                                                       "visit_seq must be integers"):
+            with pytest.raises(InputError, match=f"flows.csv: line 2: field '{name}' must be "
+                                                 "an integer"):
                 support.read_flows(path)
 
     def test_negative_and_zero_padded_integers_are_read(self, tmp_path):

@@ -2,12 +2,15 @@ import copy
 import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from storagelab.flows import TraceFormatError, _json_object
+import oracles
+from storagelab import trace as trace_module
+from storagelab.flows import _MISSING, TraceFormatError
 from storagelab.trace import (
     BehaviorEdge,
     FrameLoad,
@@ -17,9 +20,7 @@ from storagelab.trace import (
     TraceMeta,
     VisitEnd,
     VisitStart,
-    _fast_event,
     _json_line,
-    _record_to_event,
     dump_trace,
     event_to_record,
     parse_trace,
@@ -159,6 +160,32 @@ def test_edge_endpoint_types_rejects_non_edges(encoded):
         edge_endpoint_types(encoded)
 
 
+def _readme_trace_fields() -> dict[str, list[tuple[str, bool, bool]]]:
+    """(field, optional, an integer) per field of each row of README's
+    "Trace file format" table, in the row's order; an edge object's fields
+    under ``"edge object"``."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Trace file format\n", 1)[1].split("\n## ", 1)[0]
+    section = section.split("| ------ | ------ |\n", 1)[1]
+    rows = {}
+    for kind, fields in re.findall(r"^\| `(\w+)` \| (.+) \|$", section, re.M):
+        edge = re.search(r"`edge` = `\{([^}]*)\}`", fields)
+        if edge:
+            rows["edge object"] = [(name, False, False) for name in edge[1].split(", ")]
+        fields = re.sub(r"= `\{[^}]*\}`", "", fields)
+        rows[kind] = [(name, bool(optional), bool(integer)) for optional, name, integer
+                      in re.findall(r"(optional )?`(\w+)`(?: (\(int)|(?: \([^)]*\))?)", fields)]
+    return rows
+
+
+def test_readme_trace_table_matches_the_field_tables():
+    rows = _readme_trace_fields()
+    tables = {kind: table for kind, (_, table) in trace_module._KINDS.items()}
+    tables["edge object"] = trace_module._EDGE_TABLE
+    assert rows == {kind: [(name, default is not _MISSING, check is int)
+                           for name, check, default in table] for kind, table in tables.items()}
+
+
 class TestParseErrors:
     def test_invalid_json_names_line(self):
         with pytest.raises(TraceFormatError, match="line 2"):
@@ -180,7 +207,7 @@ class TestParseErrors:
         ("tab", 1, "field 'tab' must be a string"),
         ("key", ["k"], "field 'key' must be a string"),
         ("api", None, "field 'api' must be a string"),
-        ("value", 5, "value must be a string or null"),
+        ("value", 5, "field 'value' must be a string"),
     ])
     def test_non_string_storage_field(self, field, bad, message):
         record = {"type": "script_storage", "tab": "t", "frame_id": "f", "api": "local",
@@ -233,8 +260,8 @@ class TestParseErrors:
 
 
 # ---------------------------------------------------------------------------
-# The one-pass path of parse_trace against the field-by-field path: on any
-# line, it declines or builds the same event.
+# parse_trace against the oracle's field-by-field parse: on any line, both
+# build equal events (or meta), or both raise the same error.
 
 TEXT = st.text(max_size=3)
 NODE_TYPE_VALUES = st.sampled_from([t.value for t in NodeType])
@@ -268,29 +295,27 @@ def _slots(value) -> list[tuple]:
     return [slot for key, inner in items for slot in [(value, key), *_slots(inner)]]
 
 
-def _field_by_field(line: str):
-    """The event ``_record_to_event`` builds from a line, or None when the
-    line is no event record or it names an error."""
+def _outcome(parse, line: str):
     try:
-        return _record_to_event(_json_object(line))
-    except ValueError:
-        return None
+        trace = parse([line])
+    except TraceFormatError as exc:
+        return str(exc)
+    return trace.meta, trace.events
 
 
-def _assert_declined_or_equal(line: str) -> None:
-    fast = _fast_event(line)
-    if fast is not None:
-        expected = _field_by_field(line)
-        assert type(fast) is type(expected) and fast == expected, line
+def _assert_parses_as_the_oracle(line: str) -> None:
+    assert _outcome(parse_trace, line) == _outcome(oracles.parse_trace, line), line
 
 
-def test_one_pass_parse_of_each_single_field_change():
-    """Every field of every event of the sample trace (and of a frame load
-    with its ad flag) deleted, or given a value of each JSON type."""
-    events = [*sample_trace().events, FrameLoad("tab0", "f1", "https://t.net/w", True)]
-    for event in events:
-        line = _json_line(event_to_record(event)).strip()
-        assert _fast_event(line) == event
+def test_parse_of_each_single_field_change_matches_the_oracle():
+    """Every field of the sample trace's meta and of every event (and of a
+    frame load with its ad flag) deleted, or given a value of each JSON
+    type."""
+    trace = sample_trace()
+    events = [*trace.events, FrameLoad("tab0", "f1", "https://t.net/w", True)]
+    lines = dump_trace(Trace(trace.meta, events)).splitlines()
+    assert parse_trace(lines) == Trace(trace.meta, events)
+    for line in lines:
         for path_index in range(len(_slots(json.loads(line)))):
             for value in [DELETE, None, True, 0, 1.5, "x", [], {}, *VOCABULARY]:
                 record = json.loads(line)
@@ -299,14 +324,14 @@ def test_one_pass_parse_of_each_single_field_change():
                     del container[key]
                 else:
                     container[key] = value
-                _assert_declined_or_equal(json.dumps(record))
+                _assert_parses_as_the_oracle(json.dumps(record))
 
 
 @given(event=EVENTS, data=st.data())
-def test_one_pass_parse_declines_or_builds_the_field_by_field_event(event, data):
+def test_parse_of_a_mutated_line_matches_the_oracle(event, data):
     record = event_to_record(event)
     line = _json_line(record).strip()
-    assert _fast_event(line) == event  # the writer's lines take the one-pass path
+    assert parse_trace([line]).events == [event]
     for _ in range(data.draw(st.integers(1, 3))):
         slots = _slots(record)
         kind = data.draw(st.sampled_from(["delete", "replace", "add"] if slots else ["add"]))
@@ -326,4 +351,4 @@ def test_one_pass_parse_declines_or_builds_the_field_by_field_event(event, data)
                 container[key] = data.draw(VALUES)
     separators = data.draw(st.sampled_from([(",", ":"), (", ", ": ")]))
     mutated = json.dumps(record, separators=separators) + data.draw(st.sampled_from(SUFFIXES))
-    _assert_declined_or_equal(mutated)
+    _assert_parses_as_the_oracle(mutated)
