@@ -5,10 +5,11 @@ A reader takes the lines of a file, never its path: the CLI reads, hashes
 and decodes each input once, and adds the file's path to a reader's error,
 which names only the line.
 
-Each reader decodes a line once, JSON with ``_json_object`` and CSV with
-``csv.reader``, and checks it once against its record kind's field table,
-with ``_checked`` or ``_cells``. So each rule is written once, and an error
-names the first bad field in the table's order.
+Each reader decodes a line at most once, JSON through ``_decoded`` (with
+``_json_object`` for a whole object) and CSV with ``csv.reader``, and checks
+it once against its record kind's field table, with ``_checked`` or
+``_cells``. So each rule is written once, and an error names the first bad
+field in the table's order.
 
 The privacy metrics read only this module's flow table, so it imports no
 other ``storagelab`` module: a ``metrics picf``, ``cross-site`` or
@@ -82,23 +83,17 @@ def _word(name: str, words: Collection[str], what: str):
 # makes no per-call checks or whitespace matches of its own.
 _decode = json.JSONDecoder().raw_decode
 _SPACE = re.compile(r"[ \t\n\r]*").match  # JSON's whitespace
-_SURROGATE = re.compile("[\ud800-\udfff]").search
+# Compiled on first use, by re's own cache: a process that never walks a
+# decoded value for a surrogate never compiles it.
+_SURROGATE = "[\ud800-\udfff]"
 
 
-def _json_object(text: str, surrogates: bool = True) -> dict:
-    """The JSON object that is all of ``text`` but JSON whitespace, from one
-    decode. Anything else raises a TraceFormatError, in json.loads's words
-    where it is not JSON: ``invalid JSON (Extra data)``, ``invalid JSON
-    (nested too deeply)``, ``record must be a JSON object``. Unless
-    ``surrogates`` is false, so is a string, key or value, that holds a
-    surrogate code point: only a ``\\u`` escape gives one, and no UTF-8
-    output can hold it. A text with no ``\\ud`` or ``\\uD`` in it is not
-    walked for one."""
+def _decoded(text: str, start: int = 0) -> tuple:
+    """The JSON value at ``text[start:]`` and where it ends, from one decode.
+    A text that is not JSON there raises a TraceFormatError in json.loads's
+    words: ``invalid JSON (msg)``, ``invalid JSON (nested too deeply)``."""
     try:
-        # Leading space is matched only where there is some: the readers strip lines.
-        record, end = _decode(text, _SPACE(text).end() if text[:1] in " \t\n\r" else 0)
-        if end != len(text) and _SPACE(text, end).end() != len(text):
-            raise json.JSONDecodeError("Extra data", text, end)
+        return _decode(text, start)
     except json.JSONDecodeError as exc:
         message = ("Unexpected UTF-8 BOM (decode using utf-8-sig)" if text[:1] == "\ufeff"
                    else exc.msg)
@@ -107,41 +102,57 @@ def _json_object(text: str, surrogates: bool = True) -> dict:
         raise TraceFormatError(f"invalid JSON ({exc})") from None
     except RecursionError:  # json's scanner, on a value nested too deeply
         raise TraceFormatError("invalid JSON (nested too deeply)") from None
+
+
+def _no_surrogate(value) -> None:
+    """Raises a TraceFormatError for the first string, key or value, that
+    holds a surrogate code point in a decoded JSON value: only a ``\\u``
+    escape gives one, and no UTF-8 output can hold it."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if type(item) is str and re.search(_SURROGATE, item):
+            raise TraceFormatError(f"lone surrogate in string {item!r}")
+        elif type(item) is dict:
+            stack += item
+            stack += item.values()
+        elif type(item) is list:
+            stack += item
+
+
+def _json_object(text: str, surrogates: bool = True) -> dict:
+    """The JSON object that is all of ``text`` but JSON whitespace, from one
+    decode. Anything else raises a TraceFormatError: ``invalid JSON (Extra
+    data)`` after the object, or ``record must be a JSON object``. Unless
+    ``surrogates`` is false, a text that may escape a surrogate, holding a
+    ``\\ud`` or ``\\uD``, is walked for one."""
+    record, end = _decoded(text, _SPACE(text).end())
+    if end != len(text) and _SPACE(text, end).end() != len(text):
+        raise TraceFormatError("invalid JSON (Extra data)")
     if type(record) is not dict:
         raise TraceFormatError("record must be a JSON object")
     if surrogates and ("\\ud" in text or "\\uD" in text):
-        stack = [record]
-        while stack:
-            item = stack.pop()
-            if type(item) is str and _SURROGATE(item):
-                raise TraceFormatError(f"lone surrogate in string {item!r}")
-            elif type(item) is dict:
-                stack += item
-                stack += item.values()
-            elif type(item) is list:
-                stack += item
+        _no_surrogate(record)
     return record
 
 
 def _csv_table(header: Sequence[str], names: tuple[str, ...], integers=()) -> tuple:
     """The field table of a CSV file's rows: the named fields, their columns
     under ``header`` (a name the header repeats is its last column), what
-    picks them from a row (None when they are the header's columns in its
-    order), the header's width, and which fields are integers, by position."""
+    picks them from a row, the header's width, and each integer field's
+    name and column."""
     column = {name: index for index, name in enumerate(header)}
     indices = tuple(column[name] for name in names)
-    select = None if indices == tuple(range(len(header))) else itemgetter(*indices)
-    return (names, indices, select, len(header),
-            tuple(i for i, name in enumerate(names) if name in integers))
+    return (names, indices, itemgetter(*indices), len(header),
+            tuple((name, column[name]) for name in names if name in integers))
 
 
-def _cells(row: list[str], table: tuple) -> list:
+def _cells(row: list[str], table: tuple) -> tuple:
     """The cells of ``table``'s fields in a CSV row, an integer field's as an
-    int; the row itself, changed in place, when the table takes every
-    column in order. A row with more cells than the header raises, as does
-    the first field with no cell, then the first that is not an integer in
-    the form the CLI writes, ``-?[0-9]+``: ``int()`` alone would also take
-    " 1_0", "+1" and non-ASCII digits."""
+    int, which replaces its cell in the row. A row with more cells than the
+    header raises, as does the first field with no cell, then the first
+    that is not an integer in the form the CLI writes, ``-?[0-9]+``:
+    ``int()`` alone would also take " 1_0", "+1" and non-ASCII digits."""
     names, indices, select, width, integers = table
     if len(row) != width:
         if len(row) > width:
@@ -149,13 +160,12 @@ def _cells(row: list[str], table: tuple) -> list:
         for name, index in zip(names, indices):
             if index >= len(row):
                 raise TraceFormatError(f"missing field {name!r}")
-    values = row if select is None else list(select(row))
-    for i in integers:
-        digits = values[i].removeprefix("-")
+    for name, index in integers:
+        digits = row[index].removeprefix("-")
         if not (digits.isascii() and digits.isdecimal()):
-            raise _must_be(names[i], int)
-        values[i] = int(values[i])
-    return values
+            raise _must_be(name, int)
+        row[index] = int(row[index])
+    return select(row)
 
 
 class CookieFlowRecord(NamedTuple):

@@ -19,8 +19,8 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable
 
-from storagelab.flows import (_MISSING, TraceFormatError, _checked, _decode, _json_object, _must_be,
-                              _word)
+from storagelab.flows import (_MISSING, _SPACE, TraceFormatError, _checked, _decoded,
+                              _json_object, _must_be, _no_surrogate, _word)
 from storagelab.vocab import _EDGE_MASKS, _Memo
 
 
@@ -88,29 +88,55 @@ _WRITER_HEAD = re.compile(r'\{"crawl_iter":(0|-?[1-9][0-9]{0,17}),"edges":\[').m
 # What ends the edge list and starts the rest of the line; inside an edge's
 # JSON string a '"' is always escaped, so the first match is the real one.
 _EDGES_END = '],"frame_url":'
-# An edge list's text, between the brackets, in the writer's form: JSON
-# strings, each followed by a comma and another or by the end, whose escapes
-# are any that JSON takes but one of a surrogate code point. So it decodes.
-_CHARS = r'[^"\\\x00-\x1f]*+(?:\\(?:["\\/bfnrt]|u(?![dD][89a-fA-F])[0-9a-fA-F]{4})[^"\\\x00-\x1f]*+)*+'
-_STRING_LIST = re.compile(rf'(?:"{_CHARS}"(?:,(?=")|\Z))*+').fullmatch
-# The rest of a line in the writer's form, each string holding no quote, no
-# backslash and no control character, so that its text is its value, as JSON
-# reads it.
+# The rest of a line in the writer's form: the five other fields alone, in
+# order. In a plain rest, each string holds no quote, no backslash and no
+# control character, so that its text is its value, as JSON reads it, and
+# the party is one of PARTIES. In an escaped one, a string may hold escapes,
+# as the writer's do for any text but ASCII, and the party may be any
+# string, so it must be decoded to be read (its escapes are checked then).
+_TAIL = r'"frame_url":{0},"is_ad":(true|false),"page_url":{0},"party":{1},"profile":{0}}}\n?'
 _STRING = r'"([^"\\\x00-\x1f]*)"'
-_WRITER_TAIL = re.compile(
-    rf'"frame_url":{_STRING},"is_ad":(true|false),"page_url":{_STRING},'
-    rf'"party":"(first|third)","profile":{_STRING}}}\n?').fullmatch
+_ESCAPED = r'"[^"\\\x00-\x1f]*(?:\\.[^"\\\x00-\x1f]*)*"'
+_WRITER_TAIL = re.compile(_TAIL.format(_STRING, '"(first|third)"')).fullmatch
+# Compiled on first use, by re's own cache: the writer's rests are escaped
+# only for text that is not ASCII, and compiling this costs about 0.4 ms.
+_ESCAPED_TAIL = _TAIL.format(_ESCAPED, _ESCAPED)
 
 
 def _line_tail(text: str) -> tuple | None:
-    """``(page_url, frame_url, profile, party, is_ad)`` from the text after a
-    writer-form line's edge list, ``"frame_url":`` to the end; None unless
-    the writer's form matches it."""
+    """``(frame_url, is_ad, page_url, party, profile)``, as ``_FIELDS``
+    checks them, from the text after a writer-form line's edge list,
+    ``"frame_url":`` to the end, when it is a plain rest; ``()`` when it is
+    an escaped one; None when it is neither."""
     tail = _WRITER_TAIL(text)
     if tail is None:
-        return None
+        return () if re.fullmatch(_ESCAPED_TAIL, text) else None
     frame_url, is_ad, page_url, party, profile = tail.groups()
-    return page_url, frame_url, profile, party, is_ad == "true"
+    return frame_url, is_ad == "true", page_url, party, profile
+
+
+# In an edge-list text, a ']' that a ',' follows: where, unless there is
+# none, the line's array might end early and its object go on.
+_MAY_END_EARLY = re.compile(r"\][ \t\n\r]*,").search
+
+
+def _line_edges(line: str, start: int, stop: int) -> frozenset[str]:
+    """The checked edges of a line whose rest has passed, its edge list
+    decoded in place, from the ``[`` at ``start`` to the ``]`` at ``stop``:
+    any error is the one a decode of the whole line would raise first."""
+    value, end = _decoded(line, start)
+    if end != stop + 1:
+        # The array ended early, and no ',' follows it (_MAY_END_EARLY): a
+        # '}' ends the object before the rest of the line; anything else is
+        # out of place.
+        if line[_SPACE(line, end).end()] == "}":
+            raise TraceFormatError("invalid JSON (Extra data)")
+        raise TraceFormatError("invalid JSON (Expecting ',' delimiter)")
+    try:
+        return _edges(value)
+    except ValueError:
+        _no_surrogate(value)  # which the whole line's decode names first
+        raise
 
 
 def read_frames_jsonl(lines: Iterable[str]) -> dict[FrameKey, FrameRecord]:
@@ -120,44 +146,51 @@ def read_frames_jsonl(lines: Iterable[str]) -> dict[FrameKey, FrameRecord]:
     is not a canonical edge string, or repeats the (page_url, frame_url,
     profile, crawl_iter) of an earlier record.
 
-    A line in the writer's form is taken as three parts, each found by a
-    regex before anything is decoded: its crawl_iter, its edge-list text and
-    the text after it, which must hold the five other fields alone. Each
-    distinct edge-list text is decoded and checked once, and each distinct
-    rest matched once. Any other line is decoded whole and checked against
-    ``_FIELDS``. So no line is decoded twice, and an error names the first
-    bad field in ``_FIELDS``'s order. Every record with an equal edge set
-    shares one frozenset."""
+    A line in the writer's form is taken as three parts found by regexes:
+    its crawl_iter, its edge-list text and the rest, which holds the five
+    other fields. The reader remembers each edge list and each rest that has
+    passed; a rest with no escape passes at sight. A line whose two parts
+    have passed is not decoded. Of one whose rest has, only the edge list is
+    decoded, in place; of one whose edge list has, only the rest. Any other
+    line is decoded whole, and the parts of a writer-form line that passes
+    are then remembered. So each line is decoded at most once, and an error
+    names the first bad field in ``_FIELDS``'s order, as a decode of the
+    whole line would. Every record with an equal edge set shares one
+    frozenset."""
     frames: dict[FrameKey, FrameRecord] = {}
     shared: dict[frozenset[str], frozenset[str]] = {}  # each distinct edge set
-
-    def shared_edges(text: str) -> frozenset[str] | None:
-        if not _STRING_LIST(text):
-            return None
-        edges = _edges(_decode(f"[{text}]")[0])
-        return shared.setdefault(edges, edges)
-
-    edge_lists = _Memo(shared_edges)
+    edge_lists: dict[str, frozenset[str]] = {}  # each edge-list text that has passed
     tails = _Memo(_line_tail)
     for line_no, line in enumerate(lines, start=1):
         try:
             head = _WRITER_HEAD(line)
             stop = line.find(_EDGES_END, head.end()) if head else -1
-            # The rest first: only with no edges key of its own may the edge
-            # list's check name the line's error.
-            tail = tails[line[stop + 2:]] if stop >= 0 else None
-            edges = edge_lists[line[head.end():stop]] if tail is not None else None
-            if edges is not None:
-                page_url, frame_url, profile, party, is_ad = tail
-                key = (page_url, frame_url, profile, int(head[1]))
+            edges = tail = None
+            if stop >= 0:
+                text, rest = line[head.end():stop], line[stop + 2:]
+                edges, tail = edge_lists.get(text), tails[rest]
+                if edges is None and tail and not _MAY_END_EARLY(text):
+                    edges = _line_edges(line, head.end() - 1, stop)
+                    edge_lists[text] = edges = shared.setdefault(edges, edges)
+                elif edges is not None and tail == ():
+                    # After the edge list that has passed, a ',' and then the
+                    # rest read as the rest alone does after a '{'.
+                    tail = tails[rest] = tuple(_checked(_json_object("{" + rest), _FIELDS[2:]))
+            if edges is not None and tail:
+                frame_url, is_ad, page_url, party, profile = tail
+                crawl_iter = int(head[1])
             else:
                 line = line.strip()
                 if not line:  # a blank line is skipped
                     continue
-                crawl_iter, edges, frame_url, is_ad, page_url, party, profile = _checked(
-                    _json_object(line), _FIELDS)
-                key = (page_url, frame_url, profile, crawl_iter)
+                values = _checked(_json_object(line), _FIELDS)
+                crawl_iter, edges, frame_url, is_ad, page_url, party, profile = values
                 edges = shared.setdefault(edges, edges)
+                if tail is not None:  # the writer's form: its parts hold these values in any line
+                    tails[rest] = tuple(values[2:])
+                    if not _MAY_END_EARLY(text):
+                        edge_lists[text] = edges
+            key = (page_url, frame_url, profile, crawl_iter)
             record = FrameRecord(edges, is_ad, party)
             if frames.setdefault(key, record) is not record:
                 raise TraceFormatError(f"duplicate frame record {key!r}")

@@ -114,11 +114,12 @@ def event_to_record(event: TraceEvent) -> dict:
 # returns the value its event keeps, or raises the error that names it.
 
 def _set_cookies(value) -> tuple[str, ...]:
-    try:  # str.join raises a TypeError unless every cookie is a string
-        if type(value) is list and "".join(value) is not None:
+    if type(value) is list:
+        for cookie in value:
+            if type(cookie) is not str:
+                break
+        else:
             return tuple(value)
-    except TypeError:
-        pass
     raise TraceFormatError("response_set_cookies must be a string list")
 
 

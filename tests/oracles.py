@@ -1039,6 +1039,18 @@ def read_flows_csv(path) -> list[CookieFlowRecord]:
         raise _not_utf8(path) from None
 
 
+def _surrogate_strings(value) -> list[str]:
+    """Every string, key or value, in a decoded JSON value that holds a
+    surrogate code point, which only a \\u escape gives."""
+    if isinstance(value, str):
+        return [value] if any(0xD800 <= ord(c) <= 0xDFFF for c in value) else []
+    if isinstance(value, dict):
+        return [s for k, v in value.items() for s in _surrogate_strings(k) + _surrogate_strings(v)]
+    if isinstance(value, list):
+        return [s for item in value for s in _surrogate_strings(item)]
+    return []
+
+
 def _frame_entry(line: str):
     """A frames.jsonl record's key and frame, its fields checked in the
     writer's key order."""
@@ -1052,6 +1064,9 @@ def _frame_entry(line: str):
         raise TraceFormatError("invalid JSON (nested too deeply)") from None
     if not isinstance(record, dict):
         raise TraceFormatError("record must be a JSON object")
+    surrogates = _surrogate_strings(record)
+    if surrogates:
+        raise TraceFormatError(f"lone surrogate in string {surrogates[0]!r}")
     kinds = {"crawl_iter": int, "edges": list, "frame_url": str, "is_ad": bool,
              "page_url": str, "party": str, "profile": str}
     for name, kind in kinds.items():

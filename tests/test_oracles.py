@@ -807,7 +807,9 @@ FRAME_EDGE = st.one_of(
     st.sampled_from([_edge(NodeType.SCRIPT, NodeType.COOKIE_JAR),
                      _edge(NodeType.WEB_API, NodeType.SCRIPT),
                      # The text that ends the edge list in the writer's form.
-                     _edge(NodeType.SCRIPT, NodeType.SCRIPT, '],"frame_url":')]),
+                     _edge(NodeType.SCRIPT, NodeType.SCRIPT, '],"frame_url":'),
+                     # A ']' that no '"' follows, as in an IPv6 host or a query.
+                     _edge(NodeType.SCRIPT, NodeType.SCRIPT, "https://[::1]/?a[]=1&b=[x],y")]),
     st.builds(_edge, st.sampled_from(list(NodeType)), st.sampled_from(list(NodeType)), TEXT),
 )
 # Small crawl iterations, and the writer's widest machine-sized ones and past.
@@ -930,6 +932,64 @@ def test_bad_frame_line_fails_alike(tmp_path_factory, lines, bad, index):
     assert message == _read_outcome(oracles.read_frames_jsonl, path)
     assert f": line {1 + index}: {bad[1]}" in message
     assert message.endswith(_read_lines(text))
+
+
+# Characters that JSON gives a meaning to, or that a writer-form line lacks,
+# and the escapes of a lone surrogate and of a surrogate pair.
+MUTATION_CHARS = ['"', "\\", "]", "[", ",", ":", "{", "}", "u", "d", "8", "0", " ", "\u00e9",
+                  "\x1f", "\\ud800", "\\ud83d\\ude00"]
+
+
+@st.composite
+def mutated_frame_lines(draw):
+    """A writer-form line changed at one place by one of those, after none,
+    either or both of two lines that share its edge list or its rest, so
+    that the reader may know either part of it as checked."""
+    record = {"page_url": draw(TAIL_TEXT), "frame_url": "f", "profile": "p0", "crawl_iter": 1,
+              "party": draw(st.sampled_from(["first", "third"])), "is_ad": draw(st.booleans()),
+              "edges": draw(st.lists(FRAME_EDGE, max_size=3))}
+    line = _writer_form(record)
+    at = draw(st.one_of(st.integers(0, len(line)),
+                        st.sampled_from([i for i, c in enumerate(line) if c in '",[]\\:'])))
+    char = draw(st.sampled_from(MUTATION_CHARS))
+    mutated = draw(st.sampled_from([line[:at] + char + line[at:], line[:at] + char + line[at + 1:],
+                                    line[:at] + line[at + 1:]]))
+    shares = [_writer_form(dict(record, page_url=record["page_url"] + "x")),
+              _writer_form(dict(record, crawl_iter=2))]
+    return draw(st.sampled_from([[], shares[:1], shares[1:], shares])) + [mutated]
+
+
+_TWO_EDGES = _writer_form({"crawl_iter": 1, "edges": sorted(
+    [_edge(NodeType.SCRIPT, NodeType.COOKIE_JAR), _edge(NodeType.WEB_API, NodeType.SCRIPT)]),
+    "frame_url": "f", "is_ad": False, "page_url": "p", "party": "first", "profile": "p0"})
+_BETWEEN = _TWO_EDGES.index('","[') + 1  # the comma between the two edges
+
+
+@settings(max_examples=500)
+@given(mutated_frame_lines())
+# The edge array ends early, before a '"', a '}', a ' "' or a ','; an edge
+# escapes a lone surrogate.
+@example([_TWO_EDGES[:_BETWEEN] + "]" + _TWO_EDGES[_BETWEEN + 1:]])
+@example([_TWO_EDGES[:_BETWEEN] + "]}" + _TWO_EDGES[_BETWEEN + 1:]])
+@example([_TWO_EDGES[:_BETWEEN] + "] " + _TWO_EDGES[_BETWEEN + 1:]])
+@example([_TWO_EDGES[:_BETWEEN] + "]" + _TWO_EDGES[_BETWEEN:]])
+@example([_TWO_EDGES.replace('\\"script', '\\"\\ud800script', 1)])
+@example(['{"crawl_iter":1,"edges":[],"frame_url":"f","is_ad":true,"page_url":"\\u00e9x",'
+          '"party":"first","profile":"p0"}',
+          '{"crawl_iter":1,"edges":[],"frame_url":"f","is_ad":true,"page_url":"\\u00e9",'
+          '"party":"fir\\st","profile":"p0"}'])
+def test_a_changed_writer_line_reads_as_its_whole_decode(tmp_path_factory, lines):
+    """Whichever part of the changed line the reader decodes, it reads what,
+    or fails as, the per-line reader does."""
+    path = tmp_path_factory.getbasetemp() / "mutated-frames.jsonl"
+    text = "\n".join(lines) + "\n"
+    path.write_text(text, encoding="utf-8")
+    want = _read_outcome(oracles.read_frames_jsonl, path)
+    got = _read_lines(text)
+    if type(want) is str:
+        assert type(got) is str and want.endswith(": " + got), (want, got)
+    else:
+        assert got == want
 
 
 # Any text: non-ASCII, '"', '\\', control characters and lone surrogates (which

@@ -113,17 +113,16 @@ def test_canonical_is_encoded_once_per_edge(edge_strings_built):
 
 @pytest.fixture
 def decoded(monkeypatch):
-    """The text of every ``flows._decode`` call, the one JSON decode of every
-    reader (``frames`` imports it by name)."""
+    """The text from where each ``flows._decode`` call starts, the one JSON
+    decode of every reader."""
     texts = []
     real = flows._decode
 
-    def counting(text, *at):
-        texts.append(text)
-        return real(text, *at)
+    def counting(text, start=0):
+        texts.append(text[start:])
+        return real(text, start)
 
     monkeypatch.setattr(flows, "_decode", counting)
-    monkeypatch.setattr(frames, "_decode", counting)
     return texts
 
 
@@ -140,27 +139,33 @@ def test_each_distinct_trace_line_is_decoded_once_in_one_pass(decoded):
 WRITER_FRAME = ('{"crawl_iter":1,"edges":[],"frame_url":"f","is_ad":false,"page_url":"p",'
                 '"party":"third","profile":"p"}')
 BAD_JSON_LINES = [
-    (parse_trace, line) for line in [
+    (parse_trace, [], line) for line in [
         '{"type":"visit_start","profile":1,"crawl_iter":1,"tab":"t"}', '{"type":"visit_end"} x',
         '{"type":"behavior_edge","tab":"t","frame_id":"f","edge":{"source_type":"x"}}',
         '{"type":"meta","spec":5}', '{"type":"visit_end","tab":"\\ud800"}']
 ] + [
-    (read_frames_jsonl, line) for line in [
+    (read_frames_jsonl, [], line) for line in [
         WRITER_FRAME.replace("[]", '["nope"]'), WRITER_FRAME.replace("[]", "[1]"),
         WRITER_FRAME.replace("[]", '["a",]'), WRITER_FRAME.replace("[]", "[]]"),
         WRITER_FRAME.replace('"p"}', '"p","edges":{}}'), " " + WRITER_FRAME[:-1],
         WRITER_FRAME.replace("third", "\\u0074hree"),
         WRITER_FRAME.replace("[]", '["nope"]').replace('"page_url":"p"', '"page_url":"\\u00e9"')]
-] + [(lambda lines: flows._json_object(lines[0], surrogates=False), '{"command":"x",}')]
+] + [
+    # After a line whose edge list has passed, only the rest is decoded.
+    (read_frames_jsonl, [WRITER_FRAME], WRITER_FRAME.replace(good, bad, 1)) for good, bad in [
+        ('"p"}', '"\\q"}'), ('"p"}', '"\\ud800"}'), ('"p"}', '"p\\u00e9\\"}'),
+        ("third", "\\u0074hree")]
+] + [(lambda lines: flows._json_object(lines[0], surrogates=False), [], '{"command":"x",}')]
 
 
-@pytest.mark.parametrize("reader,line", BAD_JSON_LINES)
-def test_a_bad_line_of_each_json_reader_is_decoded_once(decoded, reader, line):
+@pytest.mark.parametrize("reader,before,line", BAD_JSON_LINES)
+def test_a_bad_line_of_each_json_reader_is_decoded_once(decoded, reader, before, line):
     """Whatever path a bad trace, frames.jsonl or manifest line takes, the
     reader decodes it, or the one part of it it reads, once."""
+    good = len(decoded) if before and reader(before) else 0
     with pytest.raises(flows.TraceFormatError):
-        reader([line])
-    assert len(decoded) == 1
+        reader(before + [line])
+    assert len(decoded) == 2 * good + 1
 
 
 def test_repeated_edge_lines_encode_once(monkeypatch):
@@ -262,13 +267,30 @@ def test_each_distinct_edge_list_is_decoded_once_into_one_shared_set(decoded, mo
     assert all(type(edge_set) is frozenset for edge_set in edge_sets.values())
 
 
+def test_an_edge_list_with_brackets_in_its_urls_is_decoded_once(decoded, tmp_path):
+    """A ']' in an edge's URL, as an IPv6 host or a query holds one, leaves
+    the edge list decoded in place, once per distinct list."""
+    edges = [trace._edge_string("script", f"https://[::1]/{i}.js?a[]={i}", "reads",
+                                "cookie_jar", "t.net") for i in range(2)]
+    records = {(f"https://s{page}.com/", "https://t.net/w", "p0", crawl_iter):
+               FrameRecord({edges[page % 2]}) for page in range(6) for crawl_iter in (1, 2)}
+    write_frames_jsonl(records, tmp_path / "frames.jsonl")
+    lines = (tmp_path / "frames.jsonl").read_text().splitlines(keepends=True)
+    assert all("]/" in line and "]=" in line for line in lines)
+    assert read_frames_jsonl(lines) == records
+    assert len(decoded) == 2 and all(text.startswith('["[') for text in decoded)
+
+
 def test_equal_edge_lists_share_one_set_whatever_path_their_line_takes(decoded, tmp_path):
-    """A line whose rest holds an escape (the writer's ``\\u00e9``), a padded
-    line and one with a sixth field are each decoded whole, once; each record
-    still holds the one set of its edge list."""
-    records = {(f"https://s{page}é.com/", "https://t.net/w", profile, 1):
+    """Lines whose rest holds an escape (the writer's ``\\u00e9``) keep both
+    memos: a line with an edge list not yet checked is decoded whole, one
+    whose edge list has passed has only its rest decoded, and a rest that
+    has passed is not decoded again. A padded line and one with a sixth
+    field are decoded whole. No line is decoded twice, and each record holds
+    the one set of its edge list."""
+    records = {(f"https://s{page}é.com/", "https://t.net/w", profile, crawl_iter):
                FrameRecord(set(EDGE_LISTS[page % 4]))
-               for page in range(8) for profile in ("p0", "p1")}
+               for page in range(8) for profile in ("p0", "p1") for crawl_iter in (1, 2)}
     write_frames_jsonl(records, tmp_path / "frames.jsonl")
     lines = (tmp_path / "frames.jsonl").read_text().splitlines(keepends=True)
     assert all("\\u00e9" in line for line in lines)
@@ -276,7 +298,19 @@ def test_equal_edge_lists_share_one_set_whatever_path_their_line_takes(decoded, 
     lines[1] = lines[1].replace("}\n", ',"zz":0}\n')
     read = read_frames_jsonl(lines)
     assert read == records
-    assert decoded == [line.strip() for line in lines]
+    expected = [line.strip() for line in lines[:2]]
+    passed, known = set(), set()  # the edge lists and the rests that have passed
+    for line in lines[2:]:
+        edge_list, rest = line[line.index("[") + 1:].split('],"frame_url":')
+        if edge_list not in passed:
+            expected.append(line.strip())
+        elif rest not in known:
+            expected.append('{"frame_url":' + rest)
+        passed.add(edge_list)
+        known.add(rest)
+    assert decoded == expected
+    assert len([text for text in decoded if text.startswith('{"frame_url":')]) == 11
+    assert len(decoded) == 2 + 4 + 11  # the odd lines, each edge list's first, the rests
     shared = {}
     for record in read.values():
         assert shared.setdefault(record.edge_set, record.edge_set) is record.edge_set

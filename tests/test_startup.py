@@ -255,3 +255,50 @@ def test_help_into_a_closed_pipe_exits_120_without_a_traceback():
     assert proc.returncode == 120
     assert "BrokenPipeError" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _regex_opcodes(pattern: str):
+    """The opcode names of ``pattern``'s parse tree, as Python 3.11's ``re``
+    parses it."""
+    from re import _parser
+
+    stack = [_parser.parse(pattern)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, _parser.SubPattern):
+            stack += item.data
+        elif isinstance(item, (list, tuple)):
+            if item and type(item[0]).__name__ == "_NamedIntConstant":
+                yield str(item[0])
+            stack += item
+
+
+def test_every_module_regex_parses_under_python_3_10():
+    """pyproject.toml asks for Python 3.10, whose ``re`` has neither
+    possessive quantifiers nor atomic groups (3.11 added both): a pattern
+    holding one would not compile there."""
+    import importlib
+    import pkgutil
+
+    import storagelab
+
+    patterns = {}
+    for info in pkgutil.iter_modules(storagelab.__path__):
+        module = importlib.import_module(f"storagelab.{info.name}")
+        for name, value in vars(module).items():
+            compiled = getattr(value, "__self__", value)
+            if isinstance(compiled, re.Pattern) and isinstance(compiled.pattern, str):
+                patterns[f"{info.name}.{name}"] = compiled.pattern
+    assert "frames._WRITER_TAIL" in patterns and "flows._SPACE" in patterns
+    from storagelab import flows, frames
+
+    # And the two that are compiled on first use.
+    patterns["frames._ESCAPED_TAIL"] = frames._ESCAPED_TAIL
+    patterns["flows._SURROGATE"] = flows._SURROGATE
+    if sys.version_info < (3, 11):
+        for pattern in patterns.values():
+            re.compile(pattern)  # which 3.10's re refuses for either
+        return
+    assert {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"} <= set(_regex_opcodes("a*+(?>b)"))
+    for name, pattern in patterns.items():
+        assert not {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"} & set(_regex_opcodes(pattern)), name
