@@ -5,8 +5,8 @@ A reader takes the lines of a file, never its path: the CLI reads, hashes
 and decodes each input once, and adds the file's path to a reader's error,
 which names only the line.
 
-Each reader decodes a line at most once, JSON through ``_decoded`` (with
-``_json_object`` for a whole object) and CSV with ``csv.reader``, and checks
+Each reader decodes a line at most once, JSON with ``_json_object`` and CSV
+with ``csv.reader``, and checks
 it once against its record kind's field table, with ``_checked`` or
 ``_cells``. So each rule is written once, and an error names the first bad
 field in the table's order.
@@ -88,22 +88,6 @@ _SPACE = re.compile(r"[ \t\n\r]*").match  # JSON's whitespace
 _SURROGATE = "[\ud800-\udfff]"
 
 
-def _decoded(text: str, start: int = 0) -> tuple:
-    """The JSON value at ``text[start:]`` and where it ends, from one decode.
-    A text that is not JSON there raises a TraceFormatError in json.loads's
-    words: ``invalid JSON (msg)``, ``invalid JSON (nested too deeply)``."""
-    try:
-        return _decode(text, start)
-    except json.JSONDecodeError as exc:
-        message = ("Unexpected UTF-8 BOM (decode using utf-8-sig)" if text[:1] == "\ufeff"
-                   else exc.msg)
-        raise TraceFormatError(f"invalid JSON ({message})") from None
-    except ValueError as exc:  # an integer past int()'s digit limit
-        raise TraceFormatError(f"invalid JSON ({exc})") from None
-    except RecursionError:  # json's scanner, on a value nested too deeply
-        raise TraceFormatError("invalid JSON (nested too deeply)") from None
-
-
 def _no_surrogate(value) -> None:
     """Raises a TraceFormatError for the first string, key or value, that
     holds a surrogate code point in a decoded JSON value: only a ``\\u``
@@ -122,11 +106,21 @@ def _no_surrogate(value) -> None:
 
 def _json_object(text: str, surrogates: bool = True) -> dict:
     """The JSON object that is all of ``text`` but JSON whitespace, from one
-    decode. Anything else raises a TraceFormatError: ``invalid JSON (Extra
-    data)`` after the object, or ``record must be a JSON object``. Unless
-    ``surrogates`` is false, a text that may escape a surrogate, holding a
-    ``\\ud`` or ``\\uD``, is walked for one."""
-    record, end = _decoded(text, _SPACE(text).end())
+    decode. Anything else raises a TraceFormatError in json.loads's words:
+    ``invalid JSON (msg)``, ``invalid JSON (nested too deeply)``, ``invalid
+    JSON (Extra data)`` after the object, or ``record must be a JSON
+    object``. Unless ``surrogates`` is false, a text that may escape a
+    surrogate, holding a ``\\ud`` or ``\\uD``, is walked for one."""
+    try:
+        record, end = _decode(text, _SPACE(text).end())
+    except json.JSONDecodeError as exc:
+        message = ("Unexpected UTF-8 BOM (decode using utf-8-sig)" if text[:1] == "\ufeff"
+                   else exc.msg)
+        raise TraceFormatError(f"invalid JSON ({message})") from None
+    except ValueError as exc:  # an integer past int()'s digit limit
+        raise TraceFormatError(f"invalid JSON ({exc})") from None
+    except RecursionError:  # json's scanner, on a value nested too deeply
+        raise TraceFormatError("invalid JSON (nested too deeply)") from None
     if end != len(text) and _SPACE(text, end).end() != len(text):
         raise TraceFormatError("invalid JSON (Extra data)")
     if type(record) is not dict:

@@ -19,8 +19,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable
 
-from storagelab.flows import (_MISSING, _SPACE, TraceFormatError, _checked, _decoded,
-                              _json_object, _must_be, _no_surrogate, _word)
+from storagelab.flows import _MISSING, TraceFormatError, _checked, _json_object, _must_be, _word
 from storagelab.vocab import _EDGE_MASKS, _Memo
 
 
@@ -88,55 +87,24 @@ _WRITER_HEAD = re.compile(r'\{"crawl_iter":(0|-?[1-9][0-9]{0,17}),"edges":\[').m
 # What ends the edge list and starts the rest of the line; inside an edge's
 # JSON string a '"' is always escaped, so the first match is the real one.
 _EDGES_END = '],"frame_url":'
-# The rest of a line in the writer's form: the five other fields alone, in
-# order. In a plain rest, each string holds no quote, no backslash and no
+# The rest of a line in the writer's form, when it is plain: the five other
+# fields alone, in order, each string holding no quote, no backslash and no
 # control character, so that its text is its value, as JSON reads it, and
-# the party is one of PARTIES. In an escaped one, a string may hold escapes,
-# as the writer's do for any text but ASCII, and the party may be any
-# string, so it must be decoded to be read (its escapes are checked then).
-_TAIL = r'"frame_url":{0},"is_ad":(true|false),"page_url":{0},"party":{1},"profile":{0}}}\n?'
+# the party one of PARTIES. The writer's rests are plain for ASCII text.
 _STRING = r'"([^"\\\x00-\x1f]*)"'
-_ESCAPED = r'"[^"\\\x00-\x1f]*(?:\\.[^"\\\x00-\x1f]*)*"'
-_WRITER_TAIL = re.compile(_TAIL.format(_STRING, '"(first|third)"')).fullmatch
-# Compiled on first use, by re's own cache: the writer's rests are escaped
-# only for text that is not ASCII, and compiling this costs about 0.4 ms.
-_ESCAPED_TAIL = _TAIL.format(_ESCAPED, _ESCAPED)
+_WRITER_TAIL = re.compile(r'"frame_url":{0},"is_ad":(true|false),"page_url":{0},'
+                          r'"party":"(first|third)","profile":{0}}}\n?'.format(_STRING)).fullmatch
 
 
 def _line_tail(text: str) -> tuple | None:
     """``(frame_url, is_ad, page_url, party, profile)``, as ``_FIELDS``
     checks them, from the text after a writer-form line's edge list,
-    ``"frame_url":`` to the end, when it is a plain rest; ``()`` when it is
-    an escaped one; None when it is neither."""
+    ``"frame_url":`` to the end, when it is a plain rest; else None."""
     tail = _WRITER_TAIL(text)
     if tail is None:
-        return () if re.fullmatch(_ESCAPED_TAIL, text) else None
+        return None
     frame_url, is_ad, page_url, party, profile = tail.groups()
     return frame_url, is_ad == "true", page_url, party, profile
-
-
-# In an edge-list text, a ']' that a ',' follows: where, unless there is
-# none, the line's array might end early and its object go on.
-_MAY_END_EARLY = re.compile(r"\][ \t\n\r]*,").search
-
-
-def _line_edges(line: str, start: int, stop: int) -> frozenset[str]:
-    """The checked edges of a line whose rest has passed, its edge list
-    decoded in place, from the ``[`` at ``start`` to the ``]`` at ``stop``:
-    any error is the one a decode of the whole line would raise first."""
-    value, end = _decoded(line, start)
-    if end != stop + 1:
-        # The array ended early, and no ',' follows it (_MAY_END_EARLY): a
-        # '}' ends the object before the rest of the line; anything else is
-        # out of place.
-        if line[_SPACE(line, end).end()] == "}":
-            raise TraceFormatError("invalid JSON (Extra data)")
-        raise TraceFormatError("invalid JSON (Expecting ',' delimiter)")
-    try:
-        return _edges(value)
-    except ValueError:
-        _no_surrogate(value)  # which the whole line's decode names first
-        raise
 
 
 def read_frames_jsonl(lines: Iterable[str]) -> dict[FrameKey, FrameRecord]:
@@ -144,52 +112,41 @@ def read_frames_jsonl(lines: Iterable[str]) -> dict[FrameKey, FrameRecord]:
     :class:`TraceFormatError`, naming the line, for a record that is not a
     JSON object, lacks a field, has one of the wrong type, holds an edge that
     is not a canonical edge string, or repeats the (page_url, frame_url,
-    profile, crawl_iter) of an earlier record.
+    profile, crawl_iter) of an earlier record. A blank line, one of JSON
+    whitespace only, is skipped.
 
-    A line in the writer's form is taken as three parts found by regexes:
-    its crawl_iter, its edge-list text and the rest, which holds the five
-    other fields. The reader remembers each edge list and each rest that has
-    passed; a rest with no escape passes at sight. A line whose two parts
-    have passed is not decoded. Of one whose rest has, only the edge list is
-    decoded, in place; of one whose edge list has, only the rest. Any other
-    line is decoded whole, and the parts of a writer-form line that passes
-    are then remembered. So each line is decoded at most once, and an error
-    names the first bad field in ``_FIELDS``'s order, as a decode of the
-    whole line would. Every record with an equal edge set shares one
+    A line is read without a decode only when each of its parts is the
+    writer's own text: its crawl_iter, an edge-list text that has passed,
+    and a plain rest. Any other line is decoded whole, once, and checked
+    against ``_FIELDS``, so its error is a whole-line decode's. Its edge-list
+    text is remembered only when it is exactly the writer's encoding of the
+    set it decoded to. Every record with an equal edge set shares one
     frozenset."""
     frames: dict[FrameKey, FrameRecord] = {}
     shared: dict[frozenset[str], frozenset[str]] = {}  # each distinct edge set
-    edge_lists: dict[str, frozenset[str]] = {}  # each edge-list text that has passed
+    edge_lists: dict[str, frozenset[str]] = {}  # each writer-form edge-list text that has passed
     tails = _Memo(_line_tail)
     for line_no, line in enumerate(lines, start=1):
         try:
             head = _WRITER_HEAD(line)
             stop = line.find(_EDGES_END, head.end()) if head else -1
-            edges = tail = None
+            text = edges = tail = None
             if stop >= 0:
-                text, rest = line[head.end():stop], line[stop + 2:]
-                edges, tail = edge_lists.get(text), tails[rest]
-                if edges is None and tail and not _MAY_END_EARLY(text):
-                    edges = _line_edges(line, head.end() - 1, stop)
-                    edge_lists[text] = edges = shared.setdefault(edges, edges)
-                elif edges is not None and tail == ():
-                    # After the edge list that has passed, a ',' and then the
-                    # rest read as the rest alone does after a '{'.
-                    tail = tails[rest] = tuple(_checked(_json_object("{" + rest), _FIELDS[2:]))
-            if edges is not None and tail:
+                text = line[head.end():stop]
+                edges, tail = edge_lists.get(text), tails[line[stop + 2:]]
+            if edges is not None and tail is not None:
                 frame_url, is_ad, page_url, party, profile = tail
                 crawl_iter = int(head[1])
             else:
-                line = line.strip()
-                if not line:  # a blank line is skipped
+                line = line.strip(" \t\n\r")
+                if not line:
                     continue
-                values = _checked(_json_object(line), _FIELDS)
-                crawl_iter, edges, frame_url, is_ad, page_url, party, profile = values
+                crawl_iter, edges, frame_url, is_ad, page_url, party, profile = _checked(
+                    _json_object(line), _FIELDS)
                 edges = shared.setdefault(edges, edges)
-                if tail is not None:  # the writer's form: its parts hold these values in any line
-                    tails[rest] = tuple(values[2:])
-                    if not _MAY_END_EARLY(text):
-                        edge_lists[text] = edges
+                if text is not None and text not in edge_lists and text == ",".join(
+                        map(encode_basestring_ascii, sorted(edges))):
+                    edge_lists[text] = edges
             key = (page_url, frame_url, profile, crawl_iter)
             record = FrameRecord(edges, is_ad, party)
             if frames.setdefault(key, record) is not record:

@@ -188,7 +188,7 @@ def parse_trace(lines: Iterable[str]) -> Trace:
     for line_no, line in enumerate(lines, start=1):
         event = parsed.get(line)
         if event is None:
-            text = line.strip()
+            text = line.strip(" \t\n\r")
             if not text:
                 continue
             try:

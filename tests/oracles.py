@@ -832,7 +832,7 @@ def parse_trace(lines: Iterable[str]) -> Trace:
     meta: TraceMeta | None = None
     events: list[TraceEvent] = []
     for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
+        line = raw.strip(" \t\n\r")
         if not line:
             continue
         record = _json_object(line, line_no)
@@ -1095,7 +1095,7 @@ def read_frames_jsonl(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
+                line = line.strip(" \t\n\r")
                 if not line:
                     continue
                 try:

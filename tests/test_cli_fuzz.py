@@ -78,7 +78,9 @@ def _commands(d: Path) -> dict[str, tuple[Path, list[list]]]:
 
 MUTATIONS = ["delete_field", "change_type", "other_json_type", "nested", "truncate",
              "non_object", "bad_header", "extra_cells", "non_utf8", "empty", "long_number",
-             "deep_nesting", "lone_surrogate"]
+             "deep_nesting", "lone_surrogate", "unicode_space"]
+# Characters str.strip() takes for whitespace but JSON does not.
+UNICODE_SPACES = ["\u00a0", "\u0085", "\u001c", "\u000b", "\u2028", "\u3000"]
 OTHER_VALUES = [1, -1, 1.5, True, None, "s", "", [], ["x"], {}, {"a": 1}]
 JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
                 | st.text(max_size=3))
@@ -137,6 +139,9 @@ def _mutate(data: bytes, kind: str, draw) -> bytes:
         lines[i] = line[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + line[at:]
     elif kind == "non_object":
         lines[i] = draw(st.sampled_from([b"[]", b"[1,2]", b'"x"', b"3", b"null", b"true"]))
+    elif kind == "unicode_space":
+        space = draw(st.sampled_from(UNICODE_SPACES)).encode()
+        lines[i] = draw(st.sampled_from([space + line, line + space]))
     elif kind == "bad_header":
         lines[0] = draw(st.sampled_from([b"nope", b"a,b", b"url,profile", b"{}", b"\t"]))
     elif kind == "extra_cells":
@@ -247,6 +252,27 @@ def test_deep_nesting_or_a_lone_surrogate_is_an_input_error(inputs, target_kind,
             assert code == 2 and err.startswith(f"storagelab: {path}: "), \
                 f"{target}/{kind}: {argv[:2]} exit {code}\n{err}"
             assert not (d / "out").exists()
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(target=st.sampled_from(["trace", "frames"]), data=st.data())
+def test_a_line_padded_with_non_json_whitespace_is_an_input_error(inputs, target, data):
+    """A trace or frames.jsonl line with a no-break space, a NEL or another
+    character that str.strip() would take, but JSON does not, before or after
+    it (or alone, on the file's last, empty line): every command that reads
+    the file exits 2, naming the file and that line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp) / "in"
+        shutil.copytree(inputs, d)
+        path, commands = _commands(d)[target]
+        before = path.read_bytes().split(b"\n")
+        after = _mutate(b"\n".join(before), "unicode_space", data.draw).split(b"\n")
+        path.write_bytes(b"\n".join(after))
+        (line_no,) = [n for n, (a, b) in enumerate(zip(before, after), start=1) if a != b]
+        for argv in commands:
+            code, err = _run(*argv)
+            assert code == 2 and err.startswith(f"storagelab: {path}: line {line_no}: "), \
+                f"{target}: {argv[:2]} exit {code}\n{err}"
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -151,7 +151,7 @@ BAD_JSON_LINES = [
         WRITER_FRAME.replace("third", "\\u0074hree"),
         WRITER_FRAME.replace("[]", '["nope"]').replace('"page_url":"p"', '"page_url":"\\u00e9"')]
 ] + [
-    # After a line whose edge list has passed, only the rest is decoded.
+    # After a line whose edge list has passed, a bad rest is decoded whole.
     (read_frames_jsonl, [WRITER_FRAME], WRITER_FRAME.replace(good, bad, 1)) for good, bad in [
         ('"p"}', '"\\q"}'), ('"p"}', '"\\ud800"}'), ('"p"}', '"p\\u00e9\\"}'),
         ("third", "\\u0074hree")]
@@ -160,8 +160,8 @@ BAD_JSON_LINES = [
 
 @pytest.mark.parametrize("reader,before,line", BAD_JSON_LINES)
 def test_a_bad_line_of_each_json_reader_is_decoded_once(decoded, reader, before, line):
-    """Whatever path a bad trace, frames.jsonl or manifest line takes, the
-    reader decodes it, or the one part of it it reads, once."""
+    """A bad trace, frames.jsonl or manifest line is decoded once, whole,
+    whatever line before it has passed."""
     good = len(decoded) if before and reader(before) else 0
     with pytest.raises(flows.TraceFormatError):
         reader(before + [line])
@@ -256,12 +256,13 @@ def test_each_distinct_edge_list_is_decoded_once_into_one_shared_set(decoded, mo
     records, lines = _written_frames(tmp_path, lambda page, profile: page % 4)
     read = read_frames_jsonl(lines)
     assert read == records
-    assert len([text for text in decoded if text.startswith("[")]) == len(EDGE_LISTS)
+    # Each edge list's first line, decoded whole; every later line is read
+    # at sight.
+    assert len(decoded) == len(EDGE_LISTS) and all(text.startswith("{") for text in decoded)
     # The rest of a line, past its edges, once per (page, profile): not per
     # crawl iteration, which comes before the edges. The writer's rest of a
-    # line holds no escape, so it is matched, never decoded.
+    # line holds no escape, so it is matched, never decoded alone.
     assert len(tails) == len(set(tails)) == len(lines) // 2
-    assert not [text for text in decoded if text.startswith("{")]
     edge_sets = {id(record.edge_set): record.edge_set for record in read.values()}
     assert len(edge_sets) == len(EDGE_LISTS)
     assert all(type(edge_set) is frozenset for edge_set in edge_sets.values())
@@ -269,7 +270,7 @@ def test_each_distinct_edge_list_is_decoded_once_into_one_shared_set(decoded, mo
 
 def test_an_edge_list_with_brackets_in_its_urls_is_decoded_once(decoded, tmp_path):
     """A ']' in an edge's URL, as an IPv6 host or a query holds one, leaves
-    the edge list decoded in place, once per distinct list."""
+    the edge list read at sight once a line of it has been decoded whole."""
     edges = [trace._edge_string("script", f"https://[::1]/{i}.js?a[]={i}", "reads",
                                 "cookie_jar", "t.net") for i in range(2)]
     records = {(f"https://s{page}.com/", "https://t.net/w", "p0", crawl_iter):
@@ -278,39 +279,68 @@ def test_an_edge_list_with_brackets_in_its_urls_is_decoded_once(decoded, tmp_pat
     lines = (tmp_path / "frames.jsonl").read_text().splitlines(keepends=True)
     assert all("]/" in line and "]=" in line for line in lines)
     assert read_frames_jsonl(lines) == records
-    assert len(decoded) == 2 and all(text.startswith('["[') for text in decoded)
+    assert decoded == [lines[0].rstrip("\n"), lines[2].rstrip("\n")]
+
+
+def test_an_edge_list_whose_url_holds_a_bracket_and_a_comma_is_decoded_once(decoded, tmp_path):
+    """A query such as ``?a=[1],b`` puts a ']' and then a ',' in an edge
+    list, where a JSON array could end early; the list is still decoded once
+    in all, not once per line."""
+    edge = trace._edge_string("script", "https://t.net/w.js?a=[1],b", "reads", "cookie_jar",
+                              "t.net")
+    records = {(f"https://s{page}.com/", "https://t.net/w", "p0", crawl_iter): FrameRecord({edge})
+               for page in range(300) for crawl_iter in (1, 2)}
+    write_frames_jsonl(records, tmp_path / "frames.jsonl")
+    lines = (tmp_path / "frames.jsonl").read_text().splitlines(keepends=True)
+    assert len(lines) == 600 and all("],b" in line for line in lines)
+    assert read_frames_jsonl(lines) == records
+    assert len(decoded) == 1
+
+
+_E1, _E2 = (json.dumps(edge) for edge in FRAME_EDGES[:2])
+
+
+@pytest.mark.parametrize("edge_list", [
+    f"{_E2},{_E1}", f"{_E1},{_E1}", f'{_E1}],"crawl_iter":7,"x":[{_E2}', f"{_E1}, {_E2}"],
+    ids=["unsorted", "repeated", "ends-early", "spaced"])
+def test_an_edge_list_not_in_the_writers_form_is_never_remembered(decoded, edge_list):
+    """A writer-shaped line whose edge-list text is not the writer's encoding
+    of the set it decodes to is decoded whole, and so is a later line with
+    the same text: each reads as its own whole decode."""
+    lines = [f'{{"crawl_iter":1,"edges":[{edge_list}],"frame_url":"f","is_ad":false,'
+             f'"page_url":"{page}","party":"third","profile":"p0"}}\n' for page in ("a", "b")]
+    alone = [read_frames_jsonl([line]) for line in lines]
+    del decoded[:]
+    assert read_frames_jsonl(lines) == {**alone[0], **alone[1]}
+    assert decoded == [line.rstrip("\n") for line in lines]
 
 
 def test_equal_edge_lists_share_one_set_whatever_path_their_line_takes(decoded, tmp_path):
-    """Lines whose rest holds an escape (the writer's ``\\u00e9``) keep both
-    memos: a line with an edge list not yet checked is decoded whole, one
-    whose edge list has passed has only its rest decoded, and a rest that
-    has passed is not decoded again. A padded line and one with a sixth
-    field are decoded whole. No line is decoded twice, and each record holds
-    the one set of its edge list."""
-    records = {(f"https://s{page}é.com/", "https://t.net/w", profile, crawl_iter):
-               FrameRecord(set(EDGE_LISTS[page % 4]))
-               for page in range(8) for profile in ("p0", "p1") for crawl_iter in (1, 2)}
+    """Lines whose rest holds an escape (the writer's ``\\u00e9``), a padded
+    line and one with a sixth field are each decoded whole, once; a plain
+    line is decoded only when no line before it has passed with its edge
+    list in the writer's form. Each record holds the one set of its edge
+    list."""
+    records = {(f"https://s{page}{'é' * (page % 3 == 0)}.com/", "https://t.net/w", profile,
+                crawl_iter): FrameRecord(set(EDGE_LISTS[page % 4]))
+               for page in range(12) for profile in ("p0", "p1") for crawl_iter in (1, 2)}
     write_frames_jsonl(records, tmp_path / "frames.jsonl")
     lines = (tmp_path / "frames.jsonl").read_text().splitlines(keepends=True)
-    assert all("\\u00e9" in line for line in lines)
     lines[0] = " " + lines[0]
     lines[1] = lines[1].replace("}\n", ',"zz":0}\n')
+    escaped = [line for line in lines if "\\u00e9" in line]
+    assert len(escaped) == len(lines) // 3
     read = read_frames_jsonl(lines)
     assert read == records
-    expected = [line.strip() for line in lines[:2]]
-    passed, known = set(), set()  # the edge lists and the rests that have passed
-    for line in lines[2:]:
-        edge_list, rest = line[line.index("[") + 1:].split('],"frame_url":')
-        if edge_list not in passed:
+    expected, passed = [], set()  # the decoded texts; the edge lists that have passed
+    for line in lines:
+        edge_list = line[line.index("[") + 1:line.index('],"frame_url":')]
+        if line in escaped or line in lines[:2] or edge_list not in passed:
             expected.append(line.strip())
-        elif rest not in known:
-            expected.append('{"frame_url":' + rest)
-        passed.add(edge_list)
-        known.add(rest)
+        if line[0] == "{":
+            passed.add(edge_list)
     assert decoded == expected
-    assert len([text for text in decoded if text.startswith('{"frame_url":')]) == 11
-    assert len(decoded) == 2 + 4 + 11  # the odd lines, each edge list's first, the rests
+    assert len([text for text in decoded if "\\u00e9" in text]) == len(escaped)
     shared = {}
     for record in read.values():
         assert shared.setdefault(record.edge_set, record.edge_set) is record.edge_set
