@@ -64,13 +64,6 @@ def _not_utf8(path, data: bytes) -> InputError:
     return InputError(f"{path}: not UTF-8")
 
 
-# An input this large is hashed in a helper thread while the main thread
-# decodes it: hashlib releases the GIL while it hashes, so the two overlap
-# (about 3 ms of a 5.2 MB trace). Starting the thread costs about 0.1 ms,
-# more than hashing a smaller file inline.
-_THREADED_HASH_MIN = 1 << 20
-
-
 def _parse_input(path, parse, newline: str | None) -> tuple:
     """``parse`` of an input file's text, and the file's manifest entry (path
     and sha256), from one read of the file: the only way a command reads an
@@ -78,40 +71,18 @@ def _parse_input(path, parse, newline: str | None) -> tuple:
     newline=newline)`` would give it, decoded as it reads. A byte that is not
     UTF-8, or any ``ValueError`` of ``parse`` or ``csv.Error`` of its CSV
     reader (a cell past the reader's size limit), is an input error naming
-    the file.
-
-    A file of ``_THREADED_HASH_MIN`` bytes (1 MiB) or more is hashed by one
-    helper thread while ``parse`` runs. The thread is joined before this
-    returns or raises, so no thread outlives the call and ``cli.run`` may
-    end the process with ``os._exit`` without cutting a hash short."""
+    the file."""
     file = Path(path)
     if not file.is_file():
         raise InputError(f"input file not found: {file}")
     data = file.read_bytes()
-    if len(data) < _THREADED_HASH_MIN:
-        digest = hashlib.sha256(data).hexdigest()
-        parsed = _decode(path, data, parse, newline)
-    else:
-        import threading
-        digests = []
-        hasher = threading.Thread(target=lambda: digests.append(hashlib.sha256(data).hexdigest()))
-        hasher.start()
-        try:
-            parsed = _decode(path, data, parse, newline)
-        finally:
-            hasher.join()
-        digest = digests[0]
-    return parsed, {"path": str(path), "sha256": digest}
-
-
-def _decode(path, data: bytes, parse, newline: str | None):
-    """``parse`` of ``data`` decoded as UTF-8, its errors as input errors."""
     try:
-        return parse(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline))
+        parsed = parse(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline))
     except UnicodeDecodeError:
         raise _not_utf8(path, data) from None
     except (ValueError, csv.Error) as exc:
         raise InputError(f"{path}: {exc}") from None
+    return parsed, {"path": str(path), "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _load_suffix_rules(psl_path: str | None):

@@ -174,8 +174,7 @@ class CookieFlowRecord(NamedTuple):
     cookie_value: str
 
 
-FLOW_FIELDS = ("profile", "crawl_iter", "visit_seq", "top_site",
-               "third_party_site", "cookie_name", "cookie_value")
+FLOW_FIELDS = CookieFlowRecord._fields
 
 
 class _LineFeedRows:

@@ -89,9 +89,11 @@ def _filter_edges(edges: set[str], mask: int) -> set[str]:
 
 def _profile_frames(frames: dict[FrameKey, FrameRecord],
                     profile: str) -> dict[tuple[str, str, int], FrameRecord]:
+    """The profile's third-party frames not flagged as ads, the only ones
+    compared, by (page_url, frame_url, crawl_iter)."""
     views = {}
     for (page_url, frame_url, frame_profile, crawl_iter), record in frames.items():
-        if frame_profile == profile:
+        if frame_profile == profile and record.party == "third" and not record.is_ad:
             views[(page_url, frame_url, crawl_iter)] = record
     return views
 
@@ -121,8 +123,6 @@ def frame_similarity(
     for key in sorted(set(base_frames) & set(other_frames)):
         a = base_frames[key]
         b = other_frames[key]
-        if a.party != "third" or b.party != "third" or a.is_ad or b.is_ad:
-            continue
         pair = id(a.edge_set), id(b.edge_set)
         if pair not in scores:
             scores[pair] = jaccard(_filter_edges(a.edge_set, mask),
@@ -317,9 +317,6 @@ def build_optimize_sample(
     contrasted = _profile_frames(contrast, contrast_profile)
     sample = []
     for key in sorted(set(anchor) & set(replica) & set(contrasted)):
-        records = (anchor[key], replica[key], contrasted[key])
-        if any(r.party != "third" or r.is_ad for r in records):
-            continue
         sample.append(OptimizeInstance(
             frozenset(anchor[key].edge_set),
             frozenset(replica[key].edge_set),
@@ -339,19 +336,6 @@ class FrameStat(NamedTuple):
     n_cookies: int
 
 
-class Candidate(NamedTuple):
-    frame_url: str
-    site: str
-    n_embedding_pages: int
-    n_cookies: int
-    score: Fraction
-
-
-class CandidateSelection(NamedTuple):
-    candidates: tuple[Candidate, ...]
-    short: bool  # fewer distinct sites available than requested
-
-
 def harmonic_score(a: int, b: int) -> Fraction:
     if a < 0 or b < 0:
         raise ValueError("counts must be >= 0")
@@ -360,26 +344,26 @@ def harmonic_score(a: int, b: int) -> Fraction:
     return Fraction(2 * a * b, a + b)
 
 
-def select_candidates(frame_stats: Sequence[FrameStat], k: int) -> CandidateSelection:
-    """Top-k frame URLs by harmonic mean of embedding-page and cookie counts,
-    keeping only the first (best) frame per site. Raises ValueError for k < 1."""
+def select_candidates(frame_stats: Sequence[FrameStat], k: int) -> list[FrameStat]:
+    """The stats of the top-k frame URLs by harmonic mean of embedding-page
+    and cookie counts, keeping only the first (best) frame per site: fewer
+    than k when fewer sites are left. Raises ValueError for k < 1."""
     if k < 1:
         raise ValueError(f"the number of candidates must be at least 1, got {k}")
     scored = sorted(
         frame_stats,
         key=lambda s: (-harmonic_score(s.n_embedding_pages, s.n_cookies), s.frame_url),
     )
-    chosen: list[Candidate] = []
+    chosen: list[FrameStat] = []
     seen_sites: set[str] = set()
     for stat in scored:
         if stat.site in seen_sites:
             continue
         seen_sites.add(stat.site)
-        chosen.append(Candidate(stat.frame_url, stat.site, stat.n_embedding_pages,
-                                stat.n_cookies, harmonic_score(stat.n_embedding_pages, stat.n_cookies)))
+        chosen.append(stat)
         if len(chosen) == k:
             break
-    return CandidateSelection(tuple(chosen), short=len(chosen) < k)
+    return chosen
 
 
 class ProfileBreakage(NamedTuple):
@@ -605,20 +589,21 @@ def cmd_metrics_candidates(args) -> int:
     stats = [FrameStat(frame_url, sites[frame_url], len(pages_by_frame[frame_url]),
                        len(cookies_by_site.get(sites[frame_url], ())))
              for frame_url in sorted(pages_by_frame)]
-    selection = select_candidates(stats, args.top)
+    chosen = select_candidates(stats, args.top)
+    short = len(chosen) < args.top  # fewer distinct sites than requested
     out = _out_dir(args.out)
     write_csv(out / "candidates.csv", [
         ("rank", "frame_url", "site", "n_embedding_pages", "n_cookies", "score"),
-        *((rank, c.frame_url, c.site, c.n_embedding_pages, c.n_cookies, _fnum(c.score))
-          for rank, c in enumerate(selection.candidates, start=1)),
+        *((rank, *c, _fnum(harmonic_score(c.n_embedding_pages, c.n_cookies)))
+          for rank, c in enumerate(chosen, start=1)),
     ])
-    if selection.short:
-        print(f"note: only {len(selection.candidates)} distinct-site candidates "
+    if short:
+        print(f"note: only {len(chosen)} distinct-site candidates "
               f"available (requested {args.top})", file=sys.stderr)
     _write_manifest(out, args,
                     inputs={"psl": psl_entry, "sim_manifest": sim_entries},
                     outputs=["candidates.csv"],
-                    extra={"short": selection.short})
+                    extra={"short": short})
     return 0
 
 

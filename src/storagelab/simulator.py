@@ -8,8 +8,8 @@ or ``delete`` on a jar; the others are checked inline against the trace's
 ``api`` and ``op`` vocabulary and dropped, and an unknown value goes to
 ``storage_access``, which names it. Replay dispatches on an event's exact
 class, the one ``parse_trace`` builds: the three frame events (behavior
-edges, script ops, requests; nine in ten events) are tested first, and only
-the rest go through the check against every event class. A run owns one URL
+edges, script ops, requests; nine in ten events) are tested first, then the
+other three, and any other object is not a trace event. A run owns one URL
 table: it forms each distinct URL's site once, looking each distinct host's
 site up once through ``policy.site_of`` on the first URL naming it, and each
 frame URL's filter-list verdict once; under origin keying it forms a URL's
@@ -33,10 +33,7 @@ sends its cookies but sets none.
 
 Virtual time advances one tick per event; cookie expiries are interpreted
 against it. The ``simulate`` command, at the end, reads a trace and writes
-the replay's ``flows.csv`` and ``frames.jsonl``. It reads the trace through
-``artifacts._parse_input``, which hashes a trace of 1 MiB or more in a
-helper thread while it decodes it and joins that thread before it returns,
-so no thread is running when ``cli.run`` ends the process with ``os._exit``.
+the replay's ``flows.csv`` and ``frames.jsonl``.
 """
 
 from __future__ import annotations
@@ -95,10 +92,6 @@ class _TabState(Record):
     # load's own; frames: frame_id -> (frame URL, its jar, its FrameRecord)
     __slots__ = ("profile", "crawl_iter", "visit_seq", "page_url", "site", "profile_jars",
                  "page_jars", "frames")
-
-
-_EVENT_TYPES = frozenset((VisitStart, FrameLoad, HttpRequest, ScriptStorage, BehaviorEdge,
-                          VisitEnd))
 
 
 def _holds(when: tuple[str, bool], jar: Jar | None, url: str, now: float) -> bool:
@@ -197,29 +190,7 @@ def replay(
                         add_cookie(jar, cookie)
                 continue
 
-            if kind not in _EVENT_TYPES:
-                raise ValueError(f"not a trace event: {event!r}")
-            state = tabs.get(event.tab)
-            if state is None and kind is not VisitStart:
-                raise ValueError(f"tab {event.tab!r} has no active visit")
-
-            if kind is FrameLoad:
-                frame_url = event.frame_url
-                site, jar = resolve(state, frame_url)
-                party = "first" if site == state.site else "third"
-                ad = event.is_ad if event.is_ad is not None else ad_verdicts[frame_url]
-                key = (state.page_url, frame_url, state.profile, state.crawl_iter)
-                record = frames.get(key)
-                if record is None:
-                    record = frames[key] = FrameRecord()
-                record.is_ad = ad  # the frame's latest load decides its flags
-                record.party = party
-                state.frames[event.frame_id] = (frame_url, jar, record)
-
-            elif kind is VisitEnd:
-                del tabs[event.tab]
-
-            else:  # VisitStart; it replaces the tab's previous page load, if any
+            if kind is VisitStart:  # it replaces the tab's previous page load, if any
                 prev_seq = last_seq.get(event.profile)
                 if prev_seq is not None and event.visit_seq <= prev_seq:
                     raise ValueError(f"visit_seq {event.visit_seq} not increasing "
@@ -235,6 +206,26 @@ def replay(
                     page_jars={},
                     frames={},
                 )
+                continue
+            if kind is not FrameLoad and kind is not VisitEnd:
+                raise ValueError(f"not a trace event: {event!r}")
+            state = tabs.get(event.tab)
+            if state is None:
+                raise ValueError(f"tab {event.tab!r} has no active visit")
+            if kind is VisitEnd:
+                del tabs[event.tab]
+                continue
+            frame_url = event.frame_url
+            site, jar = resolve(state, frame_url)
+            party = "first" if site == state.site else "third"
+            ad = event.is_ad if event.is_ad is not None else ad_verdicts[frame_url]
+            key = (state.page_url, frame_url, state.profile, state.crawl_iter)
+            record = frames.get(key)
+            if record is None:
+                record = frames[key] = FrameRecord()
+            record.is_ad = ad  # the frame's latest load decides its flags
+            record.party = party
+            state.frames[event.frame_id] = (frame_url, jar, record)
         except ValueError as exc:
             raise ReplayError(f"event {index}: {exc}") from None
 

@@ -81,35 +81,6 @@ class Trace(NamedTuple):
     events: list[TraceEvent]
 
 
-def event_to_record(event: TraceEvent) -> dict:
-    if isinstance(event, VisitStart):
-        return {"type": "visit_start", "profile": event.profile, "crawl_iter": event.crawl_iter,
-                "tab": event.tab, "page_url": event.page_url, "visit_seq": event.visit_seq}
-    if isinstance(event, FrameLoad):
-        record = {"type": "frame_load", "tab": event.tab, "frame_id": event.frame_id,
-                  "frame_url": event.frame_url}
-        if event.is_ad is not None:
-            record["is_ad"] = event.is_ad
-        return record
-    if isinstance(event, ScriptStorage):
-        return {"type": "script_storage", "tab": event.tab, "frame_id": event.frame_id,
-                "api": event.api, "op": event.op, "key": event.key, "value": event.value}
-    if isinstance(event, VisitEnd):
-        return {"type": "visit_end", "tab": event.tab}
-    if isinstance(event, HttpRequest):
-        record = {"type": "http_request", "tab": event.tab, "frame_id": event.frame_id,
-                  "dest_url": event.dest_url,
-                  "response_set_cookies": list(event.response_set_cookies)}
-    elif isinstance(event, BehaviorEdge):
-        record = {"type": "behavior_edge", "tab": event.tab, "frame_id": event.frame_id,
-                  "edge": dict(zip(_EDGE_FIELDS, json.loads(event.edge)))}
-    else:
-        raise TypeError(f"not a trace event: {event!r}")
-    if event.when is not None:  # only these two events carry a condition
-        record["when"] = {"cookie": event.when[0], "present": event.when[1]}
-    return record
-
-
 # The checks of a trace record's fields that are not plain strings; each
 # returns the value its event keeps, or raises the error that names it.
 
@@ -213,6 +184,33 @@ def _json_line(record: dict) -> str:
     return _encode(record) + "\n"
 
 
+# The writer's field tables: each record class's type and table, looked up by
+# exact class, and the encoders of the fields held in another form in memory.
+_KIND_OF = {cls: (kind, table) for kind, (cls, table) in _KINDS.items()}
+_ENCODERS = {"response_set_cookies": list,
+             "edge": lambda edge: dict(zip(_EDGE_FIELDS, json.loads(edge))),
+             "when": lambda when: {"cookie": when[0], "present": when[1]}}
+
+
+def event_to_record(event: TraceEvent | TraceMeta) -> dict:
+    """The record of a trace event, or of the meta, walking its type's field
+    table: an optional field that is None is left out, but for a script op's
+    ``value``, always written (null when None). ``TypeError`` for any other
+    object, an event subclass's included."""
+    try:
+        kind, table = _KIND_OF[type(event)]
+    except KeyError:
+        raise TypeError(f"not a trace event: {event!r}") from None
+    record = {"type": kind}
+    for name, _, default in table:
+        value = getattr(event, name)
+        if value is None and default is None and name != "value":
+            continue
+        encode = _ENCODERS.get(name)
+        record[name] = value if encode is None else encode(value)
+    return record
+
+
 def _trace_lines(trace: Trace) -> Iterator[str]:
     """The lines of a trace file: the meta line, if any, then one line per
     event; a trace with neither is the single line ``"\n"``. Each distinct
@@ -226,12 +224,7 @@ def _trace_lines(trace: Trace) -> Iterator[str]:
         yield "\n"
         return
     if trace.meta is not None:
-        meta: dict = {"type": "meta"}
-        if trace.meta.scenario is not None:
-            meta["scenario"] = trace.meta.scenario
-        if trace.meta.spec is not None:
-            meta["spec"] = trace.meta.spec
-        yield _json_line(meta)
+        yield _json_line(event_to_record(trace.meta))
     # The index of each event object's last occurrence: its line is kept from
     # its first occurrence until then, so not at all for an object that occurs
     # once.
@@ -241,18 +234,14 @@ def _trace_lines(trace: Trace) -> Iterator[str]:
         key = id(event)
         line = lines.get(key)
         if line is None:
+            if type(event) is TraceMeta:  # its line is the meta's, only ever line 1
+                raise TypeError(f"not a trace event: {event!r}")
             line = _json_line(event_to_record(event))
             if last[key] != index:
                 lines[key] = line
         elif last[key] == index:
             del lines[key]
         yield line
-
-
-def dump_trace(trace: Trace) -> str:
-    """The text of a trace file; ``TypeError`` for an item that is not a
-    trace event."""
-    return "".join(_trace_lines(trace))
 
 
 def write_trace(trace: Trace, path: str | Path) -> None:

@@ -44,9 +44,11 @@ on every visit and builds every event afresh. It is the oracle for
 ``storagelab.synthetic.generate_synthetic_trace``, which writes one trace
 with ``when`` conditions for every policy: replaying that trace under a
 policy must give the frames of this one's, and its flows up to a renaming of
-cookie values. ``dump_trace`` encodes every event, repeated or not, into one
-string, kept as the oracle for ``storagelab.trace``'s writers, which encode
-each distinct event object once and stream the lines.
+cookie values. ``event_to_record`` writes out each event class's record field
+by field, kept as the oracle for ``storagelab.trace.event_to_record``, which
+walks the class's field table. ``dump_trace`` encodes every event, repeated
+or not, into one string, kept as the oracle for ``storagelab.trace``'s
+writers, which encode each distinct event object once and stream the lines.
 ``read_flows_csv`` and ``read_frames_jsonl`` build a dict per row and check
 each field with its own call, kept as the oracles for
 ``storagelab.flows.read_flows_csv``, which checks each row against its
@@ -112,7 +114,6 @@ from storagelab.trace import (
     TraceMeta,
     VisitEnd,
     VisitStart,
-    event_to_record,
 )
 from storagelab.vocab import STORAGE_APIS, STORAGE_OPS, NodeType, edge_endpoint_types
 
@@ -851,7 +852,38 @@ def parse_trace(lines: Iterable[str]) -> Trace:
 
 
 # ---------------------------------------------------------------------------
-# Trace writing: every event is encoded, and the whole text built, in one go.
+# Trace writing: each event class's record is written out field by field, and
+# every event is encoded, and the whole text built, in one go.
+
+
+def event_to_record(event: TraceEvent) -> dict:
+    if isinstance(event, VisitStart):
+        return {"type": "visit_start", "profile": event.profile, "crawl_iter": event.crawl_iter,
+                "tab": event.tab, "page_url": event.page_url, "visit_seq": event.visit_seq}
+    if isinstance(event, FrameLoad):
+        record = {"type": "frame_load", "tab": event.tab, "frame_id": event.frame_id,
+                  "frame_url": event.frame_url}
+        if event.is_ad is not None:
+            record["is_ad"] = event.is_ad
+        return record
+    if isinstance(event, ScriptStorage):
+        return {"type": "script_storage", "tab": event.tab, "frame_id": event.frame_id,
+                "api": event.api, "op": event.op, "key": event.key, "value": event.value}
+    if isinstance(event, VisitEnd):
+        return {"type": "visit_end", "tab": event.tab}
+    if isinstance(event, HttpRequest):
+        record = {"type": "http_request", "tab": event.tab, "frame_id": event.frame_id,
+                  "dest_url": event.dest_url,
+                  "response_set_cookies": list(event.response_set_cookies)}
+    elif isinstance(event, BehaviorEdge):
+        fields = ("source_type", "source_key", "edge_type", "target_type", "target_key")
+        record = {"type": "behavior_edge", "tab": event.tab, "frame_id": event.frame_id,
+                  "edge": dict(zip(fields, json.loads(event.edge)))}
+    else:
+        raise TypeError(f"not a trace event: {event!r}")
+    if event.when is not None:  # only these two events carry a condition
+        record["when"] = {"cookie": event.when[0], "present": event.when[1]}
+    return record
 
 
 def dump_trace(trace: Trace) -> str:

@@ -11,9 +11,22 @@ from storagelab.metrics import OptimizeInstance, jaccard
 from storagelab.policy import PolicyKind
 from storagelab.frames import read_frames_jsonl
 from storagelab.simulator import replay
-from storagelab.trace import FrameLoad, HttpRequest, ScriptStorage, VisitEnd, VisitStart
+from storagelab.trace import (FrameLoad, HttpRequest, ScriptStorage, VisitEnd, VisitStart,
+                              _trace_lines)
 from storagelab.vocab import NodeType, _edge_string
 
+
+
+def trace_text(trace) -> str:
+    """The text of a trace file, as ``write_trace`` streams it."""
+    return "".join(_trace_lines(trace))
+
+
+def subclass_event(cls, *fields):
+    """An event of a subclass of ``cls`` with the same fields."""
+    subclass = type(f"Sub{cls.__name__}", (cls,),
+                    {"__slots__": cls.__slots__, "_defaults": cls._defaults})
+    return subclass(*fields)
 
 
 def read_flows(path):

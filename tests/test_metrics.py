@@ -295,16 +295,11 @@ class TestSelectCandidates:
             FrameStat("https://w2.t.net/b", "t.net", 9, 9),
             FrameStat("https://other.org/c", "other.org", 1, 1),
         ]
-        selection = select_candidates(stats, 2)
-        assert [c.frame_url for c in selection.candidates] == [
-            "https://w1.t.net/a", "https://other.org/c"]
-        assert not selection.short
+        assert select_candidates(stats, 2) == [stats[0], stats[2]]
 
     def test_short_when_not_enough_sites(self):
         stats = [FrameStat("https://w.t.net/a", "t.net", 2, 2)]
-        selection = select_candidates(stats, 10)
-        assert selection.short
-        assert len(selection.candidates) == 1
+        assert select_candidates(stats, 10) == stats  # fewer sites than asked for
 
     def test_sorted_by_score_then_url(self):
         stats = [
@@ -312,8 +307,7 @@ class TestSelectCandidates:
             FrameStat("https://a.org/x", "a.org", 4, 4),
             FrameStat("https://c.com/x", "c.com", 8, 8),
         ]
-        selection = select_candidates(stats, 3)
-        assert [c.frame_url for c in selection.candidates] == [
+        assert [c.frame_url for c in select_candidates(stats, 3)] == [
             "https://c.com/x", "https://a.org/x", "https://b.net/x"]
 
     @pytest.mark.parametrize("k", [0, -3])

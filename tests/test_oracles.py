@@ -67,8 +67,6 @@ from storagelab.trace import (
     TraceMeta,
     VisitEnd,
     VisitStart,
-    dump_trace,
-    event_to_record,
     parse_trace,
     write_trace,
 )
@@ -634,8 +632,9 @@ POOL_EVENTS = [
     BehaviorEdge("t1", "f1", EDGES[0], ("uid", True)),
     VisitEnd("t1"),
 ]
-VALID_LINES = [json.dumps(event_to_record(e), sort_keys=True, separators=(",", ":"))
-               for e in POOL_EVENTS] + [json.dumps(event_to_record(e)) for e in POOL_EVENTS[::3]]
+VALID_LINES = [json.dumps(oracles.event_to_record(e), sort_keys=True, separators=(",", ":"))
+               for e in POOL_EVENTS] + [json.dumps(oracles.event_to_record(e))
+                                        for e in POOL_EVENTS[::3]]
 INVALID_LINES = [
     "{nope", "[1,2]", '"x"', "null", '{"type":"teleport"}', '{"type":"visit_end"}',
     '{"type":"visit_end","tab":1}',
@@ -726,10 +725,10 @@ def write_traces(draw):
 @example(Trace(None, []))
 @example(Trace(TraceMeta(), []))
 def test_writers_match_dump_of_every_event(tmp_path_factory, trace):
-    """dump_trace's text and the bytes write_trace leaves on disk are those of
-    the dump that encodes every event."""
+    """The writer's lines and the bytes write_trace leaves on disk are those
+    of the dump that encodes every event."""
     expected = oracles.dump_trace(trace)
-    assert dump_trace(trace) == expected
+    assert support.trace_text(trace) == expected
     path = tmp_path_factory.getbasetemp() / "written-trace.jsonl"
     write_trace(trace, path)
     assert path.read_bytes() == expected.encode("utf-8")

@@ -12,6 +12,7 @@ import re
 
 import pytest
 
+import support
 from oracles import Blocked, Ephemeral, FirstParty, GlobalThirdParty, SiteKeyedThirdParty
 from storagelab import filterlist, flows, frames, metrics, trace
 from storagelab.filterlist import AdRuleSet, is_ad_url
@@ -131,7 +132,7 @@ def test_each_distinct_trace_line_is_decoded_once_in_one_pass(decoded):
               HttpRequest("t", "f", "https://t.net/s", ("u=1",), ("u", False)),
               ScriptStorage("t", "f", "cookie", "get", "u"),
               BehaviorEdge("t", "f", EDGE, ("u", True)), VisitEnd("t")] * 2
-    lines = trace.dump_trace(trace.Trace(None, events)).splitlines()
+    lines = support.trace_text(trace.Trace(None, events)).splitlines()
     assert parse_trace(lines).events == events
     assert decoded == lines[:6]
 
@@ -173,7 +174,7 @@ def test_repeated_edge_lines_encode_once(monkeypatch):
     real_loads = json.loads
     monkeypatch.setattr(trace.json, "loads", lambda text: decoded.append(text) or real_loads(text))
     events = [BehaviorEdge("t", "f", EDGE), BehaviorEdge("t", "g", EDGE)] * 3
-    lines = trace.dump_trace(trace.Trace(None, events)).splitlines()
+    lines = support.trace_text(trace.Trace(None, events)).splitlines()
     assert len(set(lines)) == 2
     assert decoded == [EDGE, EDGE]  # once per distinct event
 
@@ -190,7 +191,7 @@ def test_repeats_that_are_one_object_encode_once_and_hash_never(monkeypatch):
     monkeypatch.setattr(Record, "__hash__", lambda self: hashed.append(self) or real_hash(self))
     monkeypatch.setattr(trace, "event_to_record", lambda e: encoded.append(e) or real_encode(e))
     events = [WRITE_EVENTS[i] for i in (0, 1, 2, 2, 1, 2, 3, 0, 3)] * 50
-    text = trace.dump_trace(trace.Trace(None, events))
+    text = support.trace_text(trace.Trace(None, events))
     assert hashed == []  # a repeat is found by identity
     assert encoded == WRITE_EVENTS
     assert text == "".join(trace._json_line(real_encode(e)) for e in events)
@@ -199,7 +200,7 @@ def test_repeats_that_are_one_object_encode_once_and_hash_never(monkeypatch):
 def test_equal_copies_write_their_own_lines():
     events = [type(e)(*(getattr(e, name) for name in e._fields))
               for _ in range(3) for e in WRITE_EVENTS]
-    lines = trace.dump_trace(trace.Trace(None, events)).splitlines(keepends=True)
+    lines = support.trace_text(trace.Trace(None, events)).splitlines(keepends=True)
     assert lines == [trace._json_line(trace.event_to_record(e)) for e in WRITE_EVENTS] * 3
 
 
@@ -207,7 +208,7 @@ def test_events_equal_as_records_keep_their_own_json():
     """``1 == True``, so these two events are equal records, but each is
     written with its own value."""
     events = [FrameLoad("t", "f", "https://t.net/w", is_ad) for is_ad in (1, True)]
-    lines = trace.dump_trace(trace.Trace(None, events)).splitlines()
+    lines = support.trace_text(trace.Trace(None, events)).splitlines()
     assert events[0] == events[1]
     assert '"is_ad":1,' in lines[0] and '"is_ad":true,' in lines[1]
 

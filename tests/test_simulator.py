@@ -32,7 +32,6 @@ from storagelab.trace import (
     ScriptStorage,
     VisitEnd,
     VisitStart,
-    dump_trace,
 )
 from storagelab.vocab import NodeType, _edge_string
 
@@ -61,7 +60,8 @@ class TestSyntheticGenerator:
     def test_byte_identical_for_same_spec(self):
         spec = SyntheticSpec(n_sites=3, trackers=(TrackerSpec("tracker0.test"),),
                              pages_per_site=1, crawl_iters=2, profiles=1, seed=7)
-        assert dump_trace(generate_synthetic_trace(spec)) == dump_trace(generate_synthetic_trace(spec))
+        assert (support.trace_text(generate_synthetic_trace(spec))
+                == support.trace_text(generate_synthetic_trace(spec)))
 
     def test_zero_sites_or_profiles_rejected(self):
         with pytest.raises(ValueError):
@@ -83,7 +83,7 @@ class TestSyntheticGenerator:
                              seed=11)
         trace_a = generate_synthetic_trace(spec)
         trace_b = generate_synthetic_trace(spec)
-        assert dump_trace(trace_a) == dump_trace(trace_b)
+        assert support.trace_text(trace_a) == support.trace_text(trace_b)
         frames = [e for e in trace_a.events
                   if isinstance(e, FrameLoad) and "tracker0" in e.frame_url]
         assert 0 < len(frames) < 6
@@ -185,13 +185,6 @@ class TestReplayErrors:
             replay(events, PolicyKind.PERMISSIVE, rules)
 
 
-def _subclass_event(cls, *fields):
-    """An event of a subclass of ``cls`` with the same fields."""
-    subclass = type(f"Sub{cls.__name__}", (cls,),
-                    {"__slots__": cls.__slots__, "_defaults": cls._defaults})
-    return subclass(*fields)
-
-
 _VISIT = VisitStart("p0", 1, "t", "https://a.com/", 1)
 _FRAME = FrameLoad("t", "f1", "https://t.net/w")
 _EDGE = _edge_string(NodeType.SCRIPT.value, "s", "reads", NodeType.COOKIE_JAR.value, "t.net")
@@ -219,12 +212,12 @@ _TRACKER = "https://t.net/w"
     # replay takes an event by its exact class, so a subclass's fields are never read
     *[pytest.param([_VISIT, _FRAME, event], f"event 2: not a trace event: {event!r}",
                    id=f"subclass-of-{type(event).__name__}")
-      for event in (_subclass_event(BehaviorEdge, "t", "f1", _EDGE),
-                    _subclass_event(ScriptStorage, "t", "f1", "cookie", "set", "k", "v"),
-                    _subclass_event(HttpRequest, "t", "f1", "https://t.net/"),
-                    _subclass_event(FrameLoad, "t", "f2", "https://t.net/w"),
-                    _subclass_event(VisitStart, "p0", 1, "t", "https://b.com/", 2),
-                    _subclass_event(VisitEnd, "t"))],
+      for event in (support.subclass_event(BehaviorEdge, "t", "f1", _EDGE),
+                    support.subclass_event(ScriptStorage, "t", "f1", "cookie", "set", "k", "v"),
+                    support.subclass_event(HttpRequest, "t", "f1", "https://t.net/"),
+                    support.subclass_event(FrameLoad, "t", "f2", "https://t.net/w"),
+                    support.subclass_event(VisitStart, "p0", 1, "t", "https://b.com/", 2),
+                    support.subclass_event(VisitEnd, "t"))],
     # in memory, a ScriptStorage may hold what parse_trace would refuse
     pytest.param([_VISIT, _FRAME, ScriptStorage("t", "f1", "webSQL", "get", "k")],
                  "event 2: unknown storage api 'webSQL'", id="unknown-storage-api"),

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from support import subclass_event, trace_text
 from storagelab import trace as trace_module
 from storagelab.flows import _MISSING, TraceFormatError
 from storagelab.trace import (
@@ -21,7 +22,6 @@ from storagelab.trace import (
     VisitEnd,
     VisitStart,
     _json_line,
-    dump_trace,
     event_to_record,
     parse_trace,
     write_trace,
@@ -57,13 +57,13 @@ def sample_trace():
 
 def test_round_trip():
     trace = sample_trace()
-    again = parse_trace(dump_trace(trace).splitlines())
+    again = parse_trace(trace_text(trace).splitlines())
     assert again.meta == trace.meta
     assert again.events == trace.events
 
 
 def test_when_is_written_only_when_set():
-    lines = dump_trace(sample_trace()).splitlines()
+    lines = trace_text(sample_trace()).splitlines()
     assert [json.loads(line).get("when") for line in lines[3:5] + lines[6:8]] == [
         None, {"cookie": "uid", "present": False}, None, {"cookie": "uid", "present": True}]
     assert sum('"when"' in line for line in lines) == 2
@@ -72,18 +72,60 @@ def test_when_is_written_only_when_set():
 def test_meta_policy_of_an_older_trace_is_ignored():
     trace = parse_trace(['{"type":"meta","scenario":"s","policy":"blocking"}'])
     assert trace.meta == TraceMeta(scenario="s")
-    assert dump_trace(trace) == '{"scenario":"s","type":"meta"}\n'
+    assert trace_text(trace) == '{"scenario":"s","type":"meta"}\n'
 
 
-def test_writers_reject_a_non_event_and_leave_no_file(tmp_path):
+@pytest.mark.parametrize("bad", ["not an event", TraceMeta("s")])
+def test_writers_reject_a_non_event_and_leave_no_file(tmp_path, bad):
     # Enough events before the bad one that the writer has flushed some lines.
-    trace = Trace(None, sample_trace().events * 2000 + ["not an event"])
+    trace = Trace(None, sample_trace().events * 2000 + [bad])
     with pytest.raises(TypeError, match="not a trace event"):
-        dump_trace(trace)
+        trace_text(trace)
     path = tmp_path / "trace.jsonl"
     with pytest.raises(TypeError, match="not a trace event"):
         write_trace(trace, path)
     assert not path.exists()
+
+
+EDGE = _edge_string("script", "s.js", "reads", "cookie_jar", "t.net")
+# Each record kind with every optional field set, then each kind that has one
+# with every one absent: the meta then writes only its type, and a script op's
+# value is null.
+EVERY_OPTIONAL = [
+    (TraceMeta("s", {"n_sites": 1}), event) for event in (
+        VisitStart("p0", 1, "tab0", "https://a.com/", 1),
+        FrameLoad("tab0", "f1", "https://t.net/w", False),
+        HttpRequest("tab0", "f1", "https://t.net/s", ("uid=x", "sid=y; Path=/"), ("uid", True)),
+        ScriptStorage("tab0", "f1", "local", "set", "k", "v"),
+        BehaviorEdge("tab0", "f1", EDGE, ("uid", False)),
+        VisitEnd("tab0"))
+] + [
+    (TraceMeta(), event) for event in (
+        FrameLoad("tab0", "f1", "https://t.net/w"), HttpRequest("tab0", "f1", "https://t.net/s"),
+        ScriptStorage("tab0", "f1", "cookie", "get", "k"), BehaviorEdge("tab0", "f1", EDGE))
+]
+
+
+@pytest.mark.parametrize("meta,event", EVERY_OPTIONAL,
+                         ids=[f"{type(e).__name__}-{'every' if m.spec else 'none'}"
+                              for m, e in EVERY_OPTIONAL])
+def test_each_record_kind_is_written_as_the_oracle_writes_it(meta, event):
+    trace = Trace(meta, [event])
+    text = trace_text(trace)
+    assert text == oracles.dump_trace(trace)
+    assert parse_trace(text.splitlines()) == trace
+
+
+SUBCLASSED = [subclass_event(type(e), *(getattr(e, name) for name in e._fields))
+              for _, e in EVERY_OPTIONAL[:6]] + [type("SubTraceMeta", (TraceMeta,), {})("s")]
+
+
+@pytest.mark.parametrize("record", SUBCLASSED, ids=[type(r).__name__ for r in SUBCLASSED])
+def test_a_subclass_of_a_record_class_is_not_written(record):
+    """The writer takes an event, or the meta, by its exact class, as replay
+    takes an event."""
+    with pytest.raises(TypeError, match="not a trace event"):
+        event_to_record(record)
 
 
 def test_write_trace_streams(tmp_path):
@@ -100,7 +142,7 @@ def test_write_trace_streams(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert path.read_text(encoding="utf-8") == dump_trace(trace)
+    assert path.read_text(encoding="utf-8") == trace_text(trace)
     assert peak < path.stat().st_size / 20
 
 
@@ -116,13 +158,13 @@ def test_write_trace_of_distinct_events_holds_no_line_past_its_use(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert path.read_text(encoding="utf-8") == dump_trace(trace)
+    assert path.read_text(encoding="utf-8") == trace_text(trace)
     assert peak < path.stat().st_size
 
 
 def test_dump_is_deterministic():
     trace = sample_trace()
-    assert dump_trace(trace) == dump_trace(trace)
+    assert trace_text(trace) == trace_text(trace)
 
 
 def test_node_type_counts():
@@ -146,7 +188,7 @@ def test_parsed_edge_is_its_canonical_string():
             '"type":"behavior_edge"}')
     (event,) = parse_trace([line]).events
     assert event.edge == '["script","s\\u00e9","reads","cookie_jar","t"]'
-    assert dump_trace(Trace(None, [event])) == line + "\n"
+    assert trace_text(Trace(None, [event])) == line + "\n"
 
 
 @pytest.mark.parametrize("encoded", [
@@ -313,7 +355,7 @@ def test_parse_of_each_single_field_change_matches_the_oracle():
     type."""
     trace = sample_trace()
     events = [*trace.events, FrameLoad("tab0", "f1", "https://t.net/w", True)]
-    lines = dump_trace(Trace(trace.meta, events)).splitlines()
+    lines = trace_text(Trace(trace.meta, events)).splitlines()
     assert parse_trace(lines) == Trace(trace.meta, events)
     for line in lines:
         for path_index in range(len(_slots(json.loads(line)))):
